@@ -35,8 +35,11 @@ from repro.guard.report import FailureReport
 from repro.obs import get_metrics
 
 MAGIC = b"RPCKPT1\n"
-#: bump when the payload schema changes incompatibly
-FORMAT_VERSION = 1
+#: bump when the payload schema changes incompatibly, or when the
+#: algorithm does (the fingerprint carries no algorithm identity, so a
+#: resumed run would follow neither build's trajectory).  2: canonical
+#: tie-break in the window legalizer.
+FORMAT_VERSION = 2
 #: fixed pickle protocol so payload bytes (and their digest) are stable
 #: across interpreter versions that share the protocol
 PICKLE_PROTOCOL = 4

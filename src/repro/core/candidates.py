@@ -52,7 +52,6 @@ def generate_candidates(
         max_targets=config.max_targets,
         backend=config.ilp_backend,
         ilp_budget_s=config.ilp_budget_s,
-        fast=config.use_fast_ecc,
     )
     result: dict[str, list[MoveCandidate]] = {}
     for name in critical_cells:
@@ -74,6 +73,5 @@ def generate_candidates(
                 )
             )
         result[name] = candidates
-    if legalizer.fast:
-        legalizer.publish_metrics()
+    legalizer.publish_metrics()
     return result

@@ -36,10 +36,10 @@ class CrpConfig:
     #: order cells by routed-net cost (False = arbitrary order, like [18])
     prioritize: bool = True
     #: incremental CR&P iteration kernel: iteration-scoped ECC pricing
-    #: cache, O(dirty-nets) running route-cost accounting, and the
-    #: window-ILP memo + specialized exact solver in the GCP step.
+    #: cache and O(dirty-nets) running route-cost accounting.
     #: Bit-identical to the uncached paths by construction; ``False``
-    #: keeps the full-recompute oracle live for the parity suite.
+    #: keeps the full-recompute oracle live for the parity suite.  (The
+    #: GCP window solver is the same exact enumerator in both arms.)
     use_fast_ecc: bool = True
     #: ILP backend for legalizer and selection
     ilp_backend: str = "auto"

@@ -4,10 +4,13 @@ Given a critical cell ``c``, the legalizer considers a local window of
 ``n_rows`` rows by ``n_sites`` sites centered on ``c``.  Up to
 ``max_cells`` cells (``c`` plus its nearest movable neighbours in the
 window) may move; everything else is an obstacle.  For each enumerated
-target position of ``c`` an ILP places the remaining movable cells on
-free sites minimizing displacement toward their median positions
-(Eq. 11), yielding one *legalized candidate*: a new position for ``c``
-plus the compensating moves of the conflict cells.
+target position of ``c`` the Eq. 11 ILP — place the remaining movable
+cells on free sites minimizing displacement toward their median
+positions — is solved exactly, yielding one *legalized candidate*: a
+new position for ``c`` plus the compensating moves of the conflict
+cells.  Windows of up to 3 cells are solved by enumeration with a
+canonical tie-break (``_solve_enumerated``); larger ones by a general
+ILP backend (``_solve_ilp``).
 
 The paper's defaults — ``|cells| = 3``, ``|sites| = 20``, ``|rows| = 5``
 — are the constructor defaults here.
@@ -60,26 +63,20 @@ class _WindowRow:
 
 
 _MEMO_MISS = object()
-_FALLBACK = object()
 
 
-def _ambiguous(values: np.ndarray, best: float) -> bool:
-    """True when the optimum is not *provably* unique.
+def _eq11_cost(
+    x: int, y: int, median: Point, site_width: int, row_height: int
+) -> float:
+    """Eq. 11: site/row-granular displacement of a slot from the median.
 
-    An exact tie means two assignments price identically and only the
-    backend's tie-break picks between them; a runner-up within the
-    ladder's MIP gap tolerances (HiGHS defaults: ``mip_rel_gap=1e-4``,
-    ``mip_abs_gap=1e-6``, each taken with 2x headroom) means the
-    backend is *allowed* to return the runner-up.  Both cases delegate
-    to the real solver.
+    Ties between slots are exact float equalities and the tie-break
+    steers the whole CR&P trajectory: do not re-associate.
     """
-    if int(np.count_nonzero(values == best)) > 1:
-        return True
-    others = values[values > best]
-    if others.size == 0:
-        return False
-    gap = float(others.min()) - float(best)
-    return gap <= 2e-6 + 2e-4 * abs(float(best))
+    return (
+        site_width * (abs(x - median.x) / site_width)
+        + row_height * (abs(y - median.y) / row_height)
+    )
 
 
 class WindowLegalizer:
@@ -94,31 +91,23 @@ class WindowLegalizer:
         max_targets: int = 8,
         backend: str = "auto",
         ilp_budget_s: float | None = None,
-        fast: bool = False,
     ) -> None:
         self.design = design
         self.n_sites = n_sites
         self.n_rows = n_rows
         self.max_cells = max_cells
         self.max_targets = max_targets
+        #: used only by the > 3-cell ILP path (``_solve_ilp``)
         self.backend = backend
         self.ilp_budget_s = ilp_budget_s
-        self.fast = fast
-        # The memo and the specialized exact solver arm only when a
-        # solve is a reproducible function of the window signature: no
-        # wall-clock budget (expiry degrades the ladder to greedy) and
-        # an exact backend resolution.  Everything else keeps the plain
-        # per-window ILP path.
-        self._fast_gcp = (
-            fast and ilp_budget_s is None and backend in ("auto", "scipy")
-        )
-        #: window-signature -> solved outcome, scoped to this instance
-        #: (CR&P builds a fresh legalizer per iteration)
+        #: window-signature -> solved outcome, scoped to this
+        #: instance (CR&P builds a fresh legalizer per iteration)
         self._memo: dict = {}
         self.memo_hits = 0
         self.memo_misses = 0
-        self.fast_solves = 0
-        self.fast_fallbacks = 0
+        #: enumerated solves, and how many of them had > 1 exact optimum
+        self.solves = 0
+        self.tie_breaks = 0
 
     # ------------------------------------------------------------------ API
 
@@ -338,48 +327,36 @@ class WindowLegalizer:
                 ),
             )
 
-        key = None
-        if self._fast_gcp:
+        def solve_with(solver):
+            all_options: list[list[tuple[int, _WindowRow, int]]] = []
+            for name in movable:
+                options = self._options_for(
+                    name, cell_name, cell_sites[name], window_rows,
+                    target_row, target_site,
+                )
+                if not options:
+                    return None
+                all_options.append(options)
+            return solver(
+                movable, all_options, cell_sites, medians, site_width, row_height
+            )
+
+        # Past the enumerator's 3-cell domain (``CrpConfig.max_cells > 3``)
+        # the general ILP answers.
+        solver = self._solve_enumerated if len(movable) <= 3 else self._solve_ilp
+        if len(movable) > 3 and self.ilp_budget_s is not None:
+            # A budgeted solve is not a function of the window signature.
+            outcome = solve_with(solver)
+        else:
             key = self._memo_key(
                 movable, window_rows, target_row, target_site, cell_sites, medians
             )
             outcome = self._memo.get(key, _MEMO_MISS)
-            if outcome is not _MEMO_MISS:
+            if outcome is _MEMO_MISS:
+                self.memo_misses += 1
+                outcome = self._memo[key] = solve_with(solver)
+            else:
                 self.memo_hits += 1
-                return self._candidate_from(
-                    cell_name, movable, target_row, target_site, outcome
-                )
-            self.memo_misses += 1
-
-        all_options: list[list[tuple[int, _WindowRow, int]]] = []
-        for name in movable:
-            options = self._options_for(
-                name, cell_name, cell_sites[name], window_rows,
-                target_row, target_site,
-            )
-            if not options:
-                if key is not None:
-                    self._memo[key] = None
-                return None
-            all_options.append(options)
-
-        outcome = _FALLBACK
-        if key is not None:
-            outcome = self._solve_fast(
-                movable, all_options, cell_sites, medians,
-                site_width, row_height,
-            )
-            if outcome is not _FALLBACK:
-                self.fast_solves += 1
-        if outcome is _FALLBACK:
-            if key is not None:
-                self.fast_fallbacks += 1
-            outcome = self._solve_ilp(
-                cell_name, movable, all_options, cell_sites, medians,
-                site_width, row_height,
-            )
-        if key is not None:
-            self._memo[key] = outcome
         return self._candidate_from(
             cell_name, movable, target_row, target_site, outcome
         )
@@ -425,7 +402,6 @@ class WindowLegalizer:
 
     def _solve_ilp(
         self,
-        cell_name: str,
         movable: list[str],
         all_options: list[list[tuple[int, _WindowRow, int]]],
         cell_sites: dict[str, int],
@@ -433,13 +409,17 @@ class WindowLegalizer:
         site_width: int,
         row_height: int,
     ):
-        """The Eq. 11 window ILP (the oracle the fast solver must match).
+        """The Eq. 11 window as a general ILP, for > 3 movable cells.
+
+        The enumerator's totals tensor grows as ``options ** cells``, so
+        windows past its 3-cell domain are handed to the backend ladder;
+        among tied optima the backend's choice stands.
 
         Returns ``None`` (infeasible / solver declined) or
         ``(assignments, objective)`` with one ``(x, y, orient)`` per
         movable cell in ``movable`` order.
         """
-        model = IlpModel(f"legalize[{cell_name}]")
+        model = IlpModel(f"legalize[{movable[0]}]")
         # slot coverage: (row index in window, local site) -> list of vars
         coverage: dict[tuple[int, int], list[int]] = {}
         placements: dict[int, tuple[str, int, int, Orientation]] = {}
@@ -450,11 +430,7 @@ class WindowLegalizer:
             for row_order, row_slice, local in options:
                 x = row_slice.site_x(local)
                 y = row_slice.row.origin_y
-                # Eq. 11: site/row-granular displacement toward the median.
-                cost = (
-                    site_width * (abs(x - median.x) / site_width)
-                    + row_height * (abs(y - median.y) / row_height)
-                )
+                cost = _eq11_cost(x, y, median, site_width, row_height)
                 var = model.add_binary(
                     f"y[{name}][{row_order}][{local}]", cost=cost
                 )
@@ -526,7 +502,7 @@ class WindowLegalizer:
             displacement=objective,
         )
 
-    # -------------------------------------------------- fast GCP kernel
+    # ------------------------------------------- memo + exact enumerator
 
     def _memo_key(
         self,
@@ -574,7 +550,7 @@ class WindowLegalizer:
             ),
         )
 
-    def _solve_fast(
+    def _solve_enumerated(
         self,
         movable: list[str],
         all_options: list[list[tuple[int, _WindowRow, int]]],
@@ -588,21 +564,20 @@ class WindowLegalizer:
         The window model is tiny and rigidly structured: the critical
         cell is pinned to exactly one option and at most two neighbours
         each pick one free span, subject to pairwise non-overlap.  The
-        optimum is found by enumerating the (masked) total matrix; the
-        objective accumulates in the same order HiGHS evaluates the
-        model's objective (variable index order = ``movable`` order),
-        so a *unique* optimum is returned bit-identically.  Whenever
-        uniqueness is in doubt — an exact tie, or a runner-up within
-        the ladder backend's MIP gap tolerances — the solve is
-        delegated to the real ILP (``_FALLBACK``), which keeps
-        bit-identity by construction rather than by tie-break guessing.
+        optimum is the exact float minimum of the (masked) totals
+        matrix.  When several feasible assignments attain it, the
+        canonical tie-break returns the lexicographically smallest
+        option-index tuple in ``movable`` order — options are enumerated
+        window-row-major then by ascending site, so the first neighbour
+        takes the lowest row, then the lowest site, then the second
+        neighbour likewise.  Exact-equality ties decide the CR&P
+        trajectory: the Eq. 11 cost expression and the accumulation
+        order of ``totals`` below are part of the contract.
 
-        Returns ``None`` (infeasible), ``(assignments, objective)``, or
-        ``_FALLBACK``.
+        Returns ``None`` (infeasible) or ``(assignments, objective)``.
         """
+        self.solves += 1
         n = len(movable)
-        if n > 3 or len(all_options[0]) != 1:
-            return _FALLBACK
 
         costs: list[np.ndarray] = []
         rows: list[np.ndarray] = []
@@ -620,11 +595,7 @@ class WindowLegalizer:
             for j, (row_order, row_slice, local) in enumerate(options):
                 x = row_slice.site_x(local)
                 y = row_slice.row.origin_y
-                # Must be the exact Eq. 11 expression of the model.
-                cvec[j] = (
-                    site_width * (abs(x - median.x) / site_width)
-                    + row_height * (abs(y - median.y) / row_height)
-                )
+                cvec[j] = _eq11_cost(x, y, median, site_width, row_height)
                 rvec[j] = row_order
                 svec[j] = local
                 pvec.append((x, y, row_slice.row.orient))
@@ -652,12 +623,10 @@ class WindowLegalizer:
             if not feasible.any():
                 return None
             totals = c0 + costs[1]
-            values = totals[feasible]
-            best = values.min()
-            if _ambiguous(values, best):
-                return _FALLBACK
-            j = int(np.flatnonzero(feasible & (totals == best))[0])
-            return ((pinned, places[1][j]), float(best))
+            best = totals[feasible].min()
+            optima = np.flatnonzero(feasible & (totals == best))
+            self.tie_breaks += len(optima) > 1
+            return ((pinned, places[1][int(optima[0])]), float(best))
 
         pair = (
             (rows[1][:, None] == rows[2][None, :])
@@ -672,11 +641,10 @@ class WindowLegalizer:
         if not feasible.any():
             return None
         totals = (c0 + costs[1])[:, None] + costs[2][None, :]
-        values = totals[feasible]
-        best = values.min()
-        if _ambiguous(values, best):
-            return _FALLBACK
-        i, j = np.argwhere(feasible & (totals == best))[0]
+        best = totals[feasible].min()
+        optima = np.argwhere(feasible & (totals == best))
+        self.tie_breaks += len(optima) > 1
+        i, j = optima[0]
         return (
             (pinned, places[1][int(i)], places[2][int(j)]),
             float(best),
@@ -691,9 +659,9 @@ class WindowLegalizer:
             return
         metrics.count("crp.window_memo_hits", self.memo_hits)
         metrics.count("crp.window_memo_misses", self.memo_misses)
-        metrics.count("crp.window_fast_solves", self.fast_solves)
-        metrics.count("crp.window_fast_fallbacks", self.fast_fallbacks)
+        metrics.count("crp.window_solves", self.solves)
+        metrics.count("crp.window_tie_breaks", self.tie_breaks)
         self.memo_hits = 0
         self.memo_misses = 0
-        self.fast_solves = 0
-        self.fast_fallbacks = 0
+        self.solves = 0
+        self.tie_breaks = 0

@@ -6,6 +6,7 @@ from repro.geom import Orientation, Rect
 from repro.db import Cell, Design, Net, NetPin, Row
 from repro.db.design import GCellGridSpec
 from repro.benchgen.generator import DesignSpec, generate_design
+from repro.legalizer import WindowLegalizer
 
 
 def build_tiny_design(tech, num_rows: int = 4, sites_per_row: int = 30) -> Design:
@@ -70,3 +71,50 @@ def fresh_small(seed: int = 42, **overrides) -> Design:
     )
     params.update(overrides)
     return generate_design(DesignSpec(**params))
+
+
+class RecordingLegalizer(WindowLegalizer):
+    """A window legalizer that keeps every enumerated window it solved.
+
+    ``windows`` holds ``(options, outcome)`` pairs: ``options[i][j]`` is
+    the ``j``-th slot of the ``i``-th movable cell as ``(cost, row,
+    first site, end site, placement)`` — restated from the solver's
+    inputs so a test can rebuild the Eq. 11 model on its own — and
+    ``outcome`` is what the solver returned for it.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.windows: list[tuple[list[list[tuple]], object]] = []
+
+    def _solve_enumerated(
+        self, movable, all_options, cell_sites, medians, site_width, row_height
+    ):
+        outcome = super()._solve_enumerated(
+            movable, all_options, cell_sites, medians, site_width, row_height
+        )
+        options = []
+        for name, slots in zip(movable, all_options):
+            median = medians[name]
+            restated = []
+            for row_order, row_slice, local in slots:
+                x = row_slice.site_x(local)
+                y = row_slice.row.origin_y
+                # Eq. 11 restated on purpose, not imported: the
+                # reference must not inherit a solver-side cost bug.
+                cost = (
+                    site_width * (abs(x - median.x) / site_width)
+                    + row_height * (abs(y - median.y) / row_height)
+                )
+                restated.append(
+                    (cost, row_order, local, local + cell_sites[name],
+                     (x, y, row_slice.row.orient))
+                )
+            options.append(restated)
+        self.windows.append((options, outcome))
+        return outcome
+
+
+def slots_overlap(a: tuple, b: tuple) -> bool:
+    """Whether two ``RecordingLegalizer`` option slots share a site."""
+    return a[1] == b[1] and a[2] < b[3] and b[2] < a[3]

@@ -134,14 +134,17 @@ class TestCheckpointStore:
         with pytest.raises(CheckpointError, match="checksum"):
             store.load(path)
 
-    def test_version_mismatch_is_rejected(self, tmp_path):
+    # format 1 = the builds whose window solver took HiGHS's pick among
+    # tied optima: resuming one here would match neither build's run
+    @pytest.mark.parametrize("version", [FORMAT_VERSION + 1, 1])
+    def test_version_mismatch_is_rejected(self, tmp_path, version):
         meta, state = self.make_state()
         store = CheckpointStore(tmp_path)
         path = store.save(meta, state)
         raw = path.read_bytes()
         header_len = int.from_bytes(raw[len(MAGIC) : len(MAGIC) + 8], "big")
         header = json.loads(raw[len(MAGIC) + 8 : len(MAGIC) + 8 + header_len])
-        header["format"] = FORMAT_VERSION + 1
+        header["format"] = version
         encoded = json.dumps(header, sort_keys=True).encode()
         path.write_bytes(
             MAGIC

@@ -8,11 +8,13 @@ randomized designs, mutation sequences, and executor widths.
 
 from __future__ import annotations
 
+import itertools
 import random
 
+import numpy as np
 import pytest
 
-from helpers import fresh_small
+from helpers import RecordingLegalizer, fresh_small, slots_overlap
 
 from repro.core.config import CrpConfig
 from repro.core.crp import CrpFramework
@@ -24,6 +26,7 @@ from repro.groute import GlobalRouter
 from repro.groute.costcache import NetCostCache
 from repro.guard import GuardPolicy, IterationTransaction
 from repro.legalizer import WindowLegalizer
+from repro.obs import observe
 from repro.par import ParallelExecutor
 
 
@@ -165,50 +168,83 @@ def test_disabling_incremental_cost_detaches_cache():
     )
 
 
-# -------------------------------------------------------- window-ILP memo
+# ------------------------------------------------- window solver + memo
+
+
+def highs_optimum(options) -> float | None:
+    """Optimal Eq. 11 objective of one window, from a HiGHS model built here."""
+    optimize = pytest.importorskip("scipy.optimize")
+    slots = [slot for cell_slots in options for slot in cell_slots]
+    owner = [i for i, cell_slots in enumerate(options) for _ in cell_slots]
+    one_per_cell = np.zeros((len(options), len(slots)))
+    one_per_cell[owner, np.arange(len(slots))] = 1.0
+    sites = sorted({(slot[1], s) for slot in slots for s in range(slot[2], slot[3])})
+    one_per_site = np.array(
+        [
+            [float(slot[1] == row and slot[2] <= site < slot[3]) for slot in slots]
+            for row, site in sites
+        ]
+    )
+    result = optimize.milp(
+        c=np.array([slot[0] for slot in slots]),
+        constraints=[
+            optimize.LinearConstraint(one_per_cell, 1.0, 1.0),
+            optimize.LinearConstraint(one_per_site, -np.inf, 1.0),
+        ],
+        integrality=np.ones(len(slots)),
+        bounds=optimize.Bounds(0.0, 1.0),
+        options={"mip_rel_gap": 0.0},
+    )
+    if result.status == 2:
+        return None
+    assert result.success, result.message
+    return float(result.fun)
 
 
 @pytest.mark.parametrize("seed", [3, 42, 77])
-def test_window_legalizer_fast_matches_slow(seed):
+def test_window_solver_is_optimal_against_highs(seed):
     design, router = routed(seed=seed)
     config = CrpConfig()
     CrpFramework(design, router, config)
     critical = label_critical_cells(
         design, router, config, random.Random(seed)
     )
-
-    def legalize(fast: bool):
-        legalizer = WindowLegalizer(
-            design,
-            n_sites=config.n_sites,
-            n_rows=config.n_rows,
-            max_cells=config.max_cells,
-            max_targets=config.max_targets,
-            backend=config.ilp_backend,
-            ilp_budget_s=config.ilp_budget_s,
-            fast=fast,
+    legalizer = RecordingLegalizer(
+        design,
+        n_sites=config.n_sites,
+        n_rows=config.n_rows,
+        max_cells=config.max_cells,
+        max_targets=config.max_targets,
+    )
+    for name in critical:
+        legalizer.run(name)
+    assert legalizer.windows
+    for options, outcome in legalizer.windows:
+        reference = highs_optimum(options)
+        if outcome is None:
+            assert reference is None
+            continue
+        assignments, objective = outcome
+        assert abs(objective - reference) <= 1e-9
+        # feasible: every cell on one of its free slots (the critical
+        # cell's only slot is its target) and no two cells on one site
+        assert len(options[0]) == 1
+        picks = []
+        for cell_slots, placed in zip(options, assignments):
+            on_slot = [slot for slot in cell_slots if slot[4] == placed]
+            assert len(on_slot) == 1
+            picks.extend(on_slot)
+        assert not any(
+            slots_overlap(a, b) for a, b in itertools.combinations(picks, 2)
         )
-        outcome = {name: legalizer.run(name) for name in critical}
-        return outcome, legalizer
 
-    fast_result, fast_legalizer = legalize(True)
-    slow_result, _ = legalize(False)
-    assert {
-        name: [
-            (c.position, dict(c.conflict_moves), c.displacement)
-            for c in candidates
-        ]
-        for name, candidates in fast_result.items()
-    } == {
-        name: [
-            (c.position, dict(c.conflict_moves), c.displacement)
-            for c in candidates
-        ]
-        for name, candidates in slow_result.items()
-    }
-    # the memo must answer repeat windows without re-solving
-    repeat, legalizer2 = legalize(True)
-    assert legalizer2.memo_misses == fast_legalizer.memo_misses
+
+def test_traced_iteration_publishes_window_counters():
+    design, router = routed(seed=9)
+    with observe() as observation:
+        CrpFramework(design, router, CrpConfig()).run(iterations=1)
+    assert observation.metrics.counter("crp.window_solves") > 0
+    assert observation.metrics.counter("crp.window_tie_breaks") > 0
 
 
 def test_window_memo_hits_are_deterministic():
@@ -222,7 +258,6 @@ def test_window_memo_hits_are_deterministic():
         n_rows=config.n_rows,
         max_cells=config.max_cells,
         max_targets=config.max_targets,
-        fast=True,
     )
     for name in critical:
         first = [

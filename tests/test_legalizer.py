@@ -1,15 +1,25 @@
 """Unit tests for the legalizers (window ILP, Tetris, Abacus)."""
 
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geom import Point, Rect
-from repro.db import check_legality
+from repro.db import IOPin, Net, NetPin, check_legality
 from repro.legalizer import WindowLegalizer, abacus_legalize, tetris_legalize
 from repro.legalizer.median import median_position
 
-from helpers import add_cell, add_two_pin_net, build_tiny_design, fresh_small
+from helpers import (
+    RecordingLegalizer,
+    add_cell,
+    add_two_pin_net,
+    build_tiny_design,
+    fresh_small,
+    slots_overlap,
+)
 
 
 # ---------------------------------------------------------------- median
@@ -105,6 +115,143 @@ def test_window_legalizer_no_row_returns_empty(tech45):
     cell.y = 10**9  # far off any row
     design.spatial.move("a", cell.bbox())
     assert WindowLegalizer(design).run("a") == []
+
+
+def pull_to(design, cell_name: str, x: int, y: int) -> None:
+    """Tie ``cell_name`` to an I/O pin at ``(x, y)``: its median position."""
+    design.add_iopin(
+        IOPin(f"io_{cell_name}", Point(x, y), layer=0, rect=Rect(x, y, x, y))
+    )
+    net = Net(f"pull_{cell_name}")
+    net.add_pin(NetPin(cell_name, "A"))
+    net.add_pin(NetPin(None, f"io_{cell_name}"))
+    design.add_net(net)
+
+
+@pytest.mark.parametrize("boxed_in", [False, True])
+def test_window_tie_break_is_canonical(tech45, boxed_in):
+    """Equal-cost optima resolve to the lower row, then the lower site."""
+    design = build_tiny_design(tech45, num_rows=3, sites_per_row=20)
+    add_cell(design, "a", "INV_X1", 0, 2)
+    n = add_cell(design, "n", "INV_X1", 6, 1)
+    m = add_cell(design, "m", "INV_X1", 16, 0)
+    # Medians on the cells' own corners: staying put is free, and one
+    # site left/right (or one row down/up) of ``n`` costs the same.
+    pull_to(design, "n", n.x, n.y)
+    pull_to(design, "m", m.x, m.y)
+    if boxed_in:  # no room left in the row of ``n``
+        for site in (0, 2, 4, 8, 10, 12, 14, 16, 18):
+            add_cell(design, f"wall{site}", "INV_X1", site, 1).fixed = True
+    row0, row1 = design.rows[0], design.rows[1]
+    expected = (
+        (row0.site_x(6), row0.origin_y, row0.orient)
+        if boxed_in
+        else (row1.site_x(4), row1.origin_y, row1.orient)
+    )
+
+    def onto_n(legalizer):
+        (candidate,) = [
+            c for c in legalizer.run("a") if c.position[:2] == (n.x, n.y)
+        ]
+        return candidate.position, dict(candidate.conflict_moves), candidate.displacement
+
+    legalizer = WindowLegalizer(design, max_targets=100)
+    first = onto_n(legalizer)
+    assert first[1] == {"n": expected}
+    assert legalizer.tie_breaks > 0
+    hits = legalizer.memo_hits
+    assert onto_n(legalizer) == first  # answered by the memo
+    assert legalizer.memo_hits > hits
+    assert onto_n(WindowLegalizer(design, max_targets=100)) == first
+
+
+def brute_force(options):
+    """Loop reference of the enumerator: first optimum in option order."""
+    best = None
+    for combo in itertools.product(*(range(len(slots)) for slots in options)):
+        picks = [slots[j] for slots, j in zip(options, combo)]
+        if any(slots_overlap(a, b) for a, b in itertools.combinations(picks, 2)):
+            continue
+        total = picks[0][0]
+        for pick in picks[1:]:
+            total = total + pick[0]
+        if best is None or total < best[1]:
+            best = (tuple(pick[4] for pick in picks), total)
+    return best
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10**6))
+def test_window_solver_matches_brute_force(tech45, seed):
+    """Property: exact optimum and canonical tie-break on random windows."""
+    rng = random.Random(seed)
+    design = build_tiny_design(tech45, num_rows=3, sites_per_row=14)
+    taken: set[tuple[int, int]] = set()
+    for i in range(rng.randint(2, 9)):
+        macro = rng.choice(["INV_X1", "NAND2_X1", "XOR2_X1"])
+        width = design.tech.macros[macro].width // design.rows[0].site.width
+        row, site = rng.randrange(3), rng.randrange(14 - width + 1)
+        span = {(row, s) for s in range(site, site + width)}
+        if span & taken:
+            continue
+        taken |= span
+        cell = add_cell(design, f"u{i}", macro, site, row)
+        cell.fixed = rng.random() < 0.2
+    names = sorted(design.cells)
+    # Overlapping draws are skipped, so a single cell may be all there is.
+    for i in range(rng.randint(0, len(names)) if len(names) >= 2 else 0):
+        a, b = rng.sample(names, 2)
+        add_two_pin_net(design, f"n{i}", a, b)
+    movable = [name for name in names if not design.cells[name].fixed]
+    if not movable:
+        return
+    legalizer = RecordingLegalizer(
+        design, n_sites=14, n_rows=3, max_targets=100,
+        max_cells=rng.randint(1, 3),
+    )
+    legalizer.run(rng.choice(movable))
+    for options, outcome in legalizer.windows:
+        assert outcome == brute_force(options)
+
+
+def test_four_cell_window_solves_through_the_ilp(tech45, monkeypatch):
+    """Past the enumerator's 3-cell domain the general ILP still answers."""
+    import repro.legalizer.window as window
+
+    design = build_tiny_design(tech45, num_rows=2, sites_per_row=12)
+    add_cell(design, "a", "INV_X1", 0, 0)
+    for i in range(5):
+        add_cell(design, f"f{i}", "INV_X1", i * 2, 1)
+    solved = []
+    real_solve = window.solve
+
+    def counting_solve(model, **kwargs):
+        solved.append(model.name)
+        return real_solve(model, **kwargs)
+
+    monkeypatch.setattr(window, "solve", counting_solve)
+    legalizer = WindowLegalizer(
+        design, n_sites=12, n_rows=2, max_cells=4, max_targets=20
+    )
+    candidates = legalizer.run("a")
+    assert solved and legalizer.solves == 0
+    # Unbudgeted ILP outcomes share the memo: a repeat run re-solves nothing.
+    calls = len(solved)
+    assert legalizer.memo_misses == calls
+    assert legalizer.run("a") == candidates and len(solved) == calls
+    # A budgeted solve is not a function of the window: never memoized.
+    budgeted = WindowLegalizer(
+        design, n_sites=12, n_rows=2, max_cells=4, max_targets=20,
+        ilp_budget_s=60.0,
+    )
+    assert budgeted.run("a") and budgeted.run("a")
+    assert budgeted.memo_misses == budgeted.memo_hits == 0
+    assert len(solved) == 3 * calls
+    cand = next(c for c in candidates if c.conflict_moves)
+    design.move_cell("a", *cand.position)
+    for name, pos in cand.conflict_moves.items():
+        design.move_cell(name, *pos)
+    assert check_legality(design).is_legal
 
 
 # ---------------------------------------------------------------- tetris
