@@ -69,19 +69,15 @@ class FontanaBaseline:
         self.backend = backend
         self.time_budget_s = time_budget_s
         # Congestion-blind pricing: same graph, penalty disabled.  The
-        # matching flat CostField rides along so a field-equipped router
-        # keeps its fast path (and never prices with penalty-on maps).
+        # matching flat CostField rides along so the pattern router
+        # never prices with the penalty-on maps.
         flat_params = CostParams(
             wire_weight=router.cost.params.wire_weight,
             via_weight=router.cost.params.via_weight,
             use_penalty=False,
         )
         self._flat_cost = CostModel(router.graph, flat_params)
-        self._flat_field = (
-            CostField(router.graph, flat_params)
-            if router.field is not None
-            else None
-        )
+        self._flat_field = CostField(router.graph, flat_params)
 
     def run(self, iterations: int = 1) -> FontanaResult:
         """Run the move-to-median optimization."""

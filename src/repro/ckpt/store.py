@@ -38,8 +38,9 @@ MAGIC = b"RPCKPT1\n"
 #: bump when the payload schema changes incompatibly, or when the
 #: algorithm does (the fingerprint carries no algorithm identity, so a
 #: resumed run would follow neither build's trajectory).  2: canonical
-#: tie-break in the window legalizer.
-FORMAT_VERSION = 2
+#: tie-break in the window legalizer.  3: ``router_ctor`` lost the
+#: cost-field selector (a format-2 payload no longer fits the ctor).
+FORMAT_VERSION = 3
 #: fixed pickle protocol so payload bytes (and their digest) are stable
 #: across interpreter versions that share the protocol
 PICKLE_PROTOCOL = 4

@@ -5,6 +5,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
+from repro.ilp.solver import BACKENDS as ILP_BACKENDS
+
 
 @dataclass(slots=True)
 class CrpConfig:
@@ -35,13 +37,7 @@ class CrpConfig:
     use_penalty: bool = True
     #: order cells by routed-net cost (False = arbitrary order, like [18])
     prioritize: bool = True
-    #: incremental CR&P iteration kernel: iteration-scoped ECC pricing
-    #: cache and O(dirty-nets) running route-cost accounting.
-    #: Bit-identical to the uncached paths by construction; ``False``
-    #: keeps the full-recompute oracle live for the parity suite.  (The
-    #: GCP window solver is the same exact enumerator in both arms.)
-    use_fast_ecc: bool = True
-    #: ILP backend for legalizer and selection
+    #: ILP backend for legalizer and selection: one of ``repro.ilp.solver.BACKENDS``
     ilp_backend: str = "auto"
     #: wall-clock budget per ILP solve (None = unbounded); on expiry the
     #: guard ladder degrades to the greedy backend instead of hanging
@@ -82,6 +78,11 @@ class CrpConfig:
             raise ValueError("temperature must be positive")
         if self.n_sites < 2 or self.n_rows < 1 or self.max_cells < 1:
             raise ValueError("degenerate legalizer window")
+        if self.ilp_backend not in ILP_BACKENDS:
+            raise ValueError(
+                f"ilp_backend must be one of {', '.join(ILP_BACKENDS)}, "
+                f"got {self.ilp_backend!r}"
+            )
         if self.ilp_budget_s is not None and self.ilp_budget_s < 0:
             raise ValueError("ilp_budget_s must be non-negative")
         if self.workers is not None and self.workers < 1:

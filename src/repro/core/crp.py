@@ -33,6 +33,7 @@ from repro.groute import GlobalRouter
 from repro.core.candidates import generate_candidates
 from repro.core.config import CrpConfig
 from repro.core.estimate import estimate_candidate_cost
+from repro.core.fastecc import EccCache
 from repro.core.labeling import label_critical_cells
 from repro.core.select import select_moves
 from repro.core.update import UpdateStats, apply_moves
@@ -107,16 +108,14 @@ class CrpFramework:
         self.config.validate()
         self.guard = guard or GuardPolicy()
         self._rng = random.Random(self.config.seed)
-        # Incremental accounting is router state (it listens to commit
-        # and rip-up); match it to the config so a use_fast_ecc=False
-        # framework prices through the genuinely-uncached oracle even
-        # on a router a fast framework touched before.
-        router.enable_incremental_cost(self.config.use_fast_ecc)
+        # O(dirty-nets) route-cost accounting: router state (it listens
+        # to commit and rip-up) that only the CR&P loop pays for.
+        router.enable_incremental_cost()
         # Ablation support: estimate candidate costs congestion-blind
         # (use_penalty=False) while the router itself keeps its model.
         # The cost field must be swapped together with the scalar model,
-        # otherwise a field-equipped pattern router would keep pricing
-        # with the penalty-on maps.
+        # otherwise the pattern router would keep pricing with the
+        # penalty-on maps.
         self._estimate_cost_model = router.cost
         self._estimate_field = router.field
         if not self.config.use_penalty:
@@ -129,11 +128,7 @@ class CrpFramework:
                 use_penalty=False,
             )
             self._estimate_cost_model = CostModel(router.graph, params)
-            self._estimate_field = (
-                CostField(router.graph, params)
-                if router.field is not None
-                else None
-            )
+            self._estimate_field = CostField(router.graph, params)
 
     def run(
         self,
@@ -259,19 +254,13 @@ class CrpFramework:
                         for candidate in cell_candidates
                     ]
                     with tracer.span("par.route", stage="estimate"):
-                        costs = executor.run_estimates(
-                            flat,
-                            config.use_penalty,
-                            use_cache=config.use_fast_ecc,
-                        )
+                        costs = executor.run_estimates(flat, config.use_penalty)
                     for candidate, cost in zip(flat, costs):
                         candidate.route_cost = cost
                 else:
-                    cache = None
-                    if config.use_fast_ecc:
-                        from repro.core.fastecc import EccCache
-
-                        cache = EccCache()
+                    # Iteration-scoped: ECC is a pure read of routing
+                    # state, so nothing invalidates the memo within it.
+                    cache = EccCache()
                     with self.router.pattern3d.using(
                         self._estimate_cost_model, self._estimate_field
                     ):
@@ -283,8 +272,7 @@ class CrpFramework:
                                     candidate,
                                     cache=cache,
                                 )
-                    if cache is not None:
-                        cache.publish_metrics()
+                    cache.publish_metrics()
             stats.runtime["ECC"] = sp.wall_s
 
             with tracer.span("crp.ILP") as sp:
@@ -304,8 +292,7 @@ class CrpFramework:
         stats.displacement = update.total_displacement
 
         metrics = get_metrics()
-        if self.router.cost_cache is not None:
-            self.router.cost_cache.publish_metrics()
+        self.router.cost_cache.publish_metrics()
         if stats.rolled_back:
             metrics.count("guard.rollbacks")
         metrics.count("crp.iterations")

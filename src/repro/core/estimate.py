@@ -89,8 +89,8 @@ def estimate_net_cost(
         best = None
         for path in pattern_paths_2d((pa.x, pa.y), (pb.x, pb.y)):
             # DP cost only — candidate pricing never needs the edge
-            # lists, and with a cost field each run is two prefix
-            # lookups, making this the cheapest query in the loop.
+            # lists, and each run is two prefix lookups, making this
+            # the cheapest query in the loop.
             cost = router.pattern3d.route_cost(
                 path,
                 src_layer if src_layer is not None else router.graph.min_wire_layer,

@@ -184,24 +184,13 @@ def _price_segment(
 ) -> float | None:
     """Best ``route_cost`` over the pattern paths of one segment.
 
-    With a cost field attached, all runs of all candidate paths are
-    gathered into one :meth:`CostField.run_cost_batch` call per
-    direction and the layer-assignment DP runs vectorized over layers;
-    without a field it defers to the scalar oracle path.  Either way
-    the returned float is bit-identical to the per-path
-    ``route_cost``/strict-``<`` scan of the uncached estimator.
+    All runs of all candidate paths are gathered into one
+    :meth:`CostField.run_cost_batch` call per direction and the
+    layer-assignment DP runs vectorized over layers; the returned float
+    is bit-identical to the per-path ``route_cost``/strict-``<`` scan of
+    the uncached estimator.
     """
     field = p3d.field
-    if field is None:
-        best = None
-        for path in pattern_paths_2d(a, b):
-            cost = p3d.route_cost(path, src_layer, dst_layer)
-            if cost is None:
-                continue
-            if best is None or cost < best:
-                best = cost
-        return best
-
     field.ensure()
     via_w = p3d.cost.params.via_weight
     paths = pattern_paths_2d(a, b)

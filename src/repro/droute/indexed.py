@@ -6,7 +6,7 @@ small ints (``FREE = 0``, ``BLOCKED_ID = 1``, nets from 2).  All per-node
 state — ownership, wire occupancy, ``g_score``/``came_from``, target and
 guide membership — lives in dense arrays indexed by nid instead of
 dict-of-tuple maps, which removes the tuple hashing and boxing that
-dominates the dict-based oracle (:func:`repro.droute.astar.astar_connect`).
+dominates the dict-based reference (``tests/oracles/droute.py``).
 
 Per-search state costs O(expanded), not O(lattice): ``g_score`` defaults
 to ``inf`` and every slot written during a search is recorded in a local
@@ -30,20 +30,27 @@ identical to the oracle — same seed order (it iterates the caller's own
 source/target sets), same FIFO tie-breaking within equal f values as the
 oracle's tie counter, same float expressions for the heuristic and step
 costs, same hard/soft conflict semantics — so paths, costs and conflict
-lists are byte-identical.  ``DetailedRouter(
-use_indexed=False)`` keeps the oracle live for the parity suite.
+lists are byte-identical.  The oracle (the dict ``astar_connect`` and
+its ``_DictState``) lives in ``tests/oracles/droute.py``; the parity
+suite installs it through :meth:`DetailedRouter.begin_session`.
+
+:class:`DrouteIndex` is also the router's *session state*: the nine
+methods under "session state" are everything
+:class:`~repro.droute.router.DetailedRouter` asks of it, and the only
+seam a test needs to substitute the reference.
 """
 
 from __future__ import annotations
 
 import gc
 import heapq
-from collections import deque
+from collections import defaultdict, deque
 
 from repro.droute.astar import SearchParams, SearchResult, SearchStats
 from repro.droute.lattice import LNode, TrackLattice
 from repro.droute.obstacles import BLOCKED
 from repro.guard.deadline import check_deadline
+from repro.lefdef.guides import GuideRect
 from repro.obs import get_metrics
 
 #: owner/occupancy ids; net ids are interned starting at 2
@@ -51,6 +58,53 @@ FREE = 0
 BLOCKED_ID = 1
 
 _INF = float("inf")
+
+
+def guide_spans(
+    lattice: TrackLattice,
+    margin: int,
+    net_guides: list[GuideRect] | None,
+    terminal_access: list[list[LNode]],
+):
+    """Per-layer guide spans + search bounds for one net (pure math).
+
+    Shared with the reference state in ``tests/oracles`` so both search
+    the same bounds; only the membership *representation* (stamped array
+    rows vs tuple set) differs.
+    """
+    all_nodes = [n for nodes in terminal_access for n in nodes]
+    ix_vals = [n[1] for n in all_nodes]
+    iy_vals = [n[2] for n in all_nodes]
+
+    if net_guides is None:
+        slack = 12
+        bounds = (
+            max(0, min(ix_vals) - slack),
+            max(0, min(iy_vals) - slack),
+            min(lattice.nx - 1, max(ix_vals) + slack),
+            min(lattice.ny - 1, max(iy_vals) + slack),
+        )
+        return None, bounds
+
+    per_layer: dict[int, list[tuple[int, int, int, int]]] = defaultdict(list)
+    g_ix0, g_iy0 = lattice.nx - 1, lattice.ny - 1
+    g_ix1, g_iy1 = 0, 0
+    for guide in net_guides:
+        ix0, iy0, ix1, iy1 = lattice.index_rect(guide.rect)
+        ix0 = max(0, ix0 - margin)
+        iy0 = max(0, iy0 - margin)
+        ix1 = min(lattice.nx - 1, ix1 + margin)
+        iy1 = min(lattice.ny - 1, iy1 + margin)
+        per_layer[guide.layer].append((ix0, iy0, ix1, iy1))
+        g_ix0 = min(g_ix0, ix0)
+        g_iy0 = min(g_iy0, iy0)
+        g_ix1 = max(g_ix1, ix1)
+        g_iy1 = max(g_iy1, iy1)
+    g_ix0 = min(g_ix0, max(0, min(ix_vals) - margin))
+    g_iy0 = min(g_iy0, max(0, min(iy_vals) - margin))
+    g_ix1 = max(g_ix1, min(lattice.nx - 1, max(ix_vals) + margin))
+    g_iy1 = max(g_iy1, min(lattice.ny - 1, max(iy_vals) + margin))
+    return per_layer, (g_ix0, g_iy0, g_ix1, g_iy1)
 
 
 class DrouteIndex:
@@ -67,10 +121,24 @@ class DrouteIndex:
         "names", "ids", "owner", "occupancy",
         "g_score", "came_from", "target_epoch", "guide_epoch",
         "gate", "epoch", "guide_stamp", "gate_stamp",
+        "reservations", "params", "margin",
     )
 
-    def __init__(self, lattice: TrackLattice, owner_map: dict[LNode, str]) -> None:
+    def __init__(
+        self,
+        lattice: TrackLattice,
+        owner_map: dict[LNode, str],
+        reservations: dict[str, list[LNode]] | None = None,
+        params: SearchParams | None = None,
+        guide_margin: int = 0,
+    ) -> None:
         self.lattice = lattice
+        #: per-net escape-via landings still held for that net; keyed
+        #: by name with tuple nodes (rare, never on the hot path)
+        self.reservations = reservations if reservations is not None else {}
+        self.params = params or SearchParams()
+        #: tracks a guide rect grows by on every side
+        self.margin = guide_margin
         self.nx = nx = lattice.nx
         self.ny = ny = lattice.ny
         self.num_layers = num_layers = lattice.tech.num_layers
@@ -157,6 +225,80 @@ class DrouteIndex:
                     ge[((layer + 1) * ny + iy) * nx + ix] = stamp
         return stamp
 
+    # --------------------------------------------------------- session state
+
+    def guide_region(self, net_guides, terminal_access):
+        """(guide stamp or ``None``, search bounds) of one net."""
+        per_layer, bounds = guide_spans(
+            self.lattice, self.margin, net_guides, terminal_access
+        )
+        if per_layer is None:
+            return None, bounds
+        return self.stamp_guides(per_layer, terminal_access), bounds
+
+    def connect(self, sources, targets, net_name, bounds, guide, soft, stats):
+        return astar_connect_indexed(
+            self,
+            sources,
+            targets,
+            net_name,
+            self.intern(net_name),
+            bounds,
+            guide,
+            self.params,
+            soft=soft,
+            stats=stats,
+        )
+
+    def in_guide(self, guide, node: LNode) -> bool:
+        return guide is None or self.guide_epoch[self.nid_of(node)] == guide
+
+    def free_for(self, node: LNode, net_name: str) -> bool:
+        nid = self.nid_of(node)
+        net_id = self.intern(net_name)
+        holder = self.owner[nid]
+        if holder != 0 and holder != net_id:
+            return False
+        holder = self.occupancy[nid]
+        if holder != 0 and holder != net_id:
+            return False
+        return True
+
+    def patch_free(self, node: LNode, net_name: str) -> bool:
+        nid = self.nid_of(node)
+        holder = self.owner[nid] or self.occupancy[nid]
+        return holder == 0 or holder == self.intern(net_name)
+
+    def holder_name(self, node: LNode) -> str | None:
+        nid = self.nid_of(node)
+        return self.name_of(self.owner[nid] or self.occupancy[nid])
+
+    def commit_used(self, net_name: str, used_sorted) -> None:
+        net_id = self.intern(net_name)
+        occupancy = self.occupancy
+        nx, ny = self.nx, self.ny
+        for layer, ix, iy in used_sorted:
+            nid = (layer * ny + iy) * nx + ix
+            if occupancy[nid] == 0:
+                occupancy[nid] = net_id
+
+    def release_reservations(self, net_name: str, used: set[LNode]) -> None:
+        net_id = self.intern(net_name)
+        owner = self.owner
+        for node in self.reservations.pop(net_name, ()):
+            if node not in used:
+                nid = self.nid_of(node)
+                if owner[nid] == net_id:
+                    owner[nid] = 0
+
+    def rip(self, net_name: str, nodes) -> None:
+        net_id = self.intern(net_name)
+        occupancy = self.occupancy
+        for node in nodes:
+            nid = self.nid_of(node)
+            if occupancy[nid] == net_id:
+                occupancy[nid] = 0
+
 
 def astar_connect_indexed(
     index: DrouteIndex,
@@ -170,7 +312,7 @@ def astar_connect_indexed(
     soft: bool,
     stats: SearchStats | None = None,
 ) -> SearchResult | None:
-    """Indexed twin of :func:`repro.droute.astar.astar_connect`.
+    """Cheapest lattice path from ``sources`` to ``targets`` (flat-array A*).
 
     The open set is a *bucket queue*: a dict of per-f FIFO deques of
     ``(g, nid)`` pairs plus a small binary heap over the distinct f
@@ -288,7 +430,11 @@ def astar_connect_indexed(
     buckets: dict[float, deque] = {}
     bget = buckets.get
     fheap: list[float] = []
-    for s in sources:
+    # Seed order is the caller's set iteration order -- deterministic
+    # cross-machine (int-tuple hashing ignores PYTHONHASHSEED) and
+    # shared byte-for-byte with the reference A*; sorting here would
+    # change tie order and move every committed digest.
+    for s in sources:  # repro: noqa:REPRO-T002
         layer, six, siy = s
         nid = (layer * ny + siy) * nx + six
         g_score[nid] = 0.0

@@ -79,18 +79,3 @@ def build_obstacle_map(
                 for node in lattice.nodes_in_rect(shape.layer, shape.rect):
                     owner.setdefault(node, BLOCKED)
     return owner, reservations
-
-
-def build_obstacle_index(design: Design, lattice: TrackLattice):
-    """Dense indexed form of :func:`build_obstacle_map`.
-
-    Builds the same ownership map, then scatters it once into a
-    :class:`~repro.droute.indexed.DrouteIndex` — interned int32 net ids
-    over flat node-id arrays.  Returns ``(index, reservations)``;
-    reservations stay keyed by net name with tuple nodes (they are rare
-    and never touched by the hot path).
-    """
-    from repro.droute.indexed import DrouteIndex
-
-    owner, reservations = build_obstacle_map(design, lattice)
-    return DrouteIndex(lattice, owner), reservations

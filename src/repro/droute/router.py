@@ -4,13 +4,12 @@ Consumes a design plus per-net route guides (from the global router) and
 produces exact routed geometry on the track lattice with the ISPD-2018
 quality numbers: wirelength, via count, and DRVs.
 
-Two interchangeable state backends carry the per-node routing state:
-
-* the **indexed** backend (default) — flat arrays addressed by node id,
-  see :mod:`repro.droute.indexed`;
-* the **dict oracle** (``use_indexed=False``) — the original
-  dict-of-tuple maps, kept live for bit-exact parity testing, the same
-  discipline the grid cost field uses for its scalar oracle.
+The per-node routing state of a run is one
+:class:`repro.droute.indexed.DrouteIndex` — flat arrays addressed by node
+id — built by :meth:`DetailedRouter.begin_session`.  The router talks to
+it only through its nine session-state methods; the parity suite
+overrides ``begin_session`` to install the dict-of-tuples reference from
+``tests/oracles/droute.py`` behind the same methods.
 
 Per-net work is split into a pure *compute* step (terminal access, guide
 region, pattern/A* searches, min-area patching — no committed-state
@@ -27,15 +26,11 @@ from dataclasses import dataclass, field
 
 from repro.db import Design, Net
 from repro.droute.access import access_nodes
-from repro.droute.astar import SearchParams, SearchStats, astar_connect
+from repro.droute.astar import SearchParams, SearchResult, SearchStats
 from repro.droute.drc import DrcKind, DrcViolation, check_min_area, check_shorts
-from repro.droute.indexed import astar_connect_indexed
+from repro.droute.indexed import DrouteIndex, guide_spans
 from repro.droute.lattice import LNode, TrackLattice
-from repro.droute.obstacles import (
-    BLOCKED,
-    build_obstacle_index,
-    build_obstacle_map,
-)
+from repro.droute.obstacles import BLOCKED, build_obstacle_map
 from repro.guard.deadline import check_deadline
 from repro.lefdef.guides import GuideRect
 from repro.obs import get_metrics, get_tracer
@@ -89,240 +84,6 @@ class NetComputation:
     conflict_nodes: list[LNode]
 
 
-def _guide_spans(
-    lattice: TrackLattice,
-    margin: int,
-    net_guides: list[GuideRect] | None,
-    terminal_access: list[list[LNode]],
-):
-    """Per-layer guide spans + search bounds for one net (pure math).
-
-    Shared by both backends so their bounds — and therefore their
-    searches — are identical; only the membership *representation*
-    (tuple set vs stamped array rows) differs.
-    """
-    all_nodes = [n for nodes in terminal_access for n in nodes]
-    ix_vals = [n[1] for n in all_nodes]
-    iy_vals = [n[2] for n in all_nodes]
-
-    if net_guides is None:
-        slack = 12
-        bounds = (
-            max(0, min(ix_vals) - slack),
-            max(0, min(iy_vals) - slack),
-            min(lattice.nx - 1, max(ix_vals) + slack),
-            min(lattice.ny - 1, max(iy_vals) + slack),
-        )
-        return None, bounds
-
-    per_layer: dict[int, list[tuple[int, int, int, int]]] = defaultdict(list)
-    g_ix0, g_iy0 = lattice.nx - 1, lattice.ny - 1
-    g_ix1, g_iy1 = 0, 0
-    for guide in net_guides:
-        ix0, iy0, ix1, iy1 = lattice.index_rect(guide.rect)
-        ix0 = max(0, ix0 - margin)
-        iy0 = max(0, iy0 - margin)
-        ix1 = min(lattice.nx - 1, ix1 + margin)
-        iy1 = min(lattice.ny - 1, iy1 + margin)
-        per_layer[guide.layer].append((ix0, iy0, ix1, iy1))
-        g_ix0 = min(g_ix0, ix0)
-        g_iy0 = min(g_iy0, iy0)
-        g_ix1 = max(g_ix1, ix1)
-        g_iy1 = max(g_iy1, iy1)
-    g_ix0 = min(g_ix0, max(0, min(ix_vals) - margin))
-    g_iy0 = min(g_iy0, max(0, min(iy_vals) - margin))
-    g_ix1 = max(g_ix1, min(lattice.nx - 1, max(ix_vals) + margin))
-    g_iy1 = max(g_iy1, min(lattice.ny - 1, max(iy_vals) + margin))
-    return per_layer, (g_ix0, g_iy0, g_ix1, g_iy1)
-
-
-class _DictState:
-    """Dict-of-tuples oracle backend (``use_indexed=False``).
-
-    Kept verbatim from the pre-indexed router for parity testing; the
-    hot-path lint (REPRO-P001) is suppressed here by design.
-    """
-
-    indexed = False
-
-    def __init__(self, router: "DetailedRouter") -> None:
-        self.lattice = router.lattice
-        self.params = router.params
-        self.margin = router.guide_margin
-        owner, reservations = build_obstacle_map(router.design, router.lattice)
-        self.owner = owner
-        self.reservations = reservations
-        # Authoritative session occupancy; the indexed kernel keeps
-        # its own dense mirror.
-        self.occupancy: dict[LNode, str] = {}  # repro: noqa:REPRO-P001
-
-    def guide_region(self, net_guides, terminal_access):
-        per_layer, bounds = _guide_spans(
-            self.lattice, self.margin, net_guides, terminal_access
-        )
-        if per_layer is None:
-            return None, bounds
-        guide_nodes: set[LNode] = set()  # repro: noqa:REPRO-P001 — oracle backend keeps the historical set-of-tuples representation
-        for layer, spans in per_layer.items():
-            for ix0, iy0, ix1, iy1 in spans:
-                for ix in range(ix0, ix1 + 1):
-                    for iy in range(iy0, iy1 + 1):
-                        guide_nodes.add((layer, ix, iy))
-        # Terminals and their escape landings are always fair game.
-        for nodes in terminal_access:
-            for layer, ix, iy in nodes:
-                guide_nodes.add((layer, ix, iy))
-                if layer + 1 < self.lattice.tech.num_layers:
-                    guide_nodes.add((layer + 1, ix, iy))
-        return guide_nodes, bounds
-
-    def connect(self, sources, targets, net_name, bounds, guide, soft, stats):
-        return astar_connect(
-            self.lattice,
-            sources,
-            targets,
-            net_name,
-            self.owner,
-            self.occupancy,
-            bounds,
-            guide,
-            self.params,
-            soft=soft,
-            stats=stats,
-        )
-
-    def in_guide(self, guide, node: LNode) -> bool:
-        return guide is None or node in guide
-
-    def free_for(self, node: LNode, net_name: str) -> bool:
-        holder = self.owner.get(node)
-        if holder is not None and holder != net_name:
-            return False
-        holder = self.occupancy.get(node)
-        if holder is not None and holder != net_name:
-            return False
-        return True
-
-    def patch_free(self, node: LNode, net_name: str) -> bool:
-        holder = self.owner.get(node) or self.occupancy.get(node)
-        return holder is None or holder == net_name
-
-    def holder_name(self, node: LNode) -> str | None:
-        return self.owner.get(node) or self.occupancy.get(node)
-
-    def commit_used(self, net_name: str, used_sorted) -> None:
-        occupancy = self.occupancy
-        for node in used_sorted:
-            occupancy.setdefault(node, net_name)
-
-    def release_reservations(self, net_name: str, used: set[LNode]) -> None:
-        owner = self.owner
-        for node in self.reservations.pop(net_name, ()):
-            if node not in used and owner.get(node) == net_name:
-                del owner[node]
-
-    def rip(self, net_name: str, nodes) -> None:
-        occupancy = self.occupancy
-        for node in nodes:
-            if occupancy.get(node) == net_name:
-                del occupancy[node]
-
-
-class _IndexedState:
-    """Flat-array backend over :class:`~repro.droute.indexed.DrouteIndex`."""
-
-    indexed = True
-
-    def __init__(self, router: "DetailedRouter") -> None:
-        self.lattice = router.lattice
-        self.params = router.params
-        self.margin = router.guide_margin
-        self.index, self.reservations = build_obstacle_index(
-            router.design, router.lattice
-        )
-
-    def guide_region(self, net_guides, terminal_access):
-        per_layer, bounds = _guide_spans(
-            self.lattice, self.margin, net_guides, terminal_access
-        )
-        if per_layer is None:
-            return None, bounds
-        return self.index.stamp_guides(per_layer, terminal_access), bounds
-
-    def connect(self, sources, targets, net_name, bounds, guide, soft, stats):
-        index = self.index
-        return astar_connect_indexed(
-            index,
-            sources,
-            targets,
-            net_name,
-            index.intern(net_name),
-            bounds,
-            guide,
-            self.params,
-            soft=soft,
-            stats=stats,
-        )
-
-    def in_guide(self, guide, node: LNode) -> bool:
-        if guide is None:
-            return True
-        index = self.index
-        return index.guide_epoch[index.nid_of(node)] == guide
-
-    def free_for(self, node: LNode, net_name: str) -> bool:
-        index = self.index
-        nid = index.nid_of(node)
-        net_id = index.intern(net_name)
-        holder = index.owner[nid]
-        if holder != 0 and holder != net_id:
-            return False
-        holder = index.occupancy[nid]
-        if holder != 0 and holder != net_id:
-            return False
-        return True
-
-    def patch_free(self, node: LNode, net_name: str) -> bool:
-        index = self.index
-        nid = index.nid_of(node)
-        holder = index.owner[nid] or index.occupancy[nid]
-        return holder == 0 or holder == index.intern(net_name)
-
-    def holder_name(self, node: LNode) -> str | None:
-        index = self.index
-        nid = index.nid_of(node)
-        return index.name_of(index.owner[nid] or index.occupancy[nid])
-
-    def commit_used(self, net_name: str, used_sorted) -> None:
-        index = self.index
-        net_id = index.intern(net_name)
-        occupancy = index.occupancy
-        nx, ny = index.nx, index.ny
-        for layer, ix, iy in used_sorted:
-            nid = (layer * ny + iy) * nx + ix
-            if occupancy[nid] == 0:
-                occupancy[nid] = net_id
-
-    def release_reservations(self, net_name: str, used: set[LNode]) -> None:
-        index = self.index
-        net_id = index.intern(net_name)
-        owner = index.owner
-        for node in self.reservations.pop(net_name, ()):
-            if node not in used:
-                nid = index.nid_of(node)
-                if owner[nid] == net_id:
-                    owner[nid] = 0
-
-    def rip(self, net_name: str, nodes) -> None:
-        index = self.index
-        net_id = index.intern(net_name)
-        occupancy = index.occupancy
-        for node in nodes:
-            nid = index.nid_of(node)
-            if occupancy[nid] == net_id:
-                occupancy[nid] = 0
-
-
 class DetailedRouter:
     """Guide-honoring sequential detailed router."""
 
@@ -332,7 +93,6 @@ class DetailedRouter:
         params: SearchParams | None = None,
         guide_margin_tracks: int = 2,
         drc_rounds: int = 2,
-        use_indexed: bool = True,
     ) -> None:
         self.design = design
         self.lattice = TrackLattice(design.tech, design.die)
@@ -344,11 +104,9 @@ class DetailedRouter:
         self.guide_margin = guide_margin_tracks
         #: conflict-driven rip-up-and-reroute rounds after the first pass
         self.drc_rounds = drc_rounds
-        #: flat-array kernel (default) vs dict oracle (parity baseline)
-        self.use_indexed = use_indexed
         #: a bound :class:`~repro.par.executor.ParallelExecutor`, or None
         self.executor = None
-        self._state: _DictState | _IndexedState | None = None
+        self._state: DrouteIndex | None = None
         self._session_guides: dict[str, list[GuideRect]] | None = None
         self._stats = SearchStats()
 
@@ -359,14 +117,13 @@ class DetailedRouter:
             "params": self.params,
             "guide_margin_tracks": self.guide_margin,
             "drc_rounds": self.drc_rounds,
-            "use_indexed": self.use_indexed,
         }
 
     # ------------------------------------------------------------------ API
 
     def begin_session(
         self, guides: dict[str, list[GuideRect]] | None
-    ) -> "_DictState | _IndexedState":
+    ) -> DrouteIndex:
         """Build the per-run routing state (obstacle map + occupancy).
 
         Split out of :meth:`route_all` so worker replicas can mirror the
@@ -374,7 +131,10 @@ class DetailedRouter:
         on the replica, after which ``"dn"`` entries replay first-pass
         commits in parent order.
         """
-        state = _IndexedState(self) if self.use_indexed else _DictState(self)
+        owner, reservations = build_obstacle_map(self.design, self.lattice)
+        state = DrouteIndex(
+            self.lattice, owner, reservations, self.params, self.guide_margin
+        )
         self._state = state
         self._session_guides = guides
         self._stats = SearchStats()
@@ -530,7 +290,7 @@ class DetailedRouter:
         self,
         net: Net,
         net_guides: list[GuideRect] | None,
-        state: "_DictState | _IndexedState",
+        state: DrouteIndex,
         stats: SearchStats,
     ) -> NetComputation:
         """Route one net against committed state without committing."""
@@ -592,7 +352,7 @@ class DetailedRouter:
     def _commit_net(
         self,
         comp: NetComputation,
-        state: "_DictState | _IndexedState",
+        state: DrouteIndex,
         conflicts: dict[LNode, tuple[str, str]],
         net_nodes: dict[str, set[LNode]],
         pin_nodes: dict[str, set[LNode]],
@@ -648,7 +408,7 @@ class DetailedRouter:
     ) -> tuple[int, int, int, int]:
         """2D track-index rect covering everything this net can touch.
 
-        The search bounds from :func:`_guide_spans`, expanded by the
+        The search bounds from :func:`guide_spans`, expanded by the
         patch-growth margin: compute never reads or writes outside this
         rect, which is what makes disjoint-region batches byte-identical
         to the serial walk.
@@ -657,7 +417,7 @@ class DetailedRouter:
         terminal_access = [
             access_nodes(self.design, lattice, pin) for pin in net.pins
         ]
-        _, bounds = _guide_spans(
+        _, bounds = guide_spans(
             lattice, self.guide_margin, net_guides, terminal_access
         )
         ix0, iy0, ix1, iy1 = bounds
@@ -672,7 +432,7 @@ class DetailedRouter:
         self,
         order: list[Net],
         guides: dict[str, list[GuideRect]] | None,
-        state: "_DictState | _IndexedState",
+        state: DrouteIndex,
         stats: SearchStats,
         executor,
         conflicts: dict[LNode, tuple[str, str]],
@@ -743,7 +503,7 @@ class DetailedRouter:
         net_name: str,
         used: set[LNode],
         pins: set[LNode],
-        state: "_DictState | _IndexedState",
+        state: DrouteIndex,
     ) -> int:
         """Grow under-sized metal patches along the preferred direction.
 
@@ -814,9 +574,9 @@ class DetailedRouter:
         net: str,
         sources: set[LNode],
         targets: set[LNode],
-        state: "_DictState | _IndexedState",
+        state: DrouteIndex,
         guide,
-    ) -> "SearchResult | None":
+    ) -> SearchResult | None:
         """Try clean L-shaped connections before falling back to A*.
 
         Picks the closest (source, target) pair, then tries both bend
@@ -825,8 +585,6 @@ class DetailedRouter:
         this net and inside the guides — so the result is always one
         the hard A* pass could also have found.
         """
-        from repro.droute.astar import SearchResult
-
         lattice = self.lattice
         if len(sources) * len(targets) <= 64:
             src, dst = min(

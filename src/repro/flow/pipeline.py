@@ -146,6 +146,7 @@ def run_flow(
     if mode not in ("baseline", "crp", "fontana"):
         raise ValueError(f"unknown flow mode {mode!r}")
     config = config or CrpConfig()
+    config.validate()  # a bad knob fails here, not after GR has run
     if workers is None:
         workers = config.workers
     if checkpoint_dir is None:

@@ -13,10 +13,12 @@ the text says increasing ``S`` causes "faster overflow in an edge" (the
 penalty must grow with congestion, as in NTHU-Route [22]).  We implement
 the intended ``1 / (1 + exp(-S * (D_e - C_e)))``.
 
-This scalar model is the *reference oracle*: the vectorized
-:class:`repro.grid.field.CostField` kernel is pinned to it bit-for-bit
-(same ``np.exp``, same operation order), and the parity tests enforce
-agreement to 1e-9.
+This scalar model is the Eq. 10 *definition*: the vectorized
+:class:`repro.grid.field.CostField` kernel, which prices every route the
+router builds, is pinned to ``penalty``/``edge_cost``/``path_cost``
+bit-for-bit (same ``np.exp``, same operation order) by
+``tests/test_cost_field.py``.  At run time the router reads only
+``params``, ``pitch`` and ``lower_bound`` from it.
 """
 
 from __future__ import annotations

@@ -5,12 +5,11 @@ used by the rip-up-and-reroute passes.  The search is bounded to the
 bounding box of the terminals plus a margin, which keeps RRR tractable
 on large grids.
 
-With a :class:`repro.grid.field.CostField` attached the inner loop reads
-step costs straight out of the dense per-layer maps and generates
-neighbors inline — no ``GridEdge`` construction, no per-edge ``demand()``
-recomputation.  The dense maps are bit-identical to the scalar oracle
-and neighbors are pushed in the same order, so both paths expand the
-same nodes and return the same route.
+The inner loop reads step costs straight out of the dense per-layer maps
+of a :class:`repro.grid.field.CostField` and generates neighbors inline —
+no ``GridEdge`` construction, no per-edge ``demand()`` recomputation.
+The scalar reference this search is pinned to (same expansions, same
+route) lives in ``tests/oracles/groute.py``.
 """
 
 from __future__ import annotations
@@ -30,38 +29,6 @@ Node = tuple[int, int, int]  # (layer, gx, gy)
 MAZE_MARGIN = 4
 
 
-def maze_route(
-    graph: RoutingGraph,
-    cost_model: CostModel,
-    sources: set[Node],
-    targets: set[Node],
-    margin: int = MAZE_MARGIN,
-    overflow_penalty: float = 0.0,
-    field: CostField | None = None,
-) -> list[GridEdge] | None:
-    """Cheapest path from any source to any target.
-
-    ``overflow_penalty`` adds a hard surcharge to edges whose demand
-    already meets capacity, steering RRR away from full edges entirely.
-    Returns the edge list, or ``None`` when disconnected inside the
-    search window.
-    """
-    if not sources or not targets:
-        return None
-    if sources & targets:
-        return []
-    # "disconnect" forces the no-path result; a "fail" fault raises here.
-    if fault_point("groute.maze") is not None:
-        return None
-    if field is not None:
-        return _maze_route_field(
-            graph, cost_model, sources, targets, margin, overflow_penalty, field
-        )
-    return _maze_route_scalar(
-        graph, cost_model, sources, targets, margin, overflow_penalty
-    )
-
-
 def _window(
     graph: RoutingGraph, sources: set[Node], targets: set[Node], margin: int
 ) -> tuple[int, int, int, int]:
@@ -74,82 +41,33 @@ def _window(
     return lo_x, hi_x, lo_y, hi_y
 
 
-def _maze_route_scalar(
+def maze_route(
     graph: RoutingGraph,
     cost_model: CostModel,
-    sources: set[Node],
-    targets: set[Node],
-    margin: int,
-    overflow_penalty: float,
-) -> list[GridEdge] | None:
-    """Reference A* pricing every step through the scalar oracle."""
-    lo_x, hi_x, lo_y, hi_y = _window(graph, sources, targets, margin)
-
-    def in_window(node: Node) -> bool:
-        return lo_x <= node[1] <= hi_x and lo_y <= node[2] <= hi_y
-
-    def heuristic(node: Node) -> float:
-        return min(cost_model.lower_bound(node, t) for t in targets)
-
-    tie = count()
-    open_heap: list[tuple[float, int, Node]] = []
-    g_score: dict[Node, float] = {}
-    came_from: dict[Node, tuple[Node, GridEdge]] = {}
-    for s in sources:
-        g_score[s] = 0.0
-        heapq.heappush(open_heap, (heuristic(s), next(tie), s))
-
-    # Expansions are tallied locally and recorded once on exit so the
-    # inner loop stays metric-free.
-    expansions = 0
-    ticker = DeadlineTicker("groute.maze", stride=64)
-    try:
-        while open_heap:
-            ticker.tick()
-            f, _, node = heapq.heappop(open_heap)
-            g = g_score[node]
-            if f > g + heuristic(node) + 1e-9:
-                continue  # stale entry
-            expansions += 1
-            if node in targets:
-                return _reconstruct(node, came_from)
-            for neighbour, edge in graph.neighbors(node):
-                if not in_window(neighbour):
-                    continue
-                step = cost_model.edge_cost(edge)  # repro: noqa:REPRO-P001
-                if overflow_penalty > 0.0 and edge.kind.value == "wire":
-                    if graph.demand(edge) >= graph.capacity(edge):
-                        step += overflow_penalty
-                tentative = g + step
-                if tentative < g_score.get(neighbour, float("inf")) - 1e-12:
-                    g_score[neighbour] = tentative
-                    came_from[neighbour] = (node, edge)
-                    heapq.heappush(
-                        open_heap,
-                        (tentative + heuristic(neighbour), next(tie), neighbour),
-                    )
-        return None
-    finally:
-        metrics = get_metrics()
-        metrics.count("groute.maze_calls")
-        metrics.observe("groute.maze_expansions", expansions)
-
-
-def _maze_route_field(
-    graph: RoutingGraph,
-    cost_model: CostModel,
-    sources: set[Node],
-    targets: set[Node],
-    margin: int,
-    overflow_penalty: float,
     field: CostField,
+    sources: set[Node],
+    targets: set[Node],
+    margin: int = MAZE_MARGIN,
+    overflow_penalty: float = 0.0,
 ) -> list[GridEdge] | None:
-    """Dense-map A*: array step costs, inline neighbors, node-pair edges.
+    """Cheapest path from any source to any target.
+
+    ``overflow_penalty`` adds a hard surcharge to edges whose demand
+    already meets capacity, steering RRR away from full edges entirely.
+    Returns the edge list, or ``None`` when disconnected inside the
+    search window.
 
     Neighbor order matches :meth:`RoutingGraph.neighbors` (wire forward,
     wire backward, via up, via down) so the heap tie counter — and hence
     the returned path — is identical to the scalar reference.
     """
+    if not sources or not targets:
+        return None
+    if sources & targets:
+        return []
+    # "disconnect" forces the no-path result; a "fail" fault raises here.
+    if fault_point("groute.maze") is not None:
+        return None
     lo_x, hi_x, lo_y, hi_y = _window(graph, sources, targets, margin)
     wire_cost = field.wire_cost_maps()  # refreshes the field once
     via_cost = field.via_cost
@@ -269,21 +187,10 @@ def _edge_between(a: Node, b: Node) -> GridEdge:
     return GridEdge(a[0], a[1], min(a[2], b[2]), EdgeKind.WIRE)
 
 
-def _reconstruct(
-    node: Node, came_from: dict[Node, tuple[Node, GridEdge]]
-) -> list[GridEdge]:
-    edges: list[GridEdge] = []
-    while node in came_from:
-        node, edge = came_from[node]
-        edges.append(edge)
-    edges.reverse()
-    return edges
-
-
 def _reconstruct_nodes(
     graph: RoutingGraph, node: Node, came_from: dict[Node, Node]
 ) -> list[GridEdge]:
-    """Rebuild the edge list of the fast path from its node chain."""
+    """Rebuild the edge list of a found path from its node chain."""
     edges: list[GridEdge] = []
     while node in came_from:
         parent = came_from[node]

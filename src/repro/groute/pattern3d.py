@@ -6,10 +6,10 @@ graph edges (wires plus the vias stitching runs and terminals together).
 The DP cost is exactly the Eq. 10 edge cost under the current
 demand/capacity state, so congested layers are avoided.
 
-When a :class:`repro.grid.field.CostField` is attached, each run cost is
-two prefix-sum lookups (O(1) per run) instead of O(len) scalar
-``edge_cost`` calls, and ``route_cost`` prices a candidate without
-materializing any edges — the hot path of CR&P's candidate estimation.
+Run costs come from a :class:`repro.grid.field.CostField`: two
+prefix-sum lookups (O(1) per run) instead of O(len) scalar ``edge_cost``
+calls, and ``route_cost`` prices a candidate without materializing any
+edges — the hot path of CR&P's candidate estimation.
 """
 
 from __future__ import annotations
@@ -38,8 +38,8 @@ class PatternRouter3D:
         self,
         graph: RoutingGraph,
         cost_model: CostModel,
+        field: CostField,
         min_layer: int = 0,
-        field: CostField | None = None,
     ) -> None:
         self.graph = graph
         self.cost = cost_model
@@ -72,8 +72,7 @@ class PatternRouter3D:
         the chosen layer is reported in ``end_layer``.  Returns ``None``
         when some run direction has no usable layer.
         """
-        if self.field is not None:
-            self.field.ensure()
+        self.field.ensure()
         runs = runs_of_path(path)
         if not runs:
             # Both terminals share a GCell: a via stack suffices.
@@ -81,7 +80,7 @@ class PatternRouter3D:
             edges = self._via_stack(gx, gy, src_layer, dst_layer if dst_layer is not None else src_layer)
             end = dst_layer if dst_layer is not None else src_layer
             return Pattern3DResult(
-                edges=edges, cost=self._path_cost(edges), end_layer=end
+                edges=edges, cost=self.field.path_cost(edges), end_layer=end
             )
 
         dp = self._layer_dp(runs, src_layer)
@@ -105,7 +104,7 @@ class PatternRouter3D:
             runs, chosen, src_layer, dst_layer if dst_layer is not None else chosen[-1]
         )
         return Pattern3DResult(
-            edges=edges, cost=self._path_cost(edges), end_layer=chosen[-1]
+            edges=edges, cost=self.field.path_cost(edges), end_layer=chosen[-1]
         )
 
     def route_cost(
@@ -121,8 +120,7 @@ class PatternRouter3D:
         patterns with no edge lists at all.  Returns ``None`` when some
         run direction has no usable layer.
         """
-        if self.field is not None:
-            self.field.ensure()
+        self.field.ensure()
         via_w = self.cost.params.via_weight
         runs = runs_of_path(path)
         if not runs:
@@ -140,14 +138,14 @@ class PatternRouter3D:
 
     @contextmanager
     def using(
-        self, cost_model: CostModel, field: CostField | None
+        self, cost_model: CostModel, field: CostField
     ) -> Iterator["PatternRouter3D"]:
         """Temporarily price with a different cost model *and* field.
 
         The ablation paths (penalty-free ECC estimation, the Fontana
         baseline) must swap both together: swapping only the scalar
-        model would leave a field-equipped router pricing with the old
-        penalty-on maps.
+        model would leave the router pricing with the old penalty-on
+        maps.
         """
         prev_cost, prev_field = self.cost, self.field
         self.cost, self.field = cost_model, field
@@ -204,22 +202,12 @@ class PatternRouter3D:
             back.append(links)
         return run_layers, best, back
 
-    def _path_cost(self, edges: list[GridEdge]) -> float:
-        """Per-edge route cost — bit-identical with and without a field."""
-        if self.field is not None:
-            return self.field.path_cost(edges)
-        return self.cost.path_cost(edges)
-
     def _run_cost(self, run: tuple[GPoint, GPoint], layer: int) -> float:
         (x0, y0), (x1, y1) = run
-        field = self.field
-        if field is not None:
-            # Two prefix lookups; route()/route_cost() ensured freshness.
-            if y0 == y1:
-                return field.run_cost(layer, min(x0, x1), max(x0, x1), y0)
-            return field.run_cost(layer, min(y0, y1), max(y0, y1), x0)
-        # Scalar oracle fallback when no field is attached.
-        return sum(self.cost.edge_cost(e) for e in self._run_edges(run, layer))  # repro: noqa:REPRO-P001
+        # Two prefix lookups; route()/route_cost() ensured freshness.
+        if y0 == y1:
+            return self.field.run_cost(layer, min(x0, x1), max(x0, x1), y0)
+        return self.field.run_cost(layer, min(y0, y1), max(y0, y1), x0)
 
     def _run_edges(self, run: tuple[GPoint, GPoint], layer: int) -> list[GridEdge]:
         (x0, y0), (x1, y1) = run

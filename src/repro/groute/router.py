@@ -76,7 +76,6 @@ class GlobalRouter:
         params: CostParams | None = None,
         target_gcells: int = 32,
         beta: float = 1.5,
-        use_cost_field: bool = True,
     ) -> None:
         self.design = design
         #: constructor arguments, so ``repro.par`` workers can rebuild
@@ -85,7 +84,6 @@ class GlobalRouter:
             "params": params,
             "target_gcells": target_gcells,
             "beta": beta,
-            "use_cost_field": use_cost_field,
         }
         #: a bound :class:`repro.par.ParallelExecutor`, or ``None`` for
         #: the classic serial walk
@@ -94,23 +92,21 @@ class GlobalRouter:
         self.graph = RoutingGraph(self.grid, design.tech, beta=beta)
         self.graph.init_fixed_usage(design)
         self.cost = CostModel(self.graph, params)
-        #: dense Eq. 9/10 kernel; ``use_cost_field=False`` selects the
-        #: scalar reference path (same results, used by the parity tests)
-        self.field: CostField | None = (
-            CostField(self.graph, self.cost.params) if use_cost_field else None
-        )
+        #: dense Eq. 9/10 kernel every route is priced through; pinned
+        #: bit-for-bit to the scalar ``self.cost`` definition
+        self.field = CostField(self.graph, self.cost.params)
         self.pattern3d = PatternRouter3D(
             self.graph,
             self.cost,
+            self.field,
             min_layer=self.graph.min_wire_layer,
-            field=self.field,
         )
         self.routes: dict[str, NetRoute] = {}
         # Plain dict (not defaultdict): lookups must never materialize
         # empty entries, or the RRR scan grows monotonically.
         self._edge_nets: dict[GridEdge, set[str]] = {}
-        #: O(dirty-nets) per-net cost cache, or ``None`` for the full-
-        #: rescan oracle; toggled by :meth:`enable_incremental_cost`
+        #: O(dirty-nets) per-net cost cache; ``None`` (every query is a
+        #: fresh scan) until :meth:`enable_incremental_cost` attaches it
         self.cost_cache = None
 
     # ------------------------------------------------------------ terminals
@@ -152,8 +148,7 @@ class GlobalRouter:
                     check_deadline("groute.initial")
                     self.route_net(net.name)
         self.improve(rrr_passes)
-        if self.field is not None:
-            self.field.publish_metrics()
+        self.field.publish_metrics()
 
     def improve(self, rrr_passes: int = 3) -> int:
         """Run up to ``rrr_passes`` RRR passes; returns passes completed.
@@ -172,8 +167,7 @@ class GlobalRouter:
                     completed += 1
             except DeadlineExceeded:
                 get_metrics().count("groute.rrr_deadline_stops")
-        if self.field is not None:
-            self.field.publish_metrics()
+        self.field.publish_metrics()
         return completed
 
     def route_net(self, net_name: str) -> NetRoute:
@@ -434,31 +428,19 @@ class GlobalRouter:
     def _rrr_pass(self, max_nets: int = 200) -> bool:
         """One rip-up-and-reroute pass; True when it changed anything.
 
-        With a cost field the overflow scan is one ``demand > capacity``
-        mask per layer instead of a per-edge Python loop; overflowed
-        edges without committed users contribute no victims either way,
-        so both scans select the same nets.
+        The overflow scan is one ``demand > capacity`` mask per layer;
+        overflowed edges without committed users contribute no victims.
         """
         victims: list[str] = []
         seen: set[str] = set()
-        if self.field is not None:
-            for edge in self.field.overflow_edges():
-                users = self._edge_nets.get(edge)
-                if not users:
-                    continue
-                for name in users:
-                    if name not in seen:
-                        seen.add(name)
-                        victims.append(name)
-        else:
-            for edge, users in self._edge_nets.items():
-                if edge.kind is not EdgeKind.WIRE:
-                    continue
-                if self.graph.demand(edge) > self.graph.capacity(edge):
-                    for name in users:
-                        if name not in seen:
-                            seen.add(name)
-                            victims.append(name)
+        for edge in self.field.overflow_edges():
+            users = self._edge_nets.get(edge)
+            if not users:
+                continue
+            for name in users:
+                if name not in seen:
+                    seen.add(name)
+                    victims.append(name)
         if not victims:
             return False
         metrics = get_metrics()
@@ -496,10 +478,10 @@ class GlobalRouter:
                         path = maze_route(
                             self.graph,
                             self.cost,
+                            self.field,
                             sources=set(connected),
                             targets={terminal},
                             overflow_penalty=10.0 * self.cost.params.via_weight,
-                            field=self.field,
                         )
                     except DeadlineExceeded as exc:
                         deadline = exc
@@ -556,8 +538,7 @@ class GlobalRouter:
         belt-and-braces hook for transaction rollback and for callers
         that poke the usage arrays directly (tests, invariant checkers).
         """
-        if self.field is not None:
-            self.field.note_all()
+        self.field.note_all()
         if self.cost_cache is not None:
             self.cost_cache.note_all()
         if self.executor is not None:
@@ -600,17 +581,14 @@ class GlobalRouter:
 
     # ------------------------------------------------------------- queries
 
-    def enable_incremental_cost(self, enabled: bool = True) -> None:
-        """Attach (or drop) the O(dirty-nets) per-net cost cache.
+    def enable_incremental_cost(self) -> None:
+        """Attach the O(dirty-nets) per-net cost cache (idempotent).
 
         With the cache on, :meth:`net_cost` serves bit-identical cached
         values and re-prices only nets whose cost a commit/rip-up can
-        have changed; ``enabled=False`` restores the full-rescan oracle
-        (the parity suite's ``use_fast_ecc=False`` arm).
+        have changed.  :class:`~repro.core.crp.CrpFramework` attaches it;
+        GR-only and baseline flows never pay for the listener.
         """
-        if not enabled:
-            self.cost_cache = None
-            return
         if self.cost_cache is None:
             from repro.groute.costcache import NetCostCache
 
@@ -627,9 +605,7 @@ class GlobalRouter:
         route = self.routes.get(net_name)
         if route is None:
             return 0.0
-        if self.field is not None:
-            return self.field.path_cost(sorted(route.edges))
-        return self.cost.path_cost(sorted(route.edges))
+        return self.field.path_cost(sorted(route.edges))
 
     def total_route_cost(self) -> float:
         """Eq. 10 total over every net, summed in canonical design order.

@@ -28,6 +28,9 @@ from repro.obs import get_metrics, get_tracer
 
 _STATUS_BY_VALUE = {status.value: status for status in SolveStatus}
 
+#: every value :func:`solve` accepts as ``backend``
+BACKENDS = ("auto", "ladder", "scipy", "bnb", "exhaustive", "greedy")
+
 
 def solve(
     model: IlpModel, backend: str = "auto", budget_s: float | None = None

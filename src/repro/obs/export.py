@@ -2,7 +2,7 @@
 
 The trace document is self-describing (``schema`` key) and round-trips
 through :func:`span_to_dict` / :func:`span_from_dict`, so downstream
-tooling (and the test suite) can reload a committed ``BENCH_obs.json``
+tooling (and the test suite) can reload a saved ``BENCH_obs.json``
 and compare span trees across PRs.
 """
 

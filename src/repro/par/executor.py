@@ -511,25 +511,21 @@ class ParallelExecutor:
         results = self._dispatch("maze", list(items), None, self.chunk)
         return {item[0]: result for item, result in zip(items, results)}
 
-    def run_estimates(
-        self, candidates: list, use_penalty: bool, use_cache: bool = False
-    ) -> list[float]:
+    def run_estimates(self, candidates: list, use_penalty: bool) -> list[float]:
         """Price candidates in order (ECC); pure reads, order-preserving.
 
-        ``use_cache=True`` opts this fan-out into the iteration-scoped
-        ECC pricing cache: a fresh epoch token rides along as the task
-        extra, so every worker (and the in-process fallback) shares one
+        A fresh epoch token rides along as the task extra, so every
+        worker (and the in-process fallback) shares one iteration-scoped
         :class:`~repro.core.fastecc.EccCache` per call and discards it
         on the next.  Caching is read-only memoization of bit-identical
-        values, so results match the uncached path byte-for-byte.
+        values, so results match the uncached estimator byte-for-byte.
         """
-        if use_cache:
-            self._ecc_epoch += 1
-            extra: object = (bool(use_penalty), self._ecc_epoch)
-        else:
-            extra = bool(use_penalty)
+        self._ecc_epoch += 1
         return self._dispatch(
-            "estimate", list(candidates), extra, ESTIMATE_CHUNK
+            "estimate",
+            list(candidates),
+            (bool(use_penalty), self._ecc_epoch),
+            ESTIMATE_CHUNK,
         )
 
     def _dispatch(

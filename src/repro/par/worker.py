@@ -110,9 +110,10 @@ def estimate_models_for(
             slope=router.cost.params.slope,
             use_penalty=False,
         )
-        model = CostModel(router.graph, params)
-        fld = CostField(router.graph, params) if router.field is not None else None
-        pair = (model, fld)
+        pair = (
+            CostModel(router.graph, params),
+            CostField(router.graph, params),
+        )
     cache[use_penalty] = pair
     return pair
 
@@ -233,10 +234,10 @@ def compute_maze_route(
                 path = maze_route(
                     graph,
                     router.cost,
+                    router.field,
                     sources=set(connected),
                     targets={terminal},
                     overflow_penalty=10.0 * router.cost.params.via_weight,
-                    field=router.field,
                 )
                 if path is None:
                     get_metrics().count("groute.maze_fallbacks")
@@ -263,23 +264,18 @@ def compute_estimate(
 ) -> float:
     """Eq. 10 candidate cost (read-only; identical to the ECC step).
 
-    ``extra`` is either a bare ``use_penalty`` bool (legacy form) or a
-    ``(use_penalty, epoch)`` tuple; an epoch opts this fan-out into the
-    iteration-scoped :class:`~repro.core.fastecc.EccCache`.
+    ``extra`` is ``(use_penalty, epoch)``: chunks carrying the same
+    epoch token share one iteration-scoped
+    :class:`~repro.core.fastecc.EccCache`.
     """
     from repro.core.estimate import estimate_candidate_cost
 
-    if isinstance(extra, tuple):
-        use_penalty, epoch = extra
-        cache = state.ecc_cache(epoch)
-    else:
-        use_penalty = bool(extra)
-        cache = None
+    use_penalty, epoch = extra
     model, fld = state.estimate_models(use_penalty)
     router = state.router
     with router.pattern3d.using(model, fld):
         return estimate_candidate_cost(
-            router.design, router, candidate, cache=cache
+            router.design, router, candidate, cache=state.ecc_cache(epoch)
         )
 
 

@@ -1,0 +1,14 @@
+"""Reference implementations the parity tests compare production against.
+
+Importable as ``oracles`` (``tests/`` is on ``sys.path``).  Nothing here
+is reachable from ``src/``: a user, a worker payload or a checkpoint
+cannot select these paths — only a test can, by calling them directly or
+by installing them through the seams named in each module.
+
+* :mod:`oracles.groute` — scalar ``CostModel`` maze A* and run pricing
+  (reference for the ``CostField`` paths of ``repro.groute``).
+* :mod:`oracles.droute` — dict-of-tuples A* and session state (reference
+  for ``repro.droute.indexed``).
+* :mod:`oracles.crp` — uncached CR&P iteration: fresh per-net cost scans
+  and ECC without an ``EccCache``.
+"""

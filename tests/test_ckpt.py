@@ -135,8 +135,9 @@ class TestCheckpointStore:
             store.load(path)
 
     # format 1 = the builds whose window solver took HiGHS's pick among
-    # tied optima: resuming one here would match neither build's run
-    @pytest.mark.parametrize("version", [FORMAT_VERSION + 1, 1])
+    # tied optima: resuming one here would match neither build's run;
+    # format 2 payloads carry a ``router_ctor`` key the ctor dropped
+    @pytest.mark.parametrize("version", [FORMAT_VERSION + 1, 1, 2])
     def test_version_mismatch_is_rejected(self, tmp_path, version):
         meta, state = self.make_state()
         store = CheckpointStore(tmp_path)

@@ -42,6 +42,10 @@ def test_config_validation():
         CrpConfig(temperature=0).validate()
     with pytest.raises(ValueError):
         CrpConfig(n_rows=0).validate()
+    with pytest.raises(ValueError, match="ilp_backend"):
+        CrpConfig(ilp_backend="scipi").validate()
+    for backend in ("auto", "ladder", "scipy", "bnb", "exhaustive", "greedy"):
+        CrpConfig(ilp_backend=backend).validate()
 
 
 # -------------------------------------------------------------- labeling

@@ -5,7 +5,8 @@ speedup over the scalar :class:`repro.grid.cost.CostModel` oracle —
 edge costs are *bit-identical*, prefix-sum run costs agree to 1e-9
 (float association is the only permitted difference), and the field
 stays coherent through every mutation path: ``apply_route`` in both
-signs, rip-up/reroute, and guard-transaction rollback.
+signs, rip-up/reroute, and guard-transaction rollback.  The scalar maze
+and run pricing the router used to carry live in ``oracles.groute``.
 """
 
 from __future__ import annotations
@@ -21,8 +22,7 @@ from repro.grid import (
     GridEdge,
     RoutingGraph,
 )
-from repro.groute import GlobalRouter
-from repro.groute.pattern3d import PatternRouter3D
+from repro.groute import GlobalRouter, maze_route
 from repro.guard.deadline import (
     DeadlineExceeded,
     DeadlineTicker,
@@ -31,6 +31,7 @@ from repro.guard.deadline import (
 from repro.guard.transaction import IterationTransaction
 
 from helpers import fresh_small
+from oracles.groute import maze_route_scalar, scalar_run_cost
 
 
 def all_wire_edges(graph: RoutingGraph) -> list[GridEdge]:
@@ -68,9 +69,13 @@ def assert_field_matches_oracle(
 
 @pytest.fixture()
 def routed_graph(tech45):
-    """A small routed design's graph + a (field, oracle) pair."""
+    """A small routed design's graph + a (field, oracle) pair.
+
+    The field is a second listener beside the router's own, so the tests
+    below see it go stale and refresh independently of routing queries.
+    """
     design = fresh_small(seed=7)
-    router = GlobalRouter(design, use_cost_field=False)
+    router = GlobalRouter(design)
     router.route_all(rrr_passes=1)
     field = CostField(router.graph, router.cost.params)
     return router, field, router.cost
@@ -79,7 +84,7 @@ def routed_graph(tech45):
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_randomized_parity_bit_exact(tech45, seed):
     design = fresh_small(seed=seed)
-    router = GlobalRouter(design, use_cost_field=False)
+    router = GlobalRouter(design)
     field = CostField(router.graph, router.cost.params)
     randomize_usage(router.graph, seed=100 + seed)
     assert_field_matches_oracle(router.graph, field, router.cost)
@@ -87,7 +92,7 @@ def test_randomized_parity_bit_exact(tech45, seed):
 
 def test_parity_without_penalty(tech45):
     design = fresh_small(seed=5)
-    router = GlobalRouter(design, use_cost_field=False)
+    router = GlobalRouter(design)
     params = CostParams(use_penalty=False)
     field = CostField(router.graph, params)
     oracle = CostModel(router.graph, params)
@@ -146,11 +151,8 @@ def test_via_change_dirties_adjacent_wire_layers(routed_graph):
 def test_prefix_run_cost_matches_scalar(routed_graph):
     router, field, oracle = routed_graph
     graph = router.graph
-    pr_scalar = PatternRouter3D(graph, oracle, graph.min_wire_layer)
-    pr_field = PatternRouter3D(
-        graph, oracle, graph.min_wire_layer, field=field
-    )
-    field.ensure()
+    pattern3d = router.pattern3d
+    pattern3d.field.ensure()
     rng = np.random.RandomState(3)
     for layer in range(graph.min_wire_layer, graph.num_layers):
         ex, ey = graph.wire_edge_shape(layer)
@@ -168,8 +170,8 @@ def test_prefix_run_cost_matches_scalar(routed_graph):
                 run = ((line, int(a)), (line, int(b)))
             if a == b:
                 continue
-            scalar = pr_scalar._run_cost(run, layer)
-            dense = pr_field._run_cost(run, layer)
+            scalar = scalar_run_cost(pattern3d, oracle, run, layer)
+            dense = pattern3d._run_cost(run, layer)
             assert dense == pytest.approx(scalar, abs=1e-9)
 
 
@@ -188,11 +190,10 @@ def test_overflow_edges_matches_scalar_scan(routed_graph):
 
 def test_parity_after_transaction_rollback(tech45):
     design = fresh_small(seed=9)
-    router = GlobalRouter(design)  # field mode: router.field is the kernel
+    router = GlobalRouter(design)
     router.route_all(rrr_passes=1)
     oracle = router.cost
     field = router.field
-    assert field is not None
 
     txn = IterationTransaction(design, router)
     names = list(router.routes)[:4]
@@ -207,20 +208,46 @@ def test_parity_after_transaction_rollback(tech45):
     assert_field_matches_oracle(router.graph, field, oracle)
 
 
-def test_routing_mode_parity(tech45):
-    """Scalar and field modes produce byte-identical flow results."""
-    results = {}
-    for use_field in (False, True):
-        design = fresh_small(seed=13)
-        router = GlobalRouter(design, use_cost_field=use_field)
-        router.route_all(rrr_passes=2)
-        results[use_field] = (
-            {n: sorted(rt.edges) for n, rt in router.routes.items()},
-            router.total_wirelength_dbu(),
-            router.total_vias(),
-            router.total_overflow(),
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5])
+@pytest.mark.parametrize("overflow_penalty", [0.0, 20.0])
+def test_maze_matches_scalar_reference(tech45, seed, overflow_penalty):
+    """The dense-map maze returns the scalar A*'s route, edge for edge.
+
+    Random usage (so penalties and overflow differ per edge) and random
+    multi-node source/target sets, with and without the RRR surcharge.
+    """
+    design = fresh_small(seed=seed)
+    router = GlobalRouter(design)
+    graph = router.graph
+    randomize_usage(graph, seed=200 + seed)
+    rng = np.random.RandomState(300 + seed)
+
+    def random_nodes(count: int) -> set[tuple[int, int, int]]:
+        return {
+            (
+                int(rng.randint(graph.min_wire_layer, graph.num_layers)),
+                int(rng.randint(graph.grid.nx)),
+                int(rng.randint(graph.grid.ny)),
+            )
+            for _ in range(count)
+        }
+
+    found = 0
+    for _ in range(12):
+        sources = random_nodes(int(rng.randint(1, 4)))
+        targets = random_nodes(int(rng.randint(1, 4)))
+        margin = int(rng.randint(0, 5))
+        dense = maze_route(
+            graph, router.cost, router.field, set(sources), set(targets),
+            margin=margin, overflow_penalty=overflow_penalty,
         )
-    assert results[False] == results[True]
+        scalar = maze_route_scalar(
+            graph, router.cost, set(sources), set(targets),
+            margin=margin, overflow_penalty=overflow_penalty,
+        )
+        assert dense == scalar
+        found += bool(dense)
+    assert found  # the draws must produce real searches, not only overlaps
 
 
 def test_edge_nets_prunes_empty_sets(tech45):

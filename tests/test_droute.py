@@ -6,12 +6,14 @@ from repro.geom import Point, Rect
 from repro.db import Blockage, Net, NetPin
 from repro.droute import DetailedRouter, DrcKind, TrackLattice
 from repro.droute.access import access_nodes
-from repro.droute.astar import SearchParams, astar_connect
+from repro.droute.astar import SearchParams
+from repro.droute.indexed import DrouteIndex, astar_connect_indexed
 from repro.droute.drc import check_min_area, check_shorts
 from repro.droute.obstacles import BLOCKED, build_obstacle_map
 from repro.groute import GlobalRouter
 
 from helpers import add_cell, add_two_pin_net, build_tiny_design, fresh_small
+from oracles.droute import astar_connect
 
 
 # --------------------------------------------------------------- lattice
@@ -99,11 +101,33 @@ def test_unconnected_pins_block(tech45):
 # ----------------------------------------------------------------- astar
 
 
-def test_astar_direct_path(tech45):
+def _connect_indexed(lattice, sources, targets, net, owner, occupancy, bounds, params, soft):
+    """The shipped kernel, over a ``DrouteIndex`` holding the same maps."""
+    index = DrouteIndex(lattice, owner)
+    for node, holder in occupancy.items():
+        index.occupancy[index.nid_of(node)] = index.intern(holder)
+    return astar_connect_indexed(
+        index, sources, targets, net, index.intern(net), bounds, None, params, soft
+    )
+
+
+def _connect_oracle(lattice, sources, targets, net, owner, occupancy, bounds, params, soft):
+    return astar_connect(
+        lattice, sources, targets, net, owner, occupancy, bounds, None, params, soft
+    )
+
+
+@pytest.fixture(params=["indexed", "oracle"])
+def connect(request):
+    """A* entry point with dict-map arguments: production kernel and reference."""
+    return {"indexed": _connect_indexed, "oracle": _connect_oracle}[request.param]
+
+
+def test_astar_direct_path(tech45, connect):
     design = build_tiny_design(tech45, num_rows=6, sites_per_row=40)
     lattice = TrackLattice(tech45, design.die)
     params = SearchParams(via_cost=800)
-    result = astar_connect(
+    result = connect(
         lattice,
         sources={(1, 5, 5)},
         targets={(1, 5, 15)},
@@ -111,7 +135,6 @@ def test_astar_direct_path(tech45):
         owner={},
         occupancy={},
         bounds=(0, 0, lattice.nx - 1, lattice.ny - 1),
-        guide_nodes=None,
         params=params,
         soft=False,
     )
@@ -122,7 +145,7 @@ def test_astar_direct_path(tech45):
     assert result.conflicts == []
 
 
-def test_astar_hard_blocked_by_other_net(tech45):
+def test_astar_hard_blocked_by_other_net(tech45, connect):
     design = build_tiny_design(tech45, num_rows=6, sites_per_row=40)
     lattice = TrackLattice(tech45, design.die)
     params = SearchParams()
@@ -140,17 +163,16 @@ def test_astar_hard_blocked_by_other_net(tech45):
         owner={},
         occupancy=occupancy,
         bounds=(0, 0, lattice.nx - 1, lattice.ny - 1),
-        guide_nodes=None,
         params=params,
     )
-    hard = astar_connect(soft=False, **kwargs)
+    hard = connect(soft=False, **kwargs)
     assert hard is None
-    soft = astar_connect(soft=True, **kwargs)
+    soft = connect(soft=True, **kwargs)
     assert soft is not None
     assert soft.conflicts  # it had to cross the wall
 
 
-def test_astar_blocked_nodes_impassable_even_soft(tech45):
+def test_astar_blocked_nodes_impassable_even_soft(tech45, connect):
     design = build_tiny_design(tech45, num_rows=6, sites_per_row=40)
     lattice = TrackLattice(tech45, design.die)
     owner = {
@@ -158,7 +180,7 @@ def test_astar_blocked_nodes_impassable_even_soft(tech45):
         for l in range(tech45.num_layers)
         for ix in range(lattice.nx)
     }
-    result = astar_connect(
+    result = connect(
         lattice,
         sources={(1, 5, 5)},
         targets={(1, 5, 15)},
@@ -166,16 +188,15 @@ def test_astar_blocked_nodes_impassable_even_soft(tech45):
         owner=owner,
         occupancy={},
         bounds=(0, 0, lattice.nx - 1, lattice.ny - 1),
-        guide_nodes=None,
         params=SearchParams(),
         soft=True,
     )
     assert result is None
 
 
-def test_astar_source_in_targets(tech45):
+def test_astar_source_in_targets(tech45, connect):
     lattice = TrackLattice(tech45, Rect(0, 0, 8000, 5600))
-    result = astar_connect(
+    result = connect(
         lattice,
         sources={(1, 2, 2)},
         targets={(1, 2, 2), (1, 9, 9)},
@@ -183,7 +204,6 @@ def test_astar_source_in_targets(tech45):
         owner={},
         occupancy={},
         bounds=(0, 0, 10, 10),
-        guide_nodes=None,
         params=SearchParams(),
         soft=False,
     )

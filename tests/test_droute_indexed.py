@@ -1,10 +1,11 @@
 """Bit-exact parity suite: indexed detailed-routing kernel vs dict oracle.
 
-The flat-array kernel (``use_indexed=True``, the default) must produce
-byte-identical routes, violations, and quality to the dict-of-tuples
-oracle (``use_indexed=False``) on every design — same discipline as the
-grid cost field's scalar oracle.  Any divergence is a kernel bug, never
-an acceptable approximation.
+The flat-array kernel (:class:`repro.droute.indexed.DrouteIndex`, the
+only state ``DetailedRouter`` builds) must produce byte-identical routes,
+violations, and quality to the dict-of-tuples oracle
+(``oracles.droute.OracleDetailedRouter``) on every design — same
+discipline as the grid cost field's scalar oracle.  Any divergence is a
+kernel bug, never an acceptable approximation.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from repro.droute.obstacles import BLOCKED, build_obstacle_map
 from repro.groute import GlobalRouter
 
 from helpers import add_cell, add_two_pin_net, build_tiny_design, fresh_small
+from oracles.droute import OracleDetailedRouter
 
 
 def signature(result):
@@ -40,15 +42,19 @@ def signature(result):
 def route_both(design_factory, guides_from_gr: bool, **router_kw):
     """Route two fresh copies, oracle and indexed; return signatures."""
     sigs = []
-    for use_indexed in (False, True):
+    for router_class in (OracleDetailedRouter, DetailedRouter):
         design = design_factory()
         guides = None
         if guides_from_gr:
             gr = GlobalRouter(design)
             gr.route_all()
             guides = gr.guides()
-        router = DetailedRouter(design, use_indexed=use_indexed, **router_kw)
+        router = router_class(design, **router_kw)
         sigs.append(signature(router.route_all(guides)))
+        # the seam took: only the production arm ran on the flat arrays
+        assert isinstance(router._state, DrouteIndex) == (
+            router_class is DetailedRouter
+        )
     return sigs
 
 
@@ -145,9 +151,3 @@ def test_parity_dense_conflicts(tech45):
 
     oracle, indexed = route_both(factory, guides_from_gr=False)
     assert indexed == oracle
-
-
-def test_indexed_is_default():
-    design = fresh_small()
-    assert DetailedRouter(design).use_indexed is True
-    assert DetailedRouter(design).ctor_args["use_indexed"] is True

@@ -75,3 +75,21 @@ def test_flow_crp_improves_or_matches_baseline_gr():
     base_score = 0.5 * base.gr_wirelength_dbu / 200 + 2.0 * base.gr_vias
     crp_score = 0.5 * crp.gr_wirelength_dbu / 200 + 2.0 * crp.gr_vias
     assert crp_score <= base_score * 1.02
+
+
+def test_flow_quality_pinned_on_ispd18_test1():
+    """Full-flow k=1 results are machine-independent constants.
+
+    Recorded at the commit before the scalar / dict / uncached reference
+    paths left ``src`` (what the deleted ``droute`` CI job compared with
+    its committed quality block): any drift is a behaviour change.
+    """
+    from repro.benchgen import make_design
+
+    result = run_flow(make_design("ispd18_test1"), mode="crp", crp_iterations=1)
+    assert not result.failed and result.legal
+    assert (result.gr_wirelength_dbu, result.gr_vias) == (219620, 186)
+    assert result.quality.wirelength_dbu == 242200
+    assert result.quality.vias == 201
+    assert result.quality.drvs == 0
+    assert result.quality.drv_breakdown == {}

@@ -124,7 +124,8 @@ def test_pattern3d_avoids_congested_layer(routed_tiny):
 def test_maze_route_connects(routed_tiny):
     router = GlobalRouter(routed_tiny)
     path = maze_route(
-        router.graph, router.cost, sources={(1, 0, 0)}, targets={(1, 3, 3)}
+        router.graph, router.cost, router.field,
+        sources={(1, 0, 0)}, targets={(1, 3, 3)},
     )
     assert path is not None
     # Path must be a connected edge walk from source to target.
@@ -138,12 +139,16 @@ def test_maze_route_connects(routed_tiny):
 
 def test_maze_route_trivial_overlap(routed_tiny):
     router = GlobalRouter(routed_tiny)
-    assert maze_route(router.graph, router.cost, {(1, 0, 0)}, {(1, 0, 0)}) == []
+    assert maze_route(
+        router.graph, router.cost, router.field, {(1, 0, 0)}, {(1, 0, 0)}
+    ) == []
 
 
 def test_maze_route_empty_inputs(routed_tiny):
     router = GlobalRouter(routed_tiny)
-    assert maze_route(router.graph, router.cost, set(), {(1, 0, 0)}) is None
+    assert maze_route(
+        router.graph, router.cost, router.field, set(), {(1, 0, 0)}
+    ) is None
 
 
 # ----------------------------------------------------------------- driver

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from repro.geom import Point
 from repro.db.design import GCellGridSpec
-from repro.grid import EdgeKind, GCellGrid, RoutingGraph, CostModel
+from repro.grid import CostField, EdgeKind, GCellGrid, RoutingGraph, CostModel
 from repro.groute import PatternRouter3D, maze_route, pattern_paths_2d
 from repro.benchgen import build_tech
 
@@ -58,7 +58,7 @@ def _edges_connect(graph, edges, src, dst):
 @given(gpoints, gpoints, st.integers(0, 8), st.integers(0, 8))
 def test_pattern3d_routes_connect_endpoints(a, b, src_layer, dst_layer):
     graph = _fresh_graph()
-    router = PatternRouter3D(graph, CostModel(graph), min_layer=1)
+    router = PatternRouter3D(graph, CostModel(graph), CostField(graph), min_layer=1)
     paths = pattern_paths_2d(a, b)
     result = router.route(paths[0], src_layer, dst_layer)
     assert result is not None
@@ -76,14 +76,15 @@ def test_maze_matches_pattern_quality_or_better(a, b, src_layer, dst_layer):
     """On an empty graph, maze routing never loses to pattern routing."""
     graph = _fresh_graph()
     cost = CostModel(graph)
-    pattern = PatternRouter3D(graph, cost, min_layer=1)
+    field = CostField(graph)
+    pattern = PatternRouter3D(graph, cost, field, min_layer=1)
     best_pattern = None
     for path in pattern_paths_2d(a, b):
         result = pattern.route(path, src_layer, dst_layer)
         if result and (best_pattern is None or result.cost < best_pattern):
             best_pattern = result.cost
     maze = maze_route(
-        graph, cost, {(src_layer, a[0], a[1])}, {(dst_layer, b[0], b[1])},
+        graph, cost, field, {(src_layer, a[0], a[1])}, {(dst_layer, b[0], b[1])},
         margin=12,
     )
     assert maze is not None
@@ -100,7 +101,7 @@ def test_maze_multi_source_reaches_some_target(nodes):
     cost = CostModel(graph)
     sources = {nodes[0]}
     targets = set(nodes[1:])
-    path = maze_route(graph, cost, sources, targets, margin=12)
+    path = maze_route(graph, cost, CostField(graph), sources, targets, margin=12)
     assert path is not None
     if not path:
         assert sources & targets
