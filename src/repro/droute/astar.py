@@ -54,20 +54,25 @@ class SearchStats:
     per A* invocation.
     """
 
-    __slots__ = ("calls", "expansions")
+    __slots__ = ("calls", "expansions", "skipped")
 
     def __init__(self) -> None:
         self.calls = 0
         self.expansions: list[int] = []
+        #: hard searches answered by the pocket look instead of being run
+        self.skipped = 0
 
     def record(self, expansions: int) -> None:
         self.calls += 1
         self.expansions.append(expansions)
 
     def flush(self) -> None:
+        metrics = get_metrics()
+        if self.skipped:
+            metrics.count("droute.hard_skipped", self.skipped)
+            self.skipped = 0
         if not self.calls:
             return
-        metrics = get_metrics()
         metrics.count("droute.astar_calls", self.calls)
         metrics.observe_many("droute.astar_expansions", self.expansions)
         self.calls = 0

@@ -59,6 +59,11 @@ BLOCKED_ID = 1
 
 _INF = float("inf")
 
+#: nodes :func:`pocket_closed` may visit before it gives up and lets the
+#: forward search run; sized from the measured curve in DESIGN.md
+#: ("Searches that are not run")
+POCKET_BUDGET = 256
+
 
 def guide_spans(
     lattice: TrackLattice,
@@ -162,6 +167,8 @@ class DrouteIndex:
         #: lazy per-search passability cache for the hard guided loop:
         #: ``gate_stamp + {0: base cost, 1: conflict penalty, 2: wall}``,
         #: anything older than the live stamp means "not classified yet"
+        #: (:func:`pocket_closed` borrows it under a stamp block of its
+        #: own: ``gate_stamp + {0: visited, 1: source}``)
         self.gate: list[int] = [0] * n
         self.epoch = 0
         self.guide_stamp = 0
@@ -237,12 +244,23 @@ class DrouteIndex:
         return self.stamp_guides(per_layer, terminal_access), bounds
 
     def connect(self, sources, targets, net_name, bounds, guide, soft, stats):
+        net_id = self.intern(net_name)
+        # A hard in-guide search whose targets sit in a sealed pocket can
+        # only come back ``None``; say so without running it.
+        if guide is not None and not soft and pocket_closed(
+            self, sources, targets, net_id, bounds, guide
+        ):
+            if stats is not None:
+                stats.skipped += 1
+            else:
+                get_metrics().count("droute.hard_skipped")
+            return None
         return astar_connect_indexed(
             self,
             sources,
             targets,
             net_name,
-            self.intern(net_name),
+            net_id,
             bounds,
             guide,
             self.params,
@@ -298,6 +316,102 @@ class DrouteIndex:
             nid = self.nid_of(node)
             if occupancy[nid] == net_id:
                 occupancy[nid] = 0
+
+
+def pocket_closed(
+    index: DrouteIndex,
+    sources: set[LNode],
+    targets: set[LNode],
+    net_id: int,
+    bounds: tuple[int, int, int, int],
+    guide_stamp: int,
+) -> bool:
+    """True when a hard in-guide search from ``sources`` cannot reach ``targets``.
+
+    A bounded flood *backwards* from the targets over exactly the steps
+    the hard guided loop of :func:`astar_connect_indexed` may take: a
+    node can be entered when it carries this search's guide stamp and is
+    a target or free-or-own in both ``owner`` and ``occupancy``; planar
+    steps exist only on layers >= ``min_wire_layer`` and test the
+    *stepping* node's coordinate against the far bound (so the node
+    stepped onto is tested against the near one); vias are unbounded.
+    Every predecessor is tested for source membership before anything
+    else -- sources are seeds, never entered, so they need be neither
+    passable nor inside ``bounds``.
+
+    If the flood closes without meeting a source, no forward search can
+    pop a target, whether it would have ended by exhaustion or by
+    ``max_expansions``: the answer is ``None``.  If it meets a source or
+    visits more than :data:`POCKET_BUDGET` nodes the answer is "unknown"
+    (``False``) and the caller runs the search.
+    """
+    nx = index.nx
+    ny = index.ny
+    layer_stride = nx * ny
+    last_ix = nx - 1
+    last_iy = ny - 1
+    top = index.num_layers - 1
+    min_wire = index.lattice.min_wire_layer
+    budget = POCKET_BUDGET
+    ix0, iy0, ix1, iy1 = bounds
+    owner = index.owner
+    occupancy = index.occupancy
+    guide_epoch = index.guide_epoch
+    # Marks go in ``gate`` under a fresh stamp block; the forward search
+    # that may follow takes the next one, so it reads every mark left
+    # here as "not classified yet".
+    look = index.gate
+    seen = index.gate_stamp + 4
+    index.gate_stamp = seen
+    is_source = seen + 1
+
+    for layer, ix, iy in sources:
+        look[(layer * ny + iy) * nx + ix] = is_source
+    queue: list[int] = []
+    push = queue.append
+    for layer, ix, iy in targets:
+        nid = (layer * ny + iy) * nx + ix
+        if look[nid] == is_source:
+            return False  # overlap: the search answers at once
+        if guide_epoch[nid] == guide_stamp:  # an off-guide target is a wall
+            look[nid] = seen
+            push(nid)
+
+    for nid in queue:  # grows while iterated: a FIFO without pops
+        if len(queue) > budget:
+            return False
+        ix = nid % nx
+        rest = nid // nx
+        iy = rest % ny
+        layer = rest // ny
+        preds = []
+        if layer >= min_wire:
+            if 0 < ix <= ix1:
+                preds.append(nid - 1)
+            if ix0 <= ix < last_ix:
+                preds.append(nid + 1)
+            if 0 < iy <= iy1:
+                preds.append(nid - nx)
+            if iy0 <= iy < last_iy:
+                preds.append(nid + nx)
+        if layer > 0:
+            preds.append(nid - layer_stride)
+        if layer < top:
+            preds.append(nid + layer_stride)
+        for pid in preds:
+            mark = look[pid]
+            if mark >= seen:
+                if mark == is_source:
+                    return False
+                continue
+            look[pid] = seen
+            if guide_epoch[pid] == guide_stamp:
+                holder = owner[pid]
+                if holder == 0 or holder == net_id:
+                    holder = occupancy[pid]
+                    if holder == 0 or holder == net_id:
+                        push(pid)
+    return True
 
 
 def astar_connect_indexed(

@@ -84,6 +84,21 @@ class NetComputation:
     conflict_nodes: list[LNode]
 
 
+@dataclass(slots=True)
+class _RouteBook:
+    """What one :meth:`DetailedRouter.route_all` has committed so far."""
+
+    # Round bookkeeping outside the A* inner loop.
+    #: shorted node -> (net that routed over it, net that held it)
+    conflicts: dict[LNode, tuple[str, str]] = field(  # repro: noqa:REPRO-P001
+        default_factory=dict
+    )
+    net_nodes: dict[str, set[LNode]] = field(default_factory=dict)
+    pin_nodes: dict[str, set[LNode]] = field(default_factory=dict)
+    patch_counts: dict[str, int] = field(default_factory=dict)
+    result: DetailedResult = field(default_factory=DetailedResult)
+
+
 class DetailedRouter:
     """Guide-honoring sequential detailed router."""
 
@@ -109,6 +124,24 @@ class DetailedRouter:
         self._state: DrouteIndex | None = None
         self._session_guides: dict[str, list[GuideRect]] | None = None
         self._stats = SearchStats()
+        self._book: _RouteBook | None = None
+        pitch = self.lattice.pitch
+        layers = design.tech.layers
+        #: per layer: track nodes a metal island needs to meet min-area
+        #: (0 where the layer has no rule)
+        self._min_area_nodes = tuple(
+            1 + max(0, -(-(l.min_area - l.width**2) // (pitch * l.width)))
+            if l.min_area > 0 else 0
+            for l in layers
+        )
+        #: the two lowest horizontal / vertical wire layers (L-pattern legs)
+        min_wire = self.lattice.min_wire_layer
+        self._h_layers = tuple(
+            l.index for l in layers if l.is_horizontal and l.index >= min_wire
+        )[:2]
+        self._v_layers = tuple(
+            l.index for l in layers if l.is_vertical and l.index >= min_wire
+        )[:2]
 
     @property
     def ctor_args(self) -> dict:
@@ -175,12 +208,8 @@ class DetailedRouter:
         with tracer.span("droute.obstacles"):
             state = self.begin_session(guides)
         stats = self._stats
-        # Round bookkeeping outside the A* inner loop.
-        conflicts: dict[LNode, tuple[str, str]] = {}  # repro: noqa:REPRO-P001
-        net_nodes: dict[str, set[LNode]] = {}
-        pin_nodes: dict[str, set[LNode]] = {}
-        result = DetailedResult()
-        patch_counts: dict[str, int] = {}
+        book = self._book = _RouteBook()
+        result = book.result
 
         executor = self.executor
         use_executor = executor is not None and executor.router is not None
@@ -192,10 +221,7 @@ class DetailedRouter:
             )
             if use_executor:
                 executor.note_droute_start(self, guides)
-                self._first_pass_batched(
-                    order, guides, state, stats, executor,
-                    conflicts, net_nodes, pin_nodes, patch_counts, result,
-                )
+                self._first_pass_batched(order, guides, state, stats, executor, book)
             else:
                 for net in order:
                     check_deadline("droute.net")
@@ -205,68 +231,82 @@ class DetailedRouter:
                         state,
                         stats,
                     )
-                    self._commit_net(
-                        comp, state, conflicts, net_nodes, pin_nodes,
-                        patch_counts, result,
-                    )
+                    self._commit_net(comp, state, book)
 
         # Conflict-driven rip-up-and-reroute: every net involved in a
         # short is ripped (both aggressor and victim) and rerouted with a
         # clean slate — the detailed-routing analogue of the global
         # router's RRR passes.  Always serial: rip-ups are not replayed
         # to worker replicas (a later session rebuilds them from scratch).
+        metrics = get_metrics()
+        previous: set[str] = set()
         for round_index in range(self.drc_rounds):
-            ripped: set[str] = set()
-            for net_a, net_b in conflicts.values():
-                ripped.add(net_a)
-                ripped.add(net_b)
+            ripped = {name for pair in book.conflicts.values() for name in pair}
             if not ripped:
                 break
-            metrics = get_metrics()
+            if ripped == previous:
+                # Fixed point: the last round started from this same rip
+                # set and came back to it, so this one (and every later
+                # one) would rewrite the result with itself.
+                metrics.count("droute.rrr_fixed_point")
+                break
+            previous = ripped
             metrics.count("droute.rrr_rounds")
             metrics.count("droute.ripped_nets", len(ripped))
-            for name in sorted(ripped):
-                state.rip(name, net_nodes.pop(name, ()))
-                result.paths.pop(name, None)
-                patch_counts.pop(name, None)
-            conflicts = {
-                node: pair
-                for node, pair in conflicts.items()
-                if pair[0] not in ripped and pair[1] not in ripped
-            }
-            result.violations = [
-                v
-                for v in result.violations
-                if not (v.kind is DrcKind.OPEN and v.net_a in ripped)
-            ]
             with tracer.span("droute.rrr_round", round=round_index):
-                for name in sorted(
-                    ripped,
-                    key=lambda n: (self.design.net_hpwl(self.design.nets[n]), n),
-                ):
-                    comp = self._net_compute(
-                        self.design.nets[name],
-                        guides.get(name) if guides is not None else None,
-                        state,
-                        stats,
-                    )
-                    self._commit_net(
-                        comp, state, conflicts, net_nodes, pin_nodes,
-                        patch_counts, result,
-                    )
+                self._rrr_round(ripped, guides, state, stats, book)
 
         with tracer.span("droute.drc"):
-            self._tally(result, patch_counts)
-            result.violations.extend(check_shorts(conflicts))
+            self._tally(result, book.patch_counts)
+            result.violations.extend(check_shorts(book.conflicts))
             result.violations.extend(
-                check_min_area(self.lattice, net_nodes, pin_nodes)
+                check_min_area(self.lattice, book.net_nodes, book.pin_nodes)
             )
         stats.flush()
-        metrics = get_metrics()
         metrics.count("droute.drvs", result.num_drvs)
         metrics.gauge("droute.wirelength_dbu", result.wirelength_dbu)
         result.runtime_s = time.perf_counter() - start
         return result
+
+    def _rrr_round(
+        self,
+        ripped: set[str],
+        guides: dict[str, list[GuideRect]] | None,
+        state: DrouteIndex,
+        stats: SearchStats,
+        book: _RouteBook,
+    ) -> None:
+        """One conflict round: rip every net of ``ripped``, reroute them.
+
+        Nets outside ``ripped`` are not touched, so the round is a pure
+        function of (the occupancy they leave behind, ``ripped``).
+        """
+        result = book.result
+        for name in sorted(ripped):
+            state.rip(name, book.net_nodes.pop(name, ()))
+            result.paths.pop(name, None)
+            book.patch_counts.pop(name, None)
+        book.conflicts = {
+            node: pair
+            for node, pair in book.conflicts.items()
+            if pair[0] not in ripped and pair[1] not in ripped
+        }
+        result.violations = [
+            v
+            for v in result.violations
+            if not (v.kind is DrcKind.OPEN and v.net_a in ripped)
+        ]
+        nets = self.design.nets
+        for name in sorted(
+            ripped, key=lambda n: (self.design.net_hpwl(nets[n]), n)
+        ):
+            comp = self._net_compute(
+                nets[name],
+                guides.get(name) if guides is not None else None,
+                state,
+                stats,
+            )
+            self._commit_net(comp, state, book)
 
     def _tally(self, result: DetailedResult, patch_counts: dict[str, int]) -> None:
         """Compute wirelength and via totals from the final geometry."""
@@ -350,14 +390,7 @@ class DetailedRouter:
         )
 
     def _commit_net(
-        self,
-        comp: NetComputation,
-        state: DrouteIndex,
-        conflicts: dict[LNode, tuple[str, str]],
-        net_nodes: dict[str, set[LNode]],
-        pin_nodes: dict[str, set[LNode]],
-        patch_counts: dict[str, int],
-        result: DetailedResult,
+        self, comp: NetComputation, state: DrouteIndex, book: _RouteBook
     ) -> None:
         """Apply one computed net to committed state (always serial)."""
         name = comp.name
@@ -367,9 +400,9 @@ class DetailedRouter:
         for node in comp.conflict_nodes:
             holder = state.holder_name(node)
             if holder and holder not in (name, BLOCKED):
-                conflicts[node] = (name, holder)
+                book.conflicts[node] = (name, holder)
         for node in comp.opens:
-            result.violations.append(
+            book.result.violations.append(
                 DrcViolation(
                     kind=DrcKind.OPEN, layer=node[0], net_a=name, node=node
                 )
@@ -379,29 +412,13 @@ class DetailedRouter:
         # Release this net's unused escape reservations: once routed,
         # later nets may pass over its pins' spare landings.
         state.release_reservations(name, used)
-        net_nodes[name] = used
-        pin_nodes[name] = set(comp.pins)
-        patch_counts[name] = comp.patch_count
-        result.paths[name] = comp.paths
+        book.net_nodes[name] = used
+        book.pin_nodes[name] = set(comp.pins)
+        book.patch_counts[name] = comp.patch_count
+        book.result.paths[name] = comp.paths
         get_metrics().count("droute.nets_routed")
 
     # ----------------------------------------------------- batched first pass
-
-    def _patch_margin(self) -> int:
-        """Worst-case tracks a min-area patch can grow past search bounds."""
-        lattice = self.lattice
-        pitch = lattice.pitch
-        margin = 0
-        for tech_layer in lattice.tech.layers:
-            if tech_layer.min_area <= 0:
-                continue
-            min_nodes = 1 + max(
-                0,
-                -(-(tech_layer.min_area - tech_layer.width**2)
-                  // (pitch * tech_layer.width)),
-            )
-            margin = max(margin, min_nodes)
-        return margin
 
     def _net_region(
         self, net: Net, net_guides: list[GuideRect] | None, expand: int
@@ -435,11 +452,7 @@ class DetailedRouter:
         state: DrouteIndex,
         stats: SearchStats,
         executor,
-        conflicts: dict[LNode, tuple[str, str]],
-        net_nodes: dict[str, set[LNode]],
-        pin_nodes: dict[str, set[LNode]],
-        patch_counts: dict[str, int],
-        result: DetailedResult,
+        book: _RouteBook,
     ) -> None:
         """Batched first pass: partition, compute in workers, commit in order.
 
@@ -453,7 +466,8 @@ class DetailedRouter:
         from repro.par.partition import ParTask, partition
 
         lattice = self.lattice
-        expand = self._patch_margin() + 1
+        # worst-case tracks a min-area patch can grow past search bounds
+        expand = max(self._min_area_nodes) + 1
         tasks = []
         for index, net in enumerate(order):
             net_guides = guides.get(net.name) if guides is not None else None
@@ -488,10 +502,7 @@ class DetailedRouter:
                             state,
                             stats,
                         )
-                    self._commit_net(
-                        comp, state, conflicts, net_nodes, pin_nodes,
-                        patch_counts, result,
-                    )
+                    self._commit_net(comp, state, book)
                     executor.note_droute_commit(comp.name, comp.used)
                     for node in comp.used:
                         dirty.add((node[1], node[2]))
@@ -514,21 +525,15 @@ class DetailedRouter:
         to flag.
         """
         lattice = self.lattice
-        pitch = lattice.pitch
         patched = 0
         patch_free = state.patch_free
         per_layer: dict[int, set[tuple[int, int]]] = defaultdict(set)
         for layer, ix, iy in used:
             per_layer[layer].add((ix, iy))
         for layer, points in per_layer.items():
-            tech_layer = lattice.tech.layers[layer]
-            if tech_layer.min_area <= 0:
+            min_nodes = self._min_area_nodes[layer]
+            if not min_nodes:
                 continue
-            min_nodes = 1 + max(
-                0,
-                -(-(tech_layer.min_area - tech_layer.width**2)
-                  // (pitch * tech_layer.width)),
-            )
             remaining = set(points)
             while remaining:
                 check_deadline("droute.patch")
@@ -597,15 +602,6 @@ class DetailedRouter:
             )
         else:
             src, dst = _nearest_pair(sources, targets)
-        layers = lattice.tech.layers
-        min_wire = lattice.min_wire_layer
-        h_layers = [
-            l.index for l in layers if l.is_horizontal and l.index >= min_wire
-        ][:3]
-        v_layers = [
-            l.index for l in layers if l.is_vertical and l.index >= min_wire
-        ][:3]
-
         free_for = state.free_for
         in_guide = state.in_guide
 
@@ -624,8 +620,8 @@ class DetailedRouter:
 
         (sl, sx, sy), (tl, tx, ty) = src, dst
         candidates: list[list[LNode]] = []
-        for h in h_layers[:2]:
-            for v in v_layers[:2]:
+        for h in self._h_layers:
+            for v in self._v_layers:
                 # horizontal first: src -> (tx, sy) on h, then vertical on v
                 path = (
                     stack(sx, sy, sl, h)
