@@ -246,32 +246,34 @@ class CrpFramework:
             stats.num_candidates = sum(len(c) for c in candidates.values())
 
             with tracer.span("crp.ECC") as sp:
+                flat = [
+                    candidate
+                    for cell_candidates in candidates.values()
+                    for candidate in cell_candidates
+                ]
                 executor = self.router.executor
                 if executor is not None:
-                    flat = [
-                        candidate
-                        for cell_candidates in candidates.values()
-                        for candidate in cell_candidates
-                    ]
                     with tracer.span("par.route", stage="estimate"):
                         costs = executor.run_estimates(flat, config.use_penalty)
                     for candidate, cost in zip(flat, costs):
                         candidate.route_cost = cost
                 else:
                     # Iteration-scoped: ECC is a pure read of routing
-                    # state, so nothing invalidates the memo within it.
+                    # state, so nothing invalidates the memo within it —
+                    # and every segment of the iteration is priced in
+                    # one batch; the per-candidate calls then only sum.
                     cache = EccCache()
                     with self.router.pattern3d.using(
                         self._estimate_cost_model, self._estimate_field
                     ):
-                        for cell_candidates in candidates.values():
-                            for candidate in cell_candidates:
-                                candidate.route_cost = estimate_candidate_cost(
-                                    self.design,
-                                    self.router,
-                                    candidate,
-                                    cache=cache,
-                                )
+                        cache.prefetch(self.design, self.router, flat)
+                        for candidate in flat:
+                            candidate.route_cost = estimate_candidate_cost(
+                                self.design,
+                                self.router,
+                                candidate,
+                                cache=cache,
+                            )
                     cache.publish_metrics()
             stats.runtime["ECC"] = sp.wall_s
 

@@ -11,7 +11,7 @@ where the committed routes put them.
 
 from __future__ import annotations
 
-from repro.geom import Orientation, Point, Rect
+from repro.geom import Orientation, Point
 from repro.db import Design, Net
 from repro.flute import build_rsmt
 from repro.groute import GlobalRouter
@@ -41,6 +41,17 @@ def estimate_candidate_cost(
     order) but amortizes terminal derivation, tree topology, and
     pattern pricing across the candidates of one iteration.
     """
+    overrides, nets = candidate_scope(design, candidate, include_conflicts)
+    total = 0.0
+    for net in nets:
+        total += estimate_net_cost(design, router, net, overrides, cache)
+    return total
+
+
+def candidate_scope(
+    design: Design, candidate: MoveCandidate, include_conflicts: bool = False
+) -> tuple[dict[str, tuple[int, int, Orientation]], list[Net]]:
+    """The virtual moves of ``candidate`` and the nets they are priced on."""
     overrides: dict[str, tuple[int, int, Orientation]] = {
         candidate.cell: candidate.position
     }
@@ -55,11 +66,7 @@ def estimate_candidate_cost(
                 if net.name not in seen:
                     seen.add(net.name)
                     nets.append(net)
-
-    total = 0.0
-    for net in nets:
-        total += estimate_net_cost(design, router, net, overrides, cache)
-    return total
+    return overrides, nets
 
 
 def estimate_net_cost(
@@ -137,11 +144,8 @@ def overridden_node(
     """Terminal node of one pin with its cell virtually at ``position``."""
     cell = design.cells[pin.cell]
     x, y, orient = position
-    macro_pin = cell.macro.pin(pin.pin)
-    shapes = macro_pin.placed_shapes(
-        x, y, orient, cell.macro.width, cell.macro.height
-    )
-    point = Rect.bounding([s.rect for s in shapes]).center
-    layer = min(s.layer for s in shapes) if shapes else 0
-    gx, gy = router.grid.gcell_of(point)
-    return (layer, gx, gy)
+    macro = cell.macro
+    macro_pin = macro.pin(pin.pin)
+    cx, cy = macro_pin.center_offset(orient, macro.width, macro.height)
+    gx, gy = router.grid.gcell_of(Point(x + cx, y + cy))
+    return (macro_pin.min_layer, gx, gy)

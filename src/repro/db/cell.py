@@ -57,8 +57,11 @@ class Cell:
 
     def pin_position(self, pin_name: str) -> Point:
         """Center of a pin's bounding box in chip coordinates."""
-        shapes = self.pin_shapes(pin_name)
-        return Rect.bounding([s.rect for s in shapes]).center
+        macro = self.macro
+        cx, cy = macro.pin(pin_name).center_offset(
+            self.orient, macro.width, macro.height
+        )
+        return Point(self.x + cx, self.y + cy)
 
     def obstruction_shapes(self) -> list[PinShape]:
         """Routing obstructions in chip coordinates."""

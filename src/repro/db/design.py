@@ -138,11 +138,7 @@ class Design:
         """Routing-layer index a terminal is accessible on."""
         if pin.cell is None:
             return self.iopins[pin.pin].layer
-        cell = self.cells[pin.cell]
-        shapes = cell.macro.pin(pin.pin).shapes
-        if not shapes:
-            return 0
-        return min(s.layer for s in shapes)
+        return self.cells[pin.cell].macro.pin(pin.pin).min_layer
 
     def net_bbox(self, net: Net) -> Rect:
         """Bounding box over all terminal locations of ``net``."""

@@ -262,22 +262,23 @@ class CostField:
         return float(prefix[line, end] - prefix[line, start])
 
     def run_cost_batch(
-        self, layers: list[int], runs: list[tuple[int, int, int]]
+        self,
+        layers: list[int],
+        starts: np.ndarray,
+        ends: np.ndarray,
+        lines: np.ndarray,
     ) -> np.ndarray:
-        """Vectorized :meth:`run_cost` over a ``layers`` x ``runs`` grid.
+        """Vectorized :meth:`run_cost` over a ``layers`` x runs grid.
 
-        ``runs`` is a list of ``(start, end, line)`` triples, all on
-        layers of one preferred direction; the result is a float64
-        array of shape ``(len(layers), len(runs))`` whose every element
-        is the same two-lookup prefix difference :meth:`run_cost` would
-        return (one subtraction per element, so the values are
-        bit-identical).  The caller must :meth:`ensure` freshness first.
+        Run ``k`` covers wire edges ``[starts[k], ends[k])`` on line
+        ``lines[k]``; all ``layers`` share one preferred direction.  The
+        result is a float64 array of shape ``(len(layers), len(starts))``
+        whose every element is the same two-lookup prefix difference
+        :meth:`run_cost` would return (one subtraction per element, so
+        the values are bit-identical).  The caller must :meth:`ensure`
+        freshness first.
         """
-        count = len(runs)
-        starts = np.fromiter((r[0] for r in runs), dtype=np.intp, count=count)
-        ends = np.fromiter((r[1] for r in runs), dtype=np.intp, count=count)
-        lines = np.fromiter((r[2] for r in runs), dtype=np.intp, count=count)
-        out = np.empty((len(layers), count), dtype=np.float64)
+        out = np.empty((len(layers), len(starts)), dtype=np.float64)
         for i, layer in enumerate(layers):
             prefix = self._prefix[layer]
             if self._horizontal[layer]:

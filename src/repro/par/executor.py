@@ -564,6 +564,9 @@ class ParallelExecutor:
                 metrics.count("par.serial_fallback_items", len(missing))
             state = self._parent_state()
             try:
+                parworker.prepare_chunk(
+                    state, kind, [items[i] for i in missing], extra
+                )
                 for i in missing:
                     results[i] = parworker.compute_item(
                         state, kind, items[i], extra

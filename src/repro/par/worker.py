@@ -279,6 +279,26 @@ def compute_estimate(
         )
 
 
+def prepare_chunk(
+    state: WorkerState, kind: str, items: list, extra: object
+) -> None:
+    """Work the items of one chunk share, done before the per-item calls.
+
+    An ``estimate`` chunk prices every segment of its candidates in one
+    batch; the :func:`compute_estimate` calls that follow only sum
+    memoized prices — the same collect -> price -> sum shape as the
+    serial ECC step, through the same pricer.  Called by the worker
+    loop and by the executor's in-process fallback.
+    """
+    if kind != "estimate":
+        return
+    use_penalty, epoch = extra
+    model, fld = state.estimate_models(use_penalty)
+    router = state.router
+    with router.pattern3d.using(model, fld):
+        state.ecc_cache(epoch).prefetch(router.design, router, items)
+
+
 def compute_droute(state: WorkerState, net_name: str):
     """First-pass detail-route of one net, without committing.
 
@@ -390,6 +410,7 @@ def _worker_loop(worker_id: int, task_queue, result_queue, state: WorkerState) -
                 nonlocal expired
                 try:
                     with deadline_scope(budget_s, name="par.worker"):
+                        prepare_chunk(state, kind, items, extra)
                         for item in items:
                             done.append(compute_item(state, kind, item, extra))
                 except DeadlineExceeded:

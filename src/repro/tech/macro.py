@@ -31,10 +31,49 @@ class MacroPin:
     name: str
     direction: PinDirection
     shapes: list[PinShape] = field(default_factory=list)
+    #: ``(len(shapes), min layer, {(orient, macro_w, macro_h): (cx, cy)})``,
+    #: rebuilt whenever the shape count moved (pins are built by appending)
+    _placed: tuple | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def bbox(self) -> Rect:
         """Bounding box over all shapes (macro-local coordinates)."""
         return Rect.bounding([s.rect for s in self.shapes])
+
+    def _memo(self) -> tuple:
+        memo = self._placed
+        if memo is None or memo[0] != len(self.shapes):
+            layer = min((s.layer for s in self.shapes), default=0)
+            memo = self._placed = (len(self.shapes), layer, {})
+        return memo
+
+    @property
+    def min_layer(self) -> int:
+        """Lowest routing layer carrying a shape (0 for a shapeless pin)."""
+        return self._memo()[1]
+
+    def center_offset(
+        self, orient: Orientation, macro_w: int, macro_h: int
+    ) -> tuple[int, int]:
+        """Bounding-box center of the pin placed at the origin.
+
+        ``Rect.center`` floors ``(lo + hi) // 2``, and translating a
+        placement by ``(x, y)`` adds ``2x`` / ``2y`` under that floor, so
+        the center at ``(x, y)`` is exactly this offset plus ``(x, y)``.
+        """
+        offsets = self._memo()[2]
+        key = (orient, macro_w, macro_h)
+        offset = offsets.get(key)
+        if offset is None:
+            center = Rect.bounding(
+                [
+                    transform_rect(s.rect, orient, macro_w, macro_h)
+                    for s in self.shapes
+                ]
+            ).center
+            offset = offsets[key] = (center.x, center.y)
+        return offset
 
     def placed_shapes(
         self, x: int, y: int, orient: Orientation, macro_w: int, macro_h: int
