@@ -1,21 +1,13 @@
 #!/usr/bin/env python
-"""CI durability gate for ``repro.ckpt`` + self-healing ``repro.par``.
+"""CI durability gate for ``repro.ckpt``.
 
-Two scenarios, both asserting SHA-256 byte-equality of the final
-committed routes and placement against an uninterrupted reference run
-(the ``routes_digest`` / ``placement_digest`` every flow computes):
-
-* **kill/resume (serial)** — a child process runs the checkpointing
-  CR&P flow and SIGKILLs itself mid-iteration 2 (fault-injected after
-  the ``CRP:1`` boundary checkpoint landed; no atexit, no flushing).
-  The parent then resumes from the surviving checkpoints and must
-  reproduce the reference byte-for-byte.
-
-* **kill/resume (CRP_WORKERS=2, one injected worker death)** — the
-  same surviving checkpoints are resumed on a 2-worker process pool
-  while a forced ``par.heartbeat`` fault marks worker 0 dead; the pool
-  supervisor must respawn it mid-run and the result must *still* match
-  the serial reference byte-for-byte.
+Kill/resume, asserting SHA-256 byte-equality of the final committed
+routes and placement against an uninterrupted reference run (the
+``routes_digest`` / ``placement_digest`` every flow computes): a child
+process runs the checkpointing CR&P flow and SIGKILLs itself
+mid-iteration 2 (fault-injected after the ``CRP:1`` boundary checkpoint
+landed; no atexit, no flushing).  The parent then resumes from the
+surviving checkpoints and must reproduce the reference byte-for-byte.
 
 Usage::
 
@@ -41,8 +33,6 @@ from repro.benchgen import make_design  # noqa: E402
 from repro.ckpt import CheckpointStore  # noqa: E402
 from repro.core import CrpConfig  # noqa: E402
 from repro.flow import run_flow  # noqa: E402
-from repro.guard import FaultPlan, use_faults  # noqa: E402
-from repro.obs import MetricsRegistry, use_metrics  # noqa: E402
 
 #: the child must survive exactly one full iteration, then die in the
 #: second: a forced ``None`` is a no-op for ``crp.select`` (iteration 1
@@ -101,13 +91,13 @@ def main() -> int:
     bench, k, seed = args.bench, args.iterations, args.seed
     failures: list[str] = []
 
-    print(f"[1/4] uninterrupted reference: {bench} crp k={k}", flush=True)
+    print(f"[1/3] uninterrupted reference: {bench} crp k={k}", flush=True)
     ref = digests(flow(bench, k, seed))
 
     workdir = Path(tempfile.mkdtemp(prefix="ci-ckpt-"))
     try:
         ckpt_dir = workdir / "ckpt"
-        print("[2/4] child run, SIGKILL mid-iteration 2", flush=True)
+        print("[2/3] child run, SIGKILL mid-iteration 2", flush=True)
         child = subprocess.run(
             [sys.executable, "-c", CHILD.format(
                 src=str(ROOT / "src"), bench=bench, k=k, seed=seed,
@@ -126,56 +116,19 @@ def main() -> int:
         expected = ["ckpt-0000-GR0.ckpt", "ckpt-0001-CRP1.ckpt"]
         if names != expected:
             failures.append(f"surviving checkpoints {names} != {expected}")
-        # the serial resume below appends new boundary checkpoints to
-        # ckpt_dir, so the workers=2 scenario resumes from a pristine copy
-        w2_dir = workdir / "ckpt-w2"
-        if ckpt_dir.is_dir():
-            shutil.copytree(ckpt_dir, w2_dir)
 
-        print("[3/4] serial resume, byte-equality vs reference", flush=True)
+        print("[3/3] resume, byte-equality vs reference", flush=True)
         resumed = flow(
             bench, k, seed, checkpoint_dir=str(ckpt_dir), resume=True
         )
         if resumed.resumed_from != "CRP:1":
             failures.append(
-                f"serial resume started from {resumed.resumed_from!r}, "
+                f"resume started from {resumed.resumed_from!r}, "
                 "expected 'CRP:1'"
             )
         if digests(resumed) != ref:
             failures.append(
-                f"serial resume diverged: {digests(resumed)} != {ref}"
-            )
-
-        print(
-            "[4/4] CRP_WORKERS=2 resume with one injected worker death",
-            flush=True,
-        )
-        reg = MetricsRegistry()
-        plan = FaultPlan().force("par.heartbeat", 0, times=1)
-        with use_metrics(reg), use_faults(plan):
-            par = flow(
-                bench, k, seed, workers=2,
-                checkpoint_dir=str(w2_dir), resume=True,
-            )
-        counters = reg.raw()["counters"]
-        if par.resumed_from != "CRP:1":
-            failures.append(
-                f"workers=2 resume started from {par.resumed_from!r}, "
-                "expected 'CRP:1'"
-            )
-        if digests(par) != ref:
-            failures.append(
-                f"workers=2 resume diverged: {digests(par)} != {ref}"
-            )
-        if plan.fired("par.heartbeat") < 1:
-            failures.append(
-                "the par.heartbeat fault never fired (supervisor did not "
-                "scan a started pool)"
-            )
-        elif counters.get("par.respawns", 0) < 1:
-            failures.append(
-                "worker death was injected but par.respawns stayed 0 "
-                f"(counters: {counters})"
+                f"resume diverged: {digests(resumed)} != {ref}"
             )
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
@@ -184,8 +137,7 @@ def main() -> int:
         print(f"FAIL: {failure}", file=sys.stderr)
     if not failures:
         print(
-            f"PASS: kill/resume byte-identical on {bench} "
-            "(serial + workers=2 with a healed worker death); "
+            f"PASS: kill/resume byte-identical on {bench}; "
             f"routes {ref[0][:12]}… placement {ref[1][:12]}…"
         )
     return 1 if failures else 0

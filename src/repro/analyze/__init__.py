@@ -13,10 +13,10 @@ report format (``repro.analyze/1``):
   ``Design``/``GlobalRouter`` state.  Run it with ``crp check``.
 
 A third, interprocedural engine (:mod:`repro.analyze.dataflow`) layers
-project-wide determinism taint, cross-process race, and guard-coverage
-passes (``REPRO-T*``/``REPRO-X*``/``REPRO-G004+``/``REPRO-U001``) on
-top of the linter; :func:`repro.analyze.api.run_source_analysis` runs
-everything with one call, and ``crp analyze`` is the unified CLI.
+project-wide determinism taint and guard-coverage passes
+(``REPRO-T*``/``REPRO-G004+``/``REPRO-U001``) on top of the linter;
+:func:`repro.analyze.api.run_source_analysis` runs everything with one
+call, and ``crp analyze`` is the unified CLI.
 """
 
 from repro.analyze.api import (

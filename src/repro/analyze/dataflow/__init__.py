@@ -1,10 +1,9 @@
-"""Interprocedural determinism & concurrency analysis (``REPRO-T/X/G/U``).
+"""Interprocedural determinism & guard-coverage analysis (``REPRO-T/G/U``).
 
 Layered on the per-file linter: a module-resolved project model
-(:mod:`.project`), a call graph with thread/process spawn edges
-(:mod:`.callgraph`), summary-based taint fixpoint (:mod:`.summaries`,
-:mod:`.taint`), cross-process race checks (:mod:`.races`), and guard
-coverage checks (:mod:`.coverage`), driven by :func:`run_dataflow`
+(:mod:`.project`), a call graph (:mod:`.callgraph`), summary-based
+taint fixpoint (:mod:`.summaries`, :mod:`.taint`), and guard coverage
+checks (:mod:`.coverage`), driven by :func:`run_dataflow`
 (:mod:`.engine`).  See DESIGN.md "Interprocedural analysis".
 """
 

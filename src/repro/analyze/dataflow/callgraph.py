@@ -1,19 +1,9 @@
 """Call graph construction, reachability, and flag closure.
 
 Built once per run from the :class:`~repro.analyze.dataflow.project.
-Project` and shared by every interprocedural pass.  Three edge kinds
-are kept apart because the passes weigh them differently:
-
-* **call** edges — ordinary call expressions.  Deadline coverage
-  follows only these: work behind a call stays on the caller's thread
-  and under its deadline stack.
-* **thread** edges — ``Thread(target=f)``.  The race pass follows them
-  (a thread started in a worker still runs in the worker process);
-  deadline coverage does not (daemon threads are not budgeted).
-* **process** edges — ``Process(target=f)``.  These are the worker
-  *entry points* of the race pass and a hard boundary for everything
-  else (a child process inherits neither the deadline stack nor the
-  parent's mutable state).
+Project` and shared by every interprocedural pass.  Only ordinary call
+expressions make edges: work behind a call stays on the caller's thread
+and under its deadline stack, which is what deadline coverage follows.
 """
 
 from __future__ import annotations
@@ -36,11 +26,9 @@ class CallSite:
 
 @dataclass(slots=True)
 class CallIndex:
-    """Every function's outgoing edges, plus spawn (thread/process) edges."""
+    """Every function's outgoing call edges."""
 
     calls: dict[str, list[CallSite]] = field(default_factory=dict)
-    #: caller qualname -> [(kind, target qualname)]; kind "thread"/"process"
-    spawns: dict[str, list[tuple[str, str]]] = field(default_factory=dict)
 
     def callees(self, qualname: str) -> list[str]:
         return sorted(
@@ -63,16 +51,12 @@ class CallIndex:
         return sum(len(sites) for sites in self.calls.values())
 
 
-_SPAWN_CTORS = ("Thread", "Process")
-
-
 def build_call_index(project: Project) -> CallIndex:
     """Resolve every call site in every project function."""
     index = CallIndex()
     for info in project.functions_sorted():
         module = project.modules[info.module]
         sites: list[CallSite] = []
-        spawns: list[tuple[str, str]] = []
         for node in _own_nodes(info):
             if not isinstance(node, ast.Call):
                 continue
@@ -84,18 +68,7 @@ def build_call_index(project: Project) -> CallIndex:
                     callee=project.resolve_call(module, info, node),
                 )
             )
-            short = dotted.split(".")[-1]
-            if short in _SPAWN_CTORS:
-                for kw in node.keywords:
-                    if kw.arg != "target":
-                        continue
-                    target = project.resolve_ref(module, info, kw.value)
-                    if target is not None:
-                        kind = "thread" if short == "Thread" else "process"
-                        spawns.append((kind, target))
         index.calls[info.qualname] = sites
-        if spawns:
-            index.spawns[info.qualname] = spawns
     return index
 
 
@@ -115,25 +88,13 @@ def _own_nodes(info: FunctionInfo):
         stack.extend(ast.iter_child_nodes(node))
 
 
-def reachable(
-    index: CallIndex,
-    entries: set[str],
-    *,
-    follow_threads: bool = False,
-    follow_processes: bool = False,
-) -> set[str]:
-    """Transitive closure of ``entries`` over the chosen edge kinds."""
+def reachable(index: CallIndex, entries: set[str]) -> set[str]:
+    """Transitive closure of ``entries`` over call edges."""
     seen = set(entries)
     work = sorted(entries)
     while work:
         current = work.pop()
-        nexts = list(index.callees(current))
-        for kind, target in index.spawns.get(current, ()):
-            if (kind == "thread" and follow_threads) or (
-                kind == "process" and follow_processes
-            ):
-                nexts.append(target)
-        for target in nexts:
+        for target in index.callees(current):
             if target not in seen:
                 seen.add(target)
                 work.append(target)

@@ -18,7 +18,6 @@ from pathlib import Path
 from repro.analyze.dataflow.callgraph import build_call_index
 from repro.analyze.dataflow.coverage import coverage_findings
 from repro.analyze.dataflow.project import Project
-from repro.analyze.dataflow.races import race_findings
 from repro.analyze.dataflow.ruleset import register_dataflow_rules
 from repro.analyze.dataflow.summaries import Summary
 from repro.analyze.dataflow.taint import compute_summaries, taint_findings
@@ -33,10 +32,6 @@ class DataflowConfig:
 
     #: bare names whose functions root the deadline-coverage pass
     flow_entries: tuple[str, ...] = ("run_flow",)
-    #: bare names that run in pool worker processes (plus Process targets)
-    worker_entries: tuple[str, ...] = ("worker_main",)
-    #: module prefixes whose module-level state is process-local by design
-    process_local_modules: tuple[str, ...] = ("repro.obs", "repro.guard")
 
 
 @dataclass(slots=True)
@@ -82,14 +77,6 @@ def run_dataflow(
         result.summaries = summaries
 
         raw: list[Finding] = taint_findings(facts)
-        raw.extend(
-            race_findings(
-                project,
-                index,
-                worker_entries=config.worker_entries,
-                process_local_modules=config.process_local_modules,
-            )
-        )
         raw.extend(
             coverage_findings(
                 project, index, flow_entries=config.flow_entries

@@ -2,12 +2,12 @@
 
 The interprocedural passes need a *whole-program* view that the
 per-file linter deliberately avoids: which function a call lands in,
-which functions a worker process can reach, whether a loop's callee
-eventually polls the deadline stack.  :class:`Project` parses every
-file once, assigns dotted module names (``src/repro/par/worker.py`` ->
-``repro.par.worker``), indexes functions by qualified name
-(``repro.groute.router.GlobalRouter.route_all``), and resolves call
-expressions back to those qualified names.
+whether a loop's callee eventually polls the deadline stack.
+:class:`Project` parses every file once, assigns dotted module names
+(``src/repro/groute/router.py`` -> ``repro.groute.router``), indexes
+functions by qualified name (``repro.groute.router.GlobalRouter.
+route_all``), and resolves call expressions back to those qualified
+names.
 
 Resolution is *best-effort and unsound by design* (documented in
 DESIGN.md): it follows imports (including ``as`` aliases and
@@ -17,7 +17,7 @@ method calls within the defining class, and — for attribute calls like
 assignments (``router = GlobalRouter(design)``), parameter/variable
 annotations (including string annotations and ``X | None`` unions),
 ``self.attr`` assignments inside a class, and cross-object attribute
-stores whose both sides have known types (``router.executor = self``).
+stores whose both sides have known types (``design.gcell_grid = spec``).
 A unique-bare-name heuristic catches the remainder: when exactly one
 project function has that name (and the name is not generic), the call
 resolves to it.  Ambiguous or foreign (stdlib) calls stay unresolved
@@ -76,14 +76,12 @@ class ModuleInfo:
     path: str
     source: str
     tree: ast.Module
-    #: local name -> dotted import target ("parworker" -> "repro.par.worker")
+    #: local name -> dotted import target ("np" -> "numpy")
     imports: dict[str, str] = field(default_factory=dict)
     #: module-level callable name -> qualname (functions only)
     top_functions: dict[str, str] = field(default_factory=dict)
     #: class name -> {method name -> qualname}
     classes: dict[str, dict[str, str]] = field(default_factory=dict)
-    #: names bound by module-level assignments (worker-divergence state)
-    module_vars: set[str] = field(default_factory=set)
 
 
 def _module_name(file_path: Path, roots: list[Path]) -> str:
@@ -244,16 +242,6 @@ class Project:
                         walk_body(
                             stmt.body, f"{prefix}.{stmt.name}", stmt.name, None
                         )
-                elif parent is None and cls is None:
-                    targets: list[ast.expr] = []
-                    if isinstance(stmt, ast.Assign):
-                        targets = stmt.targets
-                    elif isinstance(stmt, (ast.AnnAssign, ast.AugAssign)):
-                        targets = [stmt.target]
-                    for target in targets:
-                        for sub in ast.walk(target):
-                            if isinstance(sub, ast.Name):
-                                module.module_vars.add(sub.id)
 
         walk_body(module.tree.body, module.name, None, None)
 
@@ -350,7 +338,7 @@ class Project:
 
         Pass 1 seeds locals from parameter annotations, ``self``, and
         constructor assignments, and collects ``self.attr`` types.
-        Pass 2 handles cross-object stores (``router.executor = self``)
+        Pass 2 handles cross-object stores (``design.gcell_grid = spec``)
         once every function's locals are known.  First writer (in
         sorted function order) wins, which keeps the maps deterministic.
         """
@@ -472,22 +460,6 @@ class Project:
     ) -> str | None:
         """Qualified name of the function this call lands in, if known."""
         return self.resolve_path(module, caller, _call_name(call))
-
-    def resolve_ref(
-        self,
-        module: ModuleInfo,
-        caller: FunctionInfo | None,
-        expr: ast.expr,
-    ) -> str | None:
-        """Resolve a bare function *reference* (e.g. a ``target=`` arg)."""
-        parts: list[str] = []
-        node = expr
-        while isinstance(node, ast.Attribute):
-            parts.append(node.attr)
-            node = node.value
-        if isinstance(node, ast.Name):
-            parts.append(node.id)
-        return self.resolve_path(module, caller, ".".join(reversed(parts)))
 
     def resolve_path(
         self,

@@ -56,25 +56,6 @@ DATAFLOW_RULES: tuple[Rule, ...] = (
         "logical counters (monotonic measurements are fine)",
     ),
     Rule(
-        id="REPRO-X002",
-        severity=Severity.ERROR,
-        summary="code reachable from a pool-worker entry point writes "
-        "module-level state outside the mutation-log/shared-Array "
-        "discipline",
-        hint="route the write through the task result + parent commit "
-        "stage, or move the state into `WorkerState`; module globals "
-        "silently diverge between parent and workers",
-    ),
-    Rule(
-        id="REPRO-X003",
-        severity=Severity.ERROR,
-        summary="a multiprocessing queue endpoint is consumed from "
-        "more than one parent-side function",
-        hint="keep each mp queue single-consumer (one `.get()` site "
-        "per process side); competing consumers interleave "
-        "nondeterministically",
-    ),
-    Rule(
         id="REPRO-G004",
         severity=Severity.WARNING,
         summary="handler for FaultInjected/DeadlineExceeded whose try "

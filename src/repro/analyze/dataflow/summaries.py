@@ -19,11 +19,10 @@ function body: assignments, container element-flow (append/comprehension
   here (the caller decides whether that order is deterministic).
 
 A function's :class:`Summary` records which labels reach its return
-value and which reach a **sink** — route/placement commits, the
-``repro.par`` mutation log, metrics/quality digests, and checkpoint
-payloads.  The fixpoint in :mod:`repro.analyze.dataflow.taint` iterates
-summaries to convergence so taint crosses any number of call
-boundaries in both directions.
+value and which reach a **sink** — route/placement commits,
+metrics/quality digests, and checkpoint payloads.  The fixpoint in
+:mod:`repro.analyze.dataflow.taint` iterates summaries to convergence
+so taint crosses any number of call boundaries in both directions.
 """
 
 from __future__ import annotations
@@ -83,7 +82,6 @@ def _strip_order(labels: frozenset) -> frozenset:
 SINK_NAMES = {
     "apply_route": "commit",
     "move_cell": "commit",
-    "note_route": "commit",
     "routes_digest": "digest",
     "positions_digest": "digest",
     "sha256": "digest",

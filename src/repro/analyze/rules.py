@@ -15,8 +15,6 @@ Rule families:
   handlers that can swallow ``DeadlineExceeded``).
 * ``REPRO-O*`` — observability conventions (span/metric names).
 * ``REPRO-C*`` — classics (mutable defaults, shadowed builtins).
-* ``REPRO-X*`` — cross-process safety (state that silently diverges
-  between the parent and ``repro.par`` pool workers).
 * ``REPRO-R*`` — robustness (durability of on-disk artifacts; a crash
   mid-write must never leave a truncated report or checkpoint behind).
 
@@ -637,195 +635,6 @@ def _check_shadowed_builtins(ctx: ModuleContext):
         elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             if node.name in _SHADOWABLE and id(node) not in methods:
                 yield node, f"function `{node.name}` shadows the builtin"
-
-
-# ---------------------------------------------------- REPRO-P: performance
-
-
-#: tuple-node type names whose dict/set containers mark an oracle-style
-#: sparse node map in detailed routing (vs the flat DrouteIndex arrays)
-_NODE_KEY_NAMES = frozenset(("LNode", "Node"))
-
-
-def _node_keyed_container(annotation: ast.expr) -> bool:
-    """True for ``dict[LNode, ...]`` / ``set[LNode]`` style annotations."""
-    if not isinstance(annotation, ast.Subscript):
-        return False
-    base = annotation.value
-    if not (isinstance(base, ast.Name) and base.id in ("dict", "set")):
-        return False
-    key = annotation.slice
-    if isinstance(key, ast.Tuple) and key.elts:
-        key = key.elts[0]
-    return isinstance(key, ast.Name) and key.id in _NODE_KEY_NAMES
-
-
-@rule(
-    "REPRO-P001",
-    Severity.WARNING,
-    "sparse per-element pricing/state inside a routing hot path",
-    "price through the dense `repro.grid.field.CostField` maps "
-    "(`wire_cost_maps()`, `run_cost()`, `path_cost()`) instead of scalar "
-    "`edge_cost` calls per edge, and key detailed-routing search state "
-    "by flat `repro.droute.indexed.DrouteIndex` node ids instead of "
-    "dict-of-tuple node maps; keep the scalar/dict oracles only as "
-    "explicit fallbacks",
-    path_scope=("/groute/", "/droute/"),
-)
-def _check_scalar_cost_loops(ctx: ModuleContext):
-    loop_types = (
-        ast.For,
-        ast.While,
-        ast.ListComp,
-        ast.SetComp,
-        ast.DictComp,
-        ast.GeneratorExp,
-    )
-    flagged: set[int] = set()
-    for node in ast.walk(ctx.tree):
-        if not isinstance(node, loop_types):
-            continue
-        for sub in ast.walk(node):
-            if (
-                isinstance(sub, ast.Call)
-                and _call_name(sub).split(".")[-1] == "edge_cost"
-                and id(sub) not in flagged
-            ):
-                flagged.add(id(sub))
-                yield sub, (
-                    "scalar `edge_cost` call inside a loop — use the "
-                    "CostField dense maps"
-                )
-    # Detailed routing only: a dict/set keyed by tuple nodes is the
-    # oracle representation; hot-path state belongs in the flat indexed
-    # arrays (``nid = (layer * ny + iy) * nx + ix``).
-    if "/droute/" not in ctx.path.replace("\\", "/"):
-        return
-    for node in ast.walk(ctx.tree):
-        if isinstance(node, ast.AnnAssign) and _node_keyed_container(
-            node.annotation
-        ):
-            yield node, (
-                "dict-of-tuple node map in detailed routing — key search "
-                "state by DrouteIndex flat node ids"
-            )
-
-
-def _nets_scan_base(expr: ast.expr) -> ast.expr | None:
-    """The ``design.nets`` attribute access an iterable derives from.
-
-    Recognizes ``design.nets``, ``self.design.nets``, and the dict-view
-    wrappers ``.values()`` / ``.items()`` / ``.keys()`` over either;
-    returns None for anything else.
-    """
-    if isinstance(expr, ast.Call):
-        if (
-            isinstance(expr.func, ast.Attribute)
-            and expr.func.attr in ("values", "items", "keys")
-            and not expr.args
-            and not expr.keywords
-        ):
-            expr = expr.func.value
-        else:
-            return None
-    if not (isinstance(expr, ast.Attribute) and expr.attr == "nets"):
-        return None
-    base = expr.value
-    if isinstance(base, ast.Name) and base.id == "design":
-        return expr
-    if isinstance(base, ast.Attribute) and base.attr == "design":
-        return expr
-    return None
-
-
-@rule(
-    "REPRO-P002",
-    Severity.WARNING,
-    "full-design net scan inside the CR&P iteration hot path",
-    "iterating every `design.nets` entry per iteration is the O(all-nets) "
-    "accounting the incremental kernel replaces — price through "
-    "`GlobalRouter.net_cost` (O(dirty) behind `NetCostCache`) or an "
-    "iteration-scoped `repro.core.fastecc.EccCache`, and keep any "
-    "intentional full scan annotated with a reasoned noqa",
-    path_scope=("/core/",),
-)
-def _check_full_net_scans(ctx: ModuleContext):
-    for node in ast.walk(ctx.tree):
-        for iter_expr in _iterated_exprs(node):
-            hit = _nets_scan_base(iter_expr)
-            if hit is not None:
-                yield hit, (
-                    "full `design.nets` scan in the CR&P hot path — "
-                    "account incrementally or annotate why the scan "
-                    "must stay"
-                )
-
-
-# ---------------------------------------------- REPRO-X: cross-process safety
-
-#: constructor calls that bind a mutable container at module scope
-_MUTABLE_CTORS = frozenset(
-    ("list", "dict", "set", "defaultdict", "deque", "Counter", "OrderedDict")
-)
-
-
-def _is_mutable_module_value(node: ast.expr) -> str | None:
-    """Why this module-scope value is worker-hostile (None = it is not).
-
-    Mutable containers at module scope are per-process state: the pool
-    parent mutates its copy, ``fork``-ed workers keep a stale snapshot,
-    and ``spawn``-ed workers re-import a fresh one — three diverging
-    views of the "same" variable.  A module-scope ``random.Random`` is
-    the same hazard with an RNG stream attached.
-    """
-    if isinstance(node, (ast.List, ast.Dict, ast.Set)):
-        return "module-level mutable container literal"
-    if isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp)):
-        return "module-level mutable comprehension result"
-    if isinstance(node, ast.Call):
-        name = _call_name(node)
-        short = name.split(".")[-1]
-        if short in _MUTABLE_CTORS:
-            return f"module-level mutable container from `{short}()`"
-        if short == "Random" or name == "random.Random":
-            return "module-level RNG instance"
-    return None
-
-
-@rule(
-    "REPRO-X001",
-    Severity.ERROR,
-    "module-level mutable state or RNG in pool-worker code diverges "
-    "between the parent and `repro.par` workers",
-    "pass the state through the task payload / mutation log instead, or "
-    "make the binding immutable (tuple/frozenset/constant); RNG streams "
-    "must be built per call from an explicit seed",
-    path_scope=("/par/",),
-)
-def _check_worker_module_state(ctx: ModuleContext):
-    # Only genuine module scope matters: names a `spawn`-ed worker
-    # rebinds at import time.  Walking `ctx.tree.body` directly (not
-    # `ast.walk`) keeps function/class bodies out of scope — locals and
-    # class attributes are rebuilt per process and cannot diverge.
-    for stmt in ctx.tree.body:
-        targets: list[ast.expr] = []
-        value: ast.expr | None = None
-        if isinstance(stmt, ast.Assign):
-            targets, value = stmt.targets, stmt.value
-        elif isinstance(stmt, ast.AnnAssign):
-            targets, value = [stmt.target], stmt.value
-        if value is None:
-            continue
-        reason = _is_mutable_module_value(value)
-        if reason is None:
-            continue
-        names = [t.id for t in targets if isinstance(t, ast.Name)]
-        if names == ["__all__"]:
-            # The export list is written once and only read; still,
-            # prefer a tuple so the rule stays exception-free.
-            continue
-        label = ", ".join(f"`{n}`" for n in names) or "binding"
-        yield value, f"{reason} bound to {label} in worker-reachable code"
 
 
 # ------------------------------------------------- REPRO-R: robustness

@@ -1,12 +1,9 @@
 """The flow-facing checkpoint driver (``FlowCheckpointer``).
 
 ``run_flow`` owns one of these per checkpointed run.  It decides what a
-run's *fingerprint* is (design, mode, iteration budget, and the
-result-affecting config knobs — but **not** ``workers``, since the
-``repro.par`` pipeline is byte-identical at any worker count, a serial
-checkpoint may be resumed under ``--workers N`` and vice versa), writes
-a checkpoint at every stage / CR&P-iteration boundary, and loads the
-newest compatible checkpoint on ``--resume``.
+run's *fingerprint* is (design, mode and the result-affecting config
+knobs), writes a checkpoint at every stage / CR&P-iteration boundary,
+and loads the newest compatible checkpoint on ``--resume``.
 
 Failure policy, in both directions, is *the flow outlives the
 checkpoint layer*:
@@ -37,7 +34,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
 
 #: config fields that do not change results and must not make an
 #: otherwise-valid checkpoint look stale
-_FINGERPRINT_EXCLUDED = ("workers", "checkpoint_dir")
+_FINGERPRINT_EXCLUDED = ("checkpoint_dir",)
 
 
 def run_fingerprint(

@@ -8,17 +8,17 @@ results:
   labeling step's ``hist_c``/``hist_m`` terms read),
 * every committed route (edges + terminals) and the graph's wire/via
   demand arrays,
-* the router's constructor arguments, so the replica is rebuilt with
-  the same grid/cost configuration,
+* the router's constructor arguments, so the restored router is built
+  with the same grid/cost configuration,
 * the CR&P framework's RNG state and completed-iteration stats,
 * the flow's per-stage runtimes and accumulated obs metrics.
 
 Restore rebuilds a fresh :class:`GlobalRouter` over the restored
 design, overwrites its demand arrays with the saved ones (integer
 route increments on float64 arrays are exact, so saved demand equals
-replayed demand bit-for-bit — the same discipline ``repro.par``
-replicas rely on), reinstalls the committed routes, and invalidates the
-cost field so every derived cost is recomputed from identical inputs.
+replayed demand bit-for-bit), reinstalls the committed routes, and
+invalidates the cost field so every derived cost is recomputed from
+identical inputs.
 """
 
 from __future__ import annotations

@@ -62,11 +62,6 @@ def main(argv: list[str] | None = None) -> int:
         help="wall-clock budget per flow stage in seconds",
     )
     p_run.add_argument(
-        "--workers", type=int, metavar="N",
-        help="parallel workers for global/detailed routing + estimation "
-        "(1 = batched serial; default: CRP_WORKERS env or classic serial)",
-    )
-    p_run.add_argument(
         "--checkpoint-dir", metavar="DIR",
         help="write atomic repro.ckpt checkpoints at stage/iteration "
         "boundaries (default: CRP_CHECKPOINT_DIR env or off)",
@@ -208,7 +203,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         skip_detailed=args.skip_detailed,
         budget_s=args.budget,
         stage_budget_s=args.stage_budget,
-        workers=args.workers,
         checkpoint_dir=args.checkpoint_dir,
         resume=args.resume,
     )

@@ -44,13 +44,6 @@ class CrpConfig:
     ilp_budget_s: float | None = None
     #: cap on critical cells per iteration (keeps runtime bounded)
     max_critical_cells: int = 200
-    #: parallel workers for global routing, candidate estimation, and
-    #: the detailed-routing first pass.  ``None`` keeps the classic
-    #: serial walk; ``1`` runs the batched parallel pipeline in-process
-    #: (the parity baseline); ``N > 1`` adds a process pool.  Defaults
-    #: from the ``CRP_WORKERS`` env var so CI can exercise the parallel
-    #: path without touching call sites.
-    workers: int | None = None
     #: directory for ``repro.ckpt`` stage/iteration checkpoints.  ``None``
     #: disables checkpointing; excluded from the checkpoint fingerprint
     #: (it cannot change results).  Defaults from ``CRP_CHECKPOINT_DIR``.
@@ -61,15 +54,6 @@ class CrpConfig:
             env_dir = os.environ.get("CRP_CHECKPOINT_DIR", "").strip()
             if env_dir:
                 self.checkpoint_dir = env_dir
-        if self.workers is None:
-            env = os.environ.get("CRP_WORKERS", "").strip()
-            if env:
-                try:
-                    self.workers = int(env)
-                except ValueError as exc:
-                    raise ValueError(
-                        f"CRP_WORKERS must be an integer, got {env!r}"
-                    ) from exc
 
     def validate(self) -> None:
         if not 0.0 < self.gamma <= 1.0:
@@ -85,5 +69,3 @@ class CrpConfig:
             )
         if self.ilp_budget_s is not None and self.ilp_budget_s < 0:
             raise ValueError("ilp_budget_s must be non-negative")
-        if self.workers is not None and self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")

@@ -210,10 +210,7 @@ class CrpFramework:
         # Canonical-order re-sum keeps the total bit-identical to the
         # uncached scan; with the NetCostCache on, only dirty nets pay
         # a fresh path_cost walk.
-        return sum(
-            self.router.net_cost(name)
-            for name in self.design.nets  # repro: noqa:REPRO-P002 — canonical-order re-sum over O(dirty) cached per-net values; the scan itself is the deliverable
-        )
+        return self.router.total_route_cost()
 
     def run_iteration(
         self, index: int = 0, pre_cost: float | None = None
@@ -251,30 +248,23 @@ class CrpFramework:
                     for cell_candidates in candidates.values()
                     for candidate in cell_candidates
                 ]
-                executor = self.router.executor
-                if executor is not None:
-                    with tracer.span("par.route", stage="estimate"):
-                        costs = executor.run_estimates(flat, config.use_penalty)
-                    for candidate, cost in zip(flat, costs):
-                        candidate.route_cost = cost
-                else:
-                    # Iteration-scoped: ECC is a pure read of routing
-                    # state, so nothing invalidates the memo within it —
-                    # and every segment of the iteration is priced in
-                    # one batch; the per-candidate calls then only sum.
-                    cache = EccCache()
-                    with self.router.pattern3d.using(
-                        self._estimate_cost_model, self._estimate_field
-                    ):
-                        cache.prefetch(self.design, self.router, flat)
-                        for candidate in flat:
-                            candidate.route_cost = estimate_candidate_cost(
-                                self.design,
-                                self.router,
-                                candidate,
-                                cache=cache,
-                            )
-                    cache.publish_metrics()
+                # Iteration-scoped: ECC is a pure read of routing
+                # state, so nothing invalidates the memo within it —
+                # and every segment of the iteration is priced in
+                # one batch; the per-candidate calls then only sum.
+                cache = EccCache()
+                with self.router.pattern3d.using(
+                    self._estimate_cost_model, self._estimate_field
+                ):
+                    cache.prefetch(self.design, self.router, flat)
+                    for candidate in flat:
+                        candidate.route_cost = estimate_candidate_cost(
+                            self.design,
+                            self.router,
+                            candidate,
+                            cache=cache,
+                        )
+                cache.publish_metrics()
             stats.runtime["ECC"] = sp.wall_s
 
             with tracer.span("crp.ILP") as sp:

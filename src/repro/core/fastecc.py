@@ -33,9 +33,7 @@ never prefetched is planned and priced on the spot through the same two
 steps (a batch of one net), so there is one pricer.
 
 The cache holds no routing state of its own, so its lifetime must not
-span a demand or placement mutation — CR&P builds one per iteration,
-and ``repro.par`` workers key theirs by dispatch epoch and drop it on
-any mutation-log replay.
+span a demand or placement mutation — CR&P builds one per iteration.
 
 Invalidation rule: none within a lifetime, by construction — the ECC
 step is a pure read of the routing state.  Anything that mutates demand

@@ -115,10 +115,9 @@ def guide_spans(
 class DrouteIndex:
     """Dense per-node routing state addressed by flat node ids.
 
-    Net-id assignment follows interning order, which is process-local:
-    ids never cross a process boundary (the parallel protocol ships node
-    tuples and net *names*), so replicas may intern in a different order
-    without affecting results.
+    Net-id assignment follows interning order and never leaves the
+    session: results carry node tuples and net *names*, so the order in
+    which nets are first seen does not affect them.
     """
 
     __slots__ = (
@@ -548,7 +547,7 @@ def astar_connect_indexed(
     # cross-machine (int-tuple hashing ignores PYTHONHASHSEED) and
     # shared byte-for-byte with the reference A*; sorting here would
     # change tie order and move every committed digest.
-    for s in sources:  # repro: noqa:REPRO-T002
+    for s in sources:
         layer, six, siy = s
         nid = (layer * ny + siy) * nx + six
         g_score[nid] = 0.0

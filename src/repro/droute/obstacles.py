@@ -27,7 +27,7 @@ def build_obstacle_map(
     """
     # Build-time map, scattered once into DrouteIndex.owner; never
     # read inside the search loop.
-    owner: dict[LNode, str] = {}  # repro: noqa:REPRO-P001
+    owner: dict[LNode, str] = {}
     reservations: dict[str, list[LNode]] = {}
 
     for blockage in design.routing_blockages():

@@ -13,9 +13,8 @@ overrides ``begin_session`` to install the dict-of-tuples reference from
 
 Per-net work is split into a pure *compute* step (terminal access, guide
 region, pattern/A* searches, min-area patching — no committed-state
-mutation) and a serial *commit* step, so the first pass can run compute
-in `repro.par` workers and commit in canonical net order, byte-identical
-to the serial walk.
+mutation) and a *commit* step that owns every write to it; the first
+pass and the conflict rounds share both.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from repro.db import Design, Net
 from repro.droute.access import access_nodes
 from repro.droute.astar import SearchParams, SearchResult, SearchStats
 from repro.droute.drc import DrcKind, DrcViolation, check_min_area, check_shorts
-from repro.droute.indexed import DrouteIndex, guide_spans
+from repro.droute.indexed import DrouteIndex
 from repro.droute.lattice import LNode, TrackLattice
 from repro.droute.obstacles import BLOCKED, build_obstacle_map
 from repro.guard.deadline import check_deadline
@@ -65,11 +64,10 @@ class DetailedResult:
 
 @dataclass(slots=True)
 class NetComputation:
-    """The pure compute half of routing one net (picklable).
+    """The pure compute half of routing one net.
 
     Produced by :meth:`DetailedRouter._net_compute` against committed
-    state, applied by :meth:`DetailedRouter._commit_net`; workers ship
-    these back to the parent, which owns every commit.
+    state, applied by :meth:`DetailedRouter._commit_net`.
     """
 
     name: str
@@ -90,9 +88,7 @@ class _RouteBook:
 
     # Round bookkeeping outside the A* inner loop.
     #: shorted node -> (net that routed over it, net that held it)
-    conflicts: dict[LNode, tuple[str, str]] = field(  # repro: noqa:REPRO-P001
-        default_factory=dict
-    )
+    conflicts: dict[LNode, tuple[str, str]] = field(default_factory=dict)
     net_nodes: dict[str, set[LNode]] = field(default_factory=dict)
     pin_nodes: dict[str, set[LNode]] = field(default_factory=dict)
     patch_counts: dict[str, int] = field(default_factory=dict)
@@ -119,8 +115,6 @@ class DetailedRouter:
         self.guide_margin = guide_margin_tracks
         #: conflict-driven rip-up-and-reroute rounds after the first pass
         self.drc_rounds = drc_rounds
-        #: a bound :class:`~repro.par.executor.ParallelExecutor`, or None
-        self.executor = None
         self._state: DrouteIndex | None = None
         self._session_guides: dict[str, list[GuideRect]] | None = None
         self._stats = SearchStats()
@@ -143,15 +137,6 @@ class DetailedRouter:
             l.index for l in layers if l.is_vertical and l.index >= min_wire
         )[:2]
 
-    @property
-    def ctor_args(self) -> dict:
-        """Constructor kwargs a worker needs to rebuild this router."""
-        return {
-            "params": self.params,
-            "guide_margin_tracks": self.guide_margin,
-            "drc_rounds": self.drc_rounds,
-        }
-
     # ------------------------------------------------------------------ API
 
     def begin_session(
@@ -159,10 +144,8 @@ class DetailedRouter:
     ) -> DrouteIndex:
         """Build the per-run routing state (obstacle map + occupancy).
 
-        Split out of :meth:`route_all` so worker replicas can mirror the
-        parent's session: the parent's ``"ds"`` log entry triggers this
-        on the replica, after which ``"dn"`` entries replay first-pass
-        commits in parent order.
+        Split out of :meth:`route_all` so the parity suite can override
+        it to install the reference state from ``tests/oracles/droute.py``.
         """
         owner, reservations = build_obstacle_map(self.design, self.lattice)
         state = DrouteIndex(
@@ -173,18 +156,11 @@ class DetailedRouter:
         self._stats = SearchStats()
         return state
 
-    def replay_commit(self, name: str, used) -> None:
-        """Replay one committed net on a replica (a ``"dn"`` log entry)."""
-        state = self._state
-        state.commit_used(name, used)
-        state.release_reservations(name, set(used))
-
     def compute_net(self, net_name: str) -> NetComputation:
-        """Compute one net against the session state (worker entry point).
+        """Compute one net against the session state.
 
         Pure with respect to committed state; the caller owns the
-        commit.  Search counters flush immediately so worker-side
-        metrics ship through the obs payload.
+        commit.  Search counters flush to the metrics registry on return.
         """
         net = self.design.nets[net_name]
         guides = self._session_guides
@@ -211,33 +187,25 @@ class DetailedRouter:
         book = self._book = _RouteBook()
         result = book.result
 
-        executor = self.executor
-        use_executor = executor is not None and executor.router is not None
-
         with tracer.span("droute.first_pass"):
             order = sorted(
                 self.design.nets.values(),
                 key=lambda n: (self.design.net_hpwl(n), n.name),
             )
-            if use_executor:
-                executor.note_droute_start(self, guides)
-                self._first_pass_batched(order, guides, state, stats, executor, book)
-            else:
-                for net in order:
-                    check_deadline("droute.net")
-                    comp = self._net_compute(
-                        net,
-                        guides.get(net.name) if guides is not None else None,
-                        state,
-                        stats,
-                    )
-                    self._commit_net(comp, state, book)
+            for net in order:
+                check_deadline("droute.net")
+                comp = self._net_compute(
+                    net,
+                    guides.get(net.name) if guides is not None else None,
+                    state,
+                    stats,
+                )
+                self._commit_net(comp, state, book)
 
         # Conflict-driven rip-up-and-reroute: every net involved in a
         # short is ripped (both aggressor and victim) and rerouted with a
         # clean slate — the detailed-routing analogue of the global
-        # router's RRR passes.  Always serial: rip-ups are not replayed
-        # to worker replicas (a later session rebuilds them from scratch).
+        # router's RRR passes.
         metrics = get_metrics()
         previous: set[str] = set()
         for round_index in range(self.drc_rounds):
@@ -344,8 +312,8 @@ class DetailedRouter:
         guide, bounds = state.guide_region(net_guides, terminal_access)
 
         # Per-net assembly sets (a few hundred nodes), not search state.
-        connected: set[LNode] = set(terminal_access[0])  # repro: noqa:REPRO-P001
-        used: set[LNode] = set(terminal_access[0])  # repro: noqa:REPRO-P001
+        connected: set[LNode] = set(terminal_access[0])
+        used: set[LNode] = set(terminal_access[0])
         paths: list[list[LNode]] = []
         opens: list[LNode] = []
         conflict_nodes: list[LNode] = []
@@ -392,7 +360,7 @@ class DetailedRouter:
     def _commit_net(
         self, comp: NetComputation, state: DrouteIndex, book: _RouteBook
     ) -> None:
-        """Apply one computed net to committed state (always serial)."""
+        """Apply one computed net to committed state."""
         name = comp.name
         # Resolve conflict holders against live committed state *before*
         # this net's own occupancy lands; nothing mutates between a net's
@@ -417,95 +385,6 @@ class DetailedRouter:
         book.patch_counts[name] = comp.patch_count
         book.result.paths[name] = comp.paths
         get_metrics().count("droute.nets_routed")
-
-    # ----------------------------------------------------- batched first pass
-
-    def _net_region(
-        self, net: Net, net_guides: list[GuideRect] | None, expand: int
-    ) -> tuple[int, int, int, int]:
-        """2D track-index rect covering everything this net can touch.
-
-        The search bounds from :func:`guide_spans`, expanded by the
-        patch-growth margin: compute never reads or writes outside this
-        rect, which is what makes disjoint-region batches byte-identical
-        to the serial walk.
-        """
-        lattice = self.lattice
-        terminal_access = [
-            access_nodes(self.design, lattice, pin) for pin in net.pins
-        ]
-        _, bounds = guide_spans(
-            lattice, self.guide_margin, net_guides, terminal_access
-        )
-        ix0, iy0, ix1, iy1 = bounds
-        return (
-            max(0, ix0 - expand),
-            max(0, iy0 - expand),
-            min(lattice.nx - 1, ix1 + expand),
-            min(lattice.ny - 1, iy1 + expand),
-        )
-
-    def _first_pass_batched(
-        self,
-        order: list[Net],
-        guides: dict[str, list[GuideRect]] | None,
-        state: DrouteIndex,
-        stats: SearchStats,
-        executor,
-        book: _RouteBook,
-    ) -> None:
-        """Batched first pass: partition, compute in workers, commit in order.
-
-        Mirrors the global router's ``_commit_batch`` discipline: results
-        land in canonical (serial) net order, and a net whose computed
-        nodes touch a track position already dirtied by an earlier commit
-        of the same batch — structurally impossible for disjoint regions,
-        so this guards doctored results and worker deadlines — is
-        recomputed serially against live state (``par.conflicts``).
-        """
-        from repro.par.partition import ParTask, partition
-
-        lattice = self.lattice
-        # worst-case tracks a min-area patch can grow past search bounds
-        expand = max(self._min_area_nodes) + 1
-        tasks = []
-        for index, net in enumerate(order):
-            net_guides = guides.get(net.name) if guides is not None else None
-            tasks.append(
-                ParTask(net.name, index, self._net_region(net, net_guides, expand))
-            )
-        batches = partition(tasks, lattice.nx, lattice.ny)
-        metrics = get_metrics()
-        with get_tracer().span("par.droute", batches=len(batches)):
-            for batch in batches:
-                check_deadline("par.batch")
-                metrics.count("par.batches")
-                results = executor.run_droute_batch(
-                    [task.name for task in batch]
-                )
-                dirty: set[tuple[int, int]] = set()
-                for task in batch:
-                    comp = results.get(task.name)
-                    conflict = False
-                    if comp is not None and dirty:
-                        for node in comp.used:
-                            if (node[1], node[2]) in dirty:
-                                conflict = True
-                                break
-                    if comp is None or conflict:
-                        if conflict:
-                            metrics.count("par.conflicts")
-                        check_deadline("droute.net")
-                        comp = self._net_compute(
-                            self.design.nets[task.name],
-                            guides.get(task.name) if guides is not None else None,
-                            state,
-                            stats,
-                        )
-                    self._commit_net(comp, state, book)
-                    executor.note_droute_commit(comp.name, comp.used)
-                    for node in comp.used:
-                        dirty.add((node[1], node[2]))
 
     # ------------------------------------------------------------- patching
 

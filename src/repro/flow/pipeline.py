@@ -116,7 +116,6 @@ def run_flow(
     budget_s: float | None = None,
     stage_budget_s: float | None = None,
     guard: GuardPolicy | None = None,
-    workers: int | None = None,
     checkpoint_dir: str | None = None,
     resume: bool = False,
 ) -> FlowResult:
@@ -128,12 +127,6 @@ def run_flow(
     the whole flow's wall clock and ``stage_budget_s`` each stage's;
     expiry fails the stage (with a :class:`FailureReport`) rather than
     hanging.  ``guard`` tunes the CR&P iteration transaction.
-
-    ``workers`` selects the ``repro.par`` execution pipeline: ``None``
-    (default) keeps the classic serial walk, ``1`` runs the batched
-    pipeline in-process, ``N > 1`` routes and estimates on a process
-    pool with byte-identical results.  Falls back to
-    ``config.workers`` (which itself reads ``CRP_WORKERS``).
 
     ``checkpoint_dir`` enables ``repro.ckpt`` durability: a checkpoint
     is written after GR and after every CR&P iteration (falls back to
@@ -147,8 +140,6 @@ def run_flow(
         raise ValueError(f"unknown flow mode {mode!r}")
     config = config or CrpConfig()
     config.validate()  # a bad knob fails here, not after GR has run
-    if workers is None:
-        workers = config.workers
     if checkpoint_dir is None:
         checkpoint_dir = config.checkpoint_dir
     if resume and checkpoint_dir is None:
@@ -158,11 +149,6 @@ def run_flow(
         mode=mode,
         crp_iterations=crp_iterations if mode == "crp" else 0,
     )
-    executor = None
-    if workers is not None and workers >= 1:
-        from repro.par import ParallelExecutor
-
-        executor = ParallelExecutor(workers)
     ckpt = None
     if checkpoint_dir is not None:
         from repro.ckpt import FlowCheckpointer
@@ -171,8 +157,6 @@ def run_flow(
     try:
         with ensure_observation() as obs:
             tracer = obs.tracer
-            if executor is not None:
-                obs.metrics.gauge("par.workers", workers)
             with tracer.span(
                 "flow.run", design=design.name, mode=mode
             ) as root:
@@ -181,13 +165,11 @@ def run_flow(
                         design, mode, crp_iterations, config,
                         baseline_budget_s, rrr_passes, skip_detailed,
                         stage_budget_s, guard, result, tracer, obs.metrics,
-                        executor, ckpt, resume,
+                        ckpt, resume,
                     )
             result.trace = root
             result.metrics = obs.metrics.snapshot()
     finally:
-        if executor is not None:
-            executor.close()
         if ckpt is not None:
             result.ckpt_failures.extend(ckpt.failures)
     return result
@@ -264,7 +246,6 @@ def _run_stages(
     result: FlowResult,
     tracer,
     metrics,
-    executor=None,
     ckpt=None,
     resume: bool = False,
 ) -> None:
@@ -275,16 +256,12 @@ def _run_stages(
         router, restored = _restore_from_checkpoint(
             design, result, tracer, metrics, ckpt
         )
-    if router is not None and executor is not None:
-        executor.bind(router)
     if router is None:
         with tracer.span("flow.GR") as sp, _stage(
             result, "GR", metrics, stage_budget_s
         ):
             fault_point("flow.GR")
             router = GlobalRouter(design)
-            if executor is not None:
-                executor.bind(router)
             router.route_all(rrr_passes=rrr_passes)
         result.runtime["GR"] = sp.wall_s
         if result.failed:
@@ -373,10 +350,6 @@ def _run_stages(
         fault_point("flow.DR")
         guides = router.guides()
         detailed = DetailedRouter(design)
-        # Reuse the GR executor's worker pool (and mutation log) for the
-        # batched detailed-routing first pass; byte-identical by the
-        # commit-in-canonical-order + conflict-reroute discipline.
-        detailed.executor = executor
         dr_result = detailed.route_all(guides)
         result.quality = evaluate(design.name, design.tech, dr_result)
     result.runtime["DR"] = sp.wall_s

@@ -24,8 +24,7 @@ from repro.obs import get_metrics
 
 Node = tuple[int, int, int]  # (layer, gx, gy)
 
-#: default search-window margin (gcells beyond the terminal bbox); the
-#: parallel partitioner sizes RRR conflict regions from this bound
+#: default search-window margin (gcells beyond the terminal bbox)
 MAZE_MARGIN = 4
 
 

@@ -78,16 +78,13 @@ class GlobalRouter:
         beta: float = 1.5,
     ) -> None:
         self.design = design
-        #: constructor arguments, so ``repro.par`` workers can rebuild
-        #: an identical router around the pickled design
+        #: constructor arguments, saved in every checkpoint so a resume
+        #: rebuilds an identical router around the restored design
         self.ctor_args = {
             "params": params,
             "target_gcells": target_gcells,
             "beta": beta,
         }
-        #: a bound :class:`repro.par.ParallelExecutor`, or ``None`` for
-        #: the classic serial walk
-        self.executor = None
         self.grid = GCellGrid.for_design(design, target_gcells=target_gcells)
         self.graph = RoutingGraph(self.grid, design.tech, beta=beta)
         self.graph.init_fixed_usage(design)
@@ -141,12 +138,9 @@ class GlobalRouter:
                 self.design.nets.values(),
                 key=lambda n: (self.design.net_hpwl(n), n.name),
             )
-            if self.executor is not None:
-                self._route_batched([net.name for net in order], "initial")
-            else:
-                for net in order:
-                    check_deadline("groute.initial")
-                    self.route_net(net.name)
+            for net in order:
+                check_deadline("groute.initial")
+                self.route_net(net.name)
         self.improve(rrr_passes)
         self.field.publish_metrics()
 
@@ -250,8 +244,6 @@ class GlobalRouter:
     def _commit(self, route: NetRoute) -> None:
         edges = sorted(route.edges)
         self.graph.apply_route(edges, sign=1)
-        if self.executor is not None:
-            self.executor.note_route(edges, 1)
         for edge in route.edges:
             self._edge_nets.setdefault(edge, set()).add(route.net)
         self.routes[route.net] = route
@@ -265,8 +257,6 @@ class GlobalRouter:
         get_metrics().count("groute.ripup_nets")
         edges = sorted(route.edges)
         self.graph.apply_route(edges, sign=-1)
-        if self.executor is not None:
-            self.executor.note_route(edges, -1)
         for edge in route.edges:
             users = self._edge_nets.get(edge)
             if users is not None:
@@ -284,144 +274,8 @@ class GlobalRouter:
             net_names,
             key=lambda n: (self.design.net_hpwl(self.design.nets[n]), n),
         )
-        if self.executor is not None:
-            self._route_batched(ordered, "reroute")
-        else:
-            for name in ordered:
-                self.route_net(name)
-
-    # ------------------------------------------------------ batched drivers
-
-    def _net_tasks(self, names: list[str], expand: int) -> list:
-        """Canonical-order :class:`ParTask` list for the partitioner."""
-        from repro.par.partition import ParTask, region_of, union_rect
-
-        nx, ny = self.grid.nx, self.grid.ny
-        tasks = []
-        for index, name in enumerate(names):
-            terminals = self.terminals_of(self.design.nets[name])
-            if terminals:
-                rect = region_of(terminals, nx, ny, expand=expand)
-            else:
-                rect = (0, 0, 0, 0)
-            route = self.routes.get(name)
-            if route is not None and route.edges:
-                # The committed route is ripped/re-added during maze
-                # compute and rip-up at commit; claim its cells too so
-                # spatially-entangled victims serialize across batches.
-                xs: list[int] = []
-                ys: list[int] = []
-                for edge in route.edges:
-                    a, b = edge.endpoints(self.graph)
-                    xs.extend((a[1], b[1]))
-                    ys.extend((a[2], b[2]))
-                rect = union_rect(
-                    rect,
-                    (
-                        max(0, min(xs) - 1),
-                        max(0, min(ys) - 1),
-                        min(nx - 1, max(xs) + 1),
-                        min(ny - 1, max(ys) + 1),
-                    ),
-                )
-            tasks.append(ParTask(name, index, rect))
-        return tasks
-
-    def _route_batched(self, names: list[str], stage: str) -> None:
-        """Batched pattern routing: partition, compute, commit in order.
-
-        Byte-identical to the serial walk: pattern routes never leave
-        the terminal bbox, and the partitioner guarantees every
-        serially-earlier overlapping net is committed in an earlier
-        batch, so each net prices against exactly the demand state the
-        serial walk would show it.
-        """
-        from repro.par.partition import partition
-
-        tasks = self._net_tasks(names, expand=1)
-        batches = partition(tasks, self.grid.nx, self.grid.ny)
-        metrics = get_metrics()
-        with get_tracer().span("par.route", stage=stage, batches=len(batches)):
-            for batch in batches:
-                check_deadline("par.batch")
-                metrics.count("par.batches")
-                results = self.executor.run_route_batch(
-                    [task.name for task in batch]
-                )
-                self._commit_batch(batch, results, maze=False)
-
-    def _maze_batched(self, names: list[str]) -> None:
-        """Batched RRR: maze-compute victims in parallel, commit in order.
-
-        Victims keep their old routes committed during compute (each
-        worker rips its own net locally), so the batch computes from
-        one well-defined snapshot; regions include the maze search
-        window (terminal bbox + margin) and the old route's cells.
-        """
-        from repro.groute.maze import MAZE_MARGIN
-        from repro.par.partition import partition
-
-        tasks = self._net_tasks(names, expand=MAZE_MARGIN + 1)
-        batches = partition(tasks, self.grid.nx, self.grid.ny)
-        metrics = get_metrics()
-        with get_tracer().span("par.route", stage="rrr", batches=len(batches)):
-            for batch in batches:
-                check_deadline("par.batch")
-                metrics.count("par.batches")
-                items = []
-                for task in batch:
-                    route = self.routes.get(task.name)
-                    old = tuple(sorted(route.edges)) if route is not None else ()
-                    items.append((task.name, old))
-                results = self.executor.run_maze_batch(items)
-                self._commit_batch(batch, results, maze=True)
-
-    def _commit_batch(
-        self, batch: list, results: dict[str, object], maze: bool
-    ) -> None:
-        """Apply one batch's results in canonical (serial) net order.
-
-        A net is re-routed serially against live state when its
-        computed route touches a GCell already dirtied by an earlier
-        commit of this batch (``par.conflicts``) — the partitioner
-        makes that structurally impossible for pattern routes, so this
-        guards the maze path and induced-conflict tests — or when the
-        worker hit its deadline before computing it (the serial path
-        then follows the legacy deadline-degradation semantics).
-        """
-        metrics = get_metrics()
-        dirty: set[tuple[int, int]] = set()
-        for task in batch:
-            result = results.get(task.name)
-            conflict = False
-            if result is not None and dirty:
-                for edge in result[0]:
-                    a, b = edge.endpoints(self.graph)
-                    if (a[1], a[2]) in dirty or (b[1], b[2]) in dirty:
-                        conflict = True
-                        break
-            if result is None or conflict:
-                if conflict:
-                    metrics.count("par.conflicts")
-                if maze:
-                    self._maze_reroute(task.name)
-                else:
-                    self.route_net(task.name)
-                committed = self.routes[task.name].edges
-            else:
-                edges, terminals = result
-                if maze:
-                    self.rip_up(task.name)
-                route = NetRoute(net=task.name, terminals=list(terminals))
-                route.edges = set(edges)
-                self._commit(route)
-                if not maze:
-                    metrics.count("groute.nets_routed")
-                committed = route.edges
-            for edge in committed:
-                a, b = edge.endpoints(self.graph)
-                dirty.add((a[1], a[2]))
-                dirty.add((b[1], b[2]))
+        for name in ordered:
+            self.route_net(name)
 
     # ----------------------------------------------------------------- RRR
 
@@ -449,11 +303,8 @@ class GlobalRouter:
         victims.sort(
             key=lambda n: (self.design.net_hpwl(self.design.nets[n]), n)
         )
-        if self.executor is not None:
-            self._maze_batched(victims[:max_nets])
-        else:
-            for name in victims[:max_nets]:
-                self._maze_reroute(name)
+        for name in victims[:max_nets]:
+            self._maze_reroute(name)
         return True
 
     def _maze_reroute(self, net_name: str) -> None:
@@ -541,8 +392,6 @@ class GlobalRouter:
         self.field.note_all()
         if self.cost_cache is not None:
             self.cost_cache.note_all()
-        if self.executor is not None:
-            self.executor.note_desync()
 
     def accounting_errors(self) -> list[str]:
         """Check graph demand against the committed routes.

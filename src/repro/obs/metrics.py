@@ -133,15 +133,15 @@ class MetricsRegistry:
                 },
             }
 
-    # ----------------------------------------------------- cross-process
+    # ------------------------------------------------------ cross-run
 
     def raw(self) -> dict[str, dict[str, object]]:
         """Mergeable (picklable) view: counters, gauges, histogram samples.
 
         Unlike :meth:`snapshot`, histograms are exported as their raw
         reservoir samples so another registry can re-``observe()`` them
-        without distorting percentiles.  This is how worker processes
-        ship their metrics back to the parent (``repro.par``).
+        without distorting percentiles.  This is what a checkpoint
+        saves, so a resumed run reports the whole run's metrics.
         """
         with self._lock:
             return {
@@ -157,8 +157,7 @@ class MetricsRegistry:
         """Fold a :meth:`raw` export into this registry.
 
         Counters add, gauges take the incoming value, histogram samples
-        are re-observed.  Deterministic given a deterministic merge
-        order (the parallel executor merges task results in task order).
+        are re-observed.
         """
         for name, value in raw.get("counters", {}).items():
             self.count(name, value)

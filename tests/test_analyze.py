@@ -268,151 +268,6 @@ class TestUnboundedLoops:
         )
 
 
-# ------------------------------------------------------------ rule: P001
-
-
-class TestScalarCostLoops:
-    def test_fires_on_edge_cost_in_loop(self):
-        code = """
-        def price(edges, cost):
-            total = 0.0
-            for edge in edges:
-                total += cost.edge_cost(edge)
-            return total
-        """
-        assert "REPRO-P001" in rules_fired(code, "src/repro/groute/mod.py")
-        assert "REPRO-P001" in rules_fired(code, "src/repro/droute/mod.py")
-
-    def test_fires_in_while_loops_and_comprehensions(self):
-        assert "REPRO-P001" in rules_fired(
-            """
-            def drain(heap, cost):
-                while heap:
-                    step = cost.edge_cost(heap.pop())
-            """,
-            "src/repro/groute/mod.py",
-        )
-        assert "REPRO-P001" in rules_fired(
-            "def f(es, c):\n    return sum(c.edge_cost(e) for e in es)\n",
-            "src/repro/groute/mod.py",
-        )
-
-    def test_quiet_outside_router_paths_and_loops(self):
-        code = """
-        def price(edges, cost):
-            total = 0.0
-            for edge in edges:
-                total += cost.edge_cost(edge)
-            return total
-        """
-        # Scoped to the routers: the oracle itself may loop.
-        assert "REPRO-P001" not in rules_fired(code, "src/repro/grid/cost.py")
-        # A single call outside any loop is not a hot path.
-        assert "REPRO-P001" not in rules_fired(
-            "def one(cost, e):\n    return cost.edge_cost(e)\n",
-            "src/repro/groute/mod.py",
-        )
-
-    def test_is_warning_severity_and_noqa_suppressible(self):
-        findings = lint_snippet(
-            """
-            def price(edges, cost):
-                return sum(cost.edge_cost(e) for e in edges)  # repro: noqa:REPRO-P001
-            """,
-            "src/repro/groute/mod.py",
-        )
-        assert not [f for f in findings if f.rule == "REPRO-P001"]
-        fired = [
-            f
-            for f in lint_snippet(
-                """
-                def price(edges, cost):
-                    return sum(cost.edge_cost(e) for e in edges)
-                """,
-                "src/repro/groute/mod.py",
-            )
-            if f.rule == "REPRO-P001"
-        ]
-        assert fired and all(
-            f.severity.value == "warning" for f in fired
-        )
-
-
-# ------------------------------------------------------------ rule: X001
-
-
-class TestWorkerModuleState:
-    PAR_PATH = "src/repro/par/mod.py"
-
-    def test_fires_on_module_level_mutable_bindings(self):
-        assert "REPRO-X001" in rules_fired(
-            "CACHE = {}\n", self.PAR_PATH
-        )
-        assert "REPRO-X001" in rules_fired(
-            "PENDING = []\n", self.PAR_PATH
-        )
-        assert "REPRO-X001" in rules_fired(
-            "SEEN = set()\n", self.PAR_PATH
-        )
-        assert "REPRO-X001" in rules_fired(
-            """
-            from collections import defaultdict
-            BY_NET = defaultdict(list)
-            """,
-            self.PAR_PATH,
-        )
-        assert "REPRO-X001" in rules_fired(
-            "SQUARES = [i * i for i in range(4)]\n", self.PAR_PATH
-        )
-
-    def test_fires_on_module_level_rng_even_when_seeded(self):
-        # REPRO-D001 already catches *unseeded* RNGs everywhere; X001 is
-        # about the binding living at module scope at all — a seeded
-        # stream still diverges once parent and workers draw from it.
-        assert "REPRO-X001" in rules_fired(
-            """
-            import random
-            RNG = random.Random(42)
-            """,
-            self.PAR_PATH,
-        )
-
-    def test_quiet_on_immutable_bindings_and_all(self):
-        assert "REPRO-X001" not in rules_fired(
-            """
-            CHUNK = 8
-            KINDS = ("route", "maze", "estimate")
-            NAMES = frozenset(("a", "b"))
-            __all__ = ["ParallelExecutor"]
-            """,
-            self.PAR_PATH,
-        )
-
-    def test_quiet_on_function_locals_and_class_attributes(self):
-        assert "REPRO-X001" not in rules_fired(
-            """
-            class WorkerState:
-                __slots__ = ("cache",)
-
-            def worker_main(queue):
-                results = []
-                cache = {}
-                return results, cache
-            """,
-            self.PAR_PATH,
-        )
-
-    def test_scoped_to_par_and_error_severity(self):
-        code = "CACHE = {}\n"
-        assert "REPRO-X001" not in rules_fired(code, "src/repro/groute/mod.py")
-        fired = [
-            f
-            for f in lint_snippet(code, self.PAR_PATH)
-            if f.rule == "REPRO-X001"
-        ]
-        assert fired and all(f.severity is Severity.ERROR for f in fired)
-
-
 # ------------------------------------------------------------ rule: G002
 
 

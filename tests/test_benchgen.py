@@ -125,7 +125,8 @@ def test_same_spec_generates_identical_def_bytes():
 
     Every generator path derives from the single seeded stream built by
     ``DesignSpec.rng()``, so regenerating a spec must reproduce the DEF
-    byte-for-byte — the property ``repro.par`` spawn workers rely on.
+    byte-for-byte — the property checkpoint resume and the benchmark's
+    fresh interpreters rely on.
     """
     from repro.lefdef.def_parser import write_def
 
@@ -135,11 +136,11 @@ def test_same_spec_generates_identical_def_bytes():
 
 
 def test_generation_reproducible_across_spawn_process():
-    """A spawn-started interpreter regenerates the same DEF bytes.
+    """A fresh interpreter regenerates the same DEF bytes.
 
-    ``spawn`` re-imports everything from scratch, so any hidden
-    module-level randomness (import-time shuffles, unseeded globals)
-    would change the bytes.
+    It re-imports everything from scratch, so any hidden module-level
+    randomness (import-time shuffles, unseeded globals) would change
+    the bytes.
     """
     import subprocess
     import sys

@@ -1,25 +1,18 @@
-"""Tests for ``repro.ckpt`` and the self-healing ``repro.par`` pool.
+"""Tests for ``repro.ckpt``.
 
-The contract under test, both halves of the durability story:
-
-* checkpoints are atomic, checksummed, versioned; corruption or
-  staleness is *skipped and reported*, never fatal, and a resumed run
-  reproduces the uninterrupted run byte-for-byte (``routes_digest`` /
-  ``placement_digest``);
-* a worker that dies or hangs is respawned (mutation-log replay) or
-  shrunk out of the rotation, and either way parallel results stay
-  bit-identical to the serial baseline.
+The contract under test: checkpoints are atomic, checksummed,
+versioned; corruption or staleness is *skipped and reported*, never
+fatal, and a resumed run reproduces the uninterrupted run byte-for-byte
+(``routes_digest`` / ``placement_digest``).
 """
 
 from __future__ import annotations
 
 import json
-import os
 import signal
 import subprocess
 import sys
 import textwrap
-import time
 from pathlib import Path
 
 import pytest
@@ -43,7 +36,6 @@ from repro.flow import run_flow
 from repro.groute import GlobalRouter
 from repro.guard import FaultPlan, use_faults
 from repro.obs import MetricsRegistry, use_metrics
-from repro.par import ParallelExecutor
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 TESTS = str(Path(__file__).resolve().parent)
@@ -194,12 +186,14 @@ class TestCheckpointStore:
 
 
 class TestFingerprint:
-    def test_workers_and_checkpoint_dir_are_excluded(self):
+    def test_checkpoint_dir_is_excluded(self):
         a = run_fingerprint("d", "crp", CrpConfig(seed=5))
         b = run_fingerprint(
-            "d", "crp", CrpConfig(seed=5, workers=4, checkpoint_dir="/x")
+            "d", "crp", CrpConfig(seed=5, checkpoint_dir="/x")
         )
         assert a == b
+        assert "workers" not in a["config"]
+        assert a["format"] == 3
 
     def test_result_relevant_knobs_are_included(self):
         a = run_fingerprint("d", "crp", CrpConfig(seed=5))
@@ -365,159 +359,3 @@ class TestSigkillResume:
         )
         assert flow_signature(resumed) == flow_signature(ref)
 
-
-# ------------------------------------------------------- pool supervision
-
-
-def reference_routes(router, names):
-    import repro.par.worker as parworker
-
-    return {n: parworker.compute_pattern_route(router, n) for n in names}
-
-
-class TestPoolSupervision:
-    @pytest.mark.parametrize("workers", [2, 4])
-    def test_worker_death_respawns_with_replay_parity(self, workers):
-        serial_design, serial_router = routed_router()
-        from repro.core import CrpFramework
-
-        CrpFramework(serial_design, serial_router, CrpConfig(seed=3)).run(2)
-        ref = (
-            routes_digest(serial_router),
-            positions_digest(serial_design),
-        )
-
-        reg = MetricsRegistry()
-        with use_metrics(reg):
-            design, router = fresh_small(seed=11), None
-            router = GlobalRouter(design)
-            executor = ParallelExecutor(
-                workers=workers, chunk=1, poll_s=0.2, respawn_backoff_s=0.01
-            ).bind(router)
-            router.route_all()
-            assert executor._started
-            os.kill(executor._procs[0].pid, signal.SIGKILL)
-            time.sleep(0.3)
-            CrpFramework(design, router, CrpConfig(seed=3)).run(2)
-            got = (routes_digest(router), positions_digest(design))
-            executor.close()
-        assert got == ref
-        assert reg.raw()["counters"]["par.respawns"] >= 1
-
-    def test_hung_worker_is_detected_and_tasks_requeued(self):
-        design, router = routed_router()
-        names = sorted(design.nets)[:8]
-        reg = MetricsRegistry()
-        with use_metrics(reg):
-            executor = ParallelExecutor(
-                workers=2,
-                chunk=1,
-                poll_s=0.2,
-                hang_timeout_s=1.0,
-                respawn_backoff_s=0.01,
-            ).bind(router)
-            router.route_all()
-            assert executor._started
-            ref = reference_routes(router, names)
-            # SIGSTOP freezes the heartbeat thread too: to the
-            # supervisor a stopped worker is indistinguishable from a
-            # deadlocked one, which is exactly the point.
-            os.kill(executor._procs[0].pid, signal.SIGSTOP)
-            got = executor.run_route_batch(names)
-            executor.close()
-        counters = reg.raw()["counters"]
-        assert got == ref
-        assert counters["par.hung_workers"] >= 1
-        assert counters["par.respawns"] >= 1
-        assert counters["par.retries"] >= 1
-
-    def test_injected_heartbeat_fault_forces_respawn(self):
-        design, router = routed_router()
-        names = sorted(design.nets)[:6]
-        reg = MetricsRegistry()
-        plan = FaultPlan().force("par.heartbeat", 0, times=1)
-        with use_metrics(reg), use_faults(plan):
-            executor = ParallelExecutor(
-                workers=2, chunk=1, poll_s=0.2, respawn_backoff_s=0.01
-            ).bind(router)
-            router.route_all()
-            assert executor._started
-            deadline = time.monotonic() + 10.0
-            while plan.fired("par.heartbeat") == 0:
-                assert time.monotonic() < deadline, "supervisor never scanned"
-                time.sleep(0.05)
-            ref = reference_routes(router, names)
-            got = executor.run_route_batch(names)
-            executor.close()
-        assert got == ref
-        assert plan.fired("par.heartbeat") == 1
-        assert reg.raw()["counters"]["par.respawns"] >= 1
-
-    def test_exhausted_respawn_budget_shrinks_pool(self):
-        design, router = routed_router()
-        names = sorted(design.nets)[:6]
-        reg = MetricsRegistry()
-        with use_metrics(reg):
-            executor = ParallelExecutor(
-                workers=2,
-                chunk=1,
-                poll_s=0.2,
-                max_respawns=0,
-                respawn_backoff_s=0.01,
-            ).bind(router)
-            router.route_all()
-            assert executor._started
-            ref = reference_routes(router, names)
-            os.kill(executor._procs[0].pid, signal.SIGKILL)
-            time.sleep(0.3)
-            got = executor.run_route_batch(names)
-            assert executor._started  # pool survives on the last worker
-            assert executor._live_workers() == [1]
-            executor.close()
-        assert got == ref
-        assert reg.raw()["counters"]["par.pool_shrinks"] >= 1
-
-    ORPHAN_CHILD = textwrap.dedent(
-        """
-        import os, signal, sys
-        sys.path.insert(0, {src!r})
-        sys.path.insert(0, {tests!r})
-        from helpers import fresh_small
-        from repro.groute import GlobalRouter
-        from repro.par import ParallelExecutor
-
-        design = fresh_small(seed=11)
-        router = GlobalRouter(design)
-        executor = ParallelExecutor(workers=2, chunk=1).bind(router)
-        router.route_all()
-        assert executor._started
-        print("POOL-UP", flush=True)
-        os.kill(os.getpid(), signal.SIGKILL)
-        """
-    )
-
-    def test_workers_self_exit_when_parent_dies_hard(self):
-        # capture_output only returns once every inherited pipe fd is
-        # closed — if the orphaned workers lingered on task_queue.get()
-        # they would hold stdout/stderr open and this run would hang
-        # until the timeout.  The heartbeat thread's getppid() watchdog
-        # is what makes them exit.
-        child = subprocess.run(
-            [sys.executable, "-c", self.ORPHAN_CHILD.format(
-                src=SRC, tests=TESTS
-            )],
-            capture_output=True, text=True, timeout=120,
-        )
-        assert child.returncode == -signal.SIGKILL
-        assert "POOL-UP" in child.stdout
-
-    def test_close_reaps_stopped_workers(self):
-        design, router = routed_router()
-        executor = ParallelExecutor(workers=2, chunk=1, poll_s=0.2).bind(router)
-        router.route_all()
-        assert executor._started
-        procs = list(executor._procs)
-        os.kill(procs[0].pid, signal.SIGSTOP)  # immune to cooperative STOP
-        executor.close()
-        for proc in procs:
-            assert not proc.is_alive()

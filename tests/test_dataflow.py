@@ -1,4 +1,4 @@
-"""Tests for ``repro.analyze.dataflow``: taint, races, coverage, U001.
+"""Tests for ``repro.analyze.dataflow``: taint, coverage, U001.
 
 Every fixture is a small on-disk project under ``tmp_path`` so the
 interprocedural machinery (module resolution, call graph, summary
@@ -255,118 +255,6 @@ class TestWallClockTaint:
                 """,
         })
         assert "REPRO-T004" not in rules_fired(result)
-
-
-# -------------------------------------- REPRO-X002 (worker writes)
-
-
-class TestWorkerModuleState:
-    def test_worker_reachable_module_write_fires(self, tmp_path):
-        result = analyze(tmp_path, {
-            "proj/__init__.py": "",
-            "proj/worker.py": """
-                CACHE = {}
-
-
-                def memoize(key, value):
-                    CACHE[key] = value
-                    return value
-
-
-                def worker_main(task_q, result_q):
-                    while task_q:
-                        memoize("last", task_q.pop())
-                """,
-        })
-        fired = [f for f in result.findings if f.rule == "REPRO-X002"]
-        assert fired, rules_fired(result)
-        assert "CACHE" in fired[0].message
-        assert "worker_main" in fired[0].message
-
-    def test_parent_side_write_is_clean(self, tmp_path):
-        result = analyze(tmp_path, {
-            "proj/__init__.py": "",
-            "proj/worker.py": """
-                CACHE = {}
-
-
-                def memoize(key, value):
-                    CACHE[key] = value
-                    return value
-
-
-                def worker_main(task_q, result_q):
-                    while task_q:
-                        result_q.append(task_q.pop())
-                """,
-        })
-        assert "REPRO-X002" not in rules_fired(result)
-
-    def test_process_local_modules_are_exempt(self, tmp_path):
-        result = analyze(
-            tmp_path,
-            {
-                "proj/__init__.py": "",
-                "proj/obs.py": """
-                    CACHE = {}
-
-
-                    def worker_main(task_q):
-                        CACHE["pid"] = 1
-                    """,
-            },
-            process_local_modules=("proj.obs",),
-        )
-        assert "REPRO-X002" not in rules_fired(result)
-
-
-# ------------------------------------- REPRO-X003 (queue consumers)
-
-
-class TestQueueConsumers:
-    def test_two_consumers_on_one_queue_fire(self, tmp_path):
-        result = analyze(tmp_path, {
-            "proj/__init__.py": "",
-            "proj/pool.py": """
-                from multiprocessing import Queue
-
-
-                def setup(pool):
-                    pool.results = Queue()
-
-
-                def collect_fast(pool):
-                    return pool.results.get(timeout=1)
-
-
-                def collect_slow(pool):
-                    return pool.results.get()
-                """,
-        })
-        fired = [f for f in result.findings if f.rule == "REPRO-X003"]
-        assert len(fired) == 2
-        assert all("results" in f.message for f in fired)
-
-    def test_single_consumer_is_clean(self, tmp_path):
-        result = analyze(tmp_path, {
-            "proj/__init__.py": "",
-            "proj/pool.py": """
-                from multiprocessing import Queue
-
-
-                def setup(pool):
-                    pool.results = Queue()
-
-
-                def collect(pool):
-                    return pool.results.get()
-
-
-                def report(pool):
-                    return pool.results.qsize()
-                """,
-        })
-        assert "REPRO-X003" not in rules_fired(result)
 
 
 # --------------------------------------- REPRO-G004 (dead handlers)

@@ -3,8 +3,7 @@
 The ECC cache and the O(dirty-nets) cost accounting must be pure
 speedups: the cached/incremental paths are asserted *equal* — not
 approximately equal — to the full-recompute references
-(``oracles.crp``), over randomized designs, mutation sequences, and
-executor widths.
+(``oracles.crp``), over randomized designs and mutation sequences.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ from repro.groute.costcache import NetCostCache
 from repro.guard import GuardPolicy, IterationTransaction
 from repro.legalizer import WindowLegalizer
 from repro.obs import observe
-from repro.par import ParallelExecutor
 
 
 def routed(seed: int = 42, **overrides) -> tuple:
@@ -272,32 +270,19 @@ def arm(framework, fast: bool):
     return contextlib.nullcontext(framework) if fast else full_recompute(framework)
 
 
-def run_iterations(seed: int, fast: bool, workers: int = 0, k: int = 2):
+def run_iterations(seed: int, fast: bool, k: int = 2):
     design = fresh_small(seed=seed)
     router = GlobalRouter(design)
-    executor = None
-    if workers:
-        executor = ParallelExecutor(workers, chunk=1).bind(router)
-    try:
-        router.route_all(rrr_passes=2)
-        with arm(CrpFramework(design, router, CrpConfig()), fast) as framework:
-            framework.run(iterations=k)
-            total = framework._total_route_cost()
-    finally:
-        if executor is not None:
-            executor.close()
+    router.route_all(rrr_passes=2)
+    with arm(CrpFramework(design, router, CrpConfig()), fast) as framework:
+        framework.run(iterations=k)
+        total = framework._total_route_cost()
     return snapshot(design, router), total
 
 
 @pytest.mark.parametrize("seed", [9, 42])
 def test_framework_fast_slow_parity(seed):
     assert run_iterations(seed, fast=True) == run_iterations(seed, fast=False)
-
-
-def test_framework_parity_across_workers():
-    reference = run_iterations(42, fast=False)
-    for workers in (1, 2):
-        assert run_iterations(42, fast=True, workers=workers) == reference
 
 
 def test_converged_parity_and_single_scan_per_pass():
