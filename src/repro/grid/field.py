@@ -237,6 +237,11 @@ class CostField:
     def path_cost(self, edges: list[GridEdge]) -> float:
         """Total route cost, summed left-to-right like the scalar oracle."""
         self.ensure()
+        return self.fresh_path_cost(edges)
+
+    def fresh_path_cost(self, edges: list[GridEdge]) -> float:
+        """:meth:`path_cost` without the refresh: the caller has just
+        called :meth:`ensure` (the :meth:`run_cost` contract)."""
         total = 0.0
         via_cost = self.via_cost
         wire_cost = self._wire_cost
@@ -254,7 +259,7 @@ class CostField:
         gx of a vertical run.  Two prefix lookups — O(1) regardless of
         run length.  Call :meth:`ensure` (or any map query) first when
         the graph may have changed; :class:`PatternRouter3D` refreshes
-        once per ``route()`` call.
+        once per ``route()`` call, ``GlobalRouter`` once per segment.
         """
         prefix = self._prefix[layer]
         if self._horizontal[layer]:

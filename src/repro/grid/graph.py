@@ -15,6 +15,7 @@ where ``U_w`` is routed-wire usage, ``U_f`` fixed-component usage, and
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 
@@ -196,8 +197,8 @@ class RoutingGraph:
         for listener in self._listeners:
             listener.note_via(edge.layer, edge.gx, edge.gy)
 
-    def apply_route(self, edges: list[GridEdge], sign: int = 1) -> None:
-        """Commit (+1) or rip up (-1) a whole route's usage."""
+    def apply_route(self, edges: Iterable[GridEdge], sign: int = 1) -> None:
+        """Commit (+1) or rip up (-1) a whole route's usage, in any order."""
         listeners = self._listeners
         for edge in edges:
             if edge.kind is EdgeKind.WIRE:

@@ -1,15 +1,18 @@
 """The 3D pattern router (Algorithm 3's ``getPatternRoute3D``).
 
 Takes a 2D GCell polyline, assigns one routing layer to every straight
-run with a dynamic program, and materializes the chosen layers into
-graph edges (wires plus the vias stitching runs and terminals together).
+run with a dynamic program (:meth:`PatternRouter3D.plan`), and
+materializes the chosen layers into graph edges — wires plus the vias
+stitching runs and terminals together (:meth:`PatternRouter3D.build`).
 The DP cost is exactly the Eq. 10 edge cost under the current
 demand/capacity state, so congested layers are avoided.
 
 Run costs come from a :class:`repro.grid.field.CostField`: two
 prefix-sum lookups (O(1) per run) instead of O(len) scalar ``edge_cost``
-calls, and ``route_cost`` prices a candidate without materializing any
-edges — the hot path of CR&P's candidate estimation.
+calls, so a plan costs no edge list.  ``plan`` and ``build`` read the
+field as it is: ``route`` and ``route_cost`` refresh it once per call,
+and a caller planning several paths of one segment refreshes it once
+itself (``GlobalRouter._route_segment``).
 """
 
 from __future__ import annotations
@@ -29,6 +32,29 @@ class Pattern3DResult:
     edges: list[GridEdge]
     cost: float
     end_layer: int = 0
+
+
+@dataclass(slots=True)
+class Pattern3DPlan:
+    """A layer assignment not yet turned into edges.
+
+    ``value`` is the DP value: the Eq. 10 cost of the route
+    :meth:`PatternRouter3D.build` makes of this plan, up to float
+    association (run costs are prefix differences, the built route is
+    priced edge by edge).
+    """
+
+    start: GPoint
+    runs: list[tuple[GPoint, GPoint]]
+    layers: list[int]  # the chosen layer of each run
+    src_layer: int
+    dst_layer: int  # the far terminal's layer, or the DP's free choice
+    value: float
+
+    @property
+    def end_layer(self) -> int:
+        """The layer the route arrives on, before any terminal via stack."""
+        return self.layers[-1] if self.layers else self.dst_layer
 
 
 class PatternRouter3D:
@@ -73,38 +99,55 @@ class PatternRouter3D:
         when some run direction has no usable layer.
         """
         self.field.ensure()
+        plan = self.plan(path, src_layer, dst_layer)
+        return None if plan is None else self.build(plan)
+
+    def plan(
+        self,
+        path: list[GPoint],
+        src_layer: int,
+        dst_layer: int | None,
+    ) -> Pattern3DPlan | None:
+        """The DP half of :meth:`route`: a layer per run and the DP value."""
+        via_w = self.cost.params.via_weight
         runs = runs_of_path(path)
         if not runs:
             # Both terminals share a GCell: a via stack suffices.
-            gx, gy = path[0]
-            edges = self._via_stack(gx, gy, src_layer, dst_layer if dst_layer is not None else src_layer)
             end = dst_layer if dst_layer is not None else src_layer
-            return Pattern3DResult(
-                edges=edges, cost=self.field.path_cost(edges), end_layer=end
+            return Pattern3DPlan(
+                path[0], runs, [], src_layer, end, via_w * abs(end - src_layer)
             )
 
         dp = self._layer_dp(runs, src_layer)
         if dp is None:
             return None
-        run_layers, best, back = dp
+        best, back = dp
 
-        via_w = self.cost.params.via_weight
         if dst_layer is None:
             final_layer = min(best, key=lambda layer: best[layer])
+            value = best[final_layer]
         else:
             final_layer = min(
                 best, key=lambda layer: best[layer] + via_w * abs(layer - dst_layer)
             )
+            value = best[final_layer] + via_w * abs(final_layer - dst_layer)
         chosen = [final_layer]
         for links in reversed(back):
             chosen.append(links[chosen[-1]])
         chosen.reverse()
-
-        edges = self._materialize(
-            runs, chosen, src_layer, dst_layer if dst_layer is not None else chosen[-1]
+        return Pattern3DPlan(
+            path[0], runs, chosen, src_layer,
+            dst_layer if dst_layer is not None else final_layer, value,
         )
+
+    def build(self, plan: Pattern3DPlan) -> Pattern3DResult:
+        """The edge half of :meth:`route`: materialize ``plan`` and price
+        its edges one by one."""
+        edges = self._materialize(plan)
         return Pattern3DResult(
-            edges=edges, cost=self.field.path_cost(edges), end_layer=chosen[-1]
+            edges=edges,
+            cost=self.field.fresh_path_cost(edges),
+            end_layer=plan.end_layer,
         )
 
     def route_cost(
@@ -121,20 +164,8 @@ class PatternRouter3D:
         run direction has no usable layer.
         """
         self.field.ensure()
-        via_w = self.cost.params.via_weight
-        runs = runs_of_path(path)
-        if not runs:
-            end = dst_layer if dst_layer is not None else src_layer
-            return via_w * abs(end - src_layer)
-        dp = self._layer_dp(runs, src_layer)
-        if dp is None:
-            return None
-        _, best, _ = dp
-        if dst_layer is None:
-            return min(best.values())
-        return min(
-            best[layer] + via_w * abs(layer - dst_layer) for layer in best
-        )
+        plan = self.plan(path, src_layer, dst_layer)
+        return None if plan is None else plan.value
 
     @contextmanager
     def using(
@@ -158,11 +189,11 @@ class PatternRouter3D:
 
     def _layer_dp(
         self, runs: list[tuple[GPoint, GPoint]], src_layer: int
-    ) -> tuple[list[list[int]], dict[int, float], list[dict[int, int]]] | None:
+    ) -> tuple[dict[int, float], list[dict[int, int]]] | None:
         """DP over runs; state = chosen layer of the current run.
 
-        Returns the per-run candidate layers, the final best-cost map,
-        and back pointers, or ``None`` if a run has no usable layer.
+        Returns the final best-cost map and the back pointers, or
+        ``None`` if a run has no usable layer.
         """
         run_layers: list[list[int]] = []
         run_costs: list[dict[int, float]] = []
@@ -200,11 +231,11 @@ class PatternRouter3D:
                 links[layer] = prev
             best = nxt
             back.append(links)
-        return run_layers, best, back
+        return best, back
 
     def _run_cost(self, run: tuple[GPoint, GPoint], layer: int) -> float:
         (x0, y0), (x1, y1) = run
-        # Two prefix lookups; route()/route_cost() ensured freshness.
+        # Two prefix lookups on a field the caller of plan() refreshed.
         if y0 == y1:
             return self.field.run_cost(layer, min(x0, x1), max(x0, x1), y0)
         return self.field.run_cost(layer, min(y0, y1), max(y0, y1), x0)
@@ -225,21 +256,12 @@ class PatternRouter3D:
             lo, hi = hi, lo
         return [GridEdge(layer, gx, gy, EdgeKind.VIA) for layer in range(lo, hi)]
 
-    def _materialize(
-        self,
-        runs: list[tuple[GPoint, GPoint]],
-        layers: list[int],
-        src_layer: int,
-        dst_layer: int,
-    ) -> list[GridEdge]:
+    def _materialize(self, plan: Pattern3DPlan) -> list[GridEdge]:
         edges: list[GridEdge] = []
-        sx, sy = runs[0][0]
-        edges += self._via_stack(sx, sy, src_layer, layers[0])
-        for i, (run, layer) in enumerate(zip(runs, layers)):
-            edges += self._run_edges(run, layer)
-            if i + 1 < len(runs):
-                bx, by = run[1]
-                edges += self._via_stack(bx, by, layer, layers[i + 1])
-        ex, ey = runs[-1][1]
-        edges += self._via_stack(ex, ey, layers[-1], dst_layer)
+        (x, y), layer = plan.start, plan.src_layer
+        for run, run_layer in zip(plan.runs, plan.layers):
+            edges += self._via_stack(x, y, layer, run_layer)
+            edges += self._run_edges(run, run_layer)
+            (x, y), layer = run[1], run_layer
+        edges += self._via_stack(x, y, layer, plan.dst_layer)
         return edges

@@ -35,6 +35,13 @@ from repro.obs import get_metrics, get_tracer
 
 Node = tuple[int, int, int]
 
+#: A path whose DP value exceeds the segment's smallest by more than this
+#: (relative, floored at 1.0) cannot be the cheapest once built: a DP
+#: value and the edge-by-edge cost of the same path differ only by float
+#: association, orders of magnitude below half the band (DESIGN.md,
+#: "Built once").  Not a tuning knob.
+PLAN_BAND = 1e-9
+
 
 @dataclass(slots=True)
 class NetRoute:
@@ -105,6 +112,11 @@ class GlobalRouter:
         #: O(dirty-nets) per-net cost cache; ``None`` (every query is a
         #: fresh scan) until :meth:`enable_incremental_cost` attaches it
         self.cost_cache = None
+        # Plain-int tallies of ``_route_segment``, flushed as groute.*
+        # metrics by ``_publish_path_metrics`` (no registry in the loop).
+        self._paths_planned = 0
+        self._paths_built = 0
+        self._segments_multi_contender = 0
 
     # ------------------------------------------------------------ terminals
 
@@ -162,7 +174,22 @@ class GlobalRouter:
             except DeadlineExceeded:
                 get_metrics().count("groute.rrr_deadline_stops")
         self.field.publish_metrics()
+        self._publish_path_metrics()
         return completed
+
+    def _publish_path_metrics(self) -> None:
+        """Flush the ``_route_segment`` tallies as ``groute.*`` deltas."""
+        metrics = get_metrics()
+        if not metrics.recording:
+            return
+        metrics.count("groute.paths_planned", self._paths_planned)
+        metrics.count("groute.paths_built", self._paths_built)
+        metrics.count(
+            "groute.segments_multi_contender", self._segments_multi_contender
+        )
+        self._paths_planned = 0
+        self._paths_built = 0
+        self._segments_multi_contender = 0
 
     def route_net(self, net_name: str) -> NetRoute:
         """(Re)route one net with RSMT + 3D pattern routing."""
@@ -227,23 +254,43 @@ class GlobalRouter:
         dst_xy: tuple[int, int],
         dst_layer: int | None,
     ) -> tuple[list[GridEdge], int] | None:
-        """Best pattern route for one 2-pin segment."""
-        best = None
-        for path in pattern_paths_2d((src[1], src[2]), dst_xy):
-            result = self.pattern3d.route(path, src[0], dst_layer)
-            if result is None:
-                continue
-            if best is None or result.cost < best.cost:
-                best = result
-        if best is None:
+        """Best pattern route for one 2-pin segment.
+
+        Every path is planned; only those whose DP value lies within
+        ``PLAN_BAND`` of the smallest are built, and the built ones are
+        ranked on their edge-by-edge cost, first in path order on ties.
+        """
+        p3d = self.pattern3d
+        paths = pattern_paths_2d((src[1], src[2]), dst_xy)
+        self._paths_planned += len(paths)
+        if len(paths) == 1:
+            best = p3d.route(paths[0], src[0], dst_layer)
+            if best is None:
+                return None
+            self._paths_built += 1
+            return best.edges, best.end_layer
+        p3d.field.ensure()
+        plans = [
+            plan
+            for path in paths
+            if (plan := p3d.plan(path, src[0], dst_layer)) is not None
+        ]
+        if not plans:
             return None
+        cutoff = min(plan.value for plan in plans)
+        cutoff += PLAN_BAND * max(1.0, abs(cutoff))
+        contenders = [p3d.build(plan) for plan in plans if plan.value <= cutoff]
+        self._paths_built += len(contenders)
+        self._segments_multi_contender += len(contenders) > 1
+        best = min(contenders, key=lambda result: result.cost)
         return best.edges, best.end_layer
 
     # ------------------------------------------------------------ commit/rip
 
     def _commit(self, route: NetRoute) -> None:
-        edges = sorted(route.edges)
-        self.graph.apply_route(edges, sign=1)
+        # apply_route is order-independent: exact +-1 on usage counters,
+        # set-valued dirty marks.
+        self.graph.apply_route(route.edges, sign=1)
         for edge in route.edges:
             self._edge_nets.setdefault(edge, set()).add(route.net)
         self.routes[route.net] = route
@@ -255,8 +302,7 @@ class GlobalRouter:
         if route is None:
             return
         get_metrics().count("groute.ripup_nets")
-        edges = sorted(route.edges)
-        self.graph.apply_route(edges, sign=-1)
+        self.graph.apply_route(route.edges, sign=-1)
         for edge in route.edges:
             users = self._edge_nets.get(edge)
             if users is not None:
@@ -276,6 +322,7 @@ class GlobalRouter:
         )
         for name in ordered:
             self.route_net(name)
+        self._publish_path_metrics()
 
     # ----------------------------------------------------------------- RRR
 

@@ -10,7 +10,9 @@ positions — is solved exactly, yielding one *legalized candidate*: a
 new position for ``c`` plus the compensating moves of the conflict
 cells.  Windows of up to 3 cells are solved by enumeration with a
 canonical tie-break (``_solve_enumerated``); larger ones by a general
-ILP backend (``_solve_ilp``).
+ILP backend (``_solve_ilp``).  Only the pinned slot differs between the
+targets of one cell: everything else is built once per ``run()``
+(``_WindowModel``).
 
 The paper's defaults — ``|cells| = 3``, ``|sites| = 20``, ``|rows| = 5``
 — are the constructor defaults here.
@@ -57,9 +59,55 @@ class _WindowRow:
     first_site: int
     num_sites: int
     free: np.ndarray  # bool per site in the window slice
+    band: Rect  # the slice's outline
 
     def site_x(self, local_site: int) -> int:
         return self.row.site_x(self.first_site + local_site)
+
+
+@dataclass(slots=True)
+class _Slots:
+    """One neighbour's feasible slots, in model variable order, as vectors."""
+
+    options: list[tuple[int, _WindowRow, int]]
+    costs: np.ndarray  # Eq. 11 cost per option
+    rows: np.ndarray  # window row order per option
+    starts: np.ndarray  # first local site per option
+    ends: np.ndarray  # one past the last local site
+    places: list[tuple[int, int, Orientation]]
+
+
+@dataclass(slots=True)
+class _WindowModel:
+    """What every target of one critical cell's window shares (Eq. 11).
+
+    ``movable[0]`` is the critical cell; its only option is the target
+    being tried, so ``slots`` holds the neighbours ``movable[1:]`` only.
+    Lives for one ``run()``: ``_rescale`` derives what depends on the
+    target row's site grid, and the slot vectors are built by the first
+    target that misses the memo (``slots is None`` until then).
+    """
+
+    movable: list[str]
+    window_rows: list[_WindowRow]
+    medians: dict[str, Point]
+    cell_width: int
+    neighbour_boxes: list[Rect]
+    site_width: int = 0
+    row_height: int = 0
+    cell_sites: dict[str, int] = field(default_factory=dict)
+    #: the memo key of a target, minus the target itself
+    key_tail: tuple = ()
+    slots: list[_Slots] | None = None
+    #: slot pairs of a 3-cell window's two neighbours that do not overlap
+    apart: np.ndarray | None = None
+
+    def options_with(
+        self, row_order: int, target_site: int
+    ) -> list[list[tuple[int, _WindowRow, int]]]:
+        """Per-cell option lists in ``movable`` order, the pinned one first."""
+        pinned = (row_order, self.window_rows[row_order], target_site)
+        return [[pinned]] + [slots.options for slots in self.slots]
 
 
 _MEMO_MISS = object()
@@ -108,6 +156,8 @@ class WindowLegalizer:
         #: enumerated solves, and how many of them had > 1 exact optimum
         self.solves = 0
         self.tie_breaks = 0
+        #: window models whose slot vectors were built (at most one per run)
+        self.models = 0
 
     # ------------------------------------------------------------------ API
 
@@ -124,23 +174,34 @@ class WindowLegalizer:
             return []
 
         window_rows = self._window_rows(cell, home_row)
-        movable = self._pick_movable(cell_name, window_rows)
-        self._carve_free_space(window_rows, movable)
+        window_box = Rect.bounding([s.band for s in window_rows])
+        # One index query and one bbox() per cell in the window serve
+        # neighbour picking, obstacle carving and the displacement check.
+        boxes = {
+            name: design.cells[name].bbox()
+            for name in design.spatial.query(window_box)
+        }
+        movable = self._pick_movable(cell_name, window_box, boxes)
+        self._carve_free_space(
+            window_rows,
+            window_box,
+            [box for name, box in boxes.items() if name not in movable],
+        )
 
         # Median positions depend only on the committed placement, not
         # on the target slot — compute once per run, not once per target.
-        medians = {name: median_position(design, name) for name in movable}
-
-        cell_sites = self._width_in_sites(cell.width, home_row.site.width)
-        target_positions = self._enumerate_targets(
-            cell_name, window_rows, cell_sites, medians[cell_name]
+        window = _WindowModel(
+            movable=movable,
+            window_rows=window_rows,
+            medians={name: median_position(design, name) for name in movable},
+            cell_width=cell.width,
+            neighbour_boxes=[boxes[name] for name in movable[1:]],
         )
+        self._rescale(window, home_row.site.width, home_row.height)
 
         candidates: list[LegalizedCandidate] = []
-        for row_slice, local_site in target_positions:
-            candidate = self._legalize_with_target(
-                cell_name, movable, window_rows, row_slice, local_site, medians
-            )
+        for row_order, local_site in self._enumerate_targets(window):
+            candidate = self._legalize_with_target(window, row_order, local_site)
             if candidate is not None:
                 candidates.append(candidate)
             if len(candidates) >= self.max_targets:
@@ -175,211 +236,179 @@ class WindowLegalizer:
                     first_site=first,
                     num_sites=count,
                     free=np.ones(count, dtype=bool),
+                    band=Rect(
+                        row.site_x(first),
+                        row.origin_y,
+                        row.site_x(first + count),
+                        row.origin_y + row.height,
+                    ),
                 )
             )
         return slices
 
     def _pick_movable(
-        self, cell_name: str, window_rows: list[_WindowRow]
+        self, cell_name: str, window_box: Rect, boxes: dict[str, Rect]
     ) -> list[str]:
         """The critical cell plus its nearest movable window neighbours."""
         design = self.design
-        cell = design.cells[cell_name]
-        window_box = self._window_bbox(window_rows)
+        center = design.cells[cell_name].center
         neighbours: list[tuple[int, str]] = []
-        for name in design.spatial.query(window_box):
+        for name, box in boxes.items():
             if name == cell_name:
                 continue
             other = design.cells[name]
             if other.fixed:
                 continue
-            if not window_box.contains_rect(other.bbox()):
+            if not window_box.contains_rect(box):
                 continue
-            distance = cell.center.manhattan_to(other.center)
-            neighbours.append((distance, name))
+            neighbours.append((center.manhattan_to(other.center), name))
         neighbours.sort()
         picked = [name for _, name in neighbours[: self.max_cells - 1]]
         return [cell_name] + picked
 
-    @staticmethod
-    def _window_bbox(window_rows: list[_WindowRow]) -> Rect:
-        boxes = [
-            Rect(
-                s.row.site_x(s.first_site),
-                s.row.origin_y,
-                s.row.site_x(s.first_site + s.num_sites),
-                s.row.origin_y + s.row.height,
-            )
-            for s in window_rows
-        ]
-        return Rect.bounding(boxes)
-
     def _carve_free_space(
-        self, window_rows: list[_WindowRow], movable: list[str]
+        self,
+        window_rows: list[_WindowRow],
+        window_box: Rect,
+        obstacle_boxes: list[Rect],
     ) -> None:
         """Mark sites covered by obstacles (non-movable cells, blockages)."""
-        design = self.design
-        movable_set = set(movable)
-        window_box = self._window_bbox(window_rows)
-        obstacle_boxes = [
-            design.cells[name].bbox()
-            for name in design.spatial.query(window_box)
-            if name not in movable_set
-        ]
-        obstacle_boxes += [
-            b.rect for b in design.placement_blockages()
+        obstacle_boxes = obstacle_boxes + [
+            b.rect for b in self.design.placement_blockages()
             if b.rect.intersects(window_box)
         ]
         for row_slice in window_rows:
             row = row_slice.row
-            row_band = Rect(
-                row.site_x(row_slice.first_site),
-                row.origin_y,
-                row.site_x(row_slice.first_site + row_slice.num_sites),
-                row.origin_y + row.height,
-            )
+            row_band = row_slice.band
             for box in obstacle_boxes:
-                overlap = box.intersection(row_band)
-                if overlap is None or overlap.width == 0 or overlap.height == 0:
+                if not box.intersects(row_band):  # touching covers no site
                     continue
-                s0 = (overlap.lx - row_band.lx) // row.site.width
-                s1 = -(-(overlap.ux - row_band.lx) // row.site.width)
+                s0 = (max(box.lx, row_band.lx) - row_band.lx) // row.site.width
+                s1 = -(-(min(box.ux, row_band.ux) - row_band.lx) // row.site.width)
                 row_slice.free[max(0, s0) : min(row_slice.num_sites, s1)] = False
 
     # -------------------------------------------------------------- targets
 
-    def _enumerate_targets(
-        self,
-        cell_name: str,
-        window_rows: list[_WindowRow],
-        cell_sites: int,
-        median: Point,
-    ) -> list[tuple[_WindowRow, int]]:
-        """Feasible target slots for the critical cell, best-first.
+    def _enumerate_targets(self, window: _WindowModel) -> list[tuple[int, int]]:
+        """Feasible ``(row order, local site)`` targets, best-first.
 
-        A slot is feasible when ``cell_sites`` consecutive window sites
-        are free of *obstacles* (movable neighbours may still be there —
-        displacing them is exactly what the ILP resolves).  Slots are
-        ordered by Eq. 11 cost so the best candidates are tried first.
+        A slot is feasible when the critical cell's sites are free of
+        *obstacles* (movable neighbours may still be there — displacing
+        them is exactly what the ILP resolves).  Slots are ordered by
+        Eq. 11 cost so the best candidates are tried first.
         """
-        design = self.design
-        cell = design.cells[cell_name]
-        scored: list[tuple[float, int, _WindowRow, int]] = []
-        for order, row_slice in enumerate(window_rows):
-            for local in range(row_slice.num_sites - cell_sites + 1):
-                if not row_slice.free[local : local + cell_sites].all():
-                    continue
-                x = row_slice.site_x(local)
-                y = row_slice.row.origin_y
-                if x == cell.x and y == cell.y:
-                    continue
-                cost = abs(x - median.x) + abs(y - median.y)
-                scored.append((cost, order, row_slice, local))
-        scored.sort(key=lambda item: (item[0], item[1], item[3]))
-        return [(row_slice, local) for _, _, row_slice, local in scored]
+        cell_name = window.movable[0]
+        cell = self.design.cells[cell_name]
+        median = window.medians[cell_name]
+        scored: list[tuple[int, int, int]] = []
+        for order, row_slice, local in self._options_for(
+            window.cell_sites[cell_name], window.window_rows
+        ):
+            x = row_slice.site_x(local)
+            y = row_slice.row.origin_y
+            if x == cell.x and y == cell.y:
+                continue
+            scored.append((abs(x - median.x) + abs(y - median.y), order, local))
+        scored.sort()
+        return [(order, local) for _, order, local in scored]
 
     # ------------------------------------------------------------------ ILP
 
+    def _rescale(self, window: _WindowModel, site_width: int, row_height: int) -> None:
+        """Derive what depends on the site grid; drops the slot vectors.
+
+        Runs once per window unless its rows mix site grids, where each
+        target is solved on its own row's grid, as it always was.
+        """
+        cells = self.design.cells
+        window.site_width, window.row_height = site_width, row_height
+        window.cell_sites = {
+            name: self._width_in_sites(cells[name].width, site_width)
+            for name in window.movable
+        }
+        window.key_tail = self._memo_key_tail(window)
+        window.slots = window.apart = None
+
     def _legalize_with_target(
-        self,
-        cell_name: str,
-        movable: list[str],
-        window_rows: list[_WindowRow],
-        target_row: _WindowRow,
-        target_site: int,
-        medians: dict[str, Point],
+        self, window: _WindowModel, row_order: int, target_site: int
     ) -> LegalizedCandidate | None:
         """Solve Eq. 11 with the critical cell pinned to one target slot."""
-        design = self.design
-        site_width = target_row.row.site.width
-        row_height = target_row.row.height
-
-        cell_sites = {
-            name: self._width_in_sites(design.cells[name].width, site_width)
-            for name in movable
-        }
-
+        movable = window.movable
+        cell_name = movable[0]
+        target_row = window.window_rows[row_order]
+        row = target_row.row
         target_x = target_row.site_x(target_site)
-        target_y = target_row.row.origin_y
+        target_y = row.origin_y
 
         # Fast path: if the slot displaces no movable neighbour, the
         # candidate is already legal — no ILP needed.
         target_box = Rect(
-            target_x,
-            target_y,
-            target_x + design.cells[cell_name].width,
-            target_y + row_height,
+            target_x, target_y, target_x + window.cell_width, target_y + row.height
         )
-        displaced = [
-            name
-            for name in movable
-            if name != cell_name
-            and design.cells[name].bbox().intersects(target_box)
-        ]
-        if not displaced:
-            median = medians[cell_name]
+        if not any(box.intersects(target_box) for box in window.neighbour_boxes):
+            median = window.medians[cell_name]
             return LegalizedCandidate(
                 cell=cell_name,
-                position=(target_x, target_y, target_row.row.orient),
+                position=(target_x, target_y, row.orient),
                 conflict_moves={},
                 displacement=float(
                     abs(target_x - median.x) + abs(target_y - median.y)
                 ),
             )
 
-        def solve_with(solver):
-            all_options: list[list[tuple[int, _WindowRow, int]]] = []
-            for name in movable:
-                options = self._options_for(
-                    name, cell_name, cell_sites[name], window_rows,
-                    target_row, target_site,
-                )
-                if not options:
-                    return None
-                all_options.append(options)
-            return solver(
-                movable, all_options, cell_sites, medians, site_width, row_height
-            )
-
-        # Past the enumerator's 3-cell domain (``CrpConfig.max_cells > 3``)
-        # the general ILP answers.
-        solver = self._solve_enumerated if len(movable) <= 3 else self._solve_ilp
+        if (row.site.width, row.height) != (window.site_width, window.row_height):
+            self._rescale(window, row.site.width, row.height)
         if len(movable) > 3 and self.ilp_budget_s is not None:
             # A budgeted solve is not a function of the window signature.
-            outcome = solve_with(solver)
+            outcome = self._solve(window, row_order, target_site)
         else:
-            key = self._memo_key(
-                movable, window_rows, target_row, target_site, cell_sites, medians
-            )
+            key = (row_order, target_site) + window.key_tail
             outcome = self._memo.get(key, _MEMO_MISS)
             if outcome is _MEMO_MISS:
                 self.memo_misses += 1
-                outcome = self._memo[key] = solve_with(solver)
+                outcome = self._memo[key] = self._solve(
+                    window, row_order, target_site
+                )
             else:
                 self.memo_hits += 1
         return self._candidate_from(
             cell_name, movable, target_row, target_site, outcome
         )
 
+    def _solve(self, window: _WindowModel, row_order: int, target_site: int):
+        """One pinned target of ``window``: ``None`` or ``(assignments, objective)``."""
+        # The critical cell is pinned: its only admissible slot is the
+        # target itself (when the carved span is free).
+        target_row = window.window_rows[row_order]
+        width = window.cell_sites[window.movable[0]]
+        if target_site > target_row.num_sites - width:
+            return None
+        if not target_row.free[target_site : target_site + width].all():
+            return None
+        if window.slots is None:
+            self.models += 1
+            window.slots = [self._slots_of(window, name) for name in window.movable[1:]]
+            if len(window.slots) == 2:
+                one, two = window.slots
+                window.apart = ~(
+                    (one.rows[:, None] == two.rows[None, :])
+                    & (one.starts[:, None] < two.ends[None, :])
+                    & (two.starts[None, :] < one.ends[:, None])
+                )
+        if not all(slots.options for slots in window.slots):
+            return None
+        # Past the enumerator's 3-cell domain (``CrpConfig.max_cells > 3``)
+        # the general ILP answers.
+        if len(window.movable) > 3:
+            return self._solve_ilp(window, row_order, target_site)
+        return self._solve_enumerated(window, row_order, target_site)
+
+    @staticmethod
     def _options_for(
-        self,
-        name: str,
-        cell_name: str,
-        width_sites: int,
-        window_rows: list[_WindowRow],
-        target_row: _WindowRow,
-        target_site: int,
+        width_sites: int, window_rows: list[_WindowRow]
     ) -> list[tuple[int, _WindowRow, int]]:
-        """Feasible slots of one movable cell, in model variable order."""
-        if name == cell_name:
-            # The critical cell is pinned: its only admissible slot is
-            # the target itself (when the carved span is free).
-            if target_site > target_row.num_sites - width_sites:
-                return []
-            span = target_row.free[target_site : target_site + width_sites]
-            if not span.all():
-                return []
-            return [(window_rows.index(target_row), target_row, target_site)]
+        """Obstacle-free slots of a cell ``width_sites`` wide, window-row-major
+        then by ascending site (the model's variable order)."""
         options: list[tuple[int, _WindowRow, int]] = []
         for row_order, row_slice in enumerate(window_rows):
             count = row_slice.num_sites - width_sites + 1
@@ -400,15 +429,27 @@ class WindowLegalizer:
                 options.append((row_order, row_slice, int(local)))
         return options
 
-    def _solve_ilp(
-        self,
-        movable: list[str],
-        all_options: list[list[tuple[int, _WindowRow, int]]],
-        cell_sites: dict[str, int],
-        medians: dict[str, Point],
-        site_width: int,
-        row_height: int,
-    ):
+    def _slots_of(self, window: _WindowModel, name: str) -> _Slots:
+        """One neighbour's options with their Eq. 11 vectors."""
+        width = window.cell_sites[name]
+        median = window.medians[name]
+        options = self._options_for(width, window.window_rows)
+        costs = np.empty(len(options), dtype=np.float64)
+        rows = np.empty(len(options), dtype=np.int64)
+        starts = np.empty(len(options), dtype=np.int64)
+        places: list[tuple[int, int, Orientation]] = []
+        for j, (row_order, row_slice, local) in enumerate(options):
+            x = row_slice.site_x(local)
+            y = row_slice.row.origin_y
+            costs[j] = _eq11_cost(
+                x, y, median, window.site_width, window.row_height
+            )
+            rows[j] = row_order
+            starts[j] = local
+            places.append((x, y, row_slice.row.orient))
+        return _Slots(options, costs, rows, starts, starts + width, places)
+
+    def _solve_ilp(self, window: _WindowModel, row_order: int, target_site: int):
         """The Eq. 11 window as a general ILP, for > 3 movable cells.
 
         The enumerator's totals tensor grows as ``options ** cells``, so
@@ -419,34 +460,38 @@ class WindowLegalizer:
         ``(assignments, objective)`` with one ``(x, y, orient)`` per
         movable cell in ``movable`` order.
         """
+        movable = window.movable
         model = IlpModel(f"legalize[{movable[0]}]")
         # slot coverage: (row index in window, local site) -> list of vars
         coverage: dict[tuple[int, int], list[int]] = {}
         placements: dict[int, tuple[str, int, int, Orientation]] = {}
 
+        all_options = window.options_with(row_order, target_site)
         for name, options in zip(movable, all_options):
-            median = medians[name]
+            median = window.medians[name]
             var_indices: list[int] = []
-            for row_order, row_slice, local in options:
+            for slot_row, row_slice, local in options:
                 x = row_slice.site_x(local)
                 y = row_slice.row.origin_y
-                cost = _eq11_cost(x, y, median, site_width, row_height)
+                cost = _eq11_cost(
+                    x, y, median, window.site_width, window.row_height
+                )
                 var = model.add_binary(
-                    f"y[{name}][{row_order}][{local}]", cost=cost
+                    f"y[{name}][{slot_row}][{local}]", cost=cost
                 )
                 var_indices.append(var)
                 placements[var] = (name, x, y, row_slice.row.orient)
-                for covered in range(local, local + cell_sites[name]):
-                    coverage.setdefault((row_order, covered), []).append(var)
+                for covered in range(local, local + window.cell_sites[name]):
+                    coverage.setdefault((slot_row, covered), []).append(var)
             model.add_exactly_one(var_indices, name=f"place[{name}]")
 
-        for (row_order, local), vars_here in coverage.items():
+        for (slot_row, local), vars_here in coverage.items():
             if len(vars_here) > 1:
                 model.add_constraint(
                     [(v, 1.0) for v in vars_here],
                     Sense.LE,
                     1.0,
-                    name=f"slot[{row_order}][{local}]",
+                    name=f"slot[{slot_row}][{local}]",
                 )
 
         solution = solve(model, backend=self.backend, budget_s=self.ilp_budget_s)
@@ -504,41 +549,32 @@ class WindowLegalizer:
 
     # ------------------------------------------- memo + exact enumerator
 
-    def _memo_key(
-        self,
-        movable: list[str],
-        window_rows: list[_WindowRow],
-        target_row: _WindowRow,
-        target_site: int,
-        cell_sites: dict[str, int],
-        medians: dict[str, Point],
-    ) -> tuple:
-        """Everything a window solve's outcome is a function of.
+    def _memo_key_tail(self, window: _WindowModel) -> tuple:
+        """Everything a window solve's outcome is a function of, bar the
+        pinned target, which ``_legalize_with_target`` prepends.
 
         Covers the option enumeration (row geometry + free masks +
         widths in sites), the Eq. 11 costs (medians, site width, row
-        height), the pinned target, and the current positions the
-        conflict filter compares against.  Cell *names* are excluded on
-        purpose — structurally identical subproblems deduplicate.
+        height) and the current positions the conflict filter compares
+        against.  Cell *names* are excluded on purpose — structurally
+        identical subproblems deduplicate.
         """
-        design = self.design
-        cells = design.cells
+        cells = self.design.cells
+        medians = window.medians
         return (
-            window_rows.index(target_row),
-            target_site,
             tuple(
                 (
-                    cell_sites[name],
+                    window.cell_sites[name],
                     medians[name].x,
                     medians[name].y,
                     cells[name].x,
                     cells[name].y,
                 )
-                for name in movable
+                for name in window.movable
             ),
             tuple(
                 (
-                    rs.row.site_x(rs.first_site),
+                    rs.band.lx,
                     rs.row.origin_y,
                     rs.row.site.width,
                     rs.row.height,
@@ -546,18 +582,12 @@ class WindowLegalizer:
                     rs.num_sites,
                     rs.free.tobytes(),
                 )
-                for rs in window_rows
+                for rs in window.window_rows
             ),
         )
 
     def _solve_enumerated(
-        self,
-        movable: list[str],
-        all_options: list[list[tuple[int, _WindowRow, int]]],
-        cell_sites: dict[str, int],
-        medians: dict[str, Point],
-        site_width: int,
-        row_height: int,
+        self, window: _WindowModel, row_order: int, target_site: int
     ):
         """Exact vectorized solve of the pinned-target assignment problem.
 
@@ -577,76 +607,51 @@ class WindowLegalizer:
         Returns ``None`` (infeasible) or ``(assignments, objective)``.
         """
         self.solves += 1
-        n = len(movable)
-
-        costs: list[np.ndarray] = []
-        rows: list[np.ndarray] = []
-        starts: list[np.ndarray] = []
-        ends: list[np.ndarray] = []
-        places: list[list[tuple[int, int, Orientation]]] = []
-        for name, options in zip(movable, all_options):
-            median = medians[name]
-            width = cell_sites[name]
-            count = len(options)
-            cvec = np.empty(count, dtype=np.float64)
-            rvec = np.empty(count, dtype=np.int64)
-            svec = np.empty(count, dtype=np.int64)
-            pvec: list[tuple[int, int, Orientation]] = []
-            for j, (row_order, row_slice, local) in enumerate(options):
-                x = row_slice.site_x(local)
-                y = row_slice.row.origin_y
-                cvec[j] = _eq11_cost(x, y, median, site_width, row_height)
-                rvec[j] = row_order
-                svec[j] = local
-                pvec.append((x, y, row_slice.row.orient))
-            costs.append(cvec)
-            rows.append(rvec)
-            starts.append(svec)
-            ends.append(svec + width)
-            places.append(pvec)
-
-        def against_pinned(i: int) -> np.ndarray:
-            """Options of movable ``i`` that overlap the pinned slot."""
-            return (
-                (rows[i] == rows[0][0])
-                & (starts[i] < ends[0][0])
-                & (starts[0][0] < ends[i])
+        name = window.movable[0]
+        row_slice = window.window_rows[row_order]
+        x = row_slice.site_x(target_site)
+        y = row_slice.row.origin_y
+        pinned = (x, y, row_slice.row.orient)
+        c0 = np.float64(
+            _eq11_cost(
+                x, y, window.medians[name], window.site_width, window.row_height
             )
-
-        pinned = places[0][0]
-        c0 = costs[0][0]
-        if n == 1:
+        )
+        target_end = target_site + window.cell_sites[name]
+        #: per neighbour, its options that do not overlap the pinned slot
+        clear = [
+            ~(
+                (slots.rows == row_order)
+                & (slots.starts < target_end)
+                & (target_site < slots.ends)
+            )
+            for slots in window.slots
+        ]
+        if not clear:
             return ((pinned,), float(c0))
 
-        if n == 2:
-            feasible = ~against_pinned(1)
+        if len(clear) == 1:
+            (one,) = window.slots
+            (feasible,) = clear
             if not feasible.any():
                 return None
-            totals = c0 + costs[1]
+            totals = c0 + one.costs
             best = totals[feasible].min()
             optima = np.flatnonzero(feasible & (totals == best))
             self.tie_breaks += len(optima) > 1
-            return ((pinned, places[1][int(optima[0])]), float(best))
+            return ((pinned, one.places[int(optima[0])]), float(best))
 
-        pair = (
-            (rows[1][:, None] == rows[2][None, :])
-            & (starts[1][:, None] < ends[2][None, :])
-            & (starts[2][None, :] < ends[1][:, None])
-        )
-        feasible = (
-            (~against_pinned(1))[:, None]
-            & (~against_pinned(2))[None, :]
-            & ~pair
-        )
+        one, two = window.slots
+        feasible = clear[0][:, None] & clear[1][None, :] & window.apart
         if not feasible.any():
             return None
-        totals = (c0 + costs[1])[:, None] + costs[2][None, :]
+        totals = (c0 + one.costs)[:, None] + two.costs[None, :]
         best = totals[feasible].min()
         optima = np.argwhere(feasible & (totals == best))
         self.tie_breaks += len(optima) > 1
         i, j = optima[0]
         return (
-            (pinned, places[1][int(i)], places[2][int(j)]),
+            (pinned, one.places[int(i)], two.places[int(j)]),
             float(best),
         )
 
@@ -661,7 +666,9 @@ class WindowLegalizer:
         metrics.count("crp.window_memo_misses", self.memo_misses)
         metrics.count("crp.window_solves", self.solves)
         metrics.count("crp.window_tie_breaks", self.tie_breaks)
+        metrics.count("crp.window_models", self.models)
         self.memo_hits = 0
         self.memo_misses = 0
         self.solves = 0
         self.tie_breaks = 0
+        self.models = 0

@@ -87,17 +87,16 @@ class RecordingLegalizer(WindowLegalizer):
         super().__init__(*args, **kwargs)
         self.windows: list[tuple[list[list[tuple]], object]] = []
 
-    def _solve_enumerated(
-        self, movable, all_options, cell_sites, medians, site_width, row_height
-    ):
-        outcome = super()._solve_enumerated(
-            movable, all_options, cell_sites, medians, site_width, row_height
-        )
+    def _solve_enumerated(self, window, row_order, target_site):
+        outcome = super()._solve_enumerated(window, row_order, target_site)
+        site_width, row_height = window.site_width, window.row_height
         options = []
-        for name, slots in zip(movable, all_options):
-            median = medians[name]
+        for name, slots in zip(
+            window.movable, window.options_with(row_order, target_site)
+        ):
+            median = window.medians[name]
             restated = []
-            for row_order, row_slice, local in slots:
+            for slot_row, row_slice, local in slots:
                 x = row_slice.site_x(local)
                 y = row_slice.row.origin_y
                 # Eq. 11 restated on purpose, not imported: the
@@ -107,7 +106,7 @@ class RecordingLegalizer(WindowLegalizer):
                     + row_height * (abs(y - median.y) / row_height)
                 )
                 restated.append(
-                    (cost, row_order, local, local + cell_sites[name],
+                    (cost, slot_row, local, local + window.cell_sites[name],
                      (x, y, row_slice.row.orient))
                 )
             options.append(restated)

@@ -6,7 +6,8 @@ paths — only a test can, by calling them directly or by installing them
 through the seams named in each module.
 
 * :mod:`oracles.groute` — scalar ``CostModel`` maze A* and run pricing
-  (reference for the ``CostField`` paths of ``repro.groute``).
+  (reference for the ``CostField`` paths of ``repro.groute``), and the
+  build-every-path segment router (reference for ``_route_segment``).
 * :mod:`oracles.droute` — dict-of-tuples A* and session state (reference
   for ``repro.droute.indexed``).
 * :mod:`oracles.crp` — uncached CR&P iteration: fresh per-net cost scans

@@ -8,6 +8,9 @@ to live in ``src/repro/groute/maze.py`` and ``scalar_run_cost`` the
 fallback branch of ``PatternRouter3D._run_cost``, moved here unchanged;
 the production maze must expand the same nodes and return the same
 route, and prefix-sum run costs must agree to float association.
+``route_segment_all_built`` is ``GlobalRouter._route_segment`` as it ran
+before it ranked plans first: every pattern path materialized and priced
+edge by edge; production must return the same route, edge for edge.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from itertools import count
 
 from repro.grid import CostModel, GridEdge, RoutingGraph
 from repro.groute.maze import MAZE_MARGIN, Node, _window
+from repro.groute.patterns import pattern_paths_2d
 from repro.guard.deadline import DeadlineTicker
 from repro.obs import get_metrics
 
@@ -24,6 +28,21 @@ from repro.obs import get_metrics
 def scalar_run_cost(pattern3d, cost_model: CostModel, run, layer: int) -> float:
     """Left-to-right ``edge_cost`` sum over one straight run."""
     return sum(cost_model.edge_cost(e) for e in pattern3d._run_edges(run, layer))
+
+
+def route_segment_all_built(router, src: Node, dst_xy, dst_layer):
+    """Best pattern route of one segment: build every path, keep the
+    first cheapest by ``path_cost``."""
+    best = None
+    for path in pattern_paths_2d((src[1], src[2]), dst_xy):
+        result = router.pattern3d.route(path, src[0], dst_layer)
+        if result is None:
+            continue
+        if best is None or result.cost < best.cost:
+            best = result
+    if best is None:
+        return None
+    return best.edges, best.end_layer
 
 
 def maze_route_scalar(

@@ -93,3 +93,26 @@ def test_flow_quality_pinned_on_ispd18_test1():
     assert result.quality.vias == 201
     assert result.quality.drvs == 0
     assert result.quality.drv_breakdown == {}
+
+
+def test_crp_digests_pinned_on_ispd18_test1():
+    """Byte-identity pin for output-identical (perf, refactor) PRs.
+
+    Both digests of a 3-iteration CR&P without detailed routing, recorded
+    at ``4719563`` before the window model and the plan/build split
+    touched ``src``.  A PR that means to move routes or placements
+    re-records them and says so; any other drift is a behaviour change.
+    """
+    from repro.benchgen import make_design
+
+    result = run_flow(
+        make_design("ispd18_test1"), mode="crp", crp_iterations=3,
+        skip_detailed=True,
+    )
+    assert not result.failed and result.legal
+    assert result.routes_digest == (
+        "389a01df3745500230f1a737775f736fd93f74ebd0b4b6845499a4b56b415d47"
+    )
+    assert result.placement_digest == (
+        "48bd12dbe2d4daffb89f68c9a8efa4dffa286d18afb394fa5a5473e43777ad7e"
+    )
