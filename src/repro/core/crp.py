@@ -285,6 +285,9 @@ class CrpFramework:
 
         metrics = get_metrics()
         self.router.cost_cache.publish_metrics()
+        if self._estimate_field is not self.router.field:
+            # reroute_nets published the router's own field
+            self._estimate_field.publish_metrics()
         if stats.rolled_back:
             metrics.count("guard.rollbacks")
         metrics.count("crp.iterations")

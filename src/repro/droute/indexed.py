@@ -42,7 +42,6 @@ seam a test needs to substitute the reference.
 
 from __future__ import annotations
 
-import gc
 import heapq
 from collections import defaultdict, deque
 
@@ -435,10 +434,7 @@ def astar_connect_indexed(
     while the measured ~6.7 pushes per distinct f mean most pushes are
     one dict probe plus a deque append instead of an O(log n) tuple
     sift.  Sources/targets are iterated from the caller's own sets so
-    seeding order is shared with the oracle byte-for-byte, and the
-    cyclic GC is paused for the duration of the search (millions of
-    transient, cycle-free tuples otherwise trigger pointless
-    generational sweeps).
+    seeding order is shared with the oracle byte-for-byte.
 
     Three inner loops share one pop header; the two combinations the
     router actually issues — *hard inside guides* (every first attempt)
@@ -568,13 +564,6 @@ def astar_connect_indexed(
     if soft:
         max_expansions = int(max_expansions * params.soft_budget_factor)
 
-    # The search allocates millions of cycle-free heap tuples; letting
-    # the cyclic GC run its generational sweeps over them (and the whole
-    # design heap) mid-search costs real time for zero reclaim.  Pause
-    # it for the duration — re-enabled in the finally even on deadline.
-    gc_was_enabled = gc.isenabled()
-    if gc_was_enabled:
-        gc.disable()
     try:
         if has_guide and not soft:
             # ---------------- hard search inside guides (first attempts)
@@ -1902,8 +1891,6 @@ def astar_connect_indexed(
 
         return None
     finally:
-        if gc_was_enabled:
-            gc.enable()
         for tid in touched:
             g_score[tid] = _INF
         if stats is not None:

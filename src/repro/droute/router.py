@@ -31,6 +31,7 @@ from repro.droute.indexed import DrouteIndex
 from repro.droute.lattice import LNode, TrackLattice
 from repro.droute.obstacles import BLOCKED, build_obstacle_map
 from repro.guard.deadline import check_deadline
+from repro.guard.gcpause import gc_paused
 from repro.lefdef.guides import GuideRect
 from repro.obs import get_metrics, get_tracer
 
@@ -175,6 +176,7 @@ class DetailedRouter:
         finally:
             stats.flush()
 
+    @gc_paused()
     def route_all(
         self, guides: dict[str, list[GuideRect]] | None = None
     ) -> DetailedResult:

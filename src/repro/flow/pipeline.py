@@ -35,7 +35,13 @@ from repro.droute import DetailedRouter
 from repro.evalmetrics import QualityScore, evaluate
 from repro.core import CrpConfig, CrpFramework, CrpResult
 from repro.baseline import FontanaBaseline, FontanaResult
-from repro.guard import FailureReport, GuardPolicy, deadline_scope, fault_point
+from repro.guard import (
+    FailureReport,
+    GuardPolicy,
+    deadline_scope,
+    fault_point,
+    gc_paused,
+)
 from repro.obs import Span, ensure_observation
 
 
@@ -105,6 +111,7 @@ class FlowResult:
         )
 
 
+@gc_paused()
 def run_flow(
     design: Design,
     mode: str = "baseline",

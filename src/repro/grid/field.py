@@ -7,13 +7,14 @@ each layer's preferred direction so the cost of a straight run of
 ``n`` edges is two lookups instead of ``n`` scalar ``edge_cost`` calls.
 
 The field registers itself as a :class:`RoutingGraph` listener:
-``add_wire``/``add_via``/``apply_route`` mark the touched *line* (the
-row or column of edges along the layer's preferred direction) dirty,
-and the next query recomputes only the dirty lines — a via change
-dirties the two adjacent wire layers because of the ``delta_e``
-via-crowding term in Eq. 9.  Rip-up, reroute, and guard-transaction
-rollback all mutate the graph through the same methods, so the field
-can never observe stale demand.
+``add_wire``/``add_via``/``apply_route`` mark the touched *row* (one
+line — the row or column of edges along the preferred direction — of
+one layer) dirty, and the next query recomputes the dirty rows of all
+layers in one gather -> compute -> scatter over flat buffers — a via
+change dirties a row on each of the two adjacent wire layers because of
+the ``delta_e`` via-crowding term in Eq. 9.  Rip-up, reroute, and
+guard-transaction rollback all mutate the graph through the same
+methods, so the field can never observe stale demand.
 
 Bit-parity contract: every value in the dense maps is computed with the
 same float64 operations, in the same order, as the scalar
@@ -28,8 +29,16 @@ from __future__ import annotations
 import numpy as np
 
 from repro.grid.cost import CostParams, m2_pitch, wire_edge_dists
-from repro.grid.graph import EdgeKind, GridEdge, RoutingGraph
+from repro.grid.graph import EdgeKind, GridEdge, RoutingGraph, flat_views
 from repro.obs import get_metrics
+
+
+def _index_views(shapes: list[tuple[int, int]]) -> tuple[list[np.ndarray], int]:
+    """Views mapping a 2-D position to its index in a :func:`flat_views`
+    buffer of ``shapes`` (whatever that layout is), and the spare slot's."""
+    flat, views = flat_views(shapes, np.intp)
+    flat[:] = np.arange(flat.size)
+    return views, flat.size - 1
 
 
 class CostField:
@@ -42,49 +51,89 @@ class CostField:
         self.params = params or CostParams()
         #: flat Eq. 10 cost of any via edge
         self.via_cost = self.params.via_weight
-        self._wire_dist = wire_edge_dists(
-            graph.grid, graph.tech, m2_pitch(graph.tech)
-        )
         self._horizontal = tuple(
             layer.is_horizontal for layer in graph.tech.layers
         )
         num_layers = graph.num_layers
-        self._wire_cost: list[np.ndarray] = []
-        self._demand: list[np.ndarray] = []
-        self._prefix: list[np.ndarray] = []
-        for layer in range(num_layers):
-            shape = graph.wire_edge_shape(layer)
-            self._wire_cost.append(np.zeros(shape, dtype=np.float64))
-            self._demand.append(np.zeros(shape, dtype=np.float64))
-            if self._horizontal[layer]:
-                prefix_shape = (shape[0] + 1, shape[1])
-            else:
-                prefix_shape = (shape[0], shape[1] + 1)
-            self._prefix.append(np.zeros(prefix_shape, dtype=np.float64))
-        #: dirty line indices per layer (gy on horizontal layers, gx on
-        #: vertical ones); ``_all_dirty`` short-circuits line tracking
-        self._dirty_lines: list[set[int]] = [set() for _ in range(num_layers)]
-        self._all_dirty = [True] * num_layers
+        shapes = [graph.wire_edge_shape(layer) for layer in range(num_layers)]
+        self._cost_flat, self._wire_cost = flat_views(shapes, np.float64)
+        self._demand_flat, self._demand = flat_views(shapes, np.float64)
+        self._prefix_flat, self._prefix = flat_views(
+            [
+                (ex + 1, ey) if horizontal else (ex, ey + 1)
+                for (ex, ey), horizontal in zip(shapes, self._horizontal)
+            ],
+            np.float64,
+        )
+        self._build_rows(shapes)
+        #: ids of the rows whose usage or via counts changed since the
+        #: last :meth:`ensure`
+        self._dirty: set[int] = set(range(self._num_rows))
         # Stats are plain ints (no registry lock in hot paths); they are
         # flushed as cost_field.* metrics by publish_metrics().
         self._ensures = 0
         self._hits = 0
         self._flushes = 0
         self._lines_recomputed = 0
-        self._tiles_recomputed = 0
-        self._tiles_total = sum(
-            int(a.size) for a in self._wire_cost
-        )
         graph.add_listener(self)
+
+    def _build_rows(self, shapes: list[tuple[int, int]]) -> None:
+        """One table row per (layer, line), a line being the row or column
+        of edges along the layer's preferred direction.
+
+        Row ``_row_base[layer] + line`` holds the flat indices of the
+        line's edges (one layout for usage, capacity, demand and cost),
+        of the prefix slot after each edge, and of the via counters
+        below and above each GCell along it.  Rows are padded to the
+        longest line with the buffers' spare slots, and a wire layer
+        with no via layer on one side points that side at the (zero) via
+        spare slot.  Padding follows the real entries, so nothing a
+        view exposes ever depends on it.
+        """
+        graph = self.graph
+        num_layers = graph.num_layers
+        edge_ids, edge_spare = _index_views(shapes)
+        prefix_ids, prefix_spare = _index_views(
+            [view.shape for view in self._prefix]
+        )
+        via_ids, via_spare = _index_views(
+            [view.shape for view in graph.via_usage]
+        )
+        # Horizontal layers store a line as a column: one line per row.
+        edges = [
+            ids.T if horizontal else ids
+            for ids, horizontal in zip(edge_ids, self._horizontal)
+        ]
+        lines = [ids.shape[0] for ids in edges]
+        width = max(ids.shape[1] for ids in edges)
+        self._num_rows = sum(lines)
+        self._row_base = [sum(lines[:layer]) for layer in range(num_layers)]
+        self._edge_idx = np.full((self._num_rows, width), edge_spare)
+        self._prefix_idx = np.full((self._num_rows, width), prefix_spare)
+        self._below_idx = np.full((self._num_rows, width + 1), via_spare)
+        self._above_idx = self._below_idx.copy()
+        #: ``wire_weight * Dist(e)`` of each row's layer, as a column
+        self._unit = np.empty((self._num_rows, 1), dtype=np.float64)
+        wire_dist = wire_edge_dists(graph.grid, graph.tech, m2_pitch(graph.tech))
+        for layer, horizontal in enumerate(self._horizontal):
+            rows = slice(self._row_base[layer], self._row_base[layer] + lines[layer])
+            # the slot after each edge: skip each prefix line's leading zero
+            after = prefix_ids[layer][1:, :].T if horizontal else prefix_ids[layer][:, 1:]
+            self._edge_idx[rows, : after.shape[1]] = edges[layer]
+            self._prefix_idx[rows, : after.shape[1]] = after
+            for table, cut in ((self._below_idx, layer - 1), (self._above_idx, layer)):
+                if 0 <= cut < num_layers - 1:
+                    gcells = via_ids[cut].T if horizontal else via_ids[cut]
+                    table[rows, : gcells.shape[1]] = gcells
+            self._unit[rows] = self.params.wire_weight * wire_dist[layer]
 
     # -------------------------------------------------- graph notifications
 
     def note_wire(self, layer: int, gx: int, gy: int) -> None:
         """Wire usage changed on edge ``(gx, gy)`` of ``layer``."""
-        if not self._all_dirty[layer]:
-            self._dirty_lines[layer].add(
-                gy if self._horizontal[layer] else gx
-            )
+        self._dirty.add(
+            self._row_base[layer] + (gy if self._horizontal[layer] else gx)
+        )
 
     def note_via(self, layer: int, gx: int, gy: int) -> None:
         """Via count changed between ``layer`` and ``layer + 1`` at a GCell.
@@ -92,128 +141,58 @@ class CostField:
         The Eq. 9 ``delta_e`` term makes both adjacent wire layers stale:
         every wire edge touching the GCell lies on one line per layer.
         """
-        for wire_layer in (layer, layer + 1):
-            if 0 <= wire_layer < self.graph.num_layers and not self._all_dirty[
-                wire_layer
-            ]:
-                self._dirty_lines[wire_layer].add(
-                    gy if self._horizontal[wire_layer] else gx
-                )
+        self.note_wire(layer, gx, gy)
+        self.note_wire(layer + 1, gx, gy)
 
     def note_all(self) -> None:
         """Invalidate the whole field (fixed-usage rebuild, rollback)."""
-        for layer in range(self.graph.num_layers):
-            self._all_dirty[layer] = True
-            self._dirty_lines[layer].clear()
+        self._dirty.update(range(self._num_rows))
 
     # ------------------------------------------------------------- freshness
 
     def ensure(self) -> None:
-        """Recompute every dirty slice; afterwards all maps are current."""
+        """Recompute every dirty row; afterwards all maps are current."""
         self._ensures += 1
-        clean = True
-        for layer in range(self.graph.num_layers):
-            if self._all_dirty[layer]:
-                self._flush(layer, None)
-                clean = False
-            elif self._dirty_lines[layer]:
-                self._flush(layer, sorted(self._dirty_lines[layer]))
-                clean = False
-        if clean:
+        if not self._dirty:
             self._hits += 1
-
-    def _flush(self, layer: int, lines: list[int] | None) -> None:
+            return
         self._flushes += 1
-        self._recompute(layer, lines)
-        self._all_dirty[layer] = False
-        self._dirty_lines[layer].clear()
+        self._recompute(sorted(self._dirty))
+        self._dirty.clear()
 
-    def _recompute(self, layer: int, lines: list[int] | None) -> None:
-        """Rebuild demand/cost/prefix for ``lines`` (``None`` = whole layer).
+    def _recompute(self, rows: list[int]) -> None:
+        """Rebuild demand/cost/prefix of ``rows``, all layers in one block:
+        gather, Eq. 9/10 on ``len(rows) x width``, scatter.
 
         Every arithmetic step mirrors :meth:`RoutingGraph.demand` +
         :meth:`CostModel.edge_cost` operation-for-operation so the dense
         values are bit-identical to the scalar oracle.
         """
         graph = self.graph
-        cost = self._wire_cost[layer]
-        if cost.size == 0:
-            return
-        horizontal = self._horizontal[layer]
-        # A single dirty line (the common incremental case) uses basic
-        # indexing — 1D views instead of fancy-index copies.
-        if lines is None:
-            sel = np.s_[:, :]
-        elif horizontal:
-            sel = np.s_[:, lines[0]] if len(lines) == 1 else np.s_[:, lines]
-        else:
-            sel = np.s_[lines[0], :] if len(lines) == 1 else np.s_[lines, :]
-        # Via crowding per GCell of the selected lines (Eq. 9 delta_e).
-        below = graph.via_usage[layer - 1] if layer >= 1 else None
-        above = (
-            graph.via_usage[layer]
-            if layer < graph.num_layers - 1
-            else None
-        )
-        if below is not None and above is not None:
-            via_count = below[sel] + above[sel]
-        elif below is not None:
-            via_count = below[sel]
-        elif above is not None:
-            via_count = above[sel]
-        else:
-            via_count = np.zeros(
-                (graph.grid.nx, graph.grid.ny), dtype=np.int32
-            )[sel]
-        if via_count.ndim == 1:
-            # Single-line selection collapsed the cross axis; the edge
-            # axis is all that remains.
-            v_src, v_dst = via_count[:-1], via_count[1:]
-        elif horizontal:
-            v_src, v_dst = via_count[:-1, :], via_count[1:, :]
-        else:
-            v_src, v_dst = via_count[:, :-1], via_count[:, 1:]
-        delta = np.sqrt((v_src + v_dst) / 2.0)
+        edges = self._edge_idx[rows]
+        # Via crowding per GCell along each row (Eq. 9 delta_e).
+        via = graph.via_usage_flat
+        via_count = via[self._below_idx[rows]] + via[self._above_idx[rows]]
+        delta = np.sqrt((via_count[:, :-1] + via_count[:, 1:]) / 2.0)
         demand = (
-            graph.wire_usage[layer][sel]
-            + graph.fixed_usage[layer][sel]
+            graph.wire_usage_flat[edges]
+            + graph.fixed_usage_flat[edges]
             + graph.beta * delta
         )
-        capacity = graph.wire_capacity[layer][sel]
         params = self.params
         if params.use_penalty:
-            x = params.slope * (demand - capacity)
+            x = params.slope * (demand - graph.wire_capacity_flat[edges])
             with np.errstate(over="ignore"):
                 penalty = 1.0 / (1.0 + np.exp(-x))
             penalty[x > 60.0] = 1.0
             penalty[x < -60.0] = 0.0
         else:
             penalty = np.zeros_like(demand)
-        unit = params.wire_weight * self._wire_dist[layer]
-        line_cost = unit * (1.0 + penalty)
-        self._demand[layer][sel] = demand
-        cost[sel] = line_cost
-        prefix = self._prefix[layer]
-        if horizontal:
-            if lines is None:
-                prefix[1:, :] = np.cumsum(line_cost, axis=0)
-            elif len(lines) == 1:
-                prefix[1:, lines[0]] = np.cumsum(line_cost)
-            else:
-                prefix[1:, lines] = np.cumsum(line_cost, axis=0)
-        else:
-            if lines is None:
-                prefix[:, 1:] = np.cumsum(line_cost, axis=1)
-            elif len(lines) == 1:
-                prefix[lines[0], 1:] = np.cumsum(line_cost)
-            else:
-                prefix[lines, 1:] = np.cumsum(line_cost, axis=1)
-        self._lines_recomputed += (
-            cost.shape[1 if horizontal else 0]
-            if lines is None
-            else len(lines)
-        )
-        self._tiles_recomputed += int(demand.size)
+        line_cost = self._unit[rows] * (1.0 + penalty)
+        self._demand_flat[edges] = demand
+        self._cost_flat[edges] = line_cost
+        self._prefix_flat[self._prefix_idx[rows]] = np.cumsum(line_cost, axis=1)
+        self._lines_recomputed += len(rows)
 
     # --------------------------------------------------------------- queries
 
@@ -317,8 +296,11 @@ class CostField:
     def publish_metrics(self) -> None:
         """Flush the locally-tallied stats as ``cost_field.*`` metrics.
 
-        Counters are deltas since the last publish; the ratios are
-        lifetime aggregates.  Hot paths never touch the registry.
+        Everything covers the window since the last publish:
+        ``recomputes`` counts flushes (= dirty :meth:`ensure` calls, one
+        ``_recompute`` each), ``lines_recomputed`` the rows they rebuilt,
+        and ``dirty_ratio`` is the mean share of the field's rows one
+        flush rebuilt.  Hot paths never touch the registry.
         """
         metrics = get_metrics()
         if not metrics.recording:
@@ -330,10 +312,10 @@ class CostField:
             metrics.gauge(
                 "cost_field.hit_rate", self._hits / self._ensures
             )
-        if self._tiles_total and self._flushes:
+        if self._flushes:
             metrics.gauge(
                 "cost_field.dirty_ratio",
-                self._tiles_recomputed / (self._tiles_total * self._flushes),
+                self._lines_recomputed / (self._num_rows * self._flushes),
             )
         self._flushes = 0
         self._lines_recomputed = 0

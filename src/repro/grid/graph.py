@@ -57,11 +57,35 @@ class GridEdge:
         return ((self.layer, self.gx, self.gy), (self.layer, self.gx, self.gy + 1))
 
 
+def flat_views(
+    shapes: list[tuple[int, int]], dtype
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """One zeroed flat buffer holding a 2-D array per shape, back to back,
+    plus one spare trailing slot; returns it with the per-shape views.
+
+    The spare slot is where padded gather/scatter indices point
+    (:class:`repro.grid.field.CostField`): no view covers it.
+    """
+    sizes = [a * b for a, b in shapes]
+    flat = np.zeros(sum(sizes) + 1, dtype=dtype)
+    views: list[np.ndarray] = []
+    offset = 0
+    for shape, size in zip(shapes, sizes):
+        views.append(flat[offset : offset + size].reshape(shape))
+        offset += size
+    return flat, views
+
+
 class RoutingGraph:
     """Capacity/demand bookkeeping for the 3D GCell graph.
 
-    Wire usage, fixed usage, and via counts are dense numpy arrays, one
-    per layer, so whole-map congestion queries are vectorized.
+    Wire usage, fixed usage, capacity and via counts are dense numpy
+    arrays, one per layer, so whole-map congestion queries are
+    vectorized.  The per-layer arrays of one quantity are *views* into
+    one flat buffer (``wire_usage_flat`` etc., see :func:`flat_views`)
+    that the cost field gathers from across layers in one call, so a
+    list entry must never be rebound: write through it
+    (``arr[...] = saved``, as ``repro.ckpt`` restores do).
     """
 
     def __init__(
@@ -82,23 +106,20 @@ class RoutingGraph:
         self.min_wire_layer = min_wire_layer
         self.num_layers = tech.num_layers
         nx, ny = grid.nx, grid.ny
-        self.wire_capacity: list[np.ndarray] = []
-        self.wire_usage: list[np.ndarray] = []
-        self.fixed_usage: list[np.ndarray] = []
-        #: vias between layer l and l+1 per gcell; index l in [0, L-2]
-        self.via_usage: list[np.ndarray] = [
-            np.zeros((nx, ny), dtype=np.int32) for _ in range(self.num_layers - 1)
+        shapes = [
+            (max(0, nx - 1), ny) if layer.is_horizontal else (nx, max(0, ny - 1))
+            for layer in tech.layers
         ]
-        for layer in tech.layers:
-            if layer.is_horizontal:
-                shape = (max(0, nx - 1), ny)
-                tracks = max(1, grid.step_y // layer.pitch)
-            else:
-                shape = (nx, max(0, ny - 1))
-                tracks = max(1, grid.step_x // layer.pitch)
-            self.wire_capacity.append(np.full(shape, tracks, dtype=np.float64))
-            self.wire_usage.append(np.zeros(shape, dtype=np.float64))
-            self.fixed_usage.append(np.zeros(shape, dtype=np.float64))
+        self.wire_capacity_flat, self.wire_capacity = flat_views(shapes, np.float64)
+        self.wire_usage_flat, self.wire_usage = flat_views(shapes, np.float64)
+        self.fixed_usage_flat, self.fixed_usage = flat_views(shapes, np.float64)
+        #: vias between layer l and l+1 per gcell; index l in [0, L-2]
+        self.via_usage_flat, self.via_usage = flat_views(
+            [(nx, ny)] * (self.num_layers - 1), np.int32
+        )
+        for layer, capacity in zip(tech.layers, self.wire_capacity):
+            step = grid.step_y if layer.is_horizontal else grid.step_x
+            capacity[...] = max(1, step // layer.pitch)
 
     # -------------------------------------------------------------- listeners
 

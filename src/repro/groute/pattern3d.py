@@ -195,6 +195,11 @@ class PatternRouter3D:
         Returns the final best-cost map and the back pointers, or
         ``None`` if a run has no usable layer.
         """
+        # CostField.run_cost inlined: two prefix lookups per (run, layer)
+        # on a field the caller of plan() refreshed.  Prefix maps are
+        # indexed [gx, gy] whatever the direction, and a straight run's
+        # ends differ in one coordinate, so they sort into (low, high).
+        prefix = self.field._prefix
         run_layers: list[list[int]] = []
         run_costs: list[dict[int, float]] = []
         for run in runs:
@@ -202,8 +207,12 @@ class PatternRouter3D:
             if not layers:
                 return None
             run_layers.append(layers)
+            lo, hi = sorted(run)
             run_costs.append(
-                {layer: self._run_cost(run, layer) for layer in layers}
+                {
+                    layer: float(prefix[layer][hi] - prefix[layer][lo])
+                    for layer in layers
+                }
             )
 
         via_w = self.cost.params.via_weight
@@ -232,13 +241,6 @@ class PatternRouter3D:
             best = nxt
             back.append(links)
         return best, back
-
-    def _run_cost(self, run: tuple[GPoint, GPoint], layer: int) -> float:
-        (x0, y0), (x1, y1) = run
-        # Two prefix lookups on a field the caller of plan() refreshed.
-        if y0 == y1:
-            return self.field.run_cost(layer, min(x0, x1), max(x0, x1), y0)
-        return self.field.run_cost(layer, min(y0, y1), max(y0, y1), x0)
 
     def _run_edges(self, run: tuple[GPoint, GPoint], layer: int) -> list[GridEdge]:
         (x0, y0), (x1, y1) = run

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
@@ -41,6 +42,9 @@ Node = tuple[int, int, int]
 #: association, orders of magnitude below half the band (DESIGN.md,
 #: "Built once").  Not a tuning knob.
 PLAN_BAND = 1e-9
+
+#: ``GridEdge``'s own (dataclass) order, as a C-level sort key
+_EDGE_ORDER = attrgetter("layer", "gx", "gy", "kind")
 
 
 @dataclass(slots=True)
@@ -322,6 +326,7 @@ class GlobalRouter:
         )
         for name in ordered:
             self.route_net(name)
+        self.field.publish_metrics()
         self._publish_path_metrics()
 
     # ----------------------------------------------------------------- RRR
@@ -501,7 +506,7 @@ class GlobalRouter:
         route = self.routes.get(net_name)
         if route is None:
             return 0.0
-        return self.field.path_cost(sorted(route.edges))
+        return self.field.path_cost(sorted(route.edges, key=_EDGE_ORDER))
 
     def total_route_cost(self) -> float:
         """Eq. 10 total over every net, summed in canonical design order.

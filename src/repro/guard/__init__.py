@@ -18,6 +18,10 @@ Four pillars, wired through ``ilp``/``groute``/``core``/``flow``/``cli``:
   exceptions, forced statuses, and delays at named sites, so the test
   suite proves every recovery path actually runs.
 
+Beside them, :func:`gc_paused` (:mod:`repro.guard.gcpause`) keeps the
+cyclic collector off for a flow or a detailed-routing call and restores
+it on every exit path.
+
 Stage-level isolation lives in ``repro.flow.pipeline``: a dead stage
 becomes a :class:`FailureReport` on the ``FlowResult`` instead of a
 crash, and the CLI exits non-zero.
@@ -38,6 +42,7 @@ from repro.guard.deadline import (
     deadline_scope,
     remaining_budget,
 )
+from repro.guard.gcpause import gc_paused
 from repro.guard.faults import (
     FaultInjected,
     FaultPlan,
@@ -61,6 +66,7 @@ __all__ = [
     "current_deadline",
     "deadline_scope",
     "remaining_budget",
+    "gc_paused",
     "FaultInjected",
     "FaultPlan",
     "fault_point",

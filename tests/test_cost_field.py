@@ -6,7 +6,8 @@ edge costs are *bit-identical*, prefix-sum run costs agree to 1e-9
 (float association is the only permitted difference), and the field
 stays coherent through every mutation path: ``apply_route`` in both
 signs, rip-up/reroute, and guard-transaction rollback.  The scalar maze
-and run pricing the router used to carry live in ``oracles.groute``.
+and run pricing the router used to carry live in ``oracles.groute``, the
+per-line recompute the field used to run per layer in ``oracles.field``.
 """
 
 from __future__ import annotations
@@ -14,6 +15,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.ckpt import capture_state, restore_design, restore_router
+from repro.db.design import GCellGridSpec
+from repro.flow import pipeline, run_flow
 from repro.grid import (
     CostField,
     CostModel,
@@ -29,8 +33,10 @@ from repro.guard.deadline import (
     deadline_scope,
 )
 from repro.guard.transaction import IterationTransaction
+from repro.obs import observe
 
 from helpers import fresh_small
+from oracles.field import reference_maps
 from oracles.groute import maze_route_scalar, scalar_run_cost
 
 
@@ -136,16 +142,17 @@ def test_invalidation_is_incremental(routed_graph):
 
 
 def test_via_change_dirties_adjacent_wire_layers(routed_graph):
-    """delta_e couples a via at cut layer l to wire layers l and l+1."""
+    """delta_e couples a via at cut layer l to wire layers l and l+1 —
+    and to nothing else: one flush rebuilds exactly those two lines."""
     router, field, oracle = routed_graph
     graph = router.graph
     field.ensure()
     cut = graph.min_wire_layer  # cut between wire layers cut and cut+1
-    via = GridEdge(cut, 1, 1, EdgeKind.VIA)
-    graph.add_via(via)
-    assert field._dirty_lines[cut] or field._all_dirty[cut]
-    assert field._dirty_lines[cut + 1] or field._all_dirty[cut + 1]
+    lines, flushes = field._lines_recomputed, field._flushes
+    graph.add_via(GridEdge(cut, 1, 1, EdgeKind.VIA))
     assert_field_matches_oracle(graph, field, oracle)
+    assert field._lines_recomputed == lines + 2
+    assert field._flushes == flushes + 1
 
 
 def test_prefix_run_cost_matches_scalar(routed_graph):
@@ -171,7 +178,7 @@ def test_prefix_run_cost_matches_scalar(routed_graph):
             if a == b:
                 continue
             scalar = scalar_run_cost(pattern3d, oracle, run, layer)
-            dense = pattern3d._run_cost(run, layer)
+            dense = pattern3d.field.run_cost(layer, int(a), int(b), line)
             assert dense == pytest.approx(scalar, abs=1e-9)
 
 
@@ -206,6 +213,172 @@ def test_parity_after_transaction_rollback(tech45):
     after = {n: sorted(router.routes[n].edges) for n in names}
     assert after == before
     assert_field_matches_oracle(router.graph, field, oracle)
+
+
+# ------------------------------------------------ batched flush vs per line
+
+
+def assert_maps_match_reference(graph: RoutingGraph, field: CostField) -> None:
+    """All three maps bit-equal to the from-scratch per-line reference,
+    with the shapes and dtype consumers index them by."""
+    field.ensure()
+    assert not field._dirty  # layer 0 included
+    for got, want in zip(
+        (field._wire_cost, field._demand, field._prefix),
+        reference_maps(graph, field.params),
+    ):
+        for layer, (a, b) in enumerate(zip(got, want)):
+            assert a.shape == b.shape and a.dtype == b.dtype, layer
+            assert np.array_equal(a, b), layer
+
+
+@pytest.mark.parametrize("nx,ny", [(21, 20), (1, 20), (21, 1), (1, 1)])
+def test_batched_flush_matches_per_line_reference(nx, ny):
+    """Random commit / rip / ``note_all`` / rollback sequences, penalty
+    on and off, on test5's grid shape and on grids where whole layers
+    have no edge (``nx == 1``: every horizontal layer; ``(1, 1)``: all of
+    them, the row tables are zero wide)."""
+    design = fresh_small(seed=13)
+    die = design.die
+    design.gcell_grid = GCellGridSpec(
+        die.lx, die.ly, -(-die.width // nx), -(-die.height // ny), nx, ny
+    )
+    router = GlobalRouter(design)
+    graph = router.graph
+    assert (graph.grid.nx, graph.grid.ny) == (nx, ny)
+    flat_field = CostField(graph, CostParams(use_penalty=False))
+    fields = (router.field, flat_field)
+    randomize_usage(graph, seed=31)  # uneven demand: both clamps, overflow
+    router.route_all(rrr_passes=1)
+    for field in fields:
+        assert_maps_match_reference(graph, field)
+
+    rng = np.random.RandomState(nx * 100 + ny)
+    names = sorted(design.nets)
+    for _ in range(40):
+        op = rng.randint(4)
+        picked = [names[i] for i in rng.choice(len(names), size=3, replace=False)]
+        if op == 0:
+            for name in picked:
+                router.route_net(name)
+        elif op == 1:
+            for name in picked:
+                router.rip_up(name)
+        elif op == 2:
+            fields[rng.randint(2)].note_all()
+        else:
+            txn = IterationTransaction(design, router)
+            for name in picked:
+                txn.routes[name] = router.copy_route(name)
+            router.reroute_nets(picked)
+            router.rip_up(picked[0])
+            txn.rollback()
+        # Not every step refreshes both fields, so dirt accumulates
+        # across steps in one of them.
+        for field in fields[: 1 + rng.randint(2)]:
+            assert_maps_match_reference(graph, field)
+    for field in fields:
+        assert_maps_match_reference(graph, field)
+
+
+def quantities(graph: RoutingGraph):
+    return (
+        (graph.wire_usage, graph.wire_usage_flat),
+        (graph.fixed_usage, graph.fixed_usage_flat),
+        (graph.wire_capacity, graph.wire_capacity_flat),
+        (graph.via_usage, graph.via_usage_flat),
+    )
+
+
+def assert_layers_alias_flat(graph: RoutingGraph) -> None:
+    for views, flat in quantities(graph):
+        assert sum(view.size for view in views) == flat.size - 1
+        for view in views:
+            assert view.ndim == 2 and np.shares_memory(view, flat)
+
+
+def test_layer_arrays_alias_flat_buffers_through_restore():
+    """``graph.wire_usage[l]`` etc. are views of the flat buffers the
+    field gathers from, and a checkpoint restore writes through them."""
+    design = fresh_small(seed=11)
+    router = GlobalRouter(design)
+    router.route_all(rrr_passes=1)
+    assert_layers_alias_flat(router.graph)
+    state = capture_state(design, router, stage="GR", iteration=0)
+    design2 = fresh_small(seed=11)
+    restore_design(design2, state)
+    router2 = restore_router(design2, state)
+    assert_layers_alias_flat(router2.graph)
+    assert router2.graph.total_vias() == router.graph.total_vias() > 0
+    # The reference reads the per-layer arrays, the field the flat ones.
+    assert_maps_match_reference(router2.graph, router2.field)
+
+
+def test_spare_slots_stay_zero_through_a_flow(monkeypatch):
+    """Padded gathers read the spare slots as "no usage, no via"."""
+    routers = []
+
+    class Recording(GlobalRouter):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            routers.append(self)
+
+    monkeypatch.setattr(pipeline, "GlobalRouter", Recording)
+    result = run_flow(fresh_small(), mode="crp", crp_iterations=2)
+    assert not result.failed and len(routers) == 1
+    graph = routers[0].graph
+    assert graph.wire_usage_flat[-1] == 0.0
+    assert graph.fixed_usage_flat[-1] == 0.0
+    assert graph.via_usage_flat[-1] == 0
+    assert routers[0].accounting_errors() == []
+
+
+# ------------------------------------------------------------------ metrics
+
+
+def test_recomputes_count_dirty_ensures(routed_graph):
+    """One ``_recompute`` — one ``cost_field.recomputes`` — per dirty
+    ``ensure()``, however many layers the dirt spans."""
+    router, field, _ = routed_graph
+    field.ensure()
+    calls = []
+    recompute = field._recompute
+    field._recompute = lambda rows: (calls.append(len(rows)), recompute(rows))
+    with observe() as obs:
+        field.publish_metrics()  # close the fixture's window
+        before = obs.metrics.snapshot()["counters"]
+        dirty_ensures = 0
+        for name in list(router.routes)[:6]:
+            for change in (router.rip_up, router.route_net):
+                change(name)
+                dirty_ensures += bool(field._dirty)
+                field.ensure()
+                field.ensure()  # clean: a hit, not a recompute
+        field.publish_metrics()
+        counters = obs.metrics.snapshot()["counters"]
+    assert len(calls) == dirty_ensures >= 6
+    for key, expected in (("recomputes", dirty_ensures), ("lines_recomputed", sum(calls))):
+        key = f"cost_field.{key}"
+        assert counters[key] - before[key] == expected, key
+    assert max(calls) > 1  # a route spans layers: rows batched in one call
+
+
+def test_reroute_nets_publishes_one_window_of_field_metrics(tech45):
+    """Update-Database's field traffic is visible, and ``dirty_ratio``
+    is rows over flushes of one window (it used to divide lifetime tiles
+    by window flushes and drift above 1)."""
+    design = fresh_small(seed=7)
+    router = GlobalRouter(design)
+    with observe() as obs:
+        router.route_all(rrr_passes=1)
+        after_gr = obs.metrics.snapshot()
+        for _ in range(3):
+            router.reroute_nets(list(router.routes)[:8])
+        after_ud = obs.metrics.snapshot()
+    for name in ("queries", "recomputes", "lines_recomputed"):
+        key = f"cost_field.{name}"
+        assert after_ud["counters"][key] > after_gr["counters"][key], key
+    assert 0.0 < after_ud["gauges"]["cost_field.dirty_ratio"] < 0.5
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5])

@@ -1,11 +1,13 @@
 """Tests for repro.guard: deadlines, fault injection, the ILP fallback
 ladder, transactional CR&P iterations, and flow stage isolation."""
 
+import gc
 import time
 
 import pytest
 
 from repro.db import check_legality
+from repro.droute import DetailedRouter, router as droute_router
 from repro.flow import run_flow
 from repro.groute import GlobalRouter
 from repro.guard import (
@@ -352,6 +354,60 @@ def test_flow_crp_stage_isolated():
         result = run_flow(design, mode="crp", skip_detailed=True)
     assert result.failed
     assert result.failure.stage == "CRP"
+
+
+@pytest.mark.parametrize("was_enabled", [True, False])
+def test_run_flow_pauses_gc_and_leaves_it_as_found(was_enabled):
+    """Every way out of ``run_flow`` — success, a failed stage, an expired
+    budget, an argument error before any stage — restores the collector
+    to the state it was called in; inside, it is off."""
+    inside = []
+
+    class Probe(RuntimeError):  # built by the armed site, inside the flow
+        def __init__(self, *args):
+            super().__init__(*args)
+            inside.append(gc.isenabled())
+
+    def failed_stage():
+        with use_faults(FaultPlan().fail("flow.GR", exc=Probe)):
+            assert run_flow(fresh_small(), mode="baseline").failure.stage == "GR"
+
+    def bad_mode():
+        with pytest.raises(ValueError):
+            run_flow(fresh_small(), mode="no-such-mode")
+
+    exits = (
+        lambda: run_flow(fresh_small(), mode="crp", skip_detailed=True),
+        failed_stage,
+        lambda: run_flow(fresh_small(), mode="baseline", budget_s=0.0),
+        bad_mode,
+    )
+    try:
+        for leave in exits:
+            gc.enable() if was_enabled else gc.disable()
+            leave()
+            assert gc.isenabled() is was_enabled, leave
+    finally:
+        gc.enable()
+    assert inside == [False]
+
+
+def test_standalone_detailed_routing_pauses_gc_once_per_call(monkeypatch):
+    """The pause spans ``route_all`` — it holds between searches, where
+    the per-search pause it replaces had the collector back on."""
+    design = fresh_small()
+    router = GlobalRouter(design)
+    router.route_all(rrr_passes=1)
+    between_searches = []
+    monkeypatch.setattr(
+        droute_router,
+        "check_deadline",
+        lambda site: between_searches.append(gc.isenabled()),
+    )
+    assert gc.isenabled()
+    DetailedRouter(design).route_all(router.guides())
+    assert gc.isenabled()
+    assert between_searches and not any(between_searches)
 
 
 def test_flow_survives_injected_solver_failure_and_bad_iteration():
