@@ -29,8 +29,12 @@ Parity contract: :func:`astar_connect_indexed` is expansion-order-
 identical to the oracle — same seed order (it iterates the caller's own
 source/target sets), same FIFO tie-breaking within equal f values as the
 oracle's tie counter, same float expressions for the heuristic and step
-costs, same hard/soft conflict semantics — so paths, costs and conflict
-lists are byte-identical.  The oracle (the dict ``astar_connect`` and
+costs, same hard/soft conflict semantics, same window rule — so paths,
+costs, conflict lists and expansion counts are byte-identical.  It is
+one loop with one relax for every (soft, guide) combination: what the
+two flags decide is cached per node in ``gate`` on first touch (five
+codes under a per-search stamp block), so the hot path reads neither.
+The oracle (the dict ``astar_connect`` and
 its ``_DictState``) lives in ``tests/oracles/droute.py``; the parity
 suite installs it through :meth:`DetailedRouter.begin_session`.
 
@@ -57,6 +61,14 @@ FREE = 0
 BLOCKED_ID = 1
 
 _INF = float("inf")
+
+#: stride of ``DrouteIndex.gate_stamp``.  Every search and every pocket
+#: look takes a fresh block of this many codes, so no mark of an earlier
+#: block compares ``>=`` a later block's base; wide enough for the
+#: search's five codes (``gstamp + 0..3`` penalty index, ``gstamp +
+#: _WALL``) and the look's two
+GATE_BLOCK = 8
+_WALL = 4
 
 #: nodes :func:`pocket_closed` may visit before it gives up and lets the
 #: forward search run; sized from the measured curve in DESIGN.md
@@ -162,11 +174,13 @@ class DrouteIndex:
         self.came_from: list[int] = [-1] * n
         self.target_epoch: list[int] = [0] * n
         self.guide_epoch: list[int] = [0] * n
-        #: lazy per-search passability cache for the hard guided loop:
-        #: ``gate_stamp + {0: base cost, 1: conflict penalty, 2: wall}``,
-        #: anything older than the live stamp means "not classified yet"
-        #: (:func:`pocket_closed` borrows it under a stamp block of its
-        #: own: ``gate_stamp + {0: visited, 1: source}``)
+        #: lazy per-search passability cache: ``gate_stamp + pen`` with
+        #: ``pen`` in 0..3 indexing a step's penalty table (+1 off-guide,
+        #: +2 held by another net) or ``gate_stamp + _WALL``; anything
+        #: older than the live stamp means "not classified yet".
+        #: :func:`pocket_closed` borrows it under a stamp block of its
+        #: own, ``gate_stamp + {0: visited, 1: source}``; both advance
+        #: ``gate_stamp`` by :data:`GATE_BLOCK`
         self.gate: list[int] = [0] * n
         self.epoch = 0
         self.guide_stamp = 0
@@ -257,7 +271,6 @@ class DrouteIndex:
             self,
             sources,
             targets,
-            net_name,
             net_id,
             bounds,
             guide,
@@ -327,12 +340,13 @@ def pocket_closed(
     """True when a hard in-guide search from ``sources`` cannot reach ``targets``.
 
     A bounded flood *backwards* from the targets over exactly the steps
-    the hard guided loop of :func:`astar_connect_indexed` may take: a
-    node can be entered when it carries this search's guide stamp and is
-    a target or free-or-own in both ``owner`` and ``occupancy``; planar
-    steps exist only on layers >= ``min_wire_layer`` and test the
-    *stepping* node's coordinate against the far bound (so the node
-    stepped onto is tested against the near one); vias are unbounded.
+    a hard guided :func:`astar_connect_indexed` may take: a node can be
+    entered when it carries this search's guide stamp and is a target or
+    free-or-own in both ``owner`` and ``occupancy``; planar steps exist
+    only on layers >= ``min_wire_layer`` and follow the window rule of
+    :func:`astar_connect_indexed` mirrored -- the *stepping* node is
+    tested against the far bound, so the node stepped onto is tested
+    against the near one; vias are unbounded.
     Every predecessor is tested for source membership before anything
     else -- sources are seeds, never entered, so they need be neither
     passable nor inside ``bounds``.
@@ -359,7 +373,7 @@ def pocket_closed(
     # that may follow takes the next one, so it reads every mark left
     # here as "not classified yet".
     look = index.gate
-    seen = index.gate_stamp + 4
+    seen = index.gate_stamp + GATE_BLOCK
     index.gate_stamp = seen
     is_source = seen + 1
 
@@ -416,7 +430,6 @@ def astar_connect_indexed(
     index: DrouteIndex,
     sources: set[LNode],
     targets: set[LNode],
-    net: str,
     net_id: int,
     bounds: tuple[int, int, int, int],
     guide_stamp: int | None,
@@ -426,38 +439,53 @@ def astar_connect_indexed(
 ) -> SearchResult | None:
     """Cheapest lattice path from ``sources`` to ``targets`` (flat-array A*).
 
+    One loop, one relax and one push serve every (``soft``, guide)
+    combination; the two flags are read only where a node is classified.
+
     The open set is a *bucket queue*: a dict of per-f FIFO deques of
     ``(g, nid)`` pairs plus a small binary heap over the distinct f
     values that currently own a live bucket.  Popping the front of the
     minimum-f bucket yields entries in (f, insertion order) — exactly
     the (f, tie) order of the oracle's flat heap, entry for entry —
-    while the measured ~6.7 pushes per distinct f mean most pushes are
-    one dict probe plus a deque append instead of an O(log n) tuple
-    sift.  Sources/targets are iterated from the caller's own sets so
-    seeding order is shared with the oracle byte-for-byte.
+    while a push onto a live bucket (about every second one, see
+    DESIGN.md) is one dict probe plus a deque append instead of an
+    O(log n) tuple sift.  Sources/targets are iterated from the caller's
+    own sets so seeding order is shared with the oracle byte-for-byte.
 
-    Three inner loops share one pop header; the two combinations the
-    router actually issues — *hard inside guides* (every first attempt)
-    and *soft with no guide* (the open-avoidance fallback) — are fully
-    unrolled straight-line with the ``soft``/``has_guide`` flags folded
-    out, and a compact descriptor-driven loop covers anything else.
-    The heuristic comes from per-axis lookup tables (``pdx``/``pdy``/
-    ``vdl``): the track pitch is an integral dbu count, so the tabulated
-    per-axis terms recompose into the oracle's
-    ``pitch * (dx + dy) + via_cost * dl`` bit-for-bit.  Every relax is
-    ordered cheapest-test-first:
+    *Steps.*  Each layer has a tuple of step descriptors ``(nid delta,
+    base step, penalty table, dx, dy, dl)`` in the oracle's candidate
+    order: along-track +/-, jog +/-, via up, via down; layers below
+    ``min_wire_layer`` have vias only, and a via that would leave the
+    stack is absent.  An expansion strictly inside ``bounds`` iterates
+    its layer's tuple as is.  One on or outside the edge filters it with
+    the *window rule*: a planar step needs the stepping node short of
+    the far bound in the direction of motion (``ix < ix1`` for +x,
+    ``ix > ix0`` for -x, same for y) — so seeds outside the window walk
+    towards it — and vias are unbounded.
 
-    1. a *dominance filter* — the penalty-free ``g + step`` (hoisted
-       once per expansion) must already beat the incumbent ``g_score``;
-       penalties only grow the cost and float addition is monotone, so
-       any relax it skips was doomed,
-    2. the ``gate`` passability cache — guide membership, owner and
-       occupancy collapse into one lazily-stamped per-node code (base /
-       conflict-penalized / wall) computed at most once per search —
-    and only then the heuristic for the push.  Penalized costs come from
-    per-step precomputed sums (``step + conflict`` then ``+ off_guide``)
-    that replicate the oracle's float addition order exactly, so
-    accepted ``tentative`` values are bit-identical.
+    *Relax*, cheapest test first:
+
+    1. a *dominance filter* — the penalty-free ``g + step`` must already
+       beat the incumbent ``g_score``; penalties only grow the cost and
+       float addition is monotone, so any relax it skips was doomed,
+    2. the ``gate`` passability cache — guide membership, owner,
+       occupancy and target membership are static for one search, so
+       they collapse into one per-node code written on first touch:
+       ``gstamp + pen`` with ``pen`` in 0..3 (+1 off-guide, +2 held by
+       another net) or ``gstamp + _WALL``.  Off-guide is a wall when
+       hard; a ``BLOCKED`` owner is passable only on a target and never
+       penalized; a foreign owner or foreign wire is penalized when soft
+       or on a target and a wall otherwise,
+    3. for a penalized node, the filter again with ``g + pens[pen]`` —
+
+    and only then the heuristic for the push.  ``pens`` is ``(step,
+    step + off_guide, step + conflict, (step + conflict) + off_guide)``,
+    the oracle's addition order, and the heuristic comes from per-axis
+    lookup tables (``pdx``/``pdy``/``vdl``): the track pitch is an
+    integral dbu count, so the tabulated terms recompose into the
+    oracle's ``pitch * (dx + dy) + via_cost * dl`` bit-for-bit.  Every
+    accepted ``tentative`` and every ``f`` is therefore the oracle's
+    float exactly.
     """
     if not sources or not targets:
         return None
@@ -495,18 +523,46 @@ def astar_connect_indexed(
     guide_epoch = index.guide_epoch
     index.epoch += 1
     epoch = index.epoch
+    gate = index.gate
+    gstamp = index.gate_stamp + GATE_BLOCK
+    index.gate_stamp = gstamp
+    # one int object per code, shared by every slot that holds it
+    codes = tuple(range(gstamp, gstamp + _WALL + 1))
+    wall = codes[_WALL]
 
     heappush = heapq.heappush
     heappop = heapq.heappop
     h_weight = params.heuristic_weight
     has_guide = guide_stamp is not None
 
-    # Conflict-penalized step costs, formed in the oracle's addition
-    # order (base, ``+= conflict``), so every reachable ``g + step`` is
-    # the oracle's float exactly.
-    pitch_c = pitch + conflict_penalty
-    jog_c = jog_cost + conflict_penalty
-    via_c = via_cost + conflict_penalty
+    # A float like the other two steps (exact: a dbu count), so that the
+    # relax's ``g + step`` is always float + float.
+    wire_cost = float(pitch)
+    # Penalized step costs, formed in the oracle's addition order (base,
+    # ``+= conflict``, ``+= off_guide``) and indexed by ``pen``.
+    pens_wire, pens_jog, pens_via = (
+        (
+            step,
+            step + off_guide_penalty,
+            step + conflict_penalty,
+            (step + conflict_penalty) + off_guide_penalty,
+        )
+        for step in (wire_cost, jog_cost, via_cost)
+    )
+    x_steps = ((1, 1, 0), (-1, -1, 0))  # (nid delta, dx, dy)
+    y_steps = ((nx, 0, 1), (-nx, 0, -1))
+    steps_of = []
+    for layer in range(num_layers):
+        steps = []
+        if layer >= min_wire:
+            along, across = (x_steps, y_steps) if horiz[layer] else (y_steps, x_steps)
+            steps += [(dnid, wire_cost, pens_wire, dx, dy, 0) for dnid, dx, dy in along]
+            steps += [(dnid, jog_cost, pens_jog, dx, dy, 0) for dnid, dx, dy in across]
+        if layer + 1 < num_layers:
+            steps.append((layer_stride, via_cost, pens_via, 0, 0, 1))
+        if layer > 0:
+            steps.append((-layer_stride, via_cost, pens_via, 0, 0, -1))
+        steps_of.append(tuple(steps))
 
     # Per-axis heuristic tables.  ``pitch`` is an int (dbu), so
     # ``pdx[x] + pdy[y] == pitch * (dx + dy)`` exactly, and
@@ -531,11 +587,6 @@ def astar_connect_indexed(
     touched: list[int] = []
     touched_append = touched.append
 
-    # Bucket queue: entries live in per-f FIFO deques; ``fheap`` is a
-    # small heap over the *distinct* f values with a live bucket.  Pops
-    # take the front of the minimum-f bucket, so the global pop order is
-    # (f, insertion order) — exactly the oracle's (f, tie) heap order —
-    # while pushes skip the O(log n) tuple sift almost 7 times out of 8.
     buckets: dict[float, deque] = {}
     bget = buckets.get
     fheap: list[float] = []
@@ -553,7 +604,7 @@ def astar_connect_indexed(
         b = bget(f)
         if b is None:
             buckets[f] = deque(((0.0, nid),))
-            heapq.heappush(fheap, f)
+            heappush(fheap, f)
         else:
             b.append((0.0, nid))
     for layer, tix, tiy in targets:
@@ -565,1330 +616,79 @@ def astar_connect_indexed(
         max_expansions = int(max_expansions * params.soft_budget_factor)
 
     try:
-        if has_guide and not soft:
-            # ---------------- hard search inside guides (first attempts)
-            # Off-guide and foreign non-target nodes are impassable;
-            # conflict penalties apply only on target nodes held by
-            # another net.
-            #
-            # Passability is a pure function of (guide, owner,
-            # occupancy, targets) — all static for the duration of one
-            # search — so it is cached lazily in ``gate``: first touch
-            # of a node classifies it (base / penalized / wall), every
-            # revisit costs a single read + compare.
-            gate = index.gate
-            gstamp = index.gate_stamp + 4
-            index.gate_stamp = gstamp
-            gstamp1 = gstamp + 1
-            gstamp2 = gstamp + 2
-            while fheap and expansions < max_expansions:
-                f0 = fheap[0]
-                b = buckets[f0]
-                entry = b.popleft()
-                if not b:
-                    del buckets[f0]
-                    heappop(fheap)
-                g = entry[0]
-                nid = entry[1]
-                # Every heap entry wrote its g at push time, so
-                # g_score[nid] is live here; stale entries carry a
-                # larger g.
-                if g > g_score[nid]:
+        while fheap and expansions < max_expansions:
+            f0 = fheap[0]
+            b = buckets[f0]
+            g, nid = b.popleft()
+            if not b:
+                del buckets[f0]
+                heappop(fheap)
+            # Every queue entry wrote its g at push time, so
+            # g_score[nid] is live here; stale entries carry a larger g.
+            if g > g_score[nid]:
+                continue
+            expansions += 1
+            if not (expansions & 63):
+                check_deadline("droute.astar")
+            if target_epoch[nid] == epoch:
+                return _build_result(index, nid, g, net_id)
+            ix = nid % nx
+            rest = nid // nx
+            iy = rest % ny
+            layer = rest // ny
+            steps = steps_of[layer]
+            if not (ix0 < ix < ix1 and iy0 < iy < iy1):
+                steps = [
+                    d for d in steps
+                    if (d[3] <= 0 or ix < ix1) and (d[3] >= 0 or ix > ix0)
+                    and (d[4] <= 0 or iy < iy1) and (d[4] >= 0 or iy > iy0)
+                ]
+
+            for dnid, step, pens, dx, dy, dl in steps:
+                nnid = nid + dnid
+                gs = g_score[nnid]
+                tentative = g + step
+                if tentative >= gs - 1e-9:
                     continue
-                expansions += 1
-                if not (expansions & 63):
-                    check_deadline("droute.astar")
-                if target_epoch[nid] == epoch:
-                    return _build_result(index, nid, g, net_id)
-                ix = nid % nx
-                rest = nid // nx
-                iy = rest % ny
-                layer = rest // ny
-                px0 = pdx[ix]
-                py0 = pdy[iy]
-                v0 = vdl[layer]
-                t_wire = g + pitch
-                t_jog = g + jog_cost
-                t_via = g + via_cost
-
-                if layer >= min_wire:
-                    if horiz[layer]:
-                        # +x / -x at wire cost, then +y / -y jogs
-                        if ix < ix1:
-                            nnid = nid + 1
-                            gs = g_score[nnid]
-                            tentative = t_wire
-                            if tentative < gs - 1e-9:
-                                gv = gate[nnid]
-                                if gv < gstamp:
-                                    if guide_epoch[nnid] != guide_stamp:
-                                        gv = gstamp2
-                                    else:
-                                        holder = owner[nnid]
-                                        if holder == 0 or holder == net_id:
-                                            occ = occupancy[nnid]
-                                            if occ == 0 or occ == net_id:
-                                                gv = gstamp
-                                            elif target_epoch[nnid] == epoch:
-                                                gv = gstamp1
-                                            else:
-                                                gv = gstamp2
-                                        elif holder == 1:  # BLOCKED_ID
-                                            if target_epoch[nnid] == epoch:
-                                                gv = gstamp
-                                            else:
-                                                gv = gstamp2
-                                        elif target_epoch[nnid] == epoch:
-                                            gv = gstamp1
-                                        else:
-                                            gv = gstamp2
-                                    gate[nnid] = gv
-                                if gv == gstamp:
-                                    if gs == _INF:
-                                        touched_append(nnid)
-                                    g_score[nnid] = tentative
-                                    came_from[nnid] = nid
-                                    f = tentative + h_weight * (
-                                        pdx[ix + 1] + py0 + v0)
-                                    b = bget(f)
-                                    if b is None:
-                                        buckets[f] = deque(((tentative, nnid),))
-                                        heappush(fheap, f)
-                                    else:
-                                        b.append((tentative, nnid))
-                                elif gv == gstamp1:
-                                    tentative = g + pitch_c
-                                    if tentative < gs - 1e-9:
-                                        if gs == _INF:
-                                            touched_append(nnid)
-                                        g_score[nnid] = tentative
-                                        came_from[nnid] = nid
-                                        f = tentative + h_weight * (
-                                            pdx[ix + 1] + py0 + v0)
-                                        b = bget(f)
-                                        if b is None:
-                                            buckets[f] = deque(((tentative, nnid),))
-                                            heappush(fheap, f)
-                                        else:
-                                            b.append((tentative, nnid))
-                        if ix > ix0:
-                            nnid = nid - 1
-                            gs = g_score[nnid]
-                            tentative = t_wire
-                            if tentative < gs - 1e-9:
-                                gv = gate[nnid]
-                                if gv < gstamp:
-                                    if guide_epoch[nnid] != guide_stamp:
-                                        gv = gstamp2
-                                    else:
-                                        holder = owner[nnid]
-                                        if holder == 0 or holder == net_id:
-                                            occ = occupancy[nnid]
-                                            if occ == 0 or occ == net_id:
-                                                gv = gstamp
-                                            elif target_epoch[nnid] == epoch:
-                                                gv = gstamp1
-                                            else:
-                                                gv = gstamp2
-                                        elif holder == 1:  # BLOCKED_ID
-                                            if target_epoch[nnid] == epoch:
-                                                gv = gstamp
-                                            else:
-                                                gv = gstamp2
-                                        elif target_epoch[nnid] == epoch:
-                                            gv = gstamp1
-                                        else:
-                                            gv = gstamp2
-                                    gate[nnid] = gv
-                                if gv == gstamp:
-                                    if gs == _INF:
-                                        touched_append(nnid)
-                                    g_score[nnid] = tentative
-                                    came_from[nnid] = nid
-                                    f = tentative + h_weight * (
-                                        pdx[ix - 1] + py0 + v0)
-                                    b = bget(f)
-                                    if b is None:
-                                        buckets[f] = deque(((tentative, nnid),))
-                                        heappush(fheap, f)
-                                    else:
-                                        b.append((tentative, nnid))
-                                elif gv == gstamp1:
-                                    tentative = g + pitch_c
-                                    if tentative < gs - 1e-9:
-                                        if gs == _INF:
-                                            touched_append(nnid)
-                                        g_score[nnid] = tentative
-                                        came_from[nnid] = nid
-                                        f = tentative + h_weight * (
-                                            pdx[ix - 1] + py0 + v0)
-                                        b = bget(f)
-                                        if b is None:
-                                            buckets[f] = deque(((tentative, nnid),))
-                                            heappush(fheap, f)
-                                        else:
-                                            b.append((tentative, nnid))
-                        if iy < iy1:
-                            nnid = nid + nx
-                            gs = g_score[nnid]
-                            tentative = t_jog
-                            if tentative < gs - 1e-9:
-                                gv = gate[nnid]
-                                if gv < gstamp:
-                                    if guide_epoch[nnid] != guide_stamp:
-                                        gv = gstamp2
-                                    else:
-                                        holder = owner[nnid]
-                                        if holder == 0 or holder == net_id:
-                                            occ = occupancy[nnid]
-                                            if occ == 0 or occ == net_id:
-                                                gv = gstamp
-                                            elif target_epoch[nnid] == epoch:
-                                                gv = gstamp1
-                                            else:
-                                                gv = gstamp2
-                                        elif holder == 1:  # BLOCKED_ID
-                                            if target_epoch[nnid] == epoch:
-                                                gv = gstamp
-                                            else:
-                                                gv = gstamp2
-                                        elif target_epoch[nnid] == epoch:
-                                            gv = gstamp1
-                                        else:
-                                            gv = gstamp2
-                                    gate[nnid] = gv
-                                if gv == gstamp:
-                                    if gs == _INF:
-                                        touched_append(nnid)
-                                    g_score[nnid] = tentative
-                                    came_from[nnid] = nid
-                                    f = tentative + h_weight * (
-                                        px0 + pdy[iy + 1] + v0)
-                                    b = bget(f)
-                                    if b is None:
-                                        buckets[f] = deque(((tentative, nnid),))
-                                        heappush(fheap, f)
-                                    else:
-                                        b.append((tentative, nnid))
-                                elif gv == gstamp1:
-                                    tentative = g + jog_c
-                                    if tentative < gs - 1e-9:
-                                        if gs == _INF:
-                                            touched_append(nnid)
-                                        g_score[nnid] = tentative
-                                        came_from[nnid] = nid
-                                        f = tentative + h_weight * (
-                                            px0 + pdy[iy + 1] + v0)
-                                        b = bget(f)
-                                        if b is None:
-                                            buckets[f] = deque(((tentative, nnid),))
-                                            heappush(fheap, f)
-                                        else:
-                                            b.append((tentative, nnid))
-                        if iy > iy0:
-                            nnid = nid - nx
-                            gs = g_score[nnid]
-                            tentative = t_jog
-                            if tentative < gs - 1e-9:
-                                gv = gate[nnid]
-                                if gv < gstamp:
-                                    if guide_epoch[nnid] != guide_stamp:
-                                        gv = gstamp2
-                                    else:
-                                        holder = owner[nnid]
-                                        if holder == 0 or holder == net_id:
-                                            occ = occupancy[nnid]
-                                            if occ == 0 or occ == net_id:
-                                                gv = gstamp
-                                            elif target_epoch[nnid] == epoch:
-                                                gv = gstamp1
-                                            else:
-                                                gv = gstamp2
-                                        elif holder == 1:  # BLOCKED_ID
-                                            if target_epoch[nnid] == epoch:
-                                                gv = gstamp
-                                            else:
-                                                gv = gstamp2
-                                        elif target_epoch[nnid] == epoch:
-                                            gv = gstamp1
-                                        else:
-                                            gv = gstamp2
-                                    gate[nnid] = gv
-                                if gv == gstamp:
-                                    if gs == _INF:
-                                        touched_append(nnid)
-                                    g_score[nnid] = tentative
-                                    came_from[nnid] = nid
-                                    f = tentative + h_weight * (
-                                        px0 + pdy[iy - 1] + v0)
-                                    b = bget(f)
-                                    if b is None:
-                                        buckets[f] = deque(((tentative, nnid),))
-                                        heappush(fheap, f)
-                                    else:
-                                        b.append((tentative, nnid))
-                                elif gv == gstamp1:
-                                    tentative = g + jog_c
-                                    if tentative < gs - 1e-9:
-                                        if gs == _INF:
-                                            touched_append(nnid)
-                                        g_score[nnid] = tentative
-                                        came_from[nnid] = nid
-                                        f = tentative + h_weight * (
-                                            px0 + pdy[iy - 1] + v0)
-                                        b = bget(f)
-                                        if b is None:
-                                            buckets[f] = deque(((tentative, nnid),))
-                                            heappush(fheap, f)
-                                        else:
-                                            b.append((tentative, nnid))
-                    else:
-                        # +y / -y at wire cost, then +x / -x jogs
-                        if iy < iy1:
-                            nnid = nid + nx
-                            gs = g_score[nnid]
-                            tentative = t_wire
-                            if tentative < gs - 1e-9:
-                                gv = gate[nnid]
-                                if gv < gstamp:
-                                    if guide_epoch[nnid] != guide_stamp:
-                                        gv = gstamp2
-                                    else:
-                                        holder = owner[nnid]
-                                        if holder == 0 or holder == net_id:
-                                            occ = occupancy[nnid]
-                                            if occ == 0 or occ == net_id:
-                                                gv = gstamp
-                                            elif target_epoch[nnid] == epoch:
-                                                gv = gstamp1
-                                            else:
-                                                gv = gstamp2
-                                        elif holder == 1:  # BLOCKED_ID
-                                            if target_epoch[nnid] == epoch:
-                                                gv = gstamp
-                                            else:
-                                                gv = gstamp2
-                                        elif target_epoch[nnid] == epoch:
-                                            gv = gstamp1
-                                        else:
-                                            gv = gstamp2
-                                    gate[nnid] = gv
-                                if gv == gstamp:
-                                    if gs == _INF:
-                                        touched_append(nnid)
-                                    g_score[nnid] = tentative
-                                    came_from[nnid] = nid
-                                    f = tentative + h_weight * (
-                                        px0 + pdy[iy + 1] + v0)
-                                    b = bget(f)
-                                    if b is None:
-                                        buckets[f] = deque(((tentative, nnid),))
-                                        heappush(fheap, f)
-                                    else:
-                                        b.append((tentative, nnid))
-                                elif gv == gstamp1:
-                                    tentative = g + pitch_c
-                                    if tentative < gs - 1e-9:
-                                        if gs == _INF:
-                                            touched_append(nnid)
-                                        g_score[nnid] = tentative
-                                        came_from[nnid] = nid
-                                        f = tentative + h_weight * (
-                                            px0 + pdy[iy + 1] + v0)
-                                        b = bget(f)
-                                        if b is None:
-                                            buckets[f] = deque(((tentative, nnid),))
-                                            heappush(fheap, f)
-                                        else:
-                                            b.append((tentative, nnid))
-                        if iy > iy0:
-                            nnid = nid - nx
-                            gs = g_score[nnid]
-                            tentative = t_wire
-                            if tentative < gs - 1e-9:
-                                gv = gate[nnid]
-                                if gv < gstamp:
-                                    if guide_epoch[nnid] != guide_stamp:
-                                        gv = gstamp2
-                                    else:
-                                        holder = owner[nnid]
-                                        if holder == 0 or holder == net_id:
-                                            occ = occupancy[nnid]
-                                            if occ == 0 or occ == net_id:
-                                                gv = gstamp
-                                            elif target_epoch[nnid] == epoch:
-                                                gv = gstamp1
-                                            else:
-                                                gv = gstamp2
-                                        elif holder == 1:  # BLOCKED_ID
-                                            if target_epoch[nnid] == epoch:
-                                                gv = gstamp
-                                            else:
-                                                gv = gstamp2
-                                        elif target_epoch[nnid] == epoch:
-                                            gv = gstamp1
-                                        else:
-                                            gv = gstamp2
-                                    gate[nnid] = gv
-                                if gv == gstamp:
-                                    if gs == _INF:
-                                        touched_append(nnid)
-                                    g_score[nnid] = tentative
-                                    came_from[nnid] = nid
-                                    f = tentative + h_weight * (
-                                        px0 + pdy[iy - 1] + v0)
-                                    b = bget(f)
-                                    if b is None:
-                                        buckets[f] = deque(((tentative, nnid),))
-                                        heappush(fheap, f)
-                                    else:
-                                        b.append((tentative, nnid))
-                                elif gv == gstamp1:
-                                    tentative = g + pitch_c
-                                    if tentative < gs - 1e-9:
-                                        if gs == _INF:
-                                            touched_append(nnid)
-                                        g_score[nnid] = tentative
-                                        came_from[nnid] = nid
-                                        f = tentative + h_weight * (
-                                            px0 + pdy[iy - 1] + v0)
-                                        b = bget(f)
-                                        if b is None:
-                                            buckets[f] = deque(((tentative, nnid),))
-                                            heappush(fheap, f)
-                                        else:
-                                            b.append((tentative, nnid))
-                        if ix < ix1:
-                            nnid = nid + 1
-                            gs = g_score[nnid]
-                            tentative = t_jog
-                            if tentative < gs - 1e-9:
-                                gv = gate[nnid]
-                                if gv < gstamp:
-                                    if guide_epoch[nnid] != guide_stamp:
-                                        gv = gstamp2
-                                    else:
-                                        holder = owner[nnid]
-                                        if holder == 0 or holder == net_id:
-                                            occ = occupancy[nnid]
-                                            if occ == 0 or occ == net_id:
-                                                gv = gstamp
-                                            elif target_epoch[nnid] == epoch:
-                                                gv = gstamp1
-                                            else:
-                                                gv = gstamp2
-                                        elif holder == 1:  # BLOCKED_ID
-                                            if target_epoch[nnid] == epoch:
-                                                gv = gstamp
-                                            else:
-                                                gv = gstamp2
-                                        elif target_epoch[nnid] == epoch:
-                                            gv = gstamp1
-                                        else:
-                                            gv = gstamp2
-                                    gate[nnid] = gv
-                                if gv == gstamp:
-                                    if gs == _INF:
-                                        touched_append(nnid)
-                                    g_score[nnid] = tentative
-                                    came_from[nnid] = nid
-                                    f = tentative + h_weight * (
-                                        pdx[ix + 1] + py0 + v0)
-                                    b = bget(f)
-                                    if b is None:
-                                        buckets[f] = deque(((tentative, nnid),))
-                                        heappush(fheap, f)
-                                    else:
-                                        b.append((tentative, nnid))
-                                elif gv == gstamp1:
-                                    tentative = g + jog_c
-                                    if tentative < gs - 1e-9:
-                                        if gs == _INF:
-                                            touched_append(nnid)
-                                        g_score[nnid] = tentative
-                                        came_from[nnid] = nid
-                                        f = tentative + h_weight * (
-                                            pdx[ix + 1] + py0 + v0)
-                                        b = bget(f)
-                                        if b is None:
-                                            buckets[f] = deque(((tentative, nnid),))
-                                            heappush(fheap, f)
-                                        else:
-                                            b.append((tentative, nnid))
-                        if ix > ix0:
-                            nnid = nid - 1
-                            gs = g_score[nnid]
-                            tentative = t_jog
-                            if tentative < gs - 1e-9:
-                                gv = gate[nnid]
-                                if gv < gstamp:
-                                    if guide_epoch[nnid] != guide_stamp:
-                                        gv = gstamp2
-                                    else:
-                                        holder = owner[nnid]
-                                        if holder == 0 or holder == net_id:
-                                            occ = occupancy[nnid]
-                                            if occ == 0 or occ == net_id:
-                                                gv = gstamp
-                                            elif target_epoch[nnid] == epoch:
-                                                gv = gstamp1
-                                            else:
-                                                gv = gstamp2
-                                        elif holder == 1:  # BLOCKED_ID
-                                            if target_epoch[nnid] == epoch:
-                                                gv = gstamp
-                                            else:
-                                                gv = gstamp2
-                                        elif target_epoch[nnid] == epoch:
-                                            gv = gstamp1
-                                        else:
-                                            gv = gstamp2
-                                    gate[nnid] = gv
-                                if gv == gstamp:
-                                    if gs == _INF:
-                                        touched_append(nnid)
-                                    g_score[nnid] = tentative
-                                    came_from[nnid] = nid
-                                    f = tentative + h_weight * (
-                                        pdx[ix - 1] + py0 + v0)
-                                    b = bget(f)
-                                    if b is None:
-                                        buckets[f] = deque(((tentative, nnid),))
-                                        heappush(fheap, f)
-                                    else:
-                                        b.append((tentative, nnid))
-                                elif gv == gstamp1:
-                                    tentative = g + jog_c
-                                    if tentative < gs - 1e-9:
-                                        if gs == _INF:
-                                            touched_append(nnid)
-                                        g_score[nnid] = tentative
-                                        came_from[nnid] = nid
-                                        f = tentative + h_weight * (
-                                            pdx[ix - 1] + py0 + v0)
-                                        b = bget(f)
-                                        if b is None:
-                                            buckets[f] = deque(((tentative, nnid),))
-                                            heappush(fheap, f)
-                                        else:
-                                            b.append((tentative, nnid))
-
-                if layer + 1 < num_layers:
-                    nnid = nid + layer_stride
-                    gs = g_score[nnid]
-                    tentative = t_via
-                    if tentative < gs - 1e-9:
-                        gv = gate[nnid]
-                        if gv < gstamp:
-                            if guide_epoch[nnid] != guide_stamp:
-                                gv = gstamp2
-                            else:
-                                holder = owner[nnid]
-                                if holder == 0 or holder == net_id:
-                                    occ = occupancy[nnid]
-                                    if occ == 0 or occ == net_id:
-                                        gv = gstamp
-                                    elif target_epoch[nnid] == epoch:
-                                        gv = gstamp1
-                                    else:
-                                        gv = gstamp2
-                                elif holder == 1:  # BLOCKED_ID
-                                    if target_epoch[nnid] == epoch:
-                                        gv = gstamp
-                                    else:
-                                        gv = gstamp2
-                                elif target_epoch[nnid] == epoch:
-                                    gv = gstamp1
-                                else:
-                                    gv = gstamp2
-                            gate[nnid] = gv
-                        if gv == gstamp:
-                            if gs == _INF:
-                                touched_append(nnid)
-                            g_score[nnid] = tentative
-                            came_from[nnid] = nid
-                            f = tentative + h_weight * (
-                                px0 + py0 + vdl[layer + 1])
-                            b = bget(f)
-                            if b is None:
-                                buckets[f] = deque(((tentative, nnid),))
-                                heappush(fheap, f)
-                            else:
-                                b.append((tentative, nnid))
-                        elif gv == gstamp1:
-                            tentative = g + via_c
-                            if tentative < gs - 1e-9:
-                                if gs == _INF:
-                                    touched_append(nnid)
-                                g_score[nnid] = tentative
-                                came_from[nnid] = nid
-                                f = tentative + h_weight * (
-                                    px0 + py0 + vdl[layer + 1])
-                                b = bget(f)
-                                if b is None:
-                                    buckets[f] = deque(((tentative, nnid),))
-                                    heappush(fheap, f)
-                                else:
-                                    b.append((tentative, nnid))
-
-                if layer > 0:
-                    nnid = nid - layer_stride
-                    gs = g_score[nnid]
-                    tentative = t_via
-                    if tentative < gs - 1e-9:
-                        gv = gate[nnid]
-                        if gv < gstamp:
-                            if guide_epoch[nnid] != guide_stamp:
-                                gv = gstamp2
-                            else:
-                                holder = owner[nnid]
-                                if holder == 0 or holder == net_id:
-                                    occ = occupancy[nnid]
-                                    if occ == 0 or occ == net_id:
-                                        gv = gstamp
-                                    elif target_epoch[nnid] == epoch:
-                                        gv = gstamp1
-                                    else:
-                                        gv = gstamp2
-                                elif holder == 1:  # BLOCKED_ID
-                                    if target_epoch[nnid] == epoch:
-                                        gv = gstamp
-                                    else:
-                                        gv = gstamp2
-                                elif target_epoch[nnid] == epoch:
-                                    gv = gstamp1
-                                else:
-                                    gv = gstamp2
-                            gate[nnid] = gv
-                        if gv == gstamp:
-                            if gs == _INF:
-                                touched_append(nnid)
-                            g_score[nnid] = tentative
-                            came_from[nnid] = nid
-                            f = tentative + h_weight * (
-                                px0 + py0 + vdl[layer - 1])
-                            b = bget(f)
-                            if b is None:
-                                buckets[f] = deque(((tentative, nnid),))
-                                heappush(fheap, f)
-                            else:
-                                b.append((tentative, nnid))
-                        elif gv == gstamp1:
-                            tentative = g + via_c
-                            if tentative < gs - 1e-9:
-                                if gs == _INF:
-                                    touched_append(nnid)
-                                g_score[nnid] = tentative
-                                came_from[nnid] = nid
-                                f = tentative + h_weight * (
-                                    px0 + py0 + vdl[layer - 1])
-                                b = bget(f)
-                                if b is None:
-                                    buckets[f] = deque(((tentative, nnid),))
-                                    heappush(fheap, f)
-                                else:
-                                    b.append((tentative, nnid))
-
-        elif soft and not has_guide:
-            # ----------------- soft fallback with no guide (open rescue)
-            # Everything is passable except blocked non-targets; foreign
-            # holders always cost the conflict penalty.  These searches
-            # carry the 3x expansion budget and dominate failing nets.
-            #
-            # Same lazy passability cache as the guided loop: owner /
-            # occupancy / target state is static per search, so each
-            # node is classified once on first touch.
-            gate = index.gate
-            gstamp = index.gate_stamp + 4
-            index.gate_stamp = gstamp
-            gstamp1 = gstamp + 1
-            gstamp2 = gstamp + 2
-            while fheap and expansions < max_expansions:
-                f0 = fheap[0]
-                b = buckets[f0]
-                entry = b.popleft()
-                if not b:
-                    del buckets[f0]
-                    heappop(fheap)
-                g = entry[0]
-                nid = entry[1]
-                if g > g_score[nid]:
-                    continue
-                expansions += 1
-                if not (expansions & 63):
-                    check_deadline("droute.astar")
-                if target_epoch[nid] == epoch:
-                    return _build_result(index, nid, g, net_id)
-                ix = nid % nx
-                rest = nid // nx
-                iy = rest % ny
-                layer = rest // ny
-                px0 = pdx[ix]
-                py0 = pdy[iy]
-                v0 = vdl[layer]
-                t_wire = g + pitch
-                t_jog = g + jog_cost
-                t_via = g + via_cost
-
-                if layer >= min_wire:
-                    if horiz[layer]:
-                        if ix < ix1:
-                            nnid = nid + 1
-                            gs = g_score[nnid]
-                            tentative = t_wire
-                            if tentative < gs - 1e-9:
-                                gv = gate[nnid]
-                                if gv < gstamp:
-                                    holder = owner[nnid]
-                                    if holder == 0 or holder == net_id:
-                                        occ = occupancy[nnid]
-                                        if occ == 0 or occ == net_id:
-                                            gv = gstamp
-                                        else:
-                                            gv = gstamp1
-                                    elif holder == 1:  # BLOCKED_ID
-                                        if target_epoch[nnid] == epoch:
-                                            gv = gstamp
-                                        else:
-                                            gv = gstamp2
-                                    else:
-                                        gv = gstamp1
-                                    gate[nnid] = gv
-                                if gv == gstamp:
-                                    if gs == _INF:
-                                        touched_append(nnid)
-                                    g_score[nnid] = tentative
-                                    came_from[nnid] = nid
-                                    f = tentative + h_weight * (
-                                        pdx[ix + 1] + py0 + v0)
-                                    b = bget(f)
-                                    if b is None:
-                                        buckets[f] = deque(((tentative, nnid),))
-                                        heappush(fheap, f)
-                                    else:
-                                        b.append((tentative, nnid))
-                                elif gv == gstamp1:
-                                    tentative = g + pitch_c
-                                    if tentative < gs - 1e-9:
-                                        if gs == _INF:
-                                            touched_append(nnid)
-                                        g_score[nnid] = tentative
-                                        came_from[nnid] = nid
-                                        f = tentative + h_weight * (
-                                            pdx[ix + 1] + py0 + v0)
-                                        b = bget(f)
-                                        if b is None:
-                                            buckets[f] = deque(((tentative, nnid),))
-                                            heappush(fheap, f)
-                                        else:
-                                            b.append((tentative, nnid))
-                        if ix > ix0:
-                            nnid = nid - 1
-                            gs = g_score[nnid]
-                            tentative = t_wire
-                            if tentative < gs - 1e-9:
-                                gv = gate[nnid]
-                                if gv < gstamp:
-                                    holder = owner[nnid]
-                                    if holder == 0 or holder == net_id:
-                                        occ = occupancy[nnid]
-                                        if occ == 0 or occ == net_id:
-                                            gv = gstamp
-                                        else:
-                                            gv = gstamp1
-                                    elif holder == 1:  # BLOCKED_ID
-                                        if target_epoch[nnid] == epoch:
-                                            gv = gstamp
-                                        else:
-                                            gv = gstamp2
-                                    else:
-                                        gv = gstamp1
-                                    gate[nnid] = gv
-                                if gv == gstamp:
-                                    if gs == _INF:
-                                        touched_append(nnid)
-                                    g_score[nnid] = tentative
-                                    came_from[nnid] = nid
-                                    f = tentative + h_weight * (
-                                        pdx[ix - 1] + py0 + v0)
-                                    b = bget(f)
-                                    if b is None:
-                                        buckets[f] = deque(((tentative, nnid),))
-                                        heappush(fheap, f)
-                                    else:
-                                        b.append((tentative, nnid))
-                                elif gv == gstamp1:
-                                    tentative = g + pitch_c
-                                    if tentative < gs - 1e-9:
-                                        if gs == _INF:
-                                            touched_append(nnid)
-                                        g_score[nnid] = tentative
-                                        came_from[nnid] = nid
-                                        f = tentative + h_weight * (
-                                            pdx[ix - 1] + py0 + v0)
-                                        b = bget(f)
-                                        if b is None:
-                                            buckets[f] = deque(((tentative, nnid),))
-                                            heappush(fheap, f)
-                                        else:
-                                            b.append((tentative, nnid))
-                        if iy < iy1:
-                            nnid = nid + nx
-                            gs = g_score[nnid]
-                            tentative = t_jog
-                            if tentative < gs - 1e-9:
-                                gv = gate[nnid]
-                                if gv < gstamp:
-                                    holder = owner[nnid]
-                                    if holder == 0 or holder == net_id:
-                                        occ = occupancy[nnid]
-                                        if occ == 0 or occ == net_id:
-                                            gv = gstamp
-                                        else:
-                                            gv = gstamp1
-                                    elif holder == 1:  # BLOCKED_ID
-                                        if target_epoch[nnid] == epoch:
-                                            gv = gstamp
-                                        else:
-                                            gv = gstamp2
-                                    else:
-                                        gv = gstamp1
-                                    gate[nnid] = gv
-                                if gv == gstamp:
-                                    if gs == _INF:
-                                        touched_append(nnid)
-                                    g_score[nnid] = tentative
-                                    came_from[nnid] = nid
-                                    f = tentative + h_weight * (
-                                        px0 + pdy[iy + 1] + v0)
-                                    b = bget(f)
-                                    if b is None:
-                                        buckets[f] = deque(((tentative, nnid),))
-                                        heappush(fheap, f)
-                                    else:
-                                        b.append((tentative, nnid))
-                                elif gv == gstamp1:
-                                    tentative = g + jog_c
-                                    if tentative < gs - 1e-9:
-                                        if gs == _INF:
-                                            touched_append(nnid)
-                                        g_score[nnid] = tentative
-                                        came_from[nnid] = nid
-                                        f = tentative + h_weight * (
-                                            px0 + pdy[iy + 1] + v0)
-                                        b = bget(f)
-                                        if b is None:
-                                            buckets[f] = deque(((tentative, nnid),))
-                                            heappush(fheap, f)
-                                        else:
-                                            b.append((tentative, nnid))
-                        if iy > iy0:
-                            nnid = nid - nx
-                            gs = g_score[nnid]
-                            tentative = t_jog
-                            if tentative < gs - 1e-9:
-                                gv = gate[nnid]
-                                if gv < gstamp:
-                                    holder = owner[nnid]
-                                    if holder == 0 or holder == net_id:
-                                        occ = occupancy[nnid]
-                                        if occ == 0 or occ == net_id:
-                                            gv = gstamp
-                                        else:
-                                            gv = gstamp1
-                                    elif holder == 1:  # BLOCKED_ID
-                                        if target_epoch[nnid] == epoch:
-                                            gv = gstamp
-                                        else:
-                                            gv = gstamp2
-                                    else:
-                                        gv = gstamp1
-                                    gate[nnid] = gv
-                                if gv == gstamp:
-                                    if gs == _INF:
-                                        touched_append(nnid)
-                                    g_score[nnid] = tentative
-                                    came_from[nnid] = nid
-                                    f = tentative + h_weight * (
-                                        px0 + pdy[iy - 1] + v0)
-                                    b = bget(f)
-                                    if b is None:
-                                        buckets[f] = deque(((tentative, nnid),))
-                                        heappush(fheap, f)
-                                    else:
-                                        b.append((tentative, nnid))
-                                elif gv == gstamp1:
-                                    tentative = g + jog_c
-                                    if tentative < gs - 1e-9:
-                                        if gs == _INF:
-                                            touched_append(nnid)
-                                        g_score[nnid] = tentative
-                                        came_from[nnid] = nid
-                                        f = tentative + h_weight * (
-                                            px0 + pdy[iy - 1] + v0)
-                                        b = bget(f)
-                                        if b is None:
-                                            buckets[f] = deque(((tentative, nnid),))
-                                            heappush(fheap, f)
-                                        else:
-                                            b.append((tentative, nnid))
-                    else:
-                        if iy < iy1:
-                            nnid = nid + nx
-                            gs = g_score[nnid]
-                            tentative = t_wire
-                            if tentative < gs - 1e-9:
-                                gv = gate[nnid]
-                                if gv < gstamp:
-                                    holder = owner[nnid]
-                                    if holder == 0 or holder == net_id:
-                                        occ = occupancy[nnid]
-                                        if occ == 0 or occ == net_id:
-                                            gv = gstamp
-                                        else:
-                                            gv = gstamp1
-                                    elif holder == 1:  # BLOCKED_ID
-                                        if target_epoch[nnid] == epoch:
-                                            gv = gstamp
-                                        else:
-                                            gv = gstamp2
-                                    else:
-                                        gv = gstamp1
-                                    gate[nnid] = gv
-                                if gv == gstamp:
-                                    if gs == _INF:
-                                        touched_append(nnid)
-                                    g_score[nnid] = tentative
-                                    came_from[nnid] = nid
-                                    f = tentative + h_weight * (
-                                        px0 + pdy[iy + 1] + v0)
-                                    b = bget(f)
-                                    if b is None:
-                                        buckets[f] = deque(((tentative, nnid),))
-                                        heappush(fheap, f)
-                                    else:
-                                        b.append((tentative, nnid))
-                                elif gv == gstamp1:
-                                    tentative = g + pitch_c
-                                    if tentative < gs - 1e-9:
-                                        if gs == _INF:
-                                            touched_append(nnid)
-                                        g_score[nnid] = tentative
-                                        came_from[nnid] = nid
-                                        f = tentative + h_weight * (
-                                            px0 + pdy[iy + 1] + v0)
-                                        b = bget(f)
-                                        if b is None:
-                                            buckets[f] = deque(((tentative, nnid),))
-                                            heappush(fheap, f)
-                                        else:
-                                            b.append((tentative, nnid))
-                        if iy > iy0:
-                            nnid = nid - nx
-                            gs = g_score[nnid]
-                            tentative = t_wire
-                            if tentative < gs - 1e-9:
-                                gv = gate[nnid]
-                                if gv < gstamp:
-                                    holder = owner[nnid]
-                                    if holder == 0 or holder == net_id:
-                                        occ = occupancy[nnid]
-                                        if occ == 0 or occ == net_id:
-                                            gv = gstamp
-                                        else:
-                                            gv = gstamp1
-                                    elif holder == 1:  # BLOCKED_ID
-                                        if target_epoch[nnid] == epoch:
-                                            gv = gstamp
-                                        else:
-                                            gv = gstamp2
-                                    else:
-                                        gv = gstamp1
-                                    gate[nnid] = gv
-                                if gv == gstamp:
-                                    if gs == _INF:
-                                        touched_append(nnid)
-                                    g_score[nnid] = tentative
-                                    came_from[nnid] = nid
-                                    f = tentative + h_weight * (
-                                        px0 + pdy[iy - 1] + v0)
-                                    b = bget(f)
-                                    if b is None:
-                                        buckets[f] = deque(((tentative, nnid),))
-                                        heappush(fheap, f)
-                                    else:
-                                        b.append((tentative, nnid))
-                                elif gv == gstamp1:
-                                    tentative = g + pitch_c
-                                    if tentative < gs - 1e-9:
-                                        if gs == _INF:
-                                            touched_append(nnid)
-                                        g_score[nnid] = tentative
-                                        came_from[nnid] = nid
-                                        f = tentative + h_weight * (
-                                            px0 + pdy[iy - 1] + v0)
-                                        b = bget(f)
-                                        if b is None:
-                                            buckets[f] = deque(((tentative, nnid),))
-                                            heappush(fheap, f)
-                                        else:
-                                            b.append((tentative, nnid))
-                        if ix < ix1:
-                            nnid = nid + 1
-                            gs = g_score[nnid]
-                            tentative = t_jog
-                            if tentative < gs - 1e-9:
-                                gv = gate[nnid]
-                                if gv < gstamp:
-                                    holder = owner[nnid]
-                                    if holder == 0 or holder == net_id:
-                                        occ = occupancy[nnid]
-                                        if occ == 0 or occ == net_id:
-                                            gv = gstamp
-                                        else:
-                                            gv = gstamp1
-                                    elif holder == 1:  # BLOCKED_ID
-                                        if target_epoch[nnid] == epoch:
-                                            gv = gstamp
-                                        else:
-                                            gv = gstamp2
-                                    else:
-                                        gv = gstamp1
-                                    gate[nnid] = gv
-                                if gv == gstamp:
-                                    if gs == _INF:
-                                        touched_append(nnid)
-                                    g_score[nnid] = tentative
-                                    came_from[nnid] = nid
-                                    f = tentative + h_weight * (
-                                        pdx[ix + 1] + py0 + v0)
-                                    b = bget(f)
-                                    if b is None:
-                                        buckets[f] = deque(((tentative, nnid),))
-                                        heappush(fheap, f)
-                                    else:
-                                        b.append((tentative, nnid))
-                                elif gv == gstamp1:
-                                    tentative = g + jog_c
-                                    if tentative < gs - 1e-9:
-                                        if gs == _INF:
-                                            touched_append(nnid)
-                                        g_score[nnid] = tentative
-                                        came_from[nnid] = nid
-                                        f = tentative + h_weight * (
-                                            pdx[ix + 1] + py0 + v0)
-                                        b = bget(f)
-                                        if b is None:
-                                            buckets[f] = deque(((tentative, nnid),))
-                                            heappush(fheap, f)
-                                        else:
-                                            b.append((tentative, nnid))
-                        if ix > ix0:
-                            nnid = nid - 1
-                            gs = g_score[nnid]
-                            tentative = t_jog
-                            if tentative < gs - 1e-9:
-                                gv = gate[nnid]
-                                if gv < gstamp:
-                                    holder = owner[nnid]
-                                    if holder == 0 or holder == net_id:
-                                        occ = occupancy[nnid]
-                                        if occ == 0 or occ == net_id:
-                                            gv = gstamp
-                                        else:
-                                            gv = gstamp1
-                                    elif holder == 1:  # BLOCKED_ID
-                                        if target_epoch[nnid] == epoch:
-                                            gv = gstamp
-                                        else:
-                                            gv = gstamp2
-                                    else:
-                                        gv = gstamp1
-                                    gate[nnid] = gv
-                                if gv == gstamp:
-                                    if gs == _INF:
-                                        touched_append(nnid)
-                                    g_score[nnid] = tentative
-                                    came_from[nnid] = nid
-                                    f = tentative + h_weight * (
-                                        pdx[ix - 1] + py0 + v0)
-                                    b = bget(f)
-                                    if b is None:
-                                        buckets[f] = deque(((tentative, nnid),))
-                                        heappush(fheap, f)
-                                    else:
-                                        b.append((tentative, nnid))
-                                elif gv == gstamp1:
-                                    tentative = g + jog_c
-                                    if tentative < gs - 1e-9:
-                                        if gs == _INF:
-                                            touched_append(nnid)
-                                        g_score[nnid] = tentative
-                                        came_from[nnid] = nid
-                                        f = tentative + h_weight * (
-                                            pdx[ix - 1] + py0 + v0)
-                                        b = bget(f)
-                                        if b is None:
-                                            buckets[f] = deque(((tentative, nnid),))
-                                            heappush(fheap, f)
-                                        else:
-                                            b.append((tentative, nnid))
-
-                if layer + 1 < num_layers:
-                    nnid = nid + layer_stride
-                    gs = g_score[nnid]
-                    tentative = t_via
-                    if tentative < gs - 1e-9:
-                        gv = gate[nnid]
-                        if gv < gstamp:
-                            holder = owner[nnid]
-                            if holder == 0 or holder == net_id:
-                                occ = occupancy[nnid]
-                                if occ == 0 or occ == net_id:
-                                    gv = gstamp
-                                else:
-                                    gv = gstamp1
-                            elif holder == 1:  # BLOCKED_ID
-                                if target_epoch[nnid] == epoch:
-                                    gv = gstamp
-                                else:
-                                    gv = gstamp2
-                            else:
-                                gv = gstamp1
-                            gate[nnid] = gv
-                        if gv == gstamp:
-                            if gs == _INF:
-                                touched_append(nnid)
-                            g_score[nnid] = tentative
-                            came_from[nnid] = nid
-                            f = tentative + h_weight * (
-                                px0 + py0 + vdl[layer + 1])
-                            b = bget(f)
-                            if b is None:
-                                buckets[f] = deque(((tentative, nnid),))
-                                heappush(fheap, f)
-                            else:
-                                b.append((tentative, nnid))
-                        elif gv == gstamp1:
-                            tentative = g + via_c
-                            if tentative < gs - 1e-9:
-                                if gs == _INF:
-                                    touched_append(nnid)
-                                g_score[nnid] = tentative
-                                came_from[nnid] = nid
-                                f = tentative + h_weight * (
-                                    px0 + py0 + vdl[layer + 1])
-                                b = bget(f)
-                                if b is None:
-                                    buckets[f] = deque(((tentative, nnid),))
-                                    heappush(fheap, f)
-                                else:
-                                    b.append((tentative, nnid))
-
-                if layer > 0:
-                    nnid = nid - layer_stride
-                    gs = g_score[nnid]
-                    tentative = t_via
-                    if tentative < gs - 1e-9:
-                        gv = gate[nnid]
-                        if gv < gstamp:
-                            holder = owner[nnid]
-                            if holder == 0 or holder == net_id:
-                                occ = occupancy[nnid]
-                                if occ == 0 or occ == net_id:
-                                    gv = gstamp
-                                else:
-                                    gv = gstamp1
-                            elif holder == 1:  # BLOCKED_ID
-                                if target_epoch[nnid] == epoch:
-                                    gv = gstamp
-                                else:
-                                    gv = gstamp2
-                            else:
-                                gv = gstamp1
-                            gate[nnid] = gv
-                        if gv == gstamp:
-                            if gs == _INF:
-                                touched_append(nnid)
-                            g_score[nnid] = tentative
-                            came_from[nnid] = nid
-                            f = tentative + h_weight * (
-                                px0 + py0 + vdl[layer - 1])
-                            b = bget(f)
-                            if b is None:
-                                buckets[f] = deque(((tentative, nnid),))
-                                heappush(fheap, f)
-                            else:
-                                b.append((tentative, nnid))
-                        elif gv == gstamp1:
-                            tentative = g + via_c
-                            if tentative < gs - 1e-9:
-                                if gs == _INF:
-                                    touched_append(nnid)
-                                g_score[nnid] = tentative
-                                came_from[nnid] = nid
-                                f = tentative + h_weight * (
-                                    px0 + py0 + vdl[layer - 1])
-                                b = bget(f)
-                                if b is None:
-                                    buckets[f] = deque(((tentative, nnid),))
-                                    heappush(fheap, f)
-                                else:
-                                    b.append((tentative, nnid))
-
-        else:
-            # -------- generic loop: remaining flag combinations (rare)
-            pen_pitch = (pitch, pitch + off_guide_penalty,
-                         pitch_c, pitch_c + off_guide_penalty)
-            pen_jog = (jog_cost, jog_cost + off_guide_penalty,
-                       jog_c, jog_c + off_guide_penalty)
-            pen_via = (via_cost, via_cost + off_guide_penalty,
-                       via_c, via_c + off_guide_penalty)
-            descs_h = ((1, 1, 0, pitch, pen_pitch),
-                       (-1, -1, 0, pitch, pen_pitch),
-                       (nx, 1, 1, jog_cost, pen_jog),
-                       (-nx, -1, 1, jog_cost, pen_jog))
-            descs_v = ((nx, 1, 1, pitch, pen_pitch),
-                       (-nx, -1, 1, pitch, pen_pitch),
-                       (1, 1, 0, jog_cost, pen_jog),
-                       (-1, -1, 0, jog_cost, pen_jog))
-            while fheap and expansions < max_expansions:
-                f0 = fheap[0]
-                b = buckets[f0]
-                entry = b.popleft()
-                if not b:
-                    del buckets[f0]
-                    heappop(fheap)
-                g = entry[0]
-                nid = entry[1]
-                if g > g_score[nid]:
-                    continue
-                expansions += 1
-                if not (expansions & 63):
-                    check_deadline("droute.astar")
-                if target_epoch[nid] == epoch:
-                    return _build_result(index, nid, g, net_id)
-                ix = nid % nx
-                rest = nid // nx
-                iy = rest % ny
-                layer = rest // ny
-                px0 = pdx[ix]
-                py0 = pdy[iy]
-                v0 = vdl[layer]
-                pxy0 = px0 + py0
-                t_via = g + via_cost
-
-                if layer >= min_wire:
-                    for dnid, cdelta, axis, step, pens in (
-                        descs_h if horiz[layer] else descs_v
-                    ):
-                        if axis:
-                            niy = iy + cdelta
-                            if niy < iy0 or niy > iy1:
-                                continue
-                            nix = ix
-                        else:
-                            nix = ix + cdelta
-                            if nix < ix0 or nix > ix1:
-                                continue
-                            niy = iy
-                        nnid = nid + dnid
-                        gs = g_score[nnid]
-                        tentative = g + step
-                        if tentative >= gs - 1e-9:
-                            continue
-                        if has_guide and guide_epoch[nnid] != guide_stamp:
-                            if not soft:
-                                continue
-                            pen = 1
-                        else:
-                            pen = 0
-                        holder = owner[nnid]
-                        if holder != 0 and holder != net_id:
-                            if holder == 1:
-                                if target_epoch[nnid] != epoch:
-                                    continue
-                            elif not soft and target_epoch[nnid] != epoch:
-                                continue
-                            else:
-                                pen += 2
-                        else:
-                            occ = occupancy[nnid]
-                            if occ != 0 and occ != net_id:
-                                if not soft and target_epoch[nnid] != epoch:
-                                    continue
-                                pen += 2
-                        if pen:
-                            tentative = g + pens[pen]
-                            if tentative >= gs - 1e-9:
-                                continue
-                        if gs == _INF:
-                            touched_append(nnid)
-                        g_score[nnid] = tentative
-                        came_from[nnid] = nid
-                        hsum = (px0 + pdy[niy] + v0) if axis else (
-                            pdx[nix] + py0 + v0
-                        )
-                        f = tentative + h_weight * hsum
-                        b = bget(f)
-                        if b is None:
-                            buckets[f] = deque(((tentative, nnid),))
-                            heappush(fheap, f)
-                        else:
-                            b.append((tentative, nnid))
-
-                for up in (1, -1):
-                    if up == 1:
-                        if layer + 1 >= num_layers:
-                            continue
-                        nnid = nid + layer_stride
-                        nl = layer + 1
-                    else:
-                        if layer == 0:
-                            continue
-                        nnid = nid - layer_stride
-                        nl = layer - 1
-                    gs = g_score[nnid]
-                    tentative = t_via
-                    if tentative >= gs - 1e-9:
-                        continue
+                gv = gate[nnid]
+                if gv < gstamp:
                     if has_guide and guide_epoch[nnid] != guide_stamp:
-                        if not soft:
-                            continue
-                        pen = 1
+                        pen = 1 if soft else _WALL
                     else:
                         pen = 0
-                    holder = owner[nnid]
-                    if holder != 0 and holder != net_id:
-                        if holder == 1:
+                    if pen != _WALL:
+                        holder = owner[nnid]
+                        if holder == BLOCKED_ID:
                             if target_epoch[nnid] != epoch:
-                                continue
-                        elif not soft and target_epoch[nnid] != epoch:
-                            continue
+                                pen = _WALL
                         else:
-                            pen += 2
-                    else:
-                        occ = occupancy[nnid]
-                        if occ != 0 and occ != net_id:
-                            if not soft and target_epoch[nnid] != epoch:
-                                continue
-                            pen += 2
-                    if pen:
-                        tentative = g + pen_via[pen]
-                        if tentative >= gs - 1e-9:
-                            continue
-                    if gs == _INF:
-                        touched_append(nnid)
-                    g_score[nnid] = tentative
-                    came_from[nnid] = nid
-                    f = tentative + h_weight * (pxy0 + vdl[nl])
-                    b = bget(f)
-                    if b is None:
-                        buckets[f] = deque(((tentative, nnid),))
-                        heappush(fheap, f)
-                    else:
-                        b.append((tentative, nnid))
-
+                            if holder == 0 or holder == net_id:
+                                holder = occupancy[nnid]
+                            if holder != 0 and holder != net_id:
+                                if soft or target_epoch[nnid] == epoch:
+                                    pen += 2
+                                else:
+                                    pen = _WALL
+                    gv = gate[nnid] = codes[pen]
+                if gv != gstamp:
+                    if gv == wall:
+                        continue
+                    tentative = g + pens[gv - gstamp]
+                    if tentative >= gs - 1e-9:
+                        continue
+                if gs == _INF:
+                    touched_append(nnid)
+                g_score[nnid] = tentative
+                came_from[nnid] = nid
+                f = tentative + h_weight * (
+                    pdx[ix + dx] + pdy[iy + dy] + vdl[layer + dl]
+                )
+                b = bget(f)
+                if b is None:
+                    buckets[f] = deque(((tentative, nnid),))
+                    heappush(fheap, f)
+                else:
+                    b.append((tentative, nnid))
         return None
     finally:
         for tid in touched:

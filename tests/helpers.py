@@ -6,6 +6,7 @@ from repro.geom import Orientation, Rect
 from repro.db import Cell, Design, Net, NetPin, Row
 from repro.db.design import GCellGridSpec
 from repro.benchgen.generator import DesignSpec, generate_design
+from repro.droute.indexed import DrouteIndex
 from repro.legalizer import WindowLegalizer
 
 
@@ -71,6 +72,29 @@ def fresh_small(seed: int = 42, **overrides) -> Design:
     )
     params.update(overrides)
     return generate_design(DesignSpec(**params))
+
+
+def lattice_nodes(lattice) -> list[tuple[int, int, int]]:
+    """Every ``(layer, ix, iy)`` node of a track lattice, in sorted order."""
+    return [
+        (layer, ix, iy)
+        for layer in range(lattice.tech.num_layers)
+        for ix in range(lattice.nx)
+        for iy in range(lattice.ny)
+    ]
+
+
+def droute_index(lattice, owner, occupancy, guide=None):
+    """A ``DrouteIndex`` over dict maps (and a guide node set): index, guide stamp."""
+    index = DrouteIndex(lattice, owner)
+    for node, holder in occupancy.items():
+        index.occupancy[index.nid_of(node)] = index.intern(holder)
+    if guide is None:
+        return index, None
+    index.guide_stamp += 1
+    for node in guide:
+        index.guide_epoch[index.nid_of(node)] = index.guide_stamp
+    return index, index.guide_stamp
 
 
 class RecordingLegalizer(WindowLegalizer):

@@ -1,18 +1,23 @@
 """Unit tests for the detailed router: lattice, access, A*, DRC, driver."""
 
+import random
+
 import pytest
 
 from repro.geom import Point, Rect
 from repro.db import Blockage, Net, NetPin
 from repro.droute import DetailedRouter, DrcKind, TrackLattice
 from repro.droute.access import access_nodes
-from repro.droute.astar import SearchParams
-from repro.droute.indexed import DrouteIndex, astar_connect_indexed
+from repro.droute.astar import SearchParams, SearchStats
+from repro.droute.indexed import astar_connect_indexed
 from repro.droute.drc import check_min_area, check_shorts
 from repro.droute.obstacles import BLOCKED, build_obstacle_map
 from repro.groute import GlobalRouter
 
-from helpers import add_cell, add_two_pin_net, build_tiny_design, fresh_small
+from helpers import (
+    add_cell, add_two_pin_net, build_tiny_design, droute_index, fresh_small,
+    lattice_nodes,
+)
 from oracles.droute import astar_connect
 
 
@@ -101,48 +106,67 @@ def test_unconnected_pins_block(tech45):
 # ----------------------------------------------------------------- astar
 
 
-def _connect_indexed(lattice, sources, targets, net, owner, occupancy, bounds, params, soft):
+def _connect_indexed(
+    lattice, sources, targets, net, owner, occupancy, bounds, params, soft,
+    guide=None, stats=None,
+):
     """The shipped kernel, over a ``DrouteIndex`` holding the same maps."""
-    index = DrouteIndex(lattice, owner)
-    for node, holder in occupancy.items():
-        index.occupancy[index.nid_of(node)] = index.intern(holder)
+    index, stamp = droute_index(lattice, owner, occupancy, guide)
     return astar_connect_indexed(
-        index, sources, targets, net, index.intern(net), bounds, None, params, soft
+        index, sources, targets, index.intern(net), bounds, stamp, params, soft, stats
     )
 
 
-def _connect_oracle(lattice, sources, targets, net, owner, occupancy, bounds, params, soft):
+def _connect_oracle(
+    lattice, sources, targets, net, owner, occupancy, bounds, params, soft,
+    guide=None, stats=None,
+):
     return astar_connect(
-        lattice, sources, targets, net, owner, occupancy, bounds, None, params, soft
+        lattice, sources, targets, net, owner, occupancy, bounds, guide, params, soft,
+        stats,
     )
 
 
 @pytest.fixture(params=["indexed", "oracle"])
 def connect(request):
-    """A* entry point with dict-map arguments: production kernel and reference."""
+    """A* entry point with dict-map arguments: production kernel and reference.
+
+    ``guide`` is a set of lattice nodes, or ``None`` for an unguided search.
+    """
     return {"indexed": _connect_indexed, "oracle": _connect_oracle}[request.param]
+
+
+def _combinations(lattice):
+    """The four (soft, guide) combinations, the guide covering the lattice."""
+    return [
+        (soft, guide)
+        for soft in (False, True)
+        for guide in (None, set(lattice_nodes(lattice)))
+    ]
 
 
 def test_astar_direct_path(tech45, connect):
     design = build_tiny_design(tech45, num_rows=6, sites_per_row=40)
     lattice = TrackLattice(tech45, design.die)
     params = SearchParams(via_cost=800)
-    result = connect(
-        lattice,
-        sources={(1, 5, 5)},
-        targets={(1, 5, 15)},
-        net="n",
-        owner={},
-        occupancy={},
-        bounds=(0, 0, lattice.nx - 1, lattice.ny - 1),
-        params=params,
-        soft=False,
-    )
-    assert result is not None
-    assert result.path[0] == (1, 5, 5)
-    assert result.path[-1] == (1, 5, 15)
-    assert len(result.path) == 11  # straight vertical run on Metal2
-    assert result.conflicts == []
+    for soft, guide in _combinations(lattice):
+        result = connect(
+            lattice,
+            sources={(1, 5, 5)},
+            targets={(1, 5, 15)},
+            net="n",
+            owner={},
+            occupancy={},
+            bounds=(0, 0, lattice.nx - 1, lattice.ny - 1),
+            params=params,
+            soft=soft,
+            guide=guide,
+        )
+        assert result is not None
+        assert result.path[0] == (1, 5, 5)
+        assert result.path[-1] == (1, 5, 15)
+        assert len(result.path) == 11  # straight vertical run on Metal2
+        assert result.conflicts == []
 
 
 def test_astar_hard_blocked_by_other_net(tech45, connect):
@@ -165,11 +189,12 @@ def test_astar_hard_blocked_by_other_net(tech45, connect):
         bounds=(0, 0, lattice.nx - 1, lattice.ny - 1),
         params=params,
     )
-    hard = connect(soft=False, **kwargs)
-    assert hard is None
-    soft = connect(soft=True, **kwargs)
-    assert soft is not None
-    assert soft.conflicts  # it had to cross the wall
+    for guide in (None, set(lattice_nodes(lattice))):
+        hard = connect(soft=False, guide=guide, **kwargs)
+        assert hard is None
+        soft = connect(soft=True, guide=guide, **kwargs)
+        assert soft is not None
+        assert soft.conflicts  # it had to cross the wall
 
 
 def test_astar_blocked_nodes_impassable_even_soft(tech45, connect):
@@ -180,35 +205,139 @@ def test_astar_blocked_nodes_impassable_even_soft(tech45, connect):
         for l in range(tech45.num_layers)
         for ix in range(lattice.nx)
     }
-    result = connect(
-        lattice,
-        sources={(1, 5, 5)},
-        targets={(1, 5, 15)},
-        net="n",
-        owner=owner,
-        occupancy={},
-        bounds=(0, 0, lattice.nx - 1, lattice.ny - 1),
-        params=SearchParams(),
-        soft=True,
-    )
-    assert result is None
+    for soft, guide in _combinations(lattice):
+        result = connect(
+            lattice,
+            sources={(1, 5, 5)},
+            targets={(1, 5, 15)},
+            net="n",
+            owner=owner,
+            occupancy={},
+            bounds=(0, 0, lattice.nx - 1, lattice.ny - 1),
+            params=SearchParams(),
+            soft=soft,
+            guide=guide,
+        )
+        assert result is None
 
 
 def test_astar_source_in_targets(tech45, connect):
     lattice = TrackLattice(tech45, Rect(0, 0, 8000, 5600))
-    result = connect(
-        lattice,
-        sources={(1, 2, 2)},
-        targets={(1, 2, 2), (1, 9, 9)},
+    for soft, guide in _combinations(lattice):
+        result = connect(
+            lattice,
+            sources={(1, 2, 2)},
+            targets={(1, 2, 2), (1, 9, 9)},
+            net="n",
+            owner={},
+            occupancy={},
+            bounds=(0, 0, 10, 10),
+            params=SearchParams(),
+            soft=soft,
+            guide=guide,
+        )
+        assert result is not None
+        assert result.cost == 0.0
+
+
+def test_astar_off_guide_is_a_wall_when_hard_and_a_penalty_when_soft(tech45, connect):
+    design = build_tiny_design(tech45, num_rows=6, sites_per_row=40)
+    lattice = TrackLattice(tech45, design.die)
+    params = SearchParams()
+    # The guide is the Metal2 column between the terminals, one node short.
+    guide = {(1, 5, iy) for iy in range(5, 16)} - {(1, 5, 10)}
+    kwargs = dict(
+        lattice=lattice,
+        sources={(1, 5, 5)},
+        targets={(1, 5, 15)},
         net="n",
         owner={},
         occupancy={},
-        bounds=(0, 0, 10, 10),
-        params=SearchParams(),
-        soft=False,
+        bounds=(0, 0, lattice.nx - 1, lattice.ny - 1),
+        params=params,
+        guide=guide,
     )
-    assert result is not None
-    assert result.cost == 0.0
+    assert connect(soft=False, **kwargs) is None
+    soft = connect(soft=True, **kwargs)
+    assert len(soft.path) == 11 and soft.conflicts == []
+    assert soft.cost == 10 * lattice.pitch + params.off_guide_penalty
+
+
+def _same_search(lattice, case, soft, guide, max_expansions):
+    """Run one problem on both kernels; they must agree on everything."""
+    owner, occupancy, bounds, sources, targets = case
+    params = SearchParams(max_expansions=max_expansions)
+    found = []
+    for kernel in (_connect_oracle, _connect_indexed):
+        stats = SearchStats()
+        result = kernel(
+            lattice, sources, targets, "n", owner, occupancy, bounds, params,
+            soft, guide, stats,
+        )
+        found.append((
+            result and (result.path, result.cost, result.conflicts),
+            stats.expansions,
+        ))
+    assert found[1] == found[0], (soft, guide is not None, max_expansions, case)
+
+
+def test_astar_seed_outside_the_window_matches_the_oracle(tech45):
+    """A seed two tracks outside ``bounds`` walks towards the window by the
+    oracle's rule -- the *stepping* node against the far bound -- in all
+    four (soft, guide) combinations."""
+    lattice = TrackLattice(tech45, Rect(0, 0, 16 * 200, 16 * 200))
+    bounds = (4, 4, 11, 11)
+    for seed in ((1, 2, 7), (2, 13, 7), (1, 7, 2), (2, 7, 13), (2, 2, 13)):
+        case = ({}, {(1, 8, 8): "other"}, bounds, {seed}, {(1, 9, 9)})
+        for soft, guide in _combinations(lattice):
+            _same_search(lattice, case, soft, guide, 60000)
+
+
+def test_astar_randomized_parity_in_all_four_combinations(tech45):
+    """Path, cost, conflicts and expansion count equal the oracle's on random
+    maps, windows, guide rects and terminals, under budgets that do and do
+    not run out."""
+    rng = random.Random(20221003)
+    for _ in range(120):
+        nx, ny = rng.randint(4, 12), rng.randint(4, 12)
+        lattice = TrackLattice(tech45, Rect(0, 0, nx * 200, ny * 200))
+        nodes = lattice_nodes(lattice)
+        low = [node for node in nodes if node[0] <= 3]
+        density = rng.choice((0.05, 0.2, 0.35))
+        owner = {
+            node: rng.choice(("n", "enemy", BLOCKED))
+            for node in nodes if rng.random() < density
+        }
+        occupancy = {
+            node: rng.choice(("n", "other"))
+            for node in nodes if rng.random() < density
+        }
+        # anywhere on the low layers: inside and outside a random window
+        sources = set(rng.sample(low, rng.randint(1, 3)))
+        targets = set(rng.sample(low, rng.randint(1, 3)))
+        bounds = (0, 0, lattice.nx - 1, lattice.ny - 1)
+        if rng.random() < 0.5:
+            xs = sorted(rng.sample(range(lattice.nx), 2))
+            ys = sorted(rng.sample(range(lattice.ny), 2))
+            bounds = (xs[0], ys[0], xs[1], ys[1])
+        guide = set()
+        for _ in range(rng.randint(1, 4)):
+            gx = sorted(rng.sample(range(lattice.nx), 2))
+            gy = sorted(rng.sample(range(lattice.ny), 2))
+            guide |= {
+                (layer, ix, iy)
+                for layer in rng.sample(range(4), 3)
+                for ix in range(gx[0], gx[1] + 1)
+                for iy in range(gy[0], gy[1] + 1)
+            }
+        if rng.random() < 0.5:  # as the router stamps them: terminals and landings
+            guide |= {(l + dl, ix, iy) for l, ix, iy in sources | targets for dl in (0, 1)}
+        case = (owner, occupancy, bounds, sources, targets)
+        for soft in (False, True):
+            for use_guide in (None, guide):
+                _same_search(
+                    lattice, case, soft, use_guide, rng.choice((50, 400, 60000))
+                )
 
 
 # ------------------------------------------------------------------- drc

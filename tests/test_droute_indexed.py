@@ -17,6 +17,8 @@ from repro.droute.indexed import BLOCKED_ID, FREE, DrouteIndex
 from repro.droute.lattice import TrackLattice
 from repro.droute.obstacles import BLOCKED, build_obstacle_map
 from repro.groute import GlobalRouter
+from repro.obs import MetricsRegistry, use_metrics
+from repro.obs.metrics import RESERVOIR_SIZE
 
 from helpers import add_cell, add_two_pin_net, build_tiny_design, fresh_small
 from oracles.droute import OracleDetailedRouter
@@ -40,8 +42,14 @@ def signature(result):
 
 
 def route_both(design_factory, guides_from_gr: bool, **router_kw):
-    """Route two fresh copies, oracle and indexed; return signatures."""
+    """Route two fresh copies, oracle and indexed; return signatures.
+
+    Also holds the searches themselves to the oracle's: the indexed arm's
+    per-search expansion counts are the oracle's, in order, less the hard
+    searches the pocket look answered without running.
+    """
     sigs = []
+    searches = []
     for router_class in (OracleDetailedRouter, DetailedRouter):
         design = design_factory()
         guides = None
@@ -50,11 +58,20 @@ def route_both(design_factory, guides_from_gr: bool, **router_kw):
             gr.route_all()
             guides = gr.guides()
         router = router_class(design, **router_kw)
-        sigs.append(signature(router.route_all(guides)))
+        registry = MetricsRegistry()
+        with use_metrics(registry):
+            sigs.append(signature(router.route_all(guides)))
+        searches.append(registry.raw()["histograms"].get("droute.astar_expansions", []))
+        skipped = registry.counter("droute.hard_skipped")  # the last arm's: the look's
         # the seam took: only the production arm ran on the flat arrays
         assert isinstance(router._state, DrouteIndex) == (
             router_class is DetailedRouter
         )
+    oracle_searches, indexed_searches = searches
+    assert len(oracle_searches) < RESERVOIR_SIZE  # else the lists are samples
+    assert len(indexed_searches) == len(oracle_searches) - skipped
+    remaining = iter(oracle_searches)
+    assert all(count in remaining for count in indexed_searches)
     return sigs
 
 

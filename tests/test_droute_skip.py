@@ -21,14 +21,17 @@ from repro.droute import DetailedRouter
 from repro.droute import indexed
 from repro.droute.access import access_nodes
 from repro.droute.astar import SearchParams, SearchStats
-from repro.droute.indexed import DrouteIndex, astar_connect_indexed, pocket_closed
+from repro.droute.indexed import astar_connect_indexed, pocket_closed
 from repro.droute.lattice import TrackLattice
 from repro.droute.obstacles import BLOCKED
 from repro.geom import Rect
 from repro.groute import GlobalRouter
 from repro.obs import MetricsRegistry, use_metrics
 
-from helpers import add_cell, add_two_pin_net, build_tiny_design, fresh_small
+from helpers import (
+    add_cell, add_two_pin_net, build_tiny_design, droute_index, fresh_small,
+    lattice_nodes,
+)
 from oracles.droute import astar_connect
 from test_droute_indexed import signature
 
@@ -45,12 +48,7 @@ def _random_case(seed, nx, ny, top_layer, wall_density, guide_density):
     """
     rng = random.Random(seed)
     lattice = TrackLattice(_TECH, Rect(0, 0, nx * 200, ny * 200))
-    nodes = [
-        (layer, ix, iy)
-        for layer in range(_TECH.num_layers)
-        for ix in range(lattice.nx)
-        for iy in range(lattice.ny)
-    ]
+    nodes = lattice_nodes(lattice)
     owner = {
         node: rng.choice(("n", "enemy", BLOCKED))
         for node in nodes
@@ -74,16 +72,6 @@ def _random_case(seed, nx, ny, top_layer, wall_density, guide_density):
     return lattice, owner, occupancy, guide, bounds, sources, targets
 
 
-def _index_of(lattice, owner, occupancy, guide):
-    index = DrouteIndex(lattice, owner)
-    for node, holder in occupancy.items():
-        index.occupancy[index.nid_of(node)] = index.intern(holder)
-    index.guide_stamp += 1
-    for node in guide:
-        index.guide_epoch[index.nid_of(node)] = index.guide_stamp
-    return index, index.guide_stamp
-
-
 @settings(max_examples=300, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -100,14 +88,14 @@ def test_look_closed_implies_no_path(
     lattice, owner, occupancy, guide, bounds, sources, targets = _random_case(
         seed, nx, ny, top_layer, wall_density, guide_density
     )
-    index, stamp = _index_of(lattice, owner, occupancy, guide)
+    index, stamp = droute_index(lattice, owner, occupancy, guide)
     net_id = index.intern("n")
     params = SearchParams()
 
     with patch.object(indexed, "POCKET_BUDGET", budget):
         closed = pocket_closed(index, sources, targets, net_id, bounds, stamp)
     fast = astar_connect_indexed(
-        index, sources, targets, "n", net_id, bounds, stamp, params, soft=False
+        index, sources, targets, net_id, bounds, stamp, params, soft=False
     )
     ref = astar_connect(
         lattice, sources, targets, "n", owner, occupancy, bounds, guide,
@@ -123,6 +111,33 @@ def test_look_closed_implies_no_path(
         exact = pocket_closed(index, sources, targets, net_id, bounds, stamp)
     assert exact == (ref is None)
     assert exact or not closed
+
+
+def test_look_does_not_read_an_earlier_search_s_wall_marks():
+    """The search and the look share ``gate``; each takes a stamp block of
+    its own, so ``wall`` marks left on net ``b``'s corridor by a hard
+    search for net ``a`` are not "already visited" to the look for ``b``."""
+    lattice = TrackLattice(_TECH, Rect(0, 0, 5 * 200, 7 * 200))
+    nodes = set(lattice_nodes(lattice))
+    corridor = [(1, 2, iy) for iy in range(7)]  # Metal2, the only way for b
+    a_source, a_target = (1, 1, 3), (1, 3, 3)  # either side of it
+    owner = dict.fromkeys(nodes - {a_source, a_target}, BLOCKED)
+    owner.update(dict.fromkeys(corridor, "b"))
+    bounds = (0, 0, lattice.nx - 1, lattice.ny - 1)
+
+    def look(index, stamp):
+        return pocket_closed(
+            index, {corridor[0]}, {corridor[-1]}, index.intern("b"), bounds, stamp
+        )
+
+    index, stamp = droute_index(lattice, owner, {}, nodes)
+    blocked = astar_connect_indexed(
+        index, {a_source}, {a_target}, index.intern("a"), bounds, stamp,
+        SearchParams(), soft=False,
+    )
+    assert blocked is None  # it met the corridor and marked it a wall
+    assert look(index, stamp) is False
+    assert look(*droute_index(lattice, owner, {}, nodes)) is False
 
 
 def _two_cell_session(tech45):
