@@ -23,6 +23,16 @@ def _pct(new: float, old: float) -> float:
     return 100.0 * (old - new) / old
 
 
+def _by_kind(quality) -> str:
+    """``open/short/min-area`` of one result: an open (contest weight 1 500)
+    that became a short or a min-area (500 each) is a better result with a
+    higher total, and only the breakdown shows it."""
+    if quality is None:
+        return "--"
+    kinds = quality.drv_breakdown
+    return "/".join(str(kinds.get(k, 0)) for k in ("open", "short", "min_area"))
+
+
 def test_table3_quality(benchmark, designs):
     def run_all():
         return {
@@ -92,6 +102,16 @@ def test_table3_quality(benchmark, designs):
         f"{'':>7}{'':>6}{'':>5}{'':>5}{'':>9}"
         f"{means['fontana'][1]:>9.2f}{means['crp1'][1]:>8.2f}{means['crp10'][1]:>8.2f}"
     )
+    lines.append("")
+    lines.append("DRVs by kind (open/short/min-area)")
+    lines.append(f"{'Benchmark':<15}{'BL':>12}{'[18]':>12}{'k=1':>12}{'k=10':>12}")
+    for name, base, per_variant in shape_rows:
+        lines.append(
+            f"{name:<15}{_by_kind(base):>12}"
+            + "".join(
+                f"{_by_kind(per_variant[v]):>12}" for v in ("fontana", "crp1", "crp10")
+            )
+        )
     lines.append("")
     lines.append(
         "paper averages: [18] wl -0.74% / vias +0.74%; "

@@ -218,6 +218,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
             f"  score={result.quality.score:.1f} "
             f"drvs={result.quality.drv_breakdown}"
         )
+    opens = (result.metrics or {}).get("counters", {}).get("droute.opens", 0)
+    if opens:
+        print(
+            f"  opens: {int(opens)} connection(s) that neither the hard nor "
+            "the soft search could route (droute.opens)"
+        )
     print(f"  runtime: {({k: round(v, 2) for k, v in result.runtime.items()})}")
     if args.profile and result.trace is not None:
         from repro.obs import render_metrics, render_tree

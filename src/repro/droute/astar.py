@@ -1,11 +1,24 @@
 """Parameters, result and counters of the A* search on the track lattice.
 
-The search connects a grown net component to the next terminal inside
-the net's guide region.  Two modes: *hard* (conflicting nodes are
-impassable) and *soft* (conflicts and off-guide excursions are allowed
-with a heavy penalty) — the soft pass is what converts an unroutable
-situation into a short DRV instead of an open net, mirroring how
-detailed routers trade opens for shorts.
+The search connects a grown net component to the next terminal.  The
+router asks twice.  First *hard*, inside the net's guide region: nodes
+held by another net and nodes off the guides are impassable.  If that
+fails, *soft* and with no guide at all: the window is the terminals'
+box plus a fixed slack, every free node in it costs what it costs, and
+a node held by another net may be crossed at ``conflict_penalty`` --
+that pass is what converts an unroutable situation into a short DRV
+instead of an open net, mirroring how detailed routers trade opens for
+shorts.  (The kernel also takes soft *with* a guide, where an off-guide
+step costs ``off_guide_penalty``; no caller in ``src`` asks for it, the
+parity tests do.)
+
+Before either search a bounded backward look from the targets
+(:func:`repro.droute.indexed.pocket_closed`) asks whether any
+penalty-free path can exist.  When it proves there is none, the hard
+search is not run (``SearchStats.skipped``) and the soft search runs
+with the crossing it must make already in its estimate
+(``SearchStats.tolled``), so that it heads for the cheapest crossing
+instead of first flooding everything that is free.
 
 The search itself is :func:`repro.droute.indexed.astar_connect_indexed`;
 the dict-of-tuples A* it replaced is the parity reference in
@@ -54,13 +67,16 @@ class SearchStats:
     per A* invocation.
     """
 
-    __slots__ = ("calls", "expansions", "skipped")
+    __slots__ = ("calls", "expansions", "skipped", "tolled")
 
     def __init__(self) -> None:
         self.calls = 0
         self.expansions: list[int] = []
         #: hard searches answered by the pocket look instead of being run
         self.skipped = 0
+        #: soft searches run with the crossing the look proved in their
+        #: estimate
+        self.tolled = 0
 
     def record(self, expansions: int) -> None:
         self.calls += 1
@@ -71,6 +87,9 @@ class SearchStats:
         if self.skipped:
             metrics.count("droute.hard_skipped", self.skipped)
             self.skipped = 0
+        if self.tolled:
+            metrics.count("droute.soft_tolled", self.tolled)
+            self.tolled = 0
         if not self.calls:
             return
         metrics.count("droute.astar_calls", self.calls)

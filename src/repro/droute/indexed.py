@@ -32,13 +32,13 @@ oracle's tie counter, same float expressions for the heuristic and step
 costs, same hard/soft conflict semantics, same window rule — so paths,
 costs, conflict lists and expansion counts are byte-identical.  It is
 one loop with one relax for every (soft, guide) combination: what the
-two flags decide is cached per node in ``gate`` on first touch (five
+two flags decide is cached per node in ``gate`` on first touch (nine
 codes under a per-search stamp block), so the hot path reads neither.
 The oracle (the dict ``astar_connect`` and
 its ``_DictState``) lives in ``tests/oracles/droute.py``; the parity
 suite installs it through :meth:`DetailedRouter.begin_session`.
 
-:class:`DrouteIndex` is also the router's *session state*: the nine
+:class:`DrouteIndex` is also the router's *session state*: the eight
 methods under "session state" are everything
 :class:`~repro.droute.router.DetailedRouter` asks of it, and the only
 seam a test needs to substitute the reference.
@@ -65,10 +65,12 @@ _INF = float("inf")
 #: stride of ``DrouteIndex.gate_stamp``.  Every search and every pocket
 #: look takes a fresh block of this many codes, so no mark of an earlier
 #: block compares ``>=`` a later block's base; wide enough for the
-#: search's five codes (``gstamp + 0..3`` penalty index, ``gstamp +
-#: _WALL``) and the look's two
-GATE_BLOCK = 8
+#: search's nine codes (``gstamp + 0..3`` penalty index, ``gstamp +
+#: _WALL``, ``gstamp + _INSIDE + 0..3`` the same penalties on a node the
+#: look before a tolled search had marked) and the look's two
+GATE_BLOCK = 16
 _WALL = 4
+_INSIDE = 5
 
 #: nodes :func:`pocket_closed` may visit before it gives up and lets the
 #: forward search run; sized from the measured curve in DESIGN.md
@@ -174,10 +176,12 @@ class DrouteIndex:
         self.came_from: list[int] = [-1] * n
         self.target_epoch: list[int] = [0] * n
         self.guide_epoch: list[int] = [0] * n
-        #: lazy per-search passability cache: ``gate_stamp + pen`` with
-        #: ``pen`` in 0..3 indexing a step's penalty table (+1 off-guide,
-        #: +2 held by another net) or ``gate_stamp + _WALL``; anything
-        #: older than the live stamp means "not classified yet".
+        #: lazy per-search passability cache, nine codes over the live
+        #: stamp: ``gate_stamp + pen`` with ``pen`` in 0..3 indexing a
+        #: step's penalty table (+1 off-guide, +2 held by another net),
+        #: ``gate_stamp + _WALL``, and ``gate_stamp + _INSIDE + pen`` for
+        #: a node the preceding look had marked (tolled searches only);
+        #: anything older than the live stamp means "not classified yet".
         #: :func:`pocket_closed` borrows it under a stamp block of its
         #: own, ``gate_stamp + {0: visited, 1: source}``; both advance
         #: ``gate_stamp`` by :data:`GATE_BLOCK`
@@ -257,16 +261,26 @@ class DrouteIndex:
 
     def connect(self, sources, targets, net_name, bounds, guide, soft, stats):
         net_id = self.intern(net_name)
-        # A hard in-guide search whose targets sit in a sealed pocket can
-        # only come back ``None``; say so without running it.
-        if guide is not None and not soft and pocket_closed(
-            self, sources, targets, net_id, bounds, guide
-        ):
+        params = self.params
+        toll = 0.0
+        if pocket_closed(self, sources, targets, net_id, bounds, guide):
+            # The targets sit in a pocket sealed against penalty-free
+            # steps: a hard search can only come back ``None`` -- say so
+            # without running it -- and a soft one must pay the smallest
+            # penalty in force before it gets in.
+            if not soft:
+                if stats is not None:
+                    stats.skipped += 1
+                else:
+                    get_metrics().count("droute.hard_skipped")
+                return None
             if stats is not None:
-                stats.skipped += 1
+                stats.tolled += 1
             else:
-                get_metrics().count("droute.hard_skipped")
-            return None
+                get_metrics().count("droute.soft_tolled")
+            toll = float(params.conflict_penalty)
+            if guide is not None:
+                toll = min(toll, float(params.off_guide_penalty))
         return astar_connect_indexed(
             self,
             sources,
@@ -274,23 +288,29 @@ class DrouteIndex:
             net_id,
             bounds,
             guide,
-            self.params,
+            params,
             soft=soft,
             stats=stats,
+            toll=toll,
         )
 
-    def in_guide(self, guide, node: LNode) -> bool:
-        return guide is None or self.guide_epoch[self.nid_of(node)] == guide
-
-    def free_for(self, node: LNode, net_name: str) -> bool:
-        nid = self.nid_of(node)
+    def run_clear(self, nodes, net_name: str, guide) -> bool:
+        """Every node of ``nodes`` is free or ``net_name``'s own, and in ``guide``."""
         net_id = self.intern(net_name)
-        holder = self.owner[nid]
-        if holder != 0 and holder != net_id:
-            return False
-        holder = self.occupancy[nid]
-        if holder != 0 and holder != net_id:
-            return False
+        owner = self.owner
+        occupancy = self.occupancy
+        guide_epoch = self.guide_epoch
+        nx, ny = self.nx, self.ny
+        for layer, ix, iy in nodes:
+            nid = (layer * ny + iy) * nx + ix
+            holder = owner[nid]
+            if holder != 0 and holder != net_id:
+                return False
+            holder = occupancy[nid]
+            if holder != 0 and holder != net_id:
+                return False
+            if guide is not None and guide_epoch[nid] != guide:
+                return False
         return True
 
     def patch_free(self, node: LNode, net_name: str) -> bool:
@@ -335,27 +355,39 @@ def pocket_closed(
     targets: set[LNode],
     net_id: int,
     bounds: tuple[int, int, int, int],
-    guide_stamp: int,
+    guide_stamp: int | None,
 ) -> bool:
-    """True when a hard in-guide search from ``sources`` cannot reach ``targets``.
+    """True when no penalty-free path leads from ``sources`` to ``targets``.
 
-    A bounded flood *backwards* from the targets over exactly the steps
-    a hard guided :func:`astar_connect_indexed` may take: a node can be
-    entered when it carries this search's guide stamp and is a target or
-    free-or-own in both ``owner`` and ``occupancy``; planar steps exist
-    only on layers >= ``min_wire_layer`` and follow the window rule of
-    :func:`astar_connect_indexed` mirrored -- the *stepping* node is
-    tested against the far bound, so the node stepped onto is tested
-    against the near one; vias are unbounded.
-    Every predecessor is tested for source membership before anything
-    else -- sources are seeds, never entered, so they need be neither
-    passable nor inside ``bounds``.
+    A bounded flood *backwards* from the targets over exactly the nodes
+    a step of :func:`astar_connect_indexed` enters at ``pen == 0``,
+    hard or soft: free-or-own in both ``owner`` and ``occupancy`` and,
+    when a guide is given, carrying its stamp (``guide_stamp=None``: no
+    guide test).  Targets seed the flood whoever holds them -- an
+    off-guide one is marked but not flooded from.  Planar steps exist
+    only on layers >= ``min_wire_layer`` and follow the search's window
+    rule mirrored -- the *stepping* node is tested against the far
+    bound, so the node stepped onto is tested against the near one;
+    vias are unbounded.  Every predecessor is tested for source
+    membership before anything else -- sources are seeds, never entered,
+    so they need be neither passable nor inside ``bounds``.
 
-    If the flood closes without meeting a source, no forward search can
-    pop a target, whether it would have ended by exhaustion or by
-    ``max_expansions``: the answer is ``None``.  If it meets a source or
-    visits more than :data:`POCKET_BUDGET` nodes the answer is "unknown"
-    (``False``) and the caller runs the search.
+    A flood that closes without meeting a source has two conclusions:
+
+    * a *hard* search cannot pop a target, whether it would have ended
+      by exhaustion or by ``max_expansions``: its answer is ``None``;
+    * a *soft* search still owes one penalty.  Every node the flood
+      touched -- entered, or examined and found impassable -- keeps its
+      mark in ``gate``, and a step from an unmarked node onto a marked
+      one always lands on an impassable one (a passable one's
+      predecessors are all marked), so it pays at least the smallest
+      penalty there is.  That is the *toll* ``DrouteIndex.connect``
+      hands the search: until a path has touched a marked node the
+      toll is still ahead of it, and the estimate may say so.
+
+    If the flood meets a source or visits more than
+    :data:`POCKET_BUDGET` nodes the answer is "unknown" (``False``) and
+    the search runs as if nobody had looked.
     """
     nx = index.nx
     ny = index.ny
@@ -369,9 +401,10 @@ def pocket_closed(
     owner = index.owner
     occupancy = index.occupancy
     guide_epoch = index.guide_epoch
+    unguided = guide_stamp is None
     # Marks go in ``gate`` under a fresh stamp block; the forward search
-    # that may follow takes the next one, so it reads every mark left
-    # here as "not classified yet".
+    # that follows takes the next one, so it reads every mark left here
+    # as "not classified yet" -- and, under a toll, as "inside".
     look = index.gate
     seen = index.gate_stamp + GATE_BLOCK
     index.gate_stamp = seen
@@ -385,9 +418,9 @@ def pocket_closed(
         nid = (layer * ny + iy) * nx + ix
         if look[nid] == is_source:
             return False  # overlap: the search answers at once
-        if guide_epoch[nid] == guide_stamp:  # an off-guide target is a wall
-            look[nid] = seen
-            push(nid)
+        look[nid] = seen
+        if unguided or guide_epoch[nid] == guide_stamp:
+            push(nid)  # an off-guide target is a wall (hard) or a penalty
 
     for nid in queue:  # grows while iterated: a FIFO without pops
         if len(queue) > budget:
@@ -417,7 +450,7 @@ def pocket_closed(
                     return False
                 continue
             look[pid] = seen
-            if guide_epoch[pid] == guide_stamp:
+            if unguided or guide_epoch[pid] == guide_stamp:
                 holder = owner[pid]
                 if holder == 0 or holder == net_id:
                     holder = occupancy[pid]
@@ -436,6 +469,7 @@ def astar_connect_indexed(
     params: SearchParams,
     soft: bool,
     stats: SearchStats | None = None,
+    toll: float = 0.0,
 ) -> SearchResult | None:
     """Cheapest lattice path from ``sources`` to ``targets`` (flat-array A*).
 
@@ -486,6 +520,24 @@ def astar_connect_indexed(
     oracle's ``pitch * (dx + dy) + via_cost * dl`` bit-for-bit.  Every
     accepted ``tentative`` and every ``f`` is therefore the oracle's
     float exactly.
+
+    *Toll.*  ``toll > 0`` is ``DrouteIndex.connect``'s promise that the
+    last stamp block taken before this search's is a closed
+    :func:`pocket_closed` look for the same problem, so every path still
+    has to pay at least ``toll`` in penalties before it touches a node
+    that look marked.  The estimate then carries it: ``h'(n) = h(n) +
+    toll`` for every unmarked ``n`` -- admissible and consistent
+    (DESIGN.md, "Crossings that are proven") -- and the weight is 1.0,
+    since an estimate that sees the crossing needs no inflation to stay
+    directed.  Whether a node is *inside* (marked) is read once, at its
+    first touch, from the look's mark still sitting in ``gate`` one
+    block below, and kept in its code (``gstamp + _INSIDE + pen``).  The
+    queue orders by ``f - toll * [inside]`` rather than ``f + toll *
+    [outside]``: the same order -- every term is a multiple of half a
+    pitch, so the shift is exact -- and a free outside node, the common
+    case, takes the same path through the relax as without a toll.
+    With ``toll == 0.0`` no node is ever inside and every expression
+    below is the un-tolled one.
     """
     if not sources or not targets:
         return None
@@ -524,30 +576,39 @@ def astar_connect_indexed(
     index.epoch += 1
     epoch = index.epoch
     gate = index.gate
+    # Under a toll the closed look's block is the one just below ours;
+    # without one nothing older than ``gstamp`` counts as inside.
+    look_base = index.gate_stamp if toll else index.gate_stamp + GATE_BLOCK
     gstamp = index.gate_stamp + GATE_BLOCK
     index.gate_stamp = gstamp
     # one int object per code, shared by every slot that holds it
-    codes = tuple(range(gstamp, gstamp + _WALL + 1))
+    codes = tuple(range(gstamp, gstamp + _INSIDE + 4))
     wall = codes[_WALL]
+    # what the queue key of a node gives back, by code offset
+    credit = (0.0,) * _INSIDE + (toll,) * 4
 
     heappush = heapq.heappush
     heappop = heapq.heappop
-    h_weight = params.heuristic_weight
+    h_weight = 1.0 if toll else params.heuristic_weight
     has_guide = guide_stamp is not None
 
     # A float like the other two steps (exact: a dbu count), so that the
     # relax's ``g + step`` is always float + float.
     wire_cost = float(pitch)
     # Penalized step costs, formed in the oracle's addition order (base,
-    # ``+= conflict``, ``+= off_guide``) and indexed by ``pen``.
+    # ``+= conflict``, ``+= off_guide``) and indexed by code offset:
+    # ``pen``, the wall (never read), ``_INSIDE + pen``.
     pens_wire, pens_jog, pens_via = (
-        (
-            step,
-            step + off_guide_penalty,
-            step + conflict_penalty,
-            (step + conflict_penalty) + off_guide_penalty,
+        by_pen + (_INF,) + by_pen
+        for by_pen in (
+            (
+                step,
+                step + off_guide_penalty,
+                step + conflict_penalty,
+                (step + conflict_penalty) + off_guide_penalty,
+            )
+            for step in (wire_cost, jog_cost, via_cost)
         )
-        for step in (wire_cost, jog_cost, via_cost)
     )
     x_steps = ((1, 1, 0), (-1, -1, 0))  # (nid delta, dx, dy)
     y_steps = ((nx, 0, 1), (-nx, 0, -1))
@@ -669,20 +730,27 @@ def astar_connect_indexed(
                                     pen += 2
                                 else:
                                     pen = _WALL
+                    if gv >= look_base and pen != _WALL:
+                        pen += _INSIDE
                     gv = gate[nnid] = codes[pen]
-                if gv != gstamp:
-                    if gv == wall:
-                        continue
-                    tentative = g + pens[gv - gstamp]
+                if gv == gstamp:
+                    f = tentative + h_weight * (
+                        pdx[ix + dx] + pdy[iy + dy] + vdl[layer + dl]
+                    )
+                elif gv == wall:
+                    continue
+                else:
+                    code = gv - gstamp
+                    tentative = g + pens[code]
                     if tentative >= gs - 1e-9:
                         continue
+                    f = tentative + h_weight * (
+                        pdx[ix + dx] + pdy[iy + dy] + vdl[layer + dl]
+                    ) - credit[code]
                 if gs == _INF:
                     touched_append(nnid)
                 g_score[nnid] = tentative
                 came_from[nnid] = nid
-                f = tentative + h_weight * (
-                    pdx[ix + dx] + pdy[iy + dy] + vdl[layer + dl]
-                )
                 b = bget(f)
                 if b is None:
                     buckets[f] = deque(((tentative, nnid),))

@@ -7,7 +7,7 @@ quality numbers: wirelength, via count, and DRVs.
 The per-node routing state of a run is one
 :class:`repro.droute.indexed.DrouteIndex` — flat arrays addressed by node
 id — built by :meth:`DetailedRouter.begin_session`.  The router talks to
-it only through its nine session-state methods; the parity suite
+it only through its eight session-state methods; the parity suite
 overrides ``begin_session`` to install the dict-of-tuples reference from
 ``tests/oracles/droute.py`` behind the same methods.
 
@@ -189,7 +189,7 @@ class DetailedRouter:
         book = self._book = _RouteBook()
         result = book.result
 
-        with tracer.span("droute.first_pass"):
+        with tracer.span("droute.first_pass") as span:
             order = sorted(
                 self.design.nets.values(),
                 key=lambda n: (self.design.net_hpwl(n), n.name),
@@ -203,6 +203,8 @@ class DetailedRouter:
                     stats,
                 )
                 self._commit_net(comp, state, book)
+            if tracer.recording:
+                span.meta["soft_tolled"] = stats.tolled
 
         # Conflict-driven rip-up-and-reroute: every net involved in a
         # short is ripped (both aggressor and victim) and rerouted with a
@@ -223,8 +225,11 @@ class DetailedRouter:
             previous = ripped
             metrics.count("droute.rrr_rounds")
             metrics.count("droute.ripped_nets", len(ripped))
-            with tracer.span("droute.rrr_round", round=round_index):
+            tolled = stats.tolled
+            with tracer.span("droute.rrr_round", round=round_index) as span:
                 self._rrr_round(ripped, guides, state, stats, book)
+                if tracer.recording:
+                    span.meta["soft_tolled"] = stats.tolled - tolled
 
         with tracer.span("droute.drc"):
             self._tally(result, book.patch_counts)
@@ -483,11 +488,6 @@ class DetailedRouter:
             )
         else:
             src, dst = _nearest_pair(sources, targets)
-        free_for = state.free_for
-        in_guide = state.in_guide
-
-        def free(node: LNode) -> bool:
-            return free_for(node, net) and in_guide(guide, node)
 
         def stack(ix: int, iy: int, l0: int, l1: int) -> list[LNode]:
             step = 1 if l1 >= l0 else -1
@@ -530,19 +530,12 @@ class DetailedRouter:
             for node in path:
                 if not clean or node != clean[-1]:
                     clean.append(node)
+            if not state.run_clear(clean[1:], net, guide):
+                continue
             cost = 0.0
-            ok = True
-            for i, node in enumerate(clean):
-                if i and not free(node):
-                    ok = False
-                    break
-                if i:
-                    cost += (
-                        lattice.pitch
-                        if node[0] == clean[i - 1][0]
-                        else self.params.via_cost
-                    )
-            if ok and cost < best_cost:
+            for a, b in zip(clean, clean[1:]):
+                cost += lattice.pitch if a[0] == b[0] else self.params.via_cost
+            if cost < best_cost:
                 best = clean
                 best_cost = cost
         if best is None:

@@ -6,18 +6,27 @@ pre-indexed implementations, moved here unchanged but for their lint
 suppressions.  The flat-array :class:`repro.droute.indexed.DrouteIndex`
 must produce byte-identical paths, costs and conflict lists.
 
+Added since: :func:`pocket_look`, the backward look of
+``repro.droute.indexed.pocket_closed`` over tuples and sets, and the
+*toll* it proves for a soft search -- ``astar_connect`` takes it in the
+textbook form, ``h(n) + toll`` for every node outside the look's marked
+set, at weight 1.0.  A hard search the look calls closed is still run
+here, and must come back ``None``.
+
 :class:`OracleDetailedRouter` installs the reference through the one
 seam the router has: :meth:`DetailedRouter.begin_session` builds the
-session state, and everything else talks to it through the nine state
-methods (``guide_region, connect, in_guide, free_for, patch_free,
-holder_name, commit_used, release_reservations, rip``).
+session state, and everything else talks to it through the eight state
+methods (``guide_region, connect, run_clear, patch_free, holder_name,
+commit_used, release_reservations, rip``).
 """
 
 from __future__ import annotations
 
 import heapq
+from collections import deque
 
 from repro.droute.astar import SearchParams, SearchResult, SearchStats
+from repro.droute import indexed as _indexed
 from repro.droute.indexed import guide_spans as _guide_spans
 from repro.droute.lattice import LNode, TrackLattice
 from repro.droute.obstacles import BLOCKED, build_obstacle_map
@@ -31,23 +40,33 @@ class OracleDetailedRouter(DetailedRouter):
 
     def begin_session(self, guides):
         super().begin_session(guides)
-        self._state = _DictState(self)
+        owner, reservations = build_obstacle_map(self.design, self.lattice)
+        self._state = _DictState(
+            self.lattice, owner, reservations, self.params, self.guide_margin
+        )
         return self._state
 
 
 class _DictState:
     """Dict-of-tuples oracle backend.
 
-    Kept verbatim from the pre-indexed router for parity testing.
+    The pre-indexed router's state, kept for parity testing; its
+    constructor takes what ``DrouteIndex``'s takes.
     """
 
     indexed = False
 
-    def __init__(self, router: "DetailedRouter") -> None:
-        self.lattice = router.lattice
-        self.params = router.params
-        self.margin = router.guide_margin
-        owner, reservations = build_obstacle_map(router.design, router.lattice)
+    def __init__(
+        self,
+        lattice: TrackLattice,
+        owner: dict[LNode, str],
+        reservations: dict[str, list[LNode]],
+        params: SearchParams,
+        guide_margin: int = 0,
+    ) -> None:
+        self.lattice = lattice
+        self.params = params
+        self.margin = guide_margin
         self.owner = owner
         self.reservations = reservations
         # Authoritative session occupancy; the indexed kernel keeps
@@ -75,7 +94,18 @@ class _DictState:
         return guide_nodes, bounds
 
     def connect(self, sources, targets, net_name, bounds, guide, soft, stats):
-        return astar_connect(
+        closed, marked = pocket_look(
+            self.lattice, sources, targets, net_name, self.owner,
+            self.occupancy, bounds, guide,
+        )
+        toll = 0.0
+        if closed and soft:
+            toll = float(self.params.conflict_penalty)
+            if guide is not None:
+                toll = min(toll, float(self.params.off_guide_penalty))
+            if stats is not None:
+                stats.tolled += 1
+        result = astar_connect(
             self.lattice,
             sources,
             targets,
@@ -87,18 +117,23 @@ class _DictState:
             self.params,
             soft=soft,
             stats=stats,
+            toll=toll,
+            marked=marked,
         )
+        # The search production skips: run here, to hold the look to it.
+        assert not closed or soft or result is None
+        return result
 
-    def in_guide(self, guide, node: LNode) -> bool:
-        return guide is None or node in guide
-
-    def free_for(self, node: LNode, net_name: str) -> bool:
-        holder = self.owner.get(node)
-        if holder is not None and holder != net_name:
-            return False
-        holder = self.occupancy.get(node)
-        if holder is not None and holder != net_name:
-            return False
+    def run_clear(self, nodes, net_name: str, guide) -> bool:
+        for node in nodes:
+            holder = self.owner.get(node)
+            if holder is not None and holder != net_name:
+                return False
+            holder = self.occupancy.get(node)
+            if holder is not None and holder != net_name:
+                return False
+            if guide is not None and node not in guide:
+                return False
         return True
 
     def patch_free(self, node: LNode, net_name: str) -> bool:
@@ -126,6 +161,68 @@ class _DictState:
                 del occupancy[node]
 
 
+def pocket_look(
+    lattice: TrackLattice,
+    sources: set[LNode],
+    targets: set[LNode],
+    net: str,
+    owner: dict[LNode, str],
+    occupancy: dict[LNode, str],
+    bounds: tuple[int, int, int, int],
+    guide_nodes: set[LNode] | None,
+) -> tuple[bool, set[LNode]]:
+    """Is every penalty-free way into ``targets`` sealed?  ``(closed, marked)``.
+
+    Floods backwards from the targets over nodes that are free or
+    ``net``'s own (and in the guide, if there is one).  ``marked`` is
+    every node the flood entered or looked at; it means something only
+    when ``closed``.  Predecessors are stated from the stepping node's
+    side, the way ``astar_connect`` generates its candidates.
+    """
+    if sources & targets:
+        return False, set()
+    ix0, iy0, ix1, iy1 = bounds
+    min_wire = lattice.min_wire_layer
+    num_layers = lattice.tech.num_layers
+
+    def steps_onto(node: LNode):
+        layer, ix, iy = node
+        if layer >= min_wire:
+            if 0 <= ix - 1 < ix1:  # its +x step
+                yield (layer, ix - 1, iy)
+            if ix0 < ix + 1 < lattice.nx:  # its -x step
+                yield (layer, ix + 1, iy)
+            if 0 <= iy - 1 < iy1:
+                yield (layer, ix, iy - 1)
+            if iy0 < iy + 1 < lattice.ny:
+                yield (layer, ix, iy + 1)
+        if layer > 0:
+            yield (layer - 1, ix, iy)
+        if layer + 1 < num_layers:
+            yield (layer + 1, ix, iy)
+
+    def in_guide(node: LNode) -> bool:
+        return guide_nodes is None or node in guide_nodes
+
+    marked = set(targets)
+    flood = deque(t for t in targets if in_guide(t))
+    entered = len(flood)
+    while flood:
+        for pred in steps_onto(flood.popleft()):
+            if pred in sources:
+                return False, marked
+            if pred in marked:
+                continue
+            marked.add(pred)
+            if (
+                in_guide(pred)
+                and owner.get(pred, net) == net
+                and occupancy.get(pred, net) == net
+            ):
+                flood.append(pred)
+                entered += 1
+    return entered <= _indexed.POCKET_BUDGET, marked
+
 
 def astar_connect(
     lattice: TrackLattice,
@@ -139,6 +236,8 @@ def astar_connect(
     params: SearchParams,
     soft: bool,
     stats: SearchStats | None = None,
+    toll: float = 0.0,
+    marked: set[LNode] = frozenset(),
 ) -> SearchResult | None:
     """Cheapest lattice path from ``sources`` to ``targets``.
 
@@ -146,7 +245,9 @@ def astar_connect(
     routed-wire ownership; nodes owned by other nets are impassable in
     hard mode and penalized in soft mode.  ``bounds`` is the inclusive
     ``(ix0, iy0, ix1, iy1)`` search window; ``guide_nodes`` (if given)
-    is the set of nodes inside the net's guides.
+    is the set of nodes inside the net's guides.  ``toll`` is a penalty
+    every path still owes until it touches a node of ``marked``; the
+    estimate adds it there, and is then not inflated.
     """
     if not sources or not targets:
         return None
@@ -177,7 +278,7 @@ def astar_connect(
     heappush = heapq.heappush
     heappop = heapq.heappop
 
-    h_weight = params.heuristic_weight
+    h_weight = 1.0 if toll else params.heuristic_weight
 
     def heuristic(layer: int, ix: int, iy: int) -> float:
         dx = (t_ix0 - ix) if ix < t_ix0 else (ix - t_ix1 if ix > t_ix1 else 0)
@@ -185,7 +286,10 @@ def astar_connect(
         dl = (t_l0 - layer) if layer < t_l0 else (
             layer - t_l1 if layer > t_l1 else 0
         )
-        return h_weight * (pitch * (dx + dy) + via_cost * dl)
+        h = h_weight * (pitch * (dx + dy) + via_cost * dl)
+        if toll and (layer, ix, iy) not in marked:
+            h += toll
+        return h
 
     tie = 0
     # This IS the dict oracle the indexed kernel is parity-tested

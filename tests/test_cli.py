@@ -24,6 +24,24 @@ def test_run_skip_detailed(capsys):
     assert "ispd18_test1" in out
 
 
+def test_run_says_so_when_connections_stay_open(capsys, monkeypatch):
+    """One extra line, and only while ``droute.opens`` is not zero."""
+    import repro.flow
+    from repro.flow import FlowResult
+
+    for opens in (0, 2):
+        counters = {"droute.opens": float(opens)} if opens else {}
+        monkeypatch.setattr(
+            repro.flow, "run_flow",
+            lambda design, **kw: FlowResult(
+                design=design.name, mode="crp", metrics={"counters": counters}
+            ),
+        )
+        assert main(["run", "-b", "ispd18_test1", "-m", "crp"]) == 0
+        out = capsys.readouterr().out
+        assert ("opens: 2 connection(s)" in out) == bool(opens)
+
+
 def test_dump_writes_files(tmp_path, capsys):
     assert main(["dump", "-b", "ispd18_test1", "-o", str(tmp_path)]) == 0
     assert (tmp_path / "ispd18_test1.lef").exists()

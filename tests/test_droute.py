@@ -18,7 +18,7 @@ from helpers import (
     add_cell, add_two_pin_net, build_tiny_design, droute_index, fresh_small,
     lattice_nodes,
 )
-from oracles.droute import astar_connect
+from oracles.droute import _DictState, astar_connect
 
 
 # --------------------------------------------------------------- lattice
@@ -293,51 +293,120 @@ def test_astar_seed_outside_the_window_matches_the_oracle(tech45):
             _same_search(lattice, case, soft, guide, 60000)
 
 
+def _random_search_case(rng, tech, sealed=False):
+    """Random maps, window, guide rects and terminals on a small lattice.
+
+    ``sealed`` wraps every target in foreign wires, so that no
+    penalty-free step reaches it and the pocket look closes.
+    """
+    nx, ny = rng.randint(4, 12), rng.randint(4, 12)
+    lattice = TrackLattice(tech, Rect(0, 0, nx * 200, ny * 200))
+    nodes = lattice_nodes(lattice)
+    low = [node for node in nodes if node[0] <= 3]
+    density = rng.choice((0.05, 0.2, 0.35))
+    owner = {
+        node: rng.choice(("n", "enemy", BLOCKED))
+        for node in nodes if rng.random() < density
+    }
+    occupancy = {
+        node: rng.choice(("n", "other"))
+        for node in nodes if rng.random() < density
+    }
+    # anywhere on the low layers: inside and outside a random window
+    sources = set(rng.sample(low, rng.randint(1, 3)))
+    targets = set(rng.sample(low, rng.randint(1, 3)))
+    bounds = (0, 0, lattice.nx - 1, lattice.ny - 1)
+    if rng.random() < 0.5:
+        xs = sorted(rng.sample(range(lattice.nx), 2))
+        ys = sorted(rng.sample(range(lattice.ny), 2))
+        bounds = (xs[0], ys[0], xs[1], ys[1])
+    guide = set()
+    for _ in range(rng.randint(1, 4)):
+        gx = sorted(rng.sample(range(lattice.nx), 2))
+        gy = sorted(rng.sample(range(lattice.ny), 2))
+        guide |= {
+            (layer, ix, iy)
+            for layer in rng.sample(range(4), 3)
+            for ix in range(gx[0], gx[1] + 1)
+            for iy in range(gy[0], gy[1] + 1)
+        }
+    if rng.random() < 0.5:  # as the router stamps them: terminals and landings
+        guide |= {(l + dl, ix, iy) for l, ix, iy in sources | targets for dl in (0, 1)}
+    if sealed:
+        on_lattice = set(nodes) - sources - targets
+        for l, ix, iy in targets:
+            for around in (
+                (l, ix + 1, iy), (l, ix - 1, iy), (l, ix, iy + 1),
+                (l, ix, iy - 1), (l + 1, ix, iy), (l - 1, ix, iy),
+            ):
+                if around in on_lattice:
+                    occupancy[around] = "other"
+    return lattice, (owner, occupancy, bounds, sources, targets), guide
+
+
 def test_astar_randomized_parity_in_all_four_combinations(tech45):
     """Path, cost, conflicts and expansion count equal the oracle's on random
     maps, windows, guide rects and terminals, under budgets that do and do
     not run out."""
     rng = random.Random(20221003)
     for _ in range(120):
-        nx, ny = rng.randint(4, 12), rng.randint(4, 12)
-        lattice = TrackLattice(tech45, Rect(0, 0, nx * 200, ny * 200))
-        nodes = lattice_nodes(lattice)
-        low = [node for node in nodes if node[0] <= 3]
-        density = rng.choice((0.05, 0.2, 0.35))
-        owner = {
-            node: rng.choice(("n", "enemy", BLOCKED))
-            for node in nodes if rng.random() < density
-        }
-        occupancy = {
-            node: rng.choice(("n", "other"))
-            for node in nodes if rng.random() < density
-        }
-        # anywhere on the low layers: inside and outside a random window
-        sources = set(rng.sample(low, rng.randint(1, 3)))
-        targets = set(rng.sample(low, rng.randint(1, 3)))
-        bounds = (0, 0, lattice.nx - 1, lattice.ny - 1)
-        if rng.random() < 0.5:
-            xs = sorted(rng.sample(range(lattice.nx), 2))
-            ys = sorted(rng.sample(range(lattice.ny), 2))
-            bounds = (xs[0], ys[0], xs[1], ys[1])
-        guide = set()
-        for _ in range(rng.randint(1, 4)):
-            gx = sorted(rng.sample(range(lattice.nx), 2))
-            gy = sorted(rng.sample(range(lattice.ny), 2))
-            guide |= {
-                (layer, ix, iy)
-                for layer in rng.sample(range(4), 3)
-                for ix in range(gx[0], gx[1] + 1)
-                for iy in range(gy[0], gy[1] + 1)
-            }
-        if rng.random() < 0.5:  # as the router stamps them: terminals and landings
-            guide |= {(l + dl, ix, iy) for l, ix, iy in sources | targets for dl in (0, 1)}
-        case = (owner, occupancy, bounds, sources, targets)
+        lattice, case, guide = _random_search_case(rng, tech45)
         for soft in (False, True):
             for use_guide in (None, guide):
                 _same_search(
                     lattice, case, soft, use_guide, rng.choice((50, 400, 60000))
                 )
+
+
+def _both_states(lattice, case, guide, params):
+    """``(state, guide handle)`` of the dict reference and of the flat index,
+    holding the same maps."""
+    owner, occupancy, _, _, _ = case
+    oracle = _DictState(lattice, owner, {}, params)
+    oracle.occupancy = occupancy
+    index, stamp = droute_index(lattice, owner, occupancy, guide)
+    index.params = params
+    return (oracle, guide), (index, stamp)
+
+
+def _same_connect(lattice, case, soft, guide, max_expansions):
+    """One problem through ``connect`` -- look, toll and search -- of both
+    states; they must agree on everything.  True when the look closed."""
+    _, _, bounds, sources, targets = case
+    params = SearchParams(max_expansions=max_expansions)
+    found = []
+    for state, handle in _both_states(lattice, case, guide, params):
+        stats = SearchStats()
+        result = state.connect(sources, targets, "n", bounds, handle, soft, stats)
+        found.append((
+            result and (result.path, result.cost, result.conflicts),
+            stats.expansions,
+        ))
+    (ref, ref_expansions), (fast, expansions) = found
+    assert fast == ref, (soft, guide is not None, max_expansions, case)
+    if stats.skipped:  # production's only: the reference ran it, and checked
+        assert fast is None and not expansions
+    else:
+        assert expansions == ref_expansions, (soft, guide is not None, case)
+    return bool(stats.skipped or stats.tolled)
+
+
+def test_connect_randomized_parity_with_the_look_and_the_toll(tech45):
+    """``DrouteIndex.connect`` against the reference's on random problems, half
+    of them with sealed targets: the look answers alike, the toll is the same
+    and the tolled search expands the same nodes in the same order."""
+    rng = random.Random(20261003)
+    soft_looks = soft_closed = 0
+    for round_ in range(120):
+        lattice, case, guide = _random_search_case(rng, tech45, sealed=round_ % 2)
+        for soft in (False, True):
+            for use_guide in (None, guide):
+                closed = _same_connect(
+                    lattice, case, soft, use_guide, rng.choice((50, 400, 60000))
+                )
+                soft_looks += soft
+                soft_closed += soft and closed
+    assert soft_closed >= 0.2 * soft_looks, (soft_closed, soft_looks)
 
 
 # ------------------------------------------------------------------- drc

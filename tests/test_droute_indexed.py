@@ -41,15 +41,18 @@ def signature(result):
     )
 
 
-def route_both(design_factory, guides_from_gr: bool, **router_kw):
+def route_both(design_factory, guides_from_gr: bool, min_tolled=0, **router_kw):
     """Route two fresh copies, oracle and indexed; return signatures.
 
     Also holds the searches themselves to the oracle's: the indexed arm's
     per-search expansion counts are the oracle's, in order, less the hard
-    searches the pocket look answered without running.
+    searches the pocket look answered without running (the oracle runs
+    them), and both arms ran the same number -- at least ``min_tolled``
+    -- of soft searches under a toll.
     """
     sigs = []
     searches = []
+    tolled = []
     for router_class in (OracleDetailedRouter, DetailedRouter):
         design = design_factory()
         guides = None
@@ -62,11 +65,13 @@ def route_both(design_factory, guides_from_gr: bool, **router_kw):
         with use_metrics(registry):
             sigs.append(signature(router.route_all(guides)))
         searches.append(registry.raw()["histograms"].get("droute.astar_expansions", []))
+        tolled.append(registry.counter("droute.soft_tolled"))
         skipped = registry.counter("droute.hard_skipped")  # the last arm's: the look's
         # the seam took: only the production arm ran on the flat arrays
         assert isinstance(router._state, DrouteIndex) == (
             router_class is DetailedRouter
         )
+    assert tolled[0] == tolled[1] >= min_tolled
     oracle_searches, indexed_searches = searches
     assert len(oracle_searches) < RESERVOIR_SIZE  # else the lists are samples
     assert len(indexed_searches) == len(oracle_searches) - skipped
@@ -135,6 +140,17 @@ def test_parity_through_ripup_rounds():
                             utilization=0.8),
         guides_from_gr=True,
         drc_rounds=3,
+    )
+    assert indexed == oracle
+
+
+def test_parity_where_soft_searches_carry_a_toll():
+    """A design dense enough that the look closes for soft searches too:
+    their paths are the tolled oracle's."""
+    oracle, indexed = route_both(
+        lambda: fresh_small(seed=7, num_cells=120, num_nets=260, utilization=0.9),
+        guides_from_gr=True,
+        min_tolled=1,
     )
     assert indexed == oracle
 

@@ -1,10 +1,12 @@
-"""Searches detailed routing does not run: the pocket look and the
-fixed-point exit from the conflict rounds.
+"""Searches detailed routing does not run, and the one it runs knowing
+where it must cross: the pocket look, the toll it proves for a soft
+search, and the fixed-point exit from the conflict rounds.
 
-Both must be invisible in the output.  The look is held to the forward
-search and to the dict oracle on random lattices (it may only say
-"closed" when both return ``None``); the exit is held to a conflict
-round run by hand after ``route_all`` has stopped.
+The look is held to the forward search and to the dict oracle on random
+lattices (it may only say "closed" when both return ``None``); the toll
+is held to the optimum (a tolled search costs what the un-inflated,
+unbounded flood costs); the exit is held to a conflict round run by
+hand after ``route_all`` has stopped.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from helpers import (
     lattice_nodes,
 )
 from oracles.droute import astar_connect
+from test_droute import _random_search_case
 from test_droute_indexed import signature
 
 _TECH = build_tech("45nm")
@@ -79,15 +82,17 @@ def _random_case(seed, nx, ny, top_layer, wall_density, guide_density):
     ny=st.integers(3, 10),
     top_layer=st.integers(1, 4),
     wall_density=st.sampled_from((0.1, 0.25, 0.4)),
-    guide_density=st.sampled_from((0.5, 0.7, 0.9, 1.0)),
+    guide_density=st.sampled_from((0.5, 0.7, 0.9, 1.0, None)),
     budget=st.sampled_from((1, 4, 16, 64, indexed.POCKET_BUDGET)),
 )
 def test_look_closed_implies_no_path(
     seed, nx, ny, top_layer, wall_density, guide_density, budget
 ):
     lattice, owner, occupancy, guide, bounds, sources, targets = _random_case(
-        seed, nx, ny, top_layer, wall_density, guide_density
+        seed, nx, ny, top_layer, wall_density, guide_density or 1.0
     )
+    if guide_density is None:  # an unguided search: no guide test in the look
+        guide = None
     index, stamp = droute_index(lattice, owner, occupancy, guide)
     net_id = index.intern("n")
     params = SearchParams()
@@ -138,6 +143,206 @@ def test_look_does_not_read_an_earlier_search_s_wall_marks():
     assert blocked is None  # it met the corridor and marked it a wall
     assert look(index, stamp) is False
     assert look(*droute_index(lattice, owner, {}, nodes)) is False
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    nx=st.integers(3, 10),
+    ny=st.integers(3, 10),
+    top_layer=st.integers(1, 4),
+    wall_density=st.sampled_from((0.1, 0.25, 0.4)),
+    guide_density=st.sampled_from((0.5, 0.9, None)),
+    budget=st.sampled_from((30, 400, 60000)),
+)
+def test_tolled_search_costs_what_the_flood_costs(
+    seed, nx, ny, top_layer, wall_density, guide_density, budget
+):
+    """Whenever the look closes for a soft search, the search that carries the
+    toll finds a path iff the un-inflated flood with no budget does, at the
+    flood's cost -- the optimum -- so never above the parent kernel's (weight
+    1.15, toll 0.0).
+
+    Not "the flood's path": they may settle an equal-cost tie differently
+    (about one random case in four hundred)."""
+    lattice, owner, occupancy, guide, bounds, sources, targets = _random_case(
+        seed, nx, ny, top_layer, wall_density, guide_density or 1.0
+    )
+    if guide_density is None:
+        guide = None
+    index, stamp = droute_index(lattice, owner, occupancy, guide)
+    net_id = index.intern("n")
+    unbounded = index.num_nodes + 1
+
+    def search(weight, max_expansions):
+        params = SearchParams(heuristic_weight=weight, max_expansions=max_expansions)
+        return astar_connect_indexed(
+            index, sources, targets, net_id, bounds, stamp, params, soft=True
+        )
+
+    flood = search(1.0, unbounded)
+    parent = search(SearchParams().heuristic_weight, budget)
+    index.params = SearchParams(max_expansions=unbounded)
+    stats = SearchStats()
+    tolled = index.connect(sources, targets, "n", bounds, stamp, True, stats)
+    if not stats.tolled:
+        return
+    assert (tolled is None) == (flood is None)
+    if tolled is None:
+        return
+    assert tolled.cost == flood.cost
+    assert len(tolled.path) >= 2 and tolled.path[-1] in targets
+    if parent is not None:
+        assert tolled.cost <= parent.cost
+
+
+def _walled_target(free=(), size=9):
+    """A ``size`` x ``size`` lattice whose target, three tracks from the right
+    edge of the middle row of Metal2, is wrapped in foreign wires -- all six
+    neighbours but those at the ``(dl, dx, dy)`` offsets in ``free``; the
+    source is one track from the left edge of the same row.  At ``size=9``:
+    ``(1, 1, 4)`` to ``(1, 6, 4)``."""
+    lattice = TrackLattice(_TECH, Rect(0, 0, size * 200, size * 200))
+    l, ix, iy = target = (1, size - 3, size // 2)
+    occupancy = {
+        (l + dl, ix + dx, iy + dy): "other"
+        for dl, dx, dy in (
+            (0, -1, 0), (0, 1, 0), (0, 0, -1), (0, 0, 1), (-1, 0, 0), (1, 0, 0),
+        )
+        if (dl, dx, dy) not in free
+    }
+    bounds = (0, 0, lattice.nx - 1, lattice.ny - 1)
+    return lattice, occupancy, bounds, {(1, 1, size // 2)}, {target}
+
+
+def test_look_closes_on_a_walled_target_and_opens_through_a_gap():
+    lattice, occupancy, bounds, sources, targets = _walled_target()
+    index, _ = droute_index(lattice, {}, occupancy)
+    assert pocket_closed(index, sources, targets, index.intern("n"), bounds, None)
+    # the holder itself walks in: its own wires are no wall
+    assert not pocket_closed(
+        index, sources, targets, index.intern("other"), bounds, None
+    )
+
+    lattice, occupancy, bounds, sources, targets = _walled_target(
+        free={(0, -1, 0)}
+    )
+    index, _ = droute_index(lattice, {}, occupancy)
+    assert not pocket_closed(  # it met the source: unknown
+        index, sources, targets, index.intern("n"), bounds, None
+    )
+
+
+def test_look_gives_up_past_its_budget():
+    """The *source* is the walled one: the flood from the target would close
+    -- after the whole lattice, far past ``POCKET_BUDGET``."""
+    lattice, occupancy, bounds, sources, targets = _walled_target()
+    index, _ = droute_index(lattice, {}, occupancy)
+    net_id = index.intern("n")
+    assert index.num_nodes > indexed.POCKET_BUDGET
+    assert not pocket_closed(index, targets, sources, net_id, bounds, None)
+    with patch.object(indexed, "POCKET_BUDGET", index.num_nodes):
+        assert pocket_closed(index, targets, sources, net_id, bounds, None)
+
+
+def test_look_follows_the_window_rule():
+    """A gap on the target's far side is no way in when the node behind it
+    may not step: a planar step needs the *stepping* node short of the far
+    bound."""
+    lattice, occupancy, _, sources, targets = _walled_target(
+        free={(0, 1, 0)}
+    )
+    index, _ = droute_index(lattice, {}, occupancy)
+    net_id = index.intern("n")
+    whole = (0, 0, lattice.nx - 1, lattice.ny - 1)
+    assert not pocket_closed(index, sources, targets, net_id, whole, None)
+    # (1, 7, 4) steps -x onto the target only while it is right of ix0
+    for ix0, closed in ((6, False), (7, True)):
+        window = (ix0, 0, lattice.nx - 1, lattice.ny - 1)
+        assert pocket_closed(index, sources, targets, net_id, window, None) == closed
+        found = astar_connect_indexed(
+            index, sources, targets, net_id, window, None, SearchParams(), soft=False
+        )
+        assert (found is None) == closed
+
+
+def test_look_tests_the_guide_only_when_there_is_one():
+    lattice, occupancy, bounds, sources, targets = _walled_target(
+        free={(0, -1, 0)}
+    )
+    guide = set(lattice_nodes(lattice)) - {(1, 5, 4)}  # the gap is off-guide
+    index, stamp = droute_index(lattice, {}, occupancy, guide)
+    net_id = index.intern("n")
+    assert pocket_closed(index, sources, targets, net_id, bounds, stamp)
+    assert not pocket_closed(index, sources, targets, net_id, bounds, None)
+
+
+def test_connect_skips_an_unguided_hard_search_too():
+    lattice, occupancy, bounds, sources, targets = _walled_target()
+    index, _ = droute_index(lattice, {}, occupancy)
+    stats = SearchStats()
+    found = index.connect(sources, targets, "n", bounds, None, False, stats)
+    assert found is None
+    assert (stats.skipped, stats.tolled, stats.calls) == (1, 0, 0)
+
+
+def test_soft_search_that_flooded_its_budget_now_connects():
+    """The opens that were budget artefacts.  The target is wrapped in
+    foreign wires, so the soft search must cross one; blind to that, it
+    expands every penalty-free node with ``f`` below the answer -- the whole
+    window, nine layers deep -- and the budget ends it first."""
+    lattice, occupancy, bounds, sources, targets = _walled_target(size=30)
+    params = SearchParams(max_expansions=400)  # x soft_budget_factor = 1 200
+    index, _ = droute_index(lattice, {}, occupancy)
+    index.params = params
+
+    flood = SearchStats()
+    assert astar_connect_indexed(
+        index, sources, targets, index.intern("n"), bounds, None, params,
+        soft=True, stats=flood,
+    ) is None
+    assert flood.expansions == [1200]
+
+    stats = SearchStats()
+    found = index.connect(sources, targets, "n", bounds, None, True, stats)
+    assert stats.tolled == 1 and stats.expansions[0] < 100
+    # up to Metal3, 26 tracks along it, down through the wire on the landing
+    assert found.conflicts == [(2, 27, 15)]
+    assert found.cost == 2 * params.via_cost + 26 * lattice.pitch + params.conflict_penalty
+
+
+def test_marks_of_a_look_and_its_tolled_search_mean_nothing_to_the_next_net():
+    """Look, then tolled search, then the look and the search for *another*
+    net across the same nodes: every answer is a fresh index's.  (The look's
+    marks are read by the one search that follows it and by nothing else;
+    the search's inside codes are codes of its own block.)"""
+    rng = random.Random(23)
+    later_tolled = 0
+    for round_ in range(60):
+        lattice, case, guide = _random_search_case(rng, _TECH, sealed=True)
+        owner, occupancy, bounds, sources, targets = case
+        for use_guide in (None, guide):
+            used, stamp = droute_index(lattice, owner, occupancy, use_guide)
+            first = SearchStats()
+            used.connect(sources, targets, "n", bounds, stamp, True, first)
+            fresh, fresh_stamp = droute_index(lattice, owner, occupancy, use_guide)
+            # "other" holds the seal: it walks where "n" had to cross,
+            # forwards and, terminals swapped, backwards
+            for net, a, b in (("other", sources, targets), ("n", targets, sources)):
+                answers = []
+                for index, handle in ((used, stamp), (fresh, fresh_stamp)):
+                    closed = pocket_closed(
+                        index, a, b, index.intern(net), bounds, handle
+                    )
+                    stats = SearchStats()
+                    found = index.connect(a, b, net, bounds, handle, True, stats)
+                    answers.append((
+                        closed, stats.tolled, stats.expansions,
+                        found and (found.path, found.cost, found.conflicts),
+                    ))
+                assert answers[0] == answers[1], (round_, net)
+                later_tolled += answers[0][1]
+    assert later_tolled  # the second net's searches read marks too
 
 
 def _two_cell_session(tech45):
