@@ -12,18 +12,15 @@ report format (``repro.analyze/1``):
   accounting/connectivity/legality/ILP-shape audits over a loaded
   ``Design``/``GlobalRouter`` state.  Run it with ``crp check``.
 
-A third, interprocedural engine (:mod:`repro.analyze.dataflow`) layers
-project-wide determinism taint and guard-coverage passes
-(``REPRO-T*``/``REPRO-G004+``/``REPRO-U001``) on top of the linter;
-:func:`repro.analyze.api.run_source_analysis` runs everything with one
-call, and ``crp analyze`` is the unified CLI.
+The linter has one driver, :func:`lint_paths`, and one result type,
+:class:`LintResult`; it also judges stale ``# repro: noqa`` comments
+(``REPRO-U001``).  ``crp analyze`` runs it and, with ``-b``, the
+flow-invariant checker, under one exit code.
 """
 
 from repro.analyze.api import (
-    SourceAnalysis,
     analysis_report,
     check_baseline,
-    run_source_analysis,
     update_baseline,
 )
 from repro.analyze.findings import (
@@ -60,10 +57,8 @@ from repro.analyze.invariants import (
 
 __all__ = [
     "SCHEMA",
-    "SourceAnalysis",
     "analysis_report",
     "check_baseline",
-    "run_source_analysis",
     "unused_suppression_findings",
     "update_baseline",
     "Finding",

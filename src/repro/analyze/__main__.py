@@ -1,7 +1,7 @@
 """``python -m repro.analyze [paths...]`` — run the source analyzers.
 
-Runs the per-file AST linter plus the interprocedural dataflow passes
-(``--no-dataflow`` to skip them).  Exit status is 1 when any
+Runs the AST linter (every rule, REPRO-U001 included, unless
+``--select``/``--ignore`` narrow it).  Exit status is 1 when any
 error-severity finding survives suppression (warnings and infos never
 fail the run), matching the CI contract.
 
@@ -24,18 +24,16 @@ from repro.analyze.api import (
     BASELINE_NAME,
     analysis_report,
     check_baseline,
-    run_source_analysis,
     update_baseline,
 )
 from repro.analyze.findings import render_findings, write_report
-from repro.analyze.linter import LintConfig
+from repro.analyze.linter import LintConfig, lint_paths
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analyze",
-        description="Lint and dataflow-analyze Python sources with the "
-        "repo-specific rules.",
+        description="Lint Python sources with the repo-specific rules.",
     )
     parser.add_argument(
         "paths",
@@ -74,11 +72,6 @@ def main(argv: list[str] | None = None) -> int:
         help="report paths relative to DIR (default: cwd)",
     )
     parser.add_argument(
-        "--no-dataflow",
-        action="store_true",
-        help="skip the interprocedural dataflow passes",
-    )
-    parser.add_argument(
         "--baseline",
         metavar="FILE",
         default=BASELINE_NAME,
@@ -98,13 +91,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     if args.update_baseline:
-        analysis = update_baseline(
+        result = update_baseline(
             args.baseline, list(args.paths), relative_to=args.relative_to
         )
         print(
-            f"wrote {args.baseline}: {len(analysis.findings)} finding(s), "
-            f"{analysis.suppressed} suppressed, "
-            f"{analysis.files_scanned} file(s)"
+            f"wrote {args.baseline}: {len(result.findings)} finding(s), "
+            f"{result.suppressed} suppressed, "
+            f"{result.files_scanned} file(s)"
         )
         return 0
 
@@ -122,13 +115,8 @@ def main(argv: list[str] | None = None) -> int:
         select=tuple(s for s in args.select.split(",") if s),
         ignore=tuple(s for s in args.ignore.split(",") if s),
     )
-    analysis = run_source_analysis(
-        list(args.paths),
-        lint_config=config,
-        dataflow=not args.no_dataflow,
-        relative_to=args.relative_to,
-    )
-    document = analysis_report(analysis)
+    result = lint_paths(list(args.paths), config, relative_to=args.relative_to)
+    document = analysis_report(result)
     if args.output:
         write_report(args.output, document)
     if args.format == "json":
@@ -137,10 +125,10 @@ def main(argv: list[str] | None = None) -> int:
         print(json.dumps(document, indent=1))
     else:
         print(
-            render_findings(analysis.findings, suppressed=analysis.suppressed)
+            render_findings(result.findings, suppressed=result.suppressed)
         )
-        print(f"scanned {analysis.files_scanned} file(s)")
-    return 0 if analysis.ok else 1
+        print(f"scanned {result.files_scanned} file(s)")
+    return 0 if result.ok else 1
 
 
 if __name__ == "__main__":

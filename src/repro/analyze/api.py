@@ -1,10 +1,8 @@
-"""One driver for every source-level analysis, and the baseline gate.
+"""The report document and the two-sided baseline gate.
 
-:func:`run_source_analysis` is what both entry points —
-``python -m repro.analyze`` and ``crp analyze`` — call: the per-file
-linter, the interprocedural dataflow passes, and the REPRO-U001
-unused-suppression sweep (which must run last, over the merged
-used-suppression map of everything before it).
+Both entry points — ``python -m repro.analyze`` and ``crp analyze`` —
+run :func:`repro.analyze.linter.lint_paths` and render its
+:class:`~repro.analyze.linter.LintResult` with :func:`analysis_report`.
 
 The committed ``ANALYZE_baseline.json`` is the report document of a
 clean run over ``src/``: :func:`update_baseline` regenerates it
@@ -18,123 +16,28 @@ direction is visible in the job summary.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.analyze.dataflow.engine import DataflowConfig, run_dataflow
-from repro.analyze.dataflow.ruleset import register_dataflow_rules
 from repro.analyze.findings import (
     Finding,
-    Severity,
     load_report,
     report_document,
     write_report,
 )
-from repro.analyze.linter import (
-    LintConfig,
-    iter_python_files,
-    lint_paths,
-    unused_suppression_findings,
-)
+from repro.analyze.linter import LintResult, lint_paths
 from repro.analyze.rules import rule_table
 
 BASELINE_NAME = "ANALYZE_baseline.json"
 
 
-@dataclass(slots=True)
-class SourceAnalysis:
-    """Combined outcome of linter + dataflow + unused-suppression."""
-
-    findings: list[Finding] = field(default_factory=list)
-    files_scanned: int = 0
-    suppressed: int = 0
-    parse_errors: list[tuple[str, str]] = field(default_factory=list)
-    #: deterministic dataflow statistics ({} when dataflow was skipped)
-    dataflow_stats: dict[str, int] = field(default_factory=dict)
-
-    @property
-    def errors(self) -> int:
-        return sum(1 for f in self.findings if f.severity is Severity.ERROR)
-
-    @property
-    def ok(self) -> bool:
-        return self.errors == 0
-
-
-def run_source_analysis(
-    paths: list[str | Path] | None = None,
-    *,
-    lint_config: LintConfig | None = None,
-    dataflow: bool = True,
-    dataflow_config: DataflowConfig | None = None,
-    relative_to: str | Path | None = ".",
-) -> SourceAnalysis:
-    """Run every source-level pass over ``paths`` (default ``src``)."""
-    register_dataflow_rules()
-    paths = list(paths) if paths is not None else ["src"]
-    out = SourceAnalysis()
-
-    lint = lint_paths(paths, lint_config, relative_to=relative_to)
-    out.findings.extend(lint.findings)
-    out.files_scanned = lint.files_scanned
-    out.suppressed = lint.suppressed
-    out.parse_errors = list(lint.parse_errors)
-    used: dict[str, set[tuple[int, str]]] = {
-        path: set(pairs) for path, pairs in lint.used_suppressions.items()
-    }
-
-    if dataflow:
-        flow = run_dataflow(paths, dataflow_config, relative_to=relative_to)
-        out.findings.extend(flow.findings)
-        out.suppressed += flow.suppressed
-        out.dataflow_stats = dict(flow.stats)
-        for path, pairs in flow.used_suppressions.items():
-            used.setdefault(path, set()).update(pairs)
-
-    # U001 last: it needs the final merged used-suppression map
-    sources: dict[str, str] = {}
-    for file_path in iter_python_files(paths):
-        report_path = file_path
-        if relative_to is not None:
-            try:
-                report_path = file_path.resolve().relative_to(
-                    Path(relative_to).resolve()
-                )
-            except ValueError:
-                report_path = file_path
-        try:
-            sources[Path(report_path).as_posix()] = file_path.read_text()
-        except OSError:
-            continue  # already a parse_errors entry from the linter
-    out.findings.extend(unused_suppression_findings(sources, used))
-
-    # --select/--ignore apply uniformly, dataflow findings included
-    if lint_config is not None:
-        if lint_config.select:
-            out.findings = [
-                f for f in out.findings if f.rule in lint_config.select
-            ]
-        if lint_config.ignore:
-            out.findings = [
-                f for f in out.findings if f.rule not in lint_config.ignore
-            ]
-
-    out.findings.sort(key=Finding.sort_key)
-    return out
-
-
-def analysis_report(analysis: SourceAnalysis) -> dict[str, object]:
+def analysis_report(result: LintResult) -> dict[str, object]:
     """The deterministic SARIF-lite document for one analysis run."""
-    extra: dict[str, object] = {}
-    if analysis.dataflow_stats:
-        extra["dataflow"] = dict(sorted(analysis.dataflow_stats.items()))
     return report_document(
-        analysis.findings,
+        result.findings,
         tool="repro.analyze",
-        files_scanned=analysis.files_scanned,
-        suppressed=analysis.suppressed,
+        files_scanned=result.files_scanned,
+        suppressed=result.suppressed,
         rule_table=rule_table(),
-        extra=extra,
     )
 
 
@@ -147,11 +50,11 @@ def update_baseline(
     paths: list[str | Path] | None = None,
     *,
     relative_to: str | Path | None = ".",
-) -> SourceAnalysis:
+) -> LintResult:
     """Regenerate the committed baseline (atomic, sorted, byte-stable)."""
-    analysis = run_source_analysis(paths, relative_to=relative_to)
-    write_report(baseline_path, analysis_report(analysis))
-    return analysis
+    result = lint_paths(paths or ["src"], relative_to=relative_to)
+    write_report(baseline_path, analysis_report(result))
+    return result
 
 
 def _finding_keys(findings: list[Finding]) -> set[tuple]:
@@ -176,8 +79,8 @@ def check_baseline(
     short-circuit to ok.
     """
     baseline_path = Path(baseline_path)
-    analysis = run_source_analysis(paths, relative_to=relative_to)
-    document = analysis_report(analysis)
+    result = lint_paths(paths or ["src"], relative_to=relative_to)
+    document = analysis_report(result)
     rendered = _render_document(document)
     try:
         committed = baseline_path.read_text()
@@ -191,7 +94,7 @@ def check_baseline(
         base_findings, base_doc = load_report(baseline_path)
     except (ValueError, KeyError) as exc:
         return False, [f"baseline unparsable: {exc}"]
-    current = _finding_keys(analysis.findings)
+    current = _finding_keys(result.findings)
     baseline = _finding_keys(base_findings)
     for key in sorted(current - baseline):
         lines.append(

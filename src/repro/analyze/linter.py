@@ -1,10 +1,12 @@
 """The AST lint engine: file walking, noqa suppression, rule dispatch.
 
-Pure stdlib.  The engine parses each file once, hands the module to
-every registered rule checker (:mod:`repro.analyze.rules`), and turns
-the raw ``(node, message)`` pairs into :class:`Finding` records —
-after dropping any occurrence suppressed by an inline
-``# repro: noqa:RULE-ID`` comment on the flagged physical line.
+Pure stdlib, and the analyzer's one driver.  :func:`lint_paths` parses
+each file once, hands the module to every active rule checker
+(:mod:`repro.analyze.rules`), turns the raw ``(node, message)`` pairs
+into :class:`Finding` records — after dropping any occurrence
+suppressed by an inline ``# repro: noqa:RULE-ID`` comment on the
+flagged physical line — and then judges that file's noqa comments for
+REPRO-U001 against the rules that actually ran on it.
 
 The run itself is observable: it executes inside an ``analyze.lint``
 span and counts ``analyze.files`` / ``analyze.findings`` /
@@ -22,7 +24,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.analyze.findings import Finding, Severity
-from repro.analyze.rules import CHECKERS, RULES, ModuleContext
+from repro.analyze.rules import CHECKERS, RULES, UNUSED_NOQA, ModuleContext
 from repro.obs import get_metrics, get_tracer
 
 #: ``# repro: noqa`` or ``# repro: noqa:REPRO-D001,REPRO-G002 — why``
@@ -53,11 +55,6 @@ class LintResult:
     #: files that failed to parse, as (path, message) — reported as
     #: PARSE-ERROR findings too, so they can never pass silently
     parse_errors: list[tuple[str, str]] = field(default_factory=list)
-    #: path -> {(line, rule)} suppressions that absorbed a finding;
-    #: feeds the REPRO-U001 unused-suppression meta-rule
-    used_suppressions: dict[str, set[tuple[int, str]]] = field(
-        default_factory=dict
-    )
 
     @property
     def errors(self) -> int:
@@ -132,12 +129,7 @@ def lint_source(
     for rule_id in config.active_rules():
         spec = RULES[rule_id]
         checker = CHECKERS.get(rule_id)
-        if checker is None:
-            # Whole-project rules (dataflow, REPRO-U001) are registered
-            # in RULES for the report's rule table but have no per-file
-            # checker; their engines emit findings directly.
-            continue
-        if not spec.applies_to(posix):
+        if checker is None or not spec.applies_to(posix):
             continue
         severity = spec.severity_for(posix)
         for raw, message in checker(ctx):
@@ -221,75 +213,68 @@ def _noqa_comments(source: str) -> list[tuple[int, str | None]]:
 
 
 def unused_suppression_findings(
-    sources: dict[str, str],
-    used: dict[str, set[tuple[int, str]]],
+    path: str,
+    source: str,
+    used: set[tuple[int, str]],
+    config: LintConfig | None = None,
 ) -> list[Finding]:
-    """REPRO-U001: suppressions that no longer suppress anything.
+    """REPRO-U001: one file's suppressions that no longer suppress anything.
 
-    ``sources`` maps report path -> file source; ``used`` is the merged
-    usage map from every pass that honors noqa (linter + dataflow).
-    One finding per stale comment, listing every stale/unknown ID.
+    ``used`` holds the ``(line, rule)`` pairs that absorbed a finding in
+    :func:`lint_source` under the same ``config``.  A named ID is judged
+    only when its rule ran on ``path`` (active under ``config`` and in
+    scope for the path); a bare noqa only when every in-scope rule ran.
+    An ID that names no registered rule is always reported.  One
+    finding per stale comment, listing every stale/unknown ID.
     """
-    # U001 is registered by the dataflow ruleset (it is a whole-run
-    # meta-rule, not a per-file checker); lazy import keeps the
-    # linter importable without the dataflow package initialized.
-    from repro.analyze.dataflow.ruleset import register_dataflow_rules
-
-    register_dataflow_rules()
-    spec = RULES["REPRO-U001"]
+    config = config or LintConfig()
+    in_scope = {r for r in CHECKERS if RULES[r].applies_to(path)}
+    ran = in_scope.intersection(config.active_rules())
+    used_lines = {line for line, _ in used}
+    spec = RULES[UNUSED_NOQA]
     findings: list[Finding] = []
-    for path in sorted(sources):
-        used_here = used.get(path, set())
-        used_lines = {line for line, _ in used_here}
-        for line, raw_spec in _noqa_comments(sources[path]):
-            if raw_spec is None:
-                if line not in used_lines:
-                    findings.append(
-                        Finding(
-                            rule=spec.id,
-                            severity=spec.severity_for(path),
-                            path=path,
-                            line=line,
-                            message=(
-                                "bare `# repro: noqa` suppresses nothing "
-                                "on this line"
-                            ),
-                            hint=spec.hint,
-                        )
-                    )
-                continue
-            ids = _RULE_ID_RE.findall(raw_spec)
-            unknown = sorted(i for i in ids if i not in RULES)
-            stale = sorted(
-                i
-                for i in ids
-                if i in RULES and (line, i) not in used_here
-            )
-            problems: list[str] = []
-            if not ids:
-                problems.append("no valid rule IDs in the suppression list")
-            if unknown:
-                problems.append(
-                    "unknown rule ID(s) " + ", ".join(unknown)
-                )
-            if stale:
-                problems.append(
-                    ", ".join(stale)
-                    + (" no longer fires" if len(stale) == 1 else " no longer fire")
-                    + " on this line"
-                )
-            if problems:
+    for line, raw_spec in _noqa_comments(source):
+        if raw_spec is None:
+            if ran == in_scope and line not in used_lines:
                 findings.append(
                     Finding(
                         rule=spec.id,
                         severity=spec.severity_for(path),
                         path=path,
                         line=line,
-                        message="; ".join(problems),
+                        message=(
+                            "bare `# repro: noqa` suppresses nothing "
+                            "on this line"
+                        ),
                         hint=spec.hint,
                     )
                 )
-    findings.sort(key=Finding.sort_key)
+            continue
+        ids = _RULE_ID_RE.findall(raw_spec)
+        unknown = sorted(i for i in ids if i not in RULES)
+        stale = sorted(i for i in ids if i in ran and (line, i) not in used)
+        problems: list[str] = []
+        if not ids:
+            problems.append("no valid rule IDs in the suppression list")
+        if unknown:
+            problems.append("unknown rule ID(s) " + ", ".join(unknown))
+        if stale:
+            problems.append(
+                ", ".join(stale)
+                + (" no longer fires" if len(stale) == 1 else " no longer fire")
+                + " on this line"
+            )
+        if problems:
+            findings.append(
+                Finding(
+                    rule=spec.id,
+                    severity=spec.severity_for(path),
+                    path=path,
+                    line=line,
+                    message="; ".join(problems),
+                    hint=spec.hint,
+                )
+            )
     return findings
 
 
@@ -303,7 +288,10 @@ def lint_paths(
 
     ``relative_to`` rewrites finding paths relative to a root (posix
     separators) so reports are machine-independent and diffable.
+    REPRO-U001, when active, runs per file after the other rules.
     """
+    config = config or LintConfig()
+    judge_noqa = UNUSED_NOQA in config.active_rules()
     result = LintResult()
     tracer = get_tracer()
     metrics = get_metrics()
@@ -325,13 +313,14 @@ def lint_paths(
             posix = Path(report_path).as_posix()
             used: set[tuple[int, str]] = set()
             findings, suppressed = lint_source(source, posix, config, used=used)
-            if used:
-                result.used_suppressions.setdefault(posix, set()).update(used)
-            for finding in findings:
-                if finding.rule == "PARSE-ERROR":
-                    result.parse_errors.append(
-                        (finding.path, finding.message)
-                    )
+            parse_errors = [
+                (f.path, f.message) for f in findings if f.rule == "PARSE-ERROR"
+            ]
+            result.parse_errors.extend(parse_errors)
+            if judge_noqa and not parse_errors:
+                findings.extend(
+                    unused_suppression_findings(posix, source, used, config)
+                )
             result.findings.extend(findings)
             result.suppressed += suppressed
             result.files_scanned += 1

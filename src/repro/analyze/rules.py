@@ -3,8 +3,8 @@
 Every rule has a stable ID, a default severity, a one-line rationale,
 and a fix hint.  Rules register themselves in :data:`RULES` via the
 :func:`rule` decorator, so adding a rule is one function; per-path
-scoping (e.g. REPRO-G001 only applies under ``groute``/``droute``/
-``ilp``) and severity escalation live on the :class:`Rule` record and
+scoping (e.g. REPRO-G001 only applies under the packages ``run_flow``
+reaches) and severity escalation live on the :class:`Rule` record and
 are applied by :mod:`repro.analyze.linter`.
 
 Rule families:
@@ -17,6 +17,9 @@ Rule families:
 * ``REPRO-C*`` — classics (mutable defaults, shadowed builtins).
 * ``REPRO-R*`` — robustness (durability of on-disk artifacts; a crash
   mid-write must never leave a truncated report or checkpoint behind).
+* ``REPRO-U001`` — a ``# repro: noqa`` that no longer suppresses
+  anything; it has no checker, the linter judges it per file after
+  every active rule has run.
 
 Suppress one occurrence with ``# repro: noqa:RULE-ID`` on the flagged
 line (comma-separate multiple IDs; a bare ``# repro: noqa`` suppresses
@@ -88,8 +91,12 @@ DECISION_PATHS = (
     "/groute/", "/droute/", "/ilp/", "/core/", "/legalizer/", "/flow/",
 )
 
-#: directories whose loops must stay under the guard's deadline control
-DEADLINE_PATHS = ("/groute/", "/droute/", "/ilp/")
+#: directories whose loops must stay under the guard's deadline control:
+#: every package ``run_flow`` reaches
+DEADLINE_PATHS = (
+    "/groute/", "/droute/", "/ilp/", "/flute/", "/legalizer/", "/core/",
+    "/grid/", "/baseline/", "/flow/",
+)
 
 
 def rule(
@@ -119,6 +126,18 @@ def rule(
         return checker
 
     return register
+
+
+#: the stale-suppression rule: registered for its severity, hint and
+#: rule-table row, but with no entry in CHECKERS
+UNUSED_NOQA = "REPRO-U001"
+RULES[UNUSED_NOQA] = Rule(
+    id=UNUSED_NOQA,
+    severity=Severity.WARNING,
+    summary="`# repro: noqa` comment no longer suppresses anything",
+    hint="delete the stale suppression (or fix the rule ID typo); "
+    "stale noqa comments hide future regressions",
+)
 
 
 def rule_table() -> dict[str, str]:
@@ -382,7 +401,8 @@ def _check_fs_order(ctx: ModuleContext):
 @rule(
     "REPRO-G001",
     Severity.ERROR,
-    "unbounded loop in a routing/solver engine without a Deadline check",
+    "unbounded loop in a package `run_flow` reaches without a Deadline "
+    "check",
     "call `check_deadline(\"<site>\")` or `DeadlineTicker.tick()` inside "
     "the loop (see `repro.guard.deadline`), or bound the loop with an "
     "explicit counter",

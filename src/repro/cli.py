@@ -16,10 +16,9 @@ Subcommands:
   the flow invariants (demand accounting, route connectivity, guide
   coverage, placement legality); ``python -m repro.analyze src/`` is
   the companion source-code linter.
-* ``crp analyze [--json PATH] [--no-dataflow] [-b DESIGN]`` — run the
-  whole static-analysis stack (AST linter + interprocedural dataflow)
-  in one shot, optionally followed by the flow-invariant audit of a
-  routed benchmark; one combined exit code.
+* ``crp analyze [--json PATH] [-b DESIGN]`` — run the AST linter
+  (REPRO-U001 stale-noqa check included), optionally followed by the
+  flow-invariant audit of a routed benchmark; one combined exit code.
 """
 
 from __future__ import annotations
@@ -118,16 +117,12 @@ def main(argv: list[str] | None = None) -> int:
 
     p_analyze = sub.add_parser(
         "analyze",
-        help="run every analyzer: lint + interprocedural dataflow "
+        help="run every analyzer: the AST linter "
         "(+ flow invariants with -b)",
     )
     p_analyze.add_argument(
         "paths", nargs="*", default=["src"],
         help="files or directories to analyze (default: src)",
-    )
-    p_analyze.add_argument(
-        "--no-dataflow", action="store_true",
-        help="skip the interprocedural dataflow passes",
     )
     p_analyze.add_argument(
         "-b", "--bench", default=None, metavar="DESIGN",
@@ -368,19 +363,15 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     from repro.analyze import (
         analysis_report,
         check_flow_state,
+        lint_paths,
         render_findings,
-        run_source_analysis,
         write_report,
     )
 
-    analysis = run_source_analysis(
-        list(args.paths), dataflow=not args.no_dataflow
-    )
-    print(
-        render_findings(analysis.findings, suppressed=analysis.suppressed)
-    )
-    print(f"scanned {analysis.files_scanned} file(s)")
-    for path, message in analysis.parse_errors:
+    result = lint_paths(list(args.paths), relative_to=".")
+    print(render_findings(result.findings, suppressed=result.suppressed))
+    print(f"scanned {result.files_scanned} file(s)")
+    for path, message in result.parse_errors:
         print(f"  parse error: {path}: {message}", file=sys.stderr)
 
     flow_findings = []
@@ -402,7 +393,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         print(render_findings(flow_findings))
 
     if args.json:
-        document = analysis_report(analysis)
+        document = analysis_report(result)
         if args.bench is not None:
             from repro.analyze import FLOW_RULES, finding_to_dict
 
@@ -414,7 +405,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             }
         path = write_report(args.json, document)
         print(f"wrote report to {path}")
-    return 0 if analysis.ok and not flow_findings else 1
+    return 0 if result.ok and not flow_findings else 1
 
 
 def _cmd_show(args: argparse.Namespace) -> int:

@@ -226,6 +226,26 @@ class TestUnboundedLoops:
         """
         assert "REPRO-G001" not in rules_fired(code, "src/repro/viz/mod.py")
 
+    def test_covers_every_package_run_flow_reaches(self):
+        # The Steiner loop in flute once shipped without its deadline
+        # tick; the scope covers flute and the other flow packages.
+        unticked = """
+        def grow(frontier):
+            while frontier:
+                frontier.pop()
+        """
+        ticked = """
+        def grow(frontier):
+            while frontier:
+                check_deadline("flute.grow")
+                frontier.pop()
+        """
+        assert "REPRO-G001" in rules_fired(unticked, "src/repro/flute/mod.py")
+        assert "REPRO-G001" not in rules_fired(ticked, "src/repro/flute/mod.py")
+        for package in ("legalizer", "core", "grid", "baseline", "flow"):
+            path = f"src/repro/{package}/mod.py"
+            assert "REPRO-G001" in rules_fired(unticked, path), package
+
     def test_quiet_with_deadline_check_or_bound(self):
         assert "REPRO-G001" not in rules_fired(
             """
@@ -782,14 +802,13 @@ class TestFileWalkDeterminism:
 
 
 class TestUnusedSuppressions:
-    def _analyze(self, tmp_path, source):
-        from repro.analyze import run_source_analysis
-
+    def _analyze(self, tmp_path, source, **config):
         mod = tmp_path / "mod.py"
         mod.write_text(textwrap.dedent(source))
-        return run_source_analysis(
-            [mod], dataflow=False, relative_to=tmp_path
-        )
+        return lint_paths([mod], LintConfig(**config), relative_to=tmp_path)
+
+    def _u001(self, result):
+        return [f for f in result.findings if f.rule == "REPRO-U001"]
 
     def test_live_suppression_is_quiet(self, tmp_path):
         analysis = self._analyze(
@@ -839,6 +858,44 @@ class TestUnusedSuppressions:
             ''',
         )
         assert "REPRO-U001" not in {f.rule for f in analysis.findings}
+
+    def test_filtered_out_rule_is_not_judged(self, tmp_path):
+        source = """
+        def load(path):
+            try:
+                return open(path).read()
+            except Exception:  # repro: noqa:REPRO-G002
+                return None
+        """
+        assert self._u001(self._analyze(tmp_path, source)) == []
+        ignored = self._analyze(tmp_path, source, ignore=("REPRO-G002",))
+        assert self._u001(ignored) == []
+        for rule_id in ("REPRO-D001", "REPRO-U001"):
+            selected = self._analyze(
+                tmp_path, source, select=(rule_id, "REPRO-U001")
+            )
+            assert self._u001(selected) == [], rule_id
+
+    def test_bare_noqa_is_not_judged_when_rules_are_filtered(self, tmp_path):
+        source = "x = 1  # repro: noqa\n"
+        assert self._u001(self._analyze(tmp_path, source))
+        narrowed = self._analyze(tmp_path, source, ignore=("REPRO-G002",))
+        assert self._u001(narrowed) == []
+
+    def test_ignoring_u001_silences_it(self, tmp_path):
+        analysis = self._analyze(
+            tmp_path,
+            "x = 1  # repro: noqa:REPRO-D003\n",
+            ignore=("REPRO-U001",),
+        )
+        assert self._u001(analysis) == []
+
+    def test_retired_rule_id_is_unknown(self, tmp_path):
+        fired = self._u001(
+            self._analyze(tmp_path, "x = 1  # repro: noqa:REPRO-T002\n")
+        )
+        assert len(fired) == 1
+        assert "unknown rule ID(s) REPRO-T002" in fired[0].message
 
 
 # ----------------------------------------------- baseline lifecycle
