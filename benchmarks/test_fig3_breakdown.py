@@ -9,9 +9,19 @@ CR&P portion is comparable to or below the routing stages.
 
 from __future__ import annotations
 
+import pytest
+
 from conftest import flow_result, write_table
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ECC is not the largest CR&P step on ispd18_test1: ECC 6.4 % vs "
+    "GCP 34.9 % / Misc 28.9 % in the quick suite (run alone, Misc also "
+    "carries the scipy import: 3.6 / 20.8 / 57.8 %); ECC got ~25x cheaper "
+    "since the seed, see ROADMAP item 2",
+)
 def test_fig3_breakdown(benchmark, designs):
     from repro.flow import runtime_breakdown_pct
     from repro.flow.runtime import FIG3_STAGES

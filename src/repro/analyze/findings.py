@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
+from repro.ckpt.atomic import atomic_write
+
 SCHEMA = "repro.analyze/1"
 
 
@@ -127,10 +129,6 @@ def load_report(path: str | Path) -> tuple[list[Finding], dict[str, object]]:
 
 def write_report(path: str | Path, document: dict[str, object]) -> Path:
     """Write the JSON report document atomically; returns the path written."""
-    # Function-level import: repro.ckpt depends on repro.obs/guard, and
-    # repro.analyze is imported by CI before either — keep it lazy.
-    from repro.ckpt.atomic import atomic_write
-
     path = Path(path)
     atomic_write(path, json.dumps(document, indent=1, sort_keys=False) + "\n")
     return path

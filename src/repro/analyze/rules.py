@@ -16,7 +16,7 @@ Rule families:
 * ``REPRO-O*`` — observability conventions (span/metric names).
 * ``REPRO-C*`` — classics (mutable defaults, shadowed builtins).
 * ``REPRO-R*`` — robustness (durability of on-disk artifacts; a crash
-  mid-write must never leave a truncated report or checkpoint behind).
+  mid-write must never leave a truncated report or trace behind).
 * ``REPRO-U001`` — a ``# repro: noqa`` that no longer suppresses
   anything; it has no checker, the linter judges it per file after
   every active rule has run.

@@ -49,8 +49,8 @@ class DesignSpec:
         touches the module-level ``random`` functions, and each
         placement attempt restarts the stream so retries are
         self-contained.  A design is therefore a pure function of its
-        spec — identical bytes in any process (the checkpoint resume
-        and the benchmark's fresh interpreters both rebuild it).
+        spec — identical bytes in any process (the benchmark's fresh
+        interpreters and every re-run rebuild it).
         """
         return random.Random(self.seed)
 

@@ -1,48 +1,21 @@
-"""``repro.ckpt`` — durable checkpoint/resume for the flow.
+"""``repro.ckpt`` — run digests and atomic file writes.
 
-Three layers:
-
+* :mod:`repro.ckpt.digest` — ``routes_digest`` / ``positions_digest``,
+  the SHA-256 fingerprints of a flow's final routes and placement.
 * :mod:`repro.ckpt.atomic` — ``atomic_write`` (temp + fsync + rename),
   the primitive every persisted artifact in the repo goes through.
-* :mod:`repro.ckpt.store` — versioned, SHA-256-checksummed checkpoint
-  files (:class:`CheckpointStore`); corrupt/stale files are detected
-  and skipped, never trusted.
-* :mod:`repro.ckpt.state` / :mod:`repro.ckpt.session` — flow-state
-  snapshot & restore plus the ``run_flow``-facing driver
-  (:class:`FlowCheckpointer`) that writes at stage and CR&P-iteration
-  boundaries and resumes with byte-identical downstream results.
 
-``run_flow(checkpoint_dir=..., resume=True)`` — or ``crp run
---checkpoint-dir DIR --resume`` — is the public entry point.
+The name predates the removal of checkpoint/resume.  It stays because
+the benchmark's tracer wraps ``repro.ckpt.routes_digest`` and
+``repro.ckpt.positions_digest`` on this package, and the flow reads
+both names off it at call time so those wrappers see every call.
 """
 
 from repro.ckpt.atomic import atomic_write
-from repro.ckpt.store import (
-    FORMAT_VERSION,
-    CheckpointError,
-    CheckpointStore,
-)
-from repro.ckpt.state import (
-    capture_state,
-    install_routes,
-    positions_digest,
-    restore_design,
-    restore_router,
-    routes_digest,
-)
-from repro.ckpt.session import FlowCheckpointer, run_fingerprint
+from repro.ckpt.digest import positions_digest, routes_digest
 
 __all__ = [
     "atomic_write",
-    "FORMAT_VERSION",
-    "CheckpointError",
-    "CheckpointStore",
-    "capture_state",
-    "install_routes",
     "positions_digest",
-    "restore_design",
-    "restore_router",
     "routes_digest",
-    "FlowCheckpointer",
-    "run_fingerprint",
 ]

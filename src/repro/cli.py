@@ -60,16 +60,6 @@ def main(argv: list[str] | None = None) -> int:
         "--stage-budget", type=float, metavar="S",
         help="wall-clock budget per flow stage in seconds",
     )
-    p_run.add_argument(
-        "--checkpoint-dir", metavar="DIR",
-        help="write atomic repro.ckpt checkpoints at stage/iteration "
-        "boundaries (default: CRP_CHECKPOINT_DIR env or off)",
-    )
-    p_run.add_argument(
-        "--resume", action="store_true",
-        help="resume from the newest compatible checkpoint in "
-        "--checkpoint-dir (byte-identical final routes/quality)",
-    )
 
     p_profile = sub.add_parser(
         "profile",
@@ -183,13 +173,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     from repro.benchgen import make_design
     from repro.flow import run_flow
 
-    import os
-
-    if args.resume and not (
-        args.checkpoint_dir or os.environ.get("CRP_CHECKPOINT_DIR", "").strip()
-    ):
-        print("--resume requires --checkpoint-dir", file=sys.stderr)
-        return 2
     design = make_design(args.bench)
     result = run_flow(
         design,
@@ -198,14 +181,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         skip_detailed=args.skip_detailed,
         budget_s=args.budget,
         stage_budget_s=args.stage_budget,
-        checkpoint_dir=args.checkpoint_dir,
-        resume=args.resume,
     )
     print(result.summary())
-    if result.resumed_from is not None:
-        print(f"  resumed from checkpoint {result.resumed_from}")
-    for report in result.ckpt_failures:
-        print(f"  checkpoint warning: {report.summary()}", file=sys.stderr)
     if result.failure is not None:
         print(f"  failure: {result.failure.summary()}", file=sys.stderr)
     if result.quality:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 from repro.ilp.solver import BACKENDS as ILP_BACKENDS
@@ -44,16 +43,6 @@ class CrpConfig:
     ilp_budget_s: float | None = None
     #: cap on critical cells per iteration (keeps runtime bounded)
     max_critical_cells: int = 200
-    #: directory for ``repro.ckpt`` stage/iteration checkpoints.  ``None``
-    #: disables checkpointing; excluded from the checkpoint fingerprint
-    #: (it cannot change results).  Defaults from ``CRP_CHECKPOINT_DIR``.
-    checkpoint_dir: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.checkpoint_dir is None:
-            env_dir = os.environ.get("CRP_CHECKPOINT_DIR", "").strip()
-            if env_dir:
-                self.checkpoint_dir = env_dir
 
     def validate(self) -> None:
         if not 0.0 < self.gamma <= 1.0:

@@ -7,7 +7,7 @@ routing.  Each step runs inside a ``repro.obs`` span (``crp.label``,
 from those span wall times — one source of truth for the Fig. 3
 runtime breakdown (GCP / ECC / ILP / UD).
 
-Iterations are transactional (``repro.guard``): the Update-Database
+Every iteration runs as a transaction (``repro.guard``): the Update-Database
 step runs against a snapshot of the cells and routes it may touch, and
 any exception or post-step invariant violation (illegal placement,
 demand-accounting drift, route cost regressing beyond
@@ -130,45 +130,21 @@ class CrpFramework:
             self._estimate_cost_model = CostModel(router.graph, params)
             self._estimate_field = CostField(router.graph, params)
 
-    def run(
-        self,
-        iterations: int = 1,
-        start: int = 0,
-        on_iteration=None,
-    ) -> CrpResult:
+    def run(self, iterations: int = 1) -> CrpResult:
         """Execute ``k`` CR&P iterations (the paper reports k=1 and 10).
 
         CR&P is an improvement loop, so a wall-clock deadline expiring
         mid-run stops iterating (counting ``crp.deadline_stops``) and
         returns the iterations that completed, rather than raising.
-
-        ``start`` skips the first iterations (checkpoint resume: the
-        state they produced was already restored), and ``on_iteration``
-        — called as ``on_iteration(index, stats)`` after each completed
-        iteration — is where ``repro.ckpt`` writes its iteration-
-        boundary checkpoints.
         """
         result = CrpResult()
-        for k in range(start, iterations):
+        for k in range(iterations):
             try:
                 result.iterations.append(self.run_iteration(k))
             except DeadlineExceeded:
                 get_metrics().count("crp.deadline_stops")
                 break
-            if on_iteration is not None:
-                on_iteration(k, result.iterations[-1])
         return result
-
-    # ------------------------------------------------------ checkpoint hooks
-
-    def rng_state(self) -> object:
-        """The simulated-annealing RNG state (checkpoint payload)."""
-        return self._rng.getstate()
-
-    def set_rng_state(self, state: object) -> None:
-        """Restore the RNG mid-stream so resumed labeling draws the
-        exact numbers the interrupted run would have drawn."""
-        self._rng.setstate(state)
 
     def run_until_converged(
         self,
@@ -224,9 +200,7 @@ class CrpFramework:
         stats = IterationStats(iteration=index)
         config = self.config
         if pre_cost is None:
-            pre_cost = (
-                self._total_route_cost() if self.guard.transactional else 0.0
-            )
+            pre_cost = self._total_route_cost()
         with ensure_tracer() as tracer, tracer.span(
             "crp.iteration", k=index
         ):
@@ -304,14 +278,12 @@ class CrpFramework:
         pre_cost: float,
         stats: IterationStats,
     ) -> UpdateStats:
-        """Run Update-Database transactionally (unless the guard is off).
+        """Run Update-Database inside an :class:`IterationTransaction`.
 
         An exception mid-update or a post-update invariant violation
         restores the snapshot and reports an empty update, so a bad
         iteration is a no-op rather than a corruption.
         """
-        if not self.guard.transactional:
-            return apply_moves(self.design, self.router, chosen)
         txn = IterationTransaction.capture(self.design, self.router, chosen)
         try:
             update = apply_moves(self.design, self.router, chosen)

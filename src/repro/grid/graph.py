@@ -85,7 +85,7 @@ class RoutingGraph:
     one flat buffer (``wire_usage_flat`` etc., see :func:`flat_views`)
     that the cost field gathers from across layers in one call, so a
     list entry must never be rebound: write through it
-    (``arr[...] = saved``, as ``repro.ckpt`` restores do).
+    (``arr[...] = values``).
     """
 
     def __init__(

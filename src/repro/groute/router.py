@@ -89,13 +89,6 @@ class GlobalRouter:
         beta: float = 1.5,
     ) -> None:
         self.design = design
-        #: constructor arguments, saved in every checkpoint so a resume
-        #: rebuilds an identical router around the restored design
-        self.ctor_args = {
-            "params": params,
-            "target_gcells": target_gcells,
-            "beta": beta,
-        }
         self.grid = GCellGrid.for_design(design, target_gcells=target_gcells)
         self.graph = RoutingGraph(self.grid, design.tech, beta=beta)
         self.graph.init_fixed_usage(design)

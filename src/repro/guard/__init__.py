@@ -40,7 +40,6 @@ from repro.guard.deadline import (
     check_deadline,
     current_deadline,
     deadline_scope,
-    remaining_budget,
 )
 from repro.guard.gcpause import gc_paused
 from repro.guard.faults import (
@@ -65,7 +64,6 @@ __all__ = [
     "check_deadline",
     "current_deadline",
     "deadline_scope",
-    "remaining_budget",
     "gc_paused",
     "FaultInjected",
     "FaultPlan",

@@ -73,14 +73,6 @@ def current_deadline() -> Deadline | None:
     return stack[-1] if stack else None
 
 
-def remaining_budget() -> float | None:
-    """Seconds left on the tightest open scope (``None`` when unbounded)."""
-    stack = _stack()
-    if not stack:
-        return None
-    return min(deadline.remaining_s for deadline in stack)
-
-
 @contextmanager
 def deadline_scope(
     budget_s: float | None, name: str = "budget"

@@ -35,8 +35,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
 class GuardPolicy:
     """Knobs of the CR&P iteration guard."""
 
-    #: snapshot + verify + roll back each iteration's update step
-    transactional: bool = True
     #: relative total-route-cost increase tolerated before rolling back
     cost_tolerance: float = 0.02
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+from repro.ckpt.atomic import atomic_write
 from repro.obs.spans import Span
 
 SCHEMA = "repro.obs/1"
@@ -72,10 +73,6 @@ def write_trace(
     extra: dict[str, object] | None = None,
 ) -> Path:
     """Write the JSON trace document atomically; returns the path written."""
-    # Function-level import: repro.ckpt builds on repro.obs, so a
-    # module-level import here would be a cycle.
-    from repro.ckpt.atomic import atomic_write
-
     path = Path(path)
     atomic_write(path, json.dumps(trace_document(spans, metrics, extra), indent=1))
     return path

@@ -133,15 +133,11 @@ class MetricsRegistry:
                 },
             }
 
-    # ------------------------------------------------------ cross-run
-
     def raw(self) -> dict[str, dict[str, object]]:
-        """Mergeable (picklable) view: counters, gauges, histogram samples.
+        """Raw view: counters, gauges, histogram samples.
 
         Unlike :meth:`snapshot`, histograms are exported as their raw
-        reservoir samples so another registry can re-``observe()`` them
-        without distorting percentiles.  This is what a checkpoint
-        saves, so a resumed run reports the whole run's metrics.
+        reservoir samples, not summary statistics.
         """
         with self._lock:
             return {
@@ -152,20 +148,6 @@ class MetricsRegistry:
                     for name, hist in self._histograms.items()
                 },
             }
-
-    def merge_raw(self, raw: dict[str, dict[str, object]]) -> None:
-        """Fold a :meth:`raw` export into this registry.
-
-        Counters add, gauges take the incoming value, histogram samples
-        are re-observed.
-        """
-        for name, value in raw.get("counters", {}).items():
-            self.count(name, value)
-        for name, value in raw.get("gauges", {}).items():
-            self.gauge(name, value)
-        for name, values in raw.get("histograms", {}).items():
-            for value in values:
-                self.observe(name, value)
 
 
 class NoopMetrics(MetricsRegistry):
@@ -196,9 +178,6 @@ class NoopMetrics(MetricsRegistry):
 
     def raw(self) -> dict[str, dict[str, object]]:
         return {"counters": {}, "gauges": {}, "histograms": {}}
-
-    def merge_raw(self, raw: dict[str, dict[str, object]]) -> None:
-        pass
 
 
 NOOP_METRICS = NoopMetrics()

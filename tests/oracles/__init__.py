@@ -1,8 +1,8 @@
 """Reference implementations the parity tests compare production against.
 
 Importable as ``oracles`` (``tests/`` is on ``sys.path``).  Nothing here
-is reachable from ``src/``: a user or a checkpoint cannot select these
-paths — only a test can, by calling them directly or by installing them
+is reachable from ``src/``: no option or environment variable selects
+these paths — only a test can, by calling them directly or by installing them
 through the seams named in each module.
 
 * :mod:`oracles.groute` — scalar ``CostModel`` maze A* and run pricing

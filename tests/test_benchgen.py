@@ -125,8 +125,8 @@ def test_same_spec_generates_identical_def_bytes():
 
     Every generator path derives from the single seeded stream built by
     ``DesignSpec.rng()``, so regenerating a spec must reproduce the DEF
-    byte-for-byte — the property checkpoint resume and the benchmark's
-    fresh interpreters rely on.
+    byte-for-byte — the property a re-run and the benchmark's fresh
+    interpreters rely on.
     """
     from repro.lefdef.def_parser import write_def
 

@@ -15,7 +15,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.ckpt import capture_state, restore_design, restore_router
+import repro.core.crp as crp_module
+from repro.core import CrpConfig, CrpFramework
 from repro.db.design import GCellGridSpec
 from repro.flow import pipeline, run_flow
 from repro.grid import (
@@ -32,6 +33,7 @@ from repro.guard.deadline import (
     DeadlineTicker,
     deadline_scope,
 )
+from repro.guard.faults import FaultPlan, use_faults
 from repro.guard.transaction import IterationTransaction
 from repro.obs import observe
 
@@ -297,21 +299,38 @@ def assert_layers_alias_flat(graph: RoutingGraph) -> None:
             assert view.ndim == 2 and np.shares_memory(view, flat)
 
 
-def test_layer_arrays_alias_flat_buffers_through_restore():
+def test_layer_arrays_alias_flat_buffers_through_rollback(monkeypatch):
     """``graph.wire_usage[l]`` etc. are views of the flat buffers the
-    field gathers from, and a checkpoint restore writes through them."""
+    field gathers from, and a rolled-back CR&P iteration writes through
+    them."""
     design = fresh_small(seed=11)
     router = GlobalRouter(design)
     router.route_all(rrr_passes=1)
-    assert_layers_alias_flat(router.graph)
-    state = capture_state(design, router, stage="GR", iteration=0)
-    design2 = fresh_small(seed=11)
-    restore_design(design2, state)
-    router2 = restore_router(design2, state)
-    assert_layers_alias_flat(router2.graph)
-    assert router2.graph.total_vias() == router.graph.total_vias() > 0
+    graph = router.graph
+    assert_layers_alias_flat(graph)
+    assert graph.total_vias() > 0
     # The reference reads the per-layer arrays, the field the flat ones.
-    assert_maps_match_reference(router2.graph, router2.field)
+    assert_maps_match_reference(graph, router.field)
+    before = [arr.copy() for arr in graph.wire_usage + graph.via_usage]
+
+    apply_moves = crp_module.apply_moves
+    updates = []
+
+    def recording_apply_moves(*args):
+        updates.append(apply_moves(*args))
+        return updates[-1]
+
+    monkeypatch.setattr(crp_module, "apply_moves", recording_apply_moves)
+    framework = CrpFramework(design, router, CrpConfig(seed=1))
+    plan = FaultPlan().force("crp.invariants", "forced-violation")
+    with use_faults(plan):
+        stats = framework.run_iteration(0)
+    assert plan.fired("crp.invariants") == 1 and stats.rolled_back
+    assert updates and updates[0].rerouted_nets  # the rollback had work to undo
+    assert_layers_alias_flat(graph)
+    after = graph.wire_usage + graph.via_usage
+    assert all(np.array_equal(a, b) for a, b in zip(before, after))
+    assert_maps_match_reference(graph, router.field)
 
 
 def test_spare_slots_stay_zero_through_a_flow(monkeypatch):

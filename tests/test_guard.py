@@ -1,5 +1,5 @@
 """Tests for repro.guard: deadlines, fault injection, the ILP fallback
-ladder, transactional CR&P iterations, and flow stage isolation."""
+ladder, the CR&P iteration transaction, and flow stage isolation."""
 
 import gc
 import time
@@ -14,12 +14,10 @@ from repro.guard import (
     DeadlineExceeded,
     FaultInjected,
     FaultPlan,
-    GuardPolicy,
     check_deadline,
     current_deadline,
     deadline_scope,
     fault_point,
-    remaining_budget,
     use_faults,
 )
 from repro.ilp import IlpModel, Sense, SolveStatus, solve
@@ -52,7 +50,6 @@ def tiny_model() -> IlpModel:
 
 def test_no_scope_is_unbounded():
     assert current_deadline() is None
-    assert remaining_budget() is None
     check_deadline("anywhere")  # no-op
 
 
@@ -80,11 +77,6 @@ def test_outer_deadline_fires_inside_looser_inner():
             with pytest.raises(DeadlineExceeded) as err:
                 check_deadline("nested")
     assert err.value.name == "outer"
-
-
-def test_remaining_budget_is_tightest_scope():
-    with deadline_scope(60.0), deadline_scope(0.5):
-        assert remaining_budget() == pytest.approx(0.5, abs=0.2)
 
 
 def test_deadline_hit_is_counted():
@@ -311,16 +303,6 @@ def test_worst_selection_is_contained_by_guard(routed):
     assert post_cost <= pre_cost * (1.0 + tolerance) + 1e-9
     assert check_legality(design).is_legal
     assert router.accounting_errors() == []
-
-
-def test_guard_can_be_disabled(routed):
-    design, router = routed
-    framework = CrpFramework(
-        design, router, CrpConfig(seed=1), guard=GuardPolicy(transactional=False)
-    )
-    with use_faults(FaultPlan().fail("crp.update.reroute")):
-        with pytest.raises(FaultInjected):
-            framework.run_iteration(0)
 
 
 # ------------------------------------------------------------------ flow

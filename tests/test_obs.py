@@ -173,26 +173,7 @@ def test_histogram_reservoir_keeps_exact_aggregates():
     assert hist["count"] == n
     assert hist["sum"] == pytest.approx(sum(range(n)))
     assert hist["max"] == float(n - 1)
-
-
-def test_raw_merge_raw_round_trip():
-    saved = MetricsRegistry()
-    saved.count("c.events", 3)
-    saved.gauge("g.last", 7.0)
-    for v in range(1, 101):
-        saved.observe("h", float(v))
-
-    resumed = MetricsRegistry()
-    resumed.count("c.events", 2)
-    resumed.gauge("g.last", 1.0)
-    resumed.merge_raw(saved.raw())
-    snap = resumed.snapshot()
-    assert snap["counters"]["c.events"] == 5  # counters add
-    assert snap["gauges"]["g.last"] == 7.0  # gauges take the incoming value
-    assert snap["histograms"]["h"] == saved.snapshot()["histograms"]["h"]
-
-    NOOP_METRICS.merge_raw(saved.raw())
-    assert NOOP_METRICS.raw() == {"counters": {}, "gauges": {}, "histograms": {}}
+    assert len(registry.raw()["histograms"]["h"]) == RESERVOIR_SIZE
 
 
 # --------------------------------------------------------------- exporters
