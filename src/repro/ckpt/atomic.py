@@ -1,10 +1,9 @@
 """Atomic file writes: temp file + fsync + ``os.rename``.
 
-Every persisted artifact in this repo — checkpoints, ``BENCH_*.json``
-baselines, trace dumps, analyze reports — must never be observable in a
-half-written state: a truncated JSON baseline poisons CI gates, and a
-truncated checkpoint would make a crash *worse* by corrupting the very
-state that was supposed to survive it.  ``atomic_write`` guarantees a
+Every persisted artifact in this repo — ``BENCH_obs.json`` profiles,
+trace dumps, the analyzer baseline and reports — must never be
+observable in a half-written state: a truncated JSON baseline poisons
+CI gates.  ``atomic_write`` guarantees a
 reader sees either the old content or the complete new content, never a
 prefix: the bytes land in a temp file in the *same directory* (so the
 rename cannot cross filesystems), are fsync'd to disk, and are then

@@ -11,13 +11,20 @@ across cells.
 
 from __future__ import annotations
 
+from collections import Counter
+from itertools import combinations
+
 import numpy as np
 
-from repro.geom import Rect
 from repro.db import Design
 from repro.guard.faults import fault_point
 from repro.ilp import IlpModel, Sense, solve
+from repro.obs import get_metrics
 from repro.core.candidates import MoveCandidate
+
+#: x-overlapping bbox pairs the sweep expands at once (a memory bound,
+#: not a tuning knob: any value emits the same rows)
+_SWEEP_BLOCK = 4096
 
 
 def select_moves(
@@ -51,7 +58,8 @@ def select_moves(
             indices.append(var)
         model.add_exactly_one(indices, name=f"one[{cell_name}]")
 
-    _add_conflict_constraints(design, candidates, model, var_of)
+    pairs = _add_conflict_constraints(design, candidates, model, var_of)
+    _publish_conflict_graph(candidates, pairs)
 
     solution = solve(model, backend=backend, budget_s=budget_s)
     chosen: dict[str, MoveCandidate] = {}
@@ -67,101 +75,163 @@ def select_moves(
     return chosen
 
 
-def _candidate_footprint(
-    design: Design, candidate: MoveCandidate
-) -> list[Rect]:
-    """Outlines this candidate writes: the cell plus conflict cells."""
-    rects: list[Rect] = []
-    moves = {candidate.cell: candidate.position}
-    moves.update(candidate.conflict_moves)
-    for name, (x, y, _) in moves.items():
-        cell = design.cells[name]
-        rects.append(Rect(x, y, x + cell.width, y + cell.height))
-    return rects
-
-
 def _add_conflict_constraints(
     design: Design,
     candidates: dict[str, list[MoveCandidate]],
     model: IlpModel,
     var_of: dict[tuple[str, int], int],
-) -> None:
-    """Mutual exclusion between overlapping candidates of distinct cells.
+) -> np.ndarray:
+    """Mutual exclusion between conflicting candidates of distinct cells.
 
-    Also excludes pairs that relocate the *same* conflict cell to
-    different places, and pairs where one candidate's footprint covers a
-    cell another candidate assumes stays put.
+    Two non-current candidates of different cells conflict when both
+    write the same cell (the moved cell or one of its conflict
+    relocations) or when any two of their footprint rects overlap
+    strictly (abutting outlines are legal, as in ``Rect.intersects``).
+    Pairs come from the touch index and from a sort-and-sweep over the
+    footprint bounding boxes; the rows are added in candidate order
+    ``(a, b)``, so the model never depends on set or dict iteration.
+    Nothing allocated here is candidates²: memory is linear in the
+    candidates, the pairs the sweep meets and the rows added.
+
+    Returns one ``(cell, cell)`` row per added constraint: the positions
+    in ``candidates`` of the two cells it excludes.
     """
-    entries: list[tuple[str, int, MoveCandidate, list[Rect], set[str]]] = []
-    for cell_name, cell_candidates in candidates.items():
+    owner: list[int] = []  # entry -> position of its cell in `candidates`
+    label: list[str] = []  # entry -> "cell:i", as in the row names
+    variable: list[int] = []
+    first_rect: list[int] = []  # entry -> its first rect; rects are contiguous
+    touching: dict[str, list[int]] = {}
+    lx: list[int] = []
+    ly: list[int] = []
+    ux: list[int] = []
+    uy: list[int] = []
+    for position, (cell_name, cell_candidates) in enumerate(candidates.items()):
         for i, candidate in enumerate(cell_candidates):
             if candidate.is_current:
                 continue
-            touched = {candidate.cell} | set(candidate.conflict_moves)
-            entries.append(
-                (
-                    cell_name,
-                    i,
-                    candidate,
-                    _candidate_footprint(design, candidate),
-                    touched,
-                )
-            )
-    count = len(entries)
+            entry = len(owner)
+            owner.append(position)
+            label.append(f"{cell_name}:{i}")
+            variable.append(var_of[(cell_name, i)])
+            first_rect.append(len(lx))
+            moves = {candidate.cell: candidate.position}
+            moves.update(candidate.conflict_moves)
+            for name, (x, y, _) in moves.items():
+                cell = design.cells[name]
+                touching.setdefault(name, []).append(entry)
+                lx.append(x)
+                ly.append(y)
+                ux.append(x + cell.width)
+                uy.append(y + cell.height)
+    count = len(owner)
     if count < 2:
-        return
-    # The pairwise test is O(entries^2); screen it with vectorized
-    # footprint bounding boxes so the exact (and strict-semantics)
-    # Rect.intersects check only runs on spatially colliding pairs.
-    # Same incompatibility relation, same (a, b) emission order, so
-    # the resulting model is identical row-for-row.
-    owner_ids: dict[str, int] = {}
-    owner = np.empty(count, dtype=np.intp)
-    blx = np.empty(count, dtype=np.int64)
-    bly = np.empty(count, dtype=np.int64)
-    bux = np.empty(count, dtype=np.int64)
-    buy = np.empty(count, dtype=np.int64)
-    for idx, (cell_name, _i, _cand, rects, _touched) in enumerate(entries):
-        owner[idx] = owner_ids.setdefault(cell_name, len(owner_ids))
-        blx[idx] = min(r.lx for r in rects)
-        bly[idx] = min(r.ly for r in rects)
-        bux[idx] = max(r.ux for r in rects)
-        buy[idx] = max(r.uy for r in rects)
-    distinct = owner[:, None] != owner[None, :]
-    # strict-overlap test on bounding boxes: a superset of any-rect
-    # overlap (every footprint rect lies inside its bbox)
-    bbox = (
-        (blx[:, None] < bux[None, :])
-        & (blx[None, :] < bux[:, None])
-        & (bly[:, None] < buy[None, :])
-        & (bly[None, :] < buy[:, None])
+        return np.empty((0, 2), dtype=np.intp)
+    owners = np.asarray(owner, dtype=np.intp)
+    starts = np.asarray(first_rect, dtype=np.intp)
+    rect_count = np.diff(np.append(starts, len(lx)))
+    rects = np.array([lx, ly, ux, uy], dtype=np.int64)
+    bbox = np.concatenate(
+        [
+            np.minimum.reduceat(rects[:2], starts, axis=1),
+            np.maximum.reduceat(rects[2:], starts, axis=1),
+        ]
     )
-    incompatible = np.zeros((count, count), dtype=bool)
-    touching: dict[str, list[int]] = {}
-    for idx, entry in enumerate(entries):
-        for name in entry[4]:
-            touching.setdefault(name, []).append(idx)
-    for ids in touching.values():
-        if len(ids) > 1:
-            hit = np.asarray(ids, dtype=np.intp)
-            incompatible[np.ix_(hit, hit)] = True
-    survivors = np.triu(bbox & distinct & ~incompatible, k=1)
-    for a, b in zip(*np.nonzero(survivors)):
-        rects_a = entries[a][3]
-        rects_b = entries[b][3]
-        if any(ra.intersects(rb) for ra in rects_a for rb in rects_b):
-            incompatible[a, b] = True
-    emit = np.triu(incompatible & distinct, k=1)
-    for a in range(count):
-        name_a, i_a = entries[a][0], entries[a][1]
-        for b in np.nonzero(emit[a])[0]:
-            name_b, i_b = entries[b][0], entries[b][1]
-            model.add_constraint(
-                [
-                    (var_of[(name_a, i_a)], 1.0),
-                    (var_of[(name_b, i_b)], 1.0),
-                ],
-                Sense.LE,
-                1.0,
-                name=f"excl[{name_a}:{i_a}][{name_b}:{i_b}]",
-            )
+
+    # Pairs are coded a * count + b with a < b, so sorting the codes
+    # sorts the pairs by (a, b).  Same written cell: every touch list
+    # holds ascending entries.
+    touch = np.fromiter(
+        (
+            a * count + b
+            for ids in touching.values()
+            for a, b in combinations(ids, 2)
+        ),
+        dtype=np.int64,
+    )
+    found = [touch[owners[touch // count] != owners[touch % count]]]
+
+    # Sweep: in bbox-lx order, each bbox meets the later ones that start
+    # before it ends — every strictly overlapping pair, once.  Those
+    # x-overlapping pairs far outnumber the overlapping ones, so they
+    # are expanded, screened by bbox and decided by the exact test over
+    # every (rect of a, rect of b) a block of _SWEEP_BLOCK at a time.
+    order = np.argsort(bbox[0], kind="stable")
+    stop = np.searchsorted(bbox[0][order], bbox[2][order])
+    span = np.maximum(stop - np.arange(1, count + 1), 0)
+    ends = np.cumsum(span)
+    lo = 0
+    while lo < count:
+        done = int(ends[lo - 1]) if lo else 0
+        hi = max(int(np.searchsorted(ends, done + _SWEEP_BLOCK, "right")), lo + 1)
+        group, rank = _ragged(span[lo:hi])
+        group += lo
+        one, other = order[group], order[group + 1 + rank]
+        a, b = np.minimum(one, other), np.maximum(one, other)
+        keep = (owners[a] != owners[b]) & _overlaps(bbox, a, b)
+        a, b = a[keep], b[keep]
+        pair, rank = _ragged(rect_count[a] * rect_count[b])
+        width = rect_count[b][pair]
+        ra = starts[a][pair] + rank // width
+        rb = starts[b][pair] + rank % width
+        hits = pair[_overlaps(rects, ra, rb)]
+        found.append(a[hits] * count + b[hits])
+        lo = hi
+
+    a, b = np.divmod(np.unique(np.concatenate(found)), count)
+    for ea, eb in zip(a.tolist(), b.tolist()):
+        model.add_constraint(
+            [(variable[ea], 1.0), (variable[eb], 1.0)],
+            Sense.LE,
+            1.0,
+            name=f"excl[{label[ea]}][{label[eb]}]",
+        )
+    return np.stack([owners[a], owners[b]], axis=1)
+
+
+def _ragged(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(run, rank)`` of every slot when run ``i`` has ``lengths[i]`` slots."""
+    run = np.repeat(np.arange(len(lengths)), lengths)
+    rank = np.arange(len(run)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    return run, rank
+
+
+def _overlaps(box: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """``Rect.intersects`` (strict) of rects ``i`` and ``j``, elementwise.
+
+    ``box`` holds one rect per column, rows ``lx, ly, ux, uy``.
+    """
+    lx, ly, ux, uy = box
+    return (lx[i] < ux[j]) & (lx[j] < ux[i]) & (ly[i] < uy[j]) & (ly[j] < uy[i])
+
+
+def _publish_conflict_graph(
+    candidates: dict[str, list[MoveCandidate]], pairs: np.ndarray
+) -> None:
+    """Counters of one selection's conflict graph; reads, never decides.
+
+    ``crp.select_pairs`` exclusion rows; ``crp.select_components``
+    connected components of cells under them (singletons included), the
+    size of the largest observed as ``crp.select_largest_component``;
+    ``crp.select_tied_cells`` cells whose cheapest ``route_cost`` is
+    shared by two or more of their candidates.
+    """
+    parent = list(range(len(candidates)))
+
+    def root(cell: int) -> int:
+        while parent[cell] != cell:
+            parent[cell] = parent[parent[cell]]
+            cell = parent[cell]
+        return cell
+
+    for a, b in np.unique(pairs, axis=0).tolist():
+        parent[root(a)] = root(b)
+    sizes = Counter(root(cell) for cell in range(len(candidates)))
+    tied = 0
+    for cell_candidates in candidates.values():
+        costs = [candidate.route_cost for candidate in cell_candidates]
+        tied += costs.count(min(costs)) >= 2
+    metrics = get_metrics()
+    metrics.count("crp.select_pairs", len(pairs))
+    metrics.count("crp.select_components", len(sizes))
+    metrics.observe("crp.select_largest_component", max(sizes.values(), default=0))
+    metrics.count("crp.select_tied_cells", tied)

@@ -14,4 +14,7 @@ through the seams named in each module.
   for ``repro.droute.indexed``).
 * :mod:`oracles.crp` — uncached CR&P iteration: fresh per-net cost scans
   and ECC without an ``EccCache``.
+* :mod:`oracles.select` — the Eq. 12 exclusion rows from dense
+  ``count × count`` masks (reference for
+  ``repro.core.select._add_conflict_constraints``).
 """
