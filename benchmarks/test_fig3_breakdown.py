@@ -18,9 +18,9 @@ from conftest import flow_result, write_table
     strict=True,
     raises=AssertionError,
     reason="ECC is not the largest CR&P step on ispd18_test1: ECC 6.4 % vs "
-    "GCP 34.9 % / Misc 28.9 % in the quick suite (run alone, Misc also "
-    "carries the scipy import: 3.6 / 20.8 / 57.8 %); ECC got ~25x cheaper "
-    "since the seed, see ROADMAP item 2",
+    "GCP 34.9 % / Misc 28.9 % in the quick suite (run alone about the same, "
+    "6.4-7.5 / 37.0-40.0 / 24.3-25.3 %, now that no scipy.optimize import "
+    "lands in Misc); ECC got ~25x cheaper since the seed, see ROADMAP item 2",
 )
 def test_fig3_breakdown(benchmark, designs):
     from repro.flow import runtime_breakdown_pct

@@ -1,9 +1,10 @@
 """Pure-Python branch-and-bound over LP relaxations.
 
-A fallback exact MILP solver that only needs ``scipy.optimize.linprog``
-(or nothing at all for models whose LP relaxation is integral).  Used
-when :func:`scipy.optimize.milp` is unavailable and as an independent
-cross-check of the HiGHS backend in the test suite.
+A fallback exact MILP solver whose LP relaxations go to HiGHS (through
+:func:`repro.ilp.scipy_backend.run_highs`, so no ``scipy.optimize``
+either) while the branching, bounding and incumbent are its own.  Used
+when the HiGHS MIP solve fails and as an independent cross-check of it
+in the test suite.
 """
 
 from __future__ import annotations
@@ -11,10 +12,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.optimize import linprog
 
 from repro.guard.deadline import check_deadline
-from repro.ilp.model import IlpModel, Sense
+from repro.ilp.model import IlpModel
+from repro.ilp.scipy_backend import milp_arrays, run_highs
 from repro.ilp.solution import Solution, SolveStatus
 
 
@@ -24,14 +25,11 @@ def solve_bnb(model: IlpModel, max_nodes: int = 20000) -> Solution:
     if n == 0:
         return Solution(status=SolveStatus.OPTIMAL, objective=0.0, backend="bnb")
 
-    cost = np.array([v.cost for v in model.variables])
-    a_ub, b_ub, a_eq, b_eq = _matrices(model)
+    cost, base_lb, base_ub, *matrix, _ = milp_arrays(model)
 
     incumbent: np.ndarray | None = None
     incumbent_obj = float("inf")
-    # stack of (extra lower bounds, extra upper bounds)
-    base_lb = np.array([v.lower for v in model.variables])
-    base_ub = np.array([v.upper for v in model.variables])
+    # stack of (lower bounds, upper bounds) per node
     stack: list[tuple[np.ndarray, np.ndarray]] = [(base_lb, base_ub)]
     nodes = 0
 
@@ -40,7 +38,7 @@ def solve_bnb(model: IlpModel, max_nodes: int = 20000) -> Solution:
             check_deadline("ilp.bnb")
         lb, ub = stack.pop()
         nodes += 1
-        relax = _solve_lp(cost, a_ub, b_ub, a_eq, b_eq, lb, ub)
+        relax = _solve_lp(cost, lb, ub, matrix)
         if relax is None:
             continue
         obj, x = relax
@@ -79,50 +77,13 @@ def solve_bnb(model: IlpModel, max_nodes: int = 20000) -> Solution:
     )
 
 
-def _matrices(model: IlpModel):
-    n = model.num_variables
-    rows_ub: list[np.ndarray] = []
-    b_ub: list[float] = []
-    rows_eq: list[np.ndarray] = []
-    b_eq: list[float] = []
-    for c in model.constraints:
-        row = np.zeros(n)
-        for t in c.terms:
-            row[t.var] += t.coeff
-        if c.sense is Sense.LE:
-            rows_ub.append(row)
-            b_ub.append(c.rhs)
-        elif c.sense is Sense.GE:
-            rows_ub.append(-row)
-            b_ub.append(-c.rhs)
-        else:
-            rows_eq.append(row)
-            b_eq.append(c.rhs)
-    a_ub = np.vstack(rows_ub) if rows_ub else None
-    a_eq = np.vstack(rows_eq) if rows_eq else None
-    return (
-        a_ub,
-        np.array(b_ub) if rows_ub else None,
-        a_eq,
-        np.array(b_eq) if rows_eq else None,
-    )
-
-
-def _solve_lp(cost, a_ub, b_ub, a_eq, b_eq, lb, ub):
+def _solve_lp(cost, lb, ub, matrix):
     if np.any(lb > ub + 1e-12):
         return None
-    result = linprog(
-        c=cost,
-        A_ub=a_ub,
-        b_ub=b_ub,
-        A_eq=a_eq,
-        b_eq=b_eq,
-        bounds=list(zip(lb, ub)),
-        method="highs",
-    )
-    if not result.success:
+    _, objective, x = run_highs(cost, lb, ub, *matrix)
+    if x is None:
         return None
-    return float(result.fun), np.asarray(result.x)
+    return objective, np.asarray(x)
 
 
 def _most_fractional(model: IlpModel, x: np.ndarray) -> int | None:

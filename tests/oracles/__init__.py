@@ -17,4 +17,7 @@ through the seams named in each module.
 * :mod:`oracles.select` — the Eq. 12 exclusion rows from dense
   ``count × count`` masks (reference for
   ``repro.core.select._add_conflict_constraints``).
+* :mod:`oracles.milp` — HiGHS through ``scipy.optimize.milp`` (reference
+  for ``repro.ilp.scipy_backend``, which calls scipy's HiGHS extension
+  without importing ``scipy.optimize``).
 """
