@@ -61,12 +61,10 @@ class FontanaBaseline:
         self,
         design: Design,
         router: GlobalRouter,
-        backend: str = "auto",
         time_budget_s: float | None = None,
     ) -> None:
         self.design = design
         self.router = router
-        self.backend = backend
         self.time_budget_s = time_budget_s
         # Congestion-blind pricing: same graph, penalty disabled.  The
         # matching flat CostField rides along so the pattern router
@@ -111,7 +109,6 @@ class FontanaBaseline:
             n_rows=3,
             max_cells=1,  # [18] does not displace neighbours
             max_targets=1,
-            backend=self.backend,
         )
         candidates: dict[str, list[MoveCandidate]] = {}
         # No prioritization: database order, every movable cell.
@@ -182,7 +179,6 @@ class FontanaBaseline:
             n_rows=min(rows, 9),
             max_cells=1,
             max_targets=1,
-            backend=legalizer.backend,
         )
         return wide.run(name)
 
@@ -224,7 +220,7 @@ class FontanaBaseline:
                             )
         _add_conflict_constraints(design, candidates, model, var_of)
 
-        solution = solve(model, backend=self.backend)
+        solution = solve(model)
         chosen: dict[str, MoveCandidate] = {}
         for cell_name, options in candidates.items():
             chosen[cell_name] = options[0]

@@ -50,8 +50,6 @@ def generate_candidates(
         n_rows=config.n_rows,
         max_cells=config.max_cells,
         max_targets=config.max_targets,
-        backend=config.ilp_backend,
-        ilp_budget_s=config.ilp_budget_s,
     )
     result: dict[str, list[MoveCandidate]] = {}
     for name in critical_cells:

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.ilp.solver import BACKENDS as ILP_BACKENDS
-
 
 @dataclass(slots=True)
 class CrpConfig:
@@ -21,6 +19,10 @@ class CrpConfig:
     ``use_penalty`` and ``prioritize`` exist for the ablation studies:
     disabling them reproduces the two modeling choices the paper credits
     for beating the state of the art [18].
+
+    Every ILP (Eq. 12 selection, Eq. 11 windows past three cells) is
+    solved exactly by HiGHS (``repro.ilp.solve``), as the paper's
+    CPLEX solves them; there is no solver or solve-budget knob.
     """
 
     gamma: float = 0.6
@@ -36,11 +38,6 @@ class CrpConfig:
     use_penalty: bool = True
     #: order cells by routed-net cost (False = arbitrary order, like [18])
     prioritize: bool = True
-    #: ILP backend for legalizer and selection: one of ``repro.ilp.solver.BACKENDS``
-    ilp_backend: str = "auto"
-    #: wall-clock budget per ILP solve (None = unbounded); on expiry the
-    #: guard ladder degrades to the greedy backend instead of hanging
-    ilp_budget_s: float | None = None
     #: cap on critical cells per iteration (keeps runtime bounded)
     max_critical_cells: int = 200
 
@@ -51,10 +48,3 @@ class CrpConfig:
             raise ValueError("temperature must be positive")
         if self.n_sites < 2 or self.n_rows < 1 or self.max_cells < 1:
             raise ValueError("degenerate legalizer window")
-        if self.ilp_backend not in ILP_BACKENDS:
-            raise ValueError(
-                f"ilp_backend must be one of {', '.join(ILP_BACKENDS)}, "
-                f"got {self.ilp_backend!r}"
-            )
-        if self.ilp_budget_s is not None and self.ilp_budget_s < 0:
-            raise ValueError("ilp_budget_s must be non-negative")

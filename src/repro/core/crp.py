@@ -242,12 +242,7 @@ class CrpFramework:
             stats.runtime["ECC"] = sp.wall_s
 
             with tracer.span("crp.ILP") as sp:
-                chosen = select_moves(
-                    self.design,
-                    candidates,
-                    backend=config.ilp_backend,
-                    budget_s=config.ilp_budget_s,
-                )
+                chosen = select_moves(self.design, candidates)
             stats.runtime["ILP"] = sp.wall_s
 
             with tracer.span("crp.UD") as sp:

@@ -30,8 +30,6 @@ _SWEEP_BLOCK = 4096
 def select_moves(
     design: Design,
     candidates: dict[str, list[MoveCandidate]],
-    backend: str = "auto",
-    budget_s: float | None = None,
 ) -> dict[str, MoveCandidate]:
     """Pick one candidate per critical cell minimizing total cost."""
     # Fault site: "worst" replaces the ILP with the most expensive
@@ -61,11 +59,12 @@ def select_moves(
     pairs = _add_conflict_constraints(design, candidates, model, var_of)
     _publish_conflict_graph(candidates, pairs)
 
-    solution = solve(model, backend=backend, budget_s=budget_s)
+    solution = solve(model)
     chosen: dict[str, MoveCandidate] = {}
     if not solution.ok:
         # Infeasibility cannot happen (keep-current is always available
-        # and mutually compatible), but fail safe: keep everything put.
+        # and mutually compatible), but a solver error can: keep
+        # everything put.
         for cell_name, cell_candidates in candidates.items():
             chosen[cell_name] = cell_candidates[0]
         return chosen

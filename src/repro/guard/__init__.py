@@ -1,15 +1,11 @@
 """``repro.guard`` — fault-tolerant execution for the whole flow.
 
-Four pillars, wired through ``ilp``/``groute``/``core``/``flow``/``cli``:
+Three pillars, wired through ``ilp``/``groute``/``core``/``flow``/``cli``:
 
 * **Deadlines** (:mod:`repro.guard.deadline`): nested wall-clock budgets
-  (per flow, per stage, per ILP solve) checked cooperatively at loop
-  checkpoints; expiry raises :class:`DeadlineExceeded` and counts
+  (per flow, per stage) checked cooperatively at loop checkpoints;
+  expiry raises :class:`DeadlineExceeded` and counts
   ``guard.deadline_hits``.
-* **Fallback ladder** (:mod:`repro.guard.ladder`): ``ilp.solve`` retries
-  scipy -> branch-and-bound -> exhaustive -> greedy on backend
-  exceptions, infeasible/error verdicts, or deadline expiry, counting
-  ``guard.fallbacks``.
 * **Transactions** (:mod:`repro.guard.transaction`): every CR&P
   iteration snapshots cell positions + dirty-net routes, verifies
   legality / demand-accounting / cost-monotonicity invariants, and
@@ -25,11 +21,6 @@ it on every exit path.
 Stage-level isolation lives in ``repro.flow.pipeline``: a dead stage
 becomes a :class:`FailureReport` on the ``FlowResult`` instead of a
 crash, and the CLI exits non-zero.
-
-Import-order note: submodules are imported leaves-first (report,
-deadline, faults before ladder) because instrumented packages like
-``repro.ilp`` import the earlier leaves back while ``ladder`` is still
-loading.
 """
 
 from repro.guard.report import FailureReport
@@ -49,7 +40,6 @@ from repro.guard.faults import (
     install_faults,
     use_faults,
 )
-from repro.guard.ladder import run_ladder
 from repro.guard.transaction import (
     GuardPolicy,
     IterationTransaction,
@@ -70,7 +60,6 @@ __all__ = [
     "fault_point",
     "install_faults",
     "use_faults",
-    "run_ladder",
     "GuardPolicy",
     "IterationTransaction",
     "iteration_violations",

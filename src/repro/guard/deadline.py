@@ -1,12 +1,11 @@
-"""Wall-clock budgets for flows, stages, and individual solves.
+"""Wall-clock budgets for flows and stages.
 
 A :class:`Deadline` is an absolute expiry time.  Scopes nest on a
 per-thread stack (``deadline_scope``), and cooperative code calls
 :func:`check_deadline` at its loop checkpoints — the maze router every
-few hundred expansions, branch-and-bound every few hundred nodes, the
-global router once per net.  ``check_deadline`` tests *every* open
-scope, so a tight flow-level budget fires even inside a stage whose own
-budget still has slack.
+few hundred expansions, the global router once per net.
+``check_deadline`` tests *every* open scope, so a tight flow-level
+budget fires even inside a stage whose own budget still has slack.
 
 Expiry raises :class:`DeadlineExceeded` and counts
 ``guard.deadline_hits`` (plus ``guard.deadline.<scope-name>``), so

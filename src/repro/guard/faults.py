@@ -1,9 +1,8 @@
 """Deterministic fault injection at named sites.
 
 Instrumented code calls ``fault_point("<site>")`` at the places the
-guard layer must be able to break: ILP backend dispatch (``ilp.scipy``,
-``ilp.bnb``, ``ilp.exhaustive``, ``ilp.greedy``), the maze router
-(``groute.maze``), flow stages (``flow.GR`` / ``flow.CRP`` /
+guard layer must be able to break: the HiGHS solve (``ilp.scipy``),
+the maze router (``groute.maze``), flow stages (``flow.GR`` / ``flow.CRP`` /
 ``flow.BASELINE`` / ``flow.DR``), the CR&P update step
 (``crp.update.reroute``), selection (``crp.select``), and the
 post-iteration invariant check (``crp.invariants``).

@@ -1,15 +1,8 @@
 """Integer linear programming substrate (replaces CPLEX).
 
-A small modeling layer plus four interchangeable backends:
-
-* ``scipy`` — :func:`scipy.optimize.milp` (HiGHS branch-and-cut),
-* ``bnb``   — a pure-Python branch-and-bound over LP relaxations,
-* ``exhaustive`` — enumeration for tiny all-binary models,
-* ``greedy`` — a feasibility heuristic (no optimality proof).
-
-``solve(backend="auto")`` runs the :mod:`repro.guard.ladder` fallback
-ladder across them, so a backend exception, a bogus infeasible verdict,
-or a blown deadline degrades the solve instead of killing the flow.
+A small modeling layer and one exact solver: :func:`solve` hands the
+model to HiGHS branch-and-cut through scipy's own HiGHS extension
+(:mod:`repro.ilp.scipy_backend`), without importing ``scipy.optimize``.
 """
 
 from repro.ilp.model import Constraint, IlpModel, LinTerm, Sense, Variable

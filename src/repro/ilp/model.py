@@ -122,15 +122,6 @@ class IlpModel:
     def num_constraints(self) -> int:
         return len(self.constraints)
 
-    @property
-    def all_binary(self) -> bool:
-        return all(
-            # bounds are assigned from these exact literals in
-            # add_binary/add_variable, never computed
-            v.integral and v.lower == 0.0 and v.upper == 1.0  # repro: noqa:REPRO-D003
-            for v in self.variables
-        )
-
     def objective_value(self, values: list[float]) -> float:
         return sum(v.cost * values[v.index] for v in self.variables)
 

@@ -50,12 +50,14 @@ def highs_core():
 def _load_core():
     spec = importlib.util.find_spec("scipy")
     if spec is None or not spec.submodule_search_locations:
-        raise ImportError("scipy is not installed")
+        raise ImportError("repro.ilp needs scipy >= 1.15, and scipy is not installed")
     folder = os.path.join(spec.submodule_search_locations[0], "optimize", "_highspy")
     paths = [os.path.join(folder, "_core" + s) for s in importlib.machinery.EXTENSION_SUFFIXES]
     path = next((p for p in paths if os.path.exists(p)), None)
     if path is None:
-        raise ImportError(f"no HiGHS extension {CORE_MODULE} under {folder}")
+        raise ImportError(
+            f"repro.ilp needs scipy >= 1.15: no HiGHS extension {CORE_MODULE} under {folder}"
+        )
     module_spec = importlib.util.spec_from_file_location(CORE_MODULE, path)
     module = importlib.util.module_from_spec(module_spec)
     sys.modules[CORE_MODULE] = module
@@ -161,12 +163,12 @@ def run_highs(cost, lb, ub, indptr, indices, data, row_lb, row_ub, integrality=N
 def solve_scipy(model: IlpModel) -> Solution:
     """Solve ``model`` exactly with HiGHS, as :func:`scipy.optimize.milp` would."""
     if model.num_variables == 0:
-        return Solution(status=SolveStatus.OPTIMAL, objective=0.0, backend="scipy")
+        return Solution(status=SolveStatus.OPTIMAL, objective=0.0)
     status, objective, x = run_highs(*milp_arrays(model))
     if status is not SolveStatus.OPTIMAL:
-        return Solution(status=status, backend="scipy")
+        return Solution(status=status)
     values = {
         v.name: (round(value) if v.integral else float(value))
         for v, value in zip(model.variables, x)
     }
-    return Solution(status=status, objective=objective, values=values, backend="scipy")
+    return Solution(status=status, objective=objective, values=values)

@@ -10,8 +10,6 @@ class SolveStatus(Enum):
     """Outcome of an ILP solve."""
 
     OPTIMAL = "optimal"
-    #: valid assignment without an optimality proof (greedy ladder rung)
-    FEASIBLE = "feasible"
     INFEASIBLE = "infeasible"
     ERROR = "error"
 
@@ -23,11 +21,10 @@ class Solution:
     status: SolveStatus
     objective: float = 0.0
     values: dict[str, float] = field(default_factory=dict)
-    backend: str = ""
 
     @property
     def ok(self) -> bool:
-        return self.status in (SolveStatus.OPTIMAL, SolveStatus.FEASIBLE)
+        return self.status is SolveStatus.OPTIMAL
 
     def value(self, name: str) -> float:
         return self.values[name]

@@ -1,4 +1,4 @@
-"""Backend dispatch for ILP solves, instrumented with ``repro.obs``.
+"""``solve``: one exact HiGHS solve per model, instrumented with ``repro.obs``.
 
 Every solve runs inside an ``ilp.solve`` span and records the
 ``ilp.solves`` counter plus ``ilp.solve_ms`` / ``ilp.variables``
@@ -7,54 +7,38 @@ window-legalizer ILPs inside GCP) is solver time.  A solve that raises
 still counts — as ``ilp.status.error`` — so profiles never undercount
 failed solves.
 
-``backend="auto"`` (and its alias ``"ladder"``) routes through the
-:mod:`repro.guard.ladder` fallback ladder: scipy -> branch-and-bound ->
-exhaustive -> greedy, advancing on backend exceptions, infeasible/error
-verdicts, or deadline expiry.  Named backends dispatch directly and
-re-raise their failures.  ``budget_s`` opens a per-solve deadline scope
-around whichever path runs.
+Nothing here retries or degrades.  A status other than OPTIMAL reaches
+the caller, whose ``not solution.ok`` branch keeps every cell where it
+is; an exception propagates to ``run_flow``'s stage isolation, which
+turns it into a ``FailureReport``.
 
-Each backend dispatch passes through a ``fault_point`` site
-(``ilp.scipy`` etc.), so tests can force exceptions or statuses there.
+The HiGHS call passes the ``ilp.scipy`` ``fault_point`` first, so tests
+can force an exception or a status there.
 """
 
 from __future__ import annotations
 
 import time
 
+from repro.guard.faults import fault_point
+from repro.ilp import scipy_backend
 from repro.ilp.model import IlpModel
 from repro.ilp.solution import Solution, SolveStatus
 from repro.obs import get_metrics, get_tracer
 
-_STATUS_BY_VALUE = {status.value: status for status in SolveStatus}
 
-#: every value :func:`solve` accepts as ``backend``
-BACKENDS = ("auto", "ladder", "scipy", "bnb", "exhaustive", "greedy")
-
-
-def solve(
-    model: IlpModel, backend: str = "auto", budget_s: float | None = None
-) -> Solution:
-    """Solve ``model``.
-
-    ``backend`` is one of ``auto``/``ladder`` (the guard fallback
-    ladder, HiGHS first), ``scipy``, ``bnb``, ``exhaustive``, or
-    ``greedy``.  ``budget_s`` bounds this solve's wall clock.
-    """
-    from repro.guard.deadline import deadline_scope
-    from repro.guard.ladder import run_ladder
-
+def solve(model: IlpModel) -> Solution:
+    """Solve ``model`` exactly with HiGHS."""
     metrics = get_metrics()
-    with get_tracer().span(
-        "ilp.solve", backend=backend, variables=model.num_variables
-    ):
+    with get_tracer().span("ilp.solve", variables=model.num_variables):
         t0 = time.perf_counter()
         try:
-            with deadline_scope(budget_s, name="ilp.solve"):
-                if backend in ("auto", "ladder"):
-                    solution = run_ladder(model, _dispatch)
-                else:
-                    solution = _dispatch(model, backend)
+            # a status name forced at the fault site stands in for the solve
+            forced = fault_point("ilp.scipy")
+            if forced is None:
+                solution = scipy_backend.solve_scipy(model)
+            else:
+                solution = Solution(status=SolveStatus(forced))
         except Exception:
             metrics.count("ilp.solves")
             metrics.count("ilp.status.error")
@@ -65,48 +49,3 @@ def solve(
     metrics.observe("ilp.solve_ms", elapsed_ms)
     metrics.observe("ilp.variables", model.num_variables)
     return solution
-
-
-def _forced_status(site: str, backend: str) -> Solution | None:
-    """Fault-injection hook: a forced status name becomes that Solution."""
-    from repro.guard.faults import fault_point
-
-    forced = fault_point(site)
-    if forced is None:
-        return None
-    status = _STATUS_BY_VALUE.get(str(forced))
-    if status is None:
-        raise ValueError(f"fault site {site}: unknown forced status {forced!r}")
-    return Solution(status=status, backend=backend)
-
-
-def _dispatch(model: IlpModel, backend: str) -> Solution:
-    if backend == "scipy":
-        forced = _forced_status("ilp.scipy", "scipy")
-        if forced is not None:
-            return forced
-        from repro.ilp.scipy_backend import solve_scipy
-
-        return solve_scipy(model)
-    if backend == "bnb":
-        forced = _forced_status("ilp.bnb", "bnb")
-        if forced is not None:
-            return forced
-        from repro.ilp.bnb import solve_bnb
-
-        return solve_bnb(model)
-    if backend == "exhaustive":
-        forced = _forced_status("ilp.exhaustive", "exhaustive")
-        if forced is not None:
-            return forced
-        from repro.ilp.exhaustive import solve_exhaustive
-
-        return solve_exhaustive(model)
-    if backend == "greedy":
-        forced = _forced_status("ilp.greedy", "greedy")
-        if forced is not None:
-            return forced
-        from repro.ilp.greedy import solve_greedy
-
-        return solve_greedy(model)
-    raise ValueError(f"unknown ILP backend {backend!r}")

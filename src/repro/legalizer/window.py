@@ -9,10 +9,10 @@ cells on free sites minimizing displacement toward their median
 positions — is solved exactly, yielding one *legalized candidate*: a
 new position for ``c`` plus the compensating moves of the conflict
 cells.  Windows of up to 3 cells are solved by enumeration with a
-canonical tie-break (``_solve_enumerated``); larger ones by a general
-ILP backend (``_solve_ilp``).  Only the pinned slot differs between the
-targets of one cell: everything else is built once per ``run()``
-(``_WindowModel``).
+canonical tie-break (``_solve_enumerated``); larger ones by the
+general ILP (``_solve_ilp``, HiGHS).  Only the pinned slot differs
+between the targets of one cell: everything else is built once per
+``run()`` (``_WindowModel``).
 
 The paper's defaults — ``|cells| = 3``, ``|sites| = 20``, ``|rows| = 5``
 — are the constructor defaults here.
@@ -137,17 +137,12 @@ class WindowLegalizer:
         n_rows: int = 5,
         max_cells: int = 3,
         max_targets: int = 8,
-        backend: str = "auto",
-        ilp_budget_s: float | None = None,
     ) -> None:
         self.design = design
         self.n_sites = n_sites
         self.n_rows = n_rows
         self.max_cells = max_cells
         self.max_targets = max_targets
-        #: used only by the > 3-cell ILP path (``_solve_ilp``)
-        self.backend = backend
-        self.ilp_budget_s = ilp_budget_s
         #: window-signature -> solved outcome, scoped to this
         #: instance (CR&P builds a fresh legalizer per iteration)
         self._memo: dict = {}
@@ -358,19 +353,13 @@ class WindowLegalizer:
 
         if (row.site.width, row.height) != (window.site_width, window.row_height):
             self._rescale(window, row.site.width, row.height)
-        if len(movable) > 3 and self.ilp_budget_s is not None:
-            # A budgeted solve is not a function of the window signature.
-            outcome = self._solve(window, row_order, target_site)
+        key = (row_order, target_site) + window.key_tail
+        outcome = self._memo.get(key, _MEMO_MISS)
+        if outcome is _MEMO_MISS:
+            self.memo_misses += 1
+            outcome = self._memo[key] = self._solve(window, row_order, target_site)
         else:
-            key = (row_order, target_site) + window.key_tail
-            outcome = self._memo.get(key, _MEMO_MISS)
-            if outcome is _MEMO_MISS:
-                self.memo_misses += 1
-                outcome = self._memo[key] = self._solve(
-                    window, row_order, target_site
-                )
-            else:
-                self.memo_hits += 1
+            self.memo_hits += 1
         return self._candidate_from(
             cell_name, movable, target_row, target_site, outcome
         )
@@ -453,8 +442,8 @@ class WindowLegalizer:
         """The Eq. 11 window as a general ILP, for > 3 movable cells.
 
         The enumerator's totals tensor grows as ``options ** cells``, so
-        windows past its 3-cell domain are handed to the backend ladder;
-        among tied optima the backend's choice stands.
+        windows past its 3-cell domain go to HiGHS; among tied optima
+        HiGHS's choice stands.
 
         Returns ``None`` (infeasible / solver declined) or
         ``(assignments, objective)`` with one ``(x, y, orient)`` per
@@ -494,7 +483,7 @@ class WindowLegalizer:
                     name=f"slot[{slot_row}][{local}]",
                 )
 
-        solution = solve(model, backend=self.backend, budget_s=self.ilp_budget_s)
+        solution = solve(model)
         if not solution.ok:
             return None
 

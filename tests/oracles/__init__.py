@@ -20,4 +20,6 @@ through the seams named in each module.
 * :mod:`oracles.milp` — HiGHS through ``scipy.optimize.milp`` (reference
   for ``repro.ilp.scipy_backend``, which calls scipy's HiGHS extension
   without importing ``scipy.optimize``).
+* :mod:`oracles.exhaustive` — enumeration of every 0/1 assignment of a
+  small all-binary model (reference for ``repro.ilp.solve``'s optimum).
 """

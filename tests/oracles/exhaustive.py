@@ -1,10 +1,13 @@
-"""Exhaustive enumeration backend for tiny all-binary models."""
+"""Enumeration of every 0/1 assignment (reference for ``repro.ilp.solve``).
+
+Exact but exponential, so it only takes all-binary models of at most
+:data:`MAX_EXHAUSTIVE_VARS` variables.
+"""
 
 from __future__ import annotations
 
 from itertools import product
 
-from repro.guard.deadline import check_deadline
 from repro.ilp.model import IlpModel
 from repro.ilp.solution import Solution, SolveStatus
 
@@ -12,21 +15,17 @@ MAX_EXHAUSTIVE_VARS = 22
 
 
 def solve_exhaustive(model: IlpModel) -> Solution:
-    """Enumerate all 0/1 assignments; exact but exponential.
-
-    Only valid for all-binary models with at most
-    :data:`MAX_EXHAUSTIVE_VARS` variables.
-    """
-    if not model.all_binary:
-        raise ValueError("exhaustive backend requires an all-binary model")
+    """The cheapest feasible 0/1 assignment, first in enumeration order."""
+    if not all(
+        v.integral and (v.lower, v.upper) == (0.0, 1.0) for v in model.variables
+    ):
+        raise ValueError("exhaustive enumeration requires an all-binary model")
     n = model.num_variables
     if n > MAX_EXHAUSTIVE_VARS:
-        raise ValueError(f"exhaustive backend limited to {MAX_EXHAUSTIVE_VARS} vars")
+        raise ValueError(f"exhaustive enumeration limited to {MAX_EXHAUSTIVE_VARS} vars")
     best: list[float] | None = None
     best_obj = float("inf")
-    for i, assignment in enumerate(product((0.0, 1.0), repeat=n)):
-        if i % 4096 == 0:
-            check_deadline("ilp.exhaustive")
+    for assignment in product((0.0, 1.0), repeat=n):
         values = list(assignment)
         if not model.is_feasible(values):
             continue
@@ -35,10 +34,9 @@ def solve_exhaustive(model: IlpModel) -> Solution:
             best_obj = obj
             best = values
     if best is None:
-        return Solution(status=SolveStatus.INFEASIBLE, backend="exhaustive")
+        return Solution(status=SolveStatus.INFEASIBLE)
     return Solution(
         status=SolveStatus.OPTIMAL,
         objective=best_obj,
         values={v.name: best[v.index] for v in model.variables},
-        backend="exhaustive",
     )

@@ -63,12 +63,12 @@ def milp_args(model: IlpModel) -> dict:
 def solve_milp(model: IlpModel) -> Solution:
     """Solve ``model`` exactly with HiGHS via ``milp``."""
     if model.num_variables == 0:
-        return Solution(status=SolveStatus.OPTIMAL, objective=0.0, backend="scipy")
+        return Solution(status=SolveStatus.OPTIMAL, objective=0.0)
     result = milp(**milp_args(model))
     if result.status == 2:
-        return Solution(status=SolveStatus.INFEASIBLE, backend="scipy")
+        return Solution(status=SolveStatus.INFEASIBLE)
     if not result.success or result.x is None:
-        return Solution(status=SolveStatus.ERROR, backend="scipy")
+        return Solution(status=SolveStatus.ERROR)
     values = {
         v.name: (round(x) if v.integral else float(x))
         for v, x in zip(model.variables, result.x)
@@ -77,5 +77,4 @@ def solve_milp(model: IlpModel) -> Solution:
         status=SolveStatus.OPTIMAL,
         objective=float(result.fun),
         values=values,
-        backend="scipy",
     )

@@ -1,5 +1,6 @@
-"""Tests for repro.guard: deadlines, fault injection, the ILP fallback
-ladder, the CR&P iteration transaction, and flow stage isolation."""
+"""Tests for repro.guard: deadlines, fault injection, the CR&P iteration
+transaction, and flow stage isolation.  Each fault site is shown to fire
+and to change an outcome."""
 
 import gc
 import time
@@ -18,10 +19,11 @@ from repro.guard import (
     current_deadline,
     deadline_scope,
     fault_point,
+    iteration_violations,
     use_faults,
 )
-from repro.ilp import IlpModel, Sense, SolveStatus, solve
-from repro.ilp.greedy import solve_greedy
+from repro.benchgen import make_design
+from repro.ilp import IlpModel, solve
 from repro.core import CrpConfig, CrpFramework
 from repro.obs import observe
 
@@ -132,98 +134,70 @@ def test_unlimited_fault_times():
     assert plan.fired("s") == 5
 
 
-# ---------------------------------------------------------------- ladder
+# ------------------------------------------------------------------- ilp
 
 
-def test_ladder_falls_back_on_backend_exception():
-    with use_faults(FaultPlan().fail("ilp.scipy")), observe() as obs:
-        solution = solve(tiny_model(), backend="auto")
-        assert solution.status is SolveStatus.OPTIMAL
-        assert solution.backend == "bnb"
-        assert solution.chosen() == ["b"]
-        assert obs.metrics.counter("guard.fallbacks") >= 1
-        assert obs.metrics.counter("guard.fallback.scipy") == 1
+def test_forced_solver_error_keeps_every_cell_put():
+    """A non-optimal selection solve moves nothing: the iteration keeps
+    every cell where it was, and the flow finishes legal."""
+    clean = run_flow(fresh_small(), mode="crp", crp_iterations=1, skip_detailed=True)
+    assert clean.crp.iterations[0].num_moved > 0
+    design = fresh_small()
+    with use_faults(FaultPlan().force("ilp.scipy", "error")) as plan:
+        result = run_flow(design, mode="crp", crp_iterations=1, skip_detailed=True)
+    assert plan.fired("ilp.scipy") == 1
+    assert result.metrics["counters"]["ilp.status.error"] == 1
+    (stats,) = result.crp.iterations
+    assert stats.num_moved == 0 and not stats.rolled_back
+    assert not design.moved_history
+    assert not result.failed and result.legal
 
 
-def test_ladder_cross_checks_single_infeasible_verdict():
-    # One backend lying about infeasibility must not lose the solve.
-    with use_faults(FaultPlan().force("ilp.scipy", "infeasible")):
-        solution = solve(tiny_model(), backend="auto")
-    assert solution.status is SolveStatus.OPTIMAL
-    assert solution.backend == "bnb"
+def test_raising_solver_fails_the_crp_stage():
+    """A solve that raises is not caught in ``repro.ilp``: the CR&P stage
+    fails with a FailureReport, and what GR did survives."""
+    gr_only = run_flow(fresh_small(), mode="baseline", skip_detailed=True)
+    with use_faults(FaultPlan().fail("ilp.scipy")) as plan:
+        result = run_flow(fresh_small(), mode="crp", crp_iterations=2, skip_detailed=True)
+    assert plan.fired("ilp.scipy") == 1
+    assert result.failed
+    assert result.failure.stage == "CRP"
+    assert result.failure.error_type == "FaultInjected"
+    assert result.crp is None and "GR" in result.runtime
 
+    def groute(counters):
+        return {k: v for k, v in counters.items() if k.startswith("groute.")}
 
-def test_ladder_reaches_greedy_when_all_exact_rungs_die():
-    plan = FaultPlan().fail("ilp.scipy").fail("ilp.bnb").fail("ilp.exhaustive")
-    with use_faults(plan), observe() as obs:
-        solution = solve(tiny_model(), backend="auto")
-        assert solution.status is SolveStatus.FEASIBLE
-        assert solution.ok
-        assert solution.backend == "greedy"
-        assert obs.metrics.counter("guard.fallbacks") == 3
-
-
-def test_ladder_agreed_infeasible_is_trusted():
-    model = IlpModel("impossible")
-    a = model.add_binary("a", cost=1.0)
-    b = model.add_binary("b", cost=1.0)
-    model.add_constraint([(a, 1.0), (b, 1.0)], Sense.GE, 3.0, name="ge3")
-    solution = solve(model, backend="auto")
-    assert solution.status is SolveStatus.INFEASIBLE
-    assert not solution.ok
-
-
-def test_ladder_deadline_skips_to_greedy():
-    with deadline_scope(0.0, name="solve"):
-        solution = solve(tiny_model(), backend="auto")
-    assert solution.ok
-    assert solution.backend == "greedy"
-
-
-def test_solve_budget_param_opens_scope():
-    # A generous per-solve budget leaves the exact path untouched.
-    solution = solve(tiny_model(), backend="auto", budget_s=60.0)
-    assert solution.status is SolveStatus.OPTIMAL
+    assert groute(result.failure.metrics["counters"]) == groute(
+        gr_only.metrics["counters"]
+    ) != {}
 
 
 def test_named_backend_failure_counts_and_reraises():
     with use_faults(FaultPlan().fail("ilp.scipy")), observe() as obs:
         with pytest.raises(FaultInjected):
-            solve(tiny_model(), backend="scipy")
+            solve(tiny_model())
         assert obs.metrics.counter("ilp.status.error") == 1
         assert obs.metrics.counter("ilp.solves") == 1
-
-
-# ---------------------------------------------------------------- greedy
-
-
-def test_greedy_respects_exclusions():
-    solution = solve_greedy(tiny_model())
-    assert solution.status is SolveStatus.FEASIBLE
-    assert solution.chosen() == ["b"]
-
-
-def test_greedy_rejects_non_binary_models():
-    model = IlpModel("intish")
-    model.add_variable("x", cost=1.0, lower=0.0, upper=3.0, integral=True)
-    with pytest.raises(ValueError):
-        solve_greedy(model)
-
-
-def test_greedy_empty_model_is_optimal():
-    assert solve_greedy(IlpModel("empty")).status is SolveStatus.OPTIMAL
 
 
 # ---------------------------------------------------------------- groute
 
 
 def test_maze_disconnect_fault_degrades_to_pattern_routes():
+    clean = GlobalRouter(fresh_small())
+    clean.route_all()
     design = fresh_small()
-    with use_faults(FaultPlan().force("groute.maze", "disconnect", times=-1)):
+    plan = FaultPlan().force("groute.maze", "disconnect", times=-1)
+    with use_faults(plan), observe() as obs:
         router = GlobalRouter(design)
         router.route_all()
+        assert obs.metrics.counter("groute.maze_fallbacks") == 273
+    assert plan.fired("groute.maze") == 273
     assert len(router.routes) == len(design.nets)
     assert router.accounting_errors() == []
+    assert clean.total_wirelength_dbu() == 442_725
+    assert router.total_wirelength_dbu() == 485_775
 
 
 def test_initial_routing_propagates_deadline():
@@ -256,6 +230,22 @@ def test_route_copy_restore_roundtrip(routed):
 # ------------------------------------------------------------ transaction
 
 
+def test_transaction_rolls_back_a_production_iteration():
+    """No fault plan: on ispd18_test1 at k = 10 the cost check rolls back
+    iteration 4, and only it."""
+    result = run_flow(
+        make_design("ispd18_test1"), mode="crp", crp_iterations=10, skip_detailed=True
+    )
+    assert not result.failed and result.legal
+    rolled = [stats for stats in result.crp.iterations if stats.rolled_back]
+    assert [stats.iteration for stats in rolled] == [4]
+    assert rolled[0].rollback_reasons == [
+        "route cost regressed 936.618 -> 956.931 (tolerance 2.0%)"
+    ]
+    assert rolled[0].num_moved == 0
+    assert result.metrics["counters"]["guard.rollbacks"] == 1
+
+
 def test_forced_invariant_violation_rolls_back(routed):
     design, router = routed
     before_pos = {n: (c.x, c.y) for n, c in design.cells.items()}
@@ -274,6 +264,22 @@ def test_forced_invariant_violation_rolls_back(routed):
     assert router.total_wirelength_dbu() == before_wl
     assert router.accounting_errors() == []
     assert check_legality(design).is_legal
+
+
+def test_invariant_checks_name_each_violation(routed):
+    """The legality and accounting checks fire on a broken state; no
+    suite flow has produced one (the production rollback is the cost
+    check's)."""
+    design, router = routed
+    pre_cost = router.total_route_cost()
+    assert iteration_violations(design, router, pre_cost, 0.02) == []
+    a, b = [name for name, cell in design.cells.items() if not cell.fixed][:2]
+    other = design.cells[b]
+    design.move_cell(a, other.x, other.y, other.orient)
+    router.graph.wire_usage[0][0, 0] += 1
+    violations = iteration_violations(design, router, pre_cost, 0.02)
+    assert any(v.startswith("illegal placement") for v in violations), violations
+    assert any("wire demand mismatch on layer 0" in v for v in violations), violations
 
 
 def test_update_step_exception_rolls_back(routed):
@@ -338,6 +344,15 @@ def test_flow_crp_stage_isolated():
     assert result.failure.stage == "CRP"
 
 
+def test_flow_baseline_stage_isolated():
+    with use_faults(FaultPlan().fail("flow.BASELINE")) as plan:
+        result = run_flow(fresh_small(), mode="fontana", skip_detailed=True)
+    assert plan.fired("flow.BASELINE") == 1
+    assert result.failed
+    assert result.failure.stage == "BASELINE"
+    assert result.fontana is None
+
+
 @pytest.mark.parametrize("was_enabled", [True, False])
 def test_run_flow_pauses_gc_and_leaves_it_as_found(was_enabled):
     """Every way out of ``run_flow`` — success, a failed stage, an expired
@@ -393,20 +408,21 @@ def test_standalone_detailed_routing_pauses_gc_once_per_call(monkeypatch):
 
 
 def test_flow_survives_injected_solver_failure_and_bad_iteration():
-    """The ISSUE acceptance scenario: a scipy-backend failure plus one
-    forced-bad CR&P iteration must not sink the flow."""
+    """A solver error plus one forced-bad CR&P iteration must not sink
+    the flow."""
     design = fresh_small()
     plan = (
         FaultPlan()
-        .fail("ilp.scipy", times=1)
+        .force("ilp.scipy", "error", times=1)
         .force("crp.invariants", "forced-violation", times=1)
     )
     with use_faults(plan):
         result = run_flow(design, mode="crp", crp_iterations=2,
                           skip_detailed=True)
+    assert plan.fired("ilp.scipy") == 1
     assert not result.failed
     counters = result.metrics["counters"]
-    assert counters["guard.fallbacks"] >= 1
+    assert counters["ilp.status.error"] == 1
     assert counters["guard.rollbacks"] >= 1
     assert result.crp is not None and result.crp.rollbacks >= 1
     assert result.legal
@@ -417,12 +433,13 @@ def test_crp_accounting_survives_fault_storm(routed):
     design, router = routed
     plan = (
         FaultPlan()
-        .fail("ilp.scipy", times=2)
+        .force("ilp.scipy", "error", times=2)
         .force("crp.invariants", "forced-violation", times=1)
     )
     framework = CrpFramework(design, router, CrpConfig(seed=1))
     with use_faults(plan):
         framework.run(2)
+    assert plan.fired("ilp.scipy") == 2
     assert router.accounting_errors() == []
     assert check_legality(design).is_legal
 

@@ -24,7 +24,7 @@ from scipy.optimize._milp import _milp_iv
 import repro.ilp.scipy_backend as backend
 from repro.benchgen import make_design
 from repro.flow import run_flow
-from repro.ilp import IlpModel, Sense, SolveStatus, solve
+from repro.ilp import IlpModel, Sense, solve
 from repro.obs import observe
 
 from oracles.milp import milp_args, solve_milp
@@ -158,20 +158,15 @@ def test_flow_leaves_scipy_optimize_unimported():
     assert report["late_milp"] == [0, 1]
 
 
-def test_missing_extension_falls_down_the_ladder(monkeypatch):
-    """Without the extension both HiGHS rungs raise ImportError and the
-    ladder still answers exactly, by enumeration."""
+def test_missing_extension_raises_import_error(monkeypatch):
+    """Without the extension a solve raises ImportError naming the scipy
+    it needs, and counts as an error; nothing answers in HiGHS's place."""
     monkeypatch.delitem(sys.modules, backend.CORE_MODULE, raising=False)
     monkeypatch.setattr("importlib.machinery.EXTENSION_SUFFIXES", [".missing"])
     model = IlpModel("tiny")
     a, b = model.add_binary("a", cost=2.0), model.add_binary("b", cost=1.0)
     model.add_exactly_one([a, b])
-    with pytest.raises(ImportError):
-        backend.highs_core()
     with observe() as obs:
-        solution = solve(model)
-        assert obs.metrics.counter("guard.fallback.scipy") == 1
-        assert obs.metrics.counter("guard.fallback.bnb") == 1
-    assert solution.status is SolveStatus.OPTIMAL
-    assert solution.backend == "exhaustive"
-    assert solution.chosen() == ["b"]
+        with pytest.raises(ImportError, match=r"scipy >= 1\.15"):
+            solve(model)
+        assert obs.metrics.counter("ilp.status.error") == 1

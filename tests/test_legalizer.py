@@ -225,9 +225,9 @@ def test_four_cell_window_solves_through_the_ilp(tech45, monkeypatch):
     solved = []
     real_solve = window.solve
 
-    def counting_solve(model, **kwargs):
+    def counting_solve(model):
         solved.append(model.name)
-        return real_solve(model, **kwargs)
+        return real_solve(model)
 
     monkeypatch.setattr(window, "solve", counting_solve)
     legalizer = WindowLegalizer(
@@ -235,18 +235,10 @@ def test_four_cell_window_solves_through_the_ilp(tech45, monkeypatch):
     )
     candidates = legalizer.run("a")
     assert solved and legalizer.solves == 0
-    # Unbudgeted ILP outcomes share the memo: a repeat run re-solves nothing.
+    # ILP outcomes share the memo: a repeat run re-solves nothing.
     calls = len(solved)
     assert legalizer.memo_misses == calls
     assert legalizer.run("a") == candidates and len(solved) == calls
-    # A budgeted solve is not a function of the window: never memoized.
-    budgeted = WindowLegalizer(
-        design, n_sites=12, n_rows=2, max_cells=4, max_targets=20,
-        ilp_budget_s=60.0,
-    )
-    assert budgeted.run("a") and budgeted.run("a")
-    assert budgeted.memo_misses == budgeted.memo_hits == 0
-    assert len(solved) == 3 * calls
     cand = next(c for c in candidates if c.conflict_moves)
     design.move_cell("a", *cand.position)
     for name, pos in cand.conflict_moves.items():
