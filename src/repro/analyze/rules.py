@@ -3,16 +3,16 @@
 Every rule has a stable ID, a default severity, a one-line rationale,
 and a fix hint.  Rules register themselves in :data:`RULES` via the
 :func:`rule` decorator, so adding a rule is one function; per-path
-scoping (e.g. REPRO-G001 only applies under the packages ``run_flow``
-reaches) and severity escalation live on the :class:`Rule` record and
-are applied by :mod:`repro.analyze.linter`.
+exclusion (e.g. REPRO-D003 skips test files) and severity escalation
+live on the :class:`Rule` record and are applied by
+:mod:`repro.analyze.linter`.
 
 Rule families:
 
 * ``REPRO-D*`` — determinism hazards (the CR&P results in Table III are
   only reproducible if routing/placement decisions are bit-stable).
-* ``REPRO-G*`` — guard hazards (loops that can outlive their deadline,
-  handlers that can swallow ``DeadlineExceeded``).
+* ``REPRO-G*`` — guard hazards (handlers that can swallow injected
+  faults before a stage boundary sees them, wall-clock timing).
 * ``REPRO-O*`` — observability conventions (span/metric names).
 * ``REPRO-C*`` — classics (mutable defaults, shadowed builtins).
 * ``REPRO-R*`` — robustness (durability of on-disk artifacts; a crash
@@ -48,20 +48,13 @@ class Rule:
     severity: Severity
     summary: str
     hint: str
-    #: only lint files whose posix path contains one of these fragments
-    #: (empty tuple = every file)
-    path_scope: tuple[str, ...] = ()
     #: never lint files whose posix path contains one of these fragments
     path_exclude: tuple[str, ...] = ()
     #: escalate severity to ERROR on files matching these fragments
     escalate_paths: tuple[str, ...] = ()
 
     def applies_to(self, posix_path: str) -> bool:
-        if any(frag in posix_path for frag in self.path_exclude):
-            return False
-        if not self.path_scope:
-            return True
-        return any(frag in posix_path for frag in self.path_scope)
+        return not any(frag in posix_path for frag in self.path_exclude)
 
     def severity_for(self, posix_path: str) -> Severity:
         if self.escalate_paths and any(
@@ -91,20 +84,12 @@ DECISION_PATHS = (
     "/groute/", "/droute/", "/ilp/", "/core/", "/legalizer/", "/flow/",
 )
 
-#: directories whose loops must stay under the guard's deadline control:
-#: every package ``run_flow`` reaches
-DEADLINE_PATHS = (
-    "/groute/", "/droute/", "/ilp/", "/flute/", "/legalizer/", "/core/",
-    "/grid/", "/baseline/", "/flow/",
-)
-
 
 def rule(
     rule_id: str,
     severity: Severity,
     summary: str,
     hint: str,
-    path_scope: tuple[str, ...] = (),
     path_exclude: tuple[str, ...] = (),
     escalate_paths: tuple[str, ...] = (),
 ) -> Callable[[Checker], Checker]:
@@ -118,7 +103,6 @@ def rule(
             severity=severity,
             summary=summary,
             hint=hint,
-            path_scope=path_scope,
             path_exclude=path_exclude,
             escalate_paths=escalate_paths,
         )
@@ -398,64 +382,16 @@ def _check_fs_order(ctx: ModuleContext):
 # --------------------------------------------------------- REPRO-G: guard
 
 
-@rule(
-    "REPRO-G001",
-    Severity.ERROR,
-    "unbounded loop in a package `run_flow` reaches without a Deadline "
-    "check",
-    "call `check_deadline(\"<site>\")` or `DeadlineTicker.tick()` inside "
-    "the loop (see `repro.guard.deadline`), or bound the loop with an "
-    "explicit counter",
-    path_scope=DEADLINE_PATHS,
-)
-def _check_unbounded_loops(ctx: ModuleContext):
-    def is_bounded(test: ast.expr) -> bool:
-        """A comparison anywhere in the test counts as an explicit bound."""
-        return any(isinstance(n, ast.Compare) for n in ast.walk(test))
-
-    def checks_deadline(node: ast.AST) -> bool:
-        """Either a direct check or a strided DeadlineTicker tick."""
-        for sub in ast.walk(node):
-            if isinstance(sub, ast.Call):
-                name = _call_name(sub).split(".")[-1]
-                if name in ("check_deadline", "tick"):
-                    return True
-        return False
-
-    # A while loop is compliant when a deadline check is reachable once
-    # per iteration: inside its own body, or inside an enclosing loop's
-    # body (the enclosing loop re-checks between inner runs).
-    loops: list[tuple[ast.While, bool]] = []  # (node, covered by ancestor)
-    def visit(node: ast.AST, covered: bool) -> None:
-        for child in ast.iter_child_nodes(node):
-            child_covered = covered
-            if isinstance(child, (ast.While, ast.For)):
-                child_covered = covered or checks_deadline(child)
-                if isinstance(child, ast.While):
-                    loops.append((child, covered))
-            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                child_covered = False  # new frame, new obligations
-            visit(child, child_covered)
-
-    visit(ctx.tree, False)
-    for loop, covered in loops:
-        if is_bounded(loop.test):
-            continue
-        if covered or checks_deadline(loop):
-            continue
-        yield loop, "unbounded `while` loop never checks the deadline stack"
-
-
 _BROAD_EXCEPTIONS = ("Exception", "BaseException")
 
 
 @rule(
     "REPRO-G002",
     Severity.ERROR,
-    "bare/overbroad `except` can swallow DeadlineExceeded and "
-    "fault-injection errors",
-    "catch the specific exception, re-raise, or handle "
-    "`DeadlineExceeded` in a preceding clause",
+    "bare/overbroad `except` can swallow fault-injection errors before "
+    "stage isolation reports them",
+    "catch the specific exception or re-raise; turning any exception into "
+    "a `FailureReport` is `flow.pipeline._stage`'s job",
 )
 def _check_broad_except(ctx: ModuleContext):
     def exception_names(type_node: ast.expr | None) -> list[str]:
@@ -480,29 +416,25 @@ def _check_broad_except(ctx: ModuleContext):
     for node in ast.walk(ctx.tree):
         if not isinstance(node, ast.Try):
             continue
-        deadline_handled = False
         for handler in node.handlers:
             names = exception_names(handler.type)
             if handler.type is None:
                 if not reraises(handler):
                     yield handler, "bare `except:` swallows every exception"
             elif any(name in _BROAD_EXCEPTIONS for name in names):
-                if not (reraises(handler) or deadline_handled):
+                if not reraises(handler):
                     yield handler, (
                         "`except "
                         + "/".join(n for n in names if n in _BROAD_EXCEPTIONS)
-                        + "` without re-raise can swallow DeadlineExceeded"
+                        + "` without re-raise can swallow FaultInjected"
                     )
-            if any("Deadline" in name for name in names):
-                deadline_handled = True
 
 
 @rule(
     "REPRO-G003",
     Severity.WARNING,
     "`time.time()` is wall-clock and jumps on NTP adjustment",
-    "use `time.monotonic()` for deadlines or `time.perf_counter()` "
-    "for measurements",
+    "use `time.monotonic()` or `time.perf_counter()` for measurements",
 )
 def _check_wall_clock(ctx: ModuleContext):
     aliases = _module_aliases(ctx.tree, "time")

@@ -52,14 +52,6 @@ def main(argv: list[str] | None = None) -> int:
         "--trace-out", metavar="PATH",
         help="write the JSON span trace (+ metrics) to this path",
     )
-    p_run.add_argument(
-        "--budget", type=float, metavar="S",
-        help="wall-clock budget for the whole flow in seconds",
-    )
-    p_run.add_argument(
-        "--stage-budget", type=float, metavar="S",
-        help="wall-clock budget per flow stage in seconds",
-    )
 
     p_profile = sub.add_parser(
         "profile",
@@ -179,8 +171,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         mode=args.mode,
         crp_iterations=args.iterations,
         skip_detailed=args.skip_detailed,
-        budget_s=args.budget,
-        stage_budget_s=args.stage_budget,
     )
     print(result.summary())
     if result.failure is not None:

@@ -20,12 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from repro.guard import (
-    DeadlineExceeded,
-    GuardPolicy,
-    IterationTransaction,
-    iteration_violations,
-)
+from repro.guard import GuardPolicy, IterationTransaction, iteration_violations
 from repro.obs import ensure_tracer, get_metrics
 
 from repro.db import Design
@@ -131,19 +126,10 @@ class CrpFramework:
             self._estimate_field = CostField(router.graph, params)
 
     def run(self, iterations: int = 1) -> CrpResult:
-        """Execute ``k`` CR&P iterations (the paper reports k=1 and 10).
-
-        CR&P is an improvement loop, so a wall-clock deadline expiring
-        mid-run stops iterating (counting ``crp.deadline_stops``) and
-        returns the iterations that completed, rather than raising.
-        """
+        """Execute ``k`` CR&P iterations (the paper reports k=1 and 10)."""
         result = CrpResult()
         for k in range(iterations):
-            try:
-                result.iterations.append(self.run_iteration(k))
-            except DeadlineExceeded:
-                get_metrics().count("crp.deadline_stops")
-                break
+            result.iterations.append(self.run_iteration(k))
         return result
 
     def run_until_converged(
@@ -166,11 +152,7 @@ class CrpFramework:
         # so each pass pays a single scan instead of two.
         previous = self._total_route_cost()
         for k in range(max_iterations):
-            try:
-                result.iterations.append(self.run_iteration(k, pre_cost=previous))
-            except DeadlineExceeded:
-                get_metrics().count("crp.deadline_stops")
-                break
+            result.iterations.append(self.run_iteration(k, pre_cost=previous))
             current = self._total_route_cost()
             gain = (previous - current) / previous if previous > 0 else 0.0
             previous = current
@@ -282,13 +264,7 @@ class CrpFramework:
         txn = IterationTransaction.capture(self.design, self.router, chosen)
         try:
             update = apply_moves(self.design, self.router, chosen)
-        except DeadlineExceeded:
-            # Restore consistency, then let the driver stop the loop.
-            txn.rollback()
-            stats.rolled_back = True
-            stats.rollback_reasons = ["deadline expired mid-update"]
-            raise
-        except Exception as exc:  # noqa: BLE001 — rollback then degrade
+        except Exception as exc:  # repro: noqa:REPRO-G002 — roll back, then degrade to an empty update
             txn.rollback()
             stats.rolled_back = True
             stats.rollback_reasons = [f"{type(exc).__name__}: {exc}"]

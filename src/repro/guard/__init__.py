@@ -1,18 +1,14 @@
 """``repro.guard`` — fault-tolerant execution for the whole flow.
 
-Three pillars, wired through ``ilp``/``groute``/``core``/``flow``/``cli``:
+Two pillars, wired through ``ilp``/``groute``/``core``/``flow``:
 
-* **Deadlines** (:mod:`repro.guard.deadline`): nested wall-clock budgets
-  (per flow, per stage) checked cooperatively at loop checkpoints;
-  expiry raises :class:`DeadlineExceeded` and counts
-  ``guard.deadline_hits``.
 * **Transactions** (:mod:`repro.guard.transaction`): every CR&P
   iteration snapshots cell positions + dirty-net routes, verifies
   legality / demand-accounting / cost-monotonicity invariants, and
   rolls back on violation, counting ``guard.rollbacks``.
 * **Fault injection** (:mod:`repro.guard.faults`): deterministic
-  exceptions, forced statuses, and delays at named sites, so the test
-  suite proves every recovery path actually runs.
+  exceptions and forced statuses at named sites, so the test suite
+  proves every recovery path actually runs.
 
 Beside them, :func:`gc_paused` (:mod:`repro.guard.gcpause`) keeps the
 cyclic collector off for a flow or a detailed-routing call and restores
@@ -24,14 +20,6 @@ crash, and the CLI exits non-zero.
 """
 
 from repro.guard.report import FailureReport
-from repro.guard.deadline import (
-    Deadline,
-    DeadlineExceeded,
-    DeadlineTicker,
-    check_deadline,
-    current_deadline,
-    deadline_scope,
-)
 from repro.guard.gcpause import gc_paused
 from repro.guard.faults import (
     FaultInjected,
@@ -48,12 +36,6 @@ from repro.guard.transaction import (
 
 __all__ = [
     "FailureReport",
-    "Deadline",
-    "DeadlineExceeded",
-    "DeadlineTicker",
-    "check_deadline",
-    "current_deadline",
-    "deadline_scope",
     "gc_paused",
     "FaultInjected",
     "FaultPlan",

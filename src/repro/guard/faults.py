@@ -9,15 +9,14 @@ post-iteration invariant check (``crp.invariants``).
 
 With no plan installed a fault point is one module-global read — safe
 to leave in hot paths.  A :class:`FaultPlan` arms sites with one of
-three behaviours, each limited to a trigger count:
+two behaviours, each limited to a trigger count:
 
 * ``fail(site)`` — raise :class:`FaultInjected` (or a caller-supplied
   exception),
 * ``force(site, value)`` — return ``value`` to the caller, which
   interprets it (e.g. ``"infeasible"`` at an ILP site forces that
   solve status; ``"disconnect"`` at ``groute.maze`` forces a failed
-  search),
-* ``delay(site, seconds)`` — sleep, so deadline expiry can be staged.
+  search).
 
 Every trigger counts ``guard.faults_injected`` and is tallied on the
 plan (:meth:`FaultPlan.fired`), so tests can prove a recovery path
@@ -27,7 +26,6 @@ actually executed rather than was merely installed.
 from __future__ import annotations
 
 import threading
-import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator
@@ -45,9 +43,9 @@ class FaultInjected(RuntimeError):
 
 @dataclass(slots=True)
 class _Fault:
-    kind: str  # "fail" | "force" | "delay"
+    kind: str  # "fail" | "force"
     times: int  # remaining triggers; -1 means unlimited
-    value: object = None  # exception for fail, payload for force, seconds for delay
+    value: object = None  # exception for fail, payload for force
 
     @property
     def armed(self) -> bool:
@@ -80,11 +78,6 @@ class FaultPlan:
         self._add(site, _Fault(kind="force", times=times, value=value))
         return self
 
-    def delay(self, site: str, seconds: float, times: int = 1) -> "FaultPlan":
-        """Arm ``site`` to sleep ``seconds`` before continuing."""
-        self._add(site, _Fault(kind="delay", times=times, value=seconds))
-        return self
-
     def _add(self, site: str, fault: _Fault) -> None:
         with self._lock:
             self._sites.setdefault(site, []).append(fault)
@@ -112,9 +105,6 @@ class FaultPlan:
         metrics = get_metrics()
         metrics.count("guard.faults_injected")
         metrics.count(f"guard.fault.{site}")
-        if fault.kind == "delay":
-            time.sleep(float(fault.value))  # type: ignore[arg-type]
-            return None
         if fault.kind == "fail":
             exc = fault.value
             if exc is None:
@@ -149,7 +139,7 @@ def use_faults(plan: FaultPlan) -> Iterator[FaultPlan]:
 
 
 def fault_point(site: str) -> object | None:
-    """The injection hook: returns a forced value, raises, sleeps, or no-ops."""
+    """The injection hook: returns a forced value, raises, or no-ops."""
     plan = _active_plan
     if plan is None:
         return None

@@ -31,7 +31,6 @@ from repro.droute.indexed import guide_spans as _guide_spans
 from repro.droute.lattice import LNode, TrackLattice
 from repro.droute.obstacles import BLOCKED, build_obstacle_map
 from repro.droute.router import DetailedRouter
-from repro.guard.deadline import DeadlineTicker
 from repro.obs import get_metrics
 
 
@@ -310,7 +309,6 @@ def astar_connect(
     max_expansions = params.max_expansions
     if soft:
         max_expansions = int(max_expansions * params.soft_budget_factor)
-    ticker = DeadlineTicker("droute.astar", stride=64)
 
     # Expansion counts are tallied locally and recorded once in the
     # ``finally`` — the hot loop itself carries no instrumentation.
@@ -320,7 +318,6 @@ def astar_connect(
             if g > g_score.get(node, float("inf")):
                 continue
             expansions += 1
-            ticker.tick()
             if node in targets:
                 return _build_result(node, came_from, g, net, owner, occupancy)
             layer, ix, iy = node

@@ -21,7 +21,6 @@ from itertools import count
 from repro.grid import CostModel, GridEdge, RoutingGraph
 from repro.groute.maze import MAZE_MARGIN, Node, _window
 from repro.groute.patterns import pattern_paths_2d
-from repro.guard.deadline import DeadlineTicker
 from repro.obs import get_metrics
 
 
@@ -91,10 +90,8 @@ def _maze_route_scalar(
     # Expansions are tallied locally and recorded once on exit so the
     # inner loop stays metric-free.
     expansions = 0
-    ticker = DeadlineTicker("groute.maze", stride=64)
     try:
         while open_heap:
-            ticker.tick()
             f, _, node = heapq.heappop(open_heap)
             g = g_score[node]
             if f > g + heuristic(node) + 1e-9:

@@ -28,11 +28,6 @@ from repro.grid import (
     RoutingGraph,
 )
 from repro.groute import GlobalRouter, maze_route
-from repro.guard.deadline import (
-    DeadlineExceeded,
-    DeadlineTicker,
-    deadline_scope,
-)
 from repro.guard.faults import FaultPlan, use_faults
 from repro.guard.transaction import IterationTransaction
 from repro.obs import observe
@@ -450,27 +445,3 @@ def test_edge_nets_prunes_empty_sets(tech45):
         router.rip_up(name)
     assert router._edge_nets == {}
 
-
-def test_deadline_ticker_first_tick_checks():
-    """Stride batching must not delay the very first deadline check."""
-    ticker = DeadlineTicker("test.site", stride=64)
-    with deadline_scope(0.0, "zero"):
-        with pytest.raises(DeadlineExceeded):
-            ticker.tick()
-
-
-def test_deadline_ticker_strides():
-    ticker = DeadlineTicker("test.site", stride=8)
-    with deadline_scope(1e9, "slack"):
-        for _ in range(100):
-            ticker.tick()
-    # After the scope closes an expired check would raise; ticks between
-    # checkpoint ticks must not consult the (now absent) deadline stack.
-    ticker2 = DeadlineTicker("test.site", stride=4)
-    ticker2.tick()  # checkpoint (no scope open: no-op)
-    with deadline_scope(0.0, "zero"):
-        ticker2.tick()  # 1 of 4: batched, must not raise
-        ticker2.tick()  # 2 of 4
-        ticker2.tick()  # 3 of 4
-        with pytest.raises(DeadlineExceeded):
-            ticker2.tick()  # 4 of 4: checkpoint fires

@@ -1,9 +1,8 @@
-"""Tests for repro.guard: deadlines, fault injection, the CR&P iteration
+"""Tests for repro.guard: fault injection, the CR&P iteration
 transaction, and flow stage isolation.  Each fault site is shown to fire
 and to change an outcome."""
 
 import gc
-import time
 
 import pytest
 
@@ -12,12 +11,8 @@ from repro.droute import DetailedRouter, router as droute_router
 from repro.flow import run_flow
 from repro.groute import GlobalRouter
 from repro.guard import (
-    DeadlineExceeded,
     FaultInjected,
     FaultPlan,
-    check_deadline,
-    current_deadline,
-    deadline_scope,
     fault_point,
     iteration_violations,
     use_faults,
@@ -47,49 +42,6 @@ def tiny_model() -> IlpModel:
     return model
 
 
-# --------------------------------------------------------------- deadlines
-
-
-def test_no_scope_is_unbounded():
-    assert current_deadline() is None
-    check_deadline("anywhere")  # no-op
-
-
-def test_none_budget_is_noop():
-    with deadline_scope(None) as deadline:
-        assert deadline is None
-        assert current_deadline() is None
-        check_deadline("site")
-
-
-def test_zero_budget_expires_immediately():
-    with deadline_scope(0.0, name="t"):
-        with pytest.raises(DeadlineExceeded) as err:
-            check_deadline("unit.site")
-    assert err.value.site == "unit.site"
-    assert err.value.name == "t"
-    # scope closed: checks pass again
-    check_deadline("unit.site")
-
-
-def test_outer_deadline_fires_inside_looser_inner():
-    with deadline_scope(0.0, name="outer"):
-        with deadline_scope(60.0, name="inner"):
-            assert current_deadline().name == "inner"
-            with pytest.raises(DeadlineExceeded) as err:
-                check_deadline("nested")
-    assert err.value.name == "outer"
-
-
-def test_deadline_hit_is_counted():
-    with observe() as obs:
-        with deadline_scope(0.0, name="x"):
-            with pytest.raises(DeadlineExceeded):
-                check_deadline("s")
-        assert obs.metrics.counter("guard.deadline_hits") == 1
-        assert obs.metrics.counter("guard.deadline.x") == 1
-
-
 # --------------------------------------------------------------- faults
 
 
@@ -97,13 +49,8 @@ def test_fault_point_without_plan_is_noop():
     assert fault_point("nowhere") is None
 
 
-def test_fault_fail_force_delay_and_counts():
-    plan = (
-        FaultPlan()
-        .fail("site.fail")
-        .force("site.force", "payload", times=2)
-        .delay("site.delay", 0.01)
-    )
+def test_fault_fail_force_and_counts():
+    plan = FaultPlan().fail("site.fail").force("site.force", "payload", times=2)
     with use_faults(plan):
         with pytest.raises(FaultInjected):
             fault_point("site.fail")
@@ -111,12 +58,9 @@ def test_fault_fail_force_delay_and_counts():
         assert fault_point("site.force") == "payload"
         assert fault_point("site.force") == "payload"
         assert fault_point("site.force") is None
-        t0 = time.perf_counter()
-        assert fault_point("site.delay") is None
-        assert time.perf_counter() - t0 >= 0.01
     assert plan.fired("site.fail") == 1
     assert plan.fired("site.force") == 2
-    assert plan.fired() == 4
+    assert plan.fired() == 3
     # plan uninstalled on exit
     assert fault_point("site.force") is None
 
@@ -198,24 +142,6 @@ def test_maze_disconnect_fault_degrades_to_pattern_routes():
     assert router.accounting_errors() == []
     assert clean.total_wirelength_dbu() == 442_725
     assert router.total_wirelength_dbu() == 485_775
-
-
-def test_initial_routing_propagates_deadline():
-    design = fresh_small()
-    router = GlobalRouter(design)
-    with deadline_scope(0.0, name="gr"):
-        with pytest.raises(DeadlineExceeded):
-            router.route_all()
-
-
-def test_improve_degrades_gracefully_under_deadline(routed):
-    _, router = routed
-    with observe() as obs:
-        with deadline_scope(0.0, name="rrr"):
-            completed = router.improve(rrr_passes=2)
-        assert completed == 0
-        assert obs.metrics.counter("groute.rrr_deadline_stops") == 1
-    assert router.accounting_errors() == []
 
 
 def test_route_copy_restore_roundtrip(routed):
@@ -328,14 +254,6 @@ def test_flow_stage_failure_is_isolated():
     assert result.metrics["counters"]["flow.stage_failures"] == 1
 
 
-def test_flow_budget_fails_first_stage_cleanly():
-    design = fresh_small()
-    result = run_flow(design, mode="baseline", budget_s=0.0)
-    assert result.failed
-    assert result.failure.stage == "GR"
-    assert result.failure.error_type == "DeadlineExceeded"
-
-
 def test_flow_crp_stage_isolated():
     design = fresh_small()
     with use_faults(FaultPlan().fail("flow.CRP")):
@@ -355,9 +273,9 @@ def test_flow_baseline_stage_isolated():
 
 @pytest.mark.parametrize("was_enabled", [True, False])
 def test_run_flow_pauses_gc_and_leaves_it_as_found(was_enabled):
-    """Every way out of ``run_flow`` — success, a failed stage, an expired
-    budget, an argument error before any stage — restores the collector
-    to the state it was called in; inside, it is off."""
+    """Every way out of ``run_flow`` — success, a failed stage, an
+    argument error before any stage — restores the collector to the
+    state it was called in; inside, it is off."""
     inside = []
 
     class Probe(RuntimeError):  # built by the armed site, inside the flow
@@ -376,7 +294,6 @@ def test_run_flow_pauses_gc_and_leaves_it_as_found(was_enabled):
     exits = (
         lambda: run_flow(fresh_small(), mode="crp", skip_detailed=True),
         failed_stage,
-        lambda: run_flow(fresh_small(), mode="baseline", budget_s=0.0),
         bad_mode,
     )
     try:
@@ -396,11 +313,13 @@ def test_standalone_detailed_routing_pauses_gc_once_per_call(monkeypatch):
     router = GlobalRouter(design)
     router.route_all(rrr_passes=1)
     between_searches = []
-    monkeypatch.setattr(
-        droute_router,
-        "check_deadline",
-        lambda site: between_searches.append(gc.isenabled()),
-    )
+    access_nodes = droute_router.access_nodes
+
+    def probe(*args):
+        between_searches.append(gc.isenabled())
+        return access_nodes(*args)
+
+    monkeypatch.setattr(droute_router, "access_nodes", probe)
     assert gc.isenabled()
     DetailedRouter(design).route_all(router.guides())
     assert gc.isenabled()
@@ -470,10 +389,3 @@ def test_cli_run_exits_nonzero_on_stage_failure(capsys):
     assert rc != 0
     assert "FAILED" in capsys.readouterr().out
 
-
-def test_cli_run_exits_nonzero_on_blown_budget(capsys):
-    from repro.cli import main
-
-    rc = main(["run", "-b", "ispd18_test1", "-m", "baseline",
-               "--skip-detailed", "--budget", "0"])
-    assert rc != 0
