@@ -9,7 +9,8 @@ designs, so this reimplementation keeps both characteristics:
 
 * every movable cell is a candidate, processed in database order;
 * the movement target is the free slot nearest the cell's median;
-* estimation uses ``CostParams(use_penalty=False)`` (length + vias only);
+* estimation uses ``CostField(graph, use_penalty=False)`` (length + vias
+  only);
 * an ILP picks the move subset, excluding pairs that share a net.
 
 Runtime scales with the full cell count (vs. CR&P's capped critical
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 
 from repro.geom import Orientation
 from repro.db import Design
-from repro.grid import CostField, CostModel, CostParams
+from repro.grid import CostField
 from repro.groute import GlobalRouter
 from repro.ilp import IlpModel, Sense, solve
 from repro.legalizer import WindowLegalizer
@@ -66,16 +67,8 @@ class FontanaBaseline:
         self.design = design
         self.router = router
         self.time_budget_s = time_budget_s
-        # Congestion-blind pricing: same graph, penalty disabled.  The
-        # matching flat CostField rides along so the pattern router
-        # never prices with the penalty-on maps.
-        flat_params = CostParams(
-            wire_weight=router.cost.params.wire_weight,
-            via_weight=router.cost.params.via_weight,
-            use_penalty=False,
-        )
-        self._flat_cost = CostModel(router.graph, flat_params)
-        self._flat_field = CostField(router.graph, flat_params)
+        # Congestion-blind pricing: same graph, penalty disabled.
+        self._flat_field = CostField(router.graph, use_penalty=False)
 
     def run(self, iterations: int = 1) -> FontanaResult:
         """Run the move-to-median optimization."""
@@ -133,18 +126,13 @@ class FontanaBaseline:
             if len(options) > 1:
                 candidates[name] = options
 
-        swap_router_cost = self.router.cost
-        self.router.cost = self._flat_cost
-        try:
-            with self.router.pattern3d.using(self._flat_cost, self._flat_field):
-                for name, options in candidates.items():
-                    self._check_budget(start)
-                    for candidate in options:
-                        candidate.route_cost = estimate_candidate_cost(
-                            design, self.router, candidate
-                        )
-        finally:
-            self.router.cost = swap_router_cost
+        with self.router.pattern3d.using(self._flat_field):
+            for name, options in candidates.items():
+                self._check_budget(start)
+                for candidate in options:
+                    candidate.route_cost = estimate_candidate_cost(
+                        design, self.router, candidate
+                    )
 
         chosen = self._select(candidates)
         update = apply_moves(design, self.router, chosen)

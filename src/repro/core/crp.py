@@ -24,6 +24,7 @@ from repro.guard import GuardPolicy, IterationTransaction, iteration_violations
 from repro.obs import ensure_tracer, get_metrics
 
 from repro.db import Design
+from repro.grid import CostField
 from repro.groute import GlobalRouter
 from repro.core.candidates import generate_candidates
 from repro.core.config import CrpConfig
@@ -107,23 +108,12 @@ class CrpFramework:
         # to commit and rip-up) that only the CR&P loop pays for.
         router.enable_incremental_cost()
         # Ablation support: estimate candidate costs congestion-blind
-        # (use_penalty=False) while the router itself keeps its model.
-        # The cost field must be swapped together with the scalar model,
-        # otherwise the pattern router would keep pricing with the
-        # penalty-on maps.
-        self._estimate_cost_model = router.cost
-        self._estimate_field = router.field
-        if not self.config.use_penalty:
-            from repro.grid import CostField, CostModel, CostParams
-
-            params = CostParams(
-                wire_weight=router.cost.params.wire_weight,
-                via_weight=router.cost.params.via_weight,
-                slope=router.cost.params.slope,
-                use_penalty=False,
-            )
-            self._estimate_cost_model = CostModel(router.graph, params)
-            self._estimate_field = CostField(router.graph, params)
+        # (use_penalty=False) while the router itself keeps its field.
+        self._estimate_field = (
+            router.field
+            if self.config.use_penalty
+            else CostField(router.graph, use_penalty=False)
+        )
 
     def run(self, iterations: int = 1) -> CrpResult:
         """Execute ``k`` CR&P iterations (the paper reports k=1 and 10)."""
@@ -209,9 +199,7 @@ class CrpFramework:
                 # and every segment of the iteration is priced in
                 # one batch; the per-candidate calls then only sum.
                 cache = EccCache()
-                with self.router.pattern3d.using(
-                    self._estimate_cost_model, self._estimate_field
-                ):
+                with self.router.pattern3d.using(self._estimate_field):
                     cache.prefetch(self.design, self.router, flat)
                     for candidate in flat:
                         candidate.route_cost = estimate_candidate_cost(

@@ -258,7 +258,7 @@ def price_segments(
     """
     field = p3d.field
     field.ensure()
-    via_w = p3d.cost.params.via_weight
+    via_w = field.via_cost
 
     #: (points per path, first run horizontal) -> (flat x, y of the
     #: paths' points, owning key index of each path)

@@ -1,10 +1,24 @@
-"""Dense Eq. 9/10 cost kernel with prefix sums and lazy invalidation.
+"""The Eq. 10 cost model: a dense cost kernel with prefix sums and lazy
+invalidation.
+
+    cost_e = Unit_e * Dist(e) * (1 + penalty(e))
+
+``Unit_e`` is the ISPD-2018 metric weight of the edge species (wire
+``WIRE_WEIGHT`` per M2-pitch of length, via ``VIA_WEIGHT`` per cut),
+``Dist(e)`` the Manhattan distance between GCell centers, and
+``penalty(e)`` a logistic function of Eq. 9 demand versus capacity.
+
+Note on the penalty sign: the paper prints ``1 / (1 + exp(S * (D_e -
+C_e)))``, which *decreases* as demand exceeds capacity — a typo, since
+the text says increasing ``S`` causes "faster overflow in an edge" (the
+penalty must grow with congestion, as in NTHU-Route [22]).  We implement
+the intended ``1 / (1 + exp(-S * (D_e - C_e)))``.
 
 :class:`CostField` materializes the Eq. 9 demand and Eq. 10 wire cost of
 every wire edge as per-layer numpy arrays (vias cost a flat
-``via_weight``, so they need no map), plus a running prefix sum along
+``VIA_WEIGHT``, so they need no map), plus a running prefix sum along
 each layer's preferred direction so the cost of a straight run of
-``n`` edges is two lookups instead of ``n`` scalar ``edge_cost`` calls.
+``n`` edges is two lookups instead of ``n`` per-edge sums.
 
 The field registers itself as a :class:`RoutingGraph` listener:
 ``add_wire``/``add_via``/``apply_route`` mark the touched *row* (one
@@ -17,20 +31,49 @@ guard-transaction rollback all mutate the graph through the same
 methods, so the field can never observe stale demand.
 
 Bit-parity contract: every value in the dense maps is computed with the
-same float64 operations, in the same order, as the scalar
-:class:`repro.grid.cost.CostModel` oracle, so ``edge_cost`` lookups and
-``path_cost`` sums are *bit-identical* to the scalar path; only the
-prefix-sum run costs may differ from a left-to-right scalar sum by
-float association (the parity tests pin this to 1e-9).
+same float64 operations, in the same order, as the scalar per-edge
+reference model in ``tests/oracles/field.py``, so ``edge_cost`` lookups
+and ``path_cost`` sums are *bit-identical* to it; only the
+prefix-sum run costs may differ from a left-to-right scalar sum by float
+association (the parity tests pin this to 1e-9).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.grid.cost import CostParams, m2_pitch, wire_edge_dists
+from repro.grid.gcellgrid import GCellGrid
 from repro.grid.graph import EdgeKind, GridEdge, RoutingGraph, flat_views
 from repro.obs import get_metrics
+from repro.tech import Technology
+
+#: ISPD-2018 evaluation weights the paper cites to explain why via
+#: reduction dominates: 0.5 per M2-pitch of wire, 2 per via
+WIRE_WEIGHT = 0.5
+VIA_WEIGHT = 2.0
+#: the logistic slope ``S`` of the Eq. 10 penalty
+SLOPE = 1.0
+
+
+def m2_pitch(tech: Technology) -> int:
+    """The wire-length normalization pitch (M2, or M1 on 1-layer stacks)."""
+    pitch_layer = min(len(tech.layers) - 1, 1)
+    return max(1, tech.layers[pitch_layer].pitch)
+
+
+def wire_edge_dists(
+    grid: GCellGrid, tech: Technology, pitch: int
+) -> tuple[float, ...]:
+    """Per-layer Eq. 10 ``Dist(e)`` of one wire edge, in M2-pitch units.
+
+    Adjacent-GCell center distance is constant per layer direction
+    (``step_x`` on horizontal layers, ``step_y`` on vertical ones), so it
+    is computed once per layer, not per edge.
+    """
+    return tuple(
+        (grid.step_x if layer.is_horizontal else grid.step_y) / pitch
+        for layer in tech.layers
+    )
 
 
 def _index_views(shapes: list[tuple[int, int]]) -> tuple[list[np.ndarray], int]:
@@ -42,15 +85,20 @@ def _index_views(shapes: list[tuple[int, int]]) -> tuple[list[np.ndarray], int]:
 
 
 class CostField:
-    """Vectorized Eq. 10 cost maps over a :class:`RoutingGraph`."""
+    """Vectorized Eq. 10 cost maps over a :class:`RoutingGraph`.
 
-    def __init__(
-        self, graph: RoutingGraph, params: CostParams | None = None
-    ) -> None:
+    ``use_penalty=False`` drops the congestion term (length + vias only):
+    the penalty ablation and the [18] comparator price with such a field.
+    """
+
+    def __init__(self, graph: RoutingGraph, use_penalty: bool = True) -> None:
         self.graph = graph
-        self.params = params or CostParams()
+        self.use_penalty = use_penalty
         #: flat Eq. 10 cost of any via edge
-        self.via_cost = self.params.via_weight
+        self.via_cost = VIA_WEIGHT
+        #: wire lengths are normalized to this (M2) pitch so wire and via
+        #: weights are on the contest's common scale
+        self.pitch = m2_pitch(graph.tech)
         self._horizontal = tuple(
             layer.is_horizontal for layer in graph.tech.layers
         )
@@ -114,7 +162,7 @@ class CostField:
         self._above_idx = self._below_idx.copy()
         #: ``wire_weight * Dist(e)`` of each row's layer, as a column
         self._unit = np.empty((self._num_rows, 1), dtype=np.float64)
-        wire_dist = wire_edge_dists(graph.grid, graph.tech, m2_pitch(graph.tech))
+        wire_dist = wire_edge_dists(graph.grid, graph.tech, self.pitch)
         for layer, horizontal in enumerate(self._horizontal):
             rows = slice(self._row_base[layer], self._row_base[layer] + lines[layer])
             # the slot after each edge: skip each prefix line's leading zero
@@ -125,7 +173,7 @@ class CostField:
                 if 0 <= cut < num_layers - 1:
                     gcells = via_ids[cut].T if horizontal else via_ids[cut]
                     table[rows, : gcells.shape[1]] = gcells
-            self._unit[rows] = self.params.wire_weight * wire_dist[layer]
+            self._unit[rows] = WIRE_WEIGHT * wire_dist[layer]
 
     # -------------------------------------------------- graph notifications
 
@@ -164,9 +212,9 @@ class CostField:
         """Rebuild demand/cost/prefix of ``rows``, all layers in one block:
         gather, Eq. 9/10 on ``len(rows) x width``, scatter.
 
-        Every arithmetic step mirrors :meth:`RoutingGraph.demand` +
-        :meth:`CostModel.edge_cost` operation-for-operation so the dense
-        values are bit-identical to the scalar oracle.
+        Every arithmetic step mirrors :meth:`RoutingGraph.demand` + the
+        scalar oracle's ``edge_cost`` operation-for-operation so the dense
+        values are bit-identical to it.
         """
         graph = self.graph
         edges = self._edge_idx[rows]
@@ -179,9 +227,8 @@ class CostField:
             + graph.fixed_usage_flat[edges]
             + graph.beta * delta
         )
-        params = self.params
-        if params.use_penalty:
-            x = params.slope * (demand - graph.wire_capacity_flat[edges])
+        if self.use_penalty:
+            x = SLOPE * (demand - graph.wire_capacity_flat[edges])
             with np.errstate(over="ignore"):
                 penalty = 1.0 / (1.0 + np.exp(-x))
             penalty[x > 60.0] = 1.0

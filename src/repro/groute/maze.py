@@ -17,7 +17,8 @@ from __future__ import annotations
 import heapq
 from itertools import count
 
-from repro.grid import CostField, CostModel, EdgeKind, GridEdge, RoutingGraph
+from repro.grid import CostField, EdgeKind, GridEdge, RoutingGraph
+from repro.grid.field import WIRE_WEIGHT
 from repro.guard.faults import fault_point
 from repro.obs import get_metrics
 
@@ -41,7 +42,6 @@ def _window(
 
 def maze_route(
     graph: RoutingGraph,
-    cost_model: CostModel,
     field: CostField,
     sources: set[Node],
     targets: set[Node],
@@ -80,12 +80,12 @@ def maze_route(
     num_layers = graph.num_layers
     min_wire_layer = graph.min_wire_layer
 
-    # The heuristic arithmetic mirrors CostModel.lower_bound operation
-    # for operation, so f-values (and hence pop order) match the scalar
-    # reference; the single-target case just skips the min().
-    wire_w = cost_model.params.wire_weight
-    via_w = cost_model.params.via_weight
-    pitch = cost_model.pitch
+    # Admissible heuristic: the congestion-free cost to the nearest
+    # target.  Its arithmetic is the scalar reference's lower bound
+    # operation for operation, so f-values (and hence pop order) match
+    # it; the single-target case just skips the min().
+    wire_w = WIRE_WEIGHT
+    pitch = field.pitch
     step_x, step_y = graph.grid.step_x, graph.grid.step_y
     if len(targets) == 1:
         t_layer, t_gx, t_gy = next(iter(targets))
@@ -94,12 +94,17 @@ def maze_route(
             dist = (
                 abs(node[1] - t_gx) * step_x + abs(node[2] - t_gy) * step_y
             ) / pitch
-            return wire_w * dist + via_w * abs(node[0] - t_layer)
+            return wire_w * dist + via_cost * abs(node[0] - t_layer)
 
     else:
 
         def heuristic(node: Node) -> float:
-            return min(cost_model.lower_bound(node, t) for t in targets)
+            layer, gx, gy = node
+            return min(
+                wire_w * ((abs(gx - tx) * step_x + abs(gy - ty) * step_y) / pitch)
+                + via_cost * abs(layer - t_layer)
+                for t_layer, tx, ty in targets
+            )
 
     tie = count()
     open_heap: list[tuple[float, int, Node]] = []

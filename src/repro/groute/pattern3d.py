@@ -21,7 +21,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator
 
-from repro.grid import CostField, CostModel, EdgeKind, GridEdge, RoutingGraph
+from repro.grid import CostField, EdgeKind, GridEdge, RoutingGraph
 from repro.groute.patterns import GPoint, runs_of_path
 
 
@@ -63,12 +63,10 @@ class PatternRouter3D:
     def __init__(
         self,
         graph: RoutingGraph,
-        cost_model: CostModel,
         field: CostField,
         min_layer: int = 0,
     ) -> None:
         self.graph = graph
-        self.cost = cost_model
         self.min_layer = min_layer
         self.field = field
         #: usable layers per run direction (True = horizontal), fixed by
@@ -109,7 +107,7 @@ class PatternRouter3D:
         dst_layer: int | None,
     ) -> Pattern3DPlan | None:
         """The DP half of :meth:`route`: a layer per run and the DP value."""
-        via_w = self.cost.params.via_weight
+        via_w = self.field.via_cost
         runs = runs_of_path(path)
         if not runs:
             # Both terminals share a GCell: a via stack suffices.
@@ -168,22 +166,15 @@ class PatternRouter3D:
         return None if plan is None else plan.value
 
     @contextmanager
-    def using(
-        self, cost_model: CostModel, field: CostField
-    ) -> Iterator["PatternRouter3D"]:
-        """Temporarily price with a different cost model *and* field.
-
-        The ablation paths (penalty-free ECC estimation, the Fontana
-        baseline) must swap both together: swapping only the scalar
-        model would leave the router pricing with the old penalty-on
-        maps.
-        """
-        prev_cost, prev_field = self.cost, self.field
-        self.cost, self.field = cost_model, field
+    def using(self, field: CostField) -> Iterator["PatternRouter3D"]:
+        """Temporarily price with a different cost field (the
+        penalty-free ECC estimation of the ablation, the [18] baseline)."""
+        prev_field = self.field
+        self.field = field
         try:
             yield self
         finally:
-            self.cost, self.field = prev_cost, prev_field
+            self.field = prev_field
 
     # -------------------------------------------------------------- helpers
 
@@ -215,7 +206,7 @@ class PatternRouter3D:
                 }
             )
 
-        via_w = self.cost.params.via_weight
+        via_w = self.field.via_cost
         best: dict[int, float] = {}
         back: list[dict[int, int]] = []
         for layer in run_layers[0]:

@@ -18,15 +18,8 @@ import numpy as np
 from repro.geom import Point, Rect
 from repro.db import Design, Net
 from repro.flute import build_rsmt
-from repro.grid import (
-    CostField,
-    CostModel,
-    CostParams,
-    EdgeKind,
-    GCellGrid,
-    GridEdge,
-    RoutingGraph,
-)
+from repro.grid import CostField, EdgeKind, GCellGrid, GridEdge, RoutingGraph
+from repro.grid.field import VIA_WEIGHT
 from repro.groute.maze import maze_route
 from repro.groute.pattern3d import PatternRouter3D
 from repro.groute.patterns import pattern_paths_2d
@@ -80,26 +73,17 @@ class NetRoute:
 class GlobalRouter:
     """Congestion-aware 3D global router over a design."""
 
-    def __init__(
-        self,
-        design: Design,
-        params: CostParams | None = None,
-        target_gcells: int = 32,
-        beta: float = 1.5,
-    ) -> None:
+    def __init__(self, design: Design, beta: float = 1.5) -> None:
+        """A router over ``design``'s GCell grid; ``beta`` weights the
+        Eq. 9 via-crowding term of the demand."""
         self.design = design
-        self.grid = GCellGrid.for_design(design, target_gcells=target_gcells)
+        self.grid = GCellGrid.for_design(design)
         self.graph = RoutingGraph(self.grid, design.tech, beta=beta)
         self.graph.init_fixed_usage(design)
-        self.cost = CostModel(self.graph, params)
-        #: dense Eq. 9/10 kernel every route is priced through; pinned
-        #: bit-for-bit to the scalar ``self.cost`` definition
-        self.field = CostField(self.graph, self.cost.params)
+        #: the Eq. 10 cost model every route is priced through
+        self.field = CostField(self.graph)
         self.pattern3d = PatternRouter3D(
-            self.graph,
-            self.cost,
-            self.field,
-            min_layer=self.graph.min_wire_layer,
+            self.graph, self.field, min_layer=self.graph.min_wire_layer
         )
         self.routes: dict[str, NetRoute] = {}
         # Plain dict (not defaultdict): lookups must never materialize
@@ -352,11 +336,10 @@ class GlobalRouter:
             for terminal in terminals[1:]:
                 path = maze_route(
                     self.graph,
-                    self.cost,
                     self.field,
                     sources=set(connected),
                     targets={terminal},
-                    overflow_penalty=10.0 * self.cost.params.via_weight,
+                    overflow_penalty=10.0 * VIA_WEIGHT,
                 )
                 if path is None:
                     get_metrics().count("groute.maze_fallbacks")

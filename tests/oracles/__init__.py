@@ -5,11 +5,13 @@ is reachable from ``src/``: no option or environment variable selects
 these paths — only a test can, by calling them directly or by installing them
 through the seams named in each module.
 
-* :mod:`oracles.groute` — scalar ``CostModel`` maze A* and run pricing
+* :mod:`oracles.groute` — scalar-priced maze A* and run pricing
   (reference for the ``CostField`` paths of ``repro.groute``), and the
   build-every-path segment router (reference for ``_route_segment``).
-* :mod:`oracles.field` — the per-line Eq. 9/10 recompute (reference for
-  ``CostField``'s batched flush over flat buffers).
+* :mod:`oracles.field` — the scalar Eq. 10 ``CostModel`` (the definition
+  ``CostField``'s maps and the maze heuristic are pinned to bit for bit)
+  and the per-line Eq. 9/10 recompute (reference for ``CostField``'s
+  batched flush over flat buffers).
 * :mod:`oracles.droute` — dict-of-tuples A* and session state (reference
   for ``repro.droute.indexed``).
 * :mod:`oracles.crp` — uncached CR&P iteration: fresh per-net cost scans

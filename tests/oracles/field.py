@@ -1,4 +1,11 @@
-"""Per-line reference for the cost field's batched recompute.
+"""Scalar references for the cost field.
+
+``CostModel`` is the Eq. 10 definition, one ``GridEdge`` at a time:
+what ``src/repro/grid/cost.py`` held before the field became the only
+cost model of the router, moved here unchanged but for reading the
+weights and slope from ``repro.grid.field``'s constants.  Every dense
+map value of :class:`repro.grid.field.CostField` must equal its
+``edge_cost`` bit for bit, and the maze heuristic its ``lower_bound``.
 
 ``recompute_line`` is ``CostField._recompute`` as it ran when every
 dirty line of every layer was rebuilt by its own call on 1-D views
@@ -15,13 +22,72 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.grid import CostParams, RoutingGraph
-from repro.grid.cost import m2_pitch, wire_edge_dists
+from repro.grid import EdgeKind, GridEdge, RoutingGraph
+from repro.grid.field import (
+    SLOPE,
+    VIA_WEIGHT,
+    WIRE_WEIGHT,
+    m2_pitch,
+    wire_edge_dists,
+)
+
+
+def logistic(x: float) -> float:
+    """Clamped logistic ``1 / (1 + exp(-x))`` used by the Eq. 10 penalty.
+
+    Uses ``np.exp`` (not ``math.exp``) so the scalar oracle and the
+    vectorized kernel round identically — numpy's scalar and array exp
+    agree bit-for-bit, while libm's may differ by one ulp.
+    """
+    if x > 60.0:
+        return 1.0
+    if x < -60.0:
+        return 0.0
+    return float(1.0 / (1.0 + np.exp(-x)))
+
+
+class CostModel:
+    """Evaluates Eq. 10 over a :class:`RoutingGraph`, edge by edge."""
+
+    def __init__(self, graph: RoutingGraph, use_penalty: bool = True) -> None:
+        self.graph = graph
+        self.use_penalty = use_penalty
+        # Normalize wire length to M2-pitch units so wire and via weights
+        # are on the contest's common scale.
+        self.pitch = m2_pitch(graph.tech)
+        self._wire_dist = wire_edge_dists(graph.grid, graph.tech, self.pitch)
+
+    def penalty(self, edge: GridEdge) -> float:
+        """Logistic congestion penalty in [0, 1]."""
+        if not self.use_penalty:
+            return 0.0
+        demand = self.graph.demand(edge)
+        capacity = self.graph.capacity(edge)
+        return logistic(SLOPE * (demand - capacity))
+
+    def edge_cost(self, edge: GridEdge) -> float:
+        """Eq. 10 cost of one edge."""
+        if edge.kind is EdgeKind.VIA:
+            return VIA_WEIGHT
+        return WIRE_WEIGHT * self._wire_dist[edge.layer] * (1.0 + self.penalty(edge))
+
+    def path_cost(self, edges: list[GridEdge]) -> float:
+        """Total cost of a route (a list of graph edges)."""
+        return sum(self.edge_cost(edge) for edge in edges)
+
+    def lower_bound(
+        self, a: tuple[int, int, int], b: tuple[int, int, int]
+    ) -> float:
+        """Admissible A* heuristic: congestion-free cost from ``a`` to ``b``."""
+        grid = self.graph.grid
+        dist = grid.manhattan_centers((a[1], a[2]), (b[1], b[2])) / self.pitch
+        vias = abs(a[0] - b[0])
+        return WIRE_WEIGHT * dist + VIA_WEIGHT * vias
 
 
 def recompute_line(
     graph: RoutingGraph,
-    params: CostParams,
+    use_penalty: bool,
     wire_dist: float,
     layer: int,
     line: int,
@@ -53,15 +119,15 @@ def recompute_line(
         + graph.beta * delta
     )
     capacity = graph.wire_capacity[layer][sel]
-    if params.use_penalty:
-        x = params.slope * (demand - capacity)
+    if use_penalty:
+        x = SLOPE * (demand - capacity)
         with np.errstate(over="ignore"):
             penalty = 1.0 / (1.0 + np.exp(-x))
         penalty[x > 60.0] = 1.0
         penalty[x < -60.0] = 0.0
     else:
         penalty = np.zeros_like(demand)
-    unit = params.wire_weight * wire_dist
+    unit = WIRE_WEIGHT * wire_dist
     line_cost = unit * (1.0 + penalty)
     demand_map[sel] = demand
     cost[sel] = line_cost
@@ -72,7 +138,7 @@ def recompute_line(
 
 
 def reference_maps(
-    graph: RoutingGraph, params: CostParams
+    graph: RoutingGraph, use_penalty: bool
 ) -> tuple[list[np.ndarray], list[np.ndarray], list[np.ndarray]]:
     """``(wire cost, demand, prefix)`` per layer of the graph as it is now."""
     wire_dist = wire_edge_dists(graph.grid, graph.tech, m2_pitch(graph.tech))
@@ -89,7 +155,7 @@ def reference_maps(
         )
         for line in range(ey if horizontal else ex):
             recompute_line(
-                graph, params, wire_dist[layer], layer, line,
+                graph, use_penalty, wire_dist[layer], layer, line,
                 costs[-1], demands[-1], prefixes[-1],
             )
     return costs, demands, prefixes

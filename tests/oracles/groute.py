@@ -2,7 +2,7 @@
 
 What ``GlobalRouter`` ran before every route was priced through a
 :class:`repro.grid.field.CostField`: each step or run costed one
-``GridEdge`` at a time through :meth:`CostModel.edge_cost`.
+``GridEdge`` at a time through the scalar ``oracles.field.CostModel``.
 ``_maze_route_scalar`` and ``_reconstruct`` are the functions that used
 to live in ``src/repro/groute/maze.py`` and ``scalar_run_cost`` the
 fallback branch of ``PatternRouter3D._run_cost``, moved here unchanged;
@@ -18,10 +18,12 @@ from __future__ import annotations
 import heapq
 from itertools import count
 
-from repro.grid import CostModel, GridEdge, RoutingGraph
+from repro.grid import GridEdge, RoutingGraph
 from repro.groute.maze import MAZE_MARGIN, Node, _window
 from repro.groute.patterns import pattern_paths_2d
 from repro.obs import get_metrics
+
+from oracles.field import CostModel
 
 
 def scalar_run_cost(pattern3d, cost_model: CostModel, run, layer: int) -> float:

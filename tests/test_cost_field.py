@@ -1,13 +1,14 @@
 """Parity and invalidation tests for the dense cost-field kernel.
 
 The contract under test: :class:`repro.grid.field.CostField` is a pure
-speedup over the scalar :class:`repro.grid.cost.CostModel` oracle —
+speedup over the scalar ``oracles.field.CostModel`` oracle —
 edge costs are *bit-identical*, prefix-sum run costs agree to 1e-9
 (float association is the only permitted difference), and the field
 stays coherent through every mutation path: ``apply_route`` in both
 signs, rip-up/reroute, and guard-transaction rollback.  The scalar maze
-and run pricing the router used to carry live in ``oracles.groute``, the
-per-line recompute the field used to run per layer in ``oracles.field``.
+and run pricing the router used to carry live in ``oracles.groute``; the
+scalar cost model and the per-line recompute the field used to run per
+layer in ``oracles.field``.
 """
 
 from __future__ import annotations
@@ -19,21 +20,14 @@ import repro.core.crp as crp_module
 from repro.core import CrpConfig, CrpFramework
 from repro.db.design import GCellGridSpec
 from repro.flow import pipeline, run_flow
-from repro.grid import (
-    CostField,
-    CostModel,
-    CostParams,
-    EdgeKind,
-    GridEdge,
-    RoutingGraph,
-)
+from repro.grid import CostField, EdgeKind, GridEdge, RoutingGraph
 from repro.groute import GlobalRouter, maze_route
 from repro.guard.faults import FaultPlan, use_faults
 from repro.guard.transaction import IterationTransaction
 from repro.obs import observe
 
 from helpers import fresh_small
-from oracles.field import reference_maps
+from oracles.field import CostModel, reference_maps
 from oracles.groute import maze_route_scalar, scalar_run_cost
 
 
@@ -80,25 +74,24 @@ def routed_graph(tech45):
     design = fresh_small(seed=7)
     router = GlobalRouter(design)
     router.route_all(rrr_passes=1)
-    field = CostField(router.graph, router.cost.params)
-    return router, field, router.cost
+    field = CostField(router.graph)
+    return router, field, CostModel(router.graph)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_randomized_parity_bit_exact(tech45, seed):
     design = fresh_small(seed=seed)
     router = GlobalRouter(design)
-    field = CostField(router.graph, router.cost.params)
+    field = CostField(router.graph)
     randomize_usage(router.graph, seed=100 + seed)
-    assert_field_matches_oracle(router.graph, field, router.cost)
+    assert_field_matches_oracle(router.graph, field, CostModel(router.graph))
 
 
 def test_parity_without_penalty(tech45):
     design = fresh_small(seed=5)
     router = GlobalRouter(design)
-    params = CostParams(use_penalty=False)
-    field = CostField(router.graph, params)
-    oracle = CostModel(router.graph, params)
+    field = CostField(router.graph, use_penalty=False)
+    oracle = CostModel(router.graph, use_penalty=False)
     randomize_usage(router.graph, seed=11)
     assert_field_matches_oracle(router.graph, field, oracle)
 
@@ -196,7 +189,7 @@ def test_parity_after_transaction_rollback(tech45):
     design = fresh_small(seed=9)
     router = GlobalRouter(design)
     router.route_all(rrr_passes=1)
-    oracle = router.cost
+    oracle = CostModel(router.graph)
     field = router.field
 
     txn = IterationTransaction(design, router)
@@ -222,7 +215,7 @@ def assert_maps_match_reference(graph: RoutingGraph, field: CostField) -> None:
     assert not field._dirty  # layer 0 included
     for got, want in zip(
         (field._wire_cost, field._demand, field._prefix),
-        reference_maps(graph, field.params),
+        reference_maps(graph, field.use_penalty),
     ):
         for layer, (a, b) in enumerate(zip(got, want)):
             assert a.shape == b.shape and a.dtype == b.dtype, layer
@@ -243,7 +236,7 @@ def test_batched_flush_matches_per_line_reference(nx, ny):
     router = GlobalRouter(design)
     graph = router.graph
     assert (graph.grid.nx, graph.grid.ny) == (nx, ny)
-    flat_field = CostField(graph, CostParams(use_penalty=False))
+    flat_field = CostField(graph, use_penalty=False)
     fields = (router.field, flat_field)
     randomize_usage(graph, seed=31)  # uneven demand: both clamps, overflow
     router.route_all(rrr_passes=1)
@@ -425,11 +418,11 @@ def test_maze_matches_scalar_reference(tech45, seed, overflow_penalty):
         targets = random_nodes(int(rng.randint(1, 4)))
         margin = int(rng.randint(0, 5))
         dense = maze_route(
-            graph, router.cost, router.field, set(sources), set(targets),
+            graph, router.field, set(sources), set(targets),
             margin=margin, overflow_penalty=overflow_penalty,
         )
         scalar = maze_route_scalar(
-            graph, router.cost, set(sources), set(targets),
+            graph, CostModel(graph), set(sources), set(targets),
             margin=margin, overflow_penalty=overflow_penalty,
         )
         assert dense == scalar

@@ -25,7 +25,7 @@ from repro.core.fastecc import EccCache, price_segments
 from repro.core.labeling import label_critical_cells
 from repro.db import Cell, Design, Net, NetPin
 from repro.geom import Orientation, Point, Rect
-from repro.grid import CostField, CostModel, CostParams, RoutingGraph
+from repro.grid import CostField, RoutingGraph
 from repro.groute import GlobalRouter
 from repro.groute.pattern3d import PatternRouter3D
 from repro.groute.patterns import pattern_paths_2d
@@ -100,12 +100,11 @@ def segment_batches(draw):
 )
 def test_batch_pricer_equals_scalar_scan(graph, keys, usage_seed, top_only, order_seed):
     randomize_usage(graph, usage_seed)
-    params = CostParams()
-    field = CostField(graph, params)
+    field = CostField(graph)
     # min_layer = the top layer leaves the other run direction without
     # a layer: only straight runs along it are routable.
     min_layer = graph.num_layers - 1 if top_only else graph.min_wire_layer
-    p3d = PatternRouter3D(graph, CostModel(graph, params), field, min_layer=min_layer)
+    p3d = PatternRouter3D(graph, field, min_layer=min_layer)
 
     expected = [scan(p3d, key) for key in keys]
     costs, paths = price_segments(p3d, keys)

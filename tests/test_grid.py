@@ -1,20 +1,16 @@
-"""Unit tests for the GCell grid, routing graph, and cost model."""
+"""Unit tests for the GCell grid, routing graph, and cost field."""
 
 import math
+from types import SimpleNamespace
 
 import pytest
 
 from repro.geom import Point, Rect
 from repro.db import Blockage
 from repro.db.design import GCellGridSpec
-from repro.grid import (
-    CostModel,
-    CostParams,
-    EdgeKind,
-    GCellGrid,
-    GridEdge,
-    RoutingGraph,
-)
+import repro.groute.maze as maze_module
+from repro.grid import CostField, EdgeKind, GCellGrid, GridEdge, RoutingGraph
+from repro.groute import maze_route
 
 from helpers import build_tiny_design
 
@@ -165,47 +161,77 @@ def test_congestion_map_shape_and_range(graph):
 
 
 def test_penalty_increases_with_demand(graph):
-    model = CostModel(graph, CostParams(slope=1.0))
+    field = CostField(graph)
+    unit = CostField(graph, use_penalty=False).edge_cost(
+        GridEdge(2, 0, 0, EdgeKind.WIRE)
+    )
     edge = GridEdge(2, 0, 0, EdgeKind.WIRE)
-    empty = model.penalty(edge)
+
+    def penalty() -> float:
+        return field.edge_cost(edge) / unit - 1.0
+
+    empty = penalty()
     graph.add_wire(edge, amount=graph.capacity(edge))
-    assert model.penalty(edge) > empty
-    assert model.penalty(edge) == pytest.approx(0.5, abs=0.01)
+    assert penalty() > empty
+    assert penalty() == pytest.approx(0.5, abs=0.01)
     graph.add_wire(edge, amount=100)
-    assert model.penalty(edge) > 0.99
+    assert penalty() > 0.99
 
 
 def test_penalty_disabled(graph):
-    model = CostModel(graph, CostParams(use_penalty=False))
+    field = CostField(graph, use_penalty=False)
     edge = GridEdge(2, 0, 0, EdgeKind.WIRE)
     graph.add_wire(edge, amount=1000)
-    assert model.penalty(edge) == 0.0
+    assert field.edge_cost(edge) == 0.5 * 10
 
 
 def test_via_edge_cost_is_weight(graph):
-    model = CostModel(graph)
-    assert model.edge_cost(GridEdge(0, 0, 0, EdgeKind.VIA)) == 2.0
+    field = CostField(graph)
+    assert field.via_cost == 2.0
+    assert field.edge_cost(GridEdge(0, 0, 0, EdgeKind.VIA)) == 2.0
 
 
 def test_wire_cost_scales_with_distance(graph):
-    model = CostModel(graph, CostParams(use_penalty=False))
-    cost = model.edge_cost(GridEdge(2, 0, 0, EdgeKind.WIRE))
+    field = CostField(graph, use_penalty=False)
     # one gcell step = 2000 DBU = 10 M2 pitches, weight 0.5
-    assert cost == pytest.approx(0.5 * 10)
+    assert field.edge_cost(GridEdge(2, 0, 0, EdgeKind.WIRE)) == pytest.approx(0.5 * 10)
+    for layer_cost in field.wire_cost_maps():
+        assert (layer_cost == 0.5 * 10).all()
 
 
-def test_lower_bound_is_admissible(graph):
-    model = CostModel(graph)
+def test_lower_bound_is_admissible(graph, monkeypatch):
+    """The maze A*'s heuristic — its first push is the source's
+    ``f = h`` — is the congestion-free direct cost to the nearest
+    target: no route costs less, and an empty graph's route costs
+    exactly that."""
+    pushed = []
+    heapq = maze_module.heapq
+
+    def heappush(heap, entry):
+        pushed.append(entry)
+        heapq.heappush(heap, entry)
+
+    monkeypatch.setattr(
+        maze_module, "heapq", SimpleNamespace(heappush=heappush, heappop=heapq.heappop)
+    )
     a, b = (0, 0, 0), (3, 4, 2)
-    lb = model.lower_bound(a, b)
-    # congestion-free direct cost: wire + via stack
+    # wire + via stack
     direct = 0.5 * (4 * 2000 + 2 * 2000) / 200 + 2.0 * 3
-    assert lb == pytest.approx(direct)
+    for targets in ({b}, {b, (7, 4, 4)}):  # one target, or the nearest of two
+        for use_penalty in (False, True):
+            pushed.clear()
+            field = CostField(graph, use_penalty=use_penalty)
+            path = maze_route(graph, field, {a}, targets)
+            assert pushed[0][0] == pytest.approx(direct)
+            if use_penalty:
+                assert field.path_cost(path) >= direct
+            else:
+                assert field.path_cost(path) == pytest.approx(direct)
 
 
 def test_path_cost_sums(graph):
-    model = CostModel(graph)
+    field = CostField(graph)
     edges = [GridEdge(2, 0, 0, EdgeKind.WIRE), GridEdge(2, 0, 0, EdgeKind.VIA)]
-    assert model.path_cost(edges) == pytest.approx(
-        model.edge_cost(edges[0]) + model.edge_cost(edges[1])
+    assert field.path_cost(edges) == pytest.approx(
+        field.edge_cost(edges[0]) + field.edge_cost(edges[1])
     )

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.grid import CostModel, CostParams, EdgeKind, GridEdge
+from repro.grid import EdgeKind, GridEdge
 from repro.groute import GlobalRouter, maze_route, pattern_paths_2d
 from repro.groute.patterns import runs_of_path
 
@@ -124,7 +124,7 @@ def test_pattern3d_avoids_congested_layer(routed_tiny):
 def test_maze_route_connects(routed_tiny):
     router = GlobalRouter(routed_tiny)
     path = maze_route(
-        router.graph, router.cost, router.field,
+        router.graph, router.field,
         sources={(1, 0, 0)}, targets={(1, 3, 3)},
     )
     assert path is not None
@@ -140,14 +140,14 @@ def test_maze_route_connects(routed_tiny):
 def test_maze_route_trivial_overlap(routed_tiny):
     router = GlobalRouter(routed_tiny)
     assert maze_route(
-        router.graph, router.cost, router.field, {(1, 0, 0)}, {(1, 0, 0)}
+        router.graph, router.field, {(1, 0, 0)}, {(1, 0, 0)}
     ) == []
 
 
 def test_maze_route_empty_inputs(routed_tiny):
     router = GlobalRouter(routed_tiny)
     assert maze_route(
-        router.graph, router.cost, router.field, set(), {(1, 0, 0)}
+        router.graph, router.field, set(), {(1, 0, 0)}
     ) is None
 
 

@@ -5,9 +5,11 @@ from hypothesis import strategies as st
 
 from repro.geom import Point
 from repro.db.design import GCellGridSpec
-from repro.grid import CostField, EdgeKind, GCellGrid, RoutingGraph, CostModel
+from repro.grid import CostField, EdgeKind, GCellGrid, RoutingGraph
 from repro.groute import PatternRouter3D, maze_route, pattern_paths_2d
 from repro.benchgen import build_tech
+
+from oracles.field import CostModel
 
 _TECH = build_tech("45nm")
 _GRID = GCellGrid(GCellGridSpec(0, 0, 2000, 2000, 12, 12))
@@ -58,16 +60,16 @@ def _edges_connect(graph, edges, src, dst):
 @given(gpoints, gpoints, st.integers(0, 8), st.integers(0, 8))
 def test_pattern3d_routes_connect_endpoints(a, b, src_layer, dst_layer):
     graph = _fresh_graph()
-    router = PatternRouter3D(graph, CostModel(graph), CostField(graph), min_layer=1)
+    router = PatternRouter3D(graph, CostField(graph), min_layer=1)
     paths = pattern_paths_2d(a, b)
     result = router.route(paths[0], src_layer, dst_layer)
     assert result is not None
     src = (src_layer, a[0], a[1])
     dst = (dst_layer, b[0], b[1])
     assert _edges_connect(graph, result.edges, src, dst)
-    # Cost is the sum of edge costs under the same model.
+    # Cost is the sum of edge costs under the scalar Eq. 10 definition.
     model = CostModel(graph)
-    assert abs(result.cost - model.path_cost(result.edges)) < 1e-6
+    assert result.cost == model.path_cost(result.edges)
 
 
 @settings(max_examples=25, deadline=None)
@@ -75,20 +77,19 @@ def test_pattern3d_routes_connect_endpoints(a, b, src_layer, dst_layer):
 def test_maze_matches_pattern_quality_or_better(a, b, src_layer, dst_layer):
     """On an empty graph, maze routing never loses to pattern routing."""
     graph = _fresh_graph()
-    cost = CostModel(graph)
     field = CostField(graph)
-    pattern = PatternRouter3D(graph, cost, field, min_layer=1)
+    pattern = PatternRouter3D(graph, field, min_layer=1)
     best_pattern = None
     for path in pattern_paths_2d(a, b):
         result = pattern.route(path, src_layer, dst_layer)
         if result and (best_pattern is None or result.cost < best_pattern):
             best_pattern = result.cost
     maze = maze_route(
-        graph, cost, field, {(src_layer, a[0], a[1])}, {(dst_layer, b[0], b[1])},
+        graph, field, {(src_layer, a[0], a[1])}, {(dst_layer, b[0], b[1])},
         margin=12,
     )
     assert maze is not None
-    maze_cost = cost.path_cost(maze)
+    maze_cost = field.path_cost(maze)
     assert best_pattern is not None
     assert maze_cost <= best_pattern + 1e-6
 
@@ -98,10 +99,9 @@ def test_maze_matches_pattern_quality_or_better(a, b, src_layer, dst_layer):
                 min_size=2, max_size=6, unique=True))
 def test_maze_multi_source_reaches_some_target(nodes):
     graph = _fresh_graph()
-    cost = CostModel(graph)
     sources = {nodes[0]}
     targets = set(nodes[1:])
-    path = maze_route(graph, cost, CostField(graph), sources, targets, margin=12)
+    path = maze_route(graph, CostField(graph), sources, targets, margin=12)
     assert path is not None
     if not path:
         assert sources & targets
