@@ -190,11 +190,13 @@ class FontanaBaseline:
             model.add_exactly_one(indices, name=f"one[{cell_name}]")
 
         # Net-sharing exclusion: moving both endpoints of a net at once
-        # would invalidate both estimates ([18] enforces the same).
+        # would invalidate both estimates ([18] enforces the same).  The
+        # neighbour set is walked sorted: row order steers HiGHS's pick
+        # among tied optima, so it must not follow the hash seed.
         names = list(candidates)
         name_set = set(names)
         for cell_name in names:
-            for other in design.connected_cells(cell_name):
+            for other in sorted(design.connected_cells(cell_name)):
                 if other in name_set and other > cell_name:
                     for i in range(1, len(candidates[cell_name])):
                         for j in range(1, len(candidates[other])):

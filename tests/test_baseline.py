@@ -1,5 +1,11 @@
 """Unit tests for the Fontana et al. [18] reimplementation."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.db import check_legality
@@ -54,3 +60,30 @@ def test_baseline_reroutes_dirty_nets(routed):
     # Routing state stays consistent after rerouting.
     expected_vias = sum(r.via_count() for r in router.routes.values())
     assert router.total_vias() == expected_vias
+
+
+_DIGESTS_PROBE = """
+import json
+from repro.benchgen import make_design
+from repro.flow import run_flow
+result = run_flow(make_design("ispd18_test6"), mode="fontana", skip_detailed=True)
+print(json.dumps([result.failed, result.routes_digest, result.placement_digest]))
+"""
+
+
+def test_fontana_flow_ignores_hash_seed():
+    """The GR-level [18] flow on ispd18_test6 gives the same routes and
+    placement under two hash seeds: no set order reaches the selection
+    ILP's rows (it once reached them through ``connected_cells``, and
+    HiGHS's pick among tied optima followed)."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    runs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=seed)
+        out = subprocess.run(
+            [sys.executable, "-c", _DIGESTS_PROBE],
+            env=env, capture_output=True, text=True, check=True, timeout=300,
+        ).stdout
+        runs.append(json.loads(out.strip().splitlines()[-1]))
+    assert not runs[0][0]
+    assert runs[0] == runs[1]
