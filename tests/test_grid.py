@@ -161,11 +161,9 @@ def test_congestion_map_shape_and_range(graph):
 
 
 def test_penalty_increases_with_demand(graph):
-    field = CostField(graph)
-    unit = CostField(graph, use_penalty=False).edge_cost(
-        GridEdge(2, 0, 0, EdgeKind.WIRE)
-    )
     edge = GridEdge(2, 0, 0, EdgeKind.WIRE)
+    field = CostField(graph)
+    unit = CostField(graph, use_penalty=False).edge_cost(edge)
 
     def penalty() -> float:
         return field.edge_cost(edge) / unit - 1.0
