@@ -10,7 +10,7 @@ report format (``repro.analyze/1``):
   Run it with ``python -m repro.analyze src/``.
 * the **flow-invariant checker** (:mod:`repro.analyze.invariants`):
   accounting/connectivity/legality/ILP-shape audits over a loaded
-  ``Design``/``GlobalRouter`` state.  Run it with ``crp check``.
+  ``Design``/``GlobalRouter`` state.  Run it with ``crp analyze -b``.
 
 The linter has one driver, :func:`lint_paths`, and one result type,
 :class:`LintResult`; it also judges stale ``# repro: noqa`` comments

@@ -34,7 +34,6 @@ def analysis_report(result: LintResult) -> dict[str, object]:
     """The deterministic SARIF-lite document for one analysis run."""
     return report_document(
         result.findings,
-        tool="repro.analyze",
         files_scanned=result.files_scanned,
         suppressed=result.suppressed,
         rule_table=rule_table(),

@@ -94,20 +94,16 @@ def severity_counts(findings: list[Finding]) -> dict[str, int]:
 def report_document(
     findings: list[Finding],
     *,
-    tool: str = "repro.analyze",
     files_scanned: int = 0,
     suppressed: int = 0,
     rule_table: dict[str, str] | None = None,
-    extra: dict[str, object] | None = None,
 ) -> dict[str, object]:
     """Assemble the full SARIF-lite report payload (deterministic)."""
     ordered = sorted(findings, key=Finding.sort_key)
     per_rule: dict[str, int] = {}
     for finding in ordered:
         per_rule[finding.rule] = per_rule.get(finding.rule, 0) + 1
-    doc: dict[str, object] = {"schema": SCHEMA, "tool": tool}
-    if extra:
-        doc.update(extra)
+    doc: dict[str, object] = {"schema": SCHEMA, "tool": "repro.analyze"}
     doc["summary"] = {
         "files": files_scanned,
         "suppressed": suppressed,

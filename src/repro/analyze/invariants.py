@@ -319,25 +319,24 @@ def check_model(model) -> list[Finding]:
 
 def check_flow_state(
     design: Design,
-    router=None,
+    router,
     *,
     guides=None,
     model=None,
 ) -> list[Finding]:
     """Run every applicable invariant check; returns sorted findings.
 
-    ``design`` alone audits placement legality; add a ``router`` for
-    accounting/connectivity/coverage, a ``model`` for ILP shape.
+    Audits placement legality and the ``router``'s accounting,
+    connectivity and guide coverage; add a ``model`` for ILP shape.
     """
     tracer = get_tracer()
     metrics = get_metrics()
     findings: list[Finding] = []
     with tracer.span("analyze.check", design=design.name):
         findings.extend(check_placement(design))
-        if router is not None:
-            findings.extend(check_accounting(router))
-            findings.extend(check_connectivity(router))
-            findings.extend(check_guide_coverage(router, guides))
+        findings.extend(check_accounting(router))
+        findings.extend(check_connectivity(router))
+        findings.extend(check_guide_coverage(router, guides))
         if model is not None:
             findings.extend(check_model(model))
         metrics.count("analyze.invariant_findings", len(findings))

@@ -1,7 +1,7 @@
 """Atomic file writes: temp file + fsync + ``os.rename``.
 
-Every persisted artifact in this repo — ``BENCH_obs.json`` profiles,
-trace dumps, the analyzer baseline and reports — must never be
+Every persisted artifact in this repo — trace dumps, the analyzer
+baseline and reports — must never be
 observable in a half-written state: a truncated JSON baseline poisons
 CI gates.  ``atomic_write`` guarantees a
 reader sees either the old content or the complete new content, never a

@@ -8,17 +8,13 @@ Subcommands:
   machine-readable trace.
 * ``crp suite -b ispd18_test1 ispd18_test2`` — Table III rows for the
   given designs (baseline, [18], CR&P k=1, CR&P k=10).
-* ``crp profile ispd18_test1`` — run the flow under full observation,
-  print the per-stage span tree + metrics, and write ``BENCH_obs.json``.
 * ``crp dump -b ispd18_test2 -o outdir`` — write LEF/DEF/guides for a
   synthetic benchmark.
-* ``crp check -b ispd18_test1 --crp 2`` — route a benchmark, then audit
-  the flow invariants (demand accounting, route connectivity, guide
-  coverage, placement legality); ``python -m repro.analyze src/`` is
-  the companion source-code linter.
-* ``crp analyze [--json PATH] [-b DESIGN]`` — run the AST linter
-  (REPRO-U001 stale-noqa check included), optionally followed by the
-  flow-invariant audit of a routed benchmark; one combined exit code.
+* ``crp analyze [--json PATH] [-b DESIGN [--crp K]]`` — run the AST
+  linter (REPRO-U001 stale-noqa check included), optionally followed by
+  the flow-invariant audit (demand accounting, route connectivity,
+  guide coverage, placement legality) of a routed benchmark; one
+  combined exit code.
 """
 
 from __future__ import annotations
@@ -53,21 +49,6 @@ def main(argv: list[str] | None = None) -> int:
         help="write the JSON span trace (+ metrics) to this path",
     )
 
-    p_profile = sub.add_parser(
-        "profile",
-        help="run a flow under full observation and emit BENCH_obs.json",
-    )
-    p_profile.add_argument("bench", nargs="+", help="benchmark design name(s)")
-    p_profile.add_argument(
-        "-m", "--mode", default="crp", choices=("baseline", "crp", "fontana")
-    )
-    p_profile.add_argument("-k", "--iterations", type=int, default=1)
-    p_profile.add_argument("--skip-detailed", action="store_true")
-    p_profile.add_argument(
-        "-o", "--out", default="BENCH_obs.json",
-        help="output document path (default: BENCH_obs.json)",
-    )
-
     p_suite = sub.add_parser("suite", help="Table III rows for designs")
     p_suite.add_argument("-b", "--bench", nargs="+", required=True)
     p_suite.add_argument("--k10", action="store_true", help="include k=10")
@@ -75,27 +56,6 @@ def main(argv: list[str] | None = None) -> int:
     p_dump = sub.add_parser("dump", help="write LEF/DEF/guide files")
     p_dump.add_argument("-b", "--bench", required=True)
     p_dump.add_argument("-o", "--out", default=".")
-
-    p_check = sub.add_parser(
-        "check",
-        help="audit flow invariants (accounting/connectivity/legality/ILP)",
-    )
-    p_check.add_argument(
-        "-b", "--bench", "--design", dest="bench", default="ispd18_test1",
-        help="benchmark design to route and audit (default: ispd18_test1)",
-    )
-    p_check.add_argument(
-        "--crp", type=int, default=0, metavar="K",
-        help="run K CR&P iterations before auditing",
-    )
-    p_check.add_argument(
-        "--skip-routing", action="store_true",
-        help="audit placement legality only (no global routing run)",
-    )
-    p_check.add_argument(
-        "--json", metavar="PATH",
-        help="write the JSON (SARIF-lite) report to this path",
-    )
 
     p_analyze = sub.add_parser(
         "analyze",
@@ -132,14 +92,10 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_table2()
     if args.command == "run":
         return _cmd_run(args)
-    if args.command == "profile":
-        return _cmd_profile(args)
     if args.command == "suite":
         return _cmd_suite(args)
     if args.command == "dump":
         return _cmd_dump(args)
-    if args.command == "check":
-        return _cmd_check(args)
     if args.command == "analyze":
         return _cmd_analyze(args)
     if args.command == "show":
@@ -209,27 +165,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_profile(args: argparse.Namespace) -> int:
-    from repro.obs import profile_flow, write_bench_obs
-
-    reports = []
-    for bench in args.bench:
-        report = profile_flow(
-            bench,
-            mode=args.mode,
-            iterations=args.iterations,
-            skip_detailed=args.skip_detailed,
-        )
-        reports.append(report)
-        print(report.render())
-        print()
-    path = write_bench_obs(reports, args.out)
-    print(f"wrote {path}")
-    if any(r.failed or not r.legal for r in reports):
-        return 1
-    return 0
-
-
 def _cmd_suite(args: argparse.Namespace) -> int:
     from repro.benchgen import make_design
     from repro.flow import run_flow
@@ -289,41 +224,6 @@ def _cmd_dump(args: argparse.Namespace) -> int:
     )
     print(f"wrote {args.bench}.lef/.def/.guide to {out}")
     return 0
-
-
-def _cmd_check(args: argparse.Namespace) -> int:
-    from repro.analyze import (
-        FLOW_RULES,
-        check_flow_state,
-        render_findings,
-        report_document,
-        write_report,
-    )
-    from repro.benchgen import make_design
-    from repro.core import CrpConfig, CrpFramework
-    from repro.groute import GlobalRouter
-    from repro.obs import ensure_observation
-
-    design = make_design(args.bench)
-    with ensure_observation():
-        router = None
-        if not args.skip_routing:
-            router = GlobalRouter(design)
-            router.route_all()
-            if args.crp > 0:
-                CrpFramework(design, router, CrpConfig(seed=0)).run(args.crp)
-        findings = check_flow_state(design, router)
-    print(render_findings(findings))
-    if args.json:
-        document = report_document(
-            findings,
-            tool="repro.analyze.check",
-            rule_table=FLOW_RULES,
-            extra={"design": args.bench, "crp_iterations": args.crp},
-        )
-        path = write_report(args.json, document)
-        print(f"wrote report to {path}")
-    return 1 if findings else 0
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:

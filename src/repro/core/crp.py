@@ -11,8 +11,8 @@ Every iteration runs as a transaction (``repro.guard``): the Update-Database
 step runs against a snapshot of the cells and routes it may touch, and
 any exception or post-step invariant violation (illegal placement,
 demand-accounting drift, route cost regressing beyond
-``GuardPolicy.cost_tolerance``) rolls the iteration back — the design
-is never left worse than before the iteration started.
+``repro.guard.transaction.COST_TOLERANCE``) rolls the iteration back —
+the design is never left worse than before the iteration started.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from repro.guard import GuardPolicy, IterationTransaction, iteration_violations
+from repro.guard import IterationTransaction, iteration_violations
 from repro.obs import ensure_tracer, get_metrics
 
 from repro.db import Design
@@ -96,13 +96,11 @@ class CrpFramework:
         design: Design,
         router: GlobalRouter,
         config: CrpConfig | None = None,
-        guard: GuardPolicy | None = None,
     ) -> None:
         self.design = design
         self.router = router
         self.config = config or CrpConfig()
         self.config.validate()
-        self.guard = guard or GuardPolicy()
         self._rng = random.Random(self.config.seed)
         # O(dirty-nets) route-cost accounting: router state (it listens
         # to commit and rip-up) that only the CR&P loop pays for.
@@ -122,57 +120,11 @@ class CrpFramework:
             result.iterations.append(self.run_iteration(k))
         return result
 
-    def run_until_converged(
-        self,
-        max_iterations: int = 20,
-        min_gain: float = 0.001,
-        patience: int = 2,
-    ) -> CrpResult:
-        """Iterate until the total route cost stops improving.
-
-        The paper notes the loop "can be continued to satisfy expected
-        requirements"; this is that mode.  Stops after ``patience``
-        consecutive iterations whose relative total-route-cost gain is
-        below ``min_gain``, or at ``max_iterations``.
-        """
-        result = CrpResult()
-        stale = 0
-        # One total per pass: the post-iteration total doubles as the
-        # next iteration's guard pre-cost (nothing mutates in between),
-        # so each pass pays a single scan instead of two.
-        previous = self._total_route_cost()
-        for k in range(max_iterations):
-            result.iterations.append(self.run_iteration(k, pre_cost=previous))
-            current = self._total_route_cost()
-            gain = (previous - current) / previous if previous > 0 else 0.0
-            previous = current
-            if gain < min_gain:
-                stale += 1
-                if stale >= patience:
-                    break
-            else:
-                stale = 0
-        return result
-
-    def _total_route_cost(self) -> float:
-        # Canonical-order re-sum keeps the total bit-identical to the
-        # uncached scan; with the NetCostCache on, only dirty nets pay
-        # a fresh path_cost walk.
-        return self.router.total_route_cost()
-
-    def run_iteration(
-        self, index: int = 0, pre_cost: float | None = None
-    ) -> IterationStats:
-        """One pass of the five CR&P steps, each under its own span.
-
-        ``pre_cost`` lets a driver that already knows the current total
-        route cost (``run_until_converged`` measures it after every
-        iteration) hand it in instead of paying a second scan.
-        """
+    def run_iteration(self, index: int = 0) -> IterationStats:
+        """One pass of the five CR&P steps, each under its own span."""
         stats = IterationStats(iteration=index)
         config = self.config
-        if pre_cost is None:
-            pre_cost = self._total_route_cost()
+        pre_cost = self.router.total_route_cost()
         with ensure_tracer() as tracer, tracer.span(
             "crp.iteration", k=index
         ):
@@ -257,9 +209,7 @@ class CrpFramework:
             stats.rolled_back = True
             stats.rollback_reasons = [f"{type(exc).__name__}: {exc}"]
             return UpdateStats()
-        violations = iteration_violations(
-            self.design, self.router, pre_cost, self.guard.cost_tolerance
-        )
+        violations = iteration_violations(self.design, self.router, pre_cost)
         if violations:
             txn.rollback()
             stats.rolled_back = True

@@ -25,15 +25,13 @@ def estimate_candidate_cost(
     design: Design,
     router: GlobalRouter,
     candidate: MoveCandidate,
-    include_conflicts: bool = False,
     cache: "object | None" = None,
 ) -> float:
     """Eq. 10 route cost of the candidate's cell nets (Algorithm 3).
 
-    ``include_conflicts`` extends the estimate to the conflict cells'
-    nets as well; the paper's Algorithm 3 prices only the critical
-    cell's own nets (the legalizer already minimized the conflict
-    displacement), so the default stays faithful.
+    Only the critical cell's own nets are priced, as in the paper's
+    Algorithm 3: the legalizer already minimized the conflict
+    displacement.
 
     ``cache`` is an optional :class:`repro.core.fastecc.EccCache`;
     pricing through it is bit-identical to the uncached path (same
@@ -41,7 +39,7 @@ def estimate_candidate_cost(
     order) but amortizes terminal derivation, tree topology, and
     pattern pricing across the candidates of one iteration.
     """
-    overrides, nets = candidate_scope(design, candidate, include_conflicts)
+    overrides, nets = candidate_scope(design, candidate)
     total = 0.0
     for net in nets:
         total += estimate_net_cost(design, router, net, overrides, cache)
@@ -49,7 +47,7 @@ def estimate_candidate_cost(
 
 
 def candidate_scope(
-    design: Design, candidate: MoveCandidate, include_conflicts: bool = False
+    design: Design, candidate: MoveCandidate
 ) -> tuple[dict[str, tuple[int, int, Orientation]], list[Net]]:
     """The virtual moves of ``candidate`` and the nets they are priced on."""
     overrides: dict[str, tuple[int, int, Orientation]] = {
@@ -58,15 +56,7 @@ def candidate_scope(
     if candidate.conflict_moves:
         overrides.update(candidate.conflict_moves)
 
-    nets = list(design.nets_of_cell(candidate.cell))
-    if include_conflicts:
-        seen = {net.name for net in nets}
-        for conflict_cell in candidate.conflict_moves:
-            for net in design.nets_of_cell(conflict_cell):
-                if net.name not in seen:
-                    seen.add(net.name)
-                    nets.append(net)
-    return overrides, nets
+    return overrides, list(design.nets_of_cell(candidate.cell))
 
 
 def estimate_net_cost(

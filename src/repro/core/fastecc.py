@@ -83,13 +83,7 @@ class EccCache:
 
     # -------------------------------------------------------------- pricing
 
-    def prefetch(
-        self,
-        design: Design,
-        router,
-        candidates,
-        include_conflicts: bool = False,
-    ) -> None:
+    def prefetch(self, design: Design, router, candidates) -> None:
         """Plan every net of ``candidates`` and price what is new, in one batch.
 
         Afterwards :func:`repro.core.estimate.estimate_candidate_cost`
@@ -97,9 +91,7 @@ class EccCache:
         """
         pending: dict[SegmentKey, None] = {}
         for candidate in candidates:
-            overrides, nets = candidate_scope(
-                design, candidate, include_conflicts
-            )
+            overrides, nets = candidate_scope(design, candidate)
             moves = tuple(overrides.items())
             for net in nets:
                 plan_key = (net.name, moves)

@@ -116,7 +116,6 @@ class DetailedRouter:
         #: conflict-driven rip-up-and-reroute rounds after the first pass
         self.drc_rounds = drc_rounds
         self._state: DrouteIndex | None = None
-        self._session_guides: dict[str, list[GuideRect]] | None = None
         self._stats = SearchStats()
         self._book: _RouteBook | None = None
         pitch = self.lattice.pitch
@@ -139,9 +138,7 @@ class DetailedRouter:
 
     # ------------------------------------------------------------------ API
 
-    def begin_session(
-        self, guides: dict[str, list[GuideRect]] | None
-    ) -> DrouteIndex:
+    def begin_session(self) -> DrouteIndex:
         """Build the per-run routing state (obstacle map + occupancy).
 
         Split out of :meth:`route_all` so the parity suite can override
@@ -152,28 +149,8 @@ class DetailedRouter:
             self.lattice, owner, reservations, self.params, self.guide_margin
         )
         self._state = state
-        self._session_guides = guides
         self._stats = SearchStats()
         return state
-
-    def compute_net(self, net_name: str) -> NetComputation:
-        """Compute one net against the session state.
-
-        Pure with respect to committed state; the caller owns the
-        commit.  Search counters flush to the metrics registry on return.
-        """
-        net = self.design.nets[net_name]
-        guides = self._session_guides
-        stats = SearchStats()
-        try:
-            return self._net_compute(
-                net,
-                guides.get(net_name) if guides is not None else None,
-                self._state,
-                stats,
-            )
-        finally:
-            stats.flush()
 
     @gc_paused()
     def route_all(
@@ -183,7 +160,7 @@ class DetailedRouter:
         start = time.perf_counter()
         tracer = get_tracer()
         with tracer.span("droute.obstacles"):
-            state = self.begin_session(guides)
+            state = self.begin_session()
         stats = self._stats
         book = self._book = _RouteBook()
         result = book.result

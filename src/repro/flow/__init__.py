@@ -1,24 +1,13 @@
 """The end-to-end physical-design flow (Fig. 1 of the paper):
 global routing -> [CR&P or baseline cell movement] -> detailed routing,
-with per-stage runtime instrumentation for Figs. 2 and 3."""
+with per-stage runtimes for Figs. 2 and 3.  The paper's tables come from
+``benchmarks/`` and ``crp suite``, which call :func:`run_flow`."""
 
 from repro.flow.pipeline import FlowResult, run_flow
 from repro.flow.runtime import runtime_breakdown_pct
-from repro.flow.experiments import (
-    RuntimeComparison,
-    Table3Row,
-    fig2_runtimes,
-    fig3_breakdown,
-    table3_row,
-)
 
 __all__ = [
     "FlowResult",
     "run_flow",
     "runtime_breakdown_pct",
-    "Table3Row",
-    "RuntimeComparison",
-    "table3_row",
-    "fig2_runtimes",
-    "fig3_breakdown",
 ]

@@ -98,7 +98,6 @@ def run_flow(
     crp_iterations: int = 1,
     config: CrpConfig | None = None,
     baseline_budget_s: float | None = None,
-    rrr_passes: int = 3,
     skip_detailed: bool = False,
 ) -> FlowResult:
     """Run the full flow on ``design``.
@@ -122,7 +121,7 @@ def run_flow(
         with tracer.span("flow.run", design=design.name, mode=mode) as root:
             _run_stages(
                 design, mode, crp_iterations, config,
-                baseline_budget_s, rrr_passes, skip_detailed,
+                baseline_budget_s, skip_detailed,
                 result, tracer, obs.metrics,
             )
         result.trace = root
@@ -154,7 +153,6 @@ def _run_stages(
     crp_iterations: int,
     config: CrpConfig | None,
     baseline_budget_s: float | None,
-    rrr_passes: int,
     skip_detailed: bool,
     result: FlowResult,
     tracer,
@@ -164,7 +162,7 @@ def _run_stages(
     with tracer.span("flow.GR") as sp, _stage(result, "GR", metrics):
         fault_point("flow.GR")
         router = GlobalRouter(design)
-        router.route_all(rrr_passes=rrr_passes)
+        router.route_all()
     result.runtime["GR"] = sp.wall_s
     if result.failed:
         return

@@ -9,7 +9,7 @@ corners.
 from repro.geom.point import Point, manhattan
 from repro.geom.rect import Rect
 from repro.geom.orient import Orientation, transform_rect
-from repro.geom.interval import Interval, merge_intervals, subtract_interval
+from repro.geom.interval import Interval
 
 __all__ = [
     "Point",
@@ -18,6 +18,4 @@ __all__ = [
     "Orientation",
     "transform_rect",
     "Interval",
-    "merge_intervals",
-    "subtract_interval",
 ]

@@ -35,30 +35,3 @@ class Interval:
         if lo > hi:
             return None
         return Interval(lo, hi)
-
-
-def merge_intervals(intervals: list[Interval]) -> list[Interval]:
-    """Merge touching/overlapping intervals into a minimal sorted list."""
-    if not intervals:
-        return []
-    ordered = sorted(intervals)
-    merged = [ordered[0]]
-    for iv in ordered[1:]:
-        last = merged[-1]
-        if iv.lo <= last.hi:
-            merged[-1] = Interval(last.lo, max(last.hi, iv.hi))
-        else:
-            merged.append(iv)
-    return merged
-
-
-def subtract_interval(base: Interval, hole: Interval) -> list[Interval]:
-    """Remove ``hole`` from ``base``; returns 0, 1, or 2 non-empty pieces."""
-    if hole.hi <= base.lo or hole.lo >= base.hi:
-        return [base]
-    pieces: list[Interval] = []
-    if hole.lo > base.lo:
-        pieces.append(Interval(base.lo, hole.lo))
-    if hole.hi < base.hi:
-        pieces.append(Interval(hole.hi, base.hi))
-    return pieces

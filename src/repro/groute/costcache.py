@@ -1,9 +1,9 @@
 """O(dirty-nets) route-cost accounting for the global router.
 
 :class:`NetCostCache` keeps the Eq. 10 cost of every committed route so
-the full-design total that CR&P's guard pre-cost, convergence loop, and
-labeling step repeatedly ask for re-prices only nets whose cost can
-actually have changed.
+the full-design total that CR&P's guard pre-cost and labeling step
+repeatedly ask for re-prices only nets whose cost can actually have
+changed.
 
 Soundness argument (mirrors the :class:`repro.grid.field.CostField`
 staleness discipline): a committed net's cost is the sum of a flat

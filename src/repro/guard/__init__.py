@@ -29,7 +29,6 @@ from repro.guard.faults import (
     use_faults,
 )
 from repro.guard.transaction import (
-    GuardPolicy,
     IterationTransaction,
     iteration_violations,
 )
@@ -42,7 +41,6 @@ __all__ = [
     "fault_point",
     "install_faults",
     "use_faults",
-    "GuardPolicy",
     "IterationTransaction",
     "iteration_violations",
 ]

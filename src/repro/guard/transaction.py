@@ -11,8 +11,8 @@ invariants:
 1. the placement is still legal (:func:`repro.db.check_legality`),
 2. GCell demand accounting matches the committed routes
    (:meth:`GlobalRouter.accounting_errors`),
-3. total route cost has not increased beyond
-   ``GuardPolicy.cost_tolerance``.
+3. total route cost has not increased by more than
+   :data:`COST_TOLERANCE`.
 
 Any violation — or any exception raised mid-update — triggers
 :meth:`IterationTransaction.rollback`, which restores positions,
@@ -21,7 +21,6 @@ routes, and history exactly, and counts ``guard.rollbacks``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.guard.faults import fault_point
@@ -31,12 +30,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.groute import GlobalRouter
 
 
-@dataclass(slots=True)
-class GuardPolicy:
-    """Knobs of the CR&P iteration guard."""
-
-    #: relative total-route-cost increase tolerated before rolling back
-    cost_tolerance: float = 0.02
+#: relative total-route-cost increase tolerated before rolling back
+COST_TOLERANCE = 0.02
 
 
 class IterationTransaction:
@@ -84,7 +79,7 @@ class IterationTransaction:
         # the full invalidation guards against callers that mutated
         # usage arrays behind the graph's back before rolling back.
         # It also drops the router's NetCostCache values wholesale, so
-        # the post-rollback guard/convergence totals re-price against
+        # the post-rollback guard totals re-price against
         # restored state (membership stays valid: restore_route replays
         # through the same rip-up/commit notifications).
         self.router.invalidate_cost_fields()
@@ -94,7 +89,6 @@ def iteration_violations(
     design: "Design",
     router: "GlobalRouter",
     pre_cost: float,
-    cost_tolerance: float,
 ) -> list[str]:
     """Post-iteration invariant check; empty list means the step stands.
 
@@ -112,9 +106,9 @@ def iteration_violations(
         violations.append(f"illegal placement: {report.summary()}")
     violations.extend(router.accounting_errors())
     post_cost = sum(router.net_cost(name) for name in design.nets)
-    if post_cost > pre_cost * (1.0 + cost_tolerance) + 1e-9:
+    if post_cost > pre_cost * (1.0 + COST_TOLERANCE) + 1e-9:
         violations.append(
             f"route cost regressed {pre_cost:.3f} -> {post_cost:.3f} "
-            f"(tolerance {cost_tolerance:.1%})"
+            f"(tolerance {COST_TOLERANCE:.1%})"
         )
     return violations

@@ -1,21 +1,13 @@
-"""Placement legalizers.
-
-* :class:`WindowLegalizer` — the paper's ILP-based local legalizer
-  (Section IV.B.2, Eq. 11): generates multiple legalized candidate
-  positions for a critical cell inside an ``N_site`` x ``N_row`` window.
-* :func:`tetris_legalize` — greedy full-design legalizer (initial
-  placement cleanup).
-* :func:`abacus_legalize` — row-based least-squares legalizer for
-  higher-quality initial legalization.
+"""The placement legalizer: :class:`WindowLegalizer`, the paper's
+ILP-based local legalizer (Section IV.B.2, Eq. 11).  It generates
+multiple legalized candidate positions for a critical cell inside an
+``N_site`` x ``N_row`` window.  CR&P and [18] only refine a placement
+that is already legal, so the flow has no full-design legalizer.
 """
 
 from repro.legalizer.window import LegalizedCandidate, WindowLegalizer
-from repro.legalizer.tetris import tetris_legalize
-from repro.legalizer.abacus import abacus_legalize
 
 __all__ = [
     "WindowLegalizer",
     "LegalizedCandidate",
-    "tetris_legalize",
-    "abacus_legalize",
 ]

@@ -1,16 +1,15 @@
-"""``repro.obs`` — tracing, metrics & profiling for the whole flow.
+"""``repro.obs`` — tracing and metrics for the whole flow.
 
 Zero-dependency observability with three pillars:
 
 * **Spans** (:mod:`repro.obs.tracer`): hierarchical wall+CPU timing via
-  ``tracer.span("flow.GR")`` context managers or ``@traced``; the
-  process default is a no-op tracer so instrumentation is ~free when
-  off.
+  ``tracer.span("flow.GR")`` context managers; the process default is a
+  no-op tracer so instrumentation is ~free when off.
 * **Metrics** (:mod:`repro.obs.metrics`): thread-safe counters, gauges
   and p50/p95 histograms (``groute.maze_fallbacks``, ``ilp.solve_ms``).
-* **Exporters** (:mod:`repro.obs.export`, :mod:`repro.obs.render`,
-  :mod:`repro.obs.profile`): JSON trace files, flat ``BENCH_``-style
-  summaries, and the human ``--profile`` tree.
+* **Exporters** (:mod:`repro.obs.export`, :mod:`repro.obs.render`): the
+  JSON trace file of ``crp run --trace-out`` and the human tree and
+  metrics tables of ``crp run --profile``.
 
 Span and metric names follow ``<layer>.<event>`` — see README.md
 ("Observability") for the convention.
@@ -24,7 +23,6 @@ from repro.obs.tracer import (
     ensure_tracer,
     get_tracer,
     set_tracer,
-    traced,
     use_tracer,
 )
 from repro.obs.metrics import (
@@ -37,7 +35,6 @@ from repro.obs.metrics import (
 )
 from repro.obs.session import Observation, ensure_observation, observe
 from repro.obs.export import (
-    bench_summary,
     load_trace_document,
     span_from_dict,
     span_to_dict,
@@ -45,7 +42,6 @@ from repro.obs.export import (
     write_trace,
 )
 from repro.obs.render import render_metrics, render_tree
-from repro.obs.profile import ProfileReport, profile_flow, write_bench_obs
 
 __all__ = [
     "Span",
@@ -56,7 +52,6 @@ __all__ = [
     "set_tracer",
     "use_tracer",
     "ensure_tracer",
-    "traced",
     "MetricsRegistry",
     "NoopMetrics",
     "NOOP_METRICS",
@@ -71,10 +66,6 @@ __all__ = [
     "trace_document",
     "load_trace_document",
     "write_trace",
-    "bench_summary",
     "render_tree",
     "render_metrics",
-    "ProfileReport",
-    "profile_flow",
-    "write_bench_obs",
 ]

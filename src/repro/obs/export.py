@@ -1,9 +1,8 @@
-"""Exporters: JSON span trees and flat ``BENCH_``-style summaries.
+"""Exporter: the JSON trace document behind ``crp run --trace-out``.
 
-The trace document is self-describing (``schema`` key) and round-trips
-through :func:`span_to_dict` / :func:`span_from_dict`, so downstream
-tooling (and the test suite) can reload a saved ``BENCH_obs.json``
-and compare span trees across PRs.
+The document is self-describing (``schema`` key) and round-trips
+through :func:`span_to_dict` / :func:`span_from_dict`, so a saved trace
+can be reloaded and its span tree compared with another run's.
 """
 
 from __future__ import annotations
@@ -76,23 +75,3 @@ def write_trace(
     path = Path(path)
     atomic_write(path, json.dumps(trace_document(spans, metrics, extra), indent=1))
     return path
-
-
-def flat_spans(span: Span, prefix: str = "") -> dict[str, float]:
-    """Flatten a tree to ``{"flow.run/flow.GR": wall_s, ...}``.
-
-    Sibling spans sharing a name (e.g. repeated ``ilp.solve`` calls)
-    are summed, which keeps the flat summary stable across runs whose
-    call counts differ.
-    """
-    key = f"{prefix}/{span.name}" if prefix else span.name
-    out = {key: span.wall_s}
-    for child in span.children:
-        for k, v in flat_spans(child, key).items():
-            out[k] = out.get(k, 0.0) + v
-    return out
-
-
-def bench_summary(span: Span) -> dict[str, float]:
-    """Flat ``BENCH_``-compatible dict: dotted span path -> seconds."""
-    return {k: round(v, 6) for k, v in flat_spans(span).items()}

@@ -133,22 +133,6 @@ class MetricsRegistry:
                 },
             }
 
-    def raw(self) -> dict[str, dict[str, object]]:
-        """Raw view: counters, gauges, histogram samples.
-
-        Unlike :meth:`snapshot`, histograms are exported as their raw
-        reservoir samples, not summary statistics.
-        """
-        with self._lock:
-            return {
-                "counters": dict(self._counters),
-                "gauges": dict(self._gauges),
-                "histograms": {
-                    name: list(hist.values)
-                    for name, hist in self._histograms.items()
-                },
-            }
-
 
 class NoopMetrics(MetricsRegistry):
     """Discards everything; the process-wide default."""
@@ -174,9 +158,6 @@ class NoopMetrics(MetricsRegistry):
         return 0.0
 
     def snapshot(self) -> dict[str, dict[str, object]]:
-        return {"counters": {}, "gauges": {}, "histograms": {}}
-
-    def raw(self) -> dict[str, dict[str, object]]:
         return {"counters": {}, "gauges": {}, "histograms": {}}
 
 

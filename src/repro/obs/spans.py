@@ -42,10 +42,6 @@ class Span:
                 return span
         return None
 
-    def total(self, name: str) -> float:
-        """Summed wall time of every descendant (or self) named ``name``."""
-        return sum(s.wall_s for s in self.walk() if s.name == name)
-
     def child_walls(self) -> dict[str, float]:
         """Direct children's wall time summed per span name."""
         walls: dict[str, float] = {}

@@ -19,11 +19,10 @@ installs a fresh private one for the scope.
 
 from __future__ import annotations
 
-import functools
 import threading
 import time
 from contextlib import contextmanager
-from typing import Callable, Iterator
+from typing import Iterator
 
 from repro.obs.spans import Span
 
@@ -84,17 +83,6 @@ class Tracer:
         """Open a span; use as ``with tracer.span("flow.GR") as sp:``."""
         return _SpanHandle(self, Span(name=name, meta=dict(meta)))
 
-    def current(self) -> Span | None:
-        """The innermost open span on the calling thread, if any."""
-        stack = self._stack()
-        return stack[-1] if stack else None
-
-    def total(self, name: str) -> float:
-        """Summed wall time of ``name`` across all finished root trees."""
-        with self._lock:
-            roots = list(self.roots)
-        return sum(root.total(name) for root in roots)
-
 
 class _NoopHandle:
     """Shared inert span handle — the cost of tracing when it is off."""
@@ -122,12 +110,6 @@ class NoopTracer(Tracer):
 
     def span(self, name: str, **meta: object) -> _NoopHandle:  # type: ignore[override]
         return _NOOP_HANDLE
-
-    def current(self) -> Span | None:
-        return None
-
-    def total(self, name: str) -> float:
-        return 0.0
 
 
 NOOP_TRACER = NoopTracer()
@@ -174,25 +156,3 @@ def ensure_tracer() -> Iterator[Tracer]:
         return
     with use_tracer(Tracer()) as tracer:
         yield tracer
-
-
-def traced(name: str | None = None) -> Callable:
-    """Decorator: run the function inside a span on the ambient tracer.
-
-    ``@traced()`` uses ``<module-tail>.<qualname>``; pass ``name`` to
-    follow the ``<layer>.<event>`` convention explicitly.
-    """
-
-    def decorate(func: Callable) -> Callable:
-        span_name = name or (
-            f"{func.__module__.rsplit('.', 1)[-1]}.{func.__qualname__}"
-        )
-
-        @functools.wraps(func)
-        def wrapper(*args, **kwargs):
-            with get_tracer().span(span_name):
-                return func(*args, **kwargs)
-
-        return wrapper
-
-    return decorate

@@ -2,9 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.db import Design
 from repro.groute import GlobalRouter
 
 #: utilization thresholds and their glyphs, dense to sparse
@@ -48,40 +45,4 @@ def layer_usage_table(router: GlobalRouter) -> str:
             f"{layer.name:<8}{direction:>4}{used:>10.0f}{cap:>10.0f}"
             f"{util:>8.1f}{vias:>8}"
         )
-    return "\n".join(lines)
-
-
-def placement_map(design: Design, width: int = 64) -> str:
-    """Coarse die map: cell density per character cell, blockages as 'X'."""
-    die = design.die
-    aspect = die.height / max(1, die.width)
-    height = max(4, int(width * aspect * 0.5))  # chars are ~2x tall
-    density = np.zeros((width, height), dtype=np.float64)
-    cell_w = die.width / width
-    cell_h = die.height / height
-    for cell in design.cells.values():
-        gx = min(width - 1, int((cell.x - die.lx) / cell_w))
-        gy = min(height - 1, int((cell.y - die.ly) / cell_h))
-        density[gx, gy] += cell.area
-    tile_area = cell_w * cell_h
-    blocked = np.zeros((width, height), dtype=bool)
-    for blockage in design.placement_blockages():
-        x0 = max(0, int((blockage.rect.lx - die.lx) / cell_w))
-        x1 = min(width - 1, int((blockage.rect.ux - die.lx) / cell_w))
-        y0 = max(0, int((blockage.rect.ly - die.ly) / cell_h))
-        y1 = min(height - 1, int((blockage.rect.uy - die.ly) / cell_h))
-        blocked[x0 : x1 + 1, y0 : y1 + 1] = True
-    lines = []
-    for gy in reversed(range(height)):
-        row = []
-        for gx in range(width):
-            if blocked[gx, gy]:
-                row.append("X")
-                continue
-            util = density[gx, gy] / tile_area
-            for threshold, glyph in _LEVELS:
-                if util > threshold or threshold <= 0.0:
-                    row.append(glyph)
-                    break
-        lines.append("|" + "".join(row) + "|")
     return "\n".join(lines)

@@ -37,8 +37,8 @@ from repro.obs import get_metrics
 class OracleDetailedRouter(DetailedRouter):
     """A :class:`DetailedRouter` whose sessions run on :class:`_DictState`."""
 
-    def begin_session(self, guides):
-        super().begin_session(guides)
+    def begin_session(self):
+        super().begin_session()
         owner, reservations = build_obstacle_map(self.design, self.lattice)
         self._state = _DictState(
             self.lattice, owner, reservations, self.params, self.guide_margin

@@ -72,24 +72,6 @@ def test_show_renders_heatmap(tmp_path, capsys):
     assert svg.read_text().startswith("<svg")
 
 
-def test_check_clean_flow(tmp_path, capsys):
-    report = tmp_path / "check.json"
-    assert main(["check", "-b", "ispd18_test1", "--json", str(report)]) == 0
-    out = capsys.readouterr().out
-    assert "clean" in out
-    import json
-
-    document = json.loads(report.read_text())
-    assert document["schema"] == "repro.analyze/1"
-    assert document["design"] == "ispd18_test1"
-    assert document["findings"] == []
-
-
-def test_check_skip_routing(capsys):
-    assert main(["check", "-b", "ispd18_test1", "--skip-routing"]) == 0
-    assert "clean" in capsys.readouterr().out
-
-
 def test_analyze_clean_file(tmp_path, capsys):
     mod = tmp_path / "mod.py"
     mod.write_text("x = 1\n")

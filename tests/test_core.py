@@ -174,27 +174,6 @@ def test_estimate_penalizes_distant_position(tech45):
     assert far > here
 
 
-def test_estimate_includes_conflicts_option(routed):
-    design, router = routed
-    name = next(
-        n for n in design.cells
-        if not design.cells[n].fixed and design.connected_cells(n)
-    )
-    neighbour = next(iter(design.connected_cells(name)))
-    cell = design.cells[name]
-    other = design.cells[neighbour]
-    cand = MoveCandidate(
-        cell=name,
-        position=(cell.x, cell.y, cell.orient),
-        conflict_moves={neighbour: (other.x, other.y, other.orient)},
-    )
-    base = estimate_candidate_cost(design, router, cand)
-    extended = estimate_candidate_cost(
-        design, router, cand, include_conflicts=True
-    )
-    assert extended >= base
-
-
 # ---------------------------------------------------------------- select
 
 
@@ -333,55 +312,3 @@ def test_use_penalty_ablation_changes_estimates():
     on = run(True)
     off = run(False)
     assert on != off  # the knob is live
-
-
-# ------------------------------------------------- run_until_converged
-
-
-def _stub_framework(costs):
-    """A CrpFramework shell whose cost trace is the given schedule.
-
-    ``costs[0]`` is the pre-loop baseline; each ``run_iteration`` call
-    advances to the next entry.
-    """
-    from repro.core.crp import IterationStats
-
-    framework = CrpFramework.__new__(CrpFramework)
-    schedule = list(costs)
-    state = {"i": 0}
-
-    def total_cost():
-        return schedule[min(state["i"], len(schedule) - 1)]
-
-    def run_iteration(k, pre_cost=None):
-        state["i"] += 1
-        return IterationStats(iteration=k)
-
-    framework._total_route_cost = total_cost
-    framework.run_iteration = run_iteration
-    return framework
-
-
-def test_converged_zero_cost_does_not_divide():
-    # previous == 0 must not raise ZeroDivisionError; a zero-cost design
-    # has nothing to gain, so the loop stops after `patience` tries.
-    framework = _stub_framework([0.0, 0.0, 0.0, 0.0, 0.0])
-    result = framework.run_until_converged(max_iterations=10, patience=2)
-    assert len(result.iterations) == 2
-
-
-def test_converged_patience_resets_after_good_iteration():
-    # stale, good (reset), stale, stale -> stop at 4 iterations
-    framework = _stub_framework([100.0, 99.99, 80.0, 79.999, 79.998])
-    result = framework.run_until_converged(
-        max_iterations=10, min_gain=0.001, patience=2
-    )
-    assert len(result.iterations) == 4
-
-
-def test_converged_max_iterations_cutoff():
-    # every iteration improves 10%: only max_iterations can stop it
-    costs = [100.0 * (0.9 ** i) for i in range(30)]
-    framework = _stub_framework(costs)
-    result = framework.run_until_converged(max_iterations=5, min_gain=0.001)
-    assert len(result.iterations) == 5

@@ -64,7 +64,8 @@ def route_both(design_factory, guides_from_gr: bool, min_tolled=0, **router_kw):
         registry = MetricsRegistry()
         with use_metrics(registry):
             sigs.append(signature(router.route_all(guides)))
-        searches.append(registry.raw()["histograms"].get("droute.astar_expansions", []))
+        hist = registry._histograms.get("droute.astar_expansions")
+        searches.append(hist.values if hist is not None else [])
         tolled.append(registry.counter("droute.soft_tolled"))
         skipped = registry.counter("droute.hard_skipped")  # the last arm's: the look's
         # the seam took: only the production arm ran on the flat arrays

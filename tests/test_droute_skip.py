@@ -346,20 +346,21 @@ def test_marks_of_a_look_and_its_tolled_search_mean_nothing_to_the_next_net():
 
 
 def _two_cell_session(tech45):
-    """Net ``n`` between two inverters, GR guides, a begun DR session."""
+    """Net ``n`` between two inverters, a begun DR session, its GR guides."""
     design = build_tiny_design(tech45, num_rows=4, sites_per_row=30)
     add_cell(design, "a", "INV_X1", 1, 0)
     add_cell(design, "b", "INV_X1", 20, 2)
     net = add_two_pin_net(design, "n", "a", "b")
     gr = GlobalRouter(design)
     gr.route_all()
+    guides = gr.guides()
     router = DetailedRouter(design)
-    state = router.begin_session(gr.guides())
-    return design, router, state, net
+    state = router.begin_session()
+    return design, router, state, net, guides["n"]
 
 
 def test_enclosed_pin_skips_the_hard_search(tech45):
-    design, router, state, net = _two_cell_session(tech45)
+    design, router, state, net, guide_rects = _two_cell_session(tech45)
     # Metal1 carries no wires, so a pin is entered only from the landing
     # above it: a foreign wire on every landing seals the target pocket.
     enemy = state.intern("enemy")
@@ -367,17 +368,19 @@ def test_enclosed_pin_skips_the_hard_search(tech45):
         state.occupancy[state.nid_of((layer + 1, ix, iy))] = enemy
 
     registry = MetricsRegistry()
+    stats = SearchStats()
     with use_metrics(registry):
-        comp = router.compute_net("n")
+        comp = router._net_compute(net, guide_rects, state, stats)
+        stats.flush()
     assert registry.counter("droute.hard_skipped") == 1
     assert registry.counter("droute.astar_calls") == 1  # the soft fallback only
     assert comp.paths and not comp.opens
 
 
 def test_open_corridor_runs_the_hard_search(tech45):
-    design, router, state, net = _two_cell_session(tech45)
+    design, router, state, net, guide_rects = _two_cell_session(tech45)
     terminals = [access_nodes(design, router.lattice, pin) for pin in net.pins]
-    guide, bounds = state.guide_region(router._session_guides["n"], terminals)
+    guide, bounds = state.guide_region(guide_rects, terminals)
     stats = SearchStats()
     found = state.connect(
         set(terminals[0]), set(terminals[1]), "n", bounds, guide,

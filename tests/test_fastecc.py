@@ -26,7 +26,7 @@ from repro.core.fastecc import EccCache
 from repro.core.labeling import label_critical_cells
 from repro.groute import GlobalRouter
 from repro.groute.costcache import NetCostCache
-from repro.guard import GuardPolicy, IterationTransaction
+from repro.guard import FaultPlan, IterationTransaction, use_faults
 from repro.legalizer import WindowLegalizer
 from repro.obs import observe
 
@@ -77,22 +77,6 @@ def test_ecc_cache_matches_uncached_costs(seed):
             )
             assert again == uncached
     assert cache.hits > 0
-
-
-def test_ecc_cache_include_conflicts_parity():
-    design, router = routed(seed=7)
-    config = CrpConfig()
-    CrpFramework(design, router, config)
-    critical = label_critical_cells(design, router, config, random.Random(7))
-    candidates = generate_candidates(design, critical, config)
-    cache = EccCache()
-    for cell_candidates in candidates.values():
-        for candidate in cell_candidates:
-            assert estimate_candidate_cost(
-                design, router, candidate, include_conflicts=True, cache=cache
-            ) == estimate_candidate_cost(
-                design, router, candidate, include_conflicts=True
-            )
 
 
 # ------------------------------------------------ O(dirty) cost accounting
@@ -276,7 +260,7 @@ def run_iterations(seed: int, fast: bool, k: int = 2):
     router.route_all(rrr_passes=2)
     with arm(CrpFramework(design, router, CrpConfig()), fast) as framework:
         framework.run(iterations=k)
-        total = framework._total_route_cost()
+        total = router.total_route_cost()
     return snapshot(design, router), total
 
 
@@ -285,33 +269,19 @@ def test_framework_fast_slow_parity(seed):
     assert run_iterations(seed, fast=True) == run_iterations(seed, fast=False)
 
 
-def test_converged_parity_and_single_scan_per_pass():
-    def converge(fast: bool):
-        design = fresh_small(seed=31)
-        router = GlobalRouter(design)
-        router.route_all(rrr_passes=2)
-        with arm(CrpFramework(design, router, CrpConfig()), fast) as framework:
-            result = framework.run_until_converged(max_iterations=4)
-        return snapshot(design, router), len(result.iterations)
-
-    assert converge(True) == converge(False)
-
-
 def test_guarded_rollback_keeps_parity():
     def run(fast: bool):
         design = fresh_small(seed=55)
         router = GlobalRouter(design)
         router.route_all(rrr_passes=2)
-        framework = CrpFramework(
-            design,
-            router,
-            CrpConfig(),
-            guard=GuardPolicy(cost_tolerance=-1.0),  # force rollbacks
-        )
-        with arm(framework, fast):
+        framework = CrpFramework(design, router, CrpConfig())
+        rollbacks = FaultPlan().force("crp.invariants", "forced", times=-1)
+        with arm(framework, fast), use_faults(rollbacks):
             result = framework.run(iterations=2)
         return snapshot(design, router), [
             stats.rolled_back for stats in result.iterations
         ]
 
-    assert run(True) == run(False)
+    fast = run(True)
+    assert fast == run(False)
+    assert fast[1] == [True, True]

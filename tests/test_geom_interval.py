@@ -1,10 +1,8 @@
 """Unit tests for 1-D intervals."""
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
-from repro.geom import Interval, merge_intervals, subtract_interval
+from repro.geom import Interval
 
 
 def test_malformed_interval():
@@ -28,52 +26,3 @@ def test_overlaps():
 def test_intersection():
     assert Interval(0, 5).intersection(Interval(3, 9)) == Interval(3, 5)
     assert Interval(0, 2).intersection(Interval(5, 9)) is None
-
-
-def test_merge_intervals():
-    merged = merge_intervals(
-        [Interval(5, 7), Interval(0, 2), Interval(2, 4), Interval(10, 12)]
-    )
-    assert merged == [Interval(0, 4), Interval(5, 7), Interval(10, 12)]
-    assert merge_intervals([]) == []
-
-
-def test_subtract_disjoint():
-    assert subtract_interval(Interval(0, 10), Interval(20, 30)) == [Interval(0, 10)]
-
-
-def test_subtract_middle():
-    assert subtract_interval(Interval(0, 10), Interval(3, 7)) == [
-        Interval(0, 3),
-        Interval(7, 10),
-    ]
-
-
-def test_subtract_edge():
-    assert subtract_interval(Interval(0, 10), Interval(0, 4)) == [Interval(4, 10)]
-    assert subtract_interval(Interval(0, 10), Interval(6, 10)) == [Interval(0, 6)]
-
-
-def test_subtract_covering():
-    assert subtract_interval(Interval(2, 8), Interval(0, 10)) == []
-
-
-@st.composite
-def intervals(draw):
-    lo = draw(st.integers(-1000, 1000))
-    hi = draw(st.integers(lo, lo + 500))
-    return Interval(lo, hi)
-
-
-@given(st.lists(intervals(), max_size=20))
-def test_merge_produces_disjoint_sorted(ivs):
-    merged = merge_intervals(ivs)
-    for a, b in zip(merged[:-1], merged[1:]):
-        assert a.hi < b.lo
-
-
-@given(intervals(), intervals())
-def test_subtract_never_overlaps_hole(base, hole):
-    for piece in subtract_interval(base, hole):
-        assert not piece.overlaps(hole)
-        assert base.lo <= piece.lo <= piece.hi <= base.hi

@@ -17,6 +17,7 @@ from repro.guard import (
     iteration_violations,
     use_faults,
 )
+from repro.guard.transaction import COST_TOLERANCE
 from repro.benchgen import make_design
 from repro.ilp import IlpModel, solve
 from repro.core import CrpConfig, CrpFramework
@@ -198,12 +199,12 @@ def test_invariant_checks_name_each_violation(routed):
     check's)."""
     design, router = routed
     pre_cost = router.total_route_cost()
-    assert iteration_violations(design, router, pre_cost, 0.02) == []
+    assert iteration_violations(design, router, pre_cost) == []
     a, b = [name for name, cell in design.cells.items() if not cell.fixed][:2]
     other = design.cells[b]
     design.move_cell(a, other.x, other.y, other.orient)
     router.graph.wire_usage[0][0, 0] += 1
-    violations = iteration_violations(design, router, pre_cost, 0.02)
+    violations = iteration_violations(design, router, pre_cost)
     assert any(v.startswith("illegal placement") for v in violations), violations
     assert any("wire demand mismatch on layer 0" in v for v in violations), violations
 
@@ -226,13 +227,12 @@ def test_update_step_exception_rolls_back(routed):
 def test_worst_selection_is_contained_by_guard(routed):
     design, router = routed
     framework = CrpFramework(design, router, CrpConfig(seed=1))
-    pre_cost = framework._total_route_cost()
+    pre_cost = router.total_route_cost()
     with use_faults(FaultPlan().force("crp.select", "worst")) as plan:
         framework.run_iteration(0)
     assert plan.fired("crp.select") == 1
-    post_cost = framework._total_route_cost()
-    tolerance = framework.guard.cost_tolerance
-    assert post_cost <= pre_cost * (1.0 + tolerance) + 1e-9
+    post_cost = router.total_route_cost()
+    assert post_cost <= pre_cost * (1.0 + COST_TOLERANCE) + 1e-9
     assert check_legality(design).is_legal
     assert router.accounting_errors() == []
 

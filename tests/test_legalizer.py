@@ -1,4 +1,4 @@
-"""Unit tests for the legalizers (window ILP, Tetris, Abacus)."""
+"""Unit tests for the window ILP legalizer."""
 
 import itertools
 import random
@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro.geom import Point, Rect
 from repro.db import IOPin, Net, NetPin, check_legality
-from repro.legalizer import WindowLegalizer, abacus_legalize, tetris_legalize
+from repro.legalizer import WindowLegalizer
 from repro.legalizer.median import median_position
 
 from helpers import (
@@ -17,7 +17,6 @@ from helpers import (
     add_cell,
     add_two_pin_net,
     build_tiny_design,
-    fresh_small,
     slots_overlap,
 )
 
@@ -244,115 +243,3 @@ def test_four_cell_window_solves_through_the_ilp(tech45, monkeypatch):
     for name, pos in cand.conflict_moves.items():
         design.move_cell(name, *pos)
     assert check_legality(design).is_legal
-
-
-# ---------------------------------------------------------------- tetris
-
-
-def test_tetris_legalizes_overlaps(tech45):
-    design = build_tiny_design(tech45, num_rows=4, sites_per_row=30)
-    add_cell(design, "a", "DFF_X1", 0, 0)
-    b = add_cell(design, "b", "INV_X1", 1, 0)  # overlapping a
-    assert not check_legality(design).is_legal
-    displacement = tetris_legalize(design)
-    assert displacement > 0
-    assert check_legality(design).is_legal
-
-
-def test_tetris_skips_fixed(tech45):
-    design = build_tiny_design(tech45)
-    blk = add_cell(design, "blk", "DFF_X1", 0, 0)
-    blk.fixed = True
-    add_cell(design, "a", "INV_X1", 1, 0)
-    tetris_legalize(design)
-    assert (blk.x, blk.y) == (0, 0)
-    report = check_legality(design)
-    assert not report.overlaps
-
-
-def test_tetris_raises_when_overfull(tech45):
-    design = build_tiny_design(tech45, num_rows=1, sites_per_row=4)
-    add_cell(design, "a", "DFF_X1", 0, 0)  # 8 sites wide, row has 4
-    with pytest.raises(RuntimeError):
-        tetris_legalize(design)
-
-
-def test_tetris_no_rows(tech45):
-    from repro.db import Design
-
-    design = Design("norows", tech45, Rect(0, 0, 100, 100))
-    with pytest.raises(ValueError):
-        tetris_legalize(design)
-
-
-@settings(max_examples=15, deadline=None)
-@given(st.integers(0, 10**6))
-def test_tetris_legalizes_random_scatter(seed):
-    """Property: tetris always produces a fully legal placement."""
-    import random
-
-    design = fresh_small(seed=4242)
-    rng = random.Random(seed)
-    die = design.die
-    for cell in design.cells.values():
-        cell.x = rng.randint(0, die.ux - cell.width)
-        cell.y = rng.randint(0, die.uy - cell.height)
-        design.spatial.move(cell.name, cell.bbox())
-    tetris_legalize(design)
-    assert check_legality(design, check_orient=False).is_legal
-
-
-# ---------------------------------------------------------------- abacus
-
-
-def test_abacus_legalizes_row_overlaps(tech45):
-    design = build_tiny_design(tech45, num_rows=2, sites_per_row=40)
-    add_cell(design, "a", "INV_X1", 5, 0)
-    b = add_cell(design, "b", "INV_X1", 5, 0)
-    c = add_cell(design, "c", "NAND2_X1", 6, 0)
-    abacus_legalize(design)
-    report = check_legality(design)
-    assert not report.overlaps, report.overlaps
-    assert not report.off_site
-
-
-def test_abacus_moves_less_than_tetris_on_dense_row(tech45):
-    """Abacus minimizes displacement; compare on the same scatter."""
-    import random
-
-    def scattered():
-        design = build_tiny_design(tech45, num_rows=3, sites_per_row=40)
-        rng = random.Random(3)
-        for i in range(12):
-            cell = add_cell(design, f"u{i}", "NAND2_X1", 0, 0)
-            cell.x = rng.randint(0, design.die.ux - cell.width)
-            cell.y = rng.randint(0, design.die.uy - cell.height)
-            design.spatial.move(cell.name, cell.bbox())
-        return design
-
-    d_abacus = scattered()
-    d_tetris = scattered()
-    disp_abacus = abacus_legalize(d_abacus)
-    disp_tetris = tetris_legalize(d_tetris)
-    assert check_legality(d_abacus, check_orient=False).overlaps == []
-    assert disp_abacus <= disp_tetris * 1.5  # abacus is never much worse
-
-
-@settings(max_examples=10, deadline=None)
-@given(st.integers(0, 10**6))
-def test_abacus_legalizes_random_scatter(seed):
-    """Property: abacus always removes every overlap."""
-    import random
-
-    design = fresh_small(seed=4242)
-    rng = random.Random(seed)
-    die = design.die
-    for cell in design.cells.values():
-        cell.x = rng.randint(0, die.ux - cell.width)
-        cell.y = rng.randint(0, die.uy - cell.height)
-        design.spatial.move(cell.name, cell.bbox())
-    abacus_legalize(design)
-    report = check_legality(design, check_orient=False)
-    assert not report.overlaps
-    assert not report.off_site
-    assert not report.out_of_die

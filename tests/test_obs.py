@@ -12,16 +12,12 @@ from repro.obs import (
     MetricsRegistry,
     NOOP_METRICS,
     NOOP_TRACER,
-    Span,
     Tracer,
-    bench_summary,
     get_metrics,
     get_tracer,
     observe,
     span_from_dict,
     span_to_dict,
-    traced,
-    use_tracer,
 )
 from repro.obs.render import render_metrics, render_tree
 
@@ -45,7 +41,6 @@ def test_nested_span_timing_correctness():
     assert outer.self_wall_s == pytest.approx(
         outer.wall_s - a.wall_s - b.wall_s
     )
-    assert outer.total("inner.a") == a.wall_s
     assert outer.find("inner.b") is b
     assert outer.child_walls() == {"inner.a": a.wall_s, "inner.b": b.wall_s}
 
@@ -56,21 +51,11 @@ def test_span_stack_unwinds_on_exception():
         with tracer.span("outer"):
             with tracer.span("inner"):
                 raise RuntimeError("boom")
-    assert tracer.current() is None
     assert len(tracer.roots) == 1
     assert tracer.roots[0].children[0].name == "inner"
-
-
-def test_traced_decorator_uses_ambient_tracer():
-    @traced("layer.event")
-    def work():
-        return 7
-
-    tracer = Tracer()
-    with use_tracer(tracer):
-        assert work() == 7
-    assert work() == 7  # noop ambient afterwards: no new roots
-    assert [s.name for s in tracer.roots] == ["layer.event"]
+    with tracer.span("after"):
+        pass
+    assert [root.name for root in tracer.roots] == ["outer", "after"]
 
 
 def test_tracer_threads_build_independent_trees():
@@ -106,9 +91,9 @@ def test_global_default_is_noop():
 
 
 def test_noop_mode_overhead_is_tiny():
-    @traced("noop.call")
     def instrumented():
-        return 1
+        with get_tracer().span("noop.call"):
+            return 1
 
     # Warm up, then time 20k instrumented calls through the no-op
     # tracer; budget 10 microseconds per call (the real cost is well
@@ -173,7 +158,7 @@ def test_histogram_reservoir_keeps_exact_aggregates():
     assert hist["count"] == n
     assert hist["sum"] == pytest.approx(sum(range(n)))
     assert hist["max"] == float(n - 1)
-    assert len(registry.raw()["histograms"]["h"]) == RESERVOIR_SIZE
+    assert len(registry._histograms["h"].values) == RESERVOIR_SIZE
 
 
 # --------------------------------------------------------------- exporters
@@ -197,17 +182,6 @@ def test_json_exporter_round_trip():
         assert [c.name for c in original.children] == [
             c.name for c in copy.children
         ]
-
-
-def test_bench_summary_flattens_and_merges_siblings():
-    root = Span(name="root", wall_s=2.0)
-    root.children = [
-        Span(name="stage", wall_s=0.5),
-        Span(name="stage", wall_s=0.25),
-    ]
-    flat = bench_summary(root)
-    assert flat["root"] == pytest.approx(2.0)
-    assert flat["root/stage"] == pytest.approx(0.75)
 
 
 def test_render_tree_and_metrics_smoke():
@@ -248,7 +222,7 @@ def test_run_flow_trace_backs_runtime_dict():
     breakdown = result.crp.runtime_breakdown()
     for step in ("label", "GCP", "ECC", "ILP", "UD"):
         assert breakdown[step] == pytest.approx(
-            crp_span.total(f"crp.{step}")
+            sum(s.wall_s for s in crp_span.walk() if s.name == f"crp.{step}")
         )
     # Metrics snapshot rode along on the result.
     assert result.metrics is not None
@@ -314,37 +288,6 @@ def test_crp_iteration_records_runtime_without_global_tracing():
 # --------------------------------------------------------------------- CLI
 
 
-def test_cli_profile_smoke(tmp_path, capsys):
-    from repro.cli import main
-
-    out = tmp_path / "BENCH_obs.json"
-    assert main(
-        ["profile", "ispd18_test1", "-m", "crp", "-k", "1", "-o", str(out)]
-    ) == 0
-    printed = capsys.readouterr().out
-    assert "flow.run" in printed
-    assert "flow.GR" in printed and "flow.CRP" in printed
-    assert "counters" in printed
-
-    doc = json.loads(out.read_text())
-    assert doc["schema"] == "repro.obs/bench-1"
-    (entry,) = doc["designs"]
-    assert entry["design"] == "ispd18_test1"
-    # The exported stage totals agree with the span tree by construction.
-    for stage in ("GR", "CRP", "DR"):
-        assert entry["runtime_s"][stage] == pytest.approx(
-            entry["spans"][f"flow.run/flow.{stage}"], abs=1e-5
-        )
-    assert set(entry["fig3_breakdown_pct"]) == {
-        "GR", "GCP", "ECC", "UD", "Misc", "DR"
-    }
-    assert sum(entry["fig3_breakdown_pct"].values()) == pytest.approx(
-        100.0, abs=0.1
-    )
-    assert entry["metrics"]["counters"]["ilp.solves"] > 0
-    assert entry["trace"]["name"] == "flow.run"
-
-
 def test_cli_run_trace_out(tmp_path, capsys):
     from repro.cli import main
     from repro.obs import load_trace_document
@@ -358,6 +301,7 @@ def test_cli_run_trace_out(tmp_path, capsys):
     ) == 0
     printed = capsys.readouterr().out
     assert "flow.run" in printed  # --profile tree
+    assert "counters" in printed  # --profile metrics tables
     spans, doc = load_trace_document(trace_path)
     assert doc["design"] == "ispd18_test1"
     assert [s.name for s in spans] == ["flow.run"]

@@ -21,7 +21,9 @@ from hypothesis import strategies as st
 import repro.core.select as select
 from repro.core import MoveCandidate, select_moves
 from repro.ilp import IlpModel
-from repro.obs import observe, profile_flow
+from repro.benchgen import make_design
+from repro.flow import run_flow
+from repro.obs import observe, render_metrics
 
 from helpers import add_cell, build_tiny_design, fresh_small
 from oracles.select import add_conflict_constraints as dense_conflict_constraints
@@ -118,7 +120,8 @@ def test_abutting_footprints_do_not_conflict():
 
 def test_every_flow_model_equals_the_reference(monkeypatch):
     """ispd18_test1, k = 3: each iteration's rows equal the reference's,
-    and ``crp profile`` shows the conflict-graph counters of those rows."""
+    and ``crp run --profile`` shows the conflict-graph counters of those
+    rows."""
     production = select._add_conflict_constraints
     seen = []
 
@@ -134,13 +137,16 @@ def test_every_flow_model_equals_the_reference(monkeypatch):
         return pairs
 
     monkeypatch.setattr(select, "_add_conflict_constraints", checked)
-    report = profile_flow("ispd18_test1", iterations=3, skip_detailed=True)
+    result = run_flow(
+        make_design("ispd18_test1"), mode="crp", crp_iterations=3,
+        skip_detailed=True,
+    )
     assert len(seen) == 3 and all(seen)
-    counters = report.metrics["counters"]
+    counters = result.metrics["counters"]
     assert counters["crp.select_pairs"] == sum(seen)
     assert counters["crp.select_components"] >= 3
-    assert report.metrics["histograms"]["crp.select_largest_component"]["count"] == 3
-    shown = report.render()
+    assert result.metrics["histograms"]["crp.select_largest_component"]["count"] == 3
+    shown = render_metrics(result.metrics)
     for name in (
         "crp.select_pairs",
         "crp.select_components",

@@ -4,7 +4,6 @@ from repro.groute import GlobalRouter
 from repro.viz import (
     congestion_heatmap,
     layer_usage_table,
-    placement_map,
     svg_die_plot,
 )
 
@@ -40,18 +39,6 @@ def test_layer_usage_table_lists_all_layers():
         float(line.split()[2]) > 0
         for line in table.splitlines()[1:]
     )
-
-
-def test_placement_map_marks_blockages():
-    from repro.db import Blockage
-    from repro.geom import Rect
-
-    design, _ = _routed()
-    design.add_blockage(Blockage(-1, Rect(0, 0, design.die.ux // 2, design.die.uy // 2)))
-    art = placement_map(design, width=32)
-    assert "X" in art
-    lines = art.splitlines()
-    assert all(len(line) == 34 for line in lines)
 
 
 def test_svg_die_plot_well_formed():
