@@ -23,7 +23,6 @@ import math
 
 from repro.analyze.findings import Finding, Severity
 from repro.db import Design, check_legality
-from repro.grid import EdgeKind, GridEdge
 from repro.obs import get_metrics, get_tracer
 
 Node = tuple[int, int, int]
@@ -128,10 +127,8 @@ class _UnionFind:
             self.parent[rb] = ra
 
 
-def _edge_valid(graph, edge: GridEdge) -> bool:
-    if edge.kind is EdgeKind.WIRE:
-        return graph.valid_wire_edge(edge)
-    return graph.valid_via_edge(edge)
+def _edge_valid(graph, edge: int) -> bool:
+    return 0 <= edge < graph.num_edges
 
 
 def check_connectivity(router) -> list[Finding]:
@@ -147,7 +144,7 @@ def check_connectivity(router) -> list[Finding]:
             if not _edge_valid(graph, edge):
                 bad_edges += 1
                 continue
-            a, b = edge.endpoints(graph)
+            a, b = graph.endpoints(edge)
             uf.union(a, b)
         if bad_edges:
             findings.append(
@@ -214,7 +211,7 @@ def check_guide_coverage(router, guides=None) -> list[Finding]:
         for edge in route.edges:
             if not _edge_valid(graph, edge):
                 continue  # FLOW-C004's problem, not coverage's
-            a, b = edge.endpoints(graph)
+            a, b = graph.endpoints(edge)
             nodes.add(a)
             nodes.add(b)
         for layer, gx, gy in sorted(nodes):

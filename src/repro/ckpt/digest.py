@@ -21,9 +21,15 @@ DIGEST_PROTOCOL = 4
 
 
 def routes_digest(router: "GlobalRouter") -> str:
-    """SHA-256 over the canonical committed-routes serialization."""
+    """SHA-256 over the canonical committed-routes serialization.
+
+    Each route is pickled as its decoded :class:`repro.grid.GridEdge`
+    tuple in ``(layer, gx, gy, kind)`` order, one fresh object per edge
+    (pickle would write a shared object as a back-reference).
+    """
+    graph = router.graph
     canon = tuple(
-        (name, tuple(sorted(router.routes[name].edges)))
+        (name, tuple(map(graph.edge, graph.edge_order(router.routes[name].edges))))
         for name in sorted(router.routes)
     )
     return hashlib.sha256(

@@ -21,14 +21,16 @@ each layer's preferred direction so the cost of a straight run of
 ``n`` edges is two lookups instead of ``n`` per-edge sums.
 
 The field registers itself as a :class:`RoutingGraph` listener:
-``add_wire``/``add_via``/``apply_route`` mark the touched *row* (one
-line — the row or column of edges along the preferred direction — of
-one layer) dirty, and the next query recomputes the dirty rows of all
-layers in one gather -> compute -> scatter over flat buffers — a via
-change dirties a row on each of the two adjacent wire layers because of
-the ``delta_e`` via-crowding term in Eq. 9.  Rip-up, reroute, and
-guard-transaction rollback all mutate the graph through the same
-methods, so the field can never observe stale demand.
+``apply_route`` hands it the set of *rows* (one line — the row or
+column of edges along the preferred direction — of one layer) the
+route's edges dirty, read from the graph's per-id table, and the next
+query recomputes the dirty rows of all layers in one gather -> compute
+-> scatter over flat buffers — a via change dirties a row on each of
+the two adjacent wire layers because of the ``delta_e`` via-crowding
+term in Eq. 9.  Commit, rip-up, reroute and guard-transaction rollback
+all mutate the graph through ``apply_route``, so the field can never
+observe stale demand.  The cost buffer shares the wire-usage layout, so
+a wire edge's id is also the index of its cost.
 
 Bit-parity contract: every value in the dense maps is computed with the
 same float64 operations, in the same order, as the scalar per-edge
@@ -43,7 +45,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.grid.gcellgrid import GCellGrid
-from repro.grid.graph import EdgeKind, GridEdge, RoutingGraph, flat_views
+from repro.grid.graph import RoutingGraph, flat_views
 from repro.obs import get_metrics
 from repro.tech import Technology
 
@@ -177,20 +179,9 @@ class CostField:
 
     # -------------------------------------------------- graph notifications
 
-    def note_wire(self, layer: int, gx: int, gy: int) -> None:
-        """Wire usage changed on edge ``(gx, gy)`` of ``layer``."""
-        self._dirty.add(
-            self._row_base[layer] + (gy if self._horizontal[layer] else gx)
-        )
-
-    def note_via(self, layer: int, gx: int, gy: int) -> None:
-        """Via count changed between ``layer`` and ``layer + 1`` at a GCell.
-
-        The Eq. 9 ``delta_e`` term makes both adjacent wire layers stale:
-        every wire edge touching the GCell lies on one line per layer.
-        """
-        self.note_wire(layer, gx, gy)
-        self.note_wire(layer + 1, gx, gy)
+    def note_rows(self, rows: set[int]) -> None:
+        """Usage or via counts changed on these rows (``RoutingGraph.edge_rows``)."""
+        self._dirty.update(rows)
 
     def note_all(self) -> None:
         """Invalidate the whole field (fixed-usage rebuild, rollback)."""
@@ -253,29 +244,32 @@ class CostField:
         self.ensure()
         return self._demand
 
-    def edge_cost(self, edge: GridEdge) -> float:
-        """Eq. 10 cost of one edge — bit-identical to the scalar oracle."""
-        if edge.kind is EdgeKind.VIA:
+    def edge_cost(self, edge: int) -> float:
+        """Eq. 10 cost of one edge id — bit-identical to the scalar oracle."""
+        if edge >= self.graph.n_wire:
             return self.via_cost
         self.ensure()
-        return float(self._wire_cost[edge.layer][edge.gx, edge.gy])
+        return self._cost_flat.item(edge)
 
-    def path_cost(self, edges: list[GridEdge]) -> float:
+    def path_cost(self, edges: list[int]) -> float:
         """Total route cost, summed left-to-right like the scalar oracle."""
         self.ensure()
         return self.fresh_path_cost(edges)
 
-    def fresh_path_cost(self, edges: list[GridEdge]) -> float:
+    def fresh_path_cost(self, edges: list[int]) -> float:
         """:meth:`path_cost` without the refresh: the caller has just
-        called :meth:`ensure` (the :meth:`run_cost` contract)."""
+        called :meth:`ensure` (the :meth:`run_cost` contract).
+
+        An explicit ``+=`` loop in the given order: ``sum()`` compensates
+        (Python 3.12+) and numpy's ``sum`` is pairwise, and either would
+        change the bits.
+        """
         total = 0.0
         via_cost = self.via_cost
-        wire_cost = self._wire_cost
+        n_wire = self.graph.n_wire
+        cost = self._cost_flat.item
         for edge in edges:
-            if edge.kind is EdgeKind.VIA:
-                total += via_cost
-            else:
-                total += float(wire_cost[edge.layer][edge.gx, edge.gy])
+            total += cost(edge) if edge < n_wire else via_cost
         return total
 
     def run_cost(self, layer: int, start: int, end: int, line: int) -> float:
@@ -318,25 +312,17 @@ class CostField:
                 out[i] = prefix[lines, ends] - prefix[lines, starts]
         return out
 
-    def overflow_edges(self) -> list[GridEdge]:
-        """Wire edges with Eq. 9 demand strictly above capacity.
+    def overflow_edges(self) -> list[int]:
+        """Ids of the wire edges with Eq. 9 demand strictly above capacity.
 
         Vectorized replacement for the per-edge RRR scan: one
-        ``demand > capacity`` mask and ``np.argwhere`` per layer, in
-        (layer, gx, gy) order.
+        ``demand > capacity`` mask over the flat buffers, in id (=
+        (layer, gx, gy)) order.
         """
         self.ensure()
-        result: list[GridEdge] = []
-        for layer in range(self.graph.num_layers):
-            demand = self._demand[layer]
-            if demand.size == 0:
-                continue
-            over = np.argwhere(demand > self.graph.wire_capacity[layer])
-            result.extend(
-                GridEdge(layer, int(gx), int(gy), EdgeKind.WIRE)
-                for gx, gy in over
-            )
-        return result
+        n_wire = self.graph.n_wire
+        over = self._demand_flat[:n_wire] > self.graph.wire_capacity_flat[:n_wire]
+        return np.flatnonzero(over).tolist()
 
     # --------------------------------------------------------------- metrics
 

@@ -1,4 +1,4 @@
-"""The 3D GCell routing graph ``G`` with per-edge capacity and demand.
+"""The 3D GCell routing graph ``G``: per-edge capacity, usage and ids.
 
 Every routing layer replicates the GCell tiling; wire edges connect
 adjacent GCells along the layer's preferred direction, and via edges
@@ -9,12 +9,22 @@ of the paper:
     delta_e = sqrt((V_src + V_dst) / 2)
 
 where ``U_w`` is routed-wire usage, ``U_f`` fixed-component usage, and
-``delta_e`` a probabilistic via-crowding estimate inspired by CUGR.
+``delta_e`` a probabilistic via-crowding estimate inspired by CUGR;
+:class:`repro.grid.field.CostField` evaluates it for every wire edge at
+once from the usage arrays kept here.
+
+Every edge has one int id, and a route is a set of ids.  A wire's id is
+its index in ``wire_usage_flat``; a via's is ``n_wire`` plus its index
+in ``via_usage_flat`` (the spare slots get none).  Tables built once
+give each id the cost-field rows it dirties (``edge_rows``), its
+canonical order key (``edge_keys``: ``(layer, gx, gy, kind)`` order,
+a via before a wire at the same GCell) and its decode back to the
+readable :class:`GridEdge` (:meth:`RoutingGraph.edge`).  DESIGN.md,
+"GR edge ids", has the layout and the byte-identity rules.
 """
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
@@ -24,6 +34,8 @@ import numpy as np
 from repro.db.design import Design
 from repro.grid.gcellgrid import GCellGrid
 from repro.tech import Technology
+
+Node = tuple[int, int, int]  # (layer, gx, gy)
 
 
 class EdgeKind(str, Enum):
@@ -35,7 +47,7 @@ class EdgeKind(str, Enum):
 
 @dataclass(frozen=True, slots=True, order=True)
 class GridEdge:
-    """One edge of the 3D GCell graph.
+    """One edge of the 3D GCell graph, decoded from its id for reading.
 
     For ``WIRE`` edges on a horizontal layer the edge joins ``(gx, gy)``
     to ``(gx + 1, gy)``; on a vertical layer it joins ``(gx, gy)`` to
@@ -48,13 +60,10 @@ class GridEdge:
     gy: int
     kind: EdgeKind
 
-    def endpoints(self, graph: "RoutingGraph") -> tuple[tuple[int, int, int], tuple[int, int, int]]:
-        """The two ``(layer, gx, gy)`` nodes this edge joins."""
-        if self.kind is EdgeKind.VIA:
-            return ((self.layer, self.gx, self.gy), (self.layer + 1, self.gx, self.gy))
-        if graph.tech.layers[self.layer].is_horizontal:
-            return ((self.layer, self.gx, self.gy), (self.layer, self.gx + 1, self.gy))
-        return ((self.layer, self.gx, self.gy), (self.layer, self.gx, self.gy + 1))
+    def __getstate__(self) -> list:
+        # What the dataclass-generated one returns, without its per-object
+        # ``fields()`` walk: pickled bytes (so ``routes_digest``) are equal.
+        return [self.layer, self.gx, self.gy, self.kind]
 
 
 def flat_views(
@@ -77,7 +86,7 @@ def flat_views(
 
 
 class RoutingGraph:
-    """Capacity/demand bookkeeping for the 3D GCell graph.
+    """Capacity/usage bookkeeping and edge ids of the 3D GCell graph.
 
     Wire usage, fixed usage, capacity and via counts are dense numpy
     arrays, one per layer, so whole-map congestion queries are
@@ -120,17 +129,129 @@ class RoutingGraph:
         for layer, capacity in zip(tech.layers, self.wire_capacity):
             step = grid.step_y if layer.is_horizontal else grid.step_x
             capacity[...] = max(1, step // layer.pitch)
+        self._build_ids(shapes)
+
+    def _build_ids(self, shapes: list[tuple[int, int]]) -> None:
+        """The id layout and the per-id tables (see the module docstring).
+
+        A *row* is the cost field's unit of recompute: one line of edges
+        along a layer's preferred direction, numbered layer by layer
+        (``CostField._row_base[layer] + line``).  A wire dirties its own
+        row; a via the rows through its GCell on both adjacent layers
+        (the Eq. 9 ``delta_e`` term).
+        """
+        nx, ny = self.grid.nx, self.grid.ny
+        sizes = [a * b for a, b in shapes]
+        #: wire ids are ``[0, n_wire)``, via ids ``[n_wire, num_edges)``
+        self.n_wire = sum(sizes)
+        self.num_edges = self.n_wire + (self.num_layers - 1) * nx * ny
+        self._wire_base = tuple(sum(sizes[:layer]) for layer in range(len(sizes)))
+        self._wire_stride = tuple(b for _, b in shapes)
+        # (layer, gx, gy) of every id, wires then vias
+        wire = np.concatenate([np.indices(shape).reshape(2, -1) for shape in shapes], axis=1)
+        via = np.indices((self.num_layers - 1, nx, ny)).reshape(3, -1)
+        layer = np.concatenate([np.repeat(np.arange(len(shapes)), sizes), via[0]])
+        gx = np.concatenate([wire[0], via[1]])
+        gy = np.concatenate([wire[1], via[2]])
+        is_wire = np.arange(self.num_edges) < self.n_wire
+        #: per id, the canonical order key: ``(layer, gx, gy, kind)`` as one int
+        self.edge_keys: tuple[int, ...] = tuple(
+            (((layer * nx + gx) * ny + gy) * 2 + is_wire).tolist()
+        )
+        horizontal = np.array([l.is_horizontal for l in self.tech.layers])
+        lines = np.where(horizontal, ny, nx)
+        row_base = np.concatenate([[0], np.cumsum(lines)[:-1]])
+
+        def row(layer: np.ndarray) -> np.ndarray:
+            return row_base[layer] + np.where(horizontal[layer], gy, gx)
+
+        low = row(layer)
+        high = np.where(is_wire, low, row(np.minimum(layer + 1, self.num_layers - 1)))
+        #: per id, the cost-field rows a usage change on it dirties
+        self.edge_rows: tuple[tuple[int, ...], ...] = tuple(
+            (a,) if a == b else (a, b) for a, b in zip(low.tolist(), high.tolist())
+        )
+
+    # -------------------------------------------------------------- edge ids
+
+    def wire_id(self, layer: int, gx: int, gy: int) -> int:
+        """Id of the wire edge at ``(gx, gy)`` of ``layer`` (unchecked)."""
+        return self._wire_base[layer] + gx * self._wire_stride[layer] + gy
+
+    def via_id(self, layer: int, gx: int, gy: int) -> int:
+        """Id of the via between ``layer`` and ``layer + 1`` (unchecked)."""
+        return self.n_wire + (layer * self.grid.nx + gx) * self.grid.ny + gy
+
+    def wire_run(self, layer: int, lo: int, hi: int, line: int) -> range:
+        """Ids of the wire edges ``[lo, hi)`` along ``layer``'s preferred
+        direction on ``line`` (a gy on a horizontal layer, else a gx)."""
+        stride = self._wire_stride[layer]
+        if self.tech.layers[layer].is_horizontal:
+            start = self._wire_base[layer] + line
+            return range(start + lo * stride, start + hi * stride, stride)
+        start = self._wire_base[layer] + line * stride
+        return range(start + lo, start + hi)
+
+    def via_stack(self, gx: int, gy: int, lo: int, hi: int) -> range:
+        """Ids of the vias joining layers ``lo .. hi`` at ``(gx, gy)``,
+        lowest first (``lo > hi`` is the same stack)."""
+        if lo > hi:
+            lo, hi = hi, lo
+        plane = self.grid.nx * self.grid.ny
+        start = self.n_wire + gx * self.grid.ny + gy
+        return range(start + lo * plane, start + hi * plane, plane)
+
+    def edge_id(self, edge: GridEdge) -> int:
+        """The id of a graph edge; ``ValueError`` for one off the graph."""
+        layer, gx, gy = edge.layer, edge.gx, edge.gy
+        if edge.kind is EdgeKind.WIRE:
+            if 0 <= layer < self.num_layers:
+                ex, ey = self.wire_edge_shape(layer)
+                if 0 <= gx < ex and 0 <= gy < ey:
+                    return self.wire_id(layer, gx, gy)
+        elif (
+            0 <= layer < self.num_layers - 1
+            and 0 <= gx < self.grid.nx
+            and 0 <= gy < self.grid.ny
+        ):
+            return self.via_id(layer, gx, gy)
+        raise ValueError(f"{edge} is not an edge of the graph")
+
+    def _decode(self, edge: int) -> tuple[int, int, int, int]:
+        """``(layer, gx, gy, is_wire)`` of an id, from its order key."""
+        rest, is_wire = divmod(self.edge_keys[edge], 2)
+        rest, gy = divmod(rest, self.grid.ny)
+        layer, gx = divmod(rest, self.grid.nx)
+        return layer, gx, gy, is_wire
+
+    def edge(self, edge: int) -> GridEdge:
+        """The readable :class:`GridEdge` of an id (a new object per call)."""
+        layer, gx, gy, is_wire = self._decode(edge)
+        return GridEdge(layer, gx, gy, EdgeKind.WIRE if is_wire else EdgeKind.VIA)
+
+    def endpoints(self, edge: int) -> tuple[Node, Node]:
+        """The two ``(layer, gx, gy)`` nodes an edge joins, lower first."""
+        layer, gx, gy, is_wire = self._decode(edge)
+        if not is_wire:
+            return (layer, gx, gy), (layer + 1, gx, gy)
+        if self.tech.layers[layer].is_horizontal:
+            return (layer, gx, gy), (layer, gx + 1, gy)
+        return (layer, gx, gy), (layer, gx, gy + 1)
+
+    def edge_order(self, edges: Iterable[int]) -> list[int]:
+        """``edges`` in canonical ``(layer, gx, gy, kind)`` order."""
+        return sorted(edges, key=self.edge_keys.__getitem__)
 
     # -------------------------------------------------------------- listeners
 
     def add_listener(self, listener) -> None:
         """Subscribe to usage changes.
 
-        ``listener`` must provide ``note_wire(layer, gx, gy)``,
-        ``note_via(layer, gx, gy)`` (via between ``layer``/``layer + 1``),
-        and ``note_all()``.  Every mutator below notifies, so derived
-        caches (the :class:`repro.grid.field.CostField` cost maps) stay
-        coherent through rip-up and transaction rollback for free.
+        ``listener`` must provide ``note_rows(rows)`` (a set of the
+        cost-field rows whose usage or via counts changed) and
+        ``note_all()``.  Every mutator below notifies, so derived caches
+        (the :class:`repro.grid.field.CostField` cost maps) stay coherent
+        through rip-up and transaction rollback for free.
         """
         self._listeners = (*self._listeners, listener)
 
@@ -139,97 +260,25 @@ class RoutingGraph:
     def wire_edge_shape(self, layer: int) -> tuple[int, int]:
         return self.wire_capacity[layer].shape  # type: ignore[return-value]
 
-    def valid_wire_edge(self, edge: GridEdge) -> bool:
-        if edge.kind is not EdgeKind.WIRE:
-            return False
-        shape = self.wire_edge_shape(edge.layer)
-        return 0 <= edge.gx < shape[0] and 0 <= edge.gy < shape[1]
-
-    def valid_via_edge(self, edge: GridEdge) -> bool:
-        return (
-            edge.kind is EdgeKind.VIA
-            and 0 <= edge.layer < self.num_layers - 1
-            and 0 <= edge.gx < self.grid.nx
-            and 0 <= edge.gy < self.grid.ny
-        )
-
-    def neighbors(
-        self, node: tuple[int, int, int]
-    ) -> list[tuple[tuple[int, int, int], GridEdge]]:
-        """Adjacent nodes with the edge that reaches them (for maze search)."""
-        layer, gx, gy = node
-        result: list[tuple[tuple[int, int, int], GridEdge]] = []
-        tech_layer = self.tech.layers[layer]
-        if layer < self.min_wire_layer:
-            pass  # no wire moves below the first routing layer
-        elif tech_layer.is_horizontal:
-            if gx + 1 < self.grid.nx:
-                result.append(
-                    ((layer, gx + 1, gy), GridEdge(layer, gx, gy, EdgeKind.WIRE))
-                )
-            if gx - 1 >= 0:
-                result.append(
-                    ((layer, gx - 1, gy), GridEdge(layer, gx - 1, gy, EdgeKind.WIRE))
-                )
-        else:
-            if gy + 1 < self.grid.ny:
-                result.append(
-                    ((layer, gx, gy + 1), GridEdge(layer, gx, gy, EdgeKind.WIRE))
-                )
-            if gy - 1 >= 0:
-                result.append(
-                    ((layer, gx, gy - 1), GridEdge(layer, gx, gy - 1, EdgeKind.WIRE))
-                )
-        if layer + 1 < self.num_layers:
-            result.append(
-                ((layer + 1, gx, gy), GridEdge(layer, gx, gy, EdgeKind.VIA))
-            )
-        if layer - 1 >= 0:
-            result.append(
-                ((layer - 1, gx, gy), GridEdge(layer - 1, gx, gy, EdgeKind.VIA))
-            )
-        return result
-
     # --------------------------------------------------------------- updates
 
-    def add_wire(self, edge: GridEdge, amount: float = 1.0) -> None:
-        """Record routed-wire usage on a wire edge."""
-        if not self.valid_wire_edge(edge):
-            raise ValueError(f"invalid wire edge {edge}")
-        self.wire_usage[edge.layer][edge.gx, edge.gy] += amount
-        for listener in self._listeners:
-            listener.note_wire(edge.layer, edge.gx, edge.gy)
-
-    def remove_wire(self, edge: GridEdge, amount: float = 1.0) -> None:
-        self.wire_usage[edge.layer][edge.gx, edge.gy] -= amount
-        for listener in self._listeners:
-            listener.note_wire(edge.layer, edge.gx, edge.gy)
-
-    def add_via(self, edge: GridEdge, amount: int = 1) -> None:
-        """Record a via between ``edge.layer`` and ``edge.layer + 1``."""
-        if not self.valid_via_edge(edge):
-            raise ValueError(f"invalid via edge {edge}")
-        self.via_usage[edge.layer][edge.gx, edge.gy] += amount
-        for listener in self._listeners:
-            listener.note_via(edge.layer, edge.gx, edge.gy)
-
-    def remove_via(self, edge: GridEdge, amount: int = 1) -> None:
-        self.via_usage[edge.layer][edge.gx, edge.gy] -= amount
-        for listener in self._listeners:
-            listener.note_via(edge.layer, edge.gx, edge.gy)
-
-    def apply_route(self, edges: Iterable[GridEdge], sign: int = 1) -> None:
-        """Commit (+1) or rip up (-1) a whole route's usage, in any order."""
-        listeners = self._listeners
+    def apply_route(self, edges: Iterable[int], sign: int = 1) -> set[int]:
+        """Commit (+1) or rip up (-1) a route's usage; returns the rows
+        it dirtied.  ``edges`` are distinct ids, in any order."""
+        n_wire = self.n_wire
+        wire = self.wire_usage_flat
+        via = self.via_usage_flat
+        edge_rows = self.edge_rows
+        rows: set[int] = set()
         for edge in edges:
-            if edge.kind is EdgeKind.WIRE:
-                self.wire_usage[edge.layer][edge.gx, edge.gy] += sign
-                for listener in listeners:
-                    listener.note_wire(edge.layer, edge.gx, edge.gy)
+            if edge < n_wire:
+                wire[edge] += sign
             else:
-                self.via_usage[edge.layer][edge.gx, edge.gy] += sign
-                for listener in listeners:
-                    listener.note_via(edge.layer, edge.gx, edge.gy)
+                via[edge - n_wire] += sign
+            rows.update(edge_rows[edge])
+        for listener in self._listeners:
+            listener.note_rows(rows)
+        return rows
 
     # ---------------------------------------------------------- fixed usage
 
@@ -271,37 +320,6 @@ class RoutingGraph:
             )
         for listener in self._listeners:
             listener.note_all()
-
-    # ------------------------------------------------------ demand (Eq. 9)
-
-    def _via_count_at(self, layer: int, gx: int, gy: int) -> int:
-        """Total vias touching GCell ``(gx, gy)`` on ``layer``."""
-        count = 0
-        if layer - 1 >= 0:
-            count += int(self.via_usage[layer - 1][gx, gy])
-        if layer < self.num_layers - 1:
-            count += int(self.via_usage[layer][gx, gy])
-        return count
-
-    def demand(self, edge: GridEdge) -> float:
-        """Eq. 9 demand of a wire edge."""
-        if edge.kind is not EdgeKind.WIRE:
-            raise ValueError("demand is defined for wire edges")
-        (l0, x0, y0), (l1, x1, y1) = edge.endpoints(self)
-        assert l0 == l1
-        v_src = self._via_count_at(l0, x0, y0)
-        v_dst = self._via_count_at(l1, x1, y1)
-        delta = math.sqrt((v_src + v_dst) / 2.0)
-        return (
-            float(self.wire_usage[edge.layer][edge.gx, edge.gy])
-            + float(self.fixed_usage[edge.layer][edge.gx, edge.gy])
-            + self.beta * delta
-        )
-
-    def capacity(self, edge: GridEdge) -> float:
-        if edge.kind is not EdgeKind.WIRE:
-            raise ValueError("capacity is defined for wire edges")
-        return float(self.wire_capacity[edge.layer][edge.gx, edge.gy])
 
     # ----------------------------------------------------------- congestion
 

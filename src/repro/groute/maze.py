@@ -7,7 +7,8 @@ on large grids.
 
 The inner loop reads step costs straight out of the dense per-layer maps
 of a :class:`repro.grid.field.CostField` and generates neighbors inline —
-no ``GridEdge`` construction, no per-edge ``demand()`` recomputation.
+no per-edge object, no per-edge demand recomputation; the found path
+is returned as graph edge ids.
 The scalar reference this search is pinned to (same expansions, same
 route) lives in ``tests/oracles/groute.py``.
 """
@@ -17,7 +18,7 @@ from __future__ import annotations
 import heapq
 from itertools import count
 
-from repro.grid import CostField, EdgeKind, GridEdge, RoutingGraph
+from repro.grid import CostField, RoutingGraph
 from repro.grid.field import WIRE_WEIGHT
 from repro.guard.faults import fault_point
 from repro.obs import get_metrics
@@ -47,17 +48,17 @@ def maze_route(
     targets: set[Node],
     margin: int = MAZE_MARGIN,
     overflow_penalty: float = 0.0,
-) -> list[GridEdge] | None:
+) -> list[int] | None:
     """Cheapest path from any source to any target.
 
     ``overflow_penalty`` adds a hard surcharge to edges whose demand
     already meets capacity, steering RRR away from full edges entirely.
-    Returns the edge list, or ``None`` when disconnected inside the
-    search window.
+    Returns the path's edge ids, source first, or ``None`` when
+    disconnected inside the search window.
 
-    Neighbor order matches :meth:`RoutingGraph.neighbors` (wire forward,
-    wire backward, via up, via down) so the heap tie counter — and hence
-    the returned path — is identical to the scalar reference.
+    Neighbor order matches the scalar reference's (wire forward, wire
+    backward, via up, via down) so the heap tie counter — and hence the
+    returned path — is identical to it.
     """
     if not sources or not targets:
         return None
@@ -141,7 +142,7 @@ def maze_route(
                         (tentative + heuristic(neighbour), next_tie(), neighbour),
                     )
 
-            # Neighbor order matches RoutingGraph.neighbors: wire forward,
+            # Neighbor order matches the scalar reference: wire forward,
             # wire backward, via up, via down.
             if layer >= min_wire_layer:
                 cost_row = wire_cost[layer]
@@ -179,23 +180,23 @@ def maze_route(
         metrics.observe("groute.maze_expansions", expansions)
 
 
-def _edge_between(a: Node, b: Node) -> GridEdge:
-    """The graph edge joining two adjacent nodes of a maze path."""
+def _edge_between(graph: RoutingGraph, a: Node, b: Node) -> int:
+    """The id of the graph edge joining two adjacent nodes of a maze path."""
     if a[0] != b[0]:
-        return GridEdge(min(a[0], b[0]), a[1], a[2], EdgeKind.VIA)
+        return graph.via_id(min(a[0], b[0]), a[1], a[2])
     if a[2] == b[2]:
-        return GridEdge(a[0], min(a[1], b[1]), a[2], EdgeKind.WIRE)
-    return GridEdge(a[0], a[1], min(a[2], b[2]), EdgeKind.WIRE)
+        return graph.wire_id(a[0], min(a[1], b[1]), a[2])
+    return graph.wire_id(a[0], a[1], min(a[2], b[2]))
 
 
 def _reconstruct_nodes(
     graph: RoutingGraph, node: Node, came_from: dict[Node, Node]
-) -> list[GridEdge]:
-    """Rebuild the edge list of a found path from its node chain."""
-    edges: list[GridEdge] = []
+) -> list[int]:
+    """Rebuild the edge ids of a found path from its node chain."""
+    edges: list[int] = []
     while node in came_from:
         parent = came_from[node]
-        edges.append(_edge_between(parent, node))
+        edges.append(_edge_between(graph, parent, node))
         node = parent
     edges.reverse()
     return edges

@@ -2,8 +2,9 @@
 
 Takes a 2D GCell polyline, assigns one routing layer to every straight
 run with a dynamic program (:meth:`PatternRouter3D.plan`), and
-materializes the chosen layers into graph edges — wires plus the vias
-stitching runs and terminals together (:meth:`PatternRouter3D.build`).
+materializes the chosen layers into graph edge ids — wires plus the vias
+stitching runs and terminals together (:meth:`PatternRouter3D.build`);
+a straight run and a via stack are each one arithmetic range of ids.
 The DP cost is exactly the Eq. 10 edge cost under the current
 demand/capacity state, so congested layers are avoided.
 
@@ -21,15 +22,15 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator
 
-from repro.grid import CostField, EdgeKind, GridEdge, RoutingGraph
+from repro.grid import CostField, RoutingGraph
 from repro.groute.patterns import GPoint, runs_of_path
 
 
 @dataclass(slots=True)
 class Pattern3DResult:
-    """A materialized 3D route: its edges, modeled cost, and end layer."""
+    """A materialized 3D route: its edge ids, modeled cost, and end layer."""
 
-    edges: list[GridEdge]
+    edges: list[int]
     cost: float
     end_layer: int = 0
 
@@ -233,28 +234,19 @@ class PatternRouter3D:
             back.append(links)
         return best, back
 
-    def _run_edges(self, run: tuple[GPoint, GPoint], layer: int) -> list[GridEdge]:
+    def _run_edges(self, run: tuple[GPoint, GPoint], layer: int) -> range:
         (x0, y0), (x1, y1) = run
-        edges: list[GridEdge] = []
         if y0 == y1:
-            for gx in range(min(x0, x1), max(x0, x1)):
-                edges.append(GridEdge(layer, gx, y0, EdgeKind.WIRE))
-        else:
-            for gy in range(min(y0, y1), max(y0, y1)):
-                edges.append(GridEdge(layer, x0, gy, EdgeKind.WIRE))
-        return edges
+            return self.graph.wire_run(layer, min(x0, x1), max(x0, x1), y0)
+        return self.graph.wire_run(layer, min(y0, y1), max(y0, y1), x0)
 
-    def _via_stack(self, gx: int, gy: int, lo: int, hi: int) -> list[GridEdge]:
-        if lo > hi:
-            lo, hi = hi, lo
-        return [GridEdge(layer, gx, gy, EdgeKind.VIA) for layer in range(lo, hi)]
-
-    def _materialize(self, plan: Pattern3DPlan) -> list[GridEdge]:
-        edges: list[GridEdge] = []
+    def _materialize(self, plan: Pattern3DPlan) -> list[int]:
+        via_stack = self.graph.via_stack
+        edges: list[int] = []
         (x, y), layer = plan.start, plan.src_layer
         for run, run_layer in zip(plan.runs, plan.layers):
-            edges += self._via_stack(x, y, layer, run_layer)
+            edges += via_stack(x, y, layer, run_layer)
             edges += self._run_edges(run, run_layer)
             (x, y), layer = run[1], run_layer
-        edges += self._via_stack(x, y, layer, plan.dst_layer)
+        edges += via_stack(x, y, layer, plan.dst_layer)
         return edges

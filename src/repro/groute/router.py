@@ -5,21 +5,26 @@ runs rip-up-and-reroute maze passes on overflowed edges.  Exposes the
 queries CR&P needs: per-net route cost, congestion state, incremental
 reroute of dirty nets after cell movement, and guide emission for the
 detailed router.
+
+A committed route is a set of the graph's int edge ids
+(:class:`repro.grid.RoutingGraph`): commit, rip-up, the edge -> nets
+index, pricing and the accounting check all work on ids, and only the
+route digest decodes them to :class:`repro.grid.GridEdge`.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from operator import attrgetter
 
 import numpy as np
 
 from repro.geom import Point, Rect
 from repro.db import Design, Net
 from repro.flute import build_rsmt
-from repro.grid import CostField, EdgeKind, GCellGrid, GridEdge, RoutingGraph
+from repro.grid import CostField, GCellGrid, RoutingGraph
 from repro.grid.field import VIA_WEIGHT
+from repro.grid.graph import flat_views
 from repro.groute.maze import maze_route
 from repro.groute.pattern3d import PatternRouter3D
 from repro.groute.patterns import pattern_paths_2d
@@ -35,39 +40,14 @@ Node = tuple[int, int, int]
 #: "Built once").  Not a tuning knob.
 PLAN_BAND = 1e-9
 
-#: ``GridEdge``'s own (dataclass) order, as a C-level sort key
-_EDGE_ORDER = attrgetter("layer", "gx", "gy", "kind")
-
 
 @dataclass(slots=True)
 class NetRoute:
-    """The committed route of one net."""
+    """The committed route of one net: graph edge ids and terminals."""
 
     net: str
-    edges: set[GridEdge] = field(default_factory=set)
+    edges: set[int] = field(default_factory=set)
     terminals: list[Node] = field(default_factory=list)
-
-    def nodes(self, graph: RoutingGraph) -> set[Node]:
-        """Every graph node the route touches (for incremental maze)."""
-        result: set[Node] = set(self.terminals)
-        for edge in self.edges:
-            a, b = edge.endpoints(graph)
-            result.add(a)
-            result.add(b)
-        return result
-
-    def wirelength_dbu(self, grid: GCellGrid, graph: RoutingGraph) -> int:
-        total = 0
-        for edge in self.edges:
-            if edge.kind is EdgeKind.WIRE:
-                if graph.tech.layers[edge.layer].is_horizontal:
-                    total += grid.step_x
-                else:
-                    total += grid.step_y
-        return total
-
-    def via_count(self) -> int:
-        return sum(1 for e in self.edges if e.kind is EdgeKind.VIA)
 
 
 class GlobalRouter:
@@ -88,7 +68,7 @@ class GlobalRouter:
         self.routes: dict[str, NetRoute] = {}
         # Plain dict (not defaultdict): lookups must never materialize
         # empty entries, or the RRR scan grows monotonically.
-        self._edge_nets: dict[GridEdge, set[str]] = {}
+        self._edge_nets: dict[int, set[str]] = {}
         #: O(dirty-nets) per-net cost cache; ``None`` (every query is a
         #: fresh scan) until :meth:`enable_incremental_cost` attaches it
         self.cost_cache = None
@@ -97,6 +77,8 @@ class GlobalRouter:
         self._paths_planned = 0
         self._paths_built = 0
         self._segments_multi_contender = 0
+        self._edges_committed = 0
+        self._edges_ripped = 0
 
     # ------------------------------------------------------------ terminals
 
@@ -145,7 +127,8 @@ class GlobalRouter:
         return completed
 
     def _publish_path_metrics(self) -> None:
-        """Flush the ``_route_segment`` tallies as ``groute.*`` deltas."""
+        """Flush the ``_route_segment`` and commit/rip-up tallies as
+        ``groute.*`` deltas."""
         metrics = get_metrics()
         if not metrics.recording:
             return
@@ -154,9 +137,13 @@ class GlobalRouter:
         metrics.count(
             "groute.segments_multi_contender", self._segments_multi_contender
         )
+        metrics.count("groute.edges_committed", self._edges_committed)
+        metrics.count("groute.edges_ripped", self._edges_ripped)
         self._paths_planned = 0
         self._paths_built = 0
         self._segments_multi_contender = 0
+        self._edges_committed = 0
+        self._edges_ripped = 0
 
     def route_net(self, net_name: str) -> NetRoute:
         """(Re)route one net with RSMT + 3D pattern routing."""
@@ -171,7 +158,7 @@ class GlobalRouter:
         get_metrics().count("groute.nets_routed")
         return route
 
-    def _route_tree(self, terminals: list[Node]) -> set[GridEdge]:
+    def _route_tree(self, terminals: list[Node]) -> set[int]:
         """Pattern-route the RSMT decomposition of the terminals."""
         points = [Point(t[1], t[2]) for t in terminals]
         tree = build_rsmt(points)
@@ -185,7 +172,7 @@ class GlobalRouter:
                     if layer_of[index] is None:
                         layer_of[index] = terminal[0]
 
-        edges: set[GridEdge] = set()
+        edges: set[int] = set()
         # Route tree edges rooted at point 0 so each segment starts from a
         # node whose layer is already decided.
         adjacency: dict[int, list[int]] = defaultdict(list)
@@ -219,7 +206,7 @@ class GlobalRouter:
         src: Node,
         dst_xy: tuple[int, int],
         dst_layer: int | None,
-    ) -> tuple[list[GridEdge], int] | None:
+    ) -> tuple[list[int], int] | None:
         """Best pattern route for one 2-pin segment.
 
         Every path is planned; only those whose DP value lies within
@@ -255,28 +242,37 @@ class GlobalRouter:
 
     def _commit(self, route: NetRoute) -> None:
         # apply_route is order-independent: exact +-1 on usage counters,
-        # set-valued dirty marks.
-        self.graph.apply_route(route.edges, sign=1)
+        # set-valued dirty rows.
+        name = route.net
+        rows = self.graph.apply_route(route.edges, sign=1)
+        edge_nets = self._edge_nets
         for edge in route.edges:
-            self._edge_nets.setdefault(edge, set()).add(route.net)
-        self.routes[route.net] = route
+            users = edge_nets.get(edge)
+            if users is None:
+                edge_nets[edge] = {name}
+            else:
+                users.add(name)
+        self.routes[name] = route
+        self._edges_committed += len(route.edges)
         if self.cost_cache is not None:
-            self.cost_cache.note_commit(route.net, route.edges)
+            self.cost_cache.note_commit(name, route.edges, rows)
 
     def rip_up(self, net_name: str) -> None:
         route = self.routes.pop(net_name, None)
         if route is None:
             return
         get_metrics().count("groute.ripup_nets")
-        self.graph.apply_route(route.edges, sign=-1)
+        rows = self.graph.apply_route(route.edges, sign=-1)
+        edge_nets = self._edge_nets
         for edge in route.edges:
-            users = self._edge_nets.get(edge)
+            users = edge_nets.get(edge)
             if users is not None:
                 users.discard(net_name)
                 if not users:
-                    del self._edge_nets[edge]
+                    del edge_nets[edge]
+        self._edges_ripped += len(route.edges)
         if self.cost_cache is not None:
-            self.cost_cache.note_rip(net_name, route.edges)
+            self.cost_cache.note_rip(net_name, route.edges, rows)
 
     def reroute_nets(self, net_names: list[str]) -> None:
         """Rip up and pattern-reroute nets (CR&P's Update Database step)."""
@@ -350,7 +346,7 @@ class GlobalRouter:
                 route.edges.update(path)
                 connected.add(terminal)
                 for edge in path:
-                    a, b = edge.endpoints(self.graph)
+                    a, b = self.graph.endpoints(edge)
                     connected.add(a)
                     connected.add(b)
         self._commit(route)
@@ -385,7 +381,7 @@ class GlobalRouter:
     def invalidate_cost_fields(self) -> None:
         """Force a full cost-field recompute on the next query.
 
-        Graph mutations already notify the field, so this is a
+        ``apply_route`` already notifies the field, so this is a
         belt-and-braces hook for transaction rollback and for callers
         that poke the usage arrays directly (tests, invariant checkers).
         """
@@ -397,21 +393,30 @@ class GlobalRouter:
         """Check graph demand against the committed routes.
 
         Rebuilds the expected wire/via usage arrays from ``self.routes``
-        and compares them with the incrementally-maintained graph state;
-        a mismatch means a commit/rip-up bug (or a botched rollback).
-        Returns human-readable mismatch descriptions, empty when clean.
+        (one ``bincount`` per quantity over the edge ids) and compares
+        them with the incrementally-maintained graph state; a mismatch
+        means a commit/rip-up bug (or a botched rollback).  Returns
+        human-readable mismatch descriptions, empty when clean.
         """
-        expected_wire = [np.zeros_like(u) for u in self.graph.wire_usage]
-        expected_via = [np.zeros_like(u) for u in self.graph.via_usage]
-        for route in self.routes.values():
-            for edge in route.edges:
-                if edge.kind is EdgeKind.WIRE:
-                    expected_wire[edge.layer][edge.gx, edge.gy] += 1
-                else:
-                    expected_via[edge.layer][edge.gx, edge.gy] += 1
+        graph = self.graph
+        n_wire = graph.n_wire
+        ids = np.fromiter(
+            (edge for route in self.routes.values() for edge in route.edges),
+            dtype=np.intp,
+        )
+        wire_ids = ids[ids < n_wire]
+        via_ids = ids[ids >= n_wire] - n_wire
+        wire_flat, expected_wire = flat_views(
+            [usage.shape for usage in graph.wire_usage], np.float64
+        )
+        via_flat, expected_via = flat_views(
+            [usage.shape for usage in graph.via_usage], np.int32
+        )
+        wire_flat[:-1] = np.bincount(wire_ids, minlength=wire_flat.size - 1)
+        via_flat[:-1] = np.bincount(via_ids, minlength=via_flat.size - 1)
         errors: list[str] = []
         for layer, (expected, actual) in enumerate(
-            zip(expected_wire, self.graph.wire_usage)
+            zip(expected_wire, graph.wire_usage)
         ):
             if not np.allclose(expected, actual):
                 delta = float(np.abs(expected - actual).sum())
@@ -419,7 +424,7 @@ class GlobalRouter:
                     f"wire demand mismatch on layer {layer} (|delta|={delta:g})"
                 )
         for layer, (expected, actual) in enumerate(
-            zip(expected_via, self.graph.via_usage)
+            zip(expected_via, graph.via_usage)
         ):
             if not np.array_equal(expected, actual):
                 delta = int(np.abs(expected - actual).sum())
@@ -454,7 +459,8 @@ class GlobalRouter:
         route = self.routes.get(net_name)
         if route is None:
             return 0.0
-        return self.field.path_cost(sorted(route.edges, key=_EDGE_ORDER))
+        # canonical order, so the bits do not depend on set order
+        return self.field.path_cost(self.graph.edge_order(route.edges))
 
     def total_route_cost(self) -> float:
         """Eq. 10 total over every net, summed in canonical design order.
@@ -494,15 +500,17 @@ class GlobalRouter:
 
         Every wire edge contributes its two GCells on its layer, every
         via edge its GCell on both layers, and every terminal its GCell
-        from its pin layer up to the lowest routed layer.  ``expand``
+        on its pin layer and the layer above (capped at the top layer).
+        ``expand``
         grows each guide by that many GCells on every side, mirroring
         the slack detailed routers are given in practice.
         """
         result: dict[str, list[GuideRect]] = {}
+        endpoints = self.graph.endpoints
         for net_name, route in self.routes.items():
             per_layer: dict[int, set[tuple[int, int]]] = defaultdict(set)
             for edge in route.edges:
-                a, b = edge.endpoints(self.graph)
+                a, b = endpoints(edge)
                 per_layer[a[0]].add((a[1], a[2]))
                 per_layer[b[0]].add((b[1], b[2]))
             for layer, gx, gy in route.terminals:

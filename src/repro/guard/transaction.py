@@ -105,7 +105,7 @@ def iteration_violations(
     if not report.is_legal:
         violations.append(f"illegal placement: {report.summary()}")
     violations.extend(router.accounting_errors())
-    post_cost = sum(router.net_cost(name) for name in design.nets)
+    post_cost = router.total_route_cost()
     if post_cost > pre_cost * (1.0 + COST_TOLERANCE) + 1e-9:
         violations.append(
             f"route cost regressed {pre_cost:.3f} -> {post_cost:.3f} "

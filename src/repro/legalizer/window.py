@@ -85,7 +85,7 @@ class _WindowModel:
     being tried, so ``slots`` holds the neighbours ``movable[1:]`` only.
     Lives for one ``run()``: ``_rescale`` derives what depends on the
     target row's site grid, and the slot vectors are built by the first
-    target that misses the memo (``slots is None`` until then).
+    target that needs a solve (``slots is None`` until then).
     """
 
     movable: list[str]
@@ -96,8 +96,6 @@ class _WindowModel:
     site_width: int = 0
     row_height: int = 0
     cell_sites: dict[str, int] = field(default_factory=dict)
-    #: the memo key of a target, minus the target itself
-    key_tail: tuple = ()
     slots: list[_Slots] | None = None
     #: slot pairs of a 3-cell window's two neighbours that do not overlap
     apart: np.ndarray | None = None
@@ -108,9 +106,6 @@ class _WindowModel:
         """Per-cell option lists in ``movable`` order, the pinned one first."""
         pinned = (row_order, self.window_rows[row_order], target_site)
         return [[pinned]] + [slots.options for slots in self.slots]
-
-
-_MEMO_MISS = object()
 
 
 def _eq11_cost(
@@ -143,11 +138,6 @@ class WindowLegalizer:
         self.n_rows = n_rows
         self.max_cells = max_cells
         self.max_targets = max_targets
-        #: window-signature -> solved outcome, scoped to this
-        #: instance (CR&P builds a fresh legalizer per iteration)
-        self._memo: dict = {}
-        self.memo_hits = 0
-        self.memo_misses = 0
         #: enumerated solves, and how many of them had > 1 exact optimum
         self.solves = 0
         self.tie_breaks = 0
@@ -321,7 +311,6 @@ class WindowLegalizer:
             name: self._width_in_sites(cells[name].width, site_width)
             for name in window.movable
         }
-        window.key_tail = self._memo_key_tail(window)
         window.slots = window.apart = None
 
     def _legalize_with_target(
@@ -353,13 +342,7 @@ class WindowLegalizer:
 
         if (row.site.width, row.height) != (window.site_width, window.row_height):
             self._rescale(window, row.site.width, row.height)
-        key = (row_order, target_site) + window.key_tail
-        outcome = self._memo.get(key, _MEMO_MISS)
-        if outcome is _MEMO_MISS:
-            self.memo_misses += 1
-            outcome = self._memo[key] = self._solve(window, row_order, target_site)
-        else:
-            self.memo_hits += 1
+        outcome = self._solve(window, row_order, target_site)
         return self._candidate_from(
             cell_name, movable, target_row, target_site, outcome
         )
@@ -504,13 +487,9 @@ class WindowLegalizer:
         target_site: int,
         outcome,
     ) -> LegalizedCandidate | None:
-        """Materialize a solved outcome against the *current* placement.
-
-        Splitting this from the solve keeps memoized outcomes reusable:
-        the conflict filter compares against live cell positions, which
-        are part of the memo key, so a hit reproduces the exact
-        candidate a fresh solve would have produced.
-        """
+        """Materialize a solved outcome against the *current* placement:
+        a neighbour whose assigned slot is its live position is not a
+        conflict move."""
         if outcome is None:
             return None
         assignments, objective = outcome
@@ -536,44 +515,7 @@ class WindowLegalizer:
             displacement=objective,
         )
 
-    # ------------------------------------------- memo + exact enumerator
-
-    def _memo_key_tail(self, window: _WindowModel) -> tuple:
-        """Everything a window solve's outcome is a function of, bar the
-        pinned target, which ``_legalize_with_target`` prepends.
-
-        Covers the option enumeration (row geometry + free masks +
-        widths in sites), the Eq. 11 costs (medians, site width, row
-        height) and the current positions the conflict filter compares
-        against.  Cell *names* are excluded on purpose — structurally
-        identical subproblems deduplicate.
-        """
-        cells = self.design.cells
-        medians = window.medians
-        return (
-            tuple(
-                (
-                    window.cell_sites[name],
-                    medians[name].x,
-                    medians[name].y,
-                    cells[name].x,
-                    cells[name].y,
-                )
-                for name in window.movable
-            ),
-            tuple(
-                (
-                    rs.band.lx,
-                    rs.row.origin_y,
-                    rs.row.site.width,
-                    rs.row.height,
-                    rs.row.orient,
-                    rs.num_sites,
-                    rs.free.tobytes(),
-                )
-                for rs in window.window_rows
-            ),
-        )
+    # --------------------------------------------------- exact enumerator
 
     def _solve_enumerated(
         self, window: _WindowModel, row_order: int, target_site: int
@@ -651,13 +593,9 @@ class WindowLegalizer:
         metrics = get_metrics()
         if not metrics.recording:
             return
-        metrics.count("crp.window_memo_hits", self.memo_hits)
-        metrics.count("crp.window_memo_misses", self.memo_misses)
         metrics.count("crp.window_solves", self.solves)
         metrics.count("crp.window_tie_breaks", self.tie_breaks)
         metrics.count("crp.window_models", self.models)
-        self.memo_hits = 0
-        self.memo_misses = 0
         self.solves = 0
         self.tie_breaks = 0
         self.models = 0

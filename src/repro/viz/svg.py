@@ -66,8 +66,8 @@ def svg_die_plot(
             route = router.routes.get(net_name)
             if route is None:
                 continue
-            for edge in sorted(route.edges):
-                (l0, x0, y0), (_, x1, y1) = edge.endpoints(router.graph)
+            for edge in router.graph.edge_order(route.edges):
+                (l0, x0, y0), (_, x1, y1) = router.graph.endpoints(edge)
                 a = router.grid.center_of(x0, y0)
                 b = router.grid.center_of(x1, y1)
                 color = _LAYER_COLORS[l0 % len(_LAYER_COLORS)]

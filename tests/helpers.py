@@ -141,3 +141,9 @@ class RecordingLegalizer(WindowLegalizer):
 def slots_overlap(a: tuple, b: tuple) -> bool:
     """Whether two ``RecordingLegalizer`` option slots share a site."""
     return a[1] == b[1] and a[2] < b[3] and b[2] < a[3]
+
+
+def add_usage(graph, edge, amount=1) -> None:
+    """Add ``amount`` of usage on one ``GridEdge`` through the graph's
+    mutator, so every listener hears of it."""
+    graph.apply_route((graph.edge_id(edge),), amount)

@@ -21,10 +21,10 @@ class FreshNetCosts:
     def __init__(self, router) -> None:
         self.router = router
 
-    def note_commit(self, name, edges) -> None:
+    def note_commit(self, name, edges, rows) -> None:
         pass
 
-    def note_rip(self, name, edges) -> None:
+    def note_rip(self, name, edges, rows) -> None:
         pass
 
     def note_all(self) -> None:

@@ -6,6 +6,9 @@ cost model of the router, moved here unchanged but for reading the
 weights and slope from ``repro.grid.field``'s constants.  Every dense
 map value of :class:`repro.grid.field.CostField` must equal its
 ``edge_cost`` bit for bit, and the maze heuristic its ``lower_bound``.
+``demand`` / ``capacity`` are the per-edge Eq. 9 queries it prices
+with, moved here from ``RoutingGraph`` once routes became edge ids and
+nothing in the router asked one edge at a time any more.
 
 ``recompute_line`` is ``CostField._recompute`` as it ran when every
 dirty line of every layer was rebuilt by its own call on 1-D views
@@ -21,6 +24,8 @@ commits, rip-ups, invalidations and rollbacks got it there.
 from __future__ import annotations
 
 import numpy as np
+
+import math
 
 from repro.grid import EdgeKind, GridEdge, RoutingGraph
 from repro.grid.field import (
@@ -46,6 +51,48 @@ def logistic(x: float) -> float:
     return float(1.0 / (1.0 + np.exp(-x)))
 
 
+def via_count_at(graph: RoutingGraph, layer: int, gx: int, gy: int) -> int:
+    """Total vias touching GCell ``(gx, gy)`` on ``layer``."""
+    count = 0
+    if layer - 1 >= 0:
+        count += int(graph.via_usage[layer - 1][gx, gy])
+    if layer < graph.num_layers - 1:
+        count += int(graph.via_usage[layer][gx, gy])
+    return count
+
+
+def endpoints(graph: RoutingGraph, edge: GridEdge):
+    """The two ``(layer, gx, gy)`` nodes ``edge`` joins, lower first
+    (``GridEdge.endpoints`` as it was)."""
+    if edge.kind is EdgeKind.VIA:
+        return ((edge.layer, edge.gx, edge.gy), (edge.layer + 1, edge.gx, edge.gy))
+    if graph.tech.layers[edge.layer].is_horizontal:
+        return ((edge.layer, edge.gx, edge.gy), (edge.layer, edge.gx + 1, edge.gy))
+    return ((edge.layer, edge.gx, edge.gy), (edge.layer, edge.gx, edge.gy + 1))
+
+
+def demand(graph: RoutingGraph, edge: GridEdge) -> float:
+    """Eq. 9 demand of a wire edge."""
+    if edge.kind is not EdgeKind.WIRE:
+        raise ValueError("demand is defined for wire edges")
+    (l0, x0, y0), (l1, x1, y1) = endpoints(graph, edge)
+    assert l0 == l1
+    v_src = via_count_at(graph, l0, x0, y0)
+    v_dst = via_count_at(graph, l1, x1, y1)
+    delta = math.sqrt((v_src + v_dst) / 2.0)
+    return (
+        float(graph.wire_usage[edge.layer][edge.gx, edge.gy])
+        + float(graph.fixed_usage[edge.layer][edge.gx, edge.gy])
+        + graph.beta * delta
+    )
+
+
+def capacity(graph: RoutingGraph, edge: GridEdge) -> float:
+    if edge.kind is not EdgeKind.WIRE:
+        raise ValueError("capacity is defined for wire edges")
+    return float(graph.wire_capacity[edge.layer][edge.gx, edge.gy])
+
+
 class CostModel:
     """Evaluates Eq. 10 over a :class:`RoutingGraph`, edge by edge."""
 
@@ -61,9 +108,7 @@ class CostModel:
         """Logistic congestion penalty in [0, 1]."""
         if not self.use_penalty:
             return 0.0
-        demand = self.graph.demand(edge)
-        capacity = self.graph.capacity(edge)
-        return logistic(SLOPE * (demand - capacity))
+        return logistic(SLOPE * (demand(self.graph, edge) - capacity(self.graph, edge)))
 
     def edge_cost(self, edge: GridEdge) -> float:
         """Eq. 10 cost of one edge."""
@@ -72,8 +117,12 @@ class CostModel:
         return WIRE_WEIGHT * self._wire_dist[edge.layer] * (1.0 + self.penalty(edge))
 
     def path_cost(self, edges: list[GridEdge]) -> float:
-        """Total cost of a route (a list of graph edges)."""
-        return sum(self.edge_cost(edge) for edge in edges)
+        """Total cost of a route (a list of graph edges), left to right
+        (``sum()`` compensates from Python 3.12)."""
+        total = 0.0
+        for edge in edges:
+            total += self.edge_cost(edge)
+        return total
 
     def lower_bound(
         self, a: tuple[int, int, int], b: tuple[int, int, int]

@@ -11,24 +11,99 @@ route, and prefix-sum run costs must agree to float association.
 ``route_segment_all_built`` is ``GlobalRouter._route_segment`` as it ran
 before it ranked plans first: every pattern path materialized and priced
 edge by edge; production must return the same route, edge for edge.
+
+Routes became sets of int edge ids; what the router did with
+``GridEdge`` sets before lives here as the references the id paths are
+pinned to: ``neighbors`` (``RoutingGraph.neighbors``), ``route_nodes``
+(``NetRoute.nodes``), ``net_cost_reference`` (``_net_cost_fresh``
+sorting ``GridEdge`` objects) and ``routes_digest_reference``
+(``routes_digest`` pickling ``sorted`` ``GridEdge`` tuples).
 """
 
 from __future__ import annotations
 
+import hashlib
 import heapq
+import pickle
 from itertools import count
 
-from repro.grid import GridEdge, RoutingGraph
+from repro.ckpt.digest import DIGEST_PROTOCOL
+from repro.grid import EdgeKind, GridEdge, RoutingGraph
 from repro.groute.maze import MAZE_MARGIN, Node, _window
 from repro.groute.patterns import pattern_paths_2d
 from repro.obs import get_metrics
 
-from oracles.field import CostModel
+from oracles.field import CostModel, capacity, demand, endpoints
+
+
+def neighbors(
+    graph: RoutingGraph, node: Node
+) -> list[tuple[Node, GridEdge]]:
+    """Adjacent nodes with the edge that reaches them (for maze search)."""
+    layer, gx, gy = node
+    result: list[tuple[Node, GridEdge]] = []
+    tech_layer = graph.tech.layers[layer]
+    if layer < graph.min_wire_layer:
+        pass  # no wire moves below the first routing layer
+    elif tech_layer.is_horizontal:
+        if gx + 1 < graph.grid.nx:
+            result.append(((layer, gx + 1, gy), GridEdge(layer, gx, gy, EdgeKind.WIRE)))
+        if gx - 1 >= 0:
+            result.append(((layer, gx - 1, gy), GridEdge(layer, gx - 1, gy, EdgeKind.WIRE)))
+    else:
+        if gy + 1 < graph.grid.ny:
+            result.append(((layer, gx, gy + 1), GridEdge(layer, gx, gy, EdgeKind.WIRE)))
+        if gy - 1 >= 0:
+            result.append(((layer, gx, gy - 1), GridEdge(layer, gx, gy - 1, EdgeKind.WIRE)))
+    if layer + 1 < graph.num_layers:
+        result.append(((layer + 1, gx, gy), GridEdge(layer, gx, gy, EdgeKind.VIA)))
+    if layer - 1 >= 0:
+        result.append(((layer - 1, gx, gy), GridEdge(layer - 1, gx, gy, EdgeKind.VIA)))
+    return result
+
+
+def decoded(graph: RoutingGraph, edges) -> list[GridEdge]:
+    """Edge ids as readable ``GridEdge`` values, in the given order."""
+    return [graph.edge(edge) for edge in edges]
+
+
+def route_nodes(graph: RoutingGraph, route) -> set[Node]:
+    """Every graph node a committed route touches, terminals included."""
+    result: set[Node] = set(route.terminals)
+    for edge in decoded(graph, route.edges):
+        result.update(endpoints(graph, edge))
+    return result
+
+
+def net_cost_reference(router, net_name: str) -> float:
+    """A net's Eq. 10 cost summed left to right over its decoded edges in
+    ``sorted(GridEdge)`` order, each read from the field's per-layer map."""
+    route = router.routes.get(net_name)
+    if route is None:
+        return 0.0
+    field = router.field
+    field.ensure()
+    total = 0.0
+    for edge in sorted(decoded(router.graph, route.edges)):
+        if edge.kind is EdgeKind.VIA:
+            total += field.via_cost
+        else:
+            total += float(field._wire_cost[edge.layer][edge.gx, edge.gy])
+    return total
+
+
+def routes_digest_reference(router) -> str:
+    """``routes_digest`` over ``GridEdge`` sets: sorted dataclass tuples."""
+    canon = tuple(
+        (name, tuple(sorted(decoded(router.graph, router.routes[name].edges))))
+        for name in sorted(router.routes)
+    )
+    return hashlib.sha256(pickle.dumps(canon, protocol=DIGEST_PROTOCOL)).hexdigest()
 
 
 def scalar_run_cost(pattern3d, cost_model: CostModel, run, layer: int) -> float:
     """Left-to-right ``edge_cost`` sum over one straight run."""
-    return sum(cost_model.edge_cost(e) for e in pattern3d._run_edges(run, layer))
+    return cost_model.path_cost(decoded(pattern3d.graph, pattern3d._run_edges(run, layer)))
 
 
 def route_segment_all_built(router, src: Node, dst_xy, dst_layer):
@@ -101,12 +176,12 @@ def _maze_route_scalar(
             expansions += 1
             if node in targets:
                 return _reconstruct(node, came_from)
-            for neighbour, edge in graph.neighbors(node):
+            for neighbour, edge in neighbors(graph, node):
                 if not in_window(neighbour):
                     continue
                 step = cost_model.edge_cost(edge)
                 if overflow_penalty > 0.0 and edge.kind.value == "wire":
-                    if graph.demand(edge) >= graph.capacity(edge):
+                    if demand(graph, edge) >= capacity(graph, edge):
                         step += overflow_penalty
                 tentative = g + step
                 if tentative < g_score.get(neighbour, float("inf")) - 1e-12:

@@ -30,8 +30,8 @@ from repro.analyze import (
     write_report,
 )
 from repro.analyze.__main__ import main as analyze_main
-from repro.grid import EdgeKind, GridEdge
 from helpers import fresh_small
+from oracles.groute import route_nodes
 from repro.groute import GlobalRouter
 from repro.ilp import IlpModel, Sense
 from repro.ilp.model import Constraint
@@ -525,7 +525,7 @@ def routed_small():
 
 
 def _corrupting_edge(router, need_uncovered=False):
-    """A (net, wire edge) pair where the edge is disjoint from the net's
+    """A (net, wire edge id) pair where the edge is disjoint from the net's
     route — and, optionally, outside its guides — so adding it corrupts
     connectivity (and coverage) without touching accounting."""
     graph, grid = router.graph, router.grid
@@ -535,12 +535,12 @@ def _corrupting_edge(router, need_uncovered=False):
         route = router.routes[name]
         if not route.terminals:
             continue
-        nodes = route.nodes(graph)
+        nodes = route_nodes(graph, route)
         rects = [g.rect for g in guides.get(name, ()) if g.layer == 1]
         for gx in range(shape[0]):
             for gy in range(shape[1]):
-                edge = GridEdge(1, gx, gy, EdgeKind.WIRE)
-                a, b = edge.endpoints(graph)
+                edge = graph.wire_id(1, gx, gy)
+                a, b = graph.endpoints(edge)
                 if a in nodes or b in nodes or edge in route.edges:
                     continue
                 if need_uncovered:
@@ -602,9 +602,7 @@ class TestInvariants:
     def test_invalid_edge_flagged(self, routed_small):
         _, router = routed_small
         name = sorted(router.routes)[0]
-        router.routes[name].edges.add(
-            GridEdge(1, 10_000, 10_000, EdgeKind.WIRE)
-        )
+        router.routes[name].edges.add(router.graph.num_edges + 10_000)
         rules = {f.rule for f in check_connectivity(router)}
         assert "FLOW-C004" in rules
 

@@ -26,9 +26,9 @@ from repro.guard.faults import FaultPlan, use_faults
 from repro.guard.transaction import IterationTransaction
 from repro.obs import observe
 
-from helpers import fresh_small
-from oracles.field import CostModel, reference_maps
-from oracles.groute import maze_route_scalar, scalar_run_cost
+from helpers import add_usage, fresh_small
+from oracles.field import CostModel, capacity, demand, reference_maps
+from oracles.groute import decoded, maze_route_scalar, scalar_run_cost
 
 
 def all_wire_edges(graph: RoutingGraph) -> list[GridEdge]:
@@ -42,16 +42,16 @@ def all_wire_edges(graph: RoutingGraph) -> list[GridEdge]:
 
 
 def randomize_usage(graph: RoutingGraph, seed: int) -> None:
-    """Drive usage through the graph mutators so listeners fire."""
+    """Drive usage through the graph mutator so listeners fire."""
     rng = np.random.RandomState(seed)
     for edge in all_wire_edges(graph):
         if rng.rand() < 0.3:
-            graph.add_wire(edge, float(rng.randint(1, 5)))
+            add_usage(graph, edge, float(rng.randint(1, 5)))
     for layer in range(graph.num_layers - 1):
         nx, ny = graph.via_usage[layer].shape
         for _ in range(nx * ny // 3):
             gx, gy = rng.randint(nx), rng.randint(ny)
-            graph.add_via(GridEdge(layer, int(gx), int(gy), EdgeKind.VIA))
+            add_usage(graph, GridEdge(layer, int(gx), int(gy), EdgeKind.VIA))
 
 
 def assert_field_matches_oracle(
@@ -59,9 +59,9 @@ def assert_field_matches_oracle(
 ) -> None:
     """Every edge cost bit-equal; no tolerance."""
     for edge in all_wire_edges(graph):
-        assert field.edge_cost(edge) == oracle.edge_cost(edge), edge
+        assert field.edge_cost(graph.edge_id(edge)) == oracle.edge_cost(edge), edge
     via = GridEdge(0, 0, 0, EdgeKind.VIA)
-    assert field.edge_cost(via) == oracle.edge_cost(via)
+    assert field.edge_cost(graph.edge_id(via)) == oracle.edge_cost(via)
 
 
 @pytest.fixture()
@@ -117,12 +117,12 @@ def test_parity_after_ripup_reroute(routed_graph):
 
 
 def test_invalidation_is_incremental(routed_graph):
-    """A single add_wire recomputes one line, not the whole layer."""
+    """One wire's usage change recomputes one line, not the whole layer."""
     router, field, _ = routed_graph
     field.ensure()  # start clean
     edge = all_wire_edges(router.graph)[0]
     before = field._lines_recomputed
-    router.graph.add_wire(edge)
+    add_usage(router.graph, edge)
     field.ensure()
     assert field._lines_recomputed == before + 1
     # A clean field is a hit: no further recompute.
@@ -139,7 +139,7 @@ def test_via_change_dirties_adjacent_wire_layers(routed_graph):
     field.ensure()
     cut = graph.min_wire_layer  # cut between wire layers cut and cut+1
     lines, flushes = field._lines_recomputed, field._flushes
-    graph.add_via(GridEdge(cut, 1, 1, EdgeKind.VIA))
+    add_usage(graph, GridEdge(cut, 1, 1, EdgeKind.VIA))
     assert_field_matches_oracle(graph, field, oracle)
     assert field._lines_recomputed == lines + 2
     assert field._flushes == flushes + 1
@@ -177,9 +177,9 @@ def test_overflow_edges_matches_scalar_scan(routed_graph):
     graph = router.graph
     randomize_usage(graph, seed=23)
     expected = [
-        e
+        graph.edge_id(e)
         for e in all_wire_edges(graph)
-        if graph.demand(e) > graph.capacity(e)
+        if demand(graph, e) > capacity(graph, e)
     ]
     assert field.overflow_edges() == expected
     assert expected  # the randomized usage must actually overflow
@@ -425,7 +425,7 @@ def test_maze_matches_scalar_reference(tech45, seed, overflow_penalty):
             graph, CostModel(graph), set(sources), set(targets),
             margin=margin, overflow_penalty=overflow_penalty,
         )
-        assert dense == scalar
+        assert (dense if dense is None else decoded(graph, dense)) == scalar
         found += bool(dense)
     assert found  # the draws must produce real searches, not only overlaps
 

@@ -142,7 +142,7 @@ def test_running_total_survives_rollback():
     assert router.total_route_cost() == baseline == full_rescan(design, router)
 
 
-# ------------------------------------------------- window solver + memo
+# ------------------------------------------------------- window solver
 
 
 def highs_optimum(options) -> float | None:
@@ -221,7 +221,7 @@ def test_traced_iteration_publishes_window_counters():
     assert observation.metrics.counter("crp.window_tie_breaks") > 0
 
 
-def test_window_memo_hits_are_deterministic():
+def test_window_repeat_solves_are_deterministic():
     design, router = routed(seed=21)
     config = CrpConfig()
     CrpFramework(design, router, config)
@@ -234,16 +234,19 @@ def test_window_memo_hits_are_deterministic():
         max_targets=config.max_targets,
     )
     for name in critical:
+        before = legalizer.solves
         first = [
             (c.position, dict(c.conflict_moves), c.displacement)
             for c in legalizer.run(name)
         ]
+        once = legalizer.solves - before
         second = [
             (c.position, dict(c.conflict_moves), c.displacement)
             for c in legalizer.run(name)
         ]
         assert first == second
-    assert legalizer.memo_hits > 0
+        assert legalizer.solves - before == 2 * once
+    assert legalizer.solves > 0
 
 
 # --------------------------------------------------- end-to-end iteration

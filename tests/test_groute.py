@@ -6,7 +6,9 @@ from repro.grid import EdgeKind, GridEdge
 from repro.groute import GlobalRouter, maze_route, pattern_paths_2d
 from repro.groute.patterns import runs_of_path
 
-from helpers import add_cell, add_two_pin_net, build_tiny_design, fresh_small
+from helpers import add_cell, add_two_pin_net, add_usage, build_tiny_design, fresh_small
+from oracles.field import capacity
+from oracles.groute import decoded
 
 
 # --------------------------------------------------------------- patterns
@@ -69,8 +71,9 @@ def test_pattern3d_straight(routed_tiny):
     router = GlobalRouter(routed_tiny)
     result = router.pattern3d.route([(0, 0), (3, 0)], 0, 0)
     assert result is not None
-    wires = [e for e in result.edges if e.kind is EdgeKind.WIRE]
-    vias = [e for e in result.edges if e.kind is EdgeKind.VIA]
+    edges = decoded(router.graph, result.edges)
+    wires = [e for e in edges if e.kind is EdgeKind.WIRE]
+    vias = [e for e in edges if e.kind is EdgeKind.VIA]
     assert len(wires) == 3
     # Run must sit on a horizontal layer >= min_wire_layer; vias connect
     # pin layer 0 up and back down.
@@ -86,7 +89,7 @@ def test_pattern3d_same_gcell_via_stack(routed_tiny):
     router = GlobalRouter(routed_tiny)
     result = router.pattern3d.route([(2, 2)], 0, 3)
     assert result is not None
-    assert all(e.kind is EdgeKind.VIA for e in result.edges)
+    assert all(e.kind is EdgeKind.VIA for e in decoded(router.graph, result.edges))
     assert len(result.edges) == 3
 
 
@@ -107,14 +110,16 @@ def test_pattern3d_avoids_congested_layer(routed_tiny):
         if l.is_horizontal and l.index >= graph.min_wire_layer
     ]
     clean = router.pattern3d.route([(0, 0), (3, 0)], 0, 0)
-    used_layer = next(e.layer for e in clean.edges if e.kind is EdgeKind.WIRE)
+    used_layer = next(
+        e.layer for e in decoded(graph, clean.edges) if e.kind is EdgeKind.WIRE
+    )
     for gx in range(3):
-        graph.add_wire(
-            GridEdge(used_layer, gx, 0, EdgeKind.WIRE),
-            amount=graph.capacity(GridEdge(used_layer, gx, 0, EdgeKind.WIRE)) + 5,
-        )
+        edge = GridEdge(used_layer, gx, 0, EdgeKind.WIRE)
+        add_usage(graph, edge, amount=capacity(graph, edge) + 5)
     rerouted = router.pattern3d.route([(0, 0), (3, 0)], 0, 0)
-    new_layer = next(e.layer for e in rerouted.edges if e.kind is EdgeKind.WIRE)
+    new_layer = next(
+        e.layer for e in decoded(graph, rerouted.edges) if e.kind is EdgeKind.WIRE
+    )
     assert new_layer != used_layer
 
 
@@ -131,7 +136,7 @@ def test_maze_route_connects(routed_tiny):
     # Path must be a connected edge walk from source to target.
     nodes = set()
     for edge in path:
-        a, b = edge.endpoints(router.graph)
+        a, b = router.graph.endpoints(edge)
         nodes.add(a)
         nodes.add(b)
     assert (1, 0, 0) in nodes and (1, 3, 3) in nodes
@@ -184,11 +189,10 @@ def test_routes_are_connected_trees():
     for name, route in router.routes.items():
         if not route.edges:
             continue
-        nodes = route.nodes(router.graph)
         # BFS over edges from one terminal must reach all terminals.
         adjacency = {}
         for edge in route.edges:
-            a, b = edge.endpoints(router.graph)
+            a, b = router.graph.endpoints(edge)
             adjacency.setdefault(a, []).append(b)
             adjacency.setdefault(b, []).append(a)
         start = route.terminals[0]
@@ -238,7 +242,7 @@ def test_guides_cover_route():
         for g in rects:
             per_layer.setdefault(g.layer, []).append(g.rect)
         for edge in route.edges:
-            for layer, gx, gy in edge.endpoints(router.graph):
+            for layer, gx, gy in router.graph.endpoints(edge):
                 center = router.grid.center_of(gx, gy)
                 assert any(
                     r.contains_point(center) for r in per_layer.get(layer, [])
@@ -250,9 +254,16 @@ def test_usage_consistent_after_rrr():
     design = fresh_small(seed=7)
     router = GlobalRouter(design)
     router.route_all(rrr_passes=2)
-    expected_vias = sum(r.via_count() for r in router.routes.values())
-    assert router.total_vias() == expected_vias
+    edges = [
+        edge
+        for route in router.routes.values()
+        for edge in decoded(router.graph, route.edges)
+    ]
+    assert router.total_vias() == sum(e.kind is EdgeKind.VIA for e in edges)
+    grid, layers = router.grid, router.graph.tech.layers
     expected_wl = sum(
-        r.wirelength_dbu(router.grid, router.graph) for r in router.routes.values()
+        grid.step_x if layers[e.layer].is_horizontal else grid.step_y
+        for e in edges
+        if e.kind is EdgeKind.WIRE
     )
     assert router.total_wirelength_dbu() == expected_wl

@@ -4,12 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geom import Point
+from repro.ckpt import routes_digest
 from repro.db.design import GCellGridSpec
 from repro.grid import CostField, EdgeKind, GCellGrid, RoutingGraph
-from repro.groute import PatternRouter3D, maze_route, pattern_paths_2d
+from repro.groute import GlobalRouter, PatternRouter3D, maze_route, pattern_paths_2d
 from repro.benchgen import build_tech
 
+from helpers import fresh_small
 from oracles.field import CostModel
+from oracles.groute import decoded, net_cost_reference, routes_digest_reference
 
 _TECH = build_tech("45nm")
 _GRID = GCellGrid(GCellGridSpec(0, 0, 2000, 2000, 12, 12))
@@ -40,7 +43,7 @@ def _edges_connect(graph, edges, src, dst):
         return True
     adjacency = {}
     for edge in edges:
-        p, q = edge.endpoints(graph)
+        p, q = graph.endpoints(edge)
         adjacency.setdefault(p, set()).add(q)
         adjacency.setdefault(q, set()).add(p)
     if src not in adjacency:
@@ -69,7 +72,7 @@ def test_pattern3d_routes_connect_endpoints(a, b, src_layer, dst_layer):
     assert _edges_connect(graph, result.edges, src, dst)
     # Cost is the sum of edge costs under the scalar Eq. 10 definition.
     model = CostModel(graph)
-    assert result.cost == model.path_cost(result.edges)
+    assert result.cost == model.path_cost(decoded(graph, result.edges))
 
 
 @settings(max_examples=25, deadline=None)
@@ -108,8 +111,52 @@ def test_maze_multi_source_reaches_some_target(nodes):
         return
     endpoints = set()
     for edge in path:
-        p, q = edge.endpoints(graph)
+        p, q = graph.endpoints(edge)
         endpoints.add(p)
         endpoints.add(q)
     assert endpoints & sources
     assert endpoints & targets
+
+
+#: one step of a route edit sequence: (operation, net index, net index)
+route_steps = st.lists(
+    st.tuples(
+        st.sampled_from(["commit", "rip", "reroute", "maze"]),
+        st.integers(0, 49),
+        st.integers(0, 49),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(0, 3), route_steps)
+def test_id_routes_match_grid_edge_references(seed, steps):
+    """Random commit / rip / reroute / maze-reroute sequences on edge-id
+    routes: after every step each net's fresh cost has the bits of a
+    ``sorted(GridEdge)`` left-to-right sum, the cost cache serves fresh
+    values, the usage arrays match the routes, and the digest is the
+    one ``GridEdge`` sets give."""
+    design = fresh_small(seed=seed)
+    router = GlobalRouter(design)
+    router.route_all(rrr_passes=1)
+    router.enable_incremental_cost()
+    names = sorted(design.nets)
+    for op, i, j in steps:
+        a, b = names[i % len(names)], names[j % len(names)]
+        if op == "commit":
+            router.route_net(a)
+        elif op == "rip":
+            router.rip_up(a)
+        elif op == "reroute":
+            router.reroute_nets(sorted({a, b}))
+        else:
+            router._maze_reroute(a)
+        fresh = {name: router._net_cost_fresh(name) for name in names}
+        for name in names:
+            assert fresh[name] == net_cost_reference(router, name), name
+            assert router.net_cost(name) == fresh[name], name
+        assert router.total_route_cost() == sum(fresh[n] for n in design.nets)
+        assert router.accounting_errors() == []
+        assert routes_digest(router) == routes_digest_reference(router)
