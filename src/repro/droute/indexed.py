@@ -9,10 +9,14 @@ dict-of-tuple maps, which removes the tuple hashing and boxing that
 dominates the dict-based reference (``tests/oracles/droute.py``).
 
 Per-search state costs O(expanded), not O(lattice): ``g_score`` defaults
-to ``inf`` and every slot written during a search is recorded in a local
-``touched`` list and restored to ``inf`` in the search's ``finally``, so
-a relax attempt reads exactly one array slot to learn the incumbent
-cost.  Target membership is epoch-stamped (bump a counter, compare
+to ``inf`` and ``came_from`` to ``-1``, every slot written during a
+search is recorded in a local ``touched`` list and both are restored in
+the search's ``finally``, so a relax attempt reads exactly one array
+slot to learn the incumbent cost and no search leaves a node id alive
+behind it.  What does not depend on the search -- the per-layer step
+descriptors and the ramps the heuristic's per-axis tables are sliced
+from -- is built once per session (:meth:`DrouteIndex.search_tables`).
+Target membership is epoch-stamped (bump a counter, compare
 stamps), and guide membership uses a per-net ``guide_stamp`` filled by
 row-contiguous slice assignment, so building a net's guide region costs
 O(guide-area) slice stores instead of O(guide-area) tuple insertions.
@@ -137,7 +141,7 @@ class DrouteIndex:
         "names", "ids", "owner", "occupancy",
         "g_score", "came_from", "target_epoch", "guide_epoch",
         "gate", "epoch", "guide_stamp", "gate_stamp",
-        "reservations", "params", "margin",
+        "reservations", "params", "margin", "_tables_key", "_tables",
     )
 
     def __init__(
@@ -169,8 +173,8 @@ class DrouteIndex:
             owner[(layer * ny + iy) * nx + ix] = self.intern(name)
         self.owner: list[int] = owner.tolist()
         self.occupancy: list[int] = [0] * n
-        #: inf everywhere between searches; each search restores what it
-        #: wrote (its ``touched`` list) on the way out
+        #: inf / -1 everywhere between searches; each search restores
+        #: what it wrote (its ``touched`` list) on the way out
         self.g_score: list[float] = [_INF] * n
         self.came_from: list[int] = [-1] * n
         self.target_epoch: list[int] = [0] * n
@@ -188,6 +192,9 @@ class DrouteIndex:
         self.epoch = 0
         self.guide_stamp = 0
         self.gate_stamp = 0
+        #: :meth:`search_tables` of the last ``SearchParams`` asked for
+        self._tables_key: tuple | None = None
+        self._tables: tuple = ()
 
     # ------------------------------------------------------------- interning
 
@@ -213,6 +220,75 @@ class DrouteIndex:
         ix = nid % self.nx
         rest = nid // self.nx
         return (rest // self.ny, ix, rest % self.ny)
+
+    # ---------------------------------------------------------------- tables
+
+    def search_tables(self, params: SearchParams) -> tuple:
+        """``(steps_of, x_ramps, y_ramps, l_ramps)`` for ``params``.
+
+        Built on the first search of a session and again only when the
+        cost constants change (never, in the router: one ``SearchParams``
+        per session).  ``steps_of[layer]`` is the layer's step
+        descriptors (:func:`astar_connect_indexed`, *Steps*); a penalty
+        table is indexed by a ``gate`` code's offset: ``pen``, the wall
+        (never read), ``_INSIDE + pen``.  The ramps are the ``(down,
+        zero, up)`` lists :func:`_ramp` slices one heuristic axis from.
+        """
+        key = (
+            params.via_cost, params.jog_factor,
+            params.conflict_penalty, params.off_guide_penalty,
+        )
+        if key == self._tables_key:
+            return self._tables
+        lattice = self.lattice
+        pitch = lattice.pitch
+        nx, ny, num_layers = self.nx, self.ny, self.num_layers
+        layer_stride = nx * ny
+        via_cost = float(params.via_cost)
+        # A float like the other two steps (exact: a dbu count), so that
+        # the relax's ``g + step`` is always float + float.
+        wire_cost = float(pitch)
+        jog_cost = params.jog_factor * pitch
+        conflict_penalty = float(params.conflict_penalty)
+        off_guide_penalty = float(params.off_guide_penalty)
+        pens_wire, pens_jog, pens_via = (
+            by_pen + (_INF,) + by_pen
+            for by_pen in (
+                (
+                    step,
+                    step + off_guide_penalty,
+                    step + conflict_penalty,
+                    (step + conflict_penalty) + off_guide_penalty,
+                )
+                for step in (wire_cost, jog_cost, via_cost)
+            )
+        )
+        x_steps = ((1, 1, 0), (-1, -1, 0))  # (nid delta, dx, dy)
+        y_steps = ((nx, 0, 1), (-nx, 0, -1))
+        steps_of = []
+        for layer in range(num_layers):
+            steps = []
+            if layer >= lattice.min_wire_layer:
+                horizontal = lattice.tech.layers[layer].is_horizontal
+                along, across = (x_steps, y_steps) if horizontal else (y_steps, x_steps)
+                steps += [(dnid, wire_cost, pens_wire, dx, dy, 0) for dnid, dx, dy in along]
+                steps += [(dnid, jog_cost, pens_jog, dx, dy, 0) for dnid, dx, dy in across]
+            if layer + 1 < num_layers:
+                steps.append((layer_stride, via_cost, pens_via, 0, 0, 1))
+            if layer > 0:
+                steps.append((-layer_stride, via_cost, pens_via, 0, 0, -1))
+            steps_of.append(tuple(steps))
+        # ``pitch`` is an int (dbu), so the x and y terms are ints and
+        # ``(pdx[x] + pdy[y]) + vdl[l]`` is the oracle's ``pitch * (dx +
+        # dy) + via_cost * dl`` float bit-for-bit.
+        self._tables = (
+            tuple(steps_of),
+            _ramps(pitch, nx, 0),
+            _ramps(pitch, ny, 0),
+            _ramps(via_cost, num_layers, 0.0),
+        )
+        self._tables_key = key
+        return self._tables
 
     # ---------------------------------------------------------------- guides
 
@@ -293,22 +369,39 @@ class DrouteIndex:
             toll=toll,
         )
 
-    def run_clear(self, nodes, net_name: str, guide) -> bool:
-        """Every node of ``nodes`` is free or ``net_name``'s own, and in ``guide``."""
+    def polyline_clear(self, corners, net_name: str, guide) -> bool:
+        """Every node of the axis-parallel polyline through ``corners``
+        after the first is free or ``net_name``'s own, and in ``guide``.
+
+        Each leg is one strided slice of ``owner``, ``occupancy`` and
+        ``guide_epoch`` (a leg's unit step is 1, ``nx`` or ``nx * ny``
+        ids), judged by ``list.count``: the node order of a walk does not
+        matter to an all-nodes test.
+        """
         net_id = self.intern(net_name)
         owner = self.owner
         occupancy = self.occupancy
         guide_epoch = self.guide_epoch
         nx, ny = self.nx, self.ny
-        for layer, ix, iy in nodes:
-            nid = (layer * ny + iy) * nx + ix
-            holder = owner[nid]
-            if holder != 0 and holder != net_id:
+        layer, ix, iy = corners[0]
+        nid = (layer * ny + iy) * nx + ix
+        for layer, ix, iy in corners[1:]:
+            end = (layer * ny + iy) * nx + ix
+            delta = end - nid
+            if not delta:
+                continue
+            unit = 1 if -nx < delta < nx else (nx if -nx * ny < delta < nx * ny else nx * ny)
+            # the leg's nodes after ``nid``, as an ascending slice
+            leg = slice(nid + unit, end + 1, unit) if delta > 0 else slice(end, nid, unit)
+            nid = end
+            size = abs(delta) // unit
+            held = owner[leg]
+            if held.count(0) + held.count(net_id) != size:
                 return False
-            holder = occupancy[nid]
-            if holder != 0 and holder != net_id:
+            held = occupancy[leg]
+            if held.count(0) + held.count(net_id) != size:
                 return False
-            if guide is not None and guide_epoch[nid] != guide:
+            if guide is not None and guide_epoch[leg].count(guide) != size:
                 return False
         return True
 
@@ -363,11 +456,14 @@ def pocket_closed(
     hard or soft: free-or-own in both ``owner`` and ``occupancy`` and,
     when a guide is given, carrying its stamp (``guide_stamp=None``: no
     guide test).  Targets seed the flood whoever holds them -- an
-    off-guide one is marked but not flooded from.  Planar steps exist
-    only on layers >= ``min_wire_layer`` and follow the search's window
-    rule mirrored -- the *stepping* node is tested against the far
-    bound, so the node stepped onto is tested against the near one;
-    vias are unbounded.  Every predecessor is tested for source
+    off-guide one is marked but not flooded from.  The predecessors of a
+    node are found from the search's own step descriptors
+    (:meth:`DrouteIndex.search_tables`): each of the node's steps, taken
+    backwards, reaches a node that steps onto it by the opposite one.
+    Planar steps exist only on layers >= ``min_wire_layer`` and follow
+    the search's window rule mirrored -- the *stepping* node is tested
+    against the far bound, so the node stepped onto is tested against
+    the near one; vias are unbounded.  Every predecessor is tested for source
     membership before anything else -- sources are seeds, never entered,
     so they need be neither passable nor inside ``bounds``.
 
@@ -387,16 +483,23 @@ def pocket_closed(
     If the flood meets a source or visits more than
     :data:`POCKET_BUDGET` nodes the answer is "unknown" (``False``) and
     the search runs as if nobody had looked.
+
+    The order the flood visits nodes in is free: whether it closes (its
+    whole closure, no more than the budget, meets no source) and what it
+    has marked when it does are properties of the closure, and the marks
+    an "unknown" look leaves are read by no search (only a toll makes a
+    search read the block below its own).
     """
     nx = index.nx
     ny = index.ny
-    layer_stride = nx * ny
     last_ix = nx - 1
     last_iy = ny - 1
-    top = index.num_layers - 1
-    min_wire = index.lattice.min_wire_layer
     budget = POCKET_BUDGET
     ix0, iy0, ix1, iy1 = bounds
+    # where every planar neighbour may step onto the node
+    in_x0, in_x1 = max(ix0, 1), min(ix1, last_ix - 1)
+    in_y0, in_y1 = max(iy0, 1), min(iy1, last_iy - 1)
+    steps_of = index.search_tables(index.params)[0]
     owner = index.owner
     occupancy = index.occupancy
     guide_epoch = index.guide_epoch
@@ -427,22 +530,22 @@ def pocket_closed(
         ix = nid % nx
         rest = nid // nx
         iy = rest % ny
-        layer = rest // ny
-        preds = []
-        if layer >= min_wire:
-            if 0 < ix <= ix1:
-                preds.append(nid - 1)
-            if ix0 <= ix < last_ix:
-                preds.append(nid + 1)
-            if 0 < iy <= iy1:
-                preds.append(nid - nx)
-            if iy0 <= iy < last_iy:
-                preds.append(nid + nx)
-        if layer > 0:
-            preds.append(nid - layer_stride)
-        if layer < top:
-            preds.append(nid + layer_stride)
-        for pid in preds:
+        # The node's own steps, each read backwards: the neighbour a
+        # step reaches is a predecessor by the opposite step, which its
+        # layer has too.  Near the window the search's rule applies to
+        # that neighbour: a +x step (-x predecessor) needs the node
+        # short of ``last_ix`` and at or past ``ix0``, and so on.
+        steps = steps_of[rest // ny]
+        if not (in_x0 <= ix <= in_x1 and in_y0 <= iy <= in_y1):
+            steps = [
+                d for d in steps
+                if (d[3] <= 0 or ix0 <= ix < last_ix)
+                and (d[3] >= 0 or 0 < ix <= ix1)
+                and (d[4] <= 0 or iy0 <= iy < last_iy)
+                and (d[4] >= 0 or 0 < iy <= iy1)
+            ]
+        for d in steps:
+            pid = nid + d[0]
             mark = look[pid]
             if mark >= seen:
                 if mark == is_source:
@@ -489,7 +592,10 @@ def astar_connect_indexed(
     base step, penalty table, dx, dy, dl)`` in the oracle's candidate
     order: along-track +/-, jog +/-, via up, via down; layers below
     ``min_wire_layer`` have vias only, and a via that would leave the
-    stack is absent.  An expansion strictly inside ``bounds`` iterates
+    stack is absent.  They, and the ramps the heuristic tables are
+    sliced from, are the session's (:meth:`DrouteIndex.search_tables`);
+    what a search builds for itself is its nine ``gate`` codes and
+    three table slices.  An expansion strictly inside ``bounds`` iterates
     its layer's tuple as is.  One on or outside the edge filters it with
     the *window rule*: a planar step needs the stepping node short of
     the far bound in the direction of motion (``ix < ix1`` for +x,
@@ -514,7 +620,8 @@ def astar_connect_indexed(
     and only then the heuristic for the push.  ``pens`` is ``(step,
     step + off_guide, step + conflict, (step + conflict) + off_guide)``,
     the oracle's addition order, and the heuristic comes from per-axis
-    lookup tables (``pdx``/``pdy``/``vdl``): the track pitch is an
+    lookup tables (``pdx``/``pdy``/``vdl``, each three slices of a
+    session ramp, :func:`_ramp`): the track pitch is an
     integral dbu count, so the tabulated terms recompose into the
     oracle's ``pitch * (dx + dy) + via_cost * dl`` bit-for-bit.  Every
     accepted ``tentative`` and every ``f`` is therefore the oracle's
@@ -545,17 +652,7 @@ def astar_connect_indexed(
         node = next(iter(overlap))
         return SearchResult(path=[node], cost=0.0, conflicts=[])
 
-    lattice = index.lattice
-    pitch = lattice.pitch
-    via_cost = float(params.via_cost)
-    jog_cost = params.jog_factor * pitch
-    conflict_penalty = float(params.conflict_penalty)
-    off_guide_penalty = float(params.off_guide_penalty)
-    horiz = tuple(layer.is_horizontal for layer in lattice.tech.layers)
-    num_layers = len(horiz)
-    min_wire = lattice.min_wire_layer
     ix0, iy0, ix1, iy1 = bounds
-
     t_ix0 = min(t[1] for t in targets)
     t_ix1 = max(t[1] for t in targets)
     t_iy0 = min(t[2] for t in targets)
@@ -565,7 +662,6 @@ def astar_connect_indexed(
 
     nx = index.nx
     ny = index.ny
-    layer_stride = nx * ny
     owner = index.owner
     occupancy = index.occupancy
     g_score = index.g_score
@@ -591,58 +687,10 @@ def astar_connect_indexed(
     h_weight = 1.0 if toll else params.heuristic_weight
     has_guide = guide_stamp is not None
 
-    # A float like the other two steps (exact: a dbu count), so that the
-    # relax's ``g + step`` is always float + float.
-    wire_cost = float(pitch)
-    # Penalized step costs, formed in the oracle's addition order (base,
-    # ``+= conflict``, ``+= off_guide``) and indexed by code offset:
-    # ``pen``, the wall (never read), ``_INSIDE + pen``.
-    pens_wire, pens_jog, pens_via = (
-        by_pen + (_INF,) + by_pen
-        for by_pen in (
-            (
-                step,
-                step + off_guide_penalty,
-                step + conflict_penalty,
-                (step + conflict_penalty) + off_guide_penalty,
-            )
-            for step in (wire_cost, jog_cost, via_cost)
-        )
-    )
-    x_steps = ((1, 1, 0), (-1, -1, 0))  # (nid delta, dx, dy)
-    y_steps = ((nx, 0, 1), (-nx, 0, -1))
-    steps_of = []
-    for layer in range(num_layers):
-        steps = []
-        if layer >= min_wire:
-            along, across = (x_steps, y_steps) if horiz[layer] else (y_steps, x_steps)
-            steps += [(dnid, wire_cost, pens_wire, dx, dy, 0) for dnid, dx, dy in along]
-            steps += [(dnid, jog_cost, pens_jog, dx, dy, 0) for dnid, dx, dy in across]
-        if layer + 1 < num_layers:
-            steps.append((layer_stride, via_cost, pens_via, 0, 0, 1))
-        if layer > 0:
-            steps.append((-layer_stride, via_cost, pens_via, 0, 0, -1))
-        steps_of.append(tuple(steps))
-
-    # Per-axis heuristic tables.  ``pitch`` is an int (dbu), so
-    # ``pdx[x] + pdy[y] == pitch * (dx + dy)`` exactly, and
-    # ``(pdx[x] + pdy[y]) + vdl[l]`` reproduces the oracle's
-    # ``pitch * (dx + dy) + via_cost * dl`` float bit-for-bit.
-    pdx = [
-        pitch * (t_ix0 - x) if x < t_ix0
-        else (pitch * (x - t_ix1) if x > t_ix1 else 0)
-        for x in range(nx)
-    ]
-    pdy = [
-        pitch * (t_iy0 - y) if y < t_iy0
-        else (pitch * (y - t_iy1) if y > t_iy1 else 0)
-        for y in range(ny)
-    ]
-    vdl = [
-        via_cost * (t_l0 - l) if l < t_l0
-        else (via_cost * (l - t_l1) if l > t_l1 else 0.0)
-        for l in range(num_layers)
-    ]
+    steps_of, x_ramps, y_ramps, l_ramps = index.search_tables(params)
+    pdx = _ramp(x_ramps, t_ix0, t_ix1)
+    pdy = _ramp(y_ramps, t_iy0, t_iy1)
+    vdl = _ramp(l_ramps, t_l0, t_l1)
 
     touched: list[int] = []
     touched_append = touched.append
@@ -658,7 +706,6 @@ def astar_connect_indexed(
         layer, six, siy = s
         nid = (layer * ny + siy) * nx + six
         g_score[nid] = 0.0
-        came_from[nid] = -1
         touched_append(nid)
         f = h_weight * (pdx[six] + pdy[siy] + vdl[layer])
         b = bget(f)
@@ -758,12 +805,32 @@ def astar_connect_indexed(
     finally:
         for tid in touched:
             g_score[tid] = _INF
+            came_from[tid] = -1
         if stats is not None:
             stats.record(expansions)
         else:
             metrics = get_metrics()
             metrics.count("droute.astar_calls")
             metrics.observe("droute.astar_expansions", expansions)
+
+
+def _ramps(unit, n: int, zero) -> tuple[list, list, list]:
+    """``(down, zero, up)`` for one axis of ``n`` coordinates: ``unit *
+    n .. unit * 1``, ``n`` zeros, ``unit * 0 .. unit * (n - 1)``."""
+    return (
+        [unit * k for k in range(n, 0, -1)],
+        [zero] * n,
+        [unit * k for k in range(n)],
+    )
+
+
+def _ramp(ramps: tuple[list, list, list], lo: int, hi: int) -> list:
+    """One axis of the heuristic for a target box ``[lo, hi]`` on it, per
+    coordinate ``c``: ``unit * (lo - c)`` below, zero on, ``unit * (c -
+    hi)`` above -- three slices of :func:`_ramps`' lists."""
+    down, zero, up = ramps
+    n = len(down)
+    return down[n - lo:] + zero[:hi - lo + 1] + up[1:n - hi]
 
 
 def _build_result(

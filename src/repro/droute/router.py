@@ -449,72 +449,73 @@ class DetailedRouter:
         A candidate is accepted only when every node on it is free for
         this net and inside the guides — so the result is always one
         the hard A* pass could also have found.
+
+        A candidate is its six corners (source, two bends on each leg
+        layer, target), and its cost is closed-form, ``pitch`` per wire
+        step plus ``via_cost`` per via step -- exact, every addend being
+        an integral dbu count.  Candidates are tried cheapest first,
+        candidate order breaking ties, and the first clear one wins: the
+        earliest of the cheapest clear ones, as when every candidate was
+        built and checked.  So only a candidate that could still win is
+        checked (``state.polyline_clear``, over its node-id legs) and only
+        the winner is expanded into nodes.  The reference that built all
+        eight paths as tuples is ``tests/oracles/droute.py``.
         """
-        lattice = self.lattice
         if len(sources) * len(targets) <= 64:
-            src, dst = min(
-                ((s, t) for s in sources for t in targets),
-                key=lambda pair: (
-                    abs(pair[0][1] - pair[1][1])
-                    + abs(pair[0][2] - pair[1][2])
-                    + abs(pair[0][0] - pair[1][0])
-                ),
-            )
+            best_distance = None
+            for s in sources:
+                sl, sx, sy = s
+                for t in targets:
+                    distance = abs(sx - t[1]) + abs(sy - t[2]) + abs(sl - t[0])
+                    if best_distance is None or distance < best_distance:
+                        best_distance = distance
+                        src, dst = s, t
         else:
             src, dst = _nearest_pair(sources, targets)
 
-        def stack(ix: int, iy: int, l0: int, l1: int) -> list[LNode]:
-            step = 1 if l1 >= l0 else -1
-            return [(l, ix, iy) for l in range(l0, l1 + step, step)]
-
-        def run(layer: int, fixed: int, a: int, b: int, horizontal: bool) -> list[LNode]:
-            step = 1 if b >= a else -1
-            if horizontal:
-                return [(layer, v, fixed) for v in range(a, b + step, step)]
-            return [(layer, fixed, v) for v in range(a, b + step, step)]
-
         (sl, sx, sy), (tl, tx, ty) = src, dst
-        candidates: list[list[LNode]] = []
+        wire = self.lattice.pitch * (abs(tx - sx) + abs(ty - sy))
+        via_cost = self.params.via_cost
+        candidates = []
         for h in self._h_layers:
             for v in self._v_layers:
                 # horizontal first: src -> (tx, sy) on h, then vertical on v
-                path = (
-                    stack(sx, sy, sl, h)
-                    + run(h, sy, sx, tx, True)[1:]
-                    + stack(tx, sy, h, v)[1:]
-                    + run(v, tx, sy, ty, False)[1:]
-                    + stack(tx, ty, v, tl)[1:]
-                )
-                candidates.append(path)
+                candidates.append((
+                    wire + via_cost * (abs(h - sl) + abs(v - h) + abs(tl - v)),
+                    len(candidates),
+                    (src, (h, sx, sy), (h, tx, sy), (v, tx, sy), (v, tx, ty), dst),
+                ))
                 # vertical first
-                path = (
-                    stack(sx, sy, sl, v)
-                    + run(v, sx, sy, ty, False)[1:]
-                    + stack(sx, ty, v, h)[1:]
-                    + run(h, ty, sx, tx, True)[1:]
-                    + stack(tx, ty, h, tl)[1:]
+                candidates.append((
+                    wire + via_cost * (abs(v - sl) + abs(h - v) + abs(tl - h)),
+                    len(candidates),
+                    (src, (v, sx, sy), (v, sx, ty), (h, sx, ty), (h, tx, ty), dst),
+                ))
+        candidates.sort()
+        for cost, _, corners in candidates:
+            if state.polyline_clear(corners, net, guide):
+                return SearchResult(
+                    path=_polyline_nodes(corners), cost=float(cost), conflicts=[]
                 )
-                candidates.append(path)
+        return None
 
-        best: list[LNode] | None = None
-        best_cost = float("inf")
-        for path in candidates:
-            # Deduplicate consecutive repeats (degenerate runs/stacks).
-            clean: list[LNode] = []
-            for node in path:
-                if not clean or node != clean[-1]:
-                    clean.append(node)
-            if not state.run_clear(clean[1:], net, guide):
-                continue
-            cost = 0.0
-            for a, b in zip(clean, clean[1:]):
-                cost += lattice.pitch if a[0] == b[0] else self.params.via_cost
-            if cost < best_cost:
-                best = clean
-                best_cost = cost
-        if best is None:
-            return None
-        return SearchResult(path=best, cost=best_cost, conflicts=[])
+
+def _polyline_nodes(corners) -> list[LNode]:
+    """Every lattice node of the axis-parallel polyline through ``corners``
+    in walking order (a zero-length leg adds nothing)."""
+    path = [corners[0]]
+    for layer, ix, iy in corners[1:]:
+        l0, x0, y0 = path[-1]
+        if layer != l0:
+            step = 1 if layer > l0 else -1
+            path += [(l, ix, iy) for l in range(l0 + step, layer + step, step)]
+        elif ix != x0:
+            step = 1 if ix > x0 else -1
+            path += [(layer, x, iy) for x in range(x0 + step, ix + step, step)]
+        elif iy != y0:
+            step = 1 if iy > y0 else -1
+            path += [(layer, ix, y) for y in range(y0 + step, iy + step, step)]
+    return path
 
 
 def _nearest_pair(

@@ -238,6 +238,30 @@ class RoutingGraph:
             return (layer, gx, gy), (layer, gx + 1, gy)
         return (layer, gx, gy), (layer, gx, gy + 1)
 
+    def endpoint_arrays(
+        self, ids: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`endpoints` of many ids at once: ``(layer, gx, gy)``
+        arrays of length ``2 * len(ids)``, every lower end, then every
+        upper end, each half in the order of ``ids``."""
+        nx, ny = self.grid.nx, self.grid.ny
+        is_wire = ids < self.n_wire
+        wire_base = np.asarray(self._wire_base)
+        wire_layer = np.searchsorted(wire_base, ids, side="right") - 1
+        wire_local = ids - wire_base[wire_layer]
+        # a layer with no wire edges has stride 0 and no ids to divide
+        stride = np.maximum(np.asarray(self._wire_stride)[wire_layer], 1)
+        plane, via_local = np.divmod(ids - self.n_wire, nx * ny)
+        layer = np.where(is_wire, wire_layer, plane)
+        gx = np.where(is_wire, wire_local // stride, via_local // ny)
+        gy = np.where(is_wire, wire_local % stride, via_local % ny)
+        horizontal = np.array([l.is_horizontal for l in self.tech.layers])[layer]
+        return (
+            np.concatenate([layer, layer + ~is_wire]),
+            np.concatenate([gx, gx + (is_wire & horizontal)]),
+            np.concatenate([gy, gy + (is_wire & ~horizontal)]),
+        )
+
     def edge_order(self, edges: Iterable[int]) -> list[int]:
         """``edges`` in canonical ``(layer, gx, gy, kind)`` order."""
         return sorted(edges, key=self.edge_keys.__getitem__)

@@ -498,46 +498,79 @@ class GlobalRouter:
     def guides(self, expand: int = 1) -> dict[str, list[GuideRect]]:
         """Per-net route guides for the detailed router.
 
-        Every wire edge contributes its two GCells on its layer, every
-        via edge its GCell on both layers, and every terminal its GCell
-        on its pin layer and the layer above (capped at the top layer).
-        ``expand``
-        grows each guide by that many GCells on every side, mirroring
-        the slack detailed routers are given in practice.
+        A net's guide covers, on each layer, the GCells its route and
+        terminals touch there: every wire edge its two GCells on its
+        layer, every via edge its GCell on both layers, and every
+        terminal its GCell on its pin layer and the layer above (capped
+        at the top layer).  ``expand`` grows that set by that many GCells
+        on every side, mirroring the slack detailed routers are given in
+        practice.
+
+        Emitted as one rect per maximal run of a layer's GCells along
+        the layer's preferred direction, grown by ``expand``, ordered by
+        (layer, line, start).  The runs are found for all nets at once
+        from the edge ids (:meth:`RoutingGraph.endpoint_arrays`): one
+        sorted array of (net, layer, line, position) keys, split where
+        two neighbours are not one position apart.
         """
-        result: dict[str, list[GuideRect]] = {}
-        endpoints = self.graph.endpoints
-        for net_name, route in self.routes.items():
-            per_layer: dict[int, set[tuple[int, int]]] = defaultdict(set)
-            for edge in route.edges:
-                a, b = endpoints(edge)
-                per_layer[a[0]].add((a[1], a[2]))
-                per_layer[b[0]].add((b[1], b[2]))
-            for layer, gx, gy in route.terminals:
-                per_layer[layer].add((gx, gy))
-                per_layer[min(layer + 1, self.graph.num_layers - 1)].add((gx, gy))
-            rects: list[GuideRect] = []
-            for layer, gcells in sorted(per_layer.items()):
-                for gx, gy in sorted(gcells):
-                    lo = self.grid.rect_of(
-                        max(0, gx - expand), max(0, gy - expand)
-                    )
-                    hi = self.grid.rect_of(
-                        min(self.grid.nx - 1, gx + expand),
-                        min(self.grid.ny - 1, gy + expand),
-                    )
-                    rects.append(GuideRect(layer, lo.union(hi)))
-            result[net_name] = _merge_guides(rects)
-        return result
-
-
-def _merge_guides(rects: list[GuideRect]) -> list[GuideRect]:
-    """Drop guide rects fully contained in another on the same layer."""
-    kept: list[GuideRect] = []
-    for g in sorted(rects, key=lambda g: (g.layer, -g.rect.area)):
-        if any(
-            k.layer == g.layer and k.rect.contains_rect(g.rect) for k in kept
+        graph = self.graph
+        grid = self.grid
+        nx, ny = grid.nx, grid.ny
+        top = graph.num_layers - 1
+        names = list(self.routes)
+        routes = [self.routes[name] for name in names]
+        ids = np.fromiter(
+            (edge for route in routes for edge in route.edges),
+            dtype=np.int64,
+        )
+        net_of = np.repeat(
+            np.arange(len(routes)), [len(route.edges) for route in routes]
+        )
+        terminals = np.array(
+            [(i, *t) for i, route in enumerate(routes) for t in route.terminals],
+            dtype=np.int64,
+        ).reshape(-1, 4)
+        t_net, t_layer, t_gx, t_gy = terminals.T
+        e_layer, e_gx, e_gy = graph.endpoint_arrays(ids)
+        net = np.concatenate([net_of, net_of, t_net, t_net])
+        layer = np.concatenate([e_layer, t_layer, np.minimum(t_layer + 1, top)])
+        gx = np.concatenate([e_gx, t_gx, t_gx])
+        gy = np.concatenate([e_gy, t_gy, t_gy])
+        # Position along the layer's preferred direction, and the line
+        # across it; ``span`` leaves a gap between lines, so a run never
+        # joins the end of one line to the start of the next.
+        is_horizontal = np.array([l.is_horizontal for l in graph.tech.layers])
+        horizontal = is_horizontal[layer]
+        pos = np.where(horizontal, gx, gy)
+        line = np.where(horizontal, gy, gx)
+        span = max(nx, ny) + 1
+        keys = np.unique(((net * (top + 1) + layer) * span + line) * span + pos)
+        result: dict[str, list[GuideRect]] = {name: [] for name in names}
+        if not keys.size:
+            return result
+        breaks = np.flatnonzero(np.diff(keys) != 1) + 1
+        starts = keys[np.concatenate([[0], breaks])]
+        ends = keys[np.concatenate([breaks - 1, [keys.size - 1]])]
+        rest, lo = np.divmod(starts, span)
+        hi = ends % span
+        rest, line = np.divmod(rest, span)
+        net, layer = np.divmod(rest, top + 1)
+        horizontal = is_horizontal[layer]
+        lo = np.maximum(lo - expand, 0)
+        hi = hi + expand
+        line_lo = np.maximum(line - expand, 0)
+        line_hi = line + expand
+        gx0 = np.where(horizontal, lo, line_lo)
+        gy0 = np.where(horizontal, line_lo, lo)
+        gx1 = np.minimum(np.where(horizontal, hi, line_hi), nx - 1) + 1
+        gy1 = np.minimum(np.where(horizontal, line_hi, hi), ny - 1) + 1
+        for i, l, x0, y0, x1, y1 in zip(
+            net.tolist(),
+            layer.tolist(),
+            (grid.origin_x + gx0 * grid.step_x).tolist(),
+            (grid.origin_y + gy0 * grid.step_y).tolist(),
+            (grid.origin_x + gx1 * grid.step_x).tolist(),
+            (grid.origin_y + gy1 * grid.step_y).tolist(),
         ):
-            continue
-        kept.append(g)
-    return kept
+            result[names[i]].append(GuideRect(l, Rect(x0, y0, x1, y1)))
+        return result

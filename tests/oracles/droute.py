@@ -6,7 +6,11 @@ pre-indexed implementations, moved here unchanged but for their lint
 suppressions.  The flat-array :class:`repro.droute.indexed.DrouteIndex`
 must produce byte-identical paths, costs and conflict lists.
 
-Added since: :func:`pocket_look`, the backward look of
+Added since: :func:`fast_pattern_reference`, ``DetailedRouter._fast_pattern``
+as it ran before it priced its candidates in closed form -- all eight L
+paths built as tuples, each checked node by node through
+``_DictState.run_clear`` -- which :class:`OracleDetailedRouter` runs in
+its place; :func:`pocket_look`, the backward look of
 ``repro.droute.indexed.pocket_closed`` over tuples and sets, and the
 *toll* it proves for a soft search -- ``astar_connect`` takes it in the
 textbook form, ``h(n) + toll`` for every node outside the look's marked
@@ -16,8 +20,8 @@ here, and must come back ``None``.
 :class:`OracleDetailedRouter` installs the reference through the one
 seam the router has: :meth:`DetailedRouter.begin_session` builds the
 session state, and everything else talks to it through the eight state
-methods (``guide_region, connect, run_clear, patch_free, holder_name,
-commit_used, release_reservations, rip``).
+methods (``guide_region, connect, polyline_clear, patch_free,
+holder_name, commit_used, release_reservations, rip``).
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from repro.droute import indexed as _indexed
 from repro.droute.indexed import guide_spans as _guide_spans
 from repro.droute.lattice import LNode, TrackLattice
 from repro.droute.obstacles import BLOCKED, build_obstacle_map
-from repro.droute.router import DetailedRouter
+from repro.droute.router import DetailedRouter, _nearest_pair
 from repro.obs import get_metrics
 
 
@@ -44,6 +48,91 @@ class OracleDetailedRouter(DetailedRouter):
             self.lattice, owner, reservations, self.params, self.guide_margin
         )
         return self._state
+
+    def _fast_pattern(self, net, sources, targets, state, guide):
+        return fast_pattern_reference(self, net, sources, targets, state, guide)
+
+
+def fast_pattern_reference(
+    router: DetailedRouter,
+    net: str,
+    sources: set[LNode],
+    targets: set[LNode],
+    state: _DictState,
+    guide,
+) -> SearchResult | None:
+    """Clean L-shaped connections, every candidate built and checked.
+
+    Picks the closest (source, target) pair, then tries both bend
+    orders over the two nearest horizontal/vertical layer choices; the
+    first of the cheapest candidates whose every node after the source
+    is free for this net and inside the guides wins.
+    """
+    lattice = router.lattice
+    if len(sources) * len(targets) <= 64:
+        src, dst = min(
+            ((s, t) for s in sources for t in targets),
+            key=lambda pair: (
+                abs(pair[0][1] - pair[1][1])
+                + abs(pair[0][2] - pair[1][2])
+                + abs(pair[0][0] - pair[1][0])
+            ),
+        )
+    else:
+        src, dst = _nearest_pair(sources, targets)
+
+    def stack(ix: int, iy: int, l0: int, l1: int) -> list[LNode]:
+        step = 1 if l1 >= l0 else -1
+        return [(l, ix, iy) for l in range(l0, l1 + step, step)]
+
+    def run(layer: int, fixed: int, a: int, b: int, horizontal: bool) -> list[LNode]:
+        step = 1 if b >= a else -1
+        if horizontal:
+            return [(layer, v, fixed) for v in range(a, b + step, step)]
+        return [(layer, fixed, v) for v in range(a, b + step, step)]
+
+    (sl, sx, sy), (tl, tx, ty) = src, dst
+    candidates: list[list[LNode]] = []
+    for h in router._h_layers:
+        for v in router._v_layers:
+            # horizontal first: src -> (tx, sy) on h, then vertical on v
+            path = (
+                stack(sx, sy, sl, h)
+                + run(h, sy, sx, tx, True)[1:]
+                + stack(tx, sy, h, v)[1:]
+                + run(v, tx, sy, ty, False)[1:]
+                + stack(tx, ty, v, tl)[1:]
+            )
+            candidates.append(path)
+            # vertical first
+            path = (
+                stack(sx, sy, sl, v)
+                + run(v, sx, sy, ty, False)[1:]
+                + stack(sx, ty, v, h)[1:]
+                + run(h, ty, sx, tx, True)[1:]
+                + stack(tx, ty, h, tl)[1:]
+            )
+            candidates.append(path)
+
+    best: list[LNode] | None = None
+    best_cost = float("inf")
+    for path in candidates:
+        # Deduplicate consecutive repeats (degenerate runs/stacks).
+        clean: list[LNode] = []
+        for node in path:
+            if not clean or node != clean[-1]:
+                clean.append(node)
+        if not state.run_clear(clean[1:], net, guide):
+            continue
+        cost = 0.0
+        for a, b in zip(clean, clean[1:]):
+            cost += lattice.pitch if a[0] == b[0] else router.params.via_cost
+        if cost < best_cost:
+            best = clean
+            best_cost = cost
+    if best is None:
+        return None
+    return SearchResult(path=best, cost=best_cost, conflicts=[])
 
 
 class _DictState:
@@ -134,6 +223,22 @@ class _DictState:
             if guide is not None and node not in guide:
                 return False
         return True
+
+    def polyline_clear(self, corners, net_name: str, guide) -> bool:
+        """``run_clear`` over every node of the polyline after the first."""
+        nodes = []
+        here = corners[0]
+        for corner in corners[1:]:
+            axis = next((i for i in range(3) if corner[i] != here[i]), None)
+            if axis is None:
+                continue
+            step = 1 if corner[axis] > here[axis] else -1
+            for value in range(here[axis] + step, corner[axis] + step, step):
+                node = list(here)
+                node[axis] = value
+                nodes.append(tuple(node))
+            here = corner
+        return self.run_clear(nodes, net_name, guide)
 
     def patch_free(self, node: LNode, net_name: str) -> bool:
         holder = self.owner.get(node) or self.occupancy.get(node)

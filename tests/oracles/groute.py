@@ -209,3 +209,48 @@ def _reconstruct(
     edges.reverse()
     return edges
 
+
+
+def guides_reference(router, expand: int = 1) -> dict:
+    """``GlobalRouter.guides`` as it ran before it emitted GCell runs:
+    one 3x3 (for ``expand=1``) rect per GCell built from per-edge
+    ``endpoints`` tuples, then rects contained in another on the same
+    layer dropped by an O(n^2) scan (``_merge_guides``)."""
+    from collections import defaultdict
+
+    from repro.lefdef.guides import GuideRect
+
+    graph = router.graph
+    grid = router.grid
+    result = {}
+    for net_name, route in router.routes.items():
+        per_layer = defaultdict(set)
+        for edge in route.edges:
+            a, b = graph.endpoints(edge)
+            per_layer[a[0]].add((a[1], a[2]))
+            per_layer[b[0]].add((b[1], b[2]))
+        for layer, gx, gy in route.terminals:
+            per_layer[layer].add((gx, gy))
+            per_layer[min(layer + 1, graph.num_layers - 1)].add((gx, gy))
+        rects = []
+        for layer, gcells in sorted(per_layer.items()):
+            for gx, gy in sorted(gcells):
+                lo = grid.rect_of(max(0, gx - expand), max(0, gy - expand))
+                hi = grid.rect_of(
+                    min(grid.nx - 1, gx + expand), min(grid.ny - 1, gy + expand)
+                )
+                rects.append(GuideRect(layer, lo.union(hi)))
+        result[net_name] = _merge_guides(rects)
+    return result
+
+
+def _merge_guides(rects: list) -> list:
+    """Drop guide rects fully contained in another on the same layer."""
+    kept = []
+    for g in sorted(rects, key=lambda g: (g.layer, -g.rect.area)):
+        if any(
+            k.layer == g.layer and k.rect.contains_rect(g.rect) for k in kept
+        ):
+            continue
+        kept.append(g)
+    return kept

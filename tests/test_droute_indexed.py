@@ -10,8 +10,13 @@ kernel bug, never an acceptable approximation.
 
 from __future__ import annotations
 
-import pytest
+import random
 
+import pytest
+from hypothesis import assume, event, given, settings
+from hypothesis import strategies as st
+
+from repro.benchgen import build_tech
 from repro.droute import DetailedRouter
 from repro.droute.indexed import BLOCKED_ID, FREE, DrouteIndex
 from repro.droute.lattice import TrackLattice
@@ -20,8 +25,11 @@ from repro.groute import GlobalRouter
 from repro.obs import MetricsRegistry, use_metrics
 from repro.obs.metrics import RESERVOIR_SIZE
 
-from helpers import add_cell, add_two_pin_net, build_tiny_design, fresh_small
-from oracles.droute import OracleDetailedRouter
+from helpers import (
+    add_cell, add_two_pin_net, build_tiny_design, droute_index, fresh_small,
+    lattice_nodes,
+)
+from oracles.droute import OracleDetailedRouter, _DictState, fast_pattern_reference
 
 
 def signature(result):
@@ -185,3 +193,79 @@ def test_parity_dense_conflicts(tech45):
 
     oracle, indexed = route_both(factory, guides_from_gr=False)
     assert indexed == oracle
+
+
+# -------------------------------------------------------------- fast path
+
+_TECH = build_tech("45nm")
+
+#: how the (source, target) pair the fast path picks is drawn
+_FAST_CASES = (
+    "any", "same x", "same y", "source on a leg layer",
+    "target below the source", "more than 64 pairs",
+)
+
+
+@st.composite
+def _fast_path_problems(draw):
+    """A small lattice with random pins, wires and guide, and one
+    connection to make on it: ``(router, sources, targets, owner,
+    occupancy, guide node set or None)``."""
+    design = build_tiny_design(
+        _TECH, num_rows=draw(st.integers(1, 3)),
+        sites_per_row=draw(st.integers(2, 16)),
+    )
+    router = DetailedRouter(design)
+    nodes = lattice_nodes(router.lattice)
+    top = _TECH.num_layers - 1
+    node = st.sampled_from(nodes)
+    case = draw(st.sampled_from(_FAST_CASES))
+    (sl, sx, sy), (tl, tx, ty) = draw(node), draw(node)
+    if case == "same x":
+        tx = sx
+    elif case == "same y":
+        ty = sy
+    elif case == "source on a leg layer":
+        sl = draw(st.sampled_from(router._h_layers + router._v_layers))
+    elif case == "target below the source":
+        tl = draw(st.integers(0, top - 1))
+        sl = draw(st.integers(tl + 1, top))
+    src, dst = (sl, sx, sy), (tl, tx, ty)
+    assume(src != dst)
+    extra = 12 if case == "more than 64 pairs" else 0
+    sources = {src} | draw(st.sets(node, min_size=extra, max_size=extra))
+    targets = ({dst} | draw(st.sets(node, min_size=extra, max_size=extra))) - sources
+    assume(targets)
+    # Fill-in densities drawn per map, so runs range from an empty
+    # lattice to one where every candidate is blocked.
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    density = st.floats(0.0, 0.3)
+    held, wired, strayed = draw(density), draw(density), draw(density) / 2
+    owner = {
+        n: rng.choice(("n", "m", BLOCKED)) for n in nodes if rng.random() < held
+    }
+    occupancy = {n: rng.choice(("n", "m")) for n in nodes if rng.random() < wired}
+    guide = None
+    if draw(st.booleans()):
+        guide = {n for n in nodes if rng.random() >= strayed}
+    return router, sources, targets, owner, occupancy, guide
+
+
+@settings(max_examples=300, deadline=None)
+@given(_fast_path_problems())
+def test_fast_path_returns_what_the_tuple_reference_returns(problem):
+    """The closed-form, cheapest-first fast path returns the reference's
+    ``SearchResult`` -- path, cost and conflicts -- or ``None`` with it,
+    on the flat arrays and on the dict state alike."""
+    router, sources, targets, owner, occupancy, guide = problem
+    lattice, params = router.lattice, router.params
+    state = _DictState(lattice, dict(owner), {}, params)
+    state.occupancy.update(occupancy)
+    expected = fast_pattern_reference(router, "n", sources, targets, state, guide)
+    event("more than 64 pairs" if len(sources) * len(targets) > 64 else "64 or fewer")
+    event("no clean L" if expected is None else "a clean L")
+    index, stamp = droute_index(lattice, owner, occupancy, guide)
+    assert router._fast_pattern("n", sources, targets, index, stamp) == expected
+    assert router._fast_pattern("n", sources, targets, state, guide) == expected
+    if expected is not None:
+        assert type(expected.cost) is float

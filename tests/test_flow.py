@@ -77,22 +77,41 @@ def test_flow_crp_improves_or_matches_baseline_gr():
     assert crp_score <= base_score * 1.02
 
 
-def test_flow_quality_pinned_on_ispd18_test1():
+@pytest.fixture(scope="module")
+def k1_flow_on_test1():
+    """The full GR -> CR&P(k=1) -> DR flow on ``ispd18_test1``."""
+    from repro.benchgen import make_design
+
+    return run_flow(make_design("ispd18_test1"), mode="crp", crp_iterations=1)
+
+
+def test_flow_quality_pinned_on_ispd18_test1(k1_flow_on_test1):
     """Full-flow k=1 results are machine-independent constants.
 
     Recorded at the commit before the scalar / dict / uncached reference
     paths left ``src`` (what the deleted ``droute`` CI job compared with
     its committed quality block): any drift is a behaviour change.
     """
-    from repro.benchgen import make_design
-
-    result = run_flow(make_design("ispd18_test1"), mode="crp", crp_iterations=1)
+    result = k1_flow_on_test1
     assert not result.failed and result.legal
     assert (result.gr_wirelength_dbu, result.gr_vias) == (219620, 186)
     assert result.quality.wirelength_dbu == 242200
     assert result.quality.vias == 201
     assert result.quality.drvs == 0
     assert result.quality.drv_breakdown == {}
+
+
+def test_dr_search_counters_pinned_on_ispd18_test1(k1_flow_on_test1):
+    """The detailed router's searches of the same flow, recorded at
+    ``d37cf25``: a change that moves the search order (a seed, a tie, a
+    guide's shape) moves these before it moves the quality above."""
+    metrics = k1_flow_on_test1.metrics
+    counters = metrics["counters"]
+    assert counters.get("droute.astar_calls") == 24
+    assert metrics["histograms"]["droute.astar_expansions"]["sum"] == 6078
+    assert counters.get("droute.hard_skipped", 0) == 0
+    assert counters.get("droute.soft_tolled", 0) == 0
+    assert counters.get("droute.rrr_rounds", 0) == 0
 
 
 def test_crp_digests_pinned_on_ispd18_test1():

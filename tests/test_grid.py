@@ -3,6 +3,7 @@
 import math
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from repro.geom import Point, Rect
@@ -253,8 +254,9 @@ def test_edge_id_tables_on_suite_grids(name):
     """On every suite design's GCell grid: decode and encode invert each
     other, the order key sorts like ``GridEdge`` does (a via before a
     wire at the same GCell), endpoints come lower node first as
-    ``GridEdge.endpoints`` gave them, and each id dirties the field rows
-    ``_row_base[layer] + line`` of the layers its usage feeds."""
+    ``GridEdge.endpoints`` gave them (one id at a time and all at once),
+    and each id dirties the field rows ``_row_base[layer] + line`` of the
+    layers its usage feeds."""
     design = make_design(name)
     graph = RoutingGraph(GCellGrid.for_design(design), design.tech)
     field = CostField(graph)
@@ -268,6 +270,11 @@ def test_edge_id_tables_on_suite_grids(name):
         horizontal = graph.tech.layers[layer].is_horizontal
         return field._row_base[layer] + (gy if horizontal else gx)
 
+    layer, gx, gy = graph.endpoint_arrays(np.arange(graph.num_edges))
+    ends = list(zip(layer.tolist(), gx.tolist(), gy.tolist()))
+    assert list(zip(ends[:graph.num_edges], ends[graph.num_edges:])) == [
+        graph.endpoints(i) for i in ids
+    ]
     for i, edge in zip(ids, decoded):
         assert graph.endpoints(i) == endpoints(graph, edge)
         layers = [edge.layer] if edge.kind is EdgeKind.WIRE else [edge.layer, edge.layer + 1]

@@ -2,13 +2,17 @@
 
 import pytest
 
+from repro.benchgen import make_design
+from repro.droute import DetailedRouter
+from repro.droute.access import access_nodes
+from repro.droute.indexed import DrouteIndex, guide_spans
 from repro.grid import EdgeKind, GridEdge
 from repro.groute import GlobalRouter, maze_route, pattern_paths_2d
 from repro.groute.patterns import runs_of_path
 
 from helpers import add_cell, add_two_pin_net, add_usage, build_tiny_design, fresh_small
 from oracles.field import capacity
-from oracles.groute import decoded
+from oracles.groute import decoded, guides_reference
 
 
 # --------------------------------------------------------------- patterns
@@ -247,6 +251,68 @@ def test_guides_cover_route():
                 assert any(
                     r.contains_point(center) for r in per_layer.get(layer, [])
                 ), (name, edge)
+
+
+def _covered_gcells(grid, rects) -> set[tuple[int, int, int]]:
+    """(layer, gx, gy) of every GCell a guide's rects cover."""
+    covered = set()
+    for g in rects:
+        r = g.rect
+        for gx in range((r.lx - grid.origin_x) // grid.step_x,
+                        (r.ux - grid.origin_x) // grid.step_x):
+            for gy in range((r.ly - grid.origin_y) // grid.step_y,
+                            (r.uy - grid.origin_y) // grid.step_y):
+                covered.add((g.layer, gx, gy))
+    return covered
+
+
+def _stamped(index, stamp, bounds) -> int:
+    """How many nodes inside ``bounds`` (every layer) carry ``stamp``."""
+    ix0, iy0, ix1, iy1 = bounds
+    ge, nx, ny = index.guide_epoch, index.nx, index.ny
+    return sum(
+        ge[(layer * ny + iy) * nx + ix0:(layer * ny + iy) * nx + ix1 + 1].count(stamp)
+        for layer in range(index.num_layers)
+        for iy in range(iy0, iy1 + 1)
+    )
+
+
+@pytest.mark.parametrize("name", ["ispd18_test1", "ispd18_test3", "ispd18_test5"])
+def test_run_guides_mark_what_the_per_gcell_guides_marked(name):
+    """One rect per GCell run covers what the per-GCell 3x3 rects, less
+    the contained ones, covered: the same GCells per (net, layer), the
+    same lattice nodes stamped for the detailed router and the same
+    search bounds."""
+    design = make_design(name)
+    router = GlobalRouter(design)
+    router.route_all()
+    guides = router.guides()
+    reference = guides_reference(router)
+    assert guides.keys() == reference.keys() == router.routes.keys()
+    dr = DetailedRouter(design)
+    lattice = dr.lattice
+    index = DrouteIndex(lattice, {}, guide_margin=dr.guide_margin)
+    fewer = 0
+    for net in design.nets.values():
+        rects, expected = guides[net.name], reference[net.name]
+        assert _covered_gcells(router.grid, rects) == _covered_gcells(
+            router.grid, expected
+        ), net.name
+        fewer += len(expected) - len(rects)
+        access = [access_nodes(design, lattice, pin) for pin in net.pins]
+        spans, bounds = guide_spans(lattice, dr.guide_margin, rects, access)
+        expected_spans, expected_bounds = guide_spans(
+            lattice, dr.guide_margin, expected, access
+        )
+        assert bounds == expected_bounds, net.name
+        # Stamp the reference, count it, stamp over it: the sets are equal
+        # when nothing of the first stamp shows and the counts agree.
+        first = index.stamp_guides(expected_spans, access)
+        marked = _stamped(index, first, bounds)
+        second = index.stamp_guides(spans, access)
+        assert _stamped(index, first, bounds) == 0, net.name
+        assert _stamped(index, second, bounds) == marked, net.name
+    assert fewer > 0
 
 
 def test_usage_consistent_after_rrr():
