@@ -3,7 +3,7 @@
 The paper reports |sites| = 20, |rows| = 5, |cells| <= 3 as an
 experimentally-tuned trade-off between runtime and candidate quality.
 This sweep runs one CR&P iteration with smaller and larger windows and
-reports movement-stage runtime and achieved GR quality.
+reports achieved GR quality (the movement-stage seconds go to stdout).
 """
 
 from __future__ import annotations
@@ -41,17 +41,17 @@ def test_ablation_window_sweep(benchmark):
 
     results = benchmark.pedantic(run_all, rounds=1, iterations=1)
 
+    # The committed table holds no wall-clock column, so a run leaves it
+    # as it was; the seconds go to stdout.
     lines = [
         f"Ablation: legalizer window sweep (CR&P k=1 on {DESIGN})",
-        f"{'sites x rows x cells':<22}{'CRP time (s)':>13}{'GR wl (dbu)':>14}{'GR vias':>9}",
-        "-" * 58,
+        f"{'sites x rows x cells':<22}{'GR wl (dbu)':>14}{'GR vias':>9}",
+        "-" * 45,
     ]
     for window, result in results.items():
         label = f"{window[0]} x {window[1]} x {window[2]}"
-        lines.append(
-            f"{label:<22}{result.runtime.get('CRP', 0.0):>13.1f}"
-            f"{result.gr_wirelength_dbu:>14}{result.gr_vias:>9}"
-        )
+        lines.append(f"{label:<22}{result.gr_wirelength_dbu:>14}{result.gr_vias:>9}")
+        print(f"{label}: CR&P {result.runtime.get('CRP', 0.0):.1f} s")
     write_table("ablation_window", lines)
 
     # Shape: a bigger window costs more movement-stage time.

@@ -15,6 +15,9 @@ from repro.db import Design
 from repro.legalizer import WindowLegalizer
 from repro.core.config import CrpConfig
 
+#: legalized candidates requested per critical cell
+MAX_TARGETS = 6
+
 
 @dataclass(slots=True)
 class MoveCandidate:
@@ -49,7 +52,7 @@ def generate_candidates(
         n_sites=config.n_sites,
         n_rows=config.n_rows,
         max_cells=config.max_cells,
-        max_targets=config.max_targets,
+        max_targets=MAX_TARGETS,
     )
     result: dict[str, list[MoveCandidate]] = {}
     for name in critical_cells:

@@ -19,6 +19,16 @@ from repro.db import Design
 from repro.groute import GlobalRouter
 from repro.core.config import CrpConfig
 
+#: the paper's ``gamma``: fraction of the movable cells eligible for
+#: movement per iteration
+GAMMA = 0.6
+#: the paper's annealing temperature ``T``: re-selecting an already
+#: critical cell has probability ``exp(-1)`` ~ 36 %, an already moved one
+#: ``exp(-2)`` ~ 13 %
+TEMPERATURE = 1.0
+#: cap on critical cells per iteration (keeps runtime bounded)
+MAX_CRITICAL_CELLS = 200
+
 
 def label_critical_cells(
     design: Design,
@@ -31,10 +41,7 @@ def label_critical_cells(
     if config.prioritize:
         cost_of = {name: router.cell_cost(name) for name in movable}
         movable.sort(key=lambda name: (-cost_of[name], name))
-    limit = min(
-        config.max_critical_cells,
-        int(config.gamma * len(movable)),
-    )
+    limit = min(MAX_CRITICAL_CELLS, int(GAMMA * len(movable)))
 
     critical: list[str] = []
     critical_set: set[str] = set()
@@ -46,7 +53,7 @@ def label_critical_cells(
             continue
         hist_c = 1 if name in design.critical_history else 0
         hist_m = 1 if name in design.moved_history else 0
-        acceptance = math.exp(-(hist_c + hist_m) / config.temperature)
+        acceptance = math.exp(-(hist_c + hist_m) / TEMPERATURE)
         if acceptance > rng.random():
             critical.append(name)
             critical_set.add(name)

@@ -43,7 +43,7 @@ class LegalityReport:
         )
 
 
-def check_legality(design: Design, check_orient: bool = True) -> LegalityReport:
+def check_legality(design: Design) -> LegalityReport:
     """Check every cell of ``design`` against the legality constraints."""
     report = LegalityReport()
     for cell in design.cells.values():
@@ -60,7 +60,7 @@ def check_legality(design: Design, check_orient: bool = True) -> LegalityReport:
             continue
         if (cell.x - row.origin_x) % row.site.width != 0:
             report.off_site.append(cell.name)
-        if check_orient and cell.orient != row.orient:
+        if cell.orient != row.orient:
             report.bad_orient.append(cell.name)
         for blockage in design.placement_blockages():
             if box.intersects(blockage.rect, strict=True):

@@ -19,10 +19,6 @@ class NetPin:
     cell: str | None
     pin: str
 
-    @property
-    def is_io(self) -> bool:
-        return self.cell is None
-
     def key(self) -> str:
         if self.cell is None:
             return f"PIN/{self.pin}"

@@ -43,12 +43,6 @@ class Row:
         """Site index containing coordinate ``x`` (floored)."""
         return (x - self.origin_x) // self.site.width
 
-    def snap_x(self, x: int) -> int:
-        """Nearest legal site x for coordinate ``x``, clamped to the row."""
-        idx = round((x - self.origin_x) / self.site.width)
-        idx = max(0, min(self.num_sites - 1, idx))
-        return self.site_x(idx)
-
     def contains_x_span(self, lx: int, ux: int) -> bool:
         """True when ``[lx, ux]`` lies inside the row extent."""
         return self.origin_x <= lx and ux <= self.end_x

@@ -50,9 +50,6 @@ class SpatialIndex:
         """Update the entry for ``name`` to a new outline."""
         self.insert(name, box)
 
-    def box_of(self, name: str) -> Rect | None:
-        return self._boxes.get(name)
-
     def query(self, window: Rect, strict: bool = True) -> list[str]:
         """Names of cells whose outline intersects ``window`` (sorted,
         so callers iterating the result stay deterministic)."""

@@ -3,14 +3,11 @@
 The search connects a grown net component to the next terminal.  The
 router asks twice.  First *hard*, inside the net's guide region: nodes
 held by another net and nodes off the guides are impassable.  If that
-fails, *soft* and with no guide at all: the window is the terminals'
-box plus a fixed slack, every free node in it costs what it costs, and
-a node held by another net may be crossed at ``conflict_penalty`` --
-that pass is what converts an unroutable situation into a short DRV
-instead of an open net, mirroring how detailed routers trade opens for
-shorts.  (The kernel also takes soft *with* a guide, where an off-guide
-step costs ``off_guide_penalty``; no caller in ``src`` asks for it, the
-parity tests do.)
+fails, *soft* and with no guide at all, in the same window: every free
+node costs what it costs, and a node held by another net may be crossed
+at ``conflict_penalty`` -- that pass is what converts an unroutable
+situation into a short DRV instead of an open net, mirroring how
+detailed routers trade opens for shorts.
 
 Before either search a bounded backward look from the targets
 (:func:`repro.droute.indexed.pocket_closed`) asks whether any
@@ -39,7 +36,6 @@ class SearchParams:
 
     via_cost: int = 800
     conflict_penalty: int = 20000
-    off_guide_penalty: int = 2000
     #: wrong-way (non-preferred-direction) step cost multiplier
     jog_factor: float = 2.5
     max_expansions: int = 60000

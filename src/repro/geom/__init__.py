@@ -9,7 +9,6 @@ corners.
 from repro.geom.point import Point, manhattan
 from repro.geom.rect import Rect
 from repro.geom.orient import Orientation, transform_rect
-from repro.geom.interval import Interval
 
 __all__ = [
     "Point",
@@ -17,5 +16,4 @@ __all__ = [
     "Rect",
     "Orientation",
     "transform_rect",
-    "Interval",
 ]

@@ -258,7 +258,7 @@ class CostField:
 
     def fresh_path_cost(self, edges: list[int]) -> float:
         """:meth:`path_cost` without the refresh: the caller has just
-        called :meth:`ensure` (the :meth:`run_cost` contract).
+        called :meth:`ensure` (the :meth:`run_cost_batch` contract).
 
         An explicit ``+=`` loop in the given order: ``sum()`` compensates
         (Python 3.12+) and numpy's ``sum`` is pairwise, and either would
@@ -272,20 +272,6 @@ class CostField:
             total += cost(edge) if edge < n_wire else via_cost
         return total
 
-    def run_cost(self, layer: int, start: int, end: int, line: int) -> float:
-        """Cost of wire edges ``[start, end)`` along ``layer`` on ``line``.
-
-        ``line`` is the gy of a horizontal run (edges vary in gx) or the
-        gx of a vertical run.  Two prefix lookups — O(1) regardless of
-        run length.  Call :meth:`ensure` (or any map query) first when
-        the graph may have changed; :class:`PatternRouter3D` refreshes
-        once per ``route()`` call, ``GlobalRouter`` once per segment.
-        """
-        prefix = self._prefix[layer]
-        if self._horizontal[layer]:
-            return float(prefix[end, line] - prefix[start, line])
-        return float(prefix[line, end] - prefix[line, start])
-
     def run_cost_batch(
         self,
         layers: list[int],
@@ -293,15 +279,15 @@ class CostField:
         ends: np.ndarray,
         lines: np.ndarray,
     ) -> np.ndarray:
-        """Vectorized :meth:`run_cost` over a ``layers`` x runs grid.
+        """Cost of straight wire runs over a ``layers`` x runs grid.
 
         Run ``k`` covers wire edges ``[starts[k], ends[k])`` on line
-        ``lines[k]``; all ``layers`` share one preferred direction.  The
-        result is a float64 array of shape ``(len(layers), len(starts))``
-        whose every element is the same two-lookup prefix difference
-        :meth:`run_cost` would return (one subtraction per element, so
-        the values are bit-identical).  The caller must :meth:`ensure`
-        freshness first.
+        ``lines[k]`` (the gy of a horizontal run, whose edges vary in gx,
+        or the gx of a vertical one); all ``layers`` share one preferred
+        direction.  The result is a float64 array of shape
+        ``(len(layers), len(starts))`` whose every element is one
+        two-lookup prefix difference -- O(1) whatever the run's length.
+        The caller must :meth:`ensure` freshness first.
         """
         out = np.empty((len(layers), len(starts)), dtype=np.float64)
         for i, layer in enumerate(layers):

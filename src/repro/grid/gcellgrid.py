@@ -74,9 +74,5 @@ class GCellGrid:
             (gx, gy) for gx in range(gx0, gx1 + 1) for gy in range(gy0, gy1 + 1)
         ]
 
-    def manhattan_centers(self, a: tuple[int, int], b: tuple[int, int]) -> int:
-        """Manhattan distance between two GCell centers in DBU (Dist(e))."""
-        return abs(a[0] - b[0]) * self.step_x + abs(a[1] - b[1]) * self.step_y
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"GCellGrid({self.nx}x{self.ny}, step=({self.step_x},{self.step_y}))"

@@ -187,7 +187,7 @@ class PatternRouter3D:
         Returns the final best-cost map and the back pointers, or
         ``None`` if a run has no usable layer.
         """
-        # CostField.run_cost inlined: two prefix lookups per (run, layer)
+        # CostField.run_cost_batch inlined: two prefix lookups per (run, layer)
         # on a field the caller of plan() refreshed.  Prefix maps are
         # indexed [gx, gy] whatever the direction, and a straight run's
         # ends differ in one coordinate, so they sort into (low, high).

@@ -28,7 +28,6 @@ from repro.grid.graph import flat_views
 from repro.groute.maze import maze_route
 from repro.groute.pattern3d import PatternRouter3D
 from repro.groute.patterns import pattern_paths_2d
-from repro.lefdef.guides import GuideRect
 from repro.obs import get_metrics, get_tracer
 
 Node = tuple[int, int, int]
@@ -39,6 +38,18 @@ Node = tuple[int, int, int]
 #: association, orders of magnitude below half the band (DESIGN.md,
 #: "Built once").  Not a tuning knob.
 PLAN_BAND = 1e-9
+
+#: GCells a net's guide grows by on every side (:meth:`GlobalRouter.guides`)
+GUIDE_EXPAND = 1
+
+
+@dataclass(frozen=True, slots=True)
+class GuideRect:
+    """One route-guide rectangle on a routing layer
+    (:meth:`GlobalRouter.guides`)."""
+
+    layer: int
+    rect: Rect
 
 
 @dataclass(slots=True)
@@ -495,19 +506,19 @@ class GlobalRouter:
 
     # -------------------------------------------------------------- guides
 
-    def guides(self, expand: int = 1) -> dict[str, list[GuideRect]]:
+    def guides(self) -> dict[str, list[GuideRect]]:
         """Per-net route guides for the detailed router.
 
         A net's guide covers, on each layer, the GCells its route and
         terminals touch there: every wire edge its two GCells on its
         layer, every via edge its GCell on both layers, and every
         terminal its GCell on its pin layer and the layer above (capped
-        at the top layer).  ``expand`` grows that set by that many GCells
-        on every side, mirroring the slack detailed routers are given in
-        practice.
+        at the top layer).  :data:`GUIDE_EXPAND` grows that set by one
+        GCell on every side, mirroring the slack detailed routers are
+        given in practice.
 
         Emitted as one rect per maximal run of a layer's GCells along
-        the layer's preferred direction, grown by ``expand``, ordered by
+        the layer's preferred direction, grown the same way, ordered by
         (layer, line, start).  The runs are found for all nets at once
         from the edge ids (:meth:`RoutingGraph.endpoint_arrays`): one
         sorted array of (net, layer, line, position) keys, split where
@@ -556,10 +567,10 @@ class GlobalRouter:
         rest, line = np.divmod(rest, span)
         net, layer = np.divmod(rest, top + 1)
         horizontal = is_horizontal[layer]
-        lo = np.maximum(lo - expand, 0)
-        hi = hi + expand
-        line_lo = np.maximum(line - expand, 0)
-        line_hi = line + expand
+        lo = np.maximum(lo - GUIDE_EXPAND, 0)
+        hi = hi + GUIDE_EXPAND
+        line_lo = np.maximum(line - GUIDE_EXPAND, 0)
+        line_hi = line + GUIDE_EXPAND
         gx0 = np.where(horizontal, lo, line_lo)
         gy0 = np.where(horizontal, line_lo, lo)
         gx1 = np.minimum(np.where(horizontal, hi, line_hi), nx - 1) + 1

@@ -122,9 +122,6 @@ class IlpModel:
     def num_constraints(self) -> int:
         return len(self.constraints)
 
-    def objective_value(self, values: list[float]) -> float:
-        return sum(v.cost * values[v.index] for v in self.variables)
-
     def is_feasible(self, values: list[float], tol: float = 1e-6) -> bool:
         """Check a full assignment against bounds and constraints."""
         for v in self.variables:

@@ -1,4 +1,4 @@
-"""ISPD-2018 route-guide file I/O.
+"""ISPD-2018 route-guide file output.
 
 The contest's ``.guide`` format lists, per net, axis-aligned rectangles
 on named metal layers that the detailed router must stay within::
@@ -12,18 +12,12 @@ on named metal layers that the detailed router must stay within::
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from repro.geom import Rect
 from repro.tech import Technology
 
-
-@dataclass(frozen=True, slots=True)
-class GuideRect:
-    """One guide rectangle on a routing layer."""
-
-    layer: int
-    rect: Rect
+if TYPE_CHECKING:
+    from repro.groute import GuideRect
 
 
 def write_guides(guides: dict[str, list[GuideRect]], tech: Technology) -> str:
@@ -37,29 +31,3 @@ def write_guides(guides: dict[str, list[GuideRect]], tech: Technology) -> str:
             out.append(f"{r.lx} {r.ly} {r.ux} {r.uy} {tech.layers[g.layer].name}")
         out.append(")")
     return "\n".join(out) + "\n"
-
-
-def parse_guides(text: str, tech: Technology) -> dict[str, list[GuideRect]]:
-    """Parse contest-format guide text into per-net guide lists."""
-    guides: dict[str, list[GuideRect]] = {}
-    current: str | None = None
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        if line == "(":
-            continue
-        if line == ")":
-            current = None
-            continue
-        parts = line.split()
-        if len(parts) == 1:
-            current = parts[0]
-            guides.setdefault(current, [])
-            continue
-        if current is None:
-            raise ValueError(f"guide rect outside net block: {line!r}")
-        lx, ly, ux, uy = (int(p) for p in parts[:4])
-        layer = tech.layer_by_name(parts[4]).index
-        guides[current].append(GuideRect(layer, Rect(lx, ly, ux, uy)))
-    return guides

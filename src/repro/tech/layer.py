@@ -49,11 +49,3 @@ class Layer:
     @property
     def is_vertical(self) -> bool:
         return self.direction is LayerDirection.VERTICAL
-
-    def track_coord(self, track: int) -> int:
-        """DBU coordinate of track number ``track`` on this layer."""
-        return self.offset + track * self.pitch
-
-    def nearest_track(self, coord: int) -> int:
-        """Index of the track closest to ``coord`` (may be negative)."""
-        return round((coord - self.offset) / self.pitch)

@@ -50,13 +50,6 @@ class Technology:
                 return layer
         raise KeyError(f"no layer named {name}")
 
-    def via_between(self, bottom: int) -> ViaDef:
-        """The default via whose bottom routing layer is ``bottom``."""
-        for via in self.vias:
-            if via.bottom == bottom:
-                return via
-        raise KeyError(f"no via with bottom layer {bottom}")
-
     def default_site(self) -> Site:
         if not self.sites:
             raise ValueError("technology has no sites")

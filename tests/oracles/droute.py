@@ -34,8 +34,7 @@ from repro.droute import indexed as _indexed
 from repro.droute.indexed import guide_spans as _guide_spans
 from repro.droute.lattice import LNode, TrackLattice
 from repro.droute.obstacles import BLOCKED, build_obstacle_map
-from repro.droute.router import DetailedRouter, _nearest_pair
-from repro.obs import get_metrics
+from repro.droute.router import GUIDE_MARGIN_TRACKS, DetailedRouter, _nearest_pair
 
 
 class OracleDetailedRouter(DetailedRouter):
@@ -45,7 +44,7 @@ class OracleDetailedRouter(DetailedRouter):
         super().begin_session()
         owner, reservations = build_obstacle_map(self.design, self.lattice)
         self._state = _DictState(
-            self.lattice, owner, reservations, self.params, self.guide_margin
+            self.lattice, owner, reservations, self.params, GUIDE_MARGIN_TRACKS
         )
         return self._state
 
@@ -165,8 +164,6 @@ class _DictState:
         per_layer, bounds = _guide_spans(
             self.lattice, self.margin, net_guides, terminal_access
         )
-        if per_layer is None:
-            return None, bounds
         guide_nodes: set[LNode] = set()
         for layer, spans in per_layer.items():
             for ix0, iy0, ix1, iy1 in spans:
@@ -189,10 +186,7 @@ class _DictState:
         toll = 0.0
         if closed and soft:
             toll = float(self.params.conflict_penalty)
-            if guide is not None:
-                toll = min(toll, float(self.params.off_guide_penalty))
-            if stats is not None:
-                stats.tolled += 1
+            stats.tolled += 1
         result = astar_connect(
             self.lattice,
             sources,
@@ -220,7 +214,7 @@ class _DictState:
             holder = self.occupancy.get(node)
             if holder is not None and holder != net_name:
                 return False
-            if guide is not None and node not in guide:
+            if node not in guide:
                 return False
         return True
 
@@ -339,7 +333,7 @@ def astar_connect(
     guide_nodes: set[LNode] | None,
     params: SearchParams,
     soft: bool,
-    stats: SearchStats | None = None,
+    stats: SearchStats,
     toll: float = 0.0,
     marked: set[LNode] = frozenset(),
 ) -> SearchResult | None:
@@ -349,9 +343,9 @@ def astar_connect(
     routed-wire ownership; nodes owned by other nets are impassable in
     hard mode and penalized in soft mode.  ``bounds`` is the inclusive
     ``(ix0, iy0, ix1, iy1)`` search window; ``guide_nodes`` (if given)
-    is the set of nodes inside the net's guides.  ``toll`` is a penalty
-    every path still owes until it touches a node of ``marked``; the
-    estimate adds it there, and is then not inflated.
+    is the set of nodes inside the net's guides, and no path leaves it.
+    ``toll`` is a penalty every path still owes until it touches a node
+    of ``marked``; the estimate adds it there, and is then not inflated.
     """
     if not sources or not targets:
         return None
@@ -364,7 +358,6 @@ def astar_connect(
     via_cost = float(params.via_cost)
     jog_cost = params.jog_factor * pitch
     conflict_penalty = float(params.conflict_penalty)
-    off_guide_penalty = float(params.off_guide_penalty)
     horiz = tuple(layer.is_horizontal for layer in lattice.tech.layers)
     num_layers = len(horiz)
     min_wire = lattice.min_wire_layer
@@ -453,6 +446,8 @@ def astar_connect(
                 candidates.append(((layer - 1, ix, iy), via_cost))
 
             for neighbour, step in candidates:
+                if guide_nodes is not None and neighbour not in guide_nodes:
+                    continue
                 holder = owner_get(neighbour)
                 if holder is not None and holder != net:
                     if holder is BLOCKED or holder == BLOCKED:
@@ -468,10 +463,6 @@ def astar_connect(
                         if not soft and neighbour not in targets:
                             continue
                         step += conflict_penalty
-                if guide_nodes is not None and neighbour not in guide_nodes:
-                    if not soft:
-                        continue
-                    step += off_guide_penalty
                 tentative = g + step
                 if tentative < g_score.get(neighbour, float("inf")) - 1e-9:
                     g_score[neighbour] = tentative
@@ -483,12 +474,7 @@ def astar_connect(
                     tie += 1
         return None
     finally:
-        if stats is not None:
-            stats.record(expansions)
-        else:
-            metrics = get_metrics()
-            metrics.count("droute.astar_calls")
-            metrics.observe("droute.astar_expansions", expansions)
+        stats.record(expansions)
 
 
 def _build_result(

@@ -29,7 +29,7 @@ def solve_exhaustive(model: IlpModel) -> Solution:
         values = list(assignment)
         if not model.is_feasible(values):
             continue
-        obj = model.objective_value(values)
+        obj = sum(v.cost * values[v.index] for v in model.variables)
         if obj < best_obj:
             best_obj = obj
             best = values

@@ -129,7 +129,10 @@ class CostModel:
     ) -> float:
         """Admissible A* heuristic: congestion-free cost from ``a`` to ``b``."""
         grid = self.graph.grid
-        dist = grid.manhattan_centers((a[1], a[2]), (b[1], b[2])) / self.pitch
+        # Manhattan distance between the two GCell centers, in DBU
+        dist = (
+            abs(a[1] - b[1]) * grid.step_x + abs(a[2] - b[2]) * grid.step_y
+        ) / self.pitch
         vias = abs(a[0] - b[0])
         return WIRE_WEIGHT * dist + VIA_WEIGHT * vias
 

@@ -218,7 +218,7 @@ def guides_reference(router, expand: int = 1) -> dict:
     layer dropped by an O(n^2) scan (``_merge_guides``)."""
     from collections import defaultdict
 
-    from repro.lefdef.guides import GuideRect
+    from repro.groute import GuideRect
 
     graph = router.graph
     grid = router.grid

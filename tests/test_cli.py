@@ -47,14 +47,19 @@ def test_dump_writes_files(tmp_path, capsys):
     assert (tmp_path / "ispd18_test1.lef").exists()
     assert (tmp_path / "ispd18_test1.def").exists()
     assert (tmp_path / "ispd18_test1.guide").exists()
-    # Round-trip what we dumped.
-    from repro.lefdef import parse_def, parse_guides, parse_lef
+    # Round-trip what we dumped; the guides are the global router's.
+    from repro.benchgen import make_design
+    from repro.groute import GlobalRouter
+    from repro.lefdef import parse_def, parse_lef, write_guides
 
     tech = parse_lef((tmp_path / "ispd18_test1.lef").read_text())
     design = parse_def((tmp_path / "ispd18_test1.def").read_text(), tech)
-    guides = parse_guides((tmp_path / "ispd18_test1.guide").read_text(), tech)
     assert design.name == "ispd18_test1"
-    assert set(guides) <= set(design.nets)
+    router = GlobalRouter(make_design("ispd18_test1"))
+    router.route_all()
+    assert (tmp_path / "ispd18_test1.guide").read_text() == write_guides(
+        router.guides(), tech
+    )
 
 
 def test_unknown_command():

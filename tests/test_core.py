@@ -7,6 +7,7 @@ import pytest
 
 from repro.db import check_legality
 from repro.groute import GlobalRouter
+from repro.core import labeling
 from repro.core import (
     CrpConfig,
     CrpFramework,
@@ -35,21 +36,16 @@ def routed():
 def test_config_validation():
     CrpConfig().validate()
     with pytest.raises(ValueError):
-        CrpConfig(gamma=0.0).validate()
-    with pytest.raises(ValueError):
-        CrpConfig(gamma=1.5).validate()
-    with pytest.raises(ValueError):
-        CrpConfig(temperature=0).validate()
-    with pytest.raises(ValueError):
         CrpConfig(n_rows=0).validate()
 
 
 # -------------------------------------------------------------- labeling
 
 
-def test_labeling_respects_gamma(routed):
+def test_labeling_respects_gamma(routed, monkeypatch):
     design, router = routed
-    config = CrpConfig(gamma=0.1, seed=1)
+    monkeypatch.setattr(labeling, "GAMMA", 0.1)
+    config = CrpConfig(seed=1)
     critical = label_critical_cells(design, router, config, random.Random(1))
     movable = [c for c in design.cells.values() if not c.fixed]
     assert len(critical) <= max(1, int(0.1 * len(movable)))
@@ -57,7 +53,7 @@ def test_labeling_respects_gamma(routed):
 
 def test_labeling_no_connected_pairs(routed):
     design, router = routed
-    config = CrpConfig(gamma=0.6, seed=1)
+    config = CrpConfig(seed=1)
     critical = set(
         label_critical_cells(design, router, config, random.Random(1))
     )
@@ -65,9 +61,10 @@ def test_labeling_no_connected_pairs(routed):
         assert not (design.connected_cells(name) & (critical - {name}))
 
 
-def test_labeling_prioritizes_expensive_cells(routed):
+def test_labeling_prioritizes_expensive_cells(routed, monkeypatch):
     design, router = routed
-    config = CrpConfig(gamma=0.2, seed=3)
+    monkeypatch.setattr(labeling, "GAMMA", 0.2)
+    config = CrpConfig(seed=3)
     critical = label_critical_cells(design, router, config, random.Random(3))
     costs = [router.cell_cost(name) for name in critical]
     movable = [c.name for c in design.cells.values() if not c.fixed]
@@ -79,7 +76,7 @@ def test_labeling_prioritizes_expensive_cells(routed):
 
 def test_labeling_history_damps_reselection(routed):
     design, router = routed
-    config = CrpConfig(gamma=0.6, temperature=1.0, seed=5)
+    config = CrpConfig(seed=5)
     first = set(label_critical_cells(design, router, config, random.Random(5)))
     assert design.critical_history >= first
     # Mark everything moved too: acceptance drops to exp(-2) ~ 13.5%.
@@ -120,7 +117,7 @@ def test_generate_candidates_includes_current(routed):
 
 def test_candidates_are_legal_positions(routed):
     design, router = routed
-    config = CrpConfig(seed=1, max_targets=4)
+    config = CrpConfig(seed=1)
     critical = label_critical_cells(design, router, config, random.Random(1))[:4]
     candidates = generate_candidates(design, critical, config)
     for name, options in candidates.items():
@@ -265,7 +262,7 @@ def test_apply_moves_skips_current(routed):
 
 def test_crp_framework_single_iteration(routed):
     design, router = routed
-    framework = CrpFramework(design, router, CrpConfig(seed=1, max_targets=3))
+    framework = CrpFramework(design, router, CrpConfig(seed=1))
     result = framework.run(1)
     assert len(result.iterations) == 1
     stats = result.iterations[0]

@@ -168,7 +168,9 @@ def test_prefix_run_cost_matches_scalar(routed_graph):
             if a == b:
                 continue
             scalar = scalar_run_cost(pattern3d, oracle, run, layer)
-            dense = pattern3d.field.run_cost(layer, int(a), int(b), line)
+            dense = pattern3d.field.run_cost_batch(
+                [layer], np.array([a]), np.array([b]), np.array([line])
+            ).item()
             assert dense == pytest.approx(scalar, abs=1e-9)
 
 

@@ -113,7 +113,8 @@ def _connect_indexed(
     """The shipped kernel, over a ``DrouteIndex`` holding the same maps."""
     index, stamp = droute_index(lattice, owner, occupancy, guide)
     return astar_connect_indexed(
-        index, sources, targets, index.intern(net), bounds, stamp, params, soft, stats
+        index, sources, targets, index.intern(net), bounds, stamp, params, soft,
+        stats or SearchStats(),
     )
 
 
@@ -123,7 +124,7 @@ def _connect_oracle(
 ):
     return astar_connect(
         lattice, sources, targets, net, owner, occupancy, bounds, guide, params, soft,
-        stats,
+        stats or SearchStats(),
     )
 
 
@@ -137,12 +138,9 @@ def connect(request):
 
 
 def _combinations(lattice):
-    """The four (soft, guide) combinations, the guide covering the lattice."""
-    return [
-        (soft, guide)
-        for soft in (False, True)
-        for guide in (None, set(lattice_nodes(lattice)))
-    ]
+    """The (soft, guide) combinations a search runs in: hard with and
+    without a guide (this one covering the lattice), soft without."""
+    return [(False, None), (False, set(lattice_nodes(lattice))), (True, None)]
 
 
 def test_astar_direct_path(tech45, connect):
@@ -190,11 +188,10 @@ def test_astar_hard_blocked_by_other_net(tech45, connect):
         params=params,
     )
     for guide in (None, set(lattice_nodes(lattice))):
-        hard = connect(soft=False, guide=guide, **kwargs)
-        assert hard is None
-        soft = connect(soft=True, guide=guide, **kwargs)
-        assert soft is not None
-        assert soft.conflicts  # it had to cross the wall
+        assert connect(soft=False, guide=guide, **kwargs) is None
+    soft = connect(soft=True, **kwargs)
+    assert soft is not None
+    assert soft.conflicts  # it had to cross the wall
 
 
 def test_astar_blocked_nodes_impassable_even_soft(tech45, connect):
@@ -240,10 +237,9 @@ def test_astar_source_in_targets(tech45, connect):
         assert result.cost == 0.0
 
 
-def test_astar_off_guide_is_a_wall_when_hard_and_a_penalty_when_soft(tech45, connect):
+def test_astar_off_guide_is_a_wall(tech45, connect):
     design = build_tiny_design(tech45, num_rows=6, sites_per_row=40)
     lattice = TrackLattice(tech45, design.die)
-    params = SearchParams()
     # The guide is the Metal2 column between the terminals, one node short.
     guide = {(1, 5, iy) for iy in range(5, 16)} - {(1, 5, 10)}
     kwargs = dict(
@@ -254,13 +250,11 @@ def test_astar_off_guide_is_a_wall_when_hard_and_a_penalty_when_soft(tech45, con
         owner={},
         occupancy={},
         bounds=(0, 0, lattice.nx - 1, lattice.ny - 1),
-        params=params,
-        guide=guide,
+        params=SearchParams(),
     )
-    assert connect(soft=False, **kwargs) is None
-    soft = connect(soft=True, **kwargs)
-    assert len(soft.path) == 11 and soft.conflicts == []
-    assert soft.cost == 10 * lattice.pitch + params.off_guide_penalty
+    assert connect(soft=False, guide=guide, **kwargs) is None
+    found = connect(soft=False, **kwargs)
+    assert len(found.path) == 11 and found.cost == 10 * lattice.pitch
 
 
 def _same_search(lattice, case, soft, guide, max_expansions):
@@ -283,8 +277,8 @@ def _same_search(lattice, case, soft, guide, max_expansions):
 
 def test_astar_seed_outside_the_window_matches_the_oracle(tech45):
     """A seed two tracks outside ``bounds`` walks towards the window by the
-    oracle's rule -- the *stepping* node against the far bound -- in all
-    four (soft, guide) combinations."""
+    oracle's rule -- the *stepping* node against the far bound -- in every
+    (soft, guide) combination a search runs in."""
     lattice = TrackLattice(tech45, Rect(0, 0, 16 * 200, 16 * 200))
     bounds = (4, 4, 11, 11)
     for seed in ((1, 2, 7), (2, 13, 7), (1, 7, 2), (2, 7, 13), (2, 2, 13)):
@@ -344,18 +338,17 @@ def _random_search_case(rng, tech, sealed=False):
     return lattice, (owner, occupancy, bounds, sources, targets), guide
 
 
-def test_astar_randomized_parity_in_all_four_combinations(tech45):
+def test_astar_randomized_parity_in_every_combination(tech45):
     """Path, cost, conflicts and expansion count equal the oracle's on random
     maps, windows, guide rects and terminals, under budgets that do and do
-    not run out."""
+    not run out, hard with and without a guide and soft without one."""
     rng = random.Random(20221003)
     for _ in range(120):
         lattice, case, guide = _random_search_case(rng, tech45)
-        for soft in (False, True):
-            for use_guide in (None, guide):
-                _same_search(
-                    lattice, case, soft, use_guide, rng.choice((50, 400, 60000))
-                )
+        for soft, use_guide in ((False, None), (False, guide), (True, None)):
+            _same_search(
+                lattice, case, soft, use_guide, rng.choice((50, 400, 60000))
+            )
 
 
 def _both_states(lattice, case, guide, params):
@@ -399,13 +392,12 @@ def test_connect_randomized_parity_with_the_look_and_the_toll(tech45):
     soft_looks = soft_closed = 0
     for round_ in range(120):
         lattice, case, guide = _random_search_case(rng, tech45, sealed=round_ % 2)
-        for soft in (False, True):
-            for use_guide in (None, guide):
-                closed = _same_connect(
-                    lattice, case, soft, use_guide, rng.choice((50, 400, 60000))
-                )
-                soft_looks += soft
-                soft_closed += soft and closed
+        for soft, use_guide in ((False, None), (False, guide), (True, None)):
+            closed = _same_connect(
+                lattice, case, soft, use_guide, rng.choice((50, 400, 60000))
+            )
+            soft_looks += soft
+            soft_closed += soft and closed
     assert soft_closed >= 0.2 * soft_looks, (soft_closed, soft_looks)
 
 
@@ -446,13 +438,19 @@ def test_check_min_area_passes_long_runs(tech45):
 # ---------------------------------------------------------------- driver
 
 
+def _route(design):
+    """Detailed-route ``design`` along its global router's guides."""
+    gr = GlobalRouter(design)
+    gr.route_all()
+    return DetailedRouter(design).route_all(gr.guides())
+
+
 def test_detailed_route_two_pin(tech45):
     design = build_tiny_design(tech45, num_rows=4, sites_per_row=30)
     add_cell(design, "a", "INV_X1", 1, 0)
     add_cell(design, "b", "INV_X1", 20, 2)
     add_two_pin_net(design, "n", "a", "b")
-    router = DetailedRouter(design)
-    result = router.route_all(guides=None)
+    result = _route(design)
     assert result.violations == []
     assert result.vias >= 2  # at least down/up from the pin layer
     assert result.wirelength_dbu > 0
@@ -478,8 +476,8 @@ def test_detailed_route_respects_guides():
 def test_detailed_route_deterministic():
     design1 = fresh_small()
     design2 = fresh_small()
-    r1 = DetailedRouter(design1).route_all(None)
-    r2 = DetailedRouter(design2).route_all(None)
+    r1 = _route(design1)
+    r2 = _route(design2)
     assert r1.wirelength_dbu == r2.wirelength_dbu
     assert r1.vias == r2.vias
     assert len(r1.violations) == len(r2.violations)
@@ -494,8 +492,7 @@ def test_conflicting_pins_produce_short_not_crash(tech45):
     add_cell(design, "b1", "INV_X1", 16, 0)
     add_two_pin_net(design, "n0", "a0", "b0")
     add_two_pin_net(design, "n1", "a1", "b1")
-    router = DetailedRouter(design)
-    result = router.route_all(None)
+    result = _route(design)
     # Both nets must be electrically complete (no opens).
     assert not [v for v in result.violations if v.kind is DrcKind.OPEN]
 
@@ -506,5 +503,5 @@ def test_min_area_patching_adds_wirelength(tech45):
     add_cell(design, "a", "INV_X1", 1, 0)
     add_cell(design, "b", "INV_X1", 20, 3)
     add_two_pin_net(design, "n", "a", "b")
-    result = DetailedRouter(design).route_all(None)
+    result = _route(design)
     assert not [v for v in result.violations if v.kind is DrcKind.MIN_AREA]

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from repro.benchgen import build_tech
 from repro.droute import DetailedRouter
+from repro.droute import router as router_module
 from repro.droute.indexed import BLOCKED_ID, FREE, DrouteIndex
 from repro.droute.lattice import TrackLattice
 from repro.droute.obstacles import BLOCKED, build_obstacle_map
@@ -49,8 +50,9 @@ def signature(result):
     )
 
 
-def route_both(design_factory, guides_from_gr: bool, min_tolled=0, **router_kw):
-    """Route two fresh copies, oracle and indexed; return signatures.
+def route_both(design_factory, min_tolled=0):
+    """Route two fresh copies, oracle and indexed, along their global
+    router's guides; return signatures.
 
     Also holds the searches themselves to the oracle's: the indexed arm's
     per-search expansion counts are the oracle's, in order, less the hard
@@ -63,12 +65,10 @@ def route_both(design_factory, guides_from_gr: bool, min_tolled=0, **router_kw):
     tolled = []
     for router_class in (OracleDetailedRouter, DetailedRouter):
         design = design_factory()
-        guides = None
-        if guides_from_gr:
-            gr = GlobalRouter(design)
-            gr.route_all()
-            guides = gr.guides()
-        router = router_class(design, **router_kw)
+        gr = GlobalRouter(design)
+        gr.route_all()
+        guides = gr.guides()
+        router = router_class(design)
         registry = MetricsRegistry()
         with use_metrics(registry):
             sigs.append(signature(router.route_all(guides)))
@@ -104,19 +104,9 @@ def test_index_interns_owner_map(tech45):
     nid_of_net = index.intern("n")
     assert nid_of_net >= 2
     for node, name in owner.items():
-        nid = index.nid_of(node)
-        assert index.owner[nid] == index.intern(name)
-        assert index.node_of(nid) == node
+        assert index.owner[index.nid_of(node)] == index.intern(name)
     # Nodes absent from the dict map are FREE in the dense array.
     assert FREE == 0 and index.owner.count(FREE) > 0
-
-
-def test_index_roundtrips_node_ids(tech45):
-    design = build_tiny_design(tech45)
-    lattice = TrackLattice(design.tech, design.die)
-    index = DrouteIndex(lattice, {})
-    for node in [(0, 0, 0), (1, 2, 3), (index.num_layers - 1, 0, 1)]:
-        assert index.node_of(index.nid_of(node)) == node
 
 
 # ----------------------------------------------------------------- parity
@@ -127,28 +117,16 @@ def test_randomized_parity_with_guides(seed):
     """Guided DR (the production path) is bit-exact across backends."""
     oracle, indexed = route_both(
         lambda: fresh_small(seed=seed, num_cells=80, num_nets=70),
-        guides_from_gr=True,
     )
     assert indexed == oracle
 
 
-@pytest.mark.parametrize("seed", [5, 17])
-def test_randomized_parity_unguided(seed):
-    """Unguided DR exercises the no-guide kernel loops."""
-    oracle, indexed = route_both(
-        lambda: fresh_small(seed=seed, num_cells=60, num_nets=50),
-        guides_from_gr=False,
-    )
-    assert indexed == oracle
-
-
-def test_parity_through_ripup_rounds():
+def test_parity_through_ripup_rounds(monkeypatch):
     """Conflict rip-up rounds (soft reroutes) stay bit-exact."""
+    monkeypatch.setattr(router_module, "DRC_ROUNDS", 3)
     oracle, indexed = route_both(
         lambda: fresh_small(seed=23, num_cells=100, num_nets=90,
                             utilization=0.8),
-        guides_from_gr=True,
-        drc_rounds=3,
     )
     assert indexed == oracle
 
@@ -158,7 +136,6 @@ def test_parity_where_soft_searches_carry_a_toll():
     their paths are the tolled oracle's."""
     oracle, indexed = route_both(
         lambda: fresh_small(seed=7, num_cells=120, num_nets=260, utilization=0.9),
-        guides_from_gr=True,
         min_tolled=1,
     )
     assert indexed == oracle
@@ -174,7 +151,7 @@ def test_parity_min_area_patching(tech45):
         add_two_pin_net(design, "n", "a", "b")
         return design
 
-    oracle, indexed = route_both(factory, guides_from_gr=False)
+    oracle, indexed = route_both(factory)
     assert indexed == oracle
 
 
@@ -191,7 +168,7 @@ def test_parity_dense_conflicts(tech45):
         add_two_pin_net(design, "n1", "a1", "b1")
         return design
 
-    oracle, indexed = route_both(factory, guides_from_gr=False)
+    oracle, indexed = route_both(factory)
     assert indexed == oracle
 
 
@@ -210,7 +187,7 @@ _FAST_CASES = (
 def _fast_path_problems(draw):
     """A small lattice with random pins, wires and guide, and one
     connection to make on it: ``(router, sources, targets, owner,
-    occupancy, guide node set or None)``."""
+    occupancy, guide node set)``."""
     design = build_tiny_design(
         _TECH, num_rows=draw(st.integers(1, 3)),
         sites_per_row=draw(st.integers(2, 16)),
@@ -245,9 +222,7 @@ def _fast_path_problems(draw):
         n: rng.choice(("n", "m", BLOCKED)) for n in nodes if rng.random() < held
     }
     occupancy = {n: rng.choice(("n", "m")) for n in nodes if rng.random() < wired}
-    guide = None
-    if draw(st.booleans()):
-        guide = {n for n in nodes if rng.random() >= strayed}
+    guide = {n for n in nodes if rng.random() >= strayed}
     return router, sources, targets, owner, occupancy, guide
 
 

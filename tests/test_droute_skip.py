@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from repro.benchgen import build_tech
 from repro.droute import DetailedRouter
 from repro.droute import indexed
+from repro.droute import router as router_module
 from repro.droute.access import access_nodes
 from repro.droute.astar import SearchParams, SearchStats
 from repro.droute.indexed import astar_connect_indexed, pocket_closed
@@ -100,11 +101,11 @@ def test_look_closed_implies_no_path(
     with patch.object(indexed, "POCKET_BUDGET", budget):
         closed = pocket_closed(index, sources, targets, net_id, bounds, stamp)
     fast = astar_connect_indexed(
-        index, sources, targets, net_id, bounds, stamp, params, soft=False
+        index, sources, targets, net_id, bounds, stamp, params, False, SearchStats()
     )
     ref = astar_connect(
         lattice, sources, targets, "n", owner, occupancy, bounds, guide,
-        params, soft=False,
+        params, False, SearchStats(),
     )
     if closed:
         assert fast is None and ref is None
@@ -138,7 +139,7 @@ def test_look_does_not_read_an_earlier_search_s_wall_marks():
     index, stamp = droute_index(lattice, owner, {}, nodes)
     blocked = astar_connect_indexed(
         index, {a_source}, {a_target}, index.intern("a"), bounds, stamp,
-        SearchParams(), soft=False,
+        SearchParams(), False, SearchStats(),
     )
     assert blocked is None  # it met the corridor and marked it a wall
     assert look(index, stamp) is False
@@ -152,11 +153,10 @@ def test_look_does_not_read_an_earlier_search_s_wall_marks():
     ny=st.integers(3, 10),
     top_layer=st.integers(1, 4),
     wall_density=st.sampled_from((0.1, 0.25, 0.4)),
-    guide_density=st.sampled_from((0.5, 0.9, None)),
     budget=st.sampled_from((30, 400, 60000)),
 )
 def test_tolled_search_costs_what_the_flood_costs(
-    seed, nx, ny, top_layer, wall_density, guide_density, budget
+    seed, nx, ny, top_layer, wall_density, budget
 ):
     """Whenever the look closes for a soft search, the search that carries the
     toll finds a path iff the un-inflated flood with no budget does, at the
@@ -165,19 +165,18 @@ def test_tolled_search_costs_what_the_flood_costs(
 
     Not "the flood's path": they may settle an equal-cost tie differently
     (about one random case in four hundred)."""
-    lattice, owner, occupancy, guide, bounds, sources, targets = _random_case(
-        seed, nx, ny, top_layer, wall_density, guide_density or 1.0
+    lattice, owner, occupancy, _, bounds, sources, targets = _random_case(
+        seed, nx, ny, top_layer, wall_density, 1.0
     )
-    if guide_density is None:
-        guide = None
-    index, stamp = droute_index(lattice, owner, occupancy, guide)
+    index, stamp = droute_index(lattice, owner, occupancy)  # soft: no guide
     net_id = index.intern("n")
     unbounded = index.num_nodes + 1
 
     def search(weight, max_expansions):
         params = SearchParams(heuristic_weight=weight, max_expansions=max_expansions)
         return astar_connect_indexed(
-            index, sources, targets, net_id, bounds, stamp, params, soft=True
+            index, sources, targets, net_id, bounds, stamp, params, True,
+            SearchStats(),
         )
 
     flood = search(1.0, unbounded)
@@ -261,7 +260,8 @@ def test_look_follows_the_window_rule():
         window = (ix0, 0, lattice.nx - 1, lattice.ny - 1)
         assert pocket_closed(index, sources, targets, net_id, window, None) == closed
         found = astar_connect_indexed(
-            index, sources, targets, net_id, window, None, SearchParams(), soft=False
+            index, sources, targets, net_id, window, None, SearchParams(), False,
+            SearchStats(),
         )
         assert (found is None) == closed
 
@@ -319,29 +319,29 @@ def test_marks_of_a_look_and_its_tolled_search_mean_nothing_to_the_next_net():
     rng = random.Random(23)
     later_tolled = 0
     for round_ in range(60):
-        lattice, case, guide = _random_search_case(rng, _TECH, sealed=True)
+        lattice, case, _ = _random_search_case(rng, _TECH, sealed=True)
         owner, occupancy, bounds, sources, targets = case
-        for use_guide in (None, guide):
-            used, stamp = droute_index(lattice, owner, occupancy, use_guide)
-            first = SearchStats()
-            used.connect(sources, targets, "n", bounds, stamp, True, first)
-            fresh, fresh_stamp = droute_index(lattice, owner, occupancy, use_guide)
-            # "other" holds the seal: it walks where "n" had to cross,
-            # forwards and, terminals swapped, backwards
-            for net, a, b in (("other", sources, targets), ("n", targets, sources)):
-                answers = []
-                for index, handle in ((used, stamp), (fresh, fresh_stamp)):
-                    closed = pocket_closed(
-                        index, a, b, index.intern(net), bounds, handle
-                    )
-                    stats = SearchStats()
-                    found = index.connect(a, b, net, bounds, handle, True, stats)
-                    answers.append((
-                        closed, stats.tolled, stats.expansions,
-                        found and (found.path, found.cost, found.conflicts),
-                    ))
-                assert answers[0] == answers[1], (round_, net)
-                later_tolled += answers[0][1]
+        # soft searches: no guide
+        used, stamp = droute_index(lattice, owner, occupancy)
+        first = SearchStats()
+        used.connect(sources, targets, "n", bounds, stamp, True, first)
+        fresh, fresh_stamp = droute_index(lattice, owner, occupancy)
+        # "other" holds the seal: it walks where "n" had to cross,
+        # forwards and, terminals swapped, backwards
+        for net, a, b in (("other", sources, targets), ("n", targets, sources)):
+            answers = []
+            for index, handle in ((used, stamp), (fresh, fresh_stamp)):
+                closed = pocket_closed(
+                    index, a, b, index.intern(net), bounds, handle
+                )
+                stats = SearchStats()
+                found = index.connect(a, b, net, bounds, handle, True, stats)
+                answers.append((
+                    closed, stats.tolled, stats.expansions,
+                    found and (found.path, found.cost, found.conflicts),
+                ))
+            assert answers[0] == answers[1], (round_, net)
+            later_tolled += answers[0][1]
     assert later_tolled  # the second net's searches read marks too
 
 
@@ -394,14 +394,15 @@ def test_open_corridor_runs_the_hard_search(tech45):
 
 
 def _routed(drc_rounds, seed=1, num_nets=200):
-    """A dense design whose first conflict round leaves a short behind."""
+    """A dense design whose first conflict round leaves a short behind,
+    routed with ``drc_rounds`` conflict rounds."""
     design = fresh_small(seed=seed, num_cells=120, num_nets=num_nets, utilization=0.9)
     gr = GlobalRouter(design)
     gr.route_all()
     guides = gr.guides()
-    router = DetailedRouter(design, drc_rounds=drc_rounds)
+    router = DetailedRouter(design)
     registry = MetricsRegistry()
-    with use_metrics(registry):
+    with use_metrics(registry), patch.object(router_module, "DRC_ROUNDS", drc_rounds):
         result = router.route_all(guides)
     return router, guides, result, registry
 

@@ -21,7 +21,7 @@ from oracles.crp import full_recompute
 from repro.core.config import CrpConfig
 from repro.core.crp import CrpFramework
 from repro.core.estimate import estimate_candidate_cost
-from repro.core.candidates import MoveCandidate, generate_candidates
+from repro.core.candidates import MAX_TARGETS, MoveCandidate, generate_candidates
 from repro.core.fastecc import EccCache
 from repro.core.labeling import label_critical_cells
 from repro.groute import GlobalRouter
@@ -188,7 +188,7 @@ def test_window_solver_is_optimal_against_highs(seed):
         n_sites=config.n_sites,
         n_rows=config.n_rows,
         max_cells=config.max_cells,
-        max_targets=config.max_targets,
+        max_targets=MAX_TARGETS,
     )
     for name in critical:
         legalizer.run(name)
@@ -231,7 +231,7 @@ def test_window_repeat_solves_are_deterministic():
         n_sites=config.n_sites,
         n_rows=config.n_rows,
         max_cells=config.max_cells,
-        max_targets=config.max_targets,
+        max_targets=MAX_TARGETS,
     )
     for name in critical:
         before = legalizer.solves

@@ -23,7 +23,7 @@ def test_flow_crp_k2():
         fresh_small(),
         mode="crp",
         crp_iterations=2,
-        config=CrpConfig(seed=1, max_targets=3),
+        config=CrpConfig(seed=1),
     )
     assert result.crp is not None
     assert len(result.crp.iterations) == 2

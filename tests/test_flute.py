@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geom import Point, manhattan
-from repro.flute import SteinerTree, build_rsmt, rsmt_length
+from repro.flute import SteinerTree, build_rsmt
 
 coords = st.integers(min_value=0, max_value=10000)
 points = st.builds(Point, coords, coords)
@@ -131,7 +131,3 @@ def _prim_length(pts):
                     dist[j] = d
     return total
 
-
-def test_rsmt_length_helper_matches_tree():
-    terminals = [Point(0, 0), Point(7, 3), Point(2, 9), Point(5, 5)]
-    assert rsmt_length(terminals) == build_rsmt(terminals).length()

@@ -41,10 +41,6 @@ def test_gcells_overlapping(grid):
     assert len(cells) == 6
 
 
-def test_manhattan_centers(grid):
-    assert grid.manhattan_centers((0, 0), (3, 2)) == 3 * 1000 + 2 * 1000
-
-
 def test_degenerate_grid_rejected():
     with pytest.raises(ValueError):
         GCellGrid(GCellGridSpec(0, 0, 0, 100, 5, 5))

@@ -4,6 +4,7 @@ import pytest
 
 from repro.benchgen import make_design
 from repro.droute import DetailedRouter
+from repro.droute.router import GUIDE_MARGIN_TRACKS
 from repro.droute.access import access_nodes
 from repro.droute.indexed import DrouteIndex, guide_spans
 from repro.grid import EdgeKind, GridEdge
@@ -291,7 +292,7 @@ def test_run_guides_mark_what_the_per_gcell_guides_marked(name):
     assert guides.keys() == reference.keys() == router.routes.keys()
     dr = DetailedRouter(design)
     lattice = dr.lattice
-    index = DrouteIndex(lattice, {}, guide_margin=dr.guide_margin)
+    index = DrouteIndex(lattice, {}, guide_margin=GUIDE_MARGIN_TRACKS)
     fewer = 0
     for net in design.nets.values():
         rects, expected = guides[net.name], reference[net.name]
@@ -300,9 +301,9 @@ def test_run_guides_mark_what_the_per_gcell_guides_marked(name):
         ), net.name
         fewer += len(expected) - len(rects)
         access = [access_nodes(design, lattice, pin) for pin in net.pins]
-        spans, bounds = guide_spans(lattice, dr.guide_margin, rects, access)
+        spans, bounds = guide_spans(lattice, GUIDE_MARGIN_TRACKS, rects, access)
         expected_spans, expected_bounds = guide_spans(
-            lattice, dr.guide_margin, expected, access
+            lattice, GUIDE_MARGIN_TRACKS, expected, access
         )
         assert bounds == expected_bounds, net.name
         # Stamp the reference, count it, stamp over it: the sets are equal

@@ -17,7 +17,7 @@ def crp_flow_result():
         design,
         mode="crp",
         crp_iterations=2,
-        config=CrpConfig(seed=5, max_targets=3),
+        config=CrpConfig(seed=5),
     )
     return design, result
 

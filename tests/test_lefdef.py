@@ -1,11 +1,11 @@
-"""Unit tests for the LEF/DEF/guide parsers and writers."""
+"""Unit tests for the LEF/DEF parsers and writers and the guide writer."""
 
 import pytest
 
 from repro.geom import Orientation, Rect
+from repro.groute import GuideRect
 from repro.lefdef import (
     parse_def,
-    parse_guides,
     parse_lef,
     tokenize,
     write_def,
@@ -13,7 +13,6 @@ from repro.lefdef import (
     write_lef,
 )
 from repro.lefdef.lexer import TokenStream
-from repro.lefdef.guides import GuideRect
 from repro.benchgen import build_tech
 from repro.benchgen.generator import DesignSpec, generate_design
 
@@ -245,7 +244,7 @@ END DESIGN
 # ------------------------------------------------------------------ guides
 
 
-def test_guides_round_trip():
+def test_write_guides_contest_format():
     tech = build_tech("45nm")
     guides = {
         "net1": [
@@ -254,12 +253,7 @@ def test_guides_round_trip():
         ],
         "net2": [GuideRect(2, Rect(100, 100, 200, 200))],
     }
-    text = write_guides(guides, tech)
-    back = parse_guides(text, tech)
-    assert back == guides
-
-
-def test_parse_guides_rejects_orphan_rect():
-    tech = build_tech("45nm")
-    with pytest.raises(ValueError):
-        parse_guides("0 0 10 10 Metal1\n", tech)
+    assert write_guides(guides, tech) == (
+        "net1\n(\n0 0 3000 3000 Metal1\n0 0 3000 6000 Metal2\n)\n"
+        "net2\n(\n100 100 200 200 Metal3\n)\n"
+    )

@@ -198,7 +198,7 @@ PEAK_BOUND_MIB = 3.0
 def _ceiling_case(tech):
     """200 critical cells × (keep-current + 6 legalized candidates).
 
-    ``max_critical_cells × max_targets``, the most one iteration can
+    ``MAX_CRITICAL_CELLS × MAX_TARGETS``, the most one iteration can
     hand the selection.  Cells sit in 10 bands two rows apart × 20
     columns six sites apart, each candidate within ±2 rows and ±10 sites
     of its cell, half of them relocating the cell's neighbour (sometimes

@@ -32,7 +32,6 @@ def test_move_replaces():
     index.move("a", Rect(900, 900, 950, 950))
     assert index.query(Rect(0, 0, 200, 200)) == []
     assert index.query(Rect(890, 890, 960, 960)) == ["a"]
-    assert index.box_of("a") == Rect(900, 900, 950, 950)
 
 
 def test_strict_vs_touching_query():

@@ -26,15 +26,6 @@ def test_layer_direction_other():
     assert LayerDirection.VERTICAL.other is LayerDirection.HORIZONTAL
 
 
-def test_layer_track_math():
-    layer = Layer("M2", 1, LayerDirection.VERTICAL, pitch=200, width=60, spacing=140, offset=100)
-    assert layer.track_coord(0) == 100
-    assert layer.track_coord(5) == 1100
-    assert layer.nearest_track(1100) == 5
-    assert layer.nearest_track(1199) == 5
-    assert layer.nearest_track(1201) == 6
-
-
 def test_technology_layer_index_enforced():
     tech = Technology()
     tech.add_layer(Layer("M1", 0, LayerDirection.HORIZONTAL, 200, 60, 140))
@@ -47,8 +38,6 @@ def test_technology_lookup():
     assert tech.layer_by_name("Metal3").index == 2
     with pytest.raises(KeyError):
         tech.layer_by_name("Metal99")
-    via = tech.via_between(0)
-    assert via.top == 1
 
 
 def test_macro_duplicate_pin_rejected():
