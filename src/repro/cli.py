@@ -208,8 +208,7 @@ def _cmd_dump(args: argparse.Namespace) -> int:
     legality = check_legality(design)
     if not legality.is_legal:
         print(
-            f"refusing to dump an illegal placement "
-            f"({len(legality.violations)} violations)",
+            f"refusing to dump an illegal placement ({legality.summary()})",
             file=sys.stderr,
         )
         return 1

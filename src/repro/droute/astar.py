@@ -17,9 +17,9 @@ with the crossing it must make already in its estimate
 (``SearchStats.tolled``), so that it heads for the cheapest crossing
 instead of first flooding everything that is free.
 
-The search itself is :func:`repro.droute.indexed.astar_connect_indexed`;
-the dict-of-tuples A* it replaced is the parity reference in
-``tests/oracles/droute.py``.
+The search itself is :func:`repro.droute.indexed.astar_connect_indexed`,
+which runs the C kernel ``droute/_kernel.c``; the dict-of-tuples A* in
+``tests/oracles/droute.py`` is its parity reference.
 """
 
 from __future__ import annotations

@@ -1,46 +1,38 @@
-"""Flat-array indexed A* kernel for detailed routing.
+"""Flat-array detailed-routing state and its C search kernel.
 
 Addressing scheme: every lattice node ``(layer, ix, iy)`` maps to a flat
 node id ``nid = (layer * ny + iy) * nx + ix``; net names are interned to
 small ints (``FREE = 0``, ``BLOCKED_ID = 1``, nets from 2).  All per-node
-state — ownership, wire occupancy, ``g_score``/``came_from``, target and
-guide membership — lives in dense arrays indexed by nid instead of
-dict-of-tuple maps, which removes the tuple hashing and boxing that
-dominates the dict-based reference (``tests/oracles/droute.py``).
+state -- ownership, wire occupancy, ``g_score``/``came_from``, target and
+guide membership, the passability cache ``gate`` -- lives in typed
+``array.array`` buffers indexed by nid: ``owner``, ``occupancy`` and
+``came_from`` as ``i``, ``g_score`` as ``d``, the stamps ``target_epoch``,
+``guide_epoch`` and ``gate`` as ``q`` (64 bits, so they never wrap).
 
-Per-search state costs O(expanded), not O(lattice): ``g_score`` defaults
-to ``inf`` and ``came_from`` to ``-1``, every slot written during a
-search is recorded in a local ``touched`` list and both are restored in
-the search's ``finally``, so a relax attempt reads exactly one array
-slot to learn the incumbent cost and no search leaves a node id alive
-behind it.  What does not depend on the search -- the per-layer step
-descriptors and the ramps the heuristic's per-axis tables are sliced
-from -- is built once per session (:meth:`DrouteIndex.search_tables`).
-Target membership is epoch-stamped (bump a counter, compare
-stamps), and guide membership uses a per-net ``guide_stamp`` filled by
-row-contiguous slice assignment, so building a net's guide region costs
-O(guide-area) slice stores instead of O(guide-area) tuple insertions.
+The A* search and the pocket look run in ``_kernel.c``, which reads and
+writes those buffers in place through ``ctypes``.  :func:`load_kernel`
+compiles it with the system ``cc`` on the first :class:`DrouteIndex` and
+caches the shared object in ``__pycache__``; there is no Python copy of
+either loop and no fallback (DESIGN.md, "One loop, one relax, one
+push — in C").  Python converts the terminals to node ids, keeps the stamp
+counters, and turns the path ids the kernel hands back into a
+:class:`SearchResult`.
 
-The owner array is scattered once from the dict built by
-:func:`repro.droute.obstacles.build_obstacle_map` through a transient
-``numpy`` int32 buffer; the *runtime* arrays are plain Python lists
-because scalar ``list.__getitem__`` is markedly faster than
-``ndarray.__getitem__`` (which boxes a fresh ``np.int32``/``np.float64``
-per access) and float64 boxing would also poison the priority-queue
-float comparisons with mixed-type elements.
+Per-search state costs O(expanded), not O(lattice): ``g_score`` is
+``inf`` and ``came_from`` ``-1`` between searches, and the kernel
+restores every slot it wrote on every exit.  Target membership is
+epoch-stamped (bump a counter, compare stamps), and guide membership
+uses a per-net ``guide_stamp`` filled by row-contiguous slice
+assignment.
 
-Parity contract: :func:`astar_connect_indexed` is expansion-order-
-identical to the oracle — same seed order (it iterates the caller's own
-source/target sets), same FIFO tie-breaking within equal f values as the
-oracle's tie counter, same float expressions for the heuristic and step
-costs, same hard/soft conflict semantics, same window rule — so paths,
-costs, conflict lists and expansion counts are byte-identical.  It is
-one loop with one relax for the hard and the soft search: what the
-guide and ``soft`` decide is cached per node in ``gate`` on first touch
-(five codes under a per-search stamp block), so the hot path reads
-neither.  The oracle (the dict ``astar_connect`` and
-its ``_DictState``) lives in ``tests/oracles/droute.py``; the parity
-suite installs it through :meth:`DetailedRouter.begin_session`.
+Parity contract: the search is expansion-order-identical to the dict
+oracle in ``tests/oracles/droute.py`` (``astar_connect`` and
+``pocket_look``) -- same seed order, same (f, insertion order) queue
+order as the oracle's (f, tie) heap, same float expressions for the
+heuristic and step costs, same hard/soft conflict semantics, same window
+rule -- so paths, costs, conflict lists and expansion counts are
+byte-identical; the parity suite installs the oracle through
+:meth:`DetailedRouter.begin_session`.
 
 :class:`DrouteIndex` is also the router's *session state*: the eight
 methods under "session state" are everything
@@ -50,8 +42,14 @@ seam a test needs to substitute the reference.
 
 from __future__ import annotations
 
-import heapq
-from collections import defaultdict, deque
+import functools
+import hashlib
+import os
+import tempfile
+import types
+from array import array
+from collections import defaultdict
+from pathlib import Path
 
 from repro.droute.astar import SearchParams, SearchResult, SearchStats
 from repro.droute.lattice import LNode, TrackLattice
@@ -68,17 +66,91 @@ _INF = float("inf")
 #: look takes a fresh block of this many codes, so no mark of an earlier
 #: block compares ``>=`` a later block's base; wide enough for the
 #: search's five codes (``gstamp + 0`` free, ``gstamp + 1`` held by
-#: another net, ``gstamp + _WALL``, ``gstamp + _INSIDE + 0..1`` the same
+#: another net, ``gstamp + 2`` a wall, ``gstamp + 3 + 0..1`` the same
 #: two on a node the look before a tolled search had marked) and the
 #: look's two
 GATE_BLOCK = 8
-_WALL = 2
-_INSIDE = 3
 
 #: nodes :func:`pocket_closed` may visit before it gives up and lets the
 #: forward search run; sized from the measured curve in DESIGN.md
 #: ("Searches that are not run")
 POCKET_BUDGET = 256
+
+_SOURCE = Path(__file__).with_name("_kernel.c")
+#: no -ffast-math and no -march: the kernel's floats must be the oracle's,
+#: and -ffp-contract=off keeps ``a + w * h`` from fusing into one FMA
+_CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+
+
+@functools.cache
+def load_kernel() -> types.SimpleNamespace:
+    """Compile (once per source and flags) and load ``_kernel.c``.
+
+    The shared object is ``__pycache__/_kernel.<hash>.so`` beside the
+    source, named by a hash of the source and :data:`_CFLAGS`, written to
+    a temporary file and moved into place, so concurrent first runs do not
+    see a half-written library.  A missing or failing compiler raises
+    ``RuntimeError`` with its message.
+    """
+    import ctypes
+    import subprocess
+
+    source = _SOURCE.read_bytes()
+    tag = hashlib.sha256(source + " ".join(_CFLAGS).encode()).hexdigest()[:16]
+    cache = _SOURCE.parent / "__pycache__"
+    built = cache / f"_kernel.{tag}.so"
+    if not built.exists():
+        cache.mkdir(exist_ok=True)
+        fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache)
+        os.close(fd)
+        try:
+            done = subprocess.run(
+                ["cc", *_CFLAGS, "-o", tmp, str(_SOURCE)],
+                capture_output=True, text=True,
+            )
+            if done.returncode:
+                raise RuntimeError(f"cannot compile {_SOURCE}:\n{done.stderr}")
+            os.replace(tmp, built)
+        except OSError as exc:  # no ``cc`` on the PATH, or no write access
+            raise RuntimeError(f"cannot compile {_SOURCE}: {exc}") from exc
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+    lib = ctypes.CDLL(str(built))
+
+    c_void_p, c_int32, c_int64, c_double = (
+        ctypes.c_void_p, ctypes.c_int32, ctypes.c_int64, ctypes.c_double
+    )
+
+    class Index(ctypes.Structure):
+        """``Index`` of ``_kernel.c``: buffer addresses, geometry, the
+        cost constants of the next call and what the last search found."""
+
+        _fields_ = [
+            (name, c_void_p) for name in (
+                "owner", "occupancy", "came_from", "g_score",
+                "target_epoch", "guide_epoch", "gate", "horizontal",
+            )
+        ] + [
+            (name, c_int32) for name in ("nx", "ny", "num_layers", "min_wire_layer")
+        ] + [
+            ("pitch", c_int64), ("via_cost", c_double), ("jog_factor", c_double),
+            ("conflict_penalty", c_double), ("cost", c_double),
+            ("expansions", c_int64),
+        ]
+
+    # (index, sources, n, targets, n, net, ix0, iy0, ix1, iy1, guide stamp)
+    common = [ctypes.POINTER(Index), c_void_p, c_int32, c_void_p, c_int32]
+    common += [c_int32] * 5 + [c_int64]
+    lib.drk_search.argtypes = common + [
+        c_int64, c_int64, c_int64, c_double, c_double, c_int32, c_int64, c_void_p,
+    ]
+    lib.drk_search.restype = c_int64
+    lib.drk_pocket.argtypes = common + [c_int64, c_int64]
+    lib.drk_pocket.restype = c_int32
+    return types.SimpleNamespace(
+        search=lib.drk_search, pocket=lib.drk_pocket, Index=Index
+    )
 
 
 def guide_spans(
@@ -131,7 +203,8 @@ class DrouteIndex:
         "names", "ids", "owner", "occupancy",
         "g_score", "came_from", "target_epoch", "guide_epoch",
         "gate", "epoch", "guide_stamp", "gate_stamp",
-        "reservations", "params", "margin", "_tables_key", "_tables",
+        "reservations", "params", "margin",
+        "path", "_kernel", "_horizontal", "_c",
     )
 
     def __init__(
@@ -142,6 +215,7 @@ class DrouteIndex:
         params: SearchParams | None = None,
         guide_margin: int = 0,
     ) -> None:
+        self._kernel = kernel = load_kernel()
         self.lattice = lattice
         #: per-net escape-via landings still held for that net; keyed
         #: by name with tuple nodes (rare, never on the hot path)
@@ -156,35 +230,43 @@ class DrouteIndex:
         self.names: list[str | None] = [None, BLOCKED]
         self.ids: dict[str, int] = {BLOCKED: BLOCKED_ID}
 
-        import numpy as np
-
-        owner = np.zeros(n, dtype=np.int32)
+        self.owner = array("i", bytes(4 * n))
         for (layer, ix, iy), name in owner_map.items():
-            owner[(layer * ny + iy) * nx + ix] = self.intern(name)
-        self.owner: list[int] = owner.tolist()
-        self.occupancy: list[int] = [0] * n
-        #: inf / -1 everywhere between searches; each search restores
-        #: what it wrote (its ``touched`` list) on the way out
-        self.g_score: list[float] = [_INF] * n
-        self.came_from: list[int] = [-1] * n
-        self.target_epoch: list[int] = [0] * n
-        self.guide_epoch: list[int] = [0] * n
+            self.owner[(layer * ny + iy) * nx + ix] = self.intern(name)
+        self.occupancy = array("i", bytes(4 * n))
+        #: inf / -1 everywhere between searches; the kernel restores what
+        #: a search wrote on the way out
+        self.g_score = array("d", [_INF]) * n
+        self.came_from = array("i", [-1]) * n
+        self.target_epoch = array("q", bytes(8 * n))
+        self.guide_epoch = array("q", bytes(8 * n))
         #: lazy per-search passability cache, five codes over the live
-        #: stamp: ``gate_stamp + pen`` with ``pen`` 0 (free) or 1 (held
-        #: by another net) indexing a step's penalty table,
-        #: ``gate_stamp + _WALL``, and ``gate_stamp + _INSIDE + pen`` for
-        #: a node the preceding look had marked (tolled searches only);
-        #: anything older than the live stamp means "not classified yet".
-        #: :func:`pocket_closed` borrows it under a stamp block of its
-        #: own, ``gate_stamp + {0: visited, 1: source}``; both advance
-        #: ``gate_stamp`` by :data:`GATE_BLOCK`
-        self.gate: list[int] = [0] * n
+        #: stamp (see :data:`GATE_BLOCK`); anything older than the live
+        #: stamp means "not classified yet".  :func:`pocket_closed`
+        #: borrows it under a stamp block of its own, ``gate_stamp + {0:
+        #: visited, 1: source}``; both advance ``gate_stamp`` by
+        #: :data:`GATE_BLOCK`
+        self.gate = array("q", bytes(8 * n))
+        #: the node ids of the last path found, source first
+        self.path = array("i", bytes(4 * n))
         self.epoch = 0
         self.guide_stamp = 0
         self.gate_stamp = 0
-        #: :meth:`search_tables` of the last ``SearchParams`` asked for
-        self._tables_key: tuple | None = None
-        self._tables: tuple = ()
+
+        self._horizontal = array(
+            "i", [layer.is_horizontal for layer in lattice.tech.layers]
+        )
+        # No buffer is ever resized, so the addresses stay valid.
+        self._c = kernel.Index(
+            *(
+                buf.buffer_info()[0] for buf in (
+                    self.owner, self.occupancy, self.came_from, self.g_score,
+                    self.target_epoch, self.guide_epoch, self.gate,
+                    self._horizontal,
+                )
+            ),
+            nx, ny, num_layers, lattice.min_wire_layer, lattice.pitch,
+        )
 
     # ------------------------------------------------------------- interning
 
@@ -205,63 +287,6 @@ class DrouteIndex:
     def nid_of(self, node: LNode) -> int:
         layer, ix, iy = node
         return (layer * self.ny + iy) * self.nx + ix
-
-    # ---------------------------------------------------------------- tables
-
-    def search_tables(self, params: SearchParams) -> tuple:
-        """``(steps_of, x_ramps, y_ramps, l_ramps)`` for ``params``.
-
-        Built on the first search of a session and again only when the
-        cost constants change (never, in the router: one ``SearchParams``
-        per session).  ``steps_of[layer]`` is the layer's step
-        descriptors (:func:`astar_connect_indexed`, *Steps*); a penalty
-        table is indexed by a ``gate`` code's offset: ``pen``, the wall
-        (never read), ``_INSIDE + pen``.  The ramps are the ``(down,
-        zero, up)`` lists :func:`_ramp` slices one heuristic axis from.
-        """
-        key = (params.via_cost, params.jog_factor, params.conflict_penalty)
-        if key == self._tables_key:
-            return self._tables
-        lattice = self.lattice
-        pitch = lattice.pitch
-        nx, ny, num_layers = self.nx, self.ny, self.num_layers
-        layer_stride = nx * ny
-        via_cost = float(params.via_cost)
-        # A float like the other two steps (exact: a dbu count), so that
-        # the relax's ``g + step`` is always float + float.
-        wire_cost = float(pitch)
-        jog_cost = params.jog_factor * pitch
-        conflict_penalty = float(params.conflict_penalty)
-        pens_wire, pens_jog, pens_via = (
-            (step, step + conflict_penalty, _INF, step, step + conflict_penalty)
-            for step in (wire_cost, jog_cost, via_cost)
-        )
-        x_steps = ((1, 1, 0), (-1, -1, 0))  # (nid delta, dx, dy)
-        y_steps = ((nx, 0, 1), (-nx, 0, -1))
-        steps_of = []
-        for layer in range(num_layers):
-            steps = []
-            if layer >= lattice.min_wire_layer:
-                horizontal = lattice.tech.layers[layer].is_horizontal
-                along, across = (x_steps, y_steps) if horizontal else (y_steps, x_steps)
-                steps += [(dnid, wire_cost, pens_wire, dx, dy, 0) for dnid, dx, dy in along]
-                steps += [(dnid, jog_cost, pens_jog, dx, dy, 0) for dnid, dx, dy in across]
-            if layer + 1 < num_layers:
-                steps.append((layer_stride, via_cost, pens_via, 0, 0, 1))
-            if layer > 0:
-                steps.append((-layer_stride, via_cost, pens_via, 0, 0, -1))
-            steps_of.append(tuple(steps))
-        # ``pitch`` is an int (dbu), so the x and y terms are ints and
-        # ``(pdx[x] + pdy[y]) + vdl[l]`` is the oracle's ``pitch * (dx +
-        # dy) + via_cost * dl`` float bit-for-bit.
-        self._tables = (
-            tuple(steps_of),
-            _ramps(pitch, nx, 0),
-            _ramps(pitch, ny, 0),
-            _ramps(via_cost, num_layers, 0.0),
-        )
-        self._tables_key = key
-        return self._tables
 
     # ---------------------------------------------------------------- guides
 
@@ -285,7 +310,7 @@ class DrouteIndex:
             base = layer * ny
             for ix0, iy0, ix1, iy1 in spans:
                 width = ix1 - ix0 + 1
-                fill = [stamp] * width
+                fill = array("q", [stamp]) * width
                 for iy in range(iy0, iy1 + 1):
                     row = (base + iy) * nx + ix0
                     ge[row:row + width] = fill
@@ -406,19 +431,19 @@ def pocket_closed(
 ) -> bool:
     """True when no penalty-free path leads from ``sources`` to ``targets``.
 
-    A bounded flood *backwards* from the targets over exactly the nodes
-    a step of :func:`astar_connect_indexed` enters at ``pen == 0``,
-    hard or soft: free-or-own in both ``owner`` and ``occupancy`` and,
-    when a guide is given, carrying its stamp (``guide_stamp=None``: no
-    guide test).  Targets seed the flood whoever holds them -- an
-    off-guide one is marked but not flooded from.  The predecessors of a
-    node are found from the search's own step descriptors
-    (:meth:`DrouteIndex.search_tables`): each of the node's steps, taken
+    A bounded flood *backwards* from the targets (``drk_pocket`` in
+    ``_kernel.c``) over exactly the nodes a step of
+    :func:`astar_connect_indexed` enters at ``pen == 0``, hard or soft:
+    free-or-own in both ``owner`` and ``occupancy`` and, when a guide is
+    given, carrying its stamp (``guide_stamp=None``: no guide test).
+    Targets seed the flood whoever holds them -- an off-guide one is
+    marked but not flooded from.  The predecessors of a node are found
+    from the search's own steps: each of the node's steps, taken
     backwards, reaches a node that steps onto it by the opposite one.
-    Planar steps exist only on layers >= ``min_wire_layer`` and follow
-    the search's window rule mirrored -- the *stepping* node is tested
-    against the far bound, so the node stepped onto is tested against
-    the near one; vias are unbounded.  Every predecessor is tested for source
+    Planar steps exist only on layers >= ``min_wire_layer`` and follow the
+    search's window rule mirrored -- the *stepping* node is tested against
+    the far bound, so the node stepped onto is tested against the near
+    one; vias are unbounded.  Every predecessor is tested for source
     membership before anything else -- sources are seeds, never entered,
     so they need be neither passable nor inside ``bounds``.
 
@@ -436,85 +461,26 @@ def pocket_closed(
       a marked node the toll is still ahead of it, and the estimate may
       say so.
 
-    If the flood meets a source or visits more than
+    If the flood meets a source or its FIFO holds more than
     :data:`POCKET_BUDGET` nodes the answer is "unknown" (``False``) and
-    the search runs as if nobody had looked.
-
-    The order the flood visits nodes in is free: whether it closes (its
-    whole closure, no more than the budget, meets no source) and what it
-    has marked when it does are properties of the closure, and the marks
-    an "unknown" look leaves are read by no search (only a toll makes a
-    search read the block below its own).
+    the search runs as if nobody had looked.  The marks an "unknown" look
+    leaves are read by no search (only a toll makes a search read the
+    block below its own).
     """
-    nx = index.nx
-    ny = index.ny
-    last_ix = nx - 1
-    last_iy = ny - 1
-    budget = POCKET_BUDGET
-    ix0, iy0, ix1, iy1 = bounds
-    # where every planar neighbour may step onto the node
-    in_x0, in_x1 = max(ix0, 1), min(ix1, last_ix - 1)
-    in_y0, in_y1 = max(iy0, 1), min(iy1, last_iy - 1)
-    steps_of = index.search_tables(index.params)[0]
-    owner = index.owner
-    occupancy = index.occupancy
-    guide_epoch = index.guide_epoch
-    unguided = guide_stamp is None
     # Marks go in ``gate`` under a fresh stamp block; the forward search
     # that follows takes the next one, so it reads every mark left here
     # as "not classified yet" -- and, under a toll, as "inside".
-    look = index.gate
+    src, tgt = _kernel_terminals(index, sources, targets, bounds)
     seen = index.gate_stamp + GATE_BLOCK
     index.gate_stamp = seen
-    is_source = seen + 1
-
-    for layer, ix, iy in sources:
-        look[(layer * ny + iy) * nx + ix] = is_source
-    queue: list[int] = []
-    push = queue.append
-    for layer, ix, iy in targets:
-        nid = (layer * ny + iy) * nx + ix
-        if look[nid] == is_source:
-            return False  # overlap: the search answers at once
-        look[nid] = seen
-        if unguided or guide_epoch[nid] == guide_stamp:
-            push(nid)  # an off-guide target is a wall
-
-    for nid in queue:  # grows while iterated: a FIFO without pops
-        if len(queue) > budget:
-            return False
-        ix = nid % nx
-        rest = nid // nx
-        iy = rest % ny
-        # The node's own steps, each read backwards: the neighbour a
-        # step reaches is a predecessor by the opposite step, which its
-        # layer has too.  Near the window the search's rule applies to
-        # that neighbour: a +x step (-x predecessor) needs the node
-        # short of ``last_ix`` and at or past ``ix0``, and so on.
-        steps = steps_of[rest // ny]
-        if not (in_x0 <= ix <= in_x1 and in_y0 <= iy <= in_y1):
-            steps = [
-                d for d in steps
-                if (d[3] <= 0 or ix0 <= ix < last_ix)
-                and (d[3] >= 0 or 0 < ix <= ix1)
-                and (d[4] <= 0 or iy0 <= iy < last_iy)
-                and (d[4] >= 0 or 0 < iy <= iy1)
-            ]
-        for d in steps:
-            pid = nid + d[0]
-            mark = look[pid]
-            if mark >= seen:
-                if mark == is_source:
-                    return False
-                continue
-            look[pid] = seen
-            if unguided or guide_epoch[pid] == guide_stamp:
-                holder = owner[pid]
-                if holder == 0 or holder == net_id:
-                    holder = occupancy[pid]
-                    if holder == 0 or holder == net_id:
-                        push(pid)
-    return True
+    closed = index._kernel.pocket(
+        index._c, src.buffer_info()[0], len(src),
+        tgt.buffer_info()[0], len(tgt), net_id, *bounds,
+        -1 if guide_stamp is None else guide_stamp, seen, POCKET_BUDGET,
+    )
+    if closed < 0:
+        raise MemoryError("detailed-routing pocket look")
+    return bool(closed)
 
 
 def astar_connect_indexed(
@@ -529,59 +495,43 @@ def astar_connect_indexed(
     stats: SearchStats,
     toll: float = 0.0,
 ) -> SearchResult | None:
-    """Cheapest lattice path from ``sources`` to ``targets`` (flat-array A*).
+    """Cheapest lattice path from ``sources`` to ``targets`` (``drk_search``
+    in ``_kernel.c``).
 
     One loop, one relax and one push serve the hard and the soft search;
-    the guide and ``soft`` are read only where a node is classified.
+    the guide and ``soft`` are read only where a node is classified.  The
+    open set is a binary heap ordered by ``(f, insertion seq)`` -- the
+    (f, tie) order of the oracle's heap, entry for entry -- and the seeds
+    are pushed in the iteration order of the caller's ``sources``.
 
-    The open set is a *bucket queue*: a dict of per-f FIFO deques of
-    ``(g, nid)`` pairs plus a small binary heap over the distinct f
-    values that currently own a live bucket.  Popping the front of the
-    minimum-f bucket yields entries in (f, insertion order) — exactly
-    the (f, tie) order of the oracle's flat heap, entry for entry —
-    while a push onto a live bucket (about every second one, see
-    DESIGN.md) is one dict probe plus a deque append instead of an
-    O(log n) tuple sift.  Sources/targets are iterated from the caller's
-    own sets so seeding order is shared with the oracle byte-for-byte.
-
-    *Steps.*  Each layer has a tuple of step descriptors ``(nid delta,
-    base step, penalty table, dx, dy, dl)`` in the oracle's candidate
-    order: along-track +/-, jog +/-, via up, via down; layers below
+    *Steps.*  Each layer's steps follow the oracle's candidate order:
+    along-track +/-, jog +/-, via up, via down; layers below
     ``min_wire_layer`` have vias only, and a via that would leave the
-    stack is absent.  They, and the ramps the heuristic tables are
-    sliced from, are the session's (:meth:`DrouteIndex.search_tables`);
-    what a search builds for itself is its five ``gate`` codes and
-    three table slices.  An expansion strictly inside ``bounds`` iterates
-    its layer's tuple as is.  One on or outside the edge filters it with
-    the *window rule*: a planar step needs the stepping node short of
-    the far bound in the direction of motion (``ix < ix1`` for +x,
-    ``ix > ix0`` for -x, same for y) — so seeds outside the window walk
-    towards it — and vias are unbounded.
+    stack is absent.  An expansion strictly inside ``bounds`` takes every
+    step.  One on or outside the edge applies the *window rule*: a planar
+    step needs the stepping node short of the far bound in the direction
+    of motion (``ix < ix1`` for +x, ``ix > ix0`` for -x, same for y) -- so
+    seeds outside the window walk towards it -- and vias are unbounded.
 
     *Relax*, cheapest test first:
 
-    1. a *dominance filter* — the penalty-free ``g + step`` must already
+    1. a *dominance filter* -- the penalty-free ``g + step`` must already
        beat the incumbent ``g_score``; penalties only grow the cost and
        float addition is monotone, so any relax it skips was doomed,
-    2. the ``gate`` passability cache — guide membership, owner,
+    2. the ``gate`` passability cache -- guide membership, owner,
        occupancy and target membership are static for one search, so
        they collapse into one per-node code written on first touch:
-       ``gstamp + pen`` with ``pen`` 0 (free) or 1 (held by another net)
-       or ``gstamp + _WALL``.  Off the guide (when there is one) is a
-       wall; a ``BLOCKED`` owner is passable only on a target and never
-       penalized; a foreign owner or foreign wire is penalized when soft
-       or on a target and a wall otherwise,
-    3. for a penalized node, the filter again with ``g + pens[pen]`` —
+       free, held by another net, or a wall.  Off the guide (when there
+       is one) is a wall; a ``BLOCKED`` owner is passable only on a
+       target and never penalized; a foreign owner or foreign wire is
+       penalized when soft or on a target and a wall otherwise,
+    3. for a penalized node, the filter again with ``g + step +
+       conflict_penalty`` --
 
-    and only then the heuristic for the push.  ``pens`` is ``(step,
-    step + conflict)`` (then the wall's ``inf`` and the same two again
-    for inside codes), and the heuristic comes from per-axis
-    lookup tables (``pdx``/``pdy``/``vdl``, each three slices of a
-    session ramp, :func:`_ramp`): the track pitch is an
-    integral dbu count, so the tabulated terms recompose into the
-    oracle's ``pitch * (dx + dy) + via_cost * dl`` bit-for-bit.  Every
-    accepted ``tentative`` and every ``f`` is therefore the oracle's
-    float exactly.
+    and only then the heuristic for the push, ``h_weight * (pitch * (dx
+    + dy) + via_cost * dl)`` to the targets' bounding box: the planar
+    part an exact integer, so every accepted ``tentative`` and every
+    ``f`` is the oracle's float exactly.
 
     *Toll.*  ``toll > 0`` is ``DrouteIndex.connect``'s promise that the
     last stamp block taken before this search's is a closed
@@ -593,13 +543,12 @@ def astar_connect_indexed(
     since an estimate that sees the crossing needs no inflation to stay
     directed.  Whether a node is *inside* (marked) is read once, at its
     first touch, from the look's mark still sitting in ``gate`` one
-    block below, and kept in its code (``gstamp + _INSIDE + pen``).  The
-    queue orders by ``f - toll * [inside]`` rather than ``f + toll *
-    [outside]``: the same order -- every term is a multiple of half a
-    pitch, so the shift is exact -- and a free outside node, the common
-    case, takes the same path through the relax as without a toll.
-    With ``toll == 0.0`` no node is ever inside and every expression
-    below is the un-tolled one.
+    block below, and kept in its code.  The queue orders by ``f - toll *
+    [inside]`` rather than ``f + toll * [outside]``: the same order --
+    every term is a multiple of half a pitch, so the shift is exact --
+    and a free outside node, the common case, takes the same path
+    through the relax as without a toll.  With ``toll == 0.0`` no node is
+    ever inside and every expression is the un-tolled one.
     """
     if not sources or not targets:
         return None
@@ -608,196 +557,69 @@ def astar_connect_indexed(
         node = next(iter(overlap))
         return SearchResult(path=[node], cost=0.0, conflicts=[])
 
-    ix0, iy0, ix1, iy1 = bounds
-    t_ix0 = min(t[1] for t in targets)
-    t_ix1 = max(t[1] for t in targets)
-    t_iy0 = min(t[2] for t in targets)
-    t_iy1 = max(t[2] for t in targets)
-    t_l0 = min(t[0] for t in targets)
-    t_l1 = max(t[0] for t in targets)
-
-    nx = index.nx
-    ny = index.ny
-    owner = index.owner
-    occupancy = index.occupancy
-    g_score = index.g_score
-    came_from = index.came_from
-    target_epoch = index.target_epoch
-    guide_epoch = index.guide_epoch
     index.epoch += 1
-    epoch = index.epoch
-    gate = index.gate
     # Under a toll the closed look's block is the one just below ours;
     # without one nothing older than ``gstamp`` counts as inside.
     look_base = index.gate_stamp if toll else index.gate_stamp + GATE_BLOCK
     gstamp = index.gate_stamp + GATE_BLOCK
     index.gate_stamp = gstamp
-    # one int object per code, shared by every slot that holds it
-    codes = tuple(range(gstamp, gstamp + _INSIDE + 2))
-    wall = codes[_WALL]
-    # what the queue key of a node gives back, by code offset
-    credit = (0.0,) * _INSIDE + (toll,) * 2
-
-    heappush = heapq.heappush
-    heappop = heapq.heappop
-    h_weight = 1.0 if toll else params.heuristic_weight
-    has_guide = guide_stamp is not None
-
-    steps_of, x_ramps, y_ramps, l_ramps = index.search_tables(params)
-    pdx = _ramp(x_ramps, t_ix0, t_ix1)
-    pdy = _ramp(y_ramps, t_iy0, t_iy1)
-    vdl = _ramp(l_ramps, t_l0, t_l1)
-
-    touched: list[int] = []
-    touched_append = touched.append
-
-    buckets: dict[float, deque] = {}
-    bget = buckets.get
-    fheap: list[float] = []
-    # Seed order is the caller's set iteration order -- deterministic
-    # cross-machine (int-tuple hashing ignores PYTHONHASHSEED) and
-    # shared byte-for-byte with the reference A*; sorting here would
-    # change tie order and move every committed digest.
-    for s in sources:
-        layer, six, siy = s
-        nid = (layer * ny + siy) * nx + six
-        g_score[nid] = 0.0
-        touched_append(nid)
-        f = h_weight * (pdx[six] + pdy[siy] + vdl[layer])
-        b = bget(f)
-        if b is None:
-            buckets[f] = deque(((0.0, nid),))
-            heappush(fheap, f)
-        else:
-            b.append((0.0, nid))
-    for layer, tix, tiy in targets:
-        target_epoch[(layer * ny + tiy) * nx + tix] = epoch
-
-    expansions = 0
     max_expansions = params.max_expansions
     if soft:
         max_expansions = int(max_expansions * params.soft_budget_factor)
-
-    try:
-        while fheap and expansions < max_expansions:
-            f0 = fheap[0]
-            b = buckets[f0]
-            g, nid = b.popleft()
-            if not b:
-                del buckets[f0]
-                heappop(fheap)
-            # Every queue entry wrote its g at push time, so
-            # g_score[nid] is live here; stale entries carry a larger g.
-            if g > g_score[nid]:
-                continue
-            expansions += 1
-            if target_epoch[nid] == epoch:
-                return _build_result(index, nid, g, net_id)
-            ix = nid % nx
-            rest = nid // nx
-            iy = rest % ny
-            layer = rest // ny
-            steps = steps_of[layer]
-            if not (ix0 < ix < ix1 and iy0 < iy < iy1):
-                steps = [
-                    d for d in steps
-                    if (d[3] <= 0 or ix < ix1) and (d[3] >= 0 or ix > ix0)
-                    and (d[4] <= 0 or iy < iy1) and (d[4] >= 0 or iy > iy0)
-                ]
-
-            for dnid, step, pens, dx, dy, dl in steps:
-                nnid = nid + dnid
-                gs = g_score[nnid]
-                tentative = g + step
-                if tentative >= gs - 1e-9:
-                    continue
-                gv = gate[nnid]
-                if gv < gstamp:
-                    pen = 0
-                    if has_guide and guide_epoch[nnid] != guide_stamp:
-                        pen = _WALL
-                    else:
-                        holder = owner[nnid]
-                        if holder == BLOCKED_ID:
-                            if target_epoch[nnid] != epoch:
-                                pen = _WALL
-                        else:
-                            if holder == 0 or holder == net_id:
-                                holder = occupancy[nnid]
-                            if holder != 0 and holder != net_id:
-                                if soft or target_epoch[nnid] == epoch:
-                                    pen = 1
-                                else:
-                                    pen = _WALL
-                    if gv >= look_base and pen != _WALL:
-                        pen += _INSIDE
-                    gv = gate[nnid] = codes[pen]
-                if gv == gstamp:
-                    f = tentative + h_weight * (
-                        pdx[ix + dx] + pdy[iy + dy] + vdl[layer + dl]
-                    )
-                elif gv == wall:
-                    continue
-                else:
-                    code = gv - gstamp
-                    tentative = g + pens[code]
-                    if tentative >= gs - 1e-9:
-                        continue
-                    f = tentative + h_weight * (
-                        pdx[ix + dx] + pdy[iy + dy] + vdl[layer + dl]
-                    ) - credit[code]
-                if gs == _INF:
-                    touched_append(nnid)
-                g_score[nnid] = tentative
-                came_from[nnid] = nid
-                b = bget(f)
-                if b is None:
-                    buckets[f] = deque(((tentative, nnid),))
-                    heappush(fheap, f)
-                else:
-                    b.append((tentative, nnid))
-        return None
-    finally:
-        for tid in touched:
-            g_score[tid] = _INF
-            came_from[tid] = -1
-        stats.record(expansions)
-
-
-def _ramps(unit, n: int, zero) -> tuple[list, list, list]:
-    """``(down, zero, up)`` for one axis of ``n`` coordinates: ``unit *
-    n .. unit * 1``, ``n`` zeros, ``unit * 0 .. unit * (n - 1)``."""
-    return (
-        [unit * k for k in range(n, 0, -1)],
-        [zero] * n,
-        [unit * k for k in range(n)],
+    src, tgt = _kernel_terminals(index, sources, targets, bounds)
+    c = index._c
+    c.via_cost = params.via_cost
+    c.jog_factor = params.jog_factor
+    c.conflict_penalty = params.conflict_penalty
+    found = index._kernel.search(
+        c, src.buffer_info()[0], len(src),
+        tgt.buffer_info()[0], len(tgt), net_id, *bounds,
+        -1 if guide_stamp is None else guide_stamp, index.epoch, gstamp,
+        look_base, 1.0 if toll else params.heuristic_weight, toll, soft,
+        max_expansions, index.path.buffer_info()[0],
     )
+    stats.record(c.expansions)
+    if found < 0:
+        raise MemoryError("detailed-routing search")
+    if not found:
+        return None
+    return _build_result(index, found, c.cost, net_id)
 
 
-def _ramp(ramps: tuple[list, list, list], lo: int, hi: int) -> list:
-    """One axis of the heuristic for a target box ``[lo, hi]`` on it, per
-    coordinate ``c``: ``unit * (lo - c)`` below, zero on, ``unit * (c -
-    hi)`` above -- three slices of :func:`_ramps`' lists."""
-    down, zero, up = ramps
-    n = len(down)
-    return down[n - lo:] + zero[:hi - lo + 1] + up[1:n - hi]
+def _kernel_terminals(
+    index: DrouteIndex,
+    sources: set[LNode],
+    targets: set[LNode],
+    bounds: tuple[int, int, int, int],
+) -> tuple[array, array]:
+    """``sources`` and ``targets`` as node-id buffers, in their iteration
+    order.  The kernel indexes its buffers unchecked, and a step it takes
+    stays on the lattice only while ``bounds`` do, so both are checked
+    here: ``IndexError`` for anything off the lattice."""
+    nx, ny = index.nx, index.ny
+    src = array("i", [(layer * ny + iy) * nx + ix for layer, ix, iy in sources])
+    tgt = array("i", [(layer * ny + iy) * nx + ix for layer, ix, iy in targets])
+    ix0, iy0, ix1, iy1 = bounds
+    ids = src + tgt
+    if not (
+        0 <= ix0 and ix1 < nx and 0 <= iy0 and iy1 < ny
+        and 0 <= min(ids, default=0) and max(ids, default=0) < index.num_nodes
+    ):
+        raise IndexError(f"search off the {nx} x {ny} lattice: {bounds}")
+    return src, tgt
 
 
 def _build_result(
-    index: DrouteIndex, nid: int, cost: float, net_id: int
+    index: DrouteIndex, length: int, cost: float, net_id: int
 ) -> SearchResult:
+    """The kernel's last path, ``length`` ids in ``index.path``, as nodes
+    and the nodes on it another net holds."""
     owner = index.owner
     occupancy = index.occupancy
-    came_from = index.came_from
     nx, ny = index.nx, index.ny
-    path_ids = [nid]
-    while came_from[nid] != -1:
-        nid = came_from[nid]
-        path_ids.append(nid)
-    path_ids.reverse()
     path: list[LNode] = []
     conflicts: list[LNode] = []
-    for pid in path_ids:
+    for pid in index.path[:length]:
         ix = pid % nx
         rest = pid // nx
         node = (rest // ny, ix, rest % ny)

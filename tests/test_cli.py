@@ -62,6 +62,27 @@ def test_dump_writes_files(tmp_path, capsys):
     )
 
 
+def test_dump_refuses_an_illegal_placement(tmp_path, capsys, monkeypatch):
+    """A cell moved off its row: exit code 1, the legality summary on
+    stderr, and no file written."""
+    import repro.benchgen
+
+    make_design = repro.benchgen.make_design
+
+    def off_row(name):
+        design = make_design(name)
+        cell = next(c for c in design.cells.values() if not c.fixed)
+        design.move_cell(cell.name, cell.x, cell.y + 1)
+        return design
+
+    monkeypatch.setattr(repro.benchgen, "make_design", off_row)
+    assert main(["dump", "-b", "ispd18_test1", "-o", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "refusing to dump an illegal placement" in err
+    assert "off_row=1" in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_unknown_command():
     with pytest.raises(SystemExit):
         main(["frobnicate"])

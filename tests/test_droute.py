@@ -3,13 +3,16 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.benchgen import build_tech
 from repro.geom import Point, Rect
 from repro.db import Blockage, Net, NetPin
 from repro.droute import DetailedRouter, DrcKind, TrackLattice
 from repro.droute.access import access_nodes
 from repro.droute.astar import SearchParams, SearchStats
-from repro.droute.indexed import astar_connect_indexed
+from repro.droute.indexed import astar_connect_indexed, pocket_closed
 from repro.droute.drc import check_min_area, check_shorts
 from repro.droute.obstacles import BLOCKED, build_obstacle_map
 from repro.groute import GlobalRouter
@@ -19,6 +22,8 @@ from helpers import (
     lattice_nodes,
 )
 from oracles.droute import _DictState, astar_connect
+
+_TECH = build_tech("45nm")
 
 
 # --------------------------------------------------------------- lattice
@@ -257,6 +262,27 @@ def test_astar_off_guide_is_a_wall(tech45, connect):
     assert len(found.path) == 11 and found.cost == 10 * lattice.pitch
 
 
+def test_kernel_refuses_a_search_off_the_lattice(tech45):
+    """The C kernel indexes its buffers unchecked: a terminal or a window
+    off the lattice is an ``IndexError`` before the call, not a stray
+    write."""
+    lattice = TrackLattice(tech45, Rect(0, 0, 2000, 2000))
+    index, _ = droute_index(lattice, {}, {})
+    whole = (0, 0, lattice.nx - 1, lattice.ny - 1)
+    wide = (0, 0, lattice.nx, lattice.ny - 1)
+    above = (tech45.num_layers, 1, 1)  # one layer past the top: off the end
+    for sources, bounds in (({(1, 1, 1)}, wide), ({above}, whole)):
+        with pytest.raises(IndexError):
+            astar_connect_indexed(
+                index, sources, {(1, 2, 2)}, index.intern("n"), bounds, None,
+                SearchParams(), False, SearchStats(),
+            )
+        with pytest.raises(IndexError):
+            pocket_closed(
+                index, sources, {(1, 2, 2)}, index.intern("n"), bounds, None
+            )
+
+
 def _same_search(lattice, case, soft, guide, max_expansions):
     """Run one problem on both kernels; they must agree on everything."""
     owner, occupancy, bounds, sources, targets = case
@@ -362,11 +388,11 @@ def _both_states(lattice, case, guide, params):
     return (oracle, guide), (index, stamp)
 
 
-def _same_connect(lattice, case, soft, guide, max_expansions):
+def _same_connect(lattice, case, soft, guide, params):
     """One problem through ``connect`` -- look, toll and search -- of both
-    states; they must agree on everything.  True when the look closed."""
+    states; they must agree on everything, and the index must be left with
+    no search state behind.  True when the look closed."""
     _, _, bounds, sources, targets = case
-    params = SearchParams(max_expansions=max_expansions)
     found = []
     for state, handle in _both_states(lattice, case, guide, params):
         stats = SearchStats()
@@ -376,11 +402,14 @@ def _same_connect(lattice, case, soft, guide, max_expansions):
             stats.expansions,
         ))
     (ref, ref_expansions), (fast, expansions) = found
-    assert fast == ref, (soft, guide is not None, max_expansions, case)
+    assert fast == ref, (soft, guide is not None, params, case)
     if stats.skipped:  # production's only: the reference ran it, and checked
         assert fast is None and not expansions
     else:
         assert expansions == ref_expansions, (soft, guide is not None, case)
+    # found, exhausted or over budget: every slot is back to its default
+    assert state.g_score.count(float("inf")) == state.num_nodes
+    assert state.came_from.count(-1) == state.num_nodes
     return bool(stats.skipped or stats.tolled)
 
 
@@ -394,11 +423,43 @@ def test_connect_randomized_parity_with_the_look_and_the_toll(tech45):
         lattice, case, guide = _random_search_case(rng, tech45, sealed=round_ % 2)
         for soft, use_guide in ((False, None), (False, guide), (True, None)):
             closed = _same_connect(
-                lattice, case, soft, use_guide, rng.choice((50, 400, 60000))
+                lattice, case, soft, use_guide,
+                SearchParams(max_expansions=rng.choice((50, 400, 60000))),
             )
             soft_looks += soft
             soft_closed += soft and closed
     assert soft_closed >= 0.2 * soft_looks, (soft_closed, soft_looks)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    sealed=st.booleans(),
+    via_cost=st.one_of(st.sampled_from((200, 400, 800)), st.integers(1, 2000)),
+    conflict_penalty=st.one_of(
+        st.sampled_from((800, 20000)), st.integers(1, 50000)
+    ),
+    jog_factor=st.sampled_from((1.0, 1.5, 2.5, 3.0)),
+    heuristic_weight=st.sampled_from((1.0, 1.15, 1.5)),
+    max_expansions=st.sampled_from((1, 50, 400, 60000)),
+)
+def test_connect_parity_under_drawn_cost_constants(
+    seed, sealed, via_cost, conflict_penalty, jog_factor, heuristic_weight,
+    max_expansions,
+):
+    """The kernel against the dict oracle with the cost constants drawn too:
+    multiples of the pitch and weights of 1.0 make equal-``f`` ties common,
+    so the queue's tie order is exercised, not only its ``f`` order."""
+    lattice, case, guide = _random_search_case(
+        random.Random(seed), _TECH, sealed=sealed
+    )
+    params = SearchParams(
+        via_cost=via_cost, conflict_penalty=conflict_penalty,
+        jog_factor=jog_factor, heuristic_weight=heuristic_weight,
+        max_expansions=max_expansions,
+    )
+    for soft, use_guide in ((False, guide), (False, None), (True, None)):
+        _same_connect(lattice, case, soft, use_guide, params)
 
 
 # ------------------------------------------------------------------- drc

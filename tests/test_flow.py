@@ -114,6 +114,30 @@ def test_dr_search_counters_pinned_on_ispd18_test1(k1_flow_on_test1):
     assert counters.get("droute.rrr_rounds", 0) == 0
 
 
+def test_flows_that_skip_detailed_routing_never_build_the_kernel(monkeypatch):
+    """Only the first ``DrouteIndex`` builds and loads the C kernel: with the
+    loader broken, a CR&P flow that stops before DR still succeeds, and the
+    same flow with DR fails in the DR stage with the loader's error."""
+    from repro.benchgen import make_design
+    from repro.droute import indexed
+
+    def broken():
+        raise RuntimeError("no compiler here")
+
+    monkeypatch.setattr(indexed, "load_kernel", broken)
+    skipped = run_flow(
+        make_design("ispd18_test1"), mode="crp", crp_iterations=1,
+        skip_detailed=True,
+    )
+    assert not skipped.failed and skipped.legal
+    routed = run_flow(make_design("ispd18_test1"), mode="crp", crp_iterations=1)
+    assert routed.failed
+    assert routed.failure.stage == "DR"
+    assert (routed.failure.error_type, routed.failure.message) == (
+        "RuntimeError", "no compiler here"
+    )
+
+
 def test_crp_digests_pinned_on_ispd18_test1():
     """Byte-identity pin for output-identical (perf, refactor) PRs.
 
