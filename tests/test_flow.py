@@ -159,3 +159,22 @@ def test_crp_digests_pinned_on_ispd18_test1():
     assert result.placement_digest == (
         "48bd12dbe2d4daffb89f68c9a8efa4dffa286d18afb394fa5a5473e43777ad7e"
     )
+
+
+def test_fontana_digests_pinned_on_ispd18_test1():
+    """The same pin for [18]: one selection ILP that moves 10 cells,
+    recorded at ``9857cf5`` (the same under ``PYTHONHASHSEED`` 0 and 123),
+    before its model moved onto the shared 0/1 choice model."""
+    from repro.benchgen import make_design
+
+    result = run_flow(make_design("ispd18_test1"), mode="fontana", skip_detailed=True)
+    assert not result.failed and result.legal
+    assert result.fontana.moved_cells == 10
+    counters = result.metrics["counters"]
+    assert counters["ilp.solves"] == 1
+    assert result.routes_digest == (
+        "239fadf2cccad4ebfe97fbc58c9ff0730f41ffed854f51ef44ad86b72c121d07"
+    )
+    assert result.placement_digest == (
+        "2113d4f96260239df6c8b40d34ed72bb39d94574198d6bec0204c658e96d0c7c"
+    )
