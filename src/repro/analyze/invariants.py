@@ -13,8 +13,8 @@ code linter):
 * ``FLOW-C00x`` — connectivity: every net's route must connect all its
   terminals, contain no dangling segments, and stay inside its guides.
 * ``FLOW-L001`` — legality: the placement must satisfy Eqs. 5-8.
-* ``FLOW-M00x`` — ILP well-formedness: sane bounds, finite costs,
-  non-degenerate constraints.
+* ``FLOW-M00x`` — ILP well-formedness: finite costs, rows that are
+  non-empty and name only variables of the model.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ FLOW_RULES: dict[str, str] = {
     "FLOW-C003": "routed node not covered by the net's guides",
     "FLOW-C004": "route edge is outside the routing graph",
     "FLOW-L001": "placement violates a legality constraint (Eqs. 5-8)",
-    "FLOW-M001": "ILP variable has inconsistent bounds or non-finite cost",
-    "FLOW-M002": "ILP constraint is degenerate or non-finite",
+    "FLOW-M001": "ILP variable has a non-finite cost",
+    "FLOW-M002": "ILP row is empty or names an unknown variable",
 }
 
 _HINTS = {
@@ -55,10 +55,10 @@ _HINTS = {
     "route was built against a different grid",
     "FLOW-L001": "run the legalizer (repro.legalizer) before handing "
     "the placement to detailed routing",
-    "FLOW-M001": "fix the model builder; solvers treat bad bounds as "
-    "infeasible or (worse) silently clamp",
-    "FLOW-M002": "drop empty constraints and check the cost/rhs math "
-    "for NaN/inf leaks",
+    "FLOW-M001": "check the cost math for NaN/inf leaks; the selection "
+    "prices an unpriced candidate at 1e9",
+    "FLOW-M002": "build rows through add_exactly_one / add_at_most_one, "
+    "which check their variables",
 }
 
 
@@ -266,48 +266,21 @@ def check_placement(design: Design) -> list[Finding]:
 
 
 def check_model(model) -> list[Finding]:
-    """FLOW-M001/M002 over a :class:`repro.ilp.IlpModel`."""
-    findings: list[Finding] = []
-    where = f"ilp:{model.name}"
-    for v in model.variables:
-        problems: list[str] = []
-        if v.lower > v.upper:
-            problems.append(f"lower {v.lower:g} > upper {v.upper:g}")
-        if not (math.isfinite(v.lower) and math.isfinite(v.upper)):
-            problems.append("non-finite bound")
-        if not math.isfinite(v.cost):
-            problems.append(f"non-finite cost {v.cost!r}")
-        if problems:
-            findings.append(
-                _finding(
-                    "FLOW-M001",
-                    where,
-                    f"variable {v.name!r}: " + "; ".join(problems),
-                )
-            )
-    for i, c in enumerate(model.constraints):
-        label = c.name or f"#{i}"
-        problems = []
-        if not c.terms:
-            problems.append("no terms")
-        if not math.isfinite(c.rhs):
-            problems.append(f"non-finite rhs {c.rhs!r}")
-        for term in c.terms:
-            if not math.isfinite(term.coeff):
-                problems.append(f"non-finite coeff on var {term.var}")
-                break
-        for term in c.terms:
-            if not 0 <= term.var < model.num_variables:
-                problems.append(f"variable index {term.var} out of range")
-                break
-        if problems:
-            findings.append(
-                _finding(
-                    "FLOW-M002",
-                    where,
-                    f"constraint {label}: " + "; ".join(problems),
-                )
-            )
+    """FLOW-M001/M002 over a :class:`repro.ilp.IlpModel`: a non-finite
+    cost; an empty row or one naming a variable out of range."""
+    findings = [
+        _finding("FLOW-M001", "ilp", f"variable {v}: non-finite cost {cost!r}")
+        for v, cost in enumerate(model.costs)
+        if not math.isfinite(cost)
+    ]
+    for i, row in enumerate(model.rows):
+        if not row:
+            problem = "no terms"
+        elif not all(0 <= v < model.num_variables for v in row):
+            problem = "variable index out of range"
+        else:
+            continue
+        findings.append(_finding("FLOW-M002", "ilp", f"row {i}: {problem}"))
     return findings
 
 

@@ -26,13 +26,23 @@ from repro.geom import Orientation
 from repro.db import Design
 from repro.grid import CostField
 from repro.groute import GlobalRouter
-from repro.ilp import IlpModel, Sense, solve
+from repro.ilp import solve
 from repro.legalizer import WindowLegalizer
 from repro.legalizer.median import median_position
 from repro.core.candidates import MoveCandidate
 from repro.core.estimate import estimate_candidate_cost
-from repro.core.select import _add_conflict_constraints
+from repro.core.select import (
+    _add_conflict_constraints,
+    choice_model,
+    chosen_candidates,
+)
 from repro.core.update import apply_moves
+
+
+#: the smallest window, in sites and rows, centred on a cell moving to
+#: its median (the window widens to reach a median further away)
+N_SITES = 16
+N_ROWS = 3
 
 
 class BaselineTimeout(RuntimeError):
@@ -96,13 +106,6 @@ class FontanaBaseline:
 
     def _run_iteration(self, start: float) -> tuple[int, int]:
         design = self.design
-        legalizer = WindowLegalizer(
-            design,
-            n_sites=16,
-            n_rows=3,
-            max_cells=1,  # [18] does not displace neighbours
-            max_targets=1,
-        )
         candidates: dict[str, list[MoveCandidate]] = {}
         # No prioritization: database order, every movable cell.
         for name, cell in design.cells.items():
@@ -114,15 +117,7 @@ class FontanaBaseline:
                     cell=name, position=(cell.x, cell.y, cell.orient)
                 )
             ]
-            options.extend(
-                MoveCandidate(
-                    cell=name,
-                    position=legalized.position,
-                    conflict_moves=dict(legalized.conflict_moves),
-                    displacement=legalized.displacement,
-                )
-                for legalized in self._median_candidates(legalizer, name)
-            )
+            options.extend(self._median_candidates(name))
             if len(options) > 1:
                 candidates[name] = options
 
@@ -138,7 +133,7 @@ class FontanaBaseline:
         update = apply_moves(design, self.router, chosen)
         return len(update.moved_cells), len(update.rerouted_nets)
 
-    def _median_candidates(self, legalizer: WindowLegalizer, name: str):
+    def _median_candidates(self, name: str) -> list[MoveCandidate]:
         """The legalized slot nearest the cell's median, if any."""
         design = self.design
         cell = design.cells[name]
@@ -153,22 +148,18 @@ class FontanaBaseline:
         # Temporarily recenter the window on the median by moving the
         # query point: the window legalizer centers on the cell, so use
         # a wider window when the median is far.
-        span = max(
-            legalizer.n_sites,
-            2 * abs(median.x - cell.x) // site.width + 2,
-        )
-        rows = max(
-            legalizer.n_rows,
-            2 * abs(median.y - cell.y) // site.height + 1,
-        )
+        span = max(N_SITES, 2 * abs(median.x - cell.x) // site.width + 2)
+        rows = max(N_ROWS, 2 * abs(median.y - cell.y) // site.height + 1)
         wide = WindowLegalizer(
             design,
             n_sites=min(span, 60),
             n_rows=min(rows, 9),
-            max_cells=1,
+            max_cells=1,  # [18] does not displace neighbours
             max_targets=1,
         )
-        return wide.run(name)
+        found = wide.run(name)
+        wide.publish_metrics()
+        return found
 
     def _select(
         self, candidates: dict[str, list[MoveCandidate]]
@@ -176,18 +167,7 @@ class FontanaBaseline:
         """ILP over all cells: minimize flat route cost, one option each;
         cells sharing a net (or overlapping footprints) never both move."""
         design = self.design
-        model = IlpModel("fontana-select")
-        var_of: dict[tuple[str, int], int] = {}
-        for cell_name, options in candidates.items():
-            indices = []
-            for i, candidate in enumerate(options):
-                cost = candidate.route_cost
-                if cost == float("inf"):
-                    cost = 1e9
-                var = model.add_binary(f"y[{cell_name}][{i}]", cost=cost)
-                var_of[(cell_name, i)] = var
-                indices.append(var)
-            model.add_exactly_one(indices, name=f"one[{cell_name}]")
+        model, var_of = choice_model(candidates)
 
         # Net-sharing exclusion: moving both endpoints of a net at once
         # would invalidate both estimates ([18] enforces the same).  The
@@ -200,22 +180,9 @@ class FontanaBaseline:
                 if other in name_set and other > cell_name:
                     for i in range(1, len(candidates[cell_name])):
                         for j in range(1, len(candidates[other])):
-                            model.add_constraint(
-                                [
-                                    (var_of[(cell_name, i)], 1.0),
-                                    (var_of[(other, j)], 1.0),
-                                ],
-                                Sense.LE,
-                                1.0,
+                            model.add_at_most_one(
+                                (var_of[(cell_name, i)], var_of[(other, j)])
                             )
         _add_conflict_constraints(design, candidates, model, var_of)
 
-        solution = solve(model)
-        chosen: dict[str, MoveCandidate] = {}
-        for cell_name, options in candidates.items():
-            chosen[cell_name] = options[0]
-        if solution.ok:
-            for (cell_name, i), var in var_of.items():
-                if solution.values[model.variables[var].name] > 0.5:
-                    chosen[cell_name] = candidates[cell_name][i]
-        return chosen
+        return chosen_candidates(candidates, solve(model))

@@ -8,6 +8,8 @@ Subcommands:
   machine-readable trace.
 * ``crp suite -b ispd18_test1 ispd18_test2`` — Table III rows for the
   given designs (baseline, [18], CR&P k=1, CR&P k=10).
+* ``run`` and ``suite`` take ``--lef F --def F`` in place of ``-b``: the
+  design is read from LEF/DEF files (e.g. the ones ``crp dump`` writes).
 * ``crp dump -b ispd18_test2 -o outdir`` — write LEF/DEF/guides for a
   synthetic benchmark.
 * ``crp analyze [--json PATH] [-b DESIGN [--crp K]]`` — run the AST
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 from pathlib import Path
 
 
@@ -34,7 +37,7 @@ def main(argv: list[str] | None = None) -> int:
     p_table2 = sub.add_parser("table2", help="print suite statistics")
 
     p_run = sub.add_parser("run", help="run one flow")
-    p_run.add_argument("-b", "--bench", required=True)
+    _design_arguments(p_run)
     p_run.add_argument(
         "-m", "--mode", default="crp", choices=("baseline", "crp", "fontana")
     )
@@ -50,7 +53,7 @@ def main(argv: list[str] | None = None) -> int:
     )
 
     p_suite = sub.add_parser("suite", help="Table III rows for designs")
-    p_suite.add_argument("-b", "--bench", nargs="+", required=True)
+    _design_arguments(p_suite, nargs="+")
     p_suite.add_argument("--k10", action="store_true", help="include k=10")
 
     p_dump = sub.add_parser("dump", help="write LEF/DEF/guide files")
@@ -88,6 +91,8 @@ def main(argv: list[str] | None = None) -> int:
     )
 
     args = parser.parse_args(argv)
+    if hasattr(args, "lef") and (args.lef is None) != (args.def_file is None):
+        parser.error("--lef and --def go together, in place of -b")
     if args.command == "table2":
         return _cmd_table2()
     if args.command == "run":
@@ -101,6 +106,32 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "show":
         return _cmd_show(args)
     return 2
+
+
+def _design_arguments(parser: argparse.ArgumentParser, nargs=None) -> None:
+    """A generated benchmark (``-b``) or a LEF/DEF pair (``--lef --def``)."""
+    source = parser.add_mutually_exclusive_group(required=True)
+    source.add_argument("-b", "--bench", nargs=nargs, help="generated benchmark")
+    source.add_argument("--lef", metavar="F", help="technology LEF (with --def)")
+    parser.add_argument("--def", dest="def_file", metavar="F", help="design DEF")
+
+
+def _designs(args: argparse.Namespace):
+    """``(name, load)`` per design; each ``load()`` builds it afresh."""
+    if args.lef is None:
+        from repro.benchgen import make_design
+
+        benches = args.bench if isinstance(args.bench, list) else [args.bench]
+        return [(bench, partial(make_design, bench)) for bench in benches]
+    from repro.lefdef import parse_def, parse_lef
+
+    lef = Path(args.lef).read_text()
+    def_text = Path(args.def_file).read_text()
+
+    def load():
+        return parse_def(def_text, parse_lef(lef))
+
+    return [(Path(args.def_file).stem, load)]
 
 
 def _cmd_table2() -> int:
@@ -118,10 +149,10 @@ def _cmd_table2() -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    from repro.benchgen import make_design
     from repro.flow import run_flow
 
-    design = make_design(args.bench)
+    [(_, load)] = _designs(args)
+    design = load()
     result = run_flow(
         design,
         mode=args.mode,
@@ -129,6 +160,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
         skip_detailed=args.skip_detailed,
     )
     print(result.summary())
+    if result.routes_digest is not None:
+        print(
+            f"  digests: routes={result.routes_digest} "
+            f"placement={result.placement_digest}"
+        )
     if result.failure is not None:
         print(f"  failure: {result.failure.summary()}", file=sys.stderr)
     if result.quality:
@@ -166,18 +202,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_suite(args: argparse.Namespace) -> int:
-    from repro.benchgen import make_design
     from repro.flow import run_flow
 
     modes: list[tuple[str, int]] = [("baseline", 0), ("fontana", 0), ("crp", 1)]
     if args.k10:
         modes.append(("crp", 10))
     rc = 0
-    for bench in args.bench:
+    for bench, load in _designs(args):
         rows = {}
         for mode, k in modes:
-            design = make_design(bench)
-            result = run_flow(design, mode=mode, crp_iterations=max(k, 1))
+            result = run_flow(load(), mode=mode, crp_iterations=max(k, 1))
             rows[(mode, k)] = result
         base = rows[("baseline", 0)].quality
         print(f"== {bench} ==")

@@ -8,37 +8,12 @@ for displaced neighbour ("conflict") cells.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from repro.geom import Orientation
 from repro.db import Design
-from repro.legalizer import WindowLegalizer
+from repro.legalizer import MoveCandidate, WindowLegalizer
 from repro.core.config import CrpConfig
 
 #: legalized candidates requested per critical cell
 MAX_TARGETS = 6
-
-
-@dataclass(slots=True)
-class MoveCandidate:
-    """One placement candidate of a critical cell.
-
-    ``conflict_moves`` are the neighbour relocations this candidate
-    requires (empty for the keep-current candidate); ``route_cost`` is
-    filled by the estimation step (Algorithm 3).
-    """
-
-    cell: str
-    position: tuple[int, int, Orientation]
-    conflict_moves: dict[str, tuple[int, int, Orientation]] = field(
-        default_factory=dict
-    )
-    displacement: float = 0.0
-    route_cost: float = float("inf")
-
-    @property
-    def is_current(self) -> bool:
-        return not self.conflict_moves and abs(self.displacement) <= 1e-9
 
 
 def generate_candidates(
@@ -64,15 +39,7 @@ def generate_candidates(
                 displacement=0.0,
             )
         ]
-        for legalized in legalizer.run(name):
-            candidates.append(
-                MoveCandidate(
-                    cell=name,
-                    position=legalized.position,
-                    conflict_moves=dict(legalized.conflict_moves),
-                    displacement=legalized.displacement,
-                )
-            )
+        candidates.extend(legalizer.run(name))
         result[name] = candidates
     legalizer.publish_metrics()
     return result

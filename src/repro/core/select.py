@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.db import Design
 from repro.guard.faults import fault_point
-from repro.ilp import IlpModel, Sense, solve
+from repro.ilp import IlpModel, Solution, solve
 from repro.obs import get_metrics
 from repro.core.candidates import MoveCandidate
 
@@ -43,34 +43,51 @@ def select_moves(
             )
             for cell_name, cell_candidates in candidates.items()
         }
-    model = IlpModel("crp-select")
+    model, var_of = choice_model(candidates)
+    pairs = _add_conflict_constraints(design, candidates, model, var_of)
+    _publish_conflict_graph(candidates, pairs)
+    # Infeasibility cannot happen (keep-current is always available and
+    # mutually compatible), but a solver error can: then nothing moves.
+    return chosen_candidates(candidates, solve(model))
+
+
+def choice_model(
+    candidates: dict[str, list[MoveCandidate]],
+) -> tuple[IlpModel, dict[tuple[str, int], int]]:
+    """One binary per candidate, priced by its ``route_cost`` (an
+    unpriced one at 1e9), and one exactly-one row per cell (Eq. 3).
+
+    Returns the model and ``var_of``: ``(cell, candidate index)`` to
+    variable.  Variables follow ``candidates`` order, cell by cell.
+    """
+    model = IlpModel()
     var_of: dict[tuple[str, int], int] = {}
     for cell_name, cell_candidates in candidates.items():
         indices: list[int] = []
         for i, candidate in enumerate(cell_candidates):
             cost = candidate.route_cost
-            if cost == float("inf"):
-                cost = 1e9
-            var = model.add_binary(f"y[{cell_name}][{i}]", cost=cost)
+            var = model.add_binary(1e9 if cost == float("inf") else cost)
             var_of[(cell_name, i)] = var
             indices.append(var)
-        model.add_exactly_one(indices, name=f"one[{cell_name}]")
+        model.add_exactly_one(indices)
+    return model, var_of
 
-    pairs = _add_conflict_constraints(design, candidates, model, var_of)
-    _publish_conflict_graph(candidates, pairs)
 
-    solution = solve(model)
-    chosen: dict[str, MoveCandidate] = {}
-    if not solution.ok:
-        # Infeasibility cannot happen (keep-current is always available
-        # and mutually compatible), but a solver error can: keep
-        # everything put.
-        for cell_name, cell_candidates in candidates.items():
-            chosen[cell_name] = cell_candidates[0]
-        return chosen
-    for (cell_name, i), var in var_of.items():
-        if solution.values[model.variables[var].name] > 0.5:
-            chosen[cell_name] = candidates[cell_name][i]
+def chosen_candidates(
+    candidates: dict[str, list[MoveCandidate]], solution: Solution
+) -> dict[str, MoveCandidate]:
+    """Each cell's candidate whose :func:`choice_model` variable the
+    solve set to 1; every cell's first (keep-current) one if it failed."""
+    chosen = {cell_name: options[0] for cell_name, options in candidates.items()}
+    if solution.ok:
+        flat = [
+            (cell_name, candidate)
+            for cell_name, options in candidates.items()
+            for candidate in options
+        ]
+        for var in solution.chosen:
+            cell_name, candidate = flat[var]
+            chosen[cell_name] = candidate
     return chosen
 
 
@@ -96,7 +113,6 @@ def _add_conflict_constraints(
     in ``candidates`` of the two cells it excludes.
     """
     owner: list[int] = []  # entry -> position of its cell in `candidates`
-    label: list[str] = []  # entry -> "cell:i", as in the row names
     variable: list[int] = []
     first_rect: list[int] = []  # entry -> its first rect; rects are contiguous
     touching: dict[str, list[int]] = {}
@@ -110,7 +126,6 @@ def _add_conflict_constraints(
                 continue
             entry = len(owner)
             owner.append(position)
-            label.append(f"{cell_name}:{i}")
             variable.append(var_of[(cell_name, i)])
             first_rect.append(len(lx))
             moves = {candidate.cell: candidate.position}
@@ -178,12 +193,7 @@ def _add_conflict_constraints(
 
     a, b = np.divmod(np.unique(np.concatenate(found)), count)
     for ea, eb in zip(a.tolist(), b.tolist()):
-        model.add_constraint(
-            [(variable[ea], 1.0), (variable[eb], 1.0)],
-            Sense.LE,
-            1.0,
-            name=f"excl[{label[ea]}][{label[eb]}]",
-        )
+        model.add_at_most_one((variable[ea], variable[eb]))
     return np.stack([owners[a], owners[b]], axis=1)
 
 

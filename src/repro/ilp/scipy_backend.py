@@ -10,8 +10,8 @@ calls.  :func:`highs_core` loads the extension file by itself instead
 
 :func:`solve_scipy` hands HiGHS exactly what ``milp(c, constraints=...,
 integrality=..., bounds=...)`` would: the same float64 cost and bound
-vectors, the same CSC matrix (rows sorted within each column, duplicate
-terms summed), the same row bounds, and the one option ``milp`` sets
+vectors, the same CSC matrix (rows sorted within each column), the
+same row bounds, and the one option ``milp`` sets
 (``log_to_console=False``).  So the solve, and every tie HiGHS breaks, is
 the one ``milp`` gives; ``tests/test_highs.py`` checks this against
 ``scipy.optimize.milp`` itself.
@@ -23,10 +23,11 @@ import importlib.machinery
 import importlib.util
 import os
 import sys
+from itertools import chain
 
 import numpy as np
 
-from repro.ilp.model import IlpModel, Sense
+from repro.ilp.model import IlpModel
 from repro.ilp.solution import Solution, SolveStatus
 from repro.obs import get_tracer
 
@@ -74,48 +75,26 @@ def milp_arrays(model: IlpModel):
 
     Returns ``(cost, lb, ub, indptr, indices, data, row_lb, row_ub,
     integrality)``: float64 vectors, an int32 CSC matrix, uint8
-    integrality.
+    integrality.  Every variable is binary and every coefficient 1; an
+    exactly-one row is bounded ``[1, 1]``, an at-most-one row
+    ``[-inf, 1]``.
     """
     n = model.num_variables
-    m = model.num_constraints
-    cost = np.array([v.cost for v in model.variables], dtype=np.float64)
-    lb = np.array([v.lower for v in model.variables], dtype=np.float64)
-    ub = np.array([v.upper for v in model.variables], dtype=np.float64)
-    integrality = np.array(
-        [1 if v.integral else 0 for v in model.variables], dtype=np.uint8
-    )
-    row_lb = np.full(m, -np.inf)
-    row_ub = np.full(m, np.inf)
-    rows: list[int] = []
-    cols: list[int] = []
-    data: list[float] = []
-    for i, c in enumerate(model.constraints):
-        for t in c.terms:
-            rows.append(i)
-            cols.append(t.var)
-            data.append(t.coeff)
-        if c.sense is not Sense.GE:
-            row_ub[i] = c.rhs
-        if c.sense is not Sense.LE:
-            row_lb[i] = c.rhs
-    row = np.array(rows, dtype=np.int32)
-    col = np.array(cols, dtype=np.int32)
-    value = np.array(data, dtype=np.float64)
-    # column-major, rows ascending within a column; duplicate (row, col)
-    # terms summed one by one in the order they were added, as scipy's
-    # sparse conversion does (np.add.at is sequential, reduceat is not)
+    cost = np.array(model.costs, dtype=np.float64)
+    row_lb = np.where(np.array(model.exact, dtype=bool), 1.0, -np.inf)
+    row_ub = np.ones(model.num_constraints)
+    lengths = np.fromiter(map(len, model.rows), dtype=np.intp, count=len(model.rows))
+    row = np.repeat(np.arange(len(lengths), dtype=np.int32), lengths)
+    col = np.fromiter(chain.from_iterable(model.rows), dtype=np.int32, count=len(row))
+    # column-major, rows ascending within a column; a row never names a
+    # variable twice, so no term needs summing
     order = np.lexsort((row, col))
-    row, col, value = row[order], col[order], value[order]
-    first = np.ones(len(order), dtype=bool)
-    first[1:] = (row[1:] != row[:-1]) | (col[1:] != col[:-1])
-    if not first.all():
-        repeat = ~first
-        summed = value[first]
-        np.add.at(summed, np.cumsum(first)[repeat] - 1, value[repeat])
-        row, col, value = row[first], col[first], summed
     indptr = np.zeros(n + 1, dtype=np.int32)
     np.cumsum(np.bincount(col, minlength=n), out=indptr[1:])
-    return cost, lb, ub, indptr, row, value, row_lb, row_ub, integrality
+    return (
+        cost, np.zeros(n), np.ones(n), indptr, row[order], np.ones(len(row)),
+        row_lb, row_ub, np.ones(n, dtype=np.uint8),
+    )
 
 
 def run_highs(cost, lb, ub, indptr, indices, data, row_lb, row_ub, integrality=None):
@@ -167,8 +146,5 @@ def solve_scipy(model: IlpModel) -> Solution:
     status, objective, x = run_highs(*milp_arrays(model))
     if status is not SolveStatus.OPTIMAL:
         return Solution(status=status)
-    values = {
-        v.name: (round(value) if v.integral else float(value))
-        for v, value in zip(model.variables, x)
-    }
-    return Solution(status=status, objective=objective, values=values)
+    chosen = np.flatnonzero(np.asarray(x) > 0.5).tolist()
+    return Solution(status=status, objective=objective, chosen=chosen)

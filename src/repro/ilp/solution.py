@@ -16,23 +16,12 @@ class SolveStatus(Enum):
 
 @dataclass(slots=True)
 class Solution:
-    """Values and objective of a solved model."""
+    """Status, objective and the variables set to 1, ascending."""
 
     status: SolveStatus
     objective: float = 0.0
-    values: dict[str, float] = field(default_factory=dict)
+    chosen: list[int] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
         return self.status is SolveStatus.OPTIMAL
-
-    def value(self, name: str) -> float:
-        return self.values[name]
-
-    def chosen(self, prefix: str = "") -> list[str]:
-        """Names of binary variables set to 1 (optionally filtered)."""
-        return [
-            name
-            for name, val in self.values.items()
-            if val > 0.5 and name.startswith(prefix)
-        ]

@@ -5,9 +5,9 @@ multiple legalized candidate positions for a critical cell inside an
 that is already legal, so the flow has no full-design legalizer.
 """
 
-from repro.legalizer.window import LegalizedCandidate, WindowLegalizer
+from repro.legalizer.window import MoveCandidate, WindowLegalizer
 
 __all__ = [
     "WindowLegalizer",
-    "LegalizedCandidate",
+    "MoveCandidate",
 ]

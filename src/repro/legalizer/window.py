@@ -26,17 +26,18 @@ import numpy as np
 
 from repro.geom import Orientation, Point, Rect
 from repro.db import Design, Row
-from repro.ilp import IlpModel, Sense, solve
+from repro.ilp import IlpModel, solve
 from repro.legalizer.median import median_position
 
 
 @dataclass(slots=True)
-class LegalizedCandidate:
-    """One legalized outcome of moving a critical cell.
+class MoveCandidate:
+    """One placement candidate of a critical cell.
 
-    ``position`` is the critical cell's new placement;
-    ``conflict_moves`` maps each displaced neighbour to its new legal
-    placement; ``displacement`` is the Eq. 11 objective value.
+    ``position`` is the cell's new placement; ``conflict_moves`` maps
+    each displaced neighbour to its new legal placement (empty for the
+    keep-current candidate); ``displacement`` is the Eq. 11 objective
+    value; ``route_cost`` is filled by the estimation step (Algorithm 3).
     """
 
     cell: str
@@ -45,6 +46,7 @@ class LegalizedCandidate:
         default_factory=dict
     )
     displacement: float = 0.0
+    route_cost: float = float("inf")
 
     @property
     def is_current(self) -> bool:
@@ -138,7 +140,8 @@ class WindowLegalizer:
         self.n_rows = n_rows
         self.max_cells = max_cells
         self.max_targets = max_targets
-        #: enumerated solves, and how many of them had > 1 exact optimum
+        #: runs, enumerated solves, and solves with > 1 exact optimum
+        self.runs = 0
         self.solves = 0
         self.tie_breaks = 0
         #: window models whose slot vectors were built (at most one per run)
@@ -146,12 +149,13 @@ class WindowLegalizer:
 
     # ------------------------------------------------------------------ API
 
-    def run(self, cell_name: str) -> list[LegalizedCandidate]:
+    def run(self, cell_name: str) -> list[MoveCandidate]:
         """Candidate positions for ``cell_name`` (Algorithm 2, line 3).
 
         Returns an empty list when the cell sits in no recognizable row
         or the window has no legal target other than the current spot.
         """
+        self.runs += 1
         design = self.design
         cell = design.cells[cell_name]
         home_row = design.row_at_y(cell.y) or design.row_containing(cell.y)
@@ -184,7 +188,7 @@ class WindowLegalizer:
         )
         self._rescale(window, home_row.site.width, home_row.height)
 
-        candidates: list[LegalizedCandidate] = []
+        candidates: list[MoveCandidate] = []
         for row_order, local_site in self._enumerate_targets(window):
             candidate = self._legalize_with_target(window, row_order, local_site)
             if candidate is not None:
@@ -315,7 +319,7 @@ class WindowLegalizer:
 
     def _legalize_with_target(
         self, window: _WindowModel, row_order: int, target_site: int
-    ) -> LegalizedCandidate | None:
+    ) -> MoveCandidate | None:
         """Solve Eq. 11 with the critical cell pinned to one target slot."""
         movable = window.movable
         cell_name = movable[0]
@@ -331,7 +335,7 @@ class WindowLegalizer:
         )
         if not any(box.intersects(target_box) for box in window.neighbour_boxes):
             median = window.medians[cell_name]
-            return LegalizedCandidate(
+            return MoveCandidate(
                 cell=cell_name,
                 position=(target_x, target_y, row.orient),
                 conflict_moves={},
@@ -433,13 +437,13 @@ class WindowLegalizer:
         movable cell in ``movable`` order.
         """
         movable = window.movable
-        model = IlpModel(f"legalize[{movable[0]}]")
+        model = IlpModel()
         # slot coverage: (row index in window, local site) -> list of vars
         coverage: dict[tuple[int, int], list[int]] = {}
-        placements: dict[int, tuple[str, int, int, Orientation]] = {}
+        placements: list[tuple[int, tuple[int, int, Orientation]]] = []
 
         all_options = window.options_with(row_order, target_site)
-        for name, options in zip(movable, all_options):
+        for cell, (name, options) in enumerate(zip(movable, all_options)):
             median = window.medians[name]
             var_indices: list[int] = []
             for slot_row, row_slice, local in options:
@@ -448,36 +452,28 @@ class WindowLegalizer:
                 cost = _eq11_cost(
                     x, y, median, window.site_width, window.row_height
                 )
-                var = model.add_binary(
-                    f"y[{name}][{slot_row}][{local}]", cost=cost
-                )
+                var = model.add_binary(cost)
                 var_indices.append(var)
-                placements[var] = (name, x, y, row_slice.row.orient)
+                placements.append((cell, (x, y, row_slice.row.orient)))
                 for covered in range(local, local + window.cell_sites[name]):
                     coverage.setdefault((slot_row, covered), []).append(var)
-            model.add_exactly_one(var_indices, name=f"place[{name}]")
+            model.add_exactly_one(var_indices)
 
-        for (slot_row, local), vars_here in coverage.items():
+        for vars_here in coverage.values():
             if len(vars_here) > 1:
-                model.add_constraint(
-                    [(v, 1.0) for v in vars_here],
-                    Sense.LE,
-                    1.0,
-                    name=f"slot[{slot_row}][{local}]",
-                )
+                model.add_at_most_one(vars_here)
 
         solution = solve(model)
         if not solution.ok:
             return None
 
-        chosen: dict[str, tuple[int, int, Orientation]] = {}
-        for var_name in solution.chosen():
-            name, x, y, orient = placements[model.var_index(var_name)]
-            chosen[name] = (x, y, orient)
-        if any(name not in chosen for name in movable):
+        assignments: list = [None] * len(movable)
+        for var in solution.chosen:
+            cell, place = placements[var]
+            assignments[cell] = place
+        if None in assignments:
             return None
-        assignments = tuple(chosen[name] for name in movable)
-        return (assignments, solution.objective)
+        return (tuple(assignments), solution.objective)
 
     def _candidate_from(
         self,
@@ -486,7 +482,7 @@ class WindowLegalizer:
         target_row: _WindowRow,
         target_site: int,
         outcome,
-    ) -> LegalizedCandidate | None:
+    ) -> MoveCandidate | None:
         """Materialize a solved outcome against the *current* placement:
         a neighbour whose assigned slot is its live position is not a
         conflict move."""
@@ -508,7 +504,7 @@ class WindowLegalizer:
             return None
         if position != (target_x, target_y, target_row.row.orient):
             return None
-        return LegalizedCandidate(
+        return MoveCandidate(
             cell=cell_name,
             position=position,
             conflict_moves=conflict_moves,
@@ -593,9 +589,11 @@ class WindowLegalizer:
         metrics = get_metrics()
         if not metrics.recording:
             return
+        metrics.count("crp.window_runs", self.runs)
         metrics.count("crp.window_solves", self.solves)
         metrics.count("crp.window_tie_breaks", self.tie_breaks)
         metrics.count("crp.window_models", self.models)
+        self.runs = 0
         self.solves = 0
         self.tie_breaks = 0
         self.models = 0

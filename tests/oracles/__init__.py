@@ -23,5 +23,6 @@ through the seams named in each module.
   for ``repro.ilp.scipy_backend``, which calls scipy's HiGHS extension
   without importing ``scipy.optimize``).
 * :mod:`oracles.exhaustive` — enumeration of every 0/1 assignment of a
-  small all-binary model (reference for ``repro.ilp.solve``'s optimum).
+  small model (reference for ``repro.ilp.solve``'s optimum), and
+  ``is_feasible``, which checks an assignment against the model's rows.
 """

@@ -1,6 +1,6 @@
 """Enumeration of every 0/1 assignment (reference for ``repro.ilp.solve``).
 
-Exact but exponential, so it only takes all-binary models of at most
+Exact but exponential, so it only takes models of at most
 :data:`MAX_EXHAUSTIVE_VARS` variables.
 """
 
@@ -14,22 +14,26 @@ from repro.ilp.solution import Solution, SolveStatus
 MAX_EXHAUSTIVE_VARS = 22
 
 
+def is_feasible(model: IlpModel, values: list[int]) -> bool:
+    """Whether the 0/1 ``values`` keep every row of ``model``."""
+    for row, exact in zip(model.rows, model.exact):
+        total = sum(values[var] for var in row)
+        if total > 1 or (exact and total != 1):
+            return False
+    return True
+
+
 def solve_exhaustive(model: IlpModel) -> Solution:
     """The cheapest feasible 0/1 assignment, first in enumeration order."""
-    if not all(
-        v.integral and (v.lower, v.upper) == (0.0, 1.0) for v in model.variables
-    ):
-        raise ValueError("exhaustive enumeration requires an all-binary model")
     n = model.num_variables
     if n > MAX_EXHAUSTIVE_VARS:
         raise ValueError(f"exhaustive enumeration limited to {MAX_EXHAUSTIVE_VARS} vars")
-    best: list[float] | None = None
+    best: tuple[int, ...] | None = None
     best_obj = float("inf")
-    for assignment in product((0.0, 1.0), repeat=n):
-        values = list(assignment)
-        if not model.is_feasible(values):
+    for values in product((0, 1), repeat=n):
+        if not is_feasible(model, values):
             continue
-        obj = sum(v.cost * values[v.index] for v in model.variables)
+        obj = sum(cost * x for cost, x in zip(model.costs, values))
         if obj < best_obj:
             best_obj = obj
             best = values
@@ -38,5 +42,5 @@ def solve_exhaustive(model: IlpModel) -> Solution:
     return Solution(
         status=SolveStatus.OPTIMAL,
         objective=best_obj,
-        values={v.name: best[v.index] for v in model.variables},
+        chosen=[var for var, x in enumerate(best) if x],
     )

@@ -14,49 +14,27 @@ import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
 from scipy.sparse import csr_matrix
 
-from repro.ilp.model import IlpModel, Sense
+from repro.ilp.model import IlpModel
 from repro.ilp.solution import Solution, SolveStatus
 
 
 def milp_args(model: IlpModel) -> dict:
     """The keyword arguments the backend passed to ``milp`` for ``model``."""
     n = model.num_variables
-    cost = np.array([v.cost for v in model.variables])
-    integrality = np.array(
-        [1 if v.integral else 0 for v in model.variables], dtype=np.int8
-    )
-    bounds = Bounds(
-        lb=np.array([v.lower for v in model.variables]),
-        ub=np.array([v.upper for v in model.variables]),
-    )
     constraints = []
-    if model.constraints:
-        rows: list[int] = []
-        cols: list[int] = []
-        data: list[float] = []
-        lb = np.full(model.num_constraints, -np.inf)
-        ub = np.full(model.num_constraints, np.inf)
-        for i, c in enumerate(model.constraints):
-            for t in c.terms:
-                rows.append(i)
-                cols.append(t.var)
-                data.append(t.coeff)
-            if c.sense is Sense.LE:
-                ub[i] = c.rhs
-            elif c.sense is Sense.GE:
-                lb[i] = c.rhs
-            else:
-                lb[i] = c.rhs
-                ub[i] = c.rhs
+    if model.rows:
+        rows = [i for i, row in enumerate(model.rows) for _ in row]
+        cols = [var for row in model.rows for var in row]
         matrix = csr_matrix(
-            (data, (rows, cols)), shape=(model.num_constraints, n)
+            ([1.0] * len(cols), (rows, cols)), shape=(model.num_constraints, n)
         )
-        constraints = [LinearConstraint(matrix, lb, ub)]
+        lb = np.array([1.0 if exact else -np.inf for exact in model.exact])
+        constraints = [LinearConstraint(matrix, lb, np.ones(model.num_constraints))]
     return {
-        "c": cost,
+        "c": np.array(model.costs, dtype=np.float64),
         "constraints": constraints,
-        "integrality": integrality,
-        "bounds": bounds,
+        "integrality": np.ones(n, dtype=np.int8),
+        "bounds": Bounds(lb=np.zeros(n), ub=np.ones(n)),
     }
 
 
@@ -69,12 +47,8 @@ def solve_milp(model: IlpModel) -> Solution:
         return Solution(status=SolveStatus.INFEASIBLE)
     if not result.success or result.x is None:
         return Solution(status=SolveStatus.ERROR)
-    values = {
-        v.name: (round(x) if v.integral else float(x))
-        for v, x in zip(model.variables, result.x)
-    }
     return Solution(
         status=SolveStatus.OPTIMAL,
         objective=float(result.fun),
-        values=values,
+        chosen=[var for var, x in enumerate(result.x) if round(x) == 1],
     )

@@ -33,8 +33,7 @@ from repro.analyze.__main__ import main as analyze_main
 from helpers import fresh_small
 from oracles.groute import route_nodes
 from repro.groute import GlobalRouter
-from repro.ilp import IlpModel, Sense
-from repro.ilp.model import Constraint
+from repro.ilp import IlpModel
 
 
 def lint_snippet(code: str, path: str = "src/repro/mod.py", **config):
@@ -639,19 +638,21 @@ class TestInvariants:
         )
 
     def test_bad_ilp_model_flagged(self):
-        model = IlpModel("bad")
-        x = model.add_variable("x", cost=float("nan"), lower=2.0, upper=1.0)
-        model.add_constraint([(x, 1.0)], Sense.LE, float("inf"))
-        model.constraints.append(
-            Constraint(terms=[], sense=Sense.LE, rhs=1.0)
-        )
-        rules = {f.rule for f in check_model(model)}
-        assert rules == {"FLOW-M001", "FLOW-M002"}
+        model = IlpModel()
+        x = model.add_binary(float("nan"))
+        model.add_binary(float("inf"))
+        model.add_at_most_one([x])
+        model.rows += [(), (x, 7)]  # past the checks of add_at_most_one
+        model.exact += [True, False]
+        findings = check_model(model)
+        assert [f.rule for f in findings] == ["FLOW-M001"] * 2 + ["FLOW-M002"] * 2
+        assert "no terms" in findings[2].message
+        assert "out of range" in findings[3].message
 
     def test_well_formed_ilp_model_passes(self):
-        model = IlpModel("good")
-        x = model.add_binary("x", cost=1.0)
-        y = model.add_binary("y", cost=2.0)
+        model = IlpModel()
+        x = model.add_binary(1.0)
+        y = model.add_binary(2.0)
         model.add_exactly_one([x, y])
         assert check_model(model) == []
 

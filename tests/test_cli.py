@@ -62,6 +62,37 @@ def test_dump_writes_files(tmp_path, capsys):
     )
 
 
+def _digests(out: str) -> str:
+    return next(line for line in out.splitlines() if "digests:" in line)
+
+
+def test_run_from_dumped_lef_def_matches_bench(tmp_path, capsys):
+    """``crp run --lef --def`` on what ``crp dump`` wrote gives the
+    ``-b`` run's routes and placement, digest for digest."""
+    assert main(["dump", "-b", "ispd18_test1", "-o", str(tmp_path)]) == 0
+    flow = ["-m", "crp", "-k", "1", "--skip-detailed"]
+    capsys.readouterr()
+    assert main(["run", "-b", "ispd18_test1", *flow]) == 0
+    from_bench = _digests(capsys.readouterr().out)
+    files = ["--lef", str(tmp_path / "ispd18_test1.lef"),
+             "--def", str(tmp_path / "ispd18_test1.def")]
+    assert main(["run", *files, *flow]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("ispd18_test1 [crp k=1]")
+    assert _digests(out) == from_bench
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--lef", "x.lef"],
+    ["run", "-b", "ispd18_test1", "--def", "x.def"],
+    ["run", "-b", "ispd18_test1", "--lef", "x.lef", "--def", "x.def"],
+    ["suite", "--def", "x.def"],
+])
+def test_lef_and_def_replace_bench_together(argv):
+    with pytest.raises(SystemExit):
+        main(argv)
+
+
 def test_dump_refuses_an_illegal_placement(tmp_path, capsys, monkeypatch):
     """A cell moved off its row: exit code 1, the legality summary on
     stderr, and no file written."""

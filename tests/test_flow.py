@@ -178,3 +178,7 @@ def test_fontana_digests_pinned_on_ispd18_test1():
     assert result.placement_digest == (
         "2113d4f96260239df6c8b40d34ed72bb39d94574198d6bec0204c658e96d0c7c"
     )
+    # [18]'s windows report their tallies.  With max_cells=1 no target
+    # displaces a neighbour, so every window is legal without a solve.
+    assert counters["crp.window_runs"] > 0
+    assert counters["crp.window_solves"] == counters["crp.window_models"] == 0

@@ -36,10 +36,10 @@ def routed():
 
 def tiny_model() -> IlpModel:
     """Pick the cheaper of two mutually exclusive options."""
-    model = IlpModel("tiny")
-    a = model.add_binary("a", cost=2.0)
-    b = model.add_binary("b", cost=1.0)
-    model.add_exactly_one([a, b], name="one")
+    model = IlpModel()
+    a = model.add_binary(2.0)
+    b = model.add_binary(1.0)
+    model.add_exactly_one([a, b])
     return model
 
 

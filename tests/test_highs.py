@@ -3,9 +3,9 @@
 ``repro.ilp.scipy_backend`` builds ``milp``'s arrays itself and runs
 scipy's HiGHS extension without importing ``scipy.optimize``.  HiGHS must
 see the same input and give the same answer — status, objective and
-every value, so the same tie broken the same way — on random models and
-on every model of a CR&P flow; and a flow must leave ``scipy.optimize``
-unimported.
+every chosen variable, so the same tie broken the same way — on random
+0/1 models and on every model of a CR&P flow; and a flow must leave
+``scipy.optimize`` unimported.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from scipy.optimize._milp import _milp_iv
 import repro.ilp.scipy_backend as backend
 from repro.benchgen import make_design
 from repro.flow import run_flow
-from repro.ilp import IlpModel, Sense, solve
+from repro.ilp import IlpModel, solve
 from repro.obs import observe
 
 from oracles.milp import milp_args, solve_milp
@@ -34,40 +34,19 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 @st.composite
 def models(draw):
-    """Mixed models: binaries, bounded integers, continuous variables;
-    tied costs; rows of every sense with repeated and zero terms; some
-    infeasible, some without rows."""
-    model = IlpModel("random")
+    """Random 0/1 models: tied costs; exactly-one and at-most-one rows,
+    overlapping and in any order; some infeasible, some without rows."""
+    model = IlpModel()
     cost = st.sampled_from([0.0, 1.0, 1.0, 2.5, -3.0, 0.1, 0.2, 1e9])
-    for i in range(draw(st.integers(1, 7))):
-        kind = draw(st.sampled_from(["binary", "binary", "integer", "continuous"]))
-        if kind == "binary":
-            model.add_binary(f"x{i}", cost=draw(cost))
-        else:
-            model.add_variable(
-                f"x{i}",
-                cost=draw(cost),
-                lower=float(draw(st.integers(-2, 0))),
-                upper=draw(st.sampled_from([0.0, 1.0, 2.5, 4.0])),
-                integral=kind == "integer",
-            )
+    for _ in range(draw(st.integers(1, 7))):
+        model.add_binary(draw(cost))
     n = model.num_variables
     for _ in range(draw(st.integers(0, 5))):
-        terms = draw(
-            st.lists(
-                st.tuples(
-                    st.integers(0, n - 1),
-                    st.sampled_from([1.0, -1.0, 2.5, 0.3, 0.1, 0.0]),
-                ),
-                min_size=1,
-                max_size=5,
-            )
-        )
-        model.add_constraint(
-            terms,
-            draw(st.sampled_from(list(Sense))),
-            draw(st.sampled_from([-1.0, 0.0, 1.0, 1.5, 3.0])),
-        )
+        row = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=5, unique=True))
+        if draw(st.booleans()):
+            model.add_exactly_one(row)
+        else:
+            model.add_at_most_one(row)
     return model
 
 
@@ -94,14 +73,14 @@ def test_solutions_equal_milps(model):
 
 def test_every_flow_model_solves_as_milp(monkeypatch):
     """ispd18_test1, CR&P k = 3 and [18]: each model HiGHS solves gets
-    ``milp``'s status, objective and values."""
+    ``milp``'s status, objective and chosen variables."""
     production = backend.solve_scipy
     solved = []
 
     def checked(model):
         solution = production(model)
         assert solution == solve_milp(model)
-        solved.append(model.name)
+        solved.append(model.num_variables)
         return solution
 
     monkeypatch.setattr(backend, "solve_scipy", checked)
@@ -125,7 +104,7 @@ from repro.ilp import IlpModel
 from repro.ilp.scipy_backend import solve_scipy
 from scipy.optimize import milp
 model = IlpModel()
-a, b = model.add_binary("a", cost=2.0), model.add_binary("b", cost=1.0)
+a, b = model.add_binary(2.0), model.add_binary(1.0)
 model.add_exactly_one([a, b])
 late = milp(c=[2.0, 1.0], integrality=[1, 1], bounds=(0, 1),
             constraints=([[1.0, 1.0]], 1.0, 1.0))
@@ -133,7 +112,7 @@ print(json.dumps({
     "failed": result.failed,
     "loads": len(loads),
     "scipy_modules": scipy_modules,
-    "ours": solve_scipy(model).chosen(),
+    "ours": solve_scipy(model).chosen,
     "late_milp": [round(x) for x in late.x],
 }))
 """
@@ -154,7 +133,7 @@ def test_flow_leaves_scipy_optimize_unimported():
     assert report["scipy_modules"] and all(
         name.startswith(backend.CORE_MODULE) for name in report["scipy_modules"]
     ), report["scipy_modules"]
-    assert report["ours"] == ["b"]
+    assert report["ours"] == [1]
     assert report["late_milp"] == [0, 1]
 
 
@@ -163,8 +142,8 @@ def test_missing_extension_raises_import_error(monkeypatch):
     it needs, and counts as an error; nothing answers in HiGHS's place."""
     monkeypatch.delitem(sys.modules, backend.CORE_MODULE, raising=False)
     monkeypatch.setattr("importlib.machinery.EXTENSION_SUFFIXES", [".missing"])
-    model = IlpModel("tiny")
-    a, b = model.add_binary("a", cost=2.0), model.add_binary("b", cost=1.0)
+    model = IlpModel()
+    a, b = model.add_binary(2.0), model.add_binary(1.0)
     model.add_exactly_one([a, b])
     with observe() as obs:
         with pytest.raises(ImportError, match=r"scipy >= 1\.15"):

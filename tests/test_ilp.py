@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ilp import IlpModel, Sense, SolveStatus, solve
+from repro.ilp import IlpModel, SolveStatus, solve
 
-from oracles.exhaustive import solve_exhaustive
+from oracles.exhaustive import is_feasible, solve_exhaustive
 
 #: HiGHS (under the name of its fault site) and the enumeration that
 #: ``test_backends_agree`` holds it to, so the reference is itself held
@@ -15,30 +15,35 @@ from oracles.exhaustive import solve_exhaustive
 SOLVERS = {"scipy": solve, "exhaustive": solve_exhaustive}
 
 
-def knapsack_model():
-    """max value knapsack as min of negated values."""
-    model = IlpModel("knapsack")
-    items = [(-60, 10), (-100, 20), (-120, 30)]
-    vars_ = [model.add_binary(f"x{i}", cost=v) for i, (v, _) in enumerate(items)]
-    model.add_constraint(
-        [(x, w) for x, (_, w) in zip(vars_, items)], Sense.LE, 50.0, "cap"
-    )
+def assignment_model():
+    """Two cells, three slots each; slot 0 of either excludes slot 1 of
+    the other.  Alone each cell takes its slot 0 (cost 1), but together
+    the cheapest legal pair is cell a's slot 1 and cell b's slot 0."""
+    model = IlpModel()
+    a = [model.add_binary(cost) for cost in (1.0, 2.0, 9.0)]
+    b = [model.add_binary(cost) for cost in (1.0, 5.0, 9.0)]
+    model.add_exactly_one(a)
+    model.add_exactly_one(b)
+    model.add_at_most_one([a[0], b[0]])
     return model
 
 
 @pytest.mark.parametrize("solver", SOLVERS)
-def test_knapsack_optimum(solver):
-    solution = SOLVERS[solver](knapsack_model())
+def test_assignment_optimum(solver):
+    solution = SOLVERS[solver](assignment_model())
     assert solution.ok
-    assert solution.objective == pytest.approx(-220.0)
-    assert solution.chosen() == ["x1", "x2"]
+    assert solution.objective == pytest.approx(3.0)
+    assert solution.chosen == [1, 3]
 
 
 @pytest.mark.parametrize("solver", SOLVERS)
 def test_infeasible_detected(solver):
+    """Both of two variables forced to 1, and excluded from each other."""
     model = IlpModel()
-    x = model.add_binary("x")
-    model.add_constraint([(x, 1.0)], Sense.GE, 2.0)
+    x, y = model.add_binary(), model.add_binary()
+    model.add_exactly_one([x])
+    model.add_exactly_one([y])
+    model.add_at_most_one([x, y])
     assert SOLVERS[solver](model).status is SolveStatus.INFEASIBLE
 
 
@@ -52,51 +57,49 @@ def test_empty_model(solver):
 
 def test_exactly_one_convenience():
     model = IlpModel()
-    a = model.add_binary("a", cost=5.0)
-    b = model.add_binary("b", cost=3.0)
-    c = model.add_binary("c", cost=9.0)
+    a = model.add_binary(5.0)
+    b = model.add_binary(3.0)
+    c = model.add_binary(9.0)
     model.add_exactly_one([a, b, c])
     solution = solve(model)
-    assert solution.chosen() == ["b"]
+    assert solution.chosen == [b]
 
 
 def test_duplicate_variable_rejected():
+    """A row names each of its variables once."""
     model = IlpModel()
-    model.add_binary("x")
+    x = model.add_binary()
     with pytest.raises(ValueError):
-        model.add_binary("x")
+        model.add_at_most_one([x, x])
+    with pytest.raises(ValueError):
+        model.add_exactly_one([x, x])
+    assert model.num_constraints == 0
 
 
 def test_constraint_unknown_variable_rejected():
     model = IlpModel()
     with pytest.raises(ValueError):
-        model.add_constraint([(3, 1.0)], Sense.LE, 1.0)
+        model.add_at_most_one([3])
 
 
 def test_exhaustive_rejects_large_models():
     model = IlpModel()
-    for i in range(30):
-        model.add_binary(f"x{i}")
-    with pytest.raises(ValueError):
-        solve_exhaustive(model)
-
-
-def test_exhaustive_rejects_non_binary():
-    model = IlpModel()
-    model.add_variable("x", lower=0.0, upper=5.0)
+    for _ in range(30):
+        model.add_binary()
     with pytest.raises(ValueError):
         solve_exhaustive(model)
 
 
 def test_is_feasible_checks_everything():
     model = IlpModel()
-    x = model.add_binary("x")
-    y = model.add_binary("y")
-    model.add_constraint([(x, 1.0), (y, 1.0)], Sense.EQ, 1.0)
-    assert model.is_feasible([1.0, 0.0])
-    assert not model.is_feasible([1.0, 1.0])
-    assert not model.is_feasible([0.5, 0.5])  # integrality
-    assert not model.is_feasible([2.0, -1.0])  # bounds
+    x, y, z = model.add_binary(), model.add_binary(), model.add_binary()
+    model.add_exactly_one([x, y])
+    model.add_at_most_one([y, z])
+    assert is_feasible(model, [1, 0, 1])
+    assert is_feasible(model, [0, 1, 0])
+    assert not is_feasible(model, [1, 1, 0])  # exactly one, twice
+    assert not is_feasible(model, [0, 0, 1])  # exactly one, never
+    assert not is_feasible(model, [0, 1, 1])  # at most one, twice
 
 
 def test_unknown_backend():
@@ -110,21 +113,18 @@ def random_models(draw):
     """Small random assignment-flavoured ILPs."""
     n_groups = draw(st.integers(1, 3))
     per_group = draw(st.integers(1, 3))
-    model = IlpModel("random")
+    model = IlpModel()
     groups = []
-    for g in range(n_groups):
+    for _ in range(n_groups):
         vars_ = [
             model.add_binary(
-                f"y{g}_{i}",
-                cost=draw(
-                    st.floats(min_value=0, max_value=100, allow_nan=False)
-                ),
+                draw(st.floats(min_value=0, max_value=100, allow_nan=False))
             )
-            for i in range(per_group)
+            for _ in range(per_group)
         ]
         model.add_exactly_one(vars_)
         groups.append(vars_)
-    # Random LE couplings
+    # Random at-most-one couplings
     all_vars = [v for vs in groups for v in vs]
     if len(all_vars) >= 2:
         n_extra = draw(st.integers(0, 3))
@@ -134,7 +134,7 @@ def random_models(draw):
                     st.sampled_from(all_vars), min_size=2, max_size=4, unique=True
                 )
             )
-            model.add_constraint([(v, 1.0) for v in chosen], Sense.LE, 1.0)
+            model.add_at_most_one(chosen)
     return model
 
 
@@ -147,4 +147,5 @@ def test_backends_agree(model):
     assert highs.status is reference.status
     if highs.ok:
         assert abs(highs.objective - reference.objective) < 1e-6
-        assert model.is_feasible([highs.values[v.name] for v in model.variables])
+        values = [int(var in highs.chosen) for var in range(model.num_variables)]
+        assert is_feasible(model, values)

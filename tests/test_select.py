@@ -2,8 +2,8 @@
 
 ``repro.core.select._add_conflict_constraints`` finds its pairs through
 the touch index and a bounding-box sweep; :mod:`oracles.select` tests
-every pair of candidates.  They must add the same rows in the same order
-(names, terms, sense, rhs), on random candidate sets and on every
+every pair of candidates.  They must add the same rows in the same order,
+on random candidate sets and on every
 iteration of a CR&P flow, and production must do it without the
 reference's candidates² memory.
 """
@@ -29,22 +29,13 @@ from helpers import add_cell, build_tiny_design, fresh_small
 from oracles.select import add_conflict_constraints as dense_conflict_constraints
 
 
-def _variables(candidates) -> tuple[IlpModel, dict[tuple[str, int], int]]:
-    """A model holding ``select_moves``'s variables, and its ``var_of``."""
-    model = IlpModel("select")
-    var_of = {}
-    for name, options in candidates.items():
-        for i, candidate in enumerate(options):
-            var_of[(name, i)] = model.add_binary(
-                f"y[{name}][{i}]", cost=min(candidate.route_cost, 1e9)
-            )
-    return model, var_of
-
-
 def _rows(add_rows, design, candidates) -> list:
-    model, var_of = _variables(candidates)
+    """The exclusion rows ``add_rows`` adds to ``select_moves``'s model."""
+    model, var_of = select.choice_model(candidates)
+    before = model.num_constraints
     add_rows(design, candidates, model, var_of)
-    return model.constraints
+    assert not any(model.exact[before:])
+    return model.rows[before:]
 
 
 # ------------------------------------------------------------ property
@@ -126,13 +117,14 @@ def test_every_flow_model_equals_the_reference(monkeypatch):
     seen = []
 
     def checked(design, candidates, model, var_of):
-        before = len(model.constraints)
+        before = model.num_constraints
         pairs = production(design, candidates, model, var_of)
-        reference = IlpModel("reference")
-        for variable in model.variables:
-            reference.add_binary(variable.name, cost=variable.cost)
+        reference = IlpModel()
+        for cost in model.costs:
+            reference.add_binary(cost)
         dense_conflict_constraints(design, candidates, reference, var_of)
-        assert model.constraints[before:] == reference.constraints
+        assert model.rows[before:] == reference.rows
+        assert not any(model.exact[before:] + reference.exact)
         seen.append(len(pairs))
         return pairs
 
@@ -234,7 +226,7 @@ def _ceiling_case(tech):
 
 
 def _peak_mib(add_rows, design, candidates) -> float:
-    model, var_of = _variables(candidates)
+    model, var_of = select.choice_model(candidates)
     tracemalloc.start()
     try:
         add_rows(design, candidates, model, var_of)
