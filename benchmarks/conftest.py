@@ -12,9 +12,6 @@ Environment knobs:
 * ``CRP_BENCH_QUICK=1`` — restrict to three representative designs
   (small / low-congestion / congested) for a fast pass.
 * ``CRP_BENCH_K`` — iteration count for the "k=10" column (default 10).
-* ``CRP_BASELINE_BUDGET_S`` — wall-clock budget for the [18] baseline
-  before it is reported as Failed (default 600 s; the original binary
-  failed outright on ispd18_test10).
 
 Each benchmark also writes its formatted table to ``bench_results/`` so
 EXPERIMENTS.md can reference the exact output.
@@ -50,10 +47,6 @@ def bench_k10() -> int:
     return int(os.environ.get("CRP_BENCH_K", "10"))
 
 
-def baseline_budget_s() -> float:
-    return float(os.environ.get("CRP_BASELINE_BUDGET_S", "600"))
-
-
 VARIANTS = ("baseline", "fontana", "crp1", "crp10")
 
 _CACHE: dict[tuple[str, str], object] = {}
@@ -72,9 +65,7 @@ def flow_result(design_name: str, variant: str):
     if variant == "baseline":
         result = run_flow(design, mode="baseline")
     elif variant == "fontana":
-        result = run_flow(
-            design, mode="fontana", baseline_budget_s=baseline_budget_s()
-        )
+        result = run_flow(design, mode="fontana")
     elif variant == "crp1":
         result = run_flow(
             design, mode="crp", crp_iterations=1, config=CrpConfig(seed=0)

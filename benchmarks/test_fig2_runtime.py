@@ -4,8 +4,8 @@ Prints the wall-clock of each flow variant per design.  Expected shape:
 CR&P k=1 adds a small margin over the baseline; k=10 grows roughly
 linearly in k (not exponentially); the [18] baseline processes every
 cell and is the slowest movement stage (it failed outright on the
-test10 analogue in the paper; here it is reported Failed when it blows
-its wall-clock budget).
+test10 analogue in the paper; here a column reads Failed only when a
+stage of the flow raised).
 """
 
 from __future__ import annotations

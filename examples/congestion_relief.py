@@ -18,6 +18,7 @@ import numpy as np
 from repro.benchgen.generator import DesignSpec, generate_design
 from repro.core import CrpConfig, CrpFramework
 from repro.groute import GlobalRouter
+from repro.obs import observe
 
 
 def congestion_snapshot(router: GlobalRouter) -> str:
@@ -51,10 +52,12 @@ def main() -> None:
 
     framework = CrpFramework(design, router, CrpConfig(seed=3))
     for k in range(5):
-        stats = framework.run_iteration(k)
+        with observe() as obs:
+            stats = framework.run_iteration(k)
+        ecc_s = obs.tracer.roots[0].child_walls()["crp.ECC"]
         print(
             f"after CR&P iter {k + 1}   : {congestion_snapshot(router)}  "
-            f"(moved {stats.num_moved} cells, {stats.runtime['ECC']:.1f}s est.)"
+            f"(moved {stats.num_moved} cells, {ecc_s:.1f}s est.)"
         )
 
     cmap = router.graph.congestion_map()

@@ -463,7 +463,7 @@ def _check_wall_clock(ctx: ModuleContext):
 
 _OBS_METHODS = ("span", "count", "gauge", "observe")
 _OBS_RECEIVER_NAMES = ("metrics", "tracer", "obs")
-_OBS_FACTORIES = ("get_metrics", "get_tracer", "ensure_tracer")
+_OBS_FACTORIES = ("get_metrics", "get_tracer")
 _NAME_RE = re.compile(r"^[a-z][a-z0-9_]*(\.[A-Za-z0-9_\-]+)+$")
 _PREFIX_RE = re.compile(r"^[a-z][a-z0-9_]*\.([A-Za-z0-9_\-]+\.)*[A-Za-z0-9_\-]*$")
 

@@ -19,8 +19,7 @@ fraction), reproducing the Fig. 2 runtime gap.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.geom import Orientation
 from repro.db import Design
@@ -31,11 +30,7 @@ from repro.legalizer import WindowLegalizer
 from repro.legalizer.median import median_position
 from repro.core.candidates import MoveCandidate
 from repro.core.estimate import estimate_candidate_cost
-from repro.core.select import (
-    _add_conflict_constraints,
-    choice_model,
-    chosen_candidates,
-)
+from repro.core.select import choice_model, chosen_candidates, conflict_rows
 from repro.core.update import apply_moves
 
 
@@ -45,73 +40,31 @@ N_SITES = 16
 N_ROWS = 3
 
 
-class BaselineTimeout(RuntimeError):
-    """Raised when the baseline exceeds its wall-clock budget.
-
-    The original [18] binary failed outright on ispd18_test10; this
-    reproduction bounds the run instead and reports the failure the same
-    way the paper's Table III does.
-    """
-
-
 @dataclass(slots=True)
 class FontanaResult:
-    """Outcome of a baseline run."""
+    """Outcome of a baseline run; its time is the ``flow.BASELINE`` span."""
 
     moved_cells: int = 0
     rerouted_nets: int = 0
-    runtime_s: float = 0.0
-    iterations: int = 0
-    failed: bool = False
 
 
 class FontanaBaseline:
     """Move-to-median with ILP selection (no congestion awareness)."""
 
-    def __init__(
-        self,
-        design: Design,
-        router: GlobalRouter,
-        time_budget_s: float | None = None,
-    ) -> None:
+    def __init__(self, design: Design, router: GlobalRouter) -> None:
         self.design = design
         self.router = router
-        self.time_budget_s = time_budget_s
         # Congestion-blind pricing: same graph, penalty disabled.
         self._flat_field = CostField(router.graph, use_penalty=False)
 
-    def run(self, iterations: int = 1) -> FontanaResult:
-        """Run the move-to-median optimization."""
-        result = FontanaResult()
-        start = time.perf_counter()
-        try:
-            for _ in range(iterations):
-                moved, rerouted = self._run_iteration(start)
-                result.moved_cells += moved
-                result.rerouted_nets += rerouted
-                result.iterations += 1
-        except BaselineTimeout:
-            result.failed = True
-        result.runtime_s = time.perf_counter() - start
-        return result
-
-    def _check_budget(self, start: float) -> None:
-        if (
-            self.time_budget_s is not None
-            and time.perf_counter() - start > self.time_budget_s
-        ):
-            raise BaselineTimeout(
-                f"baseline exceeded {self.time_budget_s:.0f}s budget"
-            )
-
-    def _run_iteration(self, start: float) -> tuple[int, int]:
+    def run(self) -> FontanaResult:
+        """Run the move-to-median optimization once."""
         design = self.design
         candidates: dict[str, list[MoveCandidate]] = {}
         # No prioritization: database order, every movable cell.
         for name, cell in design.cells.items():
             if cell.fixed:
                 continue
-            self._check_budget(start)
             options = [
                 MoveCandidate(
                     cell=name, position=(cell.x, cell.y, cell.orient)
@@ -122,8 +75,7 @@ class FontanaBaseline:
                 candidates[name] = options
 
         with self.router.pattern3d.using(self._flat_field):
-            for name, options in candidates.items():
-                self._check_budget(start)
+            for options in candidates.values():
                 for candidate in options:
                     candidate.route_cost = estimate_candidate_cost(
                         design, self.router, candidate
@@ -131,7 +83,10 @@ class FontanaBaseline:
 
         chosen = self._select(candidates)
         update = apply_moves(design, self.router, chosen)
-        return len(update.moved_cells), len(update.rerouted_nets)
+        return FontanaResult(
+            moved_cells=len(update.moved_cells),
+            rerouted_nets=len(update.rerouted_nets),
+        )
 
     def _median_candidates(self, name: str) -> list[MoveCandidate]:
         """The legalized slot nearest the cell's median, if any."""
@@ -173,6 +128,7 @@ class FontanaBaseline:
         # would invalidate both estimates ([18] enforces the same).  The
         # neighbour set is walked sorted: row order steers HiGHS's pick
         # among tied optima, so it must not follow the hash seed.
+        rows: list[tuple[int, int]] = []
         names = list(candidates)
         name_set = set(names)
         for cell_name in names:
@@ -180,9 +136,16 @@ class FontanaBaseline:
                 if other in name_set and other > cell_name:
                     for i in range(1, len(candidates[cell_name])):
                         for j in range(1, len(candidates[other])):
-                            model.add_at_most_one(
+                            rows.append(
                                 (var_of[(cell_name, i)], var_of[(other, j)])
                             )
-        _add_conflict_constraints(design, candidates, model, var_of)
+        rows += conflict_rows(design, candidates, var_of)[0]
+        # A pair of cells that share a net may also overlap: each pair
+        # becomes one row, where it first occurs.
+        once: dict[frozenset[int], tuple[int, int]] = {}
+        for row in rows:
+            once.setdefault(frozenset(row), row)
+        for row in once.values():
+            model.add_at_most_one(row)
 
         return chosen_candidates(candidates, solve(model))

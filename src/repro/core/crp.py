@@ -3,9 +3,9 @@
 Runs the five-step loop ``k`` times between global routing and detailed
 routing.  Each step runs inside a ``repro.obs`` span (``crp.label``,
 ``crp.GCP``, ``crp.ECC``, ``crp.ILP``, ``crp.UD`` under a
-``crp.iteration`` parent), and ``IterationStats.runtime`` is populated
-from those span wall times — one source of truth for the Fig. 3
-runtime breakdown (GCP / ECC / ILP / UD).
+``crp.iteration`` parent); those spans are the only record of the
+steps' time, and the Fig. 3 breakdown (``repro.flow.runtime``) reads
+them off the flow's trace.
 
 Every iteration runs as a transaction (``repro.guard``): the Update-Database
 step runs against a snapshot of the cells and routes it may touch, and
@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass, field
 
 from repro.guard import IterationTransaction, iteration_violations
-from repro.obs import ensure_tracer, get_metrics
+from repro.obs import get_metrics, get_tracer
 
 from repro.db import Design
 from repro.grid import CostField
@@ -37,7 +37,7 @@ from repro.core.update import UpdateStats, apply_moves
 
 @dataclass(slots=True)
 class IterationStats:
-    """Numbers and timings of one CR&P iteration."""
+    """Numbers of one CR&P iteration; its timings are its spans."""
 
     iteration: int
     num_critical: int = 0
@@ -45,16 +45,10 @@ class IterationStats:
     num_moved: int = 0
     num_rerouted: int = 0
     displacement: int = 0
-    #: per-step wall clock (seconds); keys are the Fig. 3 labels
-    runtime: dict[str, float] = field(default_factory=dict)
     #: True when the guard rolled this iteration back
     rolled_back: bool = False
     #: invariant violations (or the exception) that caused the rollback
     rollback_reasons: list[str] = field(default_factory=list)
-
-    @property
-    def total_runtime(self) -> float:
-        return sum(self.runtime.values())
 
 
 @dataclass(slots=True)
@@ -70,18 +64,6 @@ class CrpResult:
     @property
     def rollbacks(self) -> int:
         return sum(1 for s in self.iterations if s.rolled_back)
-
-    @property
-    def total_runtime(self) -> float:
-        return sum(s.total_runtime for s in self.iterations)
-
-    def runtime_breakdown(self) -> dict[str, float]:
-        """Summed per-step runtime over all iterations (Fig. 3 input)."""
-        totals: dict[str, float] = {}
-        for stats in self.iterations:
-            for step, seconds in stats.runtime.items():
-                totals[step] = totals.get(step, 0.0) + seconds
-        return totals
 
 
 class CrpFramework:
@@ -125,22 +107,19 @@ class CrpFramework:
         stats = IterationStats(iteration=index)
         config = self.config
         pre_cost = self.router.total_route_cost()
-        with ensure_tracer() as tracer, tracer.span(
-            "crp.iteration", k=index
-        ):
-            with tracer.span("crp.label") as sp:
+        tracer = get_tracer()
+        with tracer.span("crp.iteration", k=index):
+            with tracer.span("crp.label"):
                 critical = label_critical_cells(
                     self.design, self.router, config, self._rng
                 )
-            stats.runtime["label"] = sp.wall_s
             stats.num_critical = len(critical)
 
-            with tracer.span("crp.GCP") as sp:
+            with tracer.span("crp.GCP"):
                 candidates = generate_candidates(self.design, critical, config)
-            stats.runtime["GCP"] = sp.wall_s
             stats.num_candidates = sum(len(c) for c in candidates.values())
 
-            with tracer.span("crp.ECC") as sp:
+            with tracer.span("crp.ECC"):
                 flat = [
                     candidate
                     for cell_candidates in candidates.values()
@@ -161,15 +140,12 @@ class CrpFramework:
                             cache=cache,
                         )
                 cache.publish_metrics()
-            stats.runtime["ECC"] = sp.wall_s
 
-            with tracer.span("crp.ILP") as sp:
+            with tracer.span("crp.ILP"):
                 chosen = select_moves(self.design, candidates)
-            stats.runtime["ILP"] = sp.wall_s
 
-            with tracer.span("crp.UD") as sp:
+            with tracer.span("crp.UD"):
                 update = self._apply_update(chosen, pre_cost, stats)
-            stats.runtime["UD"] = sp.wall_s
         stats.num_moved = len(update.moved_cells)
         stats.num_rerouted = len(update.rerouted_nets)
         stats.displacement = update.total_displacement

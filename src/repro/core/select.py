@@ -97,6 +97,18 @@ def _add_conflict_constraints(
     model: IlpModel,
     var_of: dict[tuple[str, int], int],
 ) -> np.ndarray:
+    """Add :func:`conflict_rows`' rows to ``model``; returns their cell pairs."""
+    rows, pairs = conflict_rows(design, candidates, var_of)
+    for row in rows:
+        model.add_at_most_one(row)
+    return pairs
+
+
+def conflict_rows(
+    design: Design,
+    candidates: dict[str, list[MoveCandidate]],
+    var_of: dict[tuple[str, int], int],
+) -> tuple[list[tuple[int, int]], np.ndarray]:
     """Mutual exclusion between conflicting candidates of distinct cells.
 
     Two non-current candidates of different cells conflict when both
@@ -104,13 +116,14 @@ def _add_conflict_constraints(
     relocations) or when any two of their footprint rects overlap
     strictly (abutting outlines are legal, as in ``Rect.intersects``).
     Pairs come from the touch index and from a sort-and-sweep over the
-    footprint bounding boxes; the rows are added in candidate order
+    footprint bounding boxes; the rows come in candidate order
     ``(a, b)``, so the model never depends on set or dict iteration.
     Nothing allocated here is candidates²: memory is linear in the
-    candidates, the pairs the sweep meets and the rows added.
+    candidates, the pairs the sweep meets and the rows returned.
 
-    Returns one ``(cell, cell)`` row per added constraint: the positions
-    in ``candidates`` of the two cells it excludes.
+    Returns the at-most-one rows, each a pair of :func:`choice_model`
+    variables and each pair once, and per row the ``(cell, cell)``
+    positions in ``candidates`` of the two cells it excludes.
     """
     owner: list[int] = []  # entry -> position of its cell in `candidates`
     variable: list[int] = []
@@ -139,7 +152,7 @@ def _add_conflict_constraints(
                 uy.append(y + cell.height)
     count = len(owner)
     if count < 2:
-        return np.empty((0, 2), dtype=np.intp)
+        return [], np.empty((0, 2), dtype=np.intp)
     owners = np.asarray(owner, dtype=np.intp)
     starts = np.asarray(first_rect, dtype=np.intp)
     rect_count = np.diff(np.append(starts, len(lx)))
@@ -192,9 +205,8 @@ def _add_conflict_constraints(
         lo = hi
 
     a, b = np.divmod(np.unique(np.concatenate(found)), count)
-    for ea, eb in zip(a.tolist(), b.tolist()):
-        model.add_at_most_one((variable[ea], variable[eb]))
-    return np.stack([owners[a], owners[b]], axis=1)
+    rows = [(variable[ea], variable[eb]) for ea, eb in zip(a.tolist(), b.tolist())]
+    return rows, np.stack([owners[a], owners[b]], axis=1)
 
 
 def _ragged(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -19,7 +19,6 @@ pass and the conflict rounds share both.
 
 from __future__ import annotations
 
-import time
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
 
@@ -47,7 +46,6 @@ class DetailedResult:
     wirelength_dbu: int = 0
     vias: int = 0
     violations: list[DrcViolation] = field(default_factory=list)
-    runtime_s: float = 0.0
     paths: dict[str, list[list[LNode]]] = field(default_factory=dict)
 
     @property
@@ -151,7 +149,6 @@ class DetailedRouter:
     def route_all(self, guides: dict[str, list[GuideRect]]) -> DetailedResult:
         """Route every net; ``guides`` come from the global router
         (:meth:`GlobalRouter.guides`, an entry for every net)."""
-        start = time.perf_counter()
         tracer = get_tracer()
         with tracer.span("droute.obstacles"):
             state = self.begin_session()
@@ -204,7 +201,6 @@ class DetailedRouter:
         stats.flush()
         metrics.count("droute.drvs", result.num_drvs)
         metrics.gauge("droute.wirelength_dbu", result.wirelength_dbu)
-        result.runtime_s = time.perf_counter() - start
         return result
 
     def _rrr_round(

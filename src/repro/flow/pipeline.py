@@ -1,10 +1,9 @@
 """Flow orchestration: GR -> (CR&P | [18] | nothing) -> DR -> evaluate.
 
 Stage timing is recorded as ``repro.obs`` spans (``flow.run`` ->
-``flow.GR`` / ``flow.CRP`` / ``flow.BASELINE`` / ``flow.DR``); the
-``FlowResult.runtime`` dict keeps its historical shape but is populated
-from those spans, and every result carries the full span tree plus a
-metrics snapshot for the profiling exporters.
+``flow.GR`` / ``flow.CRP`` / ``flow.BASELINE`` / ``flow.DR``), and
+every result carries that span tree plus a metrics snapshot.  The tree
+is the only record of time: ``FlowResult.runtime`` is a view of it.
 
 Stages are fault-isolated (``repro.guard``): an exception inside a
 stage marks ``FlowResult.failed`` with a :class:`FailureReport`
@@ -17,7 +16,7 @@ paths are testable.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 from repro.db import Design, check_legality
@@ -44,8 +43,6 @@ class FlowResult:
     quality: QualityScore | None = None
     crp: CrpResult | None = None
     fontana: FontanaResult | None = None
-    #: wall clock per stage: GR, CRP (or BASELINE), DR — backed by ``trace``
-    runtime: dict[str, float] = field(default_factory=dict)
     legal: bool = True
     failed: bool = False
     #: what killed the failing stage, when ``failed`` is set
@@ -60,6 +57,17 @@ class FlowResult:
     trace: Span | None = None
     #: metrics snapshot at flow end (cumulative within an ``observe()``)
     metrics: dict[str, dict[str, object]] | None = None
+
+    @property
+    def runtime(self) -> dict[str, float]:
+        """Wall clock per stage that ran (``GR``, ``CRP`` or ``BASELINE``,
+        ``DR``): the ``flow.<stage>`` children of ``trace``."""
+        if self.trace is None:
+            return {}
+        return {
+            name.removeprefix("flow."): wall
+            for name, wall in self.trace.child_walls().items()
+        }
 
     @property
     def total_runtime(self) -> float:
@@ -97,7 +105,6 @@ def run_flow(
     mode: str = "baseline",
     crp_iterations: int = 1,
     config: CrpConfig | None = None,
-    baseline_budget_s: float | None = None,
     skip_detailed: bool = False,
 ) -> FlowResult:
     """Run the full flow on ``design``.
@@ -120,8 +127,7 @@ def run_flow(
         tracer = obs.tracer
         with tracer.span("flow.run", design=design.name, mode=mode) as root:
             _run_stages(
-                design, mode, crp_iterations, config,
-                baseline_budget_s, skip_detailed,
+                design, mode, crp_iterations, config, skip_detailed,
                 result, tracer, obs.metrics,
             )
         result.trace = root
@@ -152,49 +158,32 @@ def _run_stages(
     mode: str,
     crp_iterations: int,
     config: CrpConfig | None,
-    baseline_budget_s: float | None,
     skip_detailed: bool,
     result: FlowResult,
     tracer,
     metrics,
 ) -> None:
     """The stage sequence, inside the open ``flow.run`` span."""
-    with tracer.span("flow.GR") as sp, _stage(result, "GR", metrics):
+    with tracer.span("flow.GR"), _stage(result, "GR", metrics):
         fault_point("flow.GR")
         router = GlobalRouter(design)
         router.route_all()
-    result.runtime["GR"] = sp.wall_s
     if result.failed:
         return
 
     if mode == "crp":
         framework = CrpFramework(design, router, config)
-        with tracer.span("flow.CRP") as sp, _stage(result, "CRP", metrics):
+        with tracer.span("flow.CRP"), _stage(result, "CRP", metrics):
             fault_point("flow.CRP")
             result.crp = framework.run(crp_iterations)
-        result.runtime["CRP"] = sp.wall_s
         if result.failed:
             return
     elif mode == "fontana":
-        baseline = FontanaBaseline(
-            design, router, time_budget_s=baseline_budget_s
-        )
-        with tracer.span("flow.BASELINE") as sp, _stage(
-            result, "BASELINE", metrics
-        ):
+        baseline = FontanaBaseline(design, router)
+        with tracer.span("flow.BASELINE"), _stage(result, "BASELINE", metrics):
             fault_point("flow.BASELINE")
             result.fontana = baseline.run()
-        result.runtime["BASELINE"] = sp.wall_s
         if result.failed:
-            return
-        if result.fontana.failed:
-            result.failed = True
-            result.failure = FailureReport(
-                stage="BASELINE",
-                error_type="TimeBudgetExceeded",
-                message="the [18] baseline exhausted its time budget",
-                metrics=metrics.snapshot(),
-            )
             return
 
     result.gr_wirelength_dbu = router.total_wirelength_dbu()
@@ -214,10 +203,9 @@ def _run_stages(
     if skip_detailed:
         return
 
-    with tracer.span("flow.DR") as sp, _stage(result, "DR", metrics):
+    with tracer.span("flow.DR"), _stage(result, "DR", metrics):
         fault_point("flow.DR")
         guides = router.guides()
         detailed = DetailedRouter(design)
         dr_result = detailed.route_all(guides)
         result.quality = evaluate(design.name, design.tech, dr_result)
-    result.runtime["DR"] = sp.wall_s

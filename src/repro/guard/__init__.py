@@ -25,7 +25,6 @@ from repro.guard.faults import (
     FaultInjected,
     FaultPlan,
     fault_point,
-    install_faults,
     use_faults,
 )
 from repro.guard.transaction import (
@@ -39,7 +38,6 @@ __all__ = [
     "FaultInjected",
     "FaultPlan",
     "fault_point",
-    "install_faults",
     "use_faults",
     "IterationTransaction",
     "iteration_violations",

@@ -25,7 +25,6 @@ actually executed rather than was merely installed.
 
 from __future__ import annotations
 
-import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator
@@ -62,7 +61,6 @@ class FaultPlan:
     def __init__(self) -> None:
         self._sites: dict[str, list[_Fault]] = {}
         self._fired: dict[str, int] = {}
-        self._lock = threading.Lock()
 
     # ------------------------------------------------------------- arming
 
@@ -79,29 +77,26 @@ class FaultPlan:
         return self
 
     def _add(self, site: str, fault: _Fault) -> None:
-        with self._lock:
-            self._sites.setdefault(site, []).append(fault)
+        self._sites.setdefault(site, []).append(fault)
 
     # ----------------------------------------------------------- queries
 
     def fired(self, site: str | None = None) -> int:
         """Trigger count for ``site`` (or total across all sites)."""
-        with self._lock:
-            if site is not None:
-                return self._fired.get(site, 0)
-            return sum(self._fired.values())
+        if site is not None:
+            return self._fired.get(site, 0)
+        return sum(self._fired.values())
 
     # ---------------------------------------------------------- firing
 
     def trigger(self, site: str) -> object | None:
         """Fire the next armed fault at ``site``; called by fault_point."""
-        with self._lock:
-            faults = self._sites.get(site)
-            fault = next((f for f in faults if f.armed), None) if faults else None
-            if fault is None:
-                return None
-            fault.consume()
-            self._fired[site] = self._fired.get(site, 0) + 1
+        faults = self._sites.get(site)
+        fault = next((f for f in faults if f.armed), None) if faults else None
+        if fault is None:
+            return None
+        fault.consume()
+        self._fired[site] = self._fired.get(site, 0) + 1
         metrics = get_metrics()
         metrics.count("guard.faults_injected")
         metrics.count(f"guard.fault.{site}")
@@ -116,26 +111,18 @@ class FaultPlan:
 
 
 _active_plan: FaultPlan | None = None
-_install_lock = threading.Lock()
-
-
-def install_faults(plan: FaultPlan | None) -> FaultPlan | None:
-    """Install ``plan`` process-wide (or clear with ``None``); returns prior."""
-    global _active_plan
-    with _install_lock:
-        previous = _active_plan
-        _active_plan = plan
-    return previous
 
 
 @contextmanager
 def use_faults(plan: FaultPlan) -> Iterator[FaultPlan]:
     """Install ``plan`` for the scope of the ``with`` block."""
-    previous = install_faults(plan)
+    global _active_plan
+    previous = _active_plan
+    _active_plan = plan
     try:
         yield plan
     finally:
-        install_faults(previous)
+        _active_plan = previous
 
 
 def fault_point(site: str) -> object | None:

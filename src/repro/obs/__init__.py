@@ -3,37 +3,33 @@
 Zero-dependency observability with three pillars:
 
 * **Spans** (:mod:`repro.obs.tracer`): hierarchical wall+CPU timing via
-  ``tracer.span("flow.GR")`` context managers; the process default is a
-  no-op tracer so instrumentation is ~free when off.
-* **Metrics** (:mod:`repro.obs.metrics`): thread-safe counters, gauges
-  and p50/p95 histograms (``groute.maze_fallbacks``, ``ilp.solve_ms``).
+  ``tracer.span("flow.GR")`` context managers.  The span tree is the one
+  record of a flow's time: ``FlowResult.runtime`` and the Fig. 3
+  breakdown are read off it.
+* **Metrics** (:mod:`repro.obs.metrics`): counters, gauges and p50/p95
+  histograms (``groute.maze_fallbacks``, ``ilp.solve_ms``).
 * **Exporters** (:mod:`repro.obs.export`, :mod:`repro.obs.render`): the
   JSON trace file of ``crp run --trace-out`` and the human tree and
   metrics tables of ``crp run --profile``.
+
+One (tracer, metrics) pair is ambient at a time (:mod:`repro.obs.session`);
+the default is the no-op pair, so instrumentation is ~free when off, and
+``observe()`` installs a recording one.
 
 Span and metric names follow ``<layer>.<event>`` — see README.md
 ("Observability") for the convention.
 """
 
 from repro.obs.spans import Span
-from repro.obs.tracer import (
-    NOOP_TRACER,
-    NoopTracer,
-    Tracer,
-    ensure_tracer,
-    get_tracer,
-    set_tracer,
-    use_tracer,
-)
-from repro.obs.metrics import (
-    NOOP_METRICS,
-    MetricsRegistry,
-    NoopMetrics,
+from repro.obs.tracer import NOOP_TRACER, NoopTracer, Tracer
+from repro.obs.metrics import NOOP_METRICS, MetricsRegistry, NoopMetrics
+from repro.obs.session import (
+    Observation,
+    ensure_observation,
     get_metrics,
-    set_metrics,
-    use_metrics,
+    get_tracer,
+    observe,
 )
-from repro.obs.session import Observation, ensure_observation, observe
 from repro.obs.export import (
     load_trace_document,
     span_from_dict,
@@ -49,15 +45,10 @@ __all__ = [
     "NoopTracer",
     "NOOP_TRACER",
     "get_tracer",
-    "set_tracer",
-    "use_tracer",
-    "ensure_tracer",
     "MetricsRegistry",
     "NoopMetrics",
     "NOOP_METRICS",
     "get_metrics",
-    "set_metrics",
-    "use_metrics",
     "Observation",
     "observe",
     "ensure_observation",

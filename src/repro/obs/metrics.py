@@ -1,4 +1,4 @@
-"""Thread-safe metrics registry: counters, gauges, histograms.
+"""Metrics registry: counters, gauges, histograms.
 
 Counters accumulate (``groute.ripup_nets``), gauges keep the last value
 (``flow.gr_overflow``), histograms keep exact count/sum/min/max plus a
@@ -6,7 +6,7 @@ bounded reservoir for p50/p95 (``droute.astar_expansions``,
 ``ilp.solve_ms``).  Names follow the same ``<layer>.<event>`` convention
 as spans.
 
-Like the tracer, the process-wide default is a :class:`NoopMetrics`
+Like the tracer, the default is a :class:`NoopMetrics`
 whose mutators are empty methods, so hot paths pay ~nothing when
 observability is off.  Instrumented code should aggregate locally and
 record once per call (e.g. count A* expansions in a local and
@@ -14,10 +14,6 @@ record once per call (e.g. count A* expansions in a local and
 """
 
 from __future__ import annotations
-
-import threading
-from contextlib import contextmanager
-from typing import Iterator
 
 #: histogram reservoir bound; count/sum/min/max stay exact beyond it
 RESERVOIR_SIZE = 4096
@@ -69,12 +65,11 @@ class _Histogram:
 
 
 class MetricsRegistry:
-    """Mutable metric store; every mutator takes the registry lock."""
+    """Mutable metric store."""
 
     recording = True
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
         self._counters: dict[str, float] = {}
         self._gauges: dict[str, float] = {}
         self._histograms: dict[str, _Histogram] = {}
@@ -83,63 +78,56 @@ class MetricsRegistry:
 
     def count(self, name: str, n: float = 1) -> None:
         """Add ``n`` to counter ``name`` (creating it at zero)."""
-        with self._lock:
-            self._counters[name] = self._counters.get(name, 0.0) + n
+        self._counters[name] = self._counters.get(name, 0.0) + n
 
     def gauge(self, name: str, value: float) -> None:
         """Set gauge ``name`` to its latest ``value``."""
-        with self._lock:
-            self._gauges[name] = value
+        self._gauges[name] = value
 
     def observe(self, name: str, value: float) -> None:
         """Record one sample into histogram ``name``."""
-        with self._lock:
-            hist = self._histograms.get(name)
-            if hist is None:
-                hist = self._histograms[name] = _Histogram()
-            hist.add(value)
+        hist = self._histograms.get(name)
+        if hist is None:
+            hist = self._histograms[name] = _Histogram()
+        hist.add(value)
 
     def observe_many(self, name: str, values: list[float]) -> None:
         """Record a batch of samples into histogram ``name``.
 
-        One lock acquisition and one series lookup for the whole batch —
+        One series lookup for the whole batch —
         hot loops accumulate locally and flush here instead of paying a
         registry round-trip per sample (see ``droute``'s A* stats).
         """
         if not values:
             return
-        with self._lock:
-            hist = self._histograms.get(name)
-            if hist is None:
-                hist = self._histograms[name] = _Histogram()
-            for value in values:
-                hist.add(value)
+        hist = self._histograms.get(name)
+        if hist is None:
+            hist = self._histograms[name] = _Histogram()
+        for value in values:
+            hist.add(value)
 
     # -------------------------------------------------------------- queries
 
     def counter(self, name: str) -> float:
-        with self._lock:
-            return self._counters.get(name, 0.0)
+        return self._counters.get(name, 0.0)
 
     def snapshot(self) -> dict[str, dict[str, object]]:
         """Immutable JSON-able view: counters, gauges, histogram stats."""
-        with self._lock:
-            return {
-                "counters": dict(self._counters),
-                "gauges": dict(self._gauges),
-                "histograms": {
-                    name: hist.snapshot()
-                    for name, hist in self._histograms.items()
-                },
-            }
+        return {
+            "counters": dict(self._counters),
+            "gauges": dict(self._gauges),
+            "histograms": {
+                name: hist.snapshot() for name, hist in self._histograms.items()
+            },
+        }
 
 
 class NoopMetrics(MetricsRegistry):
-    """Discards everything; the process-wide default."""
+    """Discards everything; the default."""
 
     recording = False
 
-    def __init__(self) -> None:  # no lock/state
+    def __init__(self) -> None:  # no state
         pass
 
     def count(self, name: str, n: float = 1) -> None:
@@ -162,29 +150,3 @@ class NoopMetrics(MetricsRegistry):
 
 
 NOOP_METRICS = NoopMetrics()
-_active_metrics: MetricsRegistry = NOOP_METRICS
-_install_lock = threading.Lock()
-
-
-def get_metrics() -> MetricsRegistry:
-    """The ambient registry (a shared :data:`NOOP_METRICS` by default)."""
-    return _active_metrics
-
-
-def set_metrics(registry: MetricsRegistry | None) -> MetricsRegistry:
-    """Install ``registry`` (or the no-op default); returns the prior one."""
-    global _active_metrics
-    with _install_lock:
-        previous = _active_metrics
-        _active_metrics = registry if registry is not None else NOOP_METRICS
-    return previous
-
-
-@contextmanager
-def use_metrics(registry: MetricsRegistry) -> Iterator[MetricsRegistry]:
-    """Install ``registry`` for the scope of the ``with`` block."""
-    previous = set_metrics(registry)
-    try:
-        yield registry
-    finally:
-        set_metrics(previous)

@@ -1,6 +1,8 @@
-"""Observation sessions: turn tracing + metrics on for a scope.
+"""Observation sessions: the one (tracer, metrics) pair that is active.
 
-``observe()`` is the user-facing switch::
+The program runs on one thread, so one module-level :class:`Observation`
+is ambient at a time.  The default is the no-op pair; ``observe()`` is
+the only way to install another::
 
     from repro.obs import observe
 
@@ -10,10 +12,10 @@
     print(obs.metrics.snapshot()["counters"])
 
 ``ensure_observation()`` is the driver-facing variant used by
-``run_flow``: it reuses a recording ambient session when one is active
-(so flows nest under a caller's ``observe()``), otherwise it installs a
-fresh private session so every ``FlowResult`` carries a trace and a
-metrics snapshot even with global observability off.
+``run_flow``: it reuses the ambient pair when it records (so flows nest
+under a caller's ``observe()``), otherwise it opens its own, so every
+``FlowResult`` carries a trace and a metrics snapshot even with
+observability off.
 """
 
 from __future__ import annotations
@@ -22,45 +24,54 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator
 
-from repro.obs.metrics import MetricsRegistry, get_metrics, use_metrics
-from repro.obs.tracer import Tracer, get_tracer, use_tracer
+from repro.obs.metrics import NOOP_METRICS, MetricsRegistry
+from repro.obs.tracer import NOOP_TRACER, Tracer
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, frozen=True)
 class Observation:
-    """A live (tracer, metrics) pair."""
+    """A (tracer, metrics) pair; both record or neither does."""
 
     tracer: Tracer
     metrics: MetricsRegistry
 
 
+_active = Observation(tracer=NOOP_TRACER, metrics=NOOP_METRICS)
+
+
+def get_tracer() -> Tracer:
+    """The ambient tracer (the shared :data:`NOOP_TRACER` by default)."""
+    return _active.tracer
+
+
+def get_metrics() -> MetricsRegistry:
+    """The ambient registry (the shared :data:`NOOP_METRICS` by default)."""
+    return _active.metrics
+
+
 @contextmanager
 def observe() -> Iterator[Observation]:
-    """Install a fresh recording tracer + registry for the scope."""
-    with use_tracer(Tracer()) as tracer, use_metrics(MetricsRegistry()) as metrics:
-        yield Observation(tracer=tracer, metrics=metrics)
+    """Install a fresh recording pair for the scope of the ``with`` block."""
+    global _active
+    previous = _active
+    _active = Observation(tracer=Tracer(), metrics=MetricsRegistry())
+    try:
+        yield _active
+    finally:
+        _active = previous
 
 
 @contextmanager
 def ensure_observation() -> Iterator[Observation]:
-    """Yield a *recording* observation, reusing the ambient one if live.
+    """Yield a *recording* pair: the ambient one if it records, else a
+    fresh one for the scope.
 
-    Note that with a reused ambient session the metrics registry is
-    shared: snapshots taken at flow end are cumulative across every
-    flow run inside the same ``observe()`` block.
+    With a reused ambient pair the metrics registry is shared: snapshots
+    taken at flow end are cumulative across every flow run inside the
+    same ``observe()`` block.
     """
-    tracer = get_tracer()
-    metrics = get_metrics()
-    if tracer.recording and metrics.recording:
-        yield Observation(tracer=tracer, metrics=metrics)
-        return
-    if tracer.recording:
-        with use_metrics(MetricsRegistry()) as metrics:
-            yield Observation(tracer=tracer, metrics=metrics)
-        return
-    if metrics.recording:
-        with use_tracer(Tracer()) as tracer:
-            yield Observation(tracer=tracer, metrics=metrics)
+    if _active.tracer.recording:
+        yield _active
         return
     with observe() as obs:
         yield obs

@@ -3,9 +3,9 @@
 A :class:`Span` is one timed region of the flow — a stage, an iteration,
 a solver call — with wall-clock and CPU (thread) time plus arbitrary
 metadata.  Spans nest: the tracer links each span under the span that
-was open on the same thread when it started, so a finished root span is
-a tree mirroring the call structure (``flow.run`` -> ``flow.GR`` ->
-``groute.rrr`` -> ...).
+was open when it started, so a finished root span is a tree mirroring
+the call structure (``flow.run`` -> ``flow.GR`` -> ``groute.rrr`` ->
+...).
 
 Names follow the ``<layer>.<event>`` convention (``flow.GR``,
 ``crp.ECC``, ``ilp.solve``) so exports stay greppable across PRs.

@@ -18,6 +18,7 @@ from repro.core import (
     label_critical_cells,
     select_moves,
 )
+from repro.obs import observe
 
 from helpers import fresh_small
 
@@ -263,12 +264,16 @@ def test_apply_moves_skips_current(routed):
 def test_crp_framework_single_iteration(routed):
     design, router = routed
     framework = CrpFramework(design, router, CrpConfig(seed=1))
-    result = framework.run(1)
+    with observe() as obs:
+        result = framework.run(1)
     assert len(result.iterations) == 1
     stats = result.iterations[0]
     assert stats.num_critical > 0
     assert stats.num_candidates >= stats.num_critical
-    assert set(stats.runtime) == {"label", "GCP", "ECC", "ILP", "UD"}
+    (span,) = obs.tracer.roots
+    assert set(span.child_walls()) == {
+        "crp.label", "crp.GCP", "crp.ECC", "crp.ILP", "crp.UD"
+    }
     # Design must remain perfectly legal after movement.
     assert check_legality(design).is_legal
 
@@ -289,9 +294,11 @@ def test_crp_framework_history_accumulates(routed):
     framework = CrpFramework(design, router, CrpConfig(seed=1))
     framework.run(2)
     assert design.critical_history
-    # runtime breakdown keys available for Fig. 3
-    breakdown = framework.run(1).runtime_breakdown()
-    assert {"label", "GCP", "ECC", "ILP", "UD"} <= set(breakdown)
+    # each further iteration adds its own step spans for Fig. 3
+    with observe() as obs:
+        framework.run(1)
+    assert [span.name for span in obs.tracer.roots] == ["crp.iteration"]
+    assert {"crp.GCP", "crp.ECC", "crp.UD"} <= set(obs.tracer.roots[0].child_walls())
 
 
 def test_use_penalty_ablation_changes_estimates():

@@ -23,7 +23,7 @@ from repro.droute.indexed import BLOCKED_ID, FREE, DrouteIndex
 from repro.droute.lattice import TrackLattice
 from repro.droute.obstacles import BLOCKED, build_obstacle_map
 from repro.groute import GlobalRouter
-from repro.obs import MetricsRegistry, use_metrics
+from repro.obs import observe
 from repro.obs.metrics import RESERVOIR_SIZE
 
 from helpers import (
@@ -69,9 +69,9 @@ def route_both(design_factory, min_tolled=0):
         gr.route_all()
         guides = gr.guides()
         router = router_class(design)
-        registry = MetricsRegistry()
-        with use_metrics(registry):
+        with observe() as obs:
             sigs.append(signature(router.route_all(guides)))
+        registry = obs.metrics
         hist = registry._histograms.get("droute.astar_expansions")
         searches.append(hist.values if hist is not None else [])
         tolled.append(registry.counter("droute.soft_tolled"))

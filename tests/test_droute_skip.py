@@ -29,7 +29,7 @@ from repro.droute.lattice import TrackLattice
 from repro.droute.obstacles import BLOCKED
 from repro.geom import Rect
 from repro.groute import GlobalRouter
-from repro.obs import MetricsRegistry, use_metrics
+from repro.obs import observe
 
 from helpers import (
     add_cell, add_two_pin_net, build_tiny_design, droute_index, fresh_small,
@@ -367,11 +367,11 @@ def test_enclosed_pin_skips_the_hard_search(tech45):
     for layer, ix, iy in access_nodes(design, router.lattice, net.pins[1]):
         state.occupancy[state.nid_of((layer + 1, ix, iy))] = enemy
 
-    registry = MetricsRegistry()
     stats = SearchStats()
-    with use_metrics(registry):
+    with observe() as obs:
         comp = router._net_compute(net, guide_rects, state, stats)
         stats.flush()
+    registry = obs.metrics
     assert registry.counter("droute.hard_skipped") == 1
     assert registry.counter("droute.astar_calls") == 1  # the soft fallback only
     assert comp.paths and not comp.opens
@@ -401,10 +401,9 @@ def _routed(drc_rounds, seed=1, num_nets=200):
     gr.route_all()
     guides = gr.guides()
     router = DetailedRouter(design)
-    registry = MetricsRegistry()
-    with use_metrics(registry), patch.object(router_module, "DRC_ROUNDS", drc_rounds):
+    with observe() as obs, patch.object(router_module, "DRC_ROUNDS", drc_rounds):
         result = router.route_all(guides)
-    return router, guides, result, registry
+    return router, guides, result, obs.metrics
 
 
 def test_round_after_the_fixed_point_changes_nothing():

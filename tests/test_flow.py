@@ -43,13 +43,6 @@ def test_flow_fontana():
     assert "BASELINE" in result.runtime
 
 
-def test_flow_fontana_budget_failure():
-    result = run_flow(fresh_small(), mode="fontana", baseline_budget_s=0.0)
-    assert result.failed
-    assert result.quality is None
-    assert "FAILED" in result.summary()
-
-
 def test_flow_skip_detailed():
     result = run_flow(fresh_small(), mode="baseline", skip_detailed=True)
     assert result.quality is None

@@ -65,5 +65,6 @@ def test_runtime_accounting_complete(crp_flow_result):
     _, result = crp_flow_result
     assert set(result.runtime) == {"GR", "CRP", "DR"}
     assert all(v >= 0 for v in result.runtime.values())
-    breakdown = result.crp.runtime_breakdown()
-    assert sum(breakdown.values()) <= result.runtime["CRP"] + 0.5
+    crp = result.trace.find("flow.CRP")
+    steps = sum(sum(it.child_walls().values()) for it in crp.children)
+    assert steps <= result.runtime["CRP"]

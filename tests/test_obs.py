@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import ast
 import json
-import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -12,7 +13,9 @@ from repro.obs import (
     MetricsRegistry,
     NOOP_METRICS,
     NOOP_TRACER,
+    Span,
     Tracer,
+    ensure_observation,
     get_metrics,
     get_tracer,
     observe,
@@ -58,36 +61,51 @@ def test_span_stack_unwinds_on_exception():
     assert [root.name for root in tracer.roots] == ["outer", "after"]
 
 
-def test_tracer_threads_build_independent_trees():
-    tracer = Tracer()
-    errors: list[Exception] = []
-
-    def worker(tag: str) -> None:
-        try:
-            for _ in range(50):
-                with tracer.span(f"thread.{tag}"):
-                    with tracer.span("thread.child"):
-                        pass
-        except Exception as exc:  # pragma: no cover
-            errors.append(exc)
-
-    threads = [
-        threading.Thread(target=worker, args=(str(i),)) for i in range(4)
-    ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert not errors
-    assert len(tracer.roots) == 4 * 50
-    assert all(len(root.children) == 1 for root in tracer.roots)
-
-
 def test_global_default_is_noop():
     assert get_tracer() is NOOP_TRACER
     assert not get_tracer().recording
     assert get_metrics() is NOOP_METRICS
     assert not get_metrics().recording
+
+
+def test_observe_installs_one_pair_and_restores_the_default():
+    with observe() as outer:
+        assert (get_tracer(), get_metrics()) == (outer.tracer, outer.metrics)
+        with ensure_observation() as reused:
+            assert reused is outer
+        with observe() as inner:
+            assert get_tracer() is inner.tracer is not outer.tracer
+        assert get_tracer() is outer.tracer
+    with ensure_observation() as private:
+        assert private.tracer.recording and private.metrics.recording
+        assert get_metrics() is private.metrics
+    assert get_tracer() is NOOP_TRACER and get_metrics() is NOOP_METRICS
+
+
+_THREAD_MODULES = ("threading", "concurrent", "multiprocessing", "_thread")
+
+
+def test_no_module_imports_threads_or_process_pools():
+    """``repro.obs`` and ``repro.guard.faults`` keep one span stack, one
+    ambient pair and one fault plan without locks: they rest on the
+    program running on one thread, so no module may import the means to
+    run another."""
+    src = Path(__file__).resolve().parent.parent / "src" / "repro"
+    offenders = []
+    for path in sorted(src.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            offenders += [
+                f"{path.relative_to(src)}:{node.lineno} {name}"
+                for name in names
+                if name.split(".")[0] in _THREAD_MODULES
+            ]
+    assert offenders == []
 
 
 def test_noop_mode_overhead_is_tiny():
@@ -109,30 +127,6 @@ def test_noop_mode_overhead_is_tiny():
 
 
 # ----------------------------------------------------------------- metrics
-
-
-def test_metrics_registry_thread_safety():
-    registry = MetricsRegistry()
-    n_threads, n_ops = 8, 1000
-
-    def worker() -> None:
-        for i in range(n_ops):
-            registry.count("c.hits")
-            registry.observe("h.values", float(i))
-            registry.gauge("g.last", float(i))
-
-    threads = [threading.Thread(target=worker) for _ in range(n_threads)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    snap = registry.snapshot()
-    assert snap["counters"]["c.hits"] == n_threads * n_ops
-    hist = snap["histograms"]["h.values"]
-    assert hist["count"] == n_threads * n_ops
-    assert hist["min"] == 0.0
-    assert hist["max"] == float(n_ops - 1)
-    assert snap["gauges"]["g.last"] == float(n_ops - 1)
 
 
 def test_histogram_percentiles():
@@ -216,14 +210,13 @@ def test_run_flow_trace_backs_runtime_dict():
     assert result.runtime["GR"] == stage_walls["flow.GR"]
     assert result.runtime["CRP"] == stage_walls["flow.CRP"]
     assert result.runtime["DR"] == stage_walls["flow.DR"]
+    assert list(result.runtime) == ["GR", "CRP", "DR"]
     # CR&P step spans are children of flow.CRP, one tree per iteration.
     crp_span = result.trace.find("flow.CRP")
-    assert crp_span is not None
-    breakdown = result.crp.runtime_breakdown()
-    for step in ("label", "GCP", "ECC", "ILP", "UD"):
-        assert breakdown[step] == pytest.approx(
-            sum(s.wall_s for s in crp_span.walk() if s.name == f"crp.{step}")
-        )
+    assert [s.name for s in crp_span.children] == ["crp.iteration"]
+    assert [s.name for s in crp_span.children[0].children] == [
+        "crp.label", "crp.GCP", "crp.ECC", "crp.ILP", "crp.UD"
+    ]
     # Metrics snapshot rode along on the result.
     assert result.metrics is not None
     assert result.metrics["counters"]["groute.nets_routed"] > 0
@@ -254,23 +247,55 @@ def test_flow_summary_without_quality_reports_gr_stats():
 
 
 def test_runtime_breakdown_pct_rejects_missing_step_spans():
-    from repro.core import CrpResult, IterationStats
-    from repro.flow import run_flow, runtime_breakdown_pct
+    from repro.flow import FlowResult, runtime_breakdown_pct
 
-    from helpers import fresh_small
-
-    result = run_flow(fresh_small(), mode="baseline", skip_detailed=True)
-    broken = CrpResult()
-    broken.iterations.append(
-        IterationStats(iteration=0, runtime={"GCP": 1.0, "ECC": 1.0})
+    iteration = Span(
+        "crp.iteration",
+        children=[Span("crp.GCP", wall_s=1.0), Span("crp.ECC", wall_s=1.0)],
     )
-    result.crp = broken
+    trace = Span(
+        "flow.run",
+        children=[
+            Span("flow.GR", wall_s=1.0),
+            Span("flow.CRP", wall_s=2.0, children=[iteration]),
+        ],
+    )
+    result = FlowResult(design="d", mode="crp", trace=trace)
     with pytest.raises(KeyError, match="UD"):
         runtime_breakdown_pct(result)
 
 
-def test_crp_iteration_records_runtime_without_global_tracing():
-    """run_iteration standalone (noop ambient) still fills its runtimes."""
+def test_fig3_shares_come_from_both_iteration_spans():
+    from repro.core import CrpConfig
+    from repro.flow import run_flow, runtime_breakdown_pct
+
+    from helpers import fresh_small
+
+    result = run_flow(
+        fresh_small(), mode="crp", crp_iterations=2, config=CrpConfig(seed=1)
+    )
+    iterations = result.trace.find("flow.CRP").children
+    assert [s.name for s in iterations] == ["crp.iteration"] * 2
+
+    def step(name):
+        return sum(it.child_walls()[f"crp.{name}"] for it in iterations)
+
+    seconds = {
+        "GR": result.runtime["GR"],
+        "GCP": step("GCP"),
+        "ECC": step("ECC"),
+        "UD": step("UD"),
+        "Misc": step("label") + step("ILP"),
+        "DR": result.runtime["DR"],
+    }
+    total = sum(seconds.values())
+    expected = {stage: 100.0 * s / total for stage, s in seconds.items()}
+    assert runtime_breakdown_pct(result) == pytest.approx(expected)
+
+
+def test_crp_iteration_spans_need_an_observation():
+    """Outside ``run_flow`` a CR&P iteration records its five step spans
+    only under ``observe()``; with the no-op default they go nowhere."""
     from repro.core import CrpConfig, CrpFramework
     from repro.groute import GlobalRouter
 
@@ -279,10 +304,16 @@ def test_crp_iteration_records_runtime_without_global_tracing():
     design = fresh_small()
     router = GlobalRouter(design)
     router.route_all()
-    assert not get_tracer().recording
-    stats = CrpFramework(design, router, CrpConfig(seed=0)).run_iteration(0)
-    assert set(stats.runtime) == {"label", "GCP", "ECC", "ILP", "UD"}
-    assert all(v >= 0.0 for v in stats.runtime.values())
+    framework = CrpFramework(design, router, CrpConfig(seed=0))
+    framework.run_iteration(0)
+    assert NOOP_TRACER.roots == []
+    with observe() as obs:
+        framework.run_iteration(1)
+    (root,) = obs.tracer.roots
+    assert root.name == "crp.iteration" and root.meta == {"k": 1}
+    assert list(root.child_walls()) == [
+        "crp.label", "crp.GCP", "crp.ECC", "crp.ILP", "crp.UD"
+    ]
 
 
 # --------------------------------------------------------------------- CLI
