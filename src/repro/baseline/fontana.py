@@ -112,9 +112,7 @@ class FontanaBaseline:
             max_cells=1,  # [18] does not displace neighbours
             max_targets=1,
         )
-        found = wide.run(name)
-        wide.publish_metrics()
-        return found
+        return wide.run(name)
 
     def _select(
         self, candidates: dict[str, list[MoveCandidate]]

@@ -41,5 +41,4 @@ def generate_candidates(
         ]
         candidates.extend(legalizer.run(name))
         result[name] = candidates
-    legalizer.publish_metrics()
     return result

@@ -84,9 +84,6 @@ class CrpFramework:
         self.config = config or CrpConfig()
         self.config.validate()
         self._rng = random.Random(self.config.seed)
-        # O(dirty-nets) route-cost accounting: router state (it listens
-        # to commit and rip-up) that only the CR&P loop pays for.
-        router.enable_incremental_cost()
         # Ablation support: estimate candidate costs congestion-blind
         # (use_penalty=False) while the router itself keeps its field.
         self._estimate_field = (
@@ -139,7 +136,6 @@ class CrpFramework:
                             candidate,
                             cache=cache,
                         )
-                cache.publish_metrics()
 
             with tracer.span("crp.ILP"):
                 chosen = select_moves(self.design, candidates)
@@ -151,10 +147,6 @@ class CrpFramework:
         stats.displacement = update.total_displacement
 
         metrics = get_metrics()
-        self.router.cost_cache.publish_metrics()
-        if self._estimate_field is not self.router.field:
-            # reroute_nets published the router's own field
-            self._estimate_field.publish_metrics()
         if stats.rolled_back:
             metrics.count("guard.rollbacks")
         metrics.count("crp.iterations")

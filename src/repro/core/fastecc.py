@@ -62,10 +62,7 @@ SegmentKey = tuple[int, int, int, int, int, "int | None"]
 class EccCache:
     """Per-iteration memo of terminal lists, RSMTs, plans, and segment prices."""
 
-    __slots__ = (
-        "_fixed", "_trees", "_plans", "_segments",
-        "hits", "misses", "batches", "batch_paths",
-    )
+    __slots__ = ("_fixed", "_trees", "_plans", "_segments")
 
     def __init__(self) -> None:
         #: net name -> [(pin, fixed node)] in pin order
@@ -76,10 +73,6 @@ class EccCache:
         self._plans: dict[tuple, list[SegmentKey]] = {}
         #: segment key -> best path cost
         self._segments: dict[SegmentKey, float | None] = {}
-        self.hits = 0
-        self.misses = 0
-        self.batches = 0
-        self.batch_paths = 0
 
     # -------------------------------------------------------------- pricing
 
@@ -113,7 +106,7 @@ class EccCache:
             pending: dict[SegmentKey, None] = {}
             plan = self._plan(design, router, net, overrides, plan_key, pending)
             self._price(router.pattern3d, pending)
-        self.hits += len(plan)
+        get_metrics().count("crp.ecc_cache_hits", len(plan))
         segments = self._segments
         total = 0.0
         for key in plan:
@@ -131,26 +124,31 @@ class EccCache:
         plan_key: tuple,
         pending: dict[SegmentKey, None],
     ) -> list[SegmentKey]:
-        """Segment keys of one virtually-moved net; unpriced ones join ``pending``."""
+        """Segment keys of one virtually-moved net; unpriced ones join ``pending``.
+
+        Counts its memo look-ups as ``crp.ecc_cache_hits`` / ``_misses``.
+        """
         plan: list[SegmentKey] = []
         self._plans[plan_key] = plan
         terminals = self._terminals(design, router, net, overrides)
         if len(terminals) < 2:
             return plan
+        metrics = get_metrics()
         points_key = tuple((t[1], t[2]) for t in terminals)
         tree = self._trees.get(points_key)
         if tree is None:
-            self.misses += 1
+            metrics.count("crp.ecc_cache_misses")
             tree = build_rsmt([Point(t[1], t[2]) for t in terminals])
             self._trees[points_key] = tree
         else:
-            self.hits += 1
+            metrics.count("crp.ecc_cache_hits")
         layer_at: dict[tuple[int, int], int] = {}
         for layer, gx, gy in terminals:
             layer_at.setdefault((gx, gy), layer)
 
         min_wire = router.graph.min_wire_layer
         segments = self._segments
+        misses = 0
         for a, b in tree.edges:
             pa, pb = tree.points[a], tree.points[b]
             src_layer = layer_at.get((pa.x, pa.y))
@@ -159,9 +157,10 @@ class EccCache:
             dst_layer = layer_at.get((pb.x, pb.y))
             key = (pa.x, pa.y, pb.x, pb.y, src_layer, dst_layer)
             if key not in segments and key not in pending:
-                self.misses += 1
+                misses += 1
                 pending[key] = None
             plan.append(key)
+        metrics.count("crp.ecc_cache_misses", misses)
         return plan
 
     def _price(self, p3d, pending: dict[SegmentKey, None]) -> None:
@@ -170,8 +169,9 @@ class EccCache:
         keys = list(pending)
         costs, paths = price_segments(p3d, keys)
         self._segments.update(zip(keys, costs))
-        self.batches += 1
-        self.batch_paths += paths
+        metrics = get_metrics()
+        metrics.count("crp.ecc_batches")
+        metrics.count("crp.ecc_batch_paths", paths)
 
     def _terminals(
         self,
@@ -183,7 +183,7 @@ class EccCache:
         """Distinct terminal nodes, fixed pins served from the memo."""
         fixed = self._fixed.get(net.name)
         if fixed is None:
-            self.misses += 1
+            get_metrics().count("crp.ecc_cache_misses")
             fixed = []
             grid = router.grid
             for pin in net.pins:
@@ -193,7 +193,7 @@ class EccCache:
                 fixed.append((pin, (layer, gx, gy)))
             self._fixed[net.name] = fixed
         else:
-            self.hits += 1
+            get_metrics().count("crp.ecc_cache_hits")
         nodes: list[Node] = []
         seen: set[Node] = set()
         for pin, fixed_node in fixed:
@@ -205,22 +205,6 @@ class EccCache:
                 seen.add(node)
                 nodes.append(node)
         return nodes
-
-    # -------------------------------------------------------------- metrics
-
-    def publish_metrics(self) -> None:
-        """Flush the tallies as ``crp.ecc_cache_*`` / ``crp.ecc_batch*`` deltas."""
-        metrics = get_metrics()
-        if not metrics.recording:
-            return
-        metrics.count("crp.ecc_cache_hits", self.hits)
-        metrics.count("crp.ecc_cache_misses", self.misses)
-        metrics.count("crp.ecc_batches", self.batches)
-        metrics.count("crp.ecc_batch_paths", self.batch_paths)
-        self.hits = 0
-        self.misses = 0
-        self.batches = 0
-        self.batch_paths = 0
 
 
 def price_segments(

@@ -1,4 +1,4 @@
-"""Parameters, result and counters of the A* search on the track lattice.
+"""Parameters and result of the A* search on the track lattice.
 
 The search connects a grown net component to the next terminal.  The
 router asks twice.  First *hard*, inside the net's guide region: nodes
@@ -12,9 +12,9 @@ detailed routers trade opens for shorts.
 Before either search a bounded backward look from the targets
 (:func:`repro.droute.indexed.pocket_closed`) asks whether any
 penalty-free path can exist.  When it proves there is none, the hard
-search is not run (``SearchStats.skipped``) and the soft search runs
-with the crossing it must make already in its estimate
-(``SearchStats.tolled``), so that it heads for the cheapest crossing
+search is not run (counted as ``droute.hard_skipped``) and the soft
+search runs with the crossing it must make already in its estimate
+(``droute.soft_tolled``), so that it heads for the cheapest crossing
 instead of first flooding everything that is free.
 
 The search itself is :func:`repro.droute.indexed.astar_connect_indexed`,
@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.droute.lattice import LNode
-from repro.obs import get_metrics
 
 
 @dataclass(slots=True)
@@ -52,43 +51,3 @@ class SearchResult:
     path: list[LNode]
     cost: float
     conflicts: list[LNode]
-
-
-class SearchStats:
-    """Local accumulator for per-search counters.
-
-    The router hands one of these to every search of a ``route_all``
-    and flushes it once at the end (``count`` + ``observe_many``), so
-    the metrics registry is hit twice per routing pass instead of once
-    per A* invocation.
-    """
-
-    __slots__ = ("calls", "expansions", "skipped", "tolled")
-
-    def __init__(self) -> None:
-        self.calls = 0
-        self.expansions: list[int] = []
-        #: hard searches answered by the pocket look instead of being run
-        self.skipped = 0
-        #: soft searches run with the crossing the look proved in their
-        #: estimate
-        self.tolled = 0
-
-    def record(self, expansions: int) -> None:
-        self.calls += 1
-        self.expansions.append(expansions)
-
-    def flush(self) -> None:
-        metrics = get_metrics()
-        if self.skipped:
-            metrics.count("droute.hard_skipped", self.skipped)
-            self.skipped = 0
-        if self.tolled:
-            metrics.count("droute.soft_tolled", self.tolled)
-            self.tolled = 0
-        if not self.calls:
-            return
-        metrics.count("droute.astar_calls", self.calls)
-        metrics.observe_many("droute.astar_expansions", self.expansions)
-        self.calls = 0
-        self.expansions = []

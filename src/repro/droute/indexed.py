@@ -51,10 +51,11 @@ from array import array
 from collections import defaultdict
 from pathlib import Path
 
-from repro.droute.astar import SearchParams, SearchResult, SearchStats
+from repro.droute.astar import SearchParams, SearchResult
 from repro.droute.lattice import LNode, TrackLattice
 from repro.droute.obstacles import BLOCKED
 from repro.groute import GuideRect
+from repro.obs import get_metrics
 
 #: owner/occupancy ids; net ids are interned starting at 2
 FREE = 0
@@ -330,7 +331,7 @@ class DrouteIndex:
         )
         return self.stamp_guides(per_layer, terminal_access), bounds
 
-    def connect(self, sources, targets, net_name, bounds, guide, soft, stats):
+    def connect(self, sources, targets, net_name, bounds, guide, soft):
         net_id = self.intern(net_name)
         params = self.params
         toll = 0.0
@@ -340,13 +341,12 @@ class DrouteIndex:
             # without running it -- and a soft one must cross a node held
             # by another net before it gets in.
             if not soft:
-                stats.skipped += 1
+                get_metrics().count("droute.hard_skipped")
                 return None
-            stats.tolled += 1
+            get_metrics().count("droute.soft_tolled")
             toll = float(params.conflict_penalty)
         return astar_connect_indexed(
-            self, sources, targets, net_id, bounds, guide, params, soft, stats,
-            toll,
+            self, sources, targets, net_id, bounds, guide, params, soft, toll
         )
 
     def polyline_clear(self, corners, net_name: str, guide) -> bool:
@@ -492,11 +492,11 @@ def astar_connect_indexed(
     guide_stamp: int | None,
     params: SearchParams,
     soft: bool,
-    stats: SearchStats,
     toll: float = 0.0,
 ) -> SearchResult | None:
     """Cheapest lattice path from ``sources`` to ``targets`` (``drk_search``
-    in ``_kernel.c``).
+    in ``_kernel.c``).  A search that runs counts ``droute.astar_calls``
+    and records its expansions in ``droute.astar_expansions``.
 
     One loop, one relax and one push serve the hard and the soft search;
     the guide and ``soft`` are read only where a node is classified.  The
@@ -578,7 +578,9 @@ def astar_connect_indexed(
         look_base, 1.0 if toll else params.heuristic_weight, toll, soft,
         max_expansions, index.path.buffer_info()[0],
     )
-    stats.record(c.expansions)
+    metrics = get_metrics()
+    metrics.count("droute.astar_calls")
+    metrics.observe("droute.astar_expansions", c.expansions)
     if found < 0:
         raise MemoryError("detailed-routing search")
     if not found:

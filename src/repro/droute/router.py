@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 from repro.db import Design, Net
 from repro.droute.access import access_nodes
-from repro.droute.astar import SearchParams, SearchResult, SearchStats
+from repro.droute.astar import SearchParams, SearchResult
 from repro.droute.drc import DrcKind, DrcViolation, check_min_area, check_shorts
 from repro.droute.indexed import DrouteIndex
 from repro.droute.lattice import LNode, TrackLattice
@@ -109,7 +109,6 @@ class DetailedRouter:
             conflict_penalty=100 * self.lattice.pitch,
         )
         self._state: DrouteIndex | None = None
-        self._stats = SearchStats()
         self._book: _RouteBook | None = None
         pitch = self.lattice.pitch
         layers = design.tech.layers
@@ -142,7 +141,6 @@ class DetailedRouter:
             self.lattice, owner, reservations, self.params, GUIDE_MARGIN_TRACKS
         )
         self._state = state
-        self._stats = SearchStats()
         return state
 
     @gc_paused()
@@ -152,26 +150,28 @@ class DetailedRouter:
         tracer = get_tracer()
         with tracer.span("droute.obstacles"):
             state = self.begin_session()
-        stats = self._stats
         book = self._book = _RouteBook()
         result = book.result
-
+        # a pass's ``soft_tolled`` meta is the counter's growth across it
+        metrics = get_metrics()
         with tracer.span("droute.first_pass") as span:
+            tolled = metrics.counter("droute.soft_tolled")
             order = sorted(
                 self.design.nets.values(),
                 key=lambda n: (self.design.net_hpwl(n), n.name),
             )
             for net in order:
-                comp = self._net_compute(net, guides[net.name], state, stats)
+                comp = self._net_compute(net, guides[net.name], state)
                 self._commit_net(comp, state, book)
             if tracer.recording:
-                span.meta["soft_tolled"] = stats.tolled
+                span.meta["soft_tolled"] = int(
+                    metrics.counter("droute.soft_tolled") - tolled
+                )
 
         # Conflict-driven rip-up-and-reroute: every net involved in a
         # short is ripped (both aggressor and victim) and rerouted with a
         # clean slate — the detailed-routing analogue of the global
         # router's RRR passes.
-        metrics = get_metrics()
         previous: set[str] = set()
         for round_index in range(DRC_ROUNDS):
             ripped = {name for pair in book.conflicts.values() for name in pair}
@@ -186,11 +186,13 @@ class DetailedRouter:
             previous = ripped
             metrics.count("droute.rrr_rounds")
             metrics.count("droute.ripped_nets", len(ripped))
-            tolled = stats.tolled
             with tracer.span("droute.rrr_round", round=round_index) as span:
-                self._rrr_round(ripped, guides, state, stats, book)
+                tolled = metrics.counter("droute.soft_tolled")
+                self._rrr_round(ripped, guides, state, book)
                 if tracer.recording:
-                    span.meta["soft_tolled"] = stats.tolled - tolled
+                    span.meta["soft_tolled"] = int(
+                        metrics.counter("droute.soft_tolled") - tolled
+                    )
 
         with tracer.span("droute.drc"):
             self._tally(result, book.patch_counts)
@@ -198,7 +200,6 @@ class DetailedRouter:
             result.violations.extend(
                 check_min_area(self.lattice, book.net_nodes, book.pin_nodes)
             )
-        stats.flush()
         metrics.count("droute.drvs", result.num_drvs)
         metrics.gauge("droute.wirelength_dbu", result.wirelength_dbu)
         return result
@@ -208,7 +209,6 @@ class DetailedRouter:
         ripped: set[str],
         guides: dict[str, list[GuideRect]],
         state: DrouteIndex,
-        stats: SearchStats,
         book: _RouteBook,
     ) -> None:
         """One conflict round: rip every net of ``ripped``, reroute them.
@@ -235,7 +235,7 @@ class DetailedRouter:
         for name in sorted(
             ripped, key=lambda n: (self.design.net_hpwl(nets[n]), n)
         ):
-            comp = self._net_compute(nets[name], guides[name], state, stats)
+            comp = self._net_compute(nets[name], guides[name], state)
             self._commit_net(comp, state, book)
 
     def _tally(self, result: DetailedResult, patch_counts: dict[str, int]) -> None:
@@ -261,7 +261,6 @@ class DetailedRouter:
         net: Net,
         net_guides: list[GuideRect],
         state: DrouteIndex,
-        stats: SearchStats,
     ) -> NetComputation:
         """Route one net against committed state without committing."""
         lattice = self.lattice
@@ -289,13 +288,11 @@ class DetailedRouter:
             search = self._fast_pattern(net.name, connected, targets, state, guide)
             if search is None:
                 search = state.connect(
-                    connected, targets, net.name, bounds, guide,
-                    soft=False, stats=stats,
+                    connected, targets, net.name, bounds, guide, soft=False
                 )
             if search is None:
                 search = state.connect(
-                    connected, targets, net.name, bounds, None,
-                    soft=True, stats=stats,
+                    connected, targets, net.name, bounds, None, soft=True
                 )
             if search is None:
                 get_metrics().count("droute.opens")

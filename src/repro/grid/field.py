@@ -119,12 +119,6 @@ class CostField:
         #: ids of the rows whose usage or via counts changed since the
         #: last :meth:`ensure`
         self._dirty: set[int] = set(range(self._num_rows))
-        # Stats are plain ints (no registry lock in hot paths); they are
-        # flushed as cost_field.* metrics by publish_metrics().
-        self._ensures = 0
-        self._hits = 0
-        self._flushes = 0
-        self._lines_recomputed = 0
         graph.add_listener(self)
 
     def _build_rows(self, shapes: list[tuple[int, int]]) -> None:
@@ -190,13 +184,19 @@ class CostField:
     # ------------------------------------------------------------- freshness
 
     def ensure(self) -> None:
-        """Recompute every dirty row; afterwards all maps are current."""
-        self._ensures += 1
+        """Recompute every dirty row; afterwards all maps are current.
+
+        Counts ``cost_field.queries`` per call, and ``recomputes`` and
+        ``lines_recomputed`` per call that finds dirty rows.
+        """
+        metrics = get_metrics()
+        metrics.count("cost_field.queries")
         if not self._dirty:
-            self._hits += 1
             return
-        self._flushes += 1
-        self._recompute(sorted(self._dirty))
+        rows = sorted(self._dirty)
+        metrics.count("cost_field.recomputes")
+        metrics.count("cost_field.lines_recomputed", len(rows))
+        self._recompute(rows)
         self._dirty.clear()
 
     def _recompute(self, rows: list[int]) -> None:
@@ -230,7 +230,6 @@ class CostField:
         self._demand_flat[edges] = demand
         self._cost_flat[edges] = line_cost
         self._prefix_flat[self._prefix_idx[rows]] = np.cumsum(line_cost, axis=1)
-        self._lines_recomputed += len(rows)
 
     # --------------------------------------------------------------- queries
 
@@ -309,34 +308,3 @@ class CostField:
         n_wire = self.graph.n_wire
         over = self._demand_flat[:n_wire] > self.graph.wire_capacity_flat[:n_wire]
         return np.flatnonzero(over).tolist()
-
-    # --------------------------------------------------------------- metrics
-
-    def publish_metrics(self) -> None:
-        """Flush the locally-tallied stats as ``cost_field.*`` metrics.
-
-        Everything covers the window since the last publish:
-        ``recomputes`` counts flushes (= dirty :meth:`ensure` calls, one
-        ``_recompute`` each), ``lines_recomputed`` the rows they rebuilt,
-        and ``dirty_ratio`` is the mean share of the field's rows one
-        flush rebuilt.  Hot paths never touch the registry.
-        """
-        metrics = get_metrics()
-        if not metrics.recording:
-            return
-        metrics.count("cost_field.recomputes", self._flushes)
-        metrics.count("cost_field.lines_recomputed", self._lines_recomputed)
-        metrics.count("cost_field.queries", self._ensures)
-        if self._ensures:
-            metrics.gauge(
-                "cost_field.hit_rate", self._hits / self._ensures
-            )
-        if self._flushes:
-            metrics.gauge(
-                "cost_field.dirty_ratio",
-                self._lines_recomputed / (self._num_rows * self._flushes),
-            )
-        self._flushes = 0
-        self._lines_recomputed = 0
-        self._ensures = 0
-        self._hits = 0

@@ -46,8 +46,6 @@ class NetCostCache:
         "_cost",
         "_stale",
         "_row_nets",
-        "hits",
-        "rescans",
     )
 
     def __init__(self, router) -> None:
@@ -60,9 +58,7 @@ class NetCostCache:
         self._stale: set[str] = set()
         #: field row -> committed nets with a wire edge on that row
         self._row_nets: dict[int, set[str]] = {}
-        self.hits = 0
-        self.rescans = 0
-        # The cache may be enabled on an already-routed router: adopt
+        # The cache is built on an already-routed router: adopt
         # the committed routes into the membership index (values fill
         # lazily on first query).
         for name, route in router.routes.items():
@@ -129,25 +125,14 @@ class NetCostCache:
     # ------------------------------------------------------------- queries
 
     def net_cost(self, name: str) -> float:
-        """Cached Eq. 10 cost, re-priced only when stale or unseen."""
+        """Cached Eq. 10 cost, re-priced only when stale or unseen
+        (``crp.cost_cache_hits`` / ``crp.cost_rescans``)."""
         value = self._cost.get(name)
         if value is not None and name not in self._stale:
-            self.hits += 1
+            get_metrics().count("crp.cost_cache_hits")
             return value
-        self.rescans += 1
+        get_metrics().count("crp.cost_rescans")
         value = self.router._net_cost_fresh(name)
         self._cost[name] = value
         self._stale.discard(name)
         return value
-
-    # ------------------------------------------------------------- metrics
-
-    def publish_metrics(self) -> None:
-        """Flush tallies as ``crp.cost_*`` metric deltas."""
-        metrics = get_metrics()
-        if not metrics.recording:
-            return
-        metrics.count("crp.cost_rescans", self.rescans)
-        metrics.count("crp.cost_cache_hits", self.hits)
-        self.rescans = 0
-        self.hits = 0

@@ -80,16 +80,10 @@ class GlobalRouter:
         # Plain dict (not defaultdict): lookups must never materialize
         # empty entries, or the RRR scan grows monotonically.
         self._edge_nets: dict[int, set[str]] = {}
-        #: O(dirty-nets) per-net cost cache; ``None`` (every query is a
-        #: fresh scan) until :meth:`enable_incremental_cost` attaches it
+        #: O(dirty-nets) per-net cost cache, built by the first
+        #: :meth:`net_cost` query: GR-only and [18] flows make none, so
+        #: they never pay for its listener
         self.cost_cache = None
-        # Plain-int tallies of ``_route_segment``, flushed as groute.*
-        # metrics by ``_publish_path_metrics`` (no registry in the loop).
-        self._paths_planned = 0
-        self._paths_built = 0
-        self._segments_multi_contender = 0
-        self._edges_committed = 0
-        self._edges_ripped = 0
 
     # ------------------------------------------------------------ terminals
 
@@ -120,7 +114,6 @@ class GlobalRouter:
             for net in order:
                 self.route_net(net.name)
         self.improve(rrr_passes)
-        self.field.publish_metrics()
 
     def improve(self, rrr_passes: int = 3) -> int:
         """Run up to ``rrr_passes`` RRR passes; returns passes completed.
@@ -133,28 +126,7 @@ class GlobalRouter:
                 if not self._rrr_pass():
                     break
                 completed += 1
-        self.field.publish_metrics()
-        self._publish_path_metrics()
         return completed
-
-    def _publish_path_metrics(self) -> None:
-        """Flush the ``_route_segment`` and commit/rip-up tallies as
-        ``groute.*`` deltas."""
-        metrics = get_metrics()
-        if not metrics.recording:
-            return
-        metrics.count("groute.paths_planned", self._paths_planned)
-        metrics.count("groute.paths_built", self._paths_built)
-        metrics.count(
-            "groute.segments_multi_contender", self._segments_multi_contender
-        )
-        metrics.count("groute.edges_committed", self._edges_committed)
-        metrics.count("groute.edges_ripped", self._edges_ripped)
-        self._paths_planned = 0
-        self._paths_built = 0
-        self._segments_multi_contender = 0
-        self._edges_committed = 0
-        self._edges_ripped = 0
 
     def route_net(self, net_name: str) -> NetRoute:
         """(Re)route one net with RSMT + 3D pattern routing."""
@@ -226,12 +198,13 @@ class GlobalRouter:
         """
         p3d = self.pattern3d
         paths = pattern_paths_2d((src[1], src[2]), dst_xy)
-        self._paths_planned += len(paths)
+        metrics = get_metrics()
+        metrics.count("groute.paths_planned", len(paths))
         if len(paths) == 1:
             best = p3d.route(paths[0], src[0], dst_layer)
             if best is None:
                 return None
-            self._paths_built += 1
+            metrics.count("groute.paths_built")
             return best.edges, best.end_layer
         p3d.field.ensure()
         plans = [
@@ -244,8 +217,9 @@ class GlobalRouter:
         cutoff = min(plan.value for plan in plans)
         cutoff += PLAN_BAND * max(1.0, abs(cutoff))
         contenders = [p3d.build(plan) for plan in plans if plan.value <= cutoff]
-        self._paths_built += len(contenders)
-        self._segments_multi_contender += len(contenders) > 1
+        metrics.count("groute.paths_built", len(contenders))
+        if len(contenders) > 1:
+            metrics.count("groute.segments_multi_contender")
         best = min(contenders, key=lambda result: result.cost)
         return best.edges, best.end_layer
 
@@ -264,7 +238,7 @@ class GlobalRouter:
             else:
                 users.add(name)
         self.routes[name] = route
-        self._edges_committed += len(route.edges)
+        get_metrics().count("groute.edges_committed", len(route.edges))
         if self.cost_cache is not None:
             self.cost_cache.note_commit(name, route.edges, rows)
 
@@ -272,7 +246,9 @@ class GlobalRouter:
         route = self.routes.pop(net_name, None)
         if route is None:
             return
-        get_metrics().count("groute.ripup_nets")
+        metrics = get_metrics()
+        metrics.count("groute.ripup_nets")
+        metrics.count("groute.edges_ripped", len(route.edges))
         rows = self.graph.apply_route(route.edges, sign=-1)
         edge_nets = self._edge_nets
         for edge in route.edges:
@@ -281,7 +257,6 @@ class GlobalRouter:
                 users.discard(net_name)
                 if not users:
                     del edge_nets[edge]
-        self._edges_ripped += len(route.edges)
         if self.cost_cache is not None:
             self.cost_cache.note_rip(net_name, route.edges, rows)
 
@@ -295,8 +270,6 @@ class GlobalRouter:
         )
         for name in ordered:
             self.route_net(name)
-        self.field.publish_metrics()
-        self._publish_path_metrics()
 
     # ----------------------------------------------------------------- RRR
 
@@ -446,27 +419,22 @@ class GlobalRouter:
 
     # ------------------------------------------------------------- queries
 
-    def enable_incremental_cost(self) -> None:
-        """Attach the O(dirty-nets) per-net cost cache (idempotent).
+    def net_cost(self, net_name: str) -> float:
+        """Eq. 10 path cost of a net's current route.
 
-        With the cache on, :meth:`net_cost` serves bit-identical cached
-        values and re-prices only nets whose cost a commit/rip-up can
-        have changed.  :class:`~repro.core.crp.CrpFramework` attaches it;
-        GR-only and baseline flows never pay for the listener.
+        Served by the :class:`~repro.groute.costcache.NetCostCache`,
+        which the first query builds: bit-identical to a fresh scan, and
+        re-pricing only nets a commit or rip-up can have changed.
         """
         if self.cost_cache is None:
             from repro.groute.costcache import NetCostCache
 
             self.cost_cache = NetCostCache(self)
-
-    def net_cost(self, net_name: str) -> float:
-        """Eq. 10 path cost of a net's current route."""
-        if self.cost_cache is not None:
-            return self.cost_cache.net_cost(net_name)
-        return self._net_cost_fresh(net_name)
+        return self.cost_cache.net_cost(net_name)
 
     def _net_cost_fresh(self, net_name: str) -> float:
-        """Uncached :meth:`net_cost` (the oracle the cache must match)."""
+        """A fresh scan of :meth:`net_cost`: the cache's re-price, and the
+        reference it must match."""
         route = self.routes.get(net_name)
         if route is None:
             return 0.0
@@ -476,8 +444,8 @@ class GlobalRouter:
     def total_route_cost(self) -> float:
         """Eq. 10 total over every net, summed in canonical design order.
 
-        O(dirty) path_cost work when the incremental cache is enabled;
-        identical bits either way (same addends, same association).
+        O(dirty) path_cost work through the cache, with the bits of a
+        full rescan (same addends, same association).
         """
         return sum(self.net_cost(name) for name in self.design.nets)
 

@@ -28,6 +28,7 @@ from repro.geom import Orientation, Point, Rect
 from repro.db import Design, Row
 from repro.ilp import IlpModel, solve
 from repro.legalizer.median import median_position
+from repro.obs import get_metrics
 
 
 @dataclass(slots=True)
@@ -140,12 +141,6 @@ class WindowLegalizer:
         self.n_rows = n_rows
         self.max_cells = max_cells
         self.max_targets = max_targets
-        #: runs, enumerated solves, and solves with > 1 exact optimum
-        self.runs = 0
-        self.solves = 0
-        self.tie_breaks = 0
-        #: window models whose slot vectors were built (at most one per run)
-        self.models = 0
 
     # ------------------------------------------------------------------ API
 
@@ -155,7 +150,7 @@ class WindowLegalizer:
         Returns an empty list when the cell sits in no recognizable row
         or the window has no legal target other than the current spot.
         """
-        self.runs += 1
+        get_metrics().count("crp.window_runs")
         design = self.design
         cell = design.cells[cell_name]
         home_row = design.row_at_y(cell.y) or design.row_containing(cell.y)
@@ -362,7 +357,8 @@ class WindowLegalizer:
         if not target_row.free[target_site : target_site + width].all():
             return None
         if window.slots is None:
-            self.models += 1
+            # at most one per run: the slot vectors every target shares
+            get_metrics().count("crp.window_models")
             window.slots = [self._slots_of(window, name) for name in window.movable[1:]]
             if len(window.slots) == 2:
                 one, two = window.slots
@@ -531,9 +527,12 @@ class WindowLegalizer:
         trajectory: the Eq. 11 cost expression and the accumulation
         order of ``totals`` below are part of the contract.
 
-        Returns ``None`` (infeasible) or ``(assignments, objective)``.
+        Returns ``None`` (infeasible) or ``(assignments, objective)``;
+        counts ``crp.window_solves``, and ``crp.window_tie_breaks`` when
+        more than one assignment attains the optimum.
         """
-        self.solves += 1
+        metrics = get_metrics()
+        metrics.count("crp.window_solves")
         name = window.movable[0]
         row_slice = window.window_rows[row_order]
         x = row_slice.site_x(target_site)
@@ -565,7 +564,8 @@ class WindowLegalizer:
             totals = c0 + one.costs
             best = totals[feasible].min()
             optima = np.flatnonzero(feasible & (totals == best))
-            self.tie_breaks += len(optima) > 1
+            if len(optima) > 1:
+                metrics.count("crp.window_tie_breaks")
             return ((pinned, one.places[int(optima[0])]), float(best))
 
         one, two = window.slots
@@ -575,25 +575,10 @@ class WindowLegalizer:
         totals = (c0 + one.costs)[:, None] + two.costs[None, :]
         best = totals[feasible].min()
         optima = np.argwhere(feasible & (totals == best))
-        self.tie_breaks += len(optima) > 1
+        if len(optima) > 1:
+            metrics.count("crp.window_tie_breaks")
         i, j = optima[0]
         return (
             (pinned, one.places[int(i)], two.places[int(j)]),
             float(best),
         )
-
-    def publish_metrics(self) -> None:
-        """Flush window-kernel tallies as ``crp.window_*`` metric deltas."""
-        from repro.obs import get_metrics
-
-        metrics = get_metrics()
-        if not metrics.recording:
-            return
-        metrics.count("crp.window_runs", self.runs)
-        metrics.count("crp.window_solves", self.solves)
-        metrics.count("crp.window_tie_breaks", self.tie_breaks)
-        metrics.count("crp.window_models", self.models)
-        self.runs = 0
-        self.solves = 0
-        self.tie_breaks = 0
-        self.models = 0

@@ -6,11 +6,15 @@ bounded reservoir for p50/p95 (``droute.astar_expansions``,
 ``ilp.solve_ms``).  Names follow the same ``<layer>.<event>`` convention
 as spans.
 
-Like the tracer, the default is a :class:`NoopMetrics`
-whose mutators are empty methods, so hot paths pay ~nothing when
-observability is off.  Instrumented code should aggregate locally and
-record once per call (e.g. count A* expansions in a local and
-``observe()`` the total), never inside inner loops.
+The registry is the only place a count lives: code counts an event
+where it happens (``get_metrics().count(...)``), or sums in a local
+and records the total once before the function returns.  No object
+keeps a tally between calls, so there is nothing to publish, flush or
+reset, and no count is lost when a caller forgets to.
+
+Like the tracer, the default is a :class:`NoopMetrics` whose mutators
+are empty methods, so counting costs ~nothing when observability is
+off.
 """
 
 from __future__ import annotations
@@ -91,21 +95,6 @@ class MetricsRegistry:
             hist = self._histograms[name] = _Histogram()
         hist.add(value)
 
-    def observe_many(self, name: str, values: list[float]) -> None:
-        """Record a batch of samples into histogram ``name``.
-
-        One series lookup for the whole batch —
-        hot loops accumulate locally and flush here instead of paying a
-        registry round-trip per sample (see ``droute``'s A* stats).
-        """
-        if not values:
-            return
-        hist = self._histograms.get(name)
-        if hist is None:
-            hist = self._histograms[name] = _Histogram()
-        for value in values:
-            hist.add(value)
-
     # -------------------------------------------------------------- queries
 
     def counter(self, name: str) -> float:
@@ -137,9 +126,6 @@ class NoopMetrics(MetricsRegistry):
         pass
 
     def observe(self, name: str, value: float) -> None:
-        pass
-
-    def observe_many(self, name: str, values: list[float]) -> None:
         pass
 
     def counter(self, name: str) -> float:

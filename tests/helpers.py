@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from types import SimpleNamespace
+from typing import Iterator
+
 from repro.geom import Orientation, Rect
 from repro.db import Cell, Design, Net, NetPin, Row
 from repro.db.design import GCellGridSpec
 from repro.benchgen.generator import DesignSpec, generate_design
 from repro.droute.indexed import DrouteIndex
 from repro.legalizer import WindowLegalizer
+from repro.obs import observe
 
 
 def build_tiny_design(tech, num_rows: int = 4, sites_per_row: int = 30) -> Design:
@@ -95,6 +100,34 @@ def droute_index(lattice, owner, occupancy, guide=None):
     for node in guide:
         index.guide_epoch[index.nid_of(node)] = index.guide_stamp
     return index, index.guide_stamp
+
+
+def counted(call, *args):
+    """``call(*args)`` under a fresh ``observe()``: its result, and the
+    ``counter`` reader of the registry that counted its events."""
+    with observe() as obs:
+        result = call(*args)
+    return result, obs.metrics.counter
+
+
+@contextmanager
+def dr_searches() -> Iterator[SimpleNamespace]:
+    """Observe the detailed-routing searches of the ``with`` block.
+
+    On exit the yielded namespace holds what the registry counted:
+    ``calls``, ``expansions`` (one entry per search, in order),
+    ``skipped`` (hard searches the pocket look answered) and ``tolled``
+    (soft searches run under a toll).
+    """
+    counts = SimpleNamespace()
+    with observe() as obs:
+        yield counts
+    registry = obs.metrics
+    hist = registry._histograms.get("droute.astar_expansions")
+    counts.expansions = list(hist.values) if hist is not None else []
+    counts.calls = int(registry.counter("droute.astar_calls"))
+    counts.skipped = int(registry.counter("droute.hard_skipped"))
+    counts.tolled = int(registry.counter("droute.soft_tolled"))
 
 
 class RecordingLegalizer(WindowLegalizer):

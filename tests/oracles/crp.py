@@ -1,9 +1,9 @@
 """Full-recompute reference for the incremental CR&P kernel.
 
-Both references still run in production outside CR&P — the Fontana
-baseline prices candidates with ``estimate_candidate_cost(cache=None)``
-and a router without a ``NetCostCache`` answers ``net_cost`` through
-``_net_cost_fresh`` — so nothing moved here; this module only routes a
+Both references still run in production — the Fontana baseline prices
+candidates with ``estimate_candidate_cost(cache=None)``, and
+``_net_cost_fresh`` is the ``NetCostCache``'s own re-price — so nothing
+moved here; this module only routes a
 :class:`~repro.core.crp.CrpFramework` through them.
 """
 
@@ -32,9 +32,6 @@ class FreshNetCosts:
 
     def net_cost(self, name: str) -> float:
         return self.router._net_cost_fresh(name)
-
-    def publish_metrics(self) -> None:
-        pass
 
 
 def _estimate_uncached(design, router, candidate, cache=None) -> float:

@@ -29,12 +29,13 @@ from __future__ import annotations
 import heapq
 from collections import deque
 
-from repro.droute.astar import SearchParams, SearchResult, SearchStats
+from repro.droute.astar import SearchParams, SearchResult
 from repro.droute import indexed as _indexed
 from repro.droute.indexed import guide_spans as _guide_spans
 from repro.droute.lattice import LNode, TrackLattice
 from repro.droute.obstacles import BLOCKED, build_obstacle_map
 from repro.droute.router import GUIDE_MARGIN_TRACKS, DetailedRouter, _nearest_pair
+from repro.obs import get_metrics
 
 
 class OracleDetailedRouter(DetailedRouter):
@@ -178,7 +179,7 @@ class _DictState:
                     guide_nodes.add((layer + 1, ix, iy))
         return guide_nodes, bounds
 
-    def connect(self, sources, targets, net_name, bounds, guide, soft, stats):
+    def connect(self, sources, targets, net_name, bounds, guide, soft):
         closed, marked = pocket_look(
             self.lattice, sources, targets, net_name, self.owner,
             self.occupancy, bounds, guide,
@@ -186,7 +187,7 @@ class _DictState:
         toll = 0.0
         if closed and soft:
             toll = float(self.params.conflict_penalty)
-            stats.tolled += 1
+            get_metrics().count("droute.soft_tolled")
         result = astar_connect(
             self.lattice,
             sources,
@@ -198,7 +199,6 @@ class _DictState:
             guide,
             self.params,
             soft=soft,
-            stats=stats,
             toll=toll,
             marked=marked,
         )
@@ -333,7 +333,6 @@ def astar_connect(
     guide_nodes: set[LNode] | None,
     params: SearchParams,
     soft: bool,
-    stats: SearchStats,
     toll: float = 0.0,
     marked: set[LNode] = frozenset(),
 ) -> SearchResult | None:
@@ -474,7 +473,9 @@ def astar_connect(
                     tie += 1
         return None
     finally:
-        stats.record(expansions)
+        metrics = get_metrics()
+        metrics.count("droute.astar_calls")
+        metrics.observe("droute.astar_expansions", expansions)
 
 
 def _build_result(

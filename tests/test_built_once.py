@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import pytest
 
-from helpers import add_cell, build_tiny_design, fresh_small
+from helpers import add_cell, build_tiny_design, counted, fresh_small
 from oracles.groute import route_segment_all_built
 
 from repro.core.config import CrpConfig
@@ -114,14 +114,18 @@ def test_shared_window_model_matches_per_target_rebuild(seed):
     design = fresh_small(seed=seed)
     shared = WindowLegalizer(design, max_targets=100)
     movable = [c.name for c in design.cells.values() if not c.fixed]
-    solved = 0
+    solved = shared_solved = shared_models = 0
     for name in movable:
         reference = PerTargetLegalizer(design, max_targets=100)
-        assert shared.run(name) == reference.run(name)
-        assert reference.models == reference.solves
-        solved += reference.solves
-    assert 0 < shared.models <= len(movable)
-    assert shared.solves == solved
+        found, shared_counter = counted(shared.run, name)
+        expected, counter = counted(reference.run, name)
+        assert found == expected
+        assert counter("crp.window_models") == counter("crp.window_solves")
+        solved += counter("crp.window_solves")
+        shared_solved += shared_counter("crp.window_solves")
+        shared_models += shared_counter("crp.window_models")
+    assert 0 < shared_models <= len(movable)
+    assert shared_solved == solved
 
 
 class OneTarget(WindowLegalizer):
@@ -143,13 +147,14 @@ def test_infeasible_pinned_slot_yields_no_candidate(tech45):
     legalizer = OneTarget(design, n_sites=14, n_rows=1)
     # Onto ``n`` and the wall; onto ``m`` and off the end of the window.
     legalizer.targets = [(0, 6), (0, 13)]
-    assert legalizer.run("a") == []
-    assert legalizer.solves == 0 and legalizer.models == 0
+    found, counter = counted(legalizer.run, "a")
+    assert found == []
+    assert counter("crp.window_solves") == counter("crp.window_models") == 0
     # The slot of ``n`` itself is free of obstacles: ``n`` makes room.
     legalizer.targets = [(0, 5)]
-    (candidate,) = legalizer.run("a")
+    (candidate,), counter = counted(legalizer.run, "a")
     assert candidate.position[0] == row.site_x(5) and "n" in candidate.conflict_moves
-    assert legalizer.solves == 1 and legalizer.models == 1
+    assert counter("crp.window_solves") == counter("crp.window_models") == 1
 
 
 def test_neighbour_without_option_yields_no_candidate(tech45):
@@ -162,6 +167,7 @@ def test_neighbour_without_option_yields_no_candidate(tech45):
         add_cell(design, f"wall{site}", "INV_X1", site, 0).fixed = True
     legalizer = OneTarget(design, n_sites=10, n_rows=1)
     legalizer.targets = [(0, 4)]  # free for ``a``, on top of ``n``
-    assert legalizer.run("a") == []
-    assert legalizer.models == 1
-    assert legalizer.solves == 0
+    found, counter = counted(legalizer.run, "a")
+    assert found == []
+    assert counter("crp.window_models") == 1
+    assert counter("crp.window_solves") == 0

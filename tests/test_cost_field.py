@@ -26,7 +26,7 @@ from repro.guard.faults import FaultPlan, use_faults
 from repro.guard.transaction import IterationTransaction
 from repro.obs import observe
 
-from helpers import add_usage, fresh_small
+from helpers import add_usage, counted, fresh_small
 from oracles.field import CostModel, capacity, demand, reference_maps
 from oracles.groute import decoded, maze_route_scalar, scalar_run_cost
 
@@ -121,14 +121,13 @@ def test_invalidation_is_incremental(routed_graph):
     router, field, _ = routed_graph
     field.ensure()  # start clean
     edge = all_wire_edges(router.graph)[0]
-    before = field._lines_recomputed
     add_usage(router.graph, edge)
-    field.ensure()
-    assert field._lines_recomputed == before + 1
+    _, counter = counted(field.ensure)
+    assert counter("cost_field.lines_recomputed") == 1
     # A clean field is a hit: no further recompute.
-    flushes = field._flushes
-    field.ensure()
-    assert field._flushes == flushes
+    _, counter = counted(field.ensure)
+    assert counter("cost_field.queries") == 1
+    assert counter("cost_field.recomputes") == 0
 
 
 def test_via_change_dirties_adjacent_wire_layers(routed_graph):
@@ -138,11 +137,10 @@ def test_via_change_dirties_adjacent_wire_layers(routed_graph):
     graph = router.graph
     field.ensure()
     cut = graph.min_wire_layer  # cut between wire layers cut and cut+1
-    lines, flushes = field._lines_recomputed, field._flushes
     add_usage(graph, GridEdge(cut, 1, 1, EdgeKind.VIA))
-    assert_field_matches_oracle(graph, field, oracle)
-    assert field._lines_recomputed == lines + 2
-    assert field._flushes == flushes + 1
+    _, counter = counted(assert_field_matches_oracle, graph, field, oracle)
+    assert counter("cost_field.lines_recomputed") == 2
+    assert counter("cost_field.recomputes") == 1
 
 
 def test_prefix_run_cost_matches_scalar(routed_graph):
@@ -353,41 +351,74 @@ def test_recomputes_count_dirty_ensures(routed_graph):
     calls = []
     recompute = field._recompute
     field._recompute = lambda rows: (calls.append(len(rows)), recompute(rows))
-    with observe() as obs:
-        field.publish_metrics()  # close the fixture's window
-        before = obs.metrics.snapshot()["counters"]
-        dirty_ensures = 0
-        for name in list(router.routes)[:6]:
-            for change in (router.rip_up, router.route_net):
-                change(name)
-                dirty_ensures += bool(field._dirty)
-                field.ensure()
-                field.ensure()  # clean: a hit, not a recompute
-        field.publish_metrics()
-        counters = obs.metrics.snapshot()["counters"]
-    assert len(calls) == dirty_ensures >= 6
-    for key, expected in (("recomputes", dirty_ensures), ("lines_recomputed", sum(calls))):
-        key = f"cost_field.{key}"
-        assert counters[key] - before[key] == expected, key
+
+    def ensure_twice():
+        field.ensure()
+        field.ensure()  # clean: a hit, not a recompute
+
+    # Only the ensures are observed: the router's own field counts too.
+    dirty_ensures = recomputes = lines = 0
+    for name in list(router.routes)[:6]:
+        for change in (router.rip_up, router.route_net):
+            change(name)
+            dirty_ensures += bool(field._dirty)
+            _, counter = counted(ensure_twice)
+            recomputes += counter("cost_field.recomputes")
+            lines += counter("cost_field.lines_recomputed")
+    assert len(calls) == dirty_ensures == recomputes >= 6
+    assert lines == sum(calls)
     assert max(calls) > 1  # a route spans layers: rows batched in one call
 
 
-def test_reroute_nets_publishes_one_window_of_field_metrics(tech45):
-    """Update-Database's field traffic is visible, and ``dirty_ratio``
-    is rows over flushes of one window (it used to divide lifetime tiles
-    by window flushes and drift above 1)."""
+def test_reroute_nets_counts_its_field_traffic(tech45):
+    """Update-Database's field traffic is counted, and one recompute
+    rebuilds a small share of the rows (DESIGN.md's ``dirty_ratio``,
+    lines over recomputes times rows, read off the counters)."""
     design = fresh_small(seed=7)
     router = GlobalRouter(design)
+    router.route_all(rrr_passes=1)
     with observe() as obs:
-        router.route_all(rrr_passes=1)
-        after_gr = obs.metrics.snapshot()
         for _ in range(3):
             router.reroute_nets(list(router.routes)[:8])
-        after_ud = obs.metrics.snapshot()
+    counter = obs.metrics.counter
     for name in ("queries", "recomputes", "lines_recomputed"):
-        key = f"cost_field.{name}"
-        assert after_ud["counters"][key] > after_gr["counters"][key], key
-    assert 0.0 < after_ud["gauges"]["cost_field.dirty_ratio"] < 0.5
+        assert counter(f"cost_field.{name}") > 0, name
+    dirty_ratio = counter("cost_field.lines_recomputed") / (
+        router.field._num_rows * counter("cost_field.recomputes")
+    )
+    assert 0.0 < dirty_ratio < 0.5
+
+
+@pytest.mark.parametrize("mode", ["crp", "fontana"])
+def test_every_field_event_is_counted(monkeypatch, mode):
+    """Every ``ensure`` and ``_recompute`` of every field a flow builds --
+    the router's, and [18]'s penalty-free pricer -- is in ``cost_field.*``
+    when the flow ends, the last ones included."""
+    from repro.benchgen import make_design
+
+    spied = dict.fromkeys(("queries", "recomputes", "lines_recomputed"), 0)
+    ensure, recompute = CostField.ensure, CostField._recompute
+
+    def spy_ensure(self):
+        spied["queries"] += 1
+        ensure(self)
+
+    def spy_recompute(self, rows):
+        spied["recomputes"] += 1
+        spied["lines_recomputed"] += len(rows)
+        recompute(self, rows)
+
+    monkeypatch.setattr(CostField, "ensure", spy_ensure)
+    monkeypatch.setattr(CostField, "_recompute", spy_recompute)
+    result = run_flow(
+        make_design("ispd18_test1"), mode=mode, crp_iterations=1,
+        skip_detailed=True,
+    )
+    assert not result.failed and spied["recomputes"] > 0
+    counters = result.metrics["counters"]
+    assert {
+        name: counters.get(f"cost_field.{name}", 0) for name in spied
+    } == spied
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5])

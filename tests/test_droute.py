@@ -11,15 +11,15 @@ from repro.geom import Point, Rect
 from repro.db import Blockage, Net, NetPin
 from repro.droute import DetailedRouter, DrcKind, TrackLattice
 from repro.droute.access import access_nodes
-from repro.droute.astar import SearchParams, SearchStats
+from repro.droute.astar import SearchParams
 from repro.droute.indexed import astar_connect_indexed, pocket_closed
 from repro.droute.drc import check_min_area, check_shorts
 from repro.droute.obstacles import BLOCKED, build_obstacle_map
 from repro.groute import GlobalRouter
 
 from helpers import (
-    add_cell, add_two_pin_net, build_tiny_design, droute_index, fresh_small,
-    lattice_nodes,
+    add_cell, add_two_pin_net, build_tiny_design, dr_searches, droute_index,
+    fresh_small, lattice_nodes,
 )
 from oracles.droute import _DictState, astar_connect
 
@@ -113,23 +113,21 @@ def test_unconnected_pins_block(tech45):
 
 def _connect_indexed(
     lattice, sources, targets, net, owner, occupancy, bounds, params, soft,
-    guide=None, stats=None,
+    guide=None,
 ):
     """The shipped kernel, over a ``DrouteIndex`` holding the same maps."""
     index, stamp = droute_index(lattice, owner, occupancy, guide)
     return astar_connect_indexed(
-        index, sources, targets, index.intern(net), bounds, stamp, params, soft,
-        stats or SearchStats(),
+        index, sources, targets, index.intern(net), bounds, stamp, params, soft
     )
 
 
 def _connect_oracle(
     lattice, sources, targets, net, owner, occupancy, bounds, params, soft,
-    guide=None, stats=None,
+    guide=None,
 ):
     return astar_connect(
-        lattice, sources, targets, net, owner, occupancy, bounds, guide, params, soft,
-        stats or SearchStats(),
+        lattice, sources, targets, net, owner, occupancy, bounds, guide, params, soft
     )
 
 
@@ -275,7 +273,7 @@ def test_kernel_refuses_a_search_off_the_lattice(tech45):
         with pytest.raises(IndexError):
             astar_connect_indexed(
                 index, sources, {(1, 2, 2)}, index.intern("n"), bounds, None,
-                SearchParams(), False, SearchStats(),
+                SearchParams(), False,
             )
         with pytest.raises(IndexError):
             pocket_closed(
@@ -289,11 +287,11 @@ def _same_search(lattice, case, soft, guide, max_expansions):
     params = SearchParams(max_expansions=max_expansions)
     found = []
     for kernel in (_connect_oracle, _connect_indexed):
-        stats = SearchStats()
-        result = kernel(
-            lattice, sources, targets, "n", owner, occupancy, bounds, params,
-            soft, guide, stats,
-        )
+        with dr_searches() as stats:
+            result = kernel(
+                lattice, sources, targets, "n", owner, occupancy, bounds, params,
+                soft, guide,
+            )
         found.append((
             result and (result.path, result.cost, result.conflicts),
             stats.expansions,
@@ -395,8 +393,8 @@ def _same_connect(lattice, case, soft, guide, params):
     _, _, bounds, sources, targets = case
     found = []
     for state, handle in _both_states(lattice, case, guide, params):
-        stats = SearchStats()
-        result = state.connect(sources, targets, "n", bounds, handle, soft, stats)
+        with dr_searches() as stats:
+            result = state.connect(sources, targets, "n", bounds, handle, soft)
         found.append((
             result and (result.path, result.cost, result.conflicts),
             stats.expansions,

@@ -23,7 +23,7 @@ from repro.droute import DetailedRouter
 from repro.droute import indexed
 from repro.droute import router as router_module
 from repro.droute.access import access_nodes
-from repro.droute.astar import SearchParams, SearchStats
+from repro.droute.astar import SearchParams
 from repro.droute.indexed import astar_connect_indexed, pocket_closed
 from repro.droute.lattice import TrackLattice
 from repro.droute.obstacles import BLOCKED
@@ -32,8 +32,8 @@ from repro.groute import GlobalRouter
 from repro.obs import observe
 
 from helpers import (
-    add_cell, add_two_pin_net, build_tiny_design, droute_index, fresh_small,
-    lattice_nodes,
+    add_cell, add_two_pin_net, build_tiny_design, dr_searches, droute_index,
+    fresh_small, lattice_nodes,
 )
 from oracles.droute import astar_connect
 from test_droute import _random_search_case
@@ -101,11 +101,11 @@ def test_look_closed_implies_no_path(
     with patch.object(indexed, "POCKET_BUDGET", budget):
         closed = pocket_closed(index, sources, targets, net_id, bounds, stamp)
     fast = astar_connect_indexed(
-        index, sources, targets, net_id, bounds, stamp, params, False, SearchStats()
+        index, sources, targets, net_id, bounds, stamp, params, False
     )
     ref = astar_connect(
         lattice, sources, targets, "n", owner, occupancy, bounds, guide,
-        params, False, SearchStats(),
+        params, False,
     )
     if closed:
         assert fast is None and ref is None
@@ -139,7 +139,7 @@ def test_look_does_not_read_an_earlier_search_s_wall_marks():
     index, stamp = droute_index(lattice, owner, {}, nodes)
     blocked = astar_connect_indexed(
         index, {a_source}, {a_target}, index.intern("a"), bounds, stamp,
-        SearchParams(), False, SearchStats(),
+        SearchParams(), False,
     )
     assert blocked is None  # it met the corridor and marked it a wall
     assert look(index, stamp) is False
@@ -175,15 +175,14 @@ def test_tolled_search_costs_what_the_flood_costs(
     def search(weight, max_expansions):
         params = SearchParams(heuristic_weight=weight, max_expansions=max_expansions)
         return astar_connect_indexed(
-            index, sources, targets, net_id, bounds, stamp, params, True,
-            SearchStats(),
+            index, sources, targets, net_id, bounds, stamp, params, True
         )
 
     flood = search(1.0, unbounded)
     parent = search(SearchParams().heuristic_weight, budget)
     index.params = SearchParams(max_expansions=unbounded)
-    stats = SearchStats()
-    tolled = index.connect(sources, targets, "n", bounds, stamp, True, stats)
+    with dr_searches() as stats:
+        tolled = index.connect(sources, targets, "n", bounds, stamp, True)
     if not stats.tolled:
         return
     assert (tolled is None) == (flood is None)
@@ -260,8 +259,7 @@ def test_look_follows_the_window_rule():
         window = (ix0, 0, lattice.nx - 1, lattice.ny - 1)
         assert pocket_closed(index, sources, targets, net_id, window, None) == closed
         found = astar_connect_indexed(
-            index, sources, targets, net_id, window, None, SearchParams(), False,
-            SearchStats(),
+            index, sources, targets, net_id, window, None, SearchParams(), False
         )
         assert (found is None) == closed
 
@@ -280,8 +278,8 @@ def test_look_tests_the_guide_only_when_there_is_one():
 def test_connect_skips_an_unguided_hard_search_too():
     lattice, occupancy, bounds, sources, targets = _walled_target()
     index, _ = droute_index(lattice, {}, occupancy)
-    stats = SearchStats()
-    found = index.connect(sources, targets, "n", bounds, None, False, stats)
+    with dr_searches() as stats:
+        found = index.connect(sources, targets, "n", bounds, None, False)
     assert found is None
     assert (stats.skipped, stats.tolled, stats.calls) == (1, 0, 0)
 
@@ -296,15 +294,15 @@ def test_soft_search_that_flooded_its_budget_now_connects():
     index, _ = droute_index(lattice, {}, occupancy)
     index.params = params
 
-    flood = SearchStats()
-    assert astar_connect_indexed(
-        index, sources, targets, index.intern("n"), bounds, None, params,
-        soft=True, stats=flood,
-    ) is None
+    with dr_searches() as flood:
+        assert astar_connect_indexed(
+            index, sources, targets, index.intern("n"), bounds, None, params,
+            soft=True,
+        ) is None
     assert flood.expansions == [1200]
 
-    stats = SearchStats()
-    found = index.connect(sources, targets, "n", bounds, None, True, stats)
+    with dr_searches() as stats:
+        found = index.connect(sources, targets, "n", bounds, None, True)
     assert stats.tolled == 1 and stats.expansions[0] < 100
     # up to Metal3, 26 tracks along it, down through the wire on the landing
     assert found.conflicts == [(2, 27, 15)]
@@ -323,8 +321,7 @@ def test_marks_of_a_look_and_its_tolled_search_mean_nothing_to_the_next_net():
         owner, occupancy, bounds, sources, targets = case
         # soft searches: no guide
         used, stamp = droute_index(lattice, owner, occupancy)
-        first = SearchStats()
-        used.connect(sources, targets, "n", bounds, stamp, True, first)
+        used.connect(sources, targets, "n", bounds, stamp, True)
         fresh, fresh_stamp = droute_index(lattice, owner, occupancy)
         # "other" holds the seal: it walks where "n" had to cross,
         # forwards and, terminals swapped, backwards
@@ -334,8 +331,8 @@ def test_marks_of_a_look_and_its_tolled_search_mean_nothing_to_the_next_net():
                 closed = pocket_closed(
                     index, a, b, index.intern(net), bounds, handle
                 )
-                stats = SearchStats()
-                found = index.connect(a, b, net, bounds, handle, True, stats)
+                with dr_searches() as stats:
+                    found = index.connect(a, b, net, bounds, handle, True)
                 answers.append((
                     closed, stats.tolled, stats.expansions,
                     found and (found.path, found.cost, found.conflicts),
@@ -367,10 +364,8 @@ def test_enclosed_pin_skips_the_hard_search(tech45):
     for layer, ix, iy in access_nodes(design, router.lattice, net.pins[1]):
         state.occupancy[state.nid_of((layer + 1, ix, iy))] = enemy
 
-    stats = SearchStats()
     with observe() as obs:
-        comp = router._net_compute(net, guide_rects, state, stats)
-        stats.flush()
+        comp = router._net_compute(net, guide_rects, state)
     registry = obs.metrics
     assert registry.counter("droute.hard_skipped") == 1
     assert registry.counter("droute.astar_calls") == 1  # the soft fallback only
@@ -381,11 +376,10 @@ def test_open_corridor_runs_the_hard_search(tech45):
     design, router, state, net, guide_rects = _two_cell_session(tech45)
     terminals = [access_nodes(design, router.lattice, pin) for pin in net.pins]
     guide, bounds = state.guide_region(guide_rects, terminals)
-    stats = SearchStats()
-    found = state.connect(
-        set(terminals[0]), set(terminals[1]), "n", bounds, guide,
-        soft=False, stats=stats,
-    )
+    with dr_searches() as stats:
+        found = state.connect(
+            set(terminals[0]), set(terminals[1]), "n", bounds, guide, soft=False
+        )
     assert found is not None and not found.conflicts
     assert (stats.skipped, stats.calls) == (0, 1)
 
@@ -425,7 +419,7 @@ def test_round_after_the_fixed_point_changes_nothing():
         ))
 
     before = snapshot()
-    router._rrr_round(ripped, guides, state, SearchStats(), book)
+    router._rrr_round(ripped, guides, state, book)
     assert snapshot() == before
 
 

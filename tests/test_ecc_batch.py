@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import fresh_small
+from helpers import counted, fresh_small
 
 from repro.core.candidates import generate_candidates
 from repro.core.config import CrpConfig
@@ -141,15 +141,20 @@ def test_prefetch_prices_once_and_the_sum_only_reads():
         for candidate in cell_candidates
     ]
     cache = EccCache()
-    cache.prefetch(design, router, flat)
-    assert cache.batches == 1 and cache.batch_paths > 0
-    misses = cache.misses
-    for candidate in flat:
-        assert estimate_candidate_cost(
-            design, router, candidate, cache=cache
-        ) == estimate_candidate_cost(design, router, candidate)
+    _, counter = counted(cache.prefetch, design, router, flat)
+    assert counter("crp.ecc_batches") == 1
+    assert counter("crp.ecc_batch_paths") > 0
+
+    def sum_pass():
+        for candidate in flat:
+            assert estimate_candidate_cost(
+                design, router, candidate, cache=cache
+            ) == estimate_candidate_cost(design, router, candidate)
+
+    _, counter = counted(sum_pass)
     # the sum pass planned nothing, priced nothing
-    assert (cache.batches, cache.misses) == (1, misses)
+    assert counter("crp.ecc_batches") == counter("crp.ecc_cache_misses") == 0
+    assert counter("crp.ecc_cache_hits") > 0
 
 
 def test_traced_iteration_publishes_batch_counters():

@@ -63,20 +63,21 @@ def test_ecc_cache_matches_uncached_costs(seed):
     )
     candidates = generate_candidates(design, critical, config)
     cache = EccCache()
-    for cell_candidates in candidates.values():
-        for candidate in cell_candidates:
-            uncached = estimate_candidate_cost(design, router, candidate)
-            cached = estimate_candidate_cost(
-                design, router, candidate, cache=cache
-            )
-            # bit-exact: same terminal walk, same RSMT, same DP op order
-            assert cached == uncached
-            # and a second query must hit the memo yet stay identical
-            again = estimate_candidate_cost(
-                design, router, candidate, cache=cache
-            )
-            assert again == uncached
-    assert cache.hits > 0
+    with observe() as obs:
+        for cell_candidates in candidates.values():
+            for candidate in cell_candidates:
+                uncached = estimate_candidate_cost(design, router, candidate)
+                cached = estimate_candidate_cost(
+                    design, router, candidate, cache=cache
+                )
+                # bit-exact: same terminal walk, same RSMT, same DP op order
+                assert cached == uncached
+                # and a second query must hit the memo yet stay identical
+                again = estimate_candidate_cost(
+                    design, router, candidate, cache=cache
+                )
+                assert again == uncached
+    assert obs.metrics.counter("crp.ecc_cache_hits") > 0
 
 
 # ------------------------------------------------ O(dirty) cost accounting
@@ -89,28 +90,28 @@ def full_rescan(design, router) -> float:
 @pytest.mark.parametrize("seed", [5, 42])
 def test_running_total_tracks_commit_and_rip(seed):
     design, router = routed(seed=seed)
-    router.enable_incremental_cost()
-    assert isinstance(router.cost_cache, NetCostCache)
+    assert router.cost_cache is None  # routing alone never builds it
     rng = random.Random(seed)
     names = sorted(router.routes)
     assert router.total_route_cost() == full_rescan(design, router)
-    for _ in range(12):
-        name = rng.choice(names)
-        action = rng.random()
-        if action < 0.4 and name in router.routes:
-            router.rip_up(name)
-        elif name in design.nets:
-            if name in router.routes:
+    assert isinstance(router.cost_cache, NetCostCache)
+    with observe() as obs:
+        for _ in range(12):
+            name = rng.choice(names)
+            action = rng.random()
+            if action < 0.4 and name in router.routes:
                 router.rip_up(name)
-            router.route_net(name)
-        assert router.total_route_cost() == full_rescan(design, router)
+            elif name in design.nets:
+                if name in router.routes:
+                    router.rip_up(name)
+                router.route_net(name)
+            assert router.total_route_cost() == full_rescan(design, router)
     # rescans must stay sub-linear: untouched nets never re-price
-    assert router.cost_cache.hits > 0
+    assert obs.metrics.counter("crp.cost_cache_hits") > 0
 
 
 def test_running_total_survives_out_of_band_invalidation():
     design, router = routed(seed=11)
-    router.enable_incremental_cost()
     before = router.total_route_cost()
     router.invalidate_cost_fields()  # drops every cached value
     assert router.total_route_cost() == before == full_rescan(design, router)
@@ -118,7 +119,6 @@ def test_running_total_survives_out_of_band_invalidation():
 
 def test_running_total_survives_rollback():
     design, router = routed(seed=13)
-    router.enable_incremental_cost()
     baseline = router.total_route_cost()
     positions0, routes0 = snapshot(design, router)
     moved = next(iter(design.cells))
@@ -233,20 +233,22 @@ def test_window_repeat_solves_are_deterministic():
         max_cells=config.max_cells,
         max_targets=MAX_TARGETS,
     )
+
+    def solves(name):
+        """The cell's candidates, and the window solves that made them."""
+        with observe() as obs:
+            found = [
+                (c.position, dict(c.conflict_moves), c.displacement)
+                for c in legalizer.run(name)
+            ]
+        return found, obs.metrics.counter("crp.window_solves")
+
+    total = 0
     for name in critical:
-        before = legalizer.solves
-        first = [
-            (c.position, dict(c.conflict_moves), c.displacement)
-            for c in legalizer.run(name)
-        ]
-        once = legalizer.solves - before
-        second = [
-            (c.position, dict(c.conflict_moves), c.displacement)
-            for c in legalizer.run(name)
-        ]
-        assert first == second
-        assert legalizer.solves - before == 2 * once
-    assert legalizer.solves > 0
+        first, once = solves(name)
+        assert solves(name) == (first, once)
+        total += once
+    assert total > 0
 
 
 # --------------------------------------------------- end-to-end iteration

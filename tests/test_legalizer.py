@@ -17,6 +17,7 @@ from helpers import (
     add_cell,
     add_two_pin_net,
     build_tiny_design,
+    counted,
     slots_overlap,
 )
 
@@ -155,12 +156,12 @@ def test_window_tie_break_is_canonical(tech45, boxed_in):
         return candidate.position, dict(candidate.conflict_moves), candidate.displacement
 
     legalizer = WindowLegalizer(design, max_targets=100)
-    first = onto_n(legalizer)
+    first, counter = counted(onto_n, legalizer)
     assert first[1] == {"n": expected}
-    assert legalizer.tie_breaks > 0
-    solves = legalizer.solves
-    assert onto_n(legalizer) == first  # re-solved, same answer
-    assert legalizer.solves > solves
+    assert counter("crp.window_tie_breaks") > 0
+    again, counter = counted(onto_n, legalizer)
+    assert again == first  # re-solved, same answer
+    assert counter("crp.window_solves") > 0
     assert onto_n(WindowLegalizer(design, max_targets=100)) == first
 
 
@@ -232,8 +233,8 @@ def test_four_cell_window_solves_through_the_ilp(tech45, monkeypatch):
     legalizer = WindowLegalizer(
         design, n_sites=12, n_rows=2, max_cells=4, max_targets=20
     )
-    candidates = legalizer.run("a")
-    assert solved and legalizer.solves == 0
+    candidates, counter = counted(legalizer.run, "a")
+    assert solved and counter("crp.window_solves") == 0
     # A repeat run solves the same models again, to the same answer.
     calls = len(solved)
     assert legalizer.run("a") == candidates and len(solved) == 2 * calls

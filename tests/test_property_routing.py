@@ -141,7 +141,7 @@ def test_id_routes_match_grid_edge_references(seed, steps):
     design = fresh_small(seed=seed)
     router = GlobalRouter(design)
     router.route_all(rrr_passes=1)
-    router.enable_incremental_cost()
+    router.total_route_cost()  # the first query builds the cost cache
     names = sorted(design.nets)
     for op, i, j in steps:
         a, b = names[i % len(names)], names[j % len(names)]
