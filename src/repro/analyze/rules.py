@@ -11,8 +11,8 @@ Rule families:
 
 * ``REPRO-D*`` — determinism hazards (the CR&P results in Table III are
   only reproducible if routing/placement decisions are bit-stable).
-* ``REPRO-G*`` — guard hazards (handlers that can swallow injected
-  faults before a stage boundary sees them, wall-clock timing).
+* ``REPRO-G*`` — guard hazards (handlers that can swallow an error
+  before stage isolation reports it, wall-clock timing).
 * ``REPRO-O*`` — observability conventions (span/metric names).
 * ``REPRO-C*`` — classics (mutable defaults, shadowed builtins).
 * ``REPRO-R*`` — robustness (durability of on-disk artifacts; a crash
@@ -142,13 +142,6 @@ def _call_name(node: ast.Call) -> str:
     if isinstance(target, ast.Name):
         parts.append(target.id)
     return ".".join(reversed(parts))
-
-
-def _contains_call(node: ast.AST, name: str) -> bool:
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Call) and _call_name(sub).endswith(name):
-            return True
-    return False
 
 
 def _module_aliases(tree: ast.Module, module: str) -> set[str]:
@@ -388,8 +381,8 @@ _BROAD_EXCEPTIONS = ("Exception", "BaseException")
 @rule(
     "REPRO-G002",
     Severity.ERROR,
-    "bare/overbroad `except` can swallow fault-injection errors before "
-    "stage isolation reports them",
+    "bare/overbroad `except` swallows any error before stage isolation "
+    "reports it",
     "catch the specific exception or re-raise; turning any exception into "
     "a `FailureReport` is `flow.pipeline._stage`'s job",
 )
@@ -426,7 +419,8 @@ def _check_broad_except(ctx: ModuleContext):
                     yield handler, (
                         "`except "
                         + "/".join(n for n in names if n in _BROAD_EXCEPTIONS)
-                        + "` without re-raise can swallow FaultInjected"
+                        + "` without re-raise swallows any error before "
+                        "stage isolation reports it"
                     )
 
 

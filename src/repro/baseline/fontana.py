@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.geom import Orientation
 from repro.db import Design
 from repro.grid import CostField
 from repro.groute import GlobalRouter

@@ -233,7 +233,7 @@ def _cmd_suite(args: argparse.Namespace) -> int:
 
 
 def _cmd_dump(args: argparse.Namespace) -> int:
-    from repro.benchgen import SUITE, make_design
+    from repro.benchgen import make_design
     from repro.db import check_legality
     from repro.groute import GlobalRouter
     from repro.lefdef import write_def, write_guides, write_lef

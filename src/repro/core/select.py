@@ -17,7 +17,6 @@ from itertools import combinations
 import numpy as np
 
 from repro.db import Design
-from repro.guard.faults import fault_point
 from repro.ilp import IlpModel, Solution, solve
 from repro.obs import get_metrics
 from repro.core.candidates import MoveCandidate
@@ -32,17 +31,6 @@ def select_moves(
     candidates: dict[str, list[MoveCandidate]],
 ) -> dict[str, MoveCandidate]:
     """Pick one candidate per critical cell minimizing total cost."""
-    # Fault site: "worst" replaces the ILP with the most expensive
-    # choice per cell — a deterministically bad (worsening) move set
-    # the iteration guard must catch and roll back.
-    if fault_point("crp.select") == "worst":
-        return {
-            cell_name: max(
-                cell_candidates,
-                key=lambda c: min(c.route_cost, 1e9),
-            )
-            for cell_name, cell_candidates in candidates.items()
-        }
     model, var_of = choice_model(candidates)
     pairs = _add_conflict_constraints(design, candidates, model, var_of)
     _publish_conflict_graph(candidates, pairs)

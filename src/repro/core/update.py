@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 
 from repro.db import Design
 from repro.groute import GlobalRouter
-from repro.guard.faults import fault_point
 from repro.core.candidates import MoveCandidate
 
 
@@ -46,10 +45,6 @@ def apply_moves(
             stats.moved_cells.append(name)
     design.moved_history.update(stats.moved_cells)
     if stats.moved_cells:
-        # Fault site between the move and the reroute: a failure here
-        # leaves moved cells with stale routes, the exact mid-update
-        # state the iteration transaction must be able to roll back.
-        fault_point("crp.update.reroute")
         stats.rerouted_nets = router.dirty_nets_for_cells(stats.moved_cells)
         router.reroute_nets(stats.rerouted_nets)
     return stats

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Iterable
 
 from repro.geom import Orientation, Point, Rect
 from repro.db.cell import Cell
@@ -156,6 +157,12 @@ class Design:
             return 0
         box = self.net_bbox(net)
         return box.width + box.height
+
+    def routing_order(self, net_names: Iterable[str]) -> list[str]:
+        """``net_names`` by ascending HPWL, ties by name: the order both
+        routers route and reroute nets in."""
+        nets = self.nets
+        return sorted(net_names, key=lambda n: (self.net_hpwl(nets[n]), n))
 
     def total_hpwl(self) -> int:
         """Sum of HPWL over every net."""

@@ -11,10 +11,10 @@ it only through its eight session-state methods; the parity suite
 overrides ``begin_session`` to install the dict-of-tuples reference from
 ``tests/oracles/droute.py`` behind the same methods.
 
-Per-net work is split into a pure *compute* step (terminal access, guide
-region, pattern/A* searches, min-area patching — no committed-state
-mutation) and a *commit* step that owns every write to it; the first
-pass and the conflict rounds share both.
+One routine, :meth:`DetailedRouter._route_net`, routes a net for the
+first pass and the conflict rounds alike: terminal access, guide region,
+pattern/A* searches and min-area patching read the committed state, and
+only then does the net's own occupancy land.
 """
 
 from __future__ import annotations
@@ -63,26 +63,6 @@ class DetailedResult:
             f"wl={self.wirelength_dbu} vias={self.vias} "
             f"drvs={self.num_drvs} ({self.drv_counts()})"
         )
-
-
-@dataclass(slots=True)
-class NetComputation:
-    """The pure compute half of routing one net.
-
-    Produced by :meth:`DetailedRouter._net_compute` against committed
-    state, applied by :meth:`DetailedRouter._commit_net`.
-    """
-
-    name: str
-    paths: list[list[LNode]]
-    #: every node the net occupies (sorted; includes patch growth)
-    used: list[LNode]
-    pins: list[LNode]
-    patch_count: int
-    #: anchor node of each unreachable terminal (one OPEN DRV each)
-    opens: list[LNode]
-    #: path nodes held by another net at search time (soft-pass shorts)
-    conflict_nodes: list[LNode]
 
 
 @dataclass(slots=True)
@@ -156,13 +136,9 @@ class DetailedRouter:
         metrics = get_metrics()
         with tracer.span("droute.first_pass") as span:
             tolled = metrics.counter("droute.soft_tolled")
-            order = sorted(
-                self.design.nets.values(),
-                key=lambda n: (self.design.net_hpwl(n), n.name),
-            )
-            for net in order:
-                comp = self._net_compute(net, guides[net.name], state)
-                self._commit_net(comp, state, book)
+            nets = self.design.nets
+            for name in self.design.routing_order(nets):
+                self._route_net(nets[name], guides[name], state, book)
             if tracer.recording:
                 span.meta["soft_tolled"] = int(
                     metrics.counter("droute.soft_tolled") - tolled
@@ -232,11 +208,8 @@ class DetailedRouter:
             if not (v.kind is DrcKind.OPEN and v.net_a in ripped)
         ]
         nets = self.design.nets
-        for name in sorted(
-            ripped, key=lambda n: (self.design.net_hpwl(nets[n]), n)
-        ):
-            comp = self._net_compute(nets[name], guides[name], state)
-            self._commit_net(comp, state, book)
+        for name in self.design.routing_order(ripped):
+            self._route_net(nets[name], guides[name], state, book)
 
     def _tally(self, result: DetailedResult, patch_counts: dict[str, int]) -> None:
         """Compute wirelength and via totals from the final geometry."""
@@ -256,13 +229,15 @@ class DetailedRouter:
 
     # -------------------------------------------------------------- per-net
 
-    def _net_compute(
+    def _route_net(
         self,
         net: Net,
         net_guides: list[GuideRect],
         state: DrouteIndex,
-    ) -> NetComputation:
-        """Route one net against committed state without committing."""
+        book: _RouteBook,
+    ) -> None:
+        """Route one net against committed state, then commit it."""
+        name = net.name
         lattice = self.lattice
         terminal_access: list[list[LNode]] = []
         for pin in net.pins:
@@ -285,14 +260,14 @@ class DetailedRouter:
                 connected |= targets
                 used |= targets
                 continue
-            search = self._fast_pattern(net.name, connected, targets, state, guide)
+            search = self._fast_pattern(name, connected, targets, state, guide)
             if search is None:
                 search = state.connect(
-                    connected, targets, net.name, bounds, guide, soft=False
+                    connected, targets, name, bounds, guide, soft=False
                 )
             if search is None:
                 search = state.connect(
-                    connected, targets, net.name, bounds, None, soft=True
+                    connected, targets, name, bounds, None, soft=True
                 )
             if search is None:
                 get_metrics().count("droute.opens")
@@ -305,44 +280,31 @@ class DetailedRouter:
             conflict_nodes.extend(search.conflicts)
             connected |= targets
 
-        patch_count = self._patch_min_area(net.name, used, pins, state)
-        return NetComputation(
-            name=net.name,
-            paths=paths,
-            used=sorted(used),
-            pins=sorted(pins),
-            patch_count=patch_count,
-            opens=opens,
-            conflict_nodes=conflict_nodes,
-        )
-
-    def _commit_net(
-        self, comp: NetComputation, state: DrouteIndex, book: _RouteBook
-    ) -> None:
-        """Apply one computed net to committed state."""
-        name = comp.name
-        # Resolve conflict holders against live committed state *before*
-        # this net's own occupancy lands; nothing mutates between a net's
-        # searches and its commit, so this matches search-time resolution.
-        for node in comp.conflict_nodes:
+        patch_count = self._patch_min_area(name, used, pins, state)
+        # Resolve conflict holders against committed state *before* this
+        # net's own occupancy lands, as they stood when it was searched.
+        for node in conflict_nodes:
             holder = state.holder_name(node)
             if holder and holder not in (name, BLOCKED):
                 book.conflicts[node] = (name, holder)
-        for node in comp.opens:
+        for node in opens:
             book.result.violations.append(
                 DrcViolation(
                     kind=DrcKind.OPEN, layer=node[0], net_a=name, node=node
                 )
             )
-        used = set(comp.used)
-        state.commit_used(name, comp.used)
+        used_sorted = sorted(used)
+        state.commit_used(name, used_sorted)
+        # Rebuilt from the sorted list, so the DRC pass meets the nodes
+        # in an order that does not depend on how they were found.
+        used = set(used_sorted)
         # Release this net's unused escape reservations: once routed,
         # later nets may pass over its pins' spare landings.
         state.release_reservations(name, used)
         book.net_nodes[name] = used
-        book.pin_nodes[name] = set(comp.pins)
-        book.patch_counts[name] = comp.patch_count
-        book.result.paths[name] = comp.paths
+        book.pin_nodes[name] = pins
+        book.patch_counts[name] = patch_count
+        book.result.paths[name] = paths
         get_metrics().count("droute.nets_routed")
 
     # ------------------------------------------------------------- patching

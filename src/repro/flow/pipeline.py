@@ -8,9 +8,7 @@ is the only record of time: ``FlowResult.runtime`` is a view of it.
 Stages are fault-isolated (``repro.guard``): an exception inside a
 stage marks ``FlowResult.failed`` with a :class:`FailureReport`
 (stage, exception, traceback, partial metrics) instead of crashing, so
-callers always get back whatever the flow managed to produce.  Each
-stage also passes a ``fault_point`` (``flow.GR`` etc.) so the recovery
-paths are testable.
+callers always get back whatever the flow managed to produce.
 """
 
 from __future__ import annotations
@@ -26,7 +24,7 @@ from repro.evalmetrics import QualityScore, evaluate
 from repro.core import CrpConfig, CrpFramework, CrpResult
 from repro.baseline import FontanaBaseline, FontanaResult
 import repro.ckpt as ckpt
-from repro.guard import FailureReport, fault_point, gc_paused
+from repro.guard import FailureReport, gc_paused
 from repro.obs import Span, ensure_observation
 
 
@@ -137,11 +135,7 @@ def run_flow(
 
 @contextmanager
 def _stage(result: FlowResult, name: str, metrics) -> Iterator[None]:
-    """Isolate one stage: convert its death to a FailureReport.
-
-    The stage body must call ``fault_point("flow.<name>")`` as its first
-    statement (a context manager cannot raise before its ``yield``).
-    """
+    """Isolate one stage: convert its death to a FailureReport."""
     try:
         yield
     except Exception as exc:  # repro: noqa:REPRO-G002 — isolation is the point; a dead stage becomes a FailureReport, not a crash
@@ -165,7 +159,6 @@ def _run_stages(
 ) -> None:
     """The stage sequence, inside the open ``flow.run`` span."""
     with tracer.span("flow.GR"), _stage(result, "GR", metrics):
-        fault_point("flow.GR")
         router = GlobalRouter(design)
         router.route_all()
     if result.failed:
@@ -174,14 +167,12 @@ def _run_stages(
     if mode == "crp":
         framework = CrpFramework(design, router, config)
         with tracer.span("flow.CRP"), _stage(result, "CRP", metrics):
-            fault_point("flow.CRP")
             result.crp = framework.run(crp_iterations)
         if result.failed:
             return
     elif mode == "fontana":
         baseline = FontanaBaseline(design, router)
         with tracer.span("flow.BASELINE"), _stage(result, "BASELINE", metrics):
-            fault_point("flow.BASELINE")
             result.fontana = baseline.run()
         if result.failed:
             return
@@ -204,7 +195,6 @@ def _run_stages(
         return
 
     with tracer.span("flow.DR"), _stage(result, "DR", metrics):
-        fault_point("flow.DR")
         guides = router.guides()
         detailed = DetailedRouter(design)
         dr_result = detailed.route_all(guides)

@@ -10,7 +10,7 @@ router decomposes into 2-pin segments for pattern routing (Algorithm 3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.geom import Point, manhattan
 

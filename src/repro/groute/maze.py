@@ -20,7 +20,6 @@ from itertools import count
 
 from repro.grid import CostField, RoutingGraph
 from repro.grid.field import WIRE_WEIGHT
-from repro.guard.faults import fault_point
 from repro.obs import get_metrics
 
 Node = tuple[int, int, int]  # (layer, gx, gy)
@@ -64,9 +63,6 @@ def maze_route(
         return None
     if sources & targets:
         return []
-    # "disconnect" forces the no-path result; a "fail" fault raises here.
-    if fault_point("groute.maze") is not None:
-        return None
     lo_x, hi_x, lo_y, hi_y = _window(graph, sources, targets, margin)
     wire_cost = field.wire_cost_maps()  # refreshes the field once
     via_cost = field.via_cost

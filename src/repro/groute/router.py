@@ -107,12 +107,8 @@ class GlobalRouter:
         """Route every net, then run rip-up-and-reroute on overflows."""
         tracer = get_tracer()
         with tracer.span("groute.initial"):
-            order = sorted(
-                self.design.nets.values(),
-                key=lambda n: (self.design.net_hpwl(n), n.name),
-            )
-            for net in order:
-                self.route_net(net.name)
+            for name in self.design.routing_order(self.design.nets):
+                self.route_net(name)
         self.improve(rrr_passes)
 
     def improve(self, rrr_passes: int = 3) -> int:
@@ -264,11 +260,7 @@ class GlobalRouter:
         """Rip up and pattern-reroute nets (CR&P's Update Database step)."""
         for name in net_names:
             self.rip_up(name)
-        ordered = sorted(
-            net_names,
-            key=lambda n: (self.design.net_hpwl(self.design.nets[n]), n),
-        )
-        for name in ordered:
+        for name in self.design.routing_order(net_names):
             self.route_net(name)
 
     # ----------------------------------------------------------------- RRR
@@ -294,10 +286,7 @@ class GlobalRouter:
         metrics = get_metrics()
         metrics.count("groute.rrr_passes")
         metrics.count("groute.rrr_victims", min(len(victims), max_nets))
-        victims.sort(
-            key=lambda n: (self.design.net_hpwl(self.design.nets[n]), n)
-        )
-        for name in victims[:max_nets]:
+        for name in self.design.routing_order(victims)[:max_nets]:
             self._maze_reroute(name)
         return True
 

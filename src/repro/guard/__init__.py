@@ -1,14 +1,16 @@
 """``repro.guard`` — fault-tolerant execution for the whole flow.
 
-Two pillars, wired through ``ilp``/``groute``/``core``/``flow``:
+Two pillars, wired through ``core`` and ``flow``:
 
 * **Transactions** (:mod:`repro.guard.transaction`): every CR&P
   iteration snapshots cell positions + dirty-net routes, verifies
   legality / demand-accounting / cost-monotonicity invariants, and
   rolls back on violation, counting ``guard.rollbacks``.
-* **Fault injection** (:mod:`repro.guard.faults`): deterministic
-  exceptions and forced statuses at named sites, so the test suite
-  proves every recovery path actually runs.
+* **A forced violation** (:mod:`repro.guard.faults`): a
+  :class:`FaultPlan` armed at ``crp.invariants`` makes the next
+  iteration check fail, so a flow can be made to roll back on demand.
+  Tests reach the other recovery paths by monkeypatching the boundary
+  they cross.
 
 Beside them, :func:`gc_paused` (:mod:`repro.guard.gcpause`) keeps the
 cyclic collector off for a flow or a detailed-routing call and restores
@@ -21,12 +23,7 @@ crash, and the CLI exits non-zero.
 
 from repro.guard.report import FailureReport
 from repro.guard.gcpause import gc_paused
-from repro.guard.faults import (
-    FaultInjected,
-    FaultPlan,
-    fault_point,
-    use_faults,
-)
+from repro.guard.faults import FaultPlan, fault_point, use_faults
 from repro.guard.transaction import (
     IterationTransaction,
     iteration_violations,
@@ -35,7 +32,6 @@ from repro.guard.transaction import (
 __all__ = [
     "FailureReport",
     "gc_paused",
-    "FaultInjected",
     "FaultPlan",
     "fault_point",
     "use_faults",

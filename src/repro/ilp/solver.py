@@ -11,19 +11,15 @@ Nothing here retries or degrades.  A status other than OPTIMAL reaches
 the caller, whose ``not solution.ok`` branch keeps every cell where it
 is; an exception propagates to ``run_flow``'s stage isolation, which
 turns it into a ``FailureReport``.
-
-The HiGHS call passes the ``ilp.scipy`` ``fault_point`` first, so tests
-can force an exception or a status there.
 """
 
 from __future__ import annotations
 
 import time
 
-from repro.guard.faults import fault_point
 from repro.ilp import scipy_backend
 from repro.ilp.model import IlpModel
-from repro.ilp.solution import Solution, SolveStatus
+from repro.ilp.solution import Solution
 from repro.obs import get_metrics, get_tracer
 
 
@@ -33,12 +29,7 @@ def solve(model: IlpModel) -> Solution:
     with get_tracer().span("ilp.solve", variables=model.num_variables):
         t0 = time.perf_counter()
         try:
-            # a status name forced at the fault site stands in for the solve
-            forced = fault_point("ilp.scipy")
-            if forced is None:
-                solution = scipy_backend.solve_scipy(model)
-            else:
-                solution = Solution(status=SolveStatus(forced))
+            solution = scipy_backend.solve_scipy(model)
         except Exception:
             metrics.count("ilp.solves")
             metrics.count("ilp.status.error")

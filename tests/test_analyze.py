@@ -240,7 +240,7 @@ class TestBroadExcept:
             """
             try:
                 work()
-            except FaultInjected:
+            except KeyError:
                 record()
                 raise
             except Exception:

@@ -24,6 +24,7 @@ from repro.droute import indexed
 from repro.droute import router as router_module
 from repro.droute.access import access_nodes
 from repro.droute.astar import SearchParams
+from repro.droute.drc import DrcKind
 from repro.droute.indexed import astar_connect_indexed, pocket_closed
 from repro.droute.lattice import TrackLattice
 from repro.droute.obstacles import BLOCKED
@@ -364,12 +365,14 @@ def test_enclosed_pin_skips_the_hard_search(tech45):
     for layer, ix, iy in access_nodes(design, router.lattice, net.pins[1]):
         state.occupancy[state.nid_of((layer + 1, ix, iy))] = enemy
 
+    book = router_module._RouteBook()
     with observe() as obs:
-        comp = router._net_compute(net, guide_rects, state)
+        router._route_net(net, guide_rects, state, book)
     registry = obs.metrics
     assert registry.counter("droute.hard_skipped") == 1
     assert registry.counter("droute.astar_calls") == 1  # the soft fallback only
-    assert comp.paths and not comp.opens
+    assert book.result.paths["n"]
+    assert not any(v.kind is DrcKind.OPEN for v in book.result.violations)
 
 
 def test_open_corridor_runs_the_hard_search(tech45):

@@ -19,6 +19,7 @@ from helpers import RecordingLegalizer, fresh_small, slots_overlap
 from oracles.crp import full_recompute
 
 from repro.core.config import CrpConfig
+import repro.core.crp as crp_module
 from repro.core.crp import CrpFramework
 from repro.core.estimate import estimate_candidate_cost
 from repro.core.candidates import MAX_TARGETS, MoveCandidate, generate_candidates
@@ -26,7 +27,7 @@ from repro.core.fastecc import EccCache
 from repro.core.labeling import label_critical_cells
 from repro.groute import GlobalRouter
 from repro.groute.costcache import NetCostCache
-from repro.guard import FaultPlan, IterationTransaction, use_faults
+from repro.guard import IterationTransaction
 from repro.legalizer import WindowLegalizer
 from repro.obs import observe
 
@@ -274,14 +275,16 @@ def test_framework_fast_slow_parity(seed):
     assert run_iterations(seed, fast=True) == run_iterations(seed, fast=False)
 
 
-def test_guarded_rollback_keeps_parity():
+def test_guarded_rollback_keeps_parity(monkeypatch):
+    # every iteration's check reports a violation, so every one rolls back
+    monkeypatch.setattr(crp_module, "iteration_violations", lambda *args: ["forced"])
+
     def run(fast: bool):
         design = fresh_small(seed=55)
         router = GlobalRouter(design)
         router.route_all(rrr_passes=2)
         framework = CrpFramework(design, router, CrpConfig())
-        rollbacks = FaultPlan().force("crp.invariants", "forced", times=-1)
-        with arm(framework, fast), use_faults(rollbacks):
+        with arm(framework, fast):
             result = framework.run(iterations=2)
         return snapshot(design, router), [
             stats.rolled_back for stats in result.iterations

@@ -9,7 +9,7 @@ from repro.ilp import IlpModel, SolveStatus, solve
 
 from oracles.exhaustive import is_feasible, solve_exhaustive
 
-#: HiGHS (under the name of its fault site) and the enumeration that
+#: HiGHS (under the name of its backend module) and the enumeration that
 #: ``test_backends_agree`` holds it to, so the reference is itself held
 #: to the known answers
 SOLVERS = {"scipy": solve, "exhaustive": solve_exhaustive}
