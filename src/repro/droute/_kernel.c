@@ -32,6 +32,7 @@ typedef struct {
     const int64_t *guide_epoch;
     int64_t *gate;
     const int32_t *horizontal; /* per layer: preferred direction is x */
+    const double *history;     /* per node: negotiated cost, never < 0 */
     int32_t nx, ny, num_layers, min_wire_layer;
     int64_t pitch;
     double via_cost, jog_factor, conflict_penalty;
@@ -202,6 +203,7 @@ int64_t drk_search(Index *x,
     double *g_score = x->g_score;
     int64_t *target_epoch = x->target_epoch, *gate = x->gate;
     const int64_t *guide_epoch = x->guide_epoch;
+    const double *history = x->history;
     int32_t nx = x->nx, ny = x->ny;
     int has_guide = guide_stamp >= 0;
     int64_t count = 0, seq = 0;
@@ -279,7 +281,8 @@ int64_t drk_search(Index *x,
                 continue;
             int32_t nnid = nid + d->dnid;
             double gs = g_score[nnid];
-            double tentative = g + d->cost;
+            double hist = history[nnid];
+            double tentative = g + (d->cost + hist);
             if (tentative >= gs - SLACK)
                 continue;
             int64_t gv = gate[nnid];
@@ -312,7 +315,7 @@ int64_t drk_search(Index *x,
             if (code == 0) {
                 f = tentative + h_weight * h;
             } else {
-                tentative = g + (code == 1 || code == INSIDE + 1 ? d->penal : d->cost);
+                tentative = g + ((code == 1 || code == INSIDE + 1 ? d->penal : d->cost) + hist);
                 if (tentative >= gs - SLACK)
                     continue;
                 f = tentative + h_weight * h - (code >= INSIDE ? toll : 0.0);

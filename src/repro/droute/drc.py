@@ -6,7 +6,8 @@ Three rule classes matter on a spacing-clean track lattice:
   crossing another net's pin/obstruction),
 * **min-area** — a net's connected metal patch on one layer too small
   to satisfy the layer's minimum-area rule, unless a pin pad supplies
-  the area,
+  the area (found as the router patches each net; see
+  ``DetailedRouter._patch_min_area``),
 * **open** — a terminal the router could not reach at all.
 """
 
@@ -16,7 +17,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 
-from repro.droute.lattice import LNode, TrackLattice
+from repro.droute.lattice import LNode
 
 
 class DrcKind(str, Enum):
@@ -74,55 +75,4 @@ def check_shorts(
                     node=(layer, *seed),
                 )
             )
-    return violations
-
-
-def check_min_area(
-    lattice: TrackLattice,
-    net_nodes: dict[str, set[LNode]],
-    pin_nodes: dict[str, set[LNode]],
-) -> list[DrcViolation]:
-    """Minimum-area violations per net/layer connected component."""
-    violations: list[DrcViolation] = []
-    pitch = lattice.pitch
-    for net, nodes in net_nodes.items():
-        per_layer: dict[int, set[tuple[int, int]]] = defaultdict(set)
-        for layer, ix, iy in nodes:
-            per_layer[layer].add((ix, iy))
-        exempt = pin_nodes.get(net, set())
-        for layer, points in per_layer.items():
-            tech_layer = lattice.tech.layers[layer]
-            if tech_layer.min_area <= 0:
-                continue
-            remaining = set(points)
-            while remaining:
-                seed = remaining.pop()
-                component = {seed}
-                stack = [seed]
-                while stack:
-                    ix, iy = stack.pop()
-                    for nxt in (
-                        (ix + 1, iy),
-                        (ix - 1, iy),
-                        (ix, iy + 1),
-                        (ix, iy - 1),
-                    ):
-                        if nxt in remaining:
-                            remaining.remove(nxt)
-                            component.add(nxt)
-                            stack.append(nxt)
-                if any((layer, ix, iy) in exempt for ix, iy in component):
-                    continue
-                length = (len(component) - 1) * pitch
-                area = (length + tech_layer.width) * tech_layer.width
-                if area < tech_layer.min_area:
-                    ix, iy = seed
-                    violations.append(
-                        DrcViolation(
-                            kind=DrcKind.MIN_AREA,
-                            layer=layer,
-                            net_a=net,
-                            node=(layer, ix, iy),
-                        )
-                    )
     return violations

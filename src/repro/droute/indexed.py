@@ -3,11 +3,12 @@
 Addressing scheme: every lattice node ``(layer, ix, iy)`` maps to a flat
 node id ``nid = (layer * ny + iy) * nx + ix``; net names are interned to
 small ints (``FREE = 0``, ``BLOCKED_ID = 1``, nets from 2).  All per-node
-state -- ownership, wire occupancy, ``g_score``/``came_from``, target and
-guide membership, the passability cache ``gate`` -- lives in typed
-``array.array`` buffers indexed by nid: ``owner``, ``occupancy`` and
-``came_from`` as ``i``, ``g_score`` as ``d``, the stamps ``target_epoch``,
-``guide_epoch`` and ``gate`` as ``q`` (64 bits, so they never wrap).
+state -- ownership, wire occupancy, negotiated ``history`` cost,
+``g_score``/``came_from``, target and guide membership, the passability
+cache ``gate`` -- lives in typed ``array.array`` buffers indexed by nid:
+``owner``, ``occupancy`` and ``came_from`` as ``i``, ``history`` and
+``g_score`` as ``d``, the stamps ``target_epoch``, ``guide_epoch`` and
+``gate`` as ``q`` (64 bits, so they never wrap).
 
 The A* search and the pocket look run in ``_kernel.c``, which reads and
 writes those buffers in place through ``ctypes``.  :func:`load_kernel`
@@ -34,7 +35,7 @@ rule -- so paths, costs, conflict lists and expansion counts are
 byte-identical; the parity suite installs the oracle through
 :meth:`DetailedRouter.begin_session`.
 
-:class:`DrouteIndex` is also the router's *session state*: the eight
+:class:`DrouteIndex` is also the router's *session state*: the nine
 methods under "session state" are everything
 :class:`~repro.droute.router.DetailedRouter` asks of it, and the only
 seam a test needs to substitute the reference.
@@ -131,6 +132,7 @@ def load_kernel() -> types.SimpleNamespace:
             (name, c_void_p) for name in (
                 "owner", "occupancy", "came_from", "g_score",
                 "target_epoch", "guide_epoch", "gate", "horizontal",
+                "history",
             )
         ] + [
             (name, c_int32) for name in ("nx", "ny", "num_layers", "min_wire_layer")
@@ -201,7 +203,7 @@ class DrouteIndex:
 
     __slots__ = (
         "lattice", "nx", "ny", "num_layers", "num_nodes",
-        "names", "ids", "owner", "occupancy",
+        "names", "ids", "owner", "occupancy", "history",
         "g_score", "came_from", "target_epoch", "guide_epoch",
         "gate", "epoch", "guide_stamp", "gate_stamp",
         "reservations", "params", "margin",
@@ -235,6 +237,10 @@ class DrouteIndex:
         for (layer, ix, iy), name in owner_map.items():
             self.owner[(layer * ny + iy) * nx + ix] = self.intern(name)
         self.occupancy = array("i", bytes(4 * n))
+        #: cost every search adds to a step onto the node, grown by the
+        #: router's negotiation rounds (:meth:`add_history`): never
+        #: negative, and a whole dbu count, so the toll shift stays exact
+        self.history = array("d", bytes(8 * n))
         #: inf / -1 everywhere between searches; the kernel restores what
         #: a search wrote on the way out
         self.g_score = array("d", [_INF]) * n
@@ -263,7 +269,7 @@ class DrouteIndex:
                 buf.buffer_info()[0] for buf in (
                     self.owner, self.occupancy, self.came_from, self.g_score,
                     self.target_epoch, self.guide_epoch, self.gate,
-                    self._horizontal,
+                    self._horizontal, self.history,
                 )
             ),
             nx, ny, num_layers, lattice.min_wire_layer, lattice.pitch,
@@ -420,6 +426,11 @@ class DrouteIndex:
             if occupancy[nid] == net_id:
                 occupancy[nid] = 0
 
+    def add_history(self, nodes, amount: float) -> None:
+        history = self.history
+        for node in nodes:
+            history[self.nid_of(node)] += amount
+
 
 def pocket_closed(
     index: DrouteIndex,
@@ -515,9 +526,10 @@ def astar_connect_indexed(
 
     *Relax*, cheapest test first:
 
-    1. a *dominance filter* -- the penalty-free ``g + step`` must already
-       beat the incumbent ``g_score``; penalties only grow the cost and
-       float addition is monotone, so any relax it skips was doomed,
+    1. a *dominance filter* -- the penalty-free ``g + (step +
+       history)`` must already beat the incumbent ``g_score``; penalties
+       only grow the cost and float addition is monotone, so any relax it
+       skips was doomed,
     2. the ``gate`` passability cache -- guide membership, owner,
        occupancy and target membership are static for one search, so
        they collapse into one per-node code written on first touch:
@@ -525,13 +537,15 @@ def astar_connect_indexed(
        is one) is a wall; a ``BLOCKED`` owner is passable only on a
        target and never penalized; a foreign owner or foreign wire is
        penalized when soft or on a target and a wall otherwise,
-    3. for a penalized node, the filter again with ``g + step +
-       conflict_penalty`` --
+    3. for a penalized node, the filter again with ``g + ((step +
+       conflict_penalty) + history)`` --
 
     and only then the heuristic for the push, ``h_weight * (pitch * (dx
     + dy) + via_cost * dl)`` to the targets' bounding box: the planar
     part an exact integer, so every accepted ``tentative`` and every
-    ``f`` is the oracle's float exactly.
+    ``f`` is the oracle's float exactly.  ``history`` is never negative
+    -- it only adds to a step, so the estimate stays admissible -- and a
+    whole dbu count, so every sum below stays exact.
 
     *Toll.*  ``toll > 0`` is ``DrouteIndex.connect``'s promise that the
     last stamp block taken before this search's is a closed

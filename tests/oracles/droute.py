@@ -15,26 +15,33 @@ its place; :func:`pocket_look`, the backward look of
 *toll* it proves for a soft search -- ``astar_connect`` takes it in the
 textbook form, ``h(n) + toll`` for every node outside the look's marked
 set, at weight 1.0.  A hard search the look calls closed is still run
-here, and must come back ``None``.
+here, and must come back ``None``.  The negotiated history cost: a
+``history`` dict on ``_DictState``, added to every step's cost after the
+conflict penalty, as ``_kernel.c`` adds its per-node buffer.
 
 :class:`OracleDetailedRouter` installs the reference through the one
 seam the router has: :meth:`DetailedRouter.begin_session` builds the
-session state, and everything else talks to it through the eight state
+session state, and everything else talks to it through the nine state
 methods (``guide_region, connect, polyline_clear, patch_free,
-holder_name, commit_used, release_reservations, rip``).
+holder_name, commit_used, release_reservations, rip, add_history``).
+
+:func:`min_area_islands` / :func:`check_min_area` are the independent
+min-area checker: every net's components per layer, scanned from the
+final node sets, which the router's island record must equal.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import deque
+from collections import defaultdict, deque
 
 from repro.droute.astar import SearchParams, SearchResult
+from repro.droute.drc import DrcKind, DrcViolation
 from repro.droute import indexed as _indexed
 from repro.droute.indexed import guide_spans as _guide_spans
 from repro.droute.lattice import LNode, TrackLattice
 from repro.droute.obstacles import BLOCKED, build_obstacle_map
-from repro.droute.router import GUIDE_MARGIN_TRACKS, DetailedRouter, _nearest_pair
+from repro.droute.router import GUIDE_MARGIN_TRACKS, DetailedRouter
 from repro.obs import get_metrics
 
 
@@ -63,23 +70,21 @@ def fast_pattern_reference(
 ) -> SearchResult | None:
     """Clean L-shaped connections, every candidate built and checked.
 
-    Picks the closest (source, target) pair, then tries both bend
-    orders over the two nearest horizontal/vertical layer choices; the
-    first of the cheapest candidates whose every node after the source
-    is free for this net and inside the guides wins.
+    Picks the closest (source, target) pair, the first of equally close
+    ones, then tries both bend orders over the two nearest
+    horizontal/vertical layer choices; the first of the cheapest
+    candidates whose every node after the source is free for this net
+    and inside the guides wins.
     """
     lattice = router.lattice
-    if len(sources) * len(targets) <= 64:
-        src, dst = min(
-            ((s, t) for s in sources for t in targets),
-            key=lambda pair: (
-                abs(pair[0][1] - pair[1][1])
-                + abs(pair[0][2] - pair[1][2])
-                + abs(pair[0][0] - pair[1][0])
-            ),
-        )
-    else:
-        src, dst = _nearest_pair(sources, targets)
+    src, dst = min(
+        ((s, t) for s in sources for t in targets),
+        key=lambda pair: (
+            abs(pair[0][1] - pair[1][1])
+            + abs(pair[0][2] - pair[1][2])
+            + abs(pair[0][0] - pair[1][0])
+        ),
+    )
 
     def stack(ix: int, iy: int, l0: int, l1: int) -> list[LNode]:
         step = 1 if l1 >= l0 else -1
@@ -160,6 +165,7 @@ class _DictState:
         # Authoritative session occupancy; the indexed kernel keeps
         # its own dense mirror.
         self.occupancy: dict[LNode, str] = {}
+        self.history: dict[LNode, float] = {}
 
     def guide_region(self, net_guides, terminal_access):
         per_layer, bounds = _guide_spans(
@@ -201,6 +207,7 @@ class _DictState:
             soft=soft,
             toll=toll,
             marked=marked,
+            history=self.history,
         )
         # The search production skips: run here, to hold the look to it.
         assert not closed or soft or result is None
@@ -257,6 +264,11 @@ class _DictState:
         for node in nodes:
             if occupancy.get(node) == net_name:
                 del occupancy[node]
+
+    def add_history(self, nodes, amount: float) -> None:
+        history = self.history
+        for node in nodes:
+            history[node] = history.get(node, 0.0) + amount
 
 
 def pocket_look(
@@ -335,6 +347,7 @@ def astar_connect(
     soft: bool,
     toll: float = 0.0,
     marked: set[LNode] = frozenset(),
+    history: dict[LNode, float] | None = None,
 ) -> SearchResult | None:
     """Cheapest lattice path from ``sources`` to ``targets``.
 
@@ -345,6 +358,8 @@ def astar_connect(
     is the set of nodes inside the net's guides, and no path leaves it.
     ``toll`` is a penalty every path still owes until it touches a node
     of ``marked``; the estimate adds it there, and is then not inflated.
+    ``history`` (node -> cost, never negative) is added to every step
+    onto the node, after the conflict penalty.
     """
     if not sources or not targets:
         return None
@@ -371,6 +386,7 @@ def astar_connect(
 
     owner_get = owner.get
     occupancy_get = occupancy.get
+    history_get = (history or {}).get
     heappush = heapq.heappush
     heappop = heapq.heappop
 
@@ -462,6 +478,7 @@ def astar_connect(
                         if not soft and neighbour not in targets:
                             continue
                         step += conflict_penalty
+                step += history_get(neighbour, 0.0)
                 tentative = g + step
                 if tentative < g_score.get(neighbour, float("inf")) - 1e-9:
                     g_score[neighbour] = tentative
@@ -497,3 +514,69 @@ def _build_result(
         if holder is not None and holder != net and holder != BLOCKED:
             conflicts.append(p)
     return SearchResult(path=path, cost=cost, conflicts=conflicts)
+
+
+# ---------------------------------------------------------------- min-area
+
+
+def min_area_islands(
+    lattice: TrackLattice,
+    net_nodes: dict[str, set[LNode]],
+    pin_nodes: dict[str, set[LNode]],
+) -> set[tuple[str, int, frozenset[tuple[int, int]]]]:
+    """``(net, layer, component)`` of every planar component of a net's
+    nodes on a min-area layer that holds no pin node and whose area
+    (its nodes as one wire of the layer's width) is under the rule."""
+    islands = set()
+    pitch = lattice.pitch
+    for net, nodes in net_nodes.items():
+        per_layer: dict[int, set[tuple[int, int]]] = defaultdict(set)
+        for layer, ix, iy in nodes:
+            per_layer[layer].add((ix, iy))
+        exempt = pin_nodes.get(net, set())
+        for layer, points in per_layer.items():
+            tech_layer = lattice.tech.layers[layer]
+            if tech_layer.min_area <= 0:
+                continue
+            remaining = set(points)
+            while remaining:
+                seed = remaining.pop()
+                component = {seed}
+                stack = [seed]
+                while stack:
+                    ix, iy = stack.pop()
+                    for nxt in (
+                        (ix + 1, iy),
+                        (ix - 1, iy),
+                        (ix, iy + 1),
+                        (ix, iy - 1),
+                    ):
+                        if nxt in remaining:
+                            remaining.remove(nxt)
+                            component.add(nxt)
+                            stack.append(nxt)
+                if any((layer, ix, iy) in exempt for ix, iy in component):
+                    continue
+                length = (len(component) - 1) * pitch
+                area = (length + tech_layer.width) * tech_layer.width
+                if area < tech_layer.min_area:
+                    islands.add((net, layer, frozenset(component)))
+    return islands
+
+
+def check_min_area(
+    lattice: TrackLattice,
+    net_nodes: dict[str, set[LNode]],
+    pin_nodes: dict[str, set[LNode]],
+) -> list[DrcViolation]:
+    """One min-area violation per island, at its smallest node."""
+    return [
+        DrcViolation(
+            kind=DrcKind.MIN_AREA, layer=layer, net_a=net,
+            node=(layer, *min(component)),
+        )
+        for net, layer, component in sorted(
+            min_area_islands(lattice, net_nodes, pin_nodes),
+            key=lambda island: (island[0], island[1], min(island[2])),
+        )
+    ]

@@ -13,7 +13,7 @@ from repro.droute import DetailedRouter, DrcKind, TrackLattice
 from repro.droute.access import access_nodes
 from repro.droute.astar import SearchParams
 from repro.droute.indexed import astar_connect_indexed, pocket_closed
-from repro.droute.drc import check_min_area, check_shorts
+from repro.droute.drc import check_shorts
 from repro.droute.obstacles import BLOCKED, build_obstacle_map
 from repro.groute import GlobalRouter
 
@@ -21,7 +21,7 @@ from helpers import (
     add_cell, add_two_pin_net, build_tiny_design, dr_searches, droute_index,
     fresh_small, lattice_nodes,
 )
-from oracles.droute import _DictState, astar_connect
+from oracles.droute import _DictState, astar_connect, check_min_area
 
 _TECH = build_tech("45nm")
 
@@ -375,24 +375,27 @@ def test_astar_randomized_parity_in_every_combination(tech45):
             )
 
 
-def _both_states(lattice, case, guide, params):
+def _both_states(lattice, case, guide, params, history=None):
     """``(state, guide handle)`` of the dict reference and of the flat index,
-    holding the same maps."""
+    holding the same maps and the same ``history`` (node -> cost)."""
     owner, occupancy, _, _, _ = case
     oracle = _DictState(lattice, owner, {}, params)
     oracle.occupancy = occupancy
     index, stamp = droute_index(lattice, owner, occupancy, guide)
     index.params = params
+    for state in (oracle, index):
+        for node, cost in (history or {}).items():
+            state.add_history([node], cost)
     return (oracle, guide), (index, stamp)
 
 
-def _same_connect(lattice, case, soft, guide, params):
+def _same_connect(lattice, case, soft, guide, params, history=None):
     """One problem through ``connect`` -- look, toll and search -- of both
     states; they must agree on everything, and the index must be left with
     no search state behind.  True when the look closed."""
     _, _, bounds, sources, targets = case
     found = []
-    for state, handle in _both_states(lattice, case, guide, params):
+    for state, handle in _both_states(lattice, case, guide, params, history):
         with dr_searches() as stats:
             result = state.connect(sources, targets, "n", bounds, handle, soft)
         found.append((
@@ -440,24 +443,33 @@ def test_connect_randomized_parity_with_the_look_and_the_toll(tech45):
     jog_factor=st.sampled_from((1.0, 1.5, 2.5, 3.0)),
     heuristic_weight=st.sampled_from((1.0, 1.15, 1.5)),
     max_expansions=st.sampled_from((1, 50, 400, 60000)),
+    history_density=st.sampled_from((0.0, 0.1, 0.4)),
+    history_step=st.one_of(st.sampled_from((200, 1400)), st.integers(1, 5000)),
 )
 def test_connect_parity_under_drawn_cost_constants(
     seed, sealed, via_cost, conflict_penalty, jog_factor, heuristic_weight,
-    max_expansions,
+    max_expansions, history_density, history_step,
 ):
     """The kernel against the dict oracle with the cost constants drawn too:
     multiples of the pitch and weights of 1.0 make equal-``f`` ties common,
-    so the queue's tie order is exercised, not only its ``f`` order."""
-    lattice, case, guide = _random_search_case(
-        random.Random(seed), _TECH, sealed=sealed
-    )
+    so the queue's tie order is exercised, not only its ``f`` order.  The
+    negotiated history is drawn as whole numbers of one whole-dbu step on
+    a share of the nodes, as the router's rounds leave it (a fractional
+    one would break the exact toll shift, see ``astar_connect_indexed``)."""
+    rng = random.Random(seed)
+    lattice, case, guide = _random_search_case(rng, _TECH, sealed=sealed)
     params = SearchParams(
         via_cost=via_cost, conflict_penalty=conflict_penalty,
         jog_factor=jog_factor, heuristic_weight=heuristic_weight,
         max_expansions=max_expansions,
     )
+    history = {
+        node: history_step * rng.randint(1, 3)
+        for node in lattice_nodes(lattice)
+        if rng.random() < history_density
+    }
     for soft, use_guide in ((False, guide), (False, None), (True, None)):
-        _same_connect(lattice, case, soft, use_guide, params)
+        _same_connect(lattice, case, soft, use_guide, params, history)
 
 
 # ------------------------------------------------------------------- drc

@@ -50,7 +50,7 @@ def signature(result):
     )
 
 
-def route_both(design_factory, min_tolled=0):
+def route_both(design_factory, min_tolled=0, min_bumps=0):
     """Route two fresh copies, oracle and indexed, along their global
     router's guides; return signatures.
 
@@ -58,11 +58,13 @@ def route_both(design_factory, min_tolled=0):
     per-search expansion counts are the oracle's, in order, less the hard
     searches the pocket look answered without running (the oracle runs
     them), and both arms ran the same number -- at least ``min_tolled``
-    -- of soft searches under a toll.
+    -- of soft searches under a toll, and grew the history of the same
+    number -- at least ``min_bumps`` -- of contested nodes.
     """
     sigs = []
     searches = []
     tolled = []
+    bumps = []
     for router_class in (OracleDetailedRouter, DetailedRouter):
         design = design_factory()
         gr = GlobalRouter(design)
@@ -75,12 +77,14 @@ def route_both(design_factory, min_tolled=0):
         hist = registry._histograms.get("droute.astar_expansions")
         searches.append(hist.values if hist is not None else [])
         tolled.append(registry.counter("droute.soft_tolled"))
+        bumps.append(registry.counter("droute.history_bumps"))
         skipped = registry.counter("droute.hard_skipped")  # the last arm's: the look's
         # the seam took: only the production arm ran on the flat arrays
         assert isinstance(router._state, DrouteIndex) == (
             router_class is DetailedRouter
         )
     assert tolled[0] == tolled[1] >= min_tolled
+    assert bumps[0] == bumps[1] >= min_bumps
     oracle_searches, indexed_searches = searches
     assert len(oracle_searches) < RESERVOIR_SIZE  # else the lists are samples
     assert len(indexed_searches) == len(oracle_searches) - skipped
@@ -122,11 +126,13 @@ def test_randomized_parity_with_guides(seed):
 
 
 def test_parity_through_ripup_rounds(monkeypatch):
-    """Conflict rip-up rounds (soft reroutes) stay bit-exact."""
+    """Negotiation rounds -- reroutes that pay the history cost -- stay
+    bit-exact."""
     monkeypatch.setattr(router_module, "DRC_ROUNDS", 3)
     oracle, indexed = route_both(
         lambda: fresh_small(seed=23, num_cells=100, num_nets=90,
                             utilization=0.8),
+        min_bumps=1,
     )
     assert indexed == oracle
 

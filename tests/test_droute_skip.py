@@ -1,17 +1,15 @@
 """Searches detailed routing does not run, and the one it runs knowing
-where it must cross: the pocket look, the toll it proves for a soft
-search, and the fixed-point exit from the conflict rounds.
+where it must cross: the pocket look and the toll it proves for a soft
+search.
 
 The look is held to the forward search and to the dict oracle on random
 lattices (it may only say "closed" when both return ``None``); the toll
 is held to the optimum (a tolled search costs what the un-inflated,
-unbounded flood costs); the exit is held to a conflict round run by
-hand after ``route_all`` has stopped.
+unbounded flood costs).
 """
 
 from __future__ import annotations
 
-import copy
 import random
 from unittest.mock import patch
 
@@ -34,11 +32,10 @@ from repro.obs import observe
 
 from helpers import (
     add_cell, add_two_pin_net, build_tiny_design, dr_searches, droute_index,
-    fresh_small, lattice_nodes,
+    lattice_nodes,
 )
 from oracles.droute import astar_connect
 from test_droute import _random_search_case
-from test_droute_indexed import signature
 
 _TECH = build_tech("45nm")
 
@@ -385,61 +382,3 @@ def test_open_corridor_runs_the_hard_search(tech45):
         )
     assert found is not None and not found.conflicts
     assert (stats.skipped, stats.calls) == (0, 1)
-
-
-# ------------------------------------------------------ fixed-point exit
-
-
-def _routed(drc_rounds, seed=1, num_nets=200):
-    """A dense design whose first conflict round leaves a short behind,
-    routed with ``drc_rounds`` conflict rounds."""
-    design = fresh_small(seed=seed, num_cells=120, num_nets=num_nets, utilization=0.9)
-    gr = GlobalRouter(design)
-    gr.route_all()
-    guides = gr.guides()
-    router = DetailedRouter(design)
-    with observe() as obs, patch.object(router_module, "DRC_ROUNDS", drc_rounds):
-        result = router.route_all(guides)
-    return router, guides, result, obs.metrics
-
-
-def test_round_after_the_fixed_point_changes_nothing():
-    router, guides, result, registry = _routed(drc_rounds=6)
-    assert registry.counter("droute.rrr_fixed_point") == 1
-    book, state = router._book, router._state
-    ripped = {name for pair in book.conflicts.values() for name in pair}
-    assert ripped and result.drv_counts().get("short")
-
-    def snapshot():
-        return copy.deepcopy((
-            list(result.paths.items()),
-            list(book.net_nodes.items()),
-            list(book.conflicts.items()),
-            sorted(result.violations, key=repr),
-            list(book.patch_counts.items()),
-            state.owner,
-            state.occupancy,
-        ))
-
-    before = snapshot()
-    router._rrr_round(ripped, guides, state, book)
-    assert snapshot() == before
-
-
-def test_more_rounds_than_needed_return_the_same_result():
-    _, _, two, registry_two = _routed(drc_rounds=2)
-    _, _, six, registry_six = _routed(drc_rounds=6)
-    assert signature(six) == signature(two)
-    rounds = registry_two.counter("droute.rrr_rounds")
-    assert rounds == registry_six.counter("droute.rrr_rounds") == 1
-    assert registry_six.counter("droute.astar_calls") == registry_two.counter(
-        "droute.astar_calls"
-    )
-
-
-def test_changing_rip_set_runs_every_round():
-    # Round 1 rips four nets, round 2 two of them: not a fixed point yet.
-    _, _, _, registry = _routed(drc_rounds=2, seed=7, num_nets=260)
-    assert registry.counter("droute.rrr_rounds") == 2
-    assert registry.counter("droute.ripped_nets") == 6
-    assert registry.counter("droute.rrr_fixed_point") == 0
