@@ -9,8 +9,9 @@ designs, so this reimplementation keeps both characteristics:
 
 * every movable cell is a candidate, processed in database order;
 * the movement target is the free slot nearest the cell's median;
-* estimation uses ``CostField(graph, use_penalty=False)`` (length + vias
-  only);
+* estimation prices every candidate through CR&P's batched ECC
+  (:class:`repro.core.fastecc.EccCache`) on
+  ``CostField(graph, use_penalty=False)`` (length + vias only);
 * an ILP picks the move subset, excluding pairs that share a net.
 
 Runtime scales with the full cell count (vs. CR&P's capped critical
@@ -29,6 +30,7 @@ from repro.legalizer import WindowLegalizer
 from repro.legalizer.median import median_position
 from repro.core.candidates import MoveCandidate
 from repro.core.estimate import estimate_candidate_cost
+from repro.core.fastecc import EccCache
 from repro.core.select import choice_model, chosen_candidates, conflict_rows
 from repro.core.update import apply_moves
 
@@ -73,12 +75,15 @@ class FontanaBaseline:
             if len(options) > 1:
                 candidates[name] = options
 
-        with self.router.pattern3d.using(self._flat_field):
-            for options in candidates.values():
-                for candidate in options:
-                    candidate.route_cost = estimate_candidate_cost(
-                        design, self.router, candidate
-                    )
+        flat = [
+            candidate for options in candidates.values() for candidate in options
+        ]
+        cache = EccCache(self.router, self._flat_field)
+        cache.prefetch(design, flat)
+        for candidate in flat:
+            candidate.route_cost = estimate_candidate_cost(
+                design, self.router, candidate, cache
+            )
 
         chosen = self._select(candidates)
         update = apply_moves(design, self.router, chosen)

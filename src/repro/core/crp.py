@@ -126,16 +126,12 @@ class CrpFramework:
                 # state, so nothing invalidates the memo within it —
                 # and every segment of the iteration is priced in
                 # one batch; the per-candidate calls then only sum.
-                cache = EccCache()
-                with self.router.pattern3d.using(self._estimate_field):
-                    cache.prefetch(self.design, self.router, flat)
-                    for candidate in flat:
-                        candidate.route_cost = estimate_candidate_cost(
-                            self.design,
-                            self.router,
-                            candidate,
-                            cache=cache,
-                        )
+                cache = EccCache(self.router, self._estimate_field)
+                cache.prefetch(self.design, flat)
+                for candidate in flat:
+                    candidate.route_cost = estimate_candidate_cost(
+                        self.design, self.router, candidate, cache
+                    )
 
             with tracer.span("crp.ILP"):
                 chosen = select_moves(self.design, candidates)

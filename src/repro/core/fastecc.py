@@ -1,8 +1,9 @@
-"""Iteration-scoped ECC pricing cache (the fast Algorithm 3 kernel).
+"""Iteration-scoped ECC pricing cache (Algorithm 3).
 
-The ECC step is a pure read of a frozen demand state, so all of an
-iteration's pricing work is known before any of it is done.
-:class:`EccCache` runs it as **collect -> price -> sum**:
+The ECC step is a pure read of a frozen demand state, so all of a
+pricing pass's work is known before any of it is done.  CR&P and the
+[18] comparator both price through one :class:`EccCache`, built on the
+cost field they price against, and run it as **collect -> price -> sum**:
 
 * **collect** (:meth:`EccCache.prefetch`) walks every net of every
   candidate once.  The (layer, gx, gy) node of every pin whose cell is
@@ -17,23 +18,25 @@ iteration's pricing work is known before any of it is done.
   run-direction signature (``H``, ``V``, ``HV``, ``VH``, ``HVH``,
   ``VHV``), run costs are gathered from the ``CostField`` prefix arrays
   as ``[layers, paths]`` blocks, and the layer-assignment DP of
-  :meth:`PatternRouter3D.route_cost` runs vectorized over the path
-  axis, once per signature;
+  :meth:`PatternRouter3D.plan` runs vectorized over the path axis, once
+  per signature;
 * **sum** (:meth:`EccCache.net_cost`, reached once per net through the
-  unchanged ``estimate_candidate_cost`` loop) adds the memoized prices
-  of a plan in edge order.
+  ``estimate_candidate_cost`` loop) adds the memoized prices of a plan
+  in edge order.
 
-Bit-parity contract: ``net_cost`` returns the exact float the uncached
-:func:`repro.core.estimate.estimate_net_cost` would compute.  The
-batched DP applies the scalar recurrence elementwise — the same IEEE
-operation on the same operands for every (path, layer) — and ``min``
-over an axis is a selection, not a reduction-order-dependent sum; the
-per-net total adds the same floats in the same order.  A net that was
-never prefetched is planned and priced on the spot through the same two
-steps (a batch of one net), so there is one pricer.
+Bit-parity contract: ``net_cost`` returns the exact float of the scalar
+pricer — the strict-``<`` scan of ``PatternRouter3D.plan(...).value``
+over ``pattern_paths_2d`` per tree edge, summed in edge order — kept as
+the reference in ``tests/oracles/crp.py``.  The batched DP applies the
+scalar recurrence elementwise — the same IEEE operation on the same
+operands for every (path, layer) — and ``min`` over an axis is a
+selection, not a reduction-order-dependent sum; the per-net total adds
+the same floats in the same order.  A net that was never prefetched is
+planned and priced on the spot through the same two steps (a batch of
+one net), so there is one pricer.
 
 The cache holds no routing state of its own, so its lifetime must not
-span a demand or placement mutation — CR&P builds one per iteration.
+span a demand or placement mutation — each pricing pass builds one.
 
 Invalidation rule: none within a lifetime, by construction — the ECC
 step is a pure read of the routing state.  Anything that mutates demand
@@ -50,6 +53,7 @@ import numpy as np
 from repro.geom import Orientation, Point
 from repro.db import Design, Net
 from repro.flute import build_rsmt
+from repro.grid import CostField
 from repro.groute.patterns import pattern_paths_2d
 from repro.obs import get_metrics
 from repro.core.estimate import candidate_scope, overridden_node
@@ -60,11 +64,21 @@ SegmentKey = tuple[int, int, int, int, int, "int | None"]
 
 
 class EccCache:
-    """Per-iteration memo of terminal lists, RSMTs, plans, and segment prices."""
+    """Per-pass memo of terminal lists, RSMTs, plans, and segment prices.
 
-    __slots__ = ("_fixed", "_trees", "_plans", "_segments")
+    Prices against ``field`` with the pattern router's per-direction
+    layer lists: ``router.field`` for CR&P, a penalty-free field for the
+    ablation and for [18].
+    """
 
-    def __init__(self) -> None:
+    __slots__ = (
+        "_router", "_field", "_dir_layers", "_fixed", "_trees", "_plans", "_segments"
+    )
+
+    def __init__(self, router, field: CostField) -> None:
+        self._router = router
+        self._field = field
+        self._dir_layers = router.pattern3d.dir_layers
         #: net name -> [(pin, fixed node)] in pin order
         self._fixed: dict[str, list[tuple[object, Node]]] = {}
         #: ordered (x, y) terminal tuple -> RSMT
@@ -76,7 +90,7 @@ class EccCache:
 
     # -------------------------------------------------------------- pricing
 
-    def prefetch(self, design: Design, router, candidates) -> None:
+    def prefetch(self, design: Design, candidates) -> None:
         """Plan every net of ``candidates`` and price what is new, in one batch.
 
         Afterwards :func:`repro.core.estimate.estimate_candidate_cost`
@@ -89,23 +103,22 @@ class EccCache:
             for net in nets:
                 plan_key = (net.name, moves)
                 if plan_key not in self._plans:
-                    self._plan(design, router, net, overrides, plan_key, pending)
-        self._price(router.pattern3d, pending)
+                    self._plan(design, net, overrides, plan_key, pending)
+        self._price(pending)
 
     def net_cost(
         self,
         design: Design,
-        router,
         net: Net,
         overrides: dict[str, tuple[int, int, Orientation]],
     ) -> float:
-        """Cached twin of :func:`repro.core.estimate.estimate_net_cost`."""
+        """Virtual FLUTE + 3D-pattern-route cost of one net (uncommitted)."""
         plan_key = (net.name, tuple(overrides.items()))
         plan = self._plans.get(plan_key)
         if plan is None:
             pending: dict[SegmentKey, None] = {}
-            plan = self._plan(design, router, net, overrides, plan_key, pending)
-            self._price(router.pattern3d, pending)
+            plan = self._plan(design, net, overrides, plan_key, pending)
+            self._price(pending)
         get_metrics().count("crp.ecc_cache_hits", len(plan))
         segments = self._segments
         total = 0.0
@@ -118,7 +131,6 @@ class EccCache:
     def _plan(
         self,
         design: Design,
-        router,
         net: Net,
         overrides: dict[str, tuple[int, int, Orientation]],
         plan_key: tuple,
@@ -130,7 +142,7 @@ class EccCache:
         """
         plan: list[SegmentKey] = []
         self._plans[plan_key] = plan
-        terminals = self._terminals(design, router, net, overrides)
+        terminals = self._terminals(design, net, overrides)
         if len(terminals) < 2:
             return plan
         metrics = get_metrics()
@@ -146,7 +158,7 @@ class EccCache:
         for layer, gx, gy in terminals:
             layer_at.setdefault((gx, gy), layer)
 
-        min_wire = router.graph.min_wire_layer
+        min_wire = self._router.graph.min_wire_layer
         segments = self._segments
         misses = 0
         for a, b in tree.edges:
@@ -163,11 +175,11 @@ class EccCache:
         metrics.count("crp.ecc_cache_misses", misses)
         return plan
 
-    def _price(self, p3d, pending: dict[SegmentKey, None]) -> None:
+    def _price(self, pending: dict[SegmentKey, None]) -> None:
         if not pending:
             return
         keys = list(pending)
-        costs, paths = price_segments(p3d, keys)
+        costs, paths = price_segments(self._field, self._dir_layers, keys)
         self._segments.update(zip(keys, costs))
         metrics = get_metrics()
         metrics.count("crp.ecc_batches")
@@ -176,7 +188,6 @@ class EccCache:
     def _terminals(
         self,
         design: Design,
-        router,
         net: Net,
         overrides: dict[str, tuple[int, int, Orientation]],
     ) -> list[Node]:
@@ -185,7 +196,7 @@ class EccCache:
         if fixed is None:
             get_metrics().count("crp.ecc_cache_misses")
             fixed = []
-            grid = router.grid
+            grid = self._router.grid
             for pin in net.pins:
                 point = design.pin_point(pin)
                 layer = design.pin_layer(pin)
@@ -198,7 +209,9 @@ class EccCache:
         seen: set[Node] = set()
         for pin, fixed_node in fixed:
             if pin.cell is not None and pin.cell in overrides:
-                node = overridden_node(design, router, pin, overrides[pin.cell])
+                node = overridden_node(
+                    design, self._router, pin, overrides[pin.cell]
+                )
             else:
                 node = fixed_node
             if node not in seen:
@@ -208,9 +221,14 @@ class EccCache:
 
 
 def price_segments(
-    p3d, keys: list[SegmentKey]
+    field: CostField,
+    dir_layers: dict[bool, list[int]],
+    keys: list[SegmentKey],
 ) -> tuple[list[float | None], int]:
-    """Best ``route_cost`` over the pattern paths of every segment in ``keys``.
+    """Best DP value over the pattern paths of every segment in ``keys``.
+
+    ``field`` prices the runs and ``dir_layers`` holds the usable
+    layers per run direction (``PatternRouter3D.dir_layers``).
 
     Returns the prices aligned with ``keys`` (``None`` where no path has
     a usable layer in every run direction) and the number of pattern
@@ -219,7 +237,7 @@ def price_segments(
     zero-length run and alternates directions, so that pair *is* the
     run signature — and each group is one vectorized pass of
     ``PatternRouter3D._layer_dp`` plus the terminal ``min`` of
-    ``route_cost``, elementwise over ``[layers, paths]``:
+    ``PatternRouter3D.plan``, elementwise over ``[layers, paths]``:
 
     * ``cost = rc_0 + via_w * |L - src|`` for the first run,
     * ``cost = min_p(cost[p] + via_w * |L - p|) + rc_i`` per later run,
@@ -229,10 +247,9 @@ def price_segments(
     Each element sees the operands of the scalar recurrence in the
     scalar order, and every ``min``/``where`` selects one of the scalar
     candidates, so a price is the float the strict-``<`` scan of
-    ``route_cost`` over ``pattern_paths_2d`` returns, whatever else is
-    in the batch.
+    ``plan(...).value`` over ``pattern_paths_2d`` returns, whatever else
+    is in the batch.
     """
-    field = p3d.field
     field.ensure()
     via_w = field.via_cost
 
@@ -263,9 +280,8 @@ def price_segments(
         count=count,
     )
     pinned = dst >= 0
-    layer_lists = p3d._dir_layers
     layer_arrays = {
-        horizontal: np.asarray(layer_lists[horizontal], dtype=np.int64)
+        horizontal: np.asarray(dir_layers[horizontal], dtype=np.int64)
         for horizontal in (True, False)
     }
     best = np.full(count, np.inf)
@@ -274,8 +290,8 @@ def price_segments(
     for (points, first_horizontal), (coords, owners) in groups.items():
         num_paths += len(owners)
         used = (first_horizontal,) if points == 2 else (True, False)
-        if not all(layer_lists[horizontal] for horizontal in used):
-            continue  # a run direction without layers: route_cost is None
+        if not all(dir_layers[horizontal] for horizontal in used):
+            continue  # a run direction without layers: no plan
         owner = np.asarray(owners, dtype=np.intp)
         xy = np.array(coords, dtype=np.intp).reshape(len(owners), points, 2)
         horizontal = first_horizontal
@@ -285,7 +301,7 @@ def price_segments(
             along, across = (0, 1) if horizontal else (1, 0)
             p, q = xy[:, i, along], xy[:, i + 1, along]
             rc = field.run_cost_batch(
-                layer_lists[horizontal],
+                dir_layers[horizontal],
                 np.minimum(p, q),
                 np.maximum(p, q),
                 xy[:, i, across],

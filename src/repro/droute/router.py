@@ -87,7 +87,6 @@ class _RouteBook:
     #: shorted node -> (net that routed over it, net that held it)
     conflicts: dict[LNode, tuple[str, str]] = field(default_factory=dict)
     net_nodes: dict[str, set[LNode]] = field(default_factory=dict)
-    pin_nodes: dict[str, set[LNode]] = field(default_factory=dict)
     patch_counts: dict[str, int] = field(default_factory=dict)
     #: net -> the min-area islands its patching could not grow (only
     #: nets that have one)
@@ -337,7 +336,6 @@ class DetailedRouter:
         # later nets may pass over its pins' spare landings.
         state.release_reservations(name, used)
         book.net_nodes[name] = used
-        book.pin_nodes[name] = pins
         book.patch_counts[name] = patch_count
         if islands:
             book.islands[name] = islands
@@ -358,7 +356,8 @@ class DetailedRouter:
         Real detailed routers insert metal patches where via stacks leave
         isolated landing pads below the minimum-area rule; this models
         that by claiming free adjacent track nodes and charging their
-        wirelength.  Returns the patch node count and the islands that
+        wirelength; a step onto a node the net already holds claims and
+        charges nothing.  Returns the patch node count and the islands that
         stayed under-sized: each layer's components of ``used`` as they
         stand after every patch on it, without a pin node and below the
         layer's node count.
@@ -396,9 +395,10 @@ class DetailedRouter:
                             continue
                         component.add(key)
                         points.add(key)
-                        used.add(node)
+                        if node not in used:
+                            used.add(node)
+                            patched += 1
                         frontier.append(key)
-                        patched += 1
                         grown = True
                         break
                     if grown:

@@ -11,16 +11,15 @@ demand/capacity state, so congested layers are avoided.
 Run costs come from a :class:`repro.grid.field.CostField`: two
 prefix-sum lookups (O(1) per run) instead of O(len) scalar ``edge_cost``
 calls, so a plan costs no edge list.  ``plan`` and ``build`` read the
-field as it is: ``route`` and ``route_cost`` refresh it once per call,
-and a caller planning several paths of one segment refreshes it once
-itself (``GlobalRouter._route_segment``).
+field as it is; their caller in ``src``, ``GlobalRouter._route_segment``,
+refreshes it once per segment.  Candidate pricing (Algorithm 3) runs the
+same DP batched over many paths in :func:`repro.core.fastecc.price_segments`,
+reading the router's ``dir_layers``.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator
 
 from repro.grid import CostField, RoutingGraph
 from repro.groute.patterns import GPoint, runs_of_path
@@ -72,7 +71,7 @@ class PatternRouter3D:
         self.field = field
         #: usable layers per run direction (True = horizontal), fixed by
         #: the tech stack so the DP never re-filters them per run
-        self._dir_layers: dict[bool, list[int]] = {
+        self.dir_layers: dict[bool, list[int]] = {
             horizontal: [
                 layer.index
                 for layer in graph.tech.layers
@@ -84,30 +83,20 @@ class PatternRouter3D:
 
     # ------------------------------------------------------------------ API
 
-    def route(
-        self,
-        path: list[GPoint],
-        src_layer: int,
-        dst_layer: int | None,
-    ) -> Pattern3DResult | None:
-        """Assign layers to ``path`` connecting the two terminal layers.
-
-        With ``dst_layer=None`` the far end is a Steiner junction whose
-        layer is chosen freely by the DP (no terminal via stack there);
-        the chosen layer is reported in ``end_layer``.  Returns ``None``
-        when some run direction has no usable layer.
-        """
-        self.field.ensure()
-        plan = self.plan(path, src_layer, dst_layer)
-        return None if plan is None else self.build(plan)
-
     def plan(
         self,
         path: list[GPoint],
         src_layer: int,
         dst_layer: int | None,
     ) -> Pattern3DPlan | None:
-        """The DP half of :meth:`route`: a layer per run and the DP value."""
+        """Assign layers to ``path`` connecting the two terminal layers:
+        a layer per run and the DP value.
+
+        With ``dst_layer=None`` the far end is a Steiner junction whose
+        layer is chosen freely by the DP (no terminal via stack there).
+        Returns ``None`` when some run direction has no usable layer.
+        Reads the field as it is: the caller refreshes it first.
+        """
         via_w = self.field.via_cost
         runs = runs_of_path(path)
         if not runs:
@@ -140,42 +129,13 @@ class PatternRouter3D:
         )
 
     def build(self, plan: Pattern3DPlan) -> Pattern3DResult:
-        """The edge half of :meth:`route`: materialize ``plan`` and price
-        its edges one by one."""
+        """Materialize ``plan`` into edge ids and price its edges one by one."""
         edges = self._materialize(plan)
         return Pattern3DResult(
             edges=edges,
             cost=self.field.fresh_path_cost(edges),
             end_layer=plan.end_layer,
         )
-
-    def route_cost(
-        self,
-        path: list[GPoint],
-        src_layer: int,
-        dst_layer: int | None,
-    ) -> float | None:
-        """Eq. 10 cost of the best layer assignment, without materializing.
-
-        The DP value already equals the edge-sum of the route that
-        :meth:`route` would build, so candidate estimation can rank
-        patterns with no edge lists at all.  Returns ``None`` when some
-        run direction has no usable layer.
-        """
-        self.field.ensure()
-        plan = self.plan(path, src_layer, dst_layer)
-        return None if plan is None else plan.value
-
-    @contextmanager
-    def using(self, field: CostField) -> Iterator["PatternRouter3D"]:
-        """Temporarily price with a different cost field (the
-        penalty-free ECC estimation of the ablation, the [18] baseline)."""
-        prev_field = self.field
-        self.field = field
-        try:
-            yield self
-        finally:
-            self.field = prev_field
 
     # -------------------------------------------------------------- helpers
 
@@ -195,7 +155,7 @@ class PatternRouter3D:
         run_layers: list[list[int]] = []
         run_costs: list[dict[int, float]] = []
         for run in runs:
-            layers = self._dir_layers[run[0][1] == run[1][1]]
+            layers = self.dir_layers[run[0][1] == run[1][1]]
             if not layers:
                 return None
             run_layers.append(layers)

@@ -196,12 +196,6 @@ class GlobalRouter:
         paths = pattern_paths_2d((src[1], src[2]), dst_xy)
         metrics = get_metrics()
         metrics.count("groute.paths_planned", len(paths))
-        if len(paths) == 1:
-            best = p3d.route(paths[0], src[0], dst_layer)
-            if best is None:
-                return None
-            metrics.count("groute.paths_built")
-            return best.edges, best.end_layer
         p3d.field.ensure()
         plans = [
             plan

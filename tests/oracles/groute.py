@@ -11,6 +11,8 @@ route, and prefix-sum run costs must agree to float association.
 ``route_segment_all_built`` is ``GlobalRouter._route_segment`` as it ran
 before it ranked plans first: every pattern path materialized and priced
 edge by edge; production must return the same route, edge for edge.
+``route_pattern`` is the removed ``PatternRouter3D.route``: refresh the
+field, plan, build.
 
 Routes became sets of int edge ids; what the router did with
 ``GridEdge`` sets before lives here as the references the id paths are
@@ -106,12 +108,20 @@ def scalar_run_cost(pattern3d, cost_model: CostModel, run, layer: int) -> float:
     return cost_model.path_cost(decoded(pattern3d.graph, pattern3d._run_edges(run, layer)))
 
 
+def route_pattern(pattern3d, path, src_layer: int, dst_layer):
+    """One pattern path routed and built: refresh the field, plan, build
+    (``None`` when the path has no plan)."""
+    pattern3d.field.ensure()
+    plan = pattern3d.plan(path, src_layer, dst_layer)
+    return None if plan is None else pattern3d.build(plan)
+
+
 def route_segment_all_built(router, src: Node, dst_xy, dst_layer):
     """Best pattern route of one segment: build every path, keep the
     first cheapest by ``path_cost``."""
     best = None
     for path in pattern_paths_2d((src[1], src[2]), dst_xy):
-        result = router.pattern3d.route(path, src[0], dst_layer)
+        result = route_pattern(router.pattern3d, path, src[0], dst_layer)
         if result is None:
             continue
         if best is None or result.cost < best.cost:

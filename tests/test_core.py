@@ -18,6 +18,7 @@ from repro.core import (
     label_critical_cells,
     select_moves,
 )
+from repro.core.fastecc import EccCache
 from repro.obs import observe
 
 from helpers import fresh_small
@@ -138,7 +139,9 @@ def test_estimate_current_position_close_to_routed_cost(routed):
     name = max(design.cells, key=lambda n: router.cell_cost(n))
     cell = design.cells[name]
     cand = MoveCandidate(cell=name, position=(cell.x, cell.y, cell.orient))
-    estimated = estimate_candidate_cost(design, router, cand)
+    estimated = estimate_candidate_cost(
+        design, router, cand, EccCache(router, router.field)
+    )
     assert estimated > 0
 
 
@@ -157,8 +160,9 @@ def test_estimate_penalizes_distant_position(tech45):
     router = GlobalRouter(design)
     router.route_all()
     cell = design.cells["a"]
+    cache = EccCache(router, router.field)
     here = estimate_candidate_cost(
-        design, router, MoveCandidate("a", (cell.x, cell.y, cell.orient))
+        design, router, MoveCandidate("a", (cell.x, cell.y, cell.orient)), cache
     )
     far_row = design.rows[-1]
     far = estimate_candidate_cost(
@@ -168,6 +172,7 @@ def test_estimate_penalizes_distant_position(tech45):
             "a",
             (far_row.site_x(far_row.num_sites - 5), far_row.origin_y, far_row.orient),
         ),
+        cache,
     )
     assert far > here
 

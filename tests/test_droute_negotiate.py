@@ -25,6 +25,7 @@ import pytest
 from repro.benchgen import build_tech, make_design
 from repro.droute import DetailedRouter
 from repro.droute import router as router_module
+from repro.droute.access import access_nodes
 from repro.droute.obstacles import BLOCKED
 from repro.flow import run_flow
 from repro.groute import GlobalRouter
@@ -70,7 +71,18 @@ def _record(book):
 
 
 def _checker(router, book):
-    return min_area_islands(router.lattice, book.net_nodes, book.pin_nodes)
+    """The oracle's islands of the final node sets; a net's pin nodes are
+    its terminals' access nodes, as the router derived them."""
+    design = router.design
+    pin_nodes = {
+        name: {
+            node
+            for pin in design.nets[name].pins
+            for node in access_nodes(design, router.lattice, pin)
+        }
+        for name in book.net_nodes
+    }
+    return min_area_islands(router.lattice, book.net_nodes, pin_nodes)
 
 
 # ------------------------------------------------------------------ history
@@ -262,9 +274,10 @@ def test_islands_are_judged_after_every_patch_on_their_layer():
         router.lattice, {}, {(1, ix, iy): "other" for ix, iy in walls}
     )
     used = {(1, 5, 5), (1, 5, 7)}
-    _, islands = router._patch_min_area("n", used, set(), state)
+    patched, islands = router._patch_min_area("n", used, set(), state)
     component = frozenset({(5, 5), (5, 6), (5, 7)})
     assert islands == [(1, component)]
+    assert patched == 1  # only (5, 6) is new metal
     assert used == {(1, ix, iy) for ix, iy in component}
     assert min_area_islands(router.lattice, {"n": used}, {"n": set()}) == {
         ("n", 1, component)

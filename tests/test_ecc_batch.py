@@ -1,8 +1,9 @@
 """The batched ECC segment pricer and the pin-anchor memo it rides on.
 
 ``price_segments`` must return, for every segment key and whatever else
-shares the batch, the float the uncached estimator's strict-``<`` scan
-of ``PatternRouter3D.route_cost`` over ``pattern_paths_2d`` returns —
+shares the batch, the float the scalar reference pricer
+(``oracles.crp.price_segment_reference``: the strict-``<`` scan of
+``PatternRouter3D.plan(...).value`` over ``pattern_paths_2d``) returns —
 equal, not approximately equal.  ``Cell.pin_position`` / ``pin_layer``
 must equal the ``placed_shapes`` derivation they replaced.
 """
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import counted, fresh_small
+from oracles.crp import estimate_candidate_reference, price_segment_reference
 
 from repro.core.candidates import generate_candidates
 from repro.core.config import CrpConfig
@@ -48,19 +50,6 @@ def randomize_usage(graph: RoutingGraph, seed: int) -> None:
         usage[:] = rng.randint(0, 3, size=usage.shape) * capacity * rng.rand()
     for usage in graph.via_usage:
         usage[:] = rng.randint(0, 4, size=usage.shape)
-
-
-def scan(p3d: PatternRouter3D, key: tuple) -> float | None:
-    """The uncached estimator's pricing of one segment."""
-    ax, ay, bx, by, src_layer, dst_layer = key
-    best = None
-    for path in pattern_paths_2d((ax, ay), (bx, by)):
-        cost = p3d.route_cost(path, src_layer, dst_layer)
-        if cost is None:
-            continue
-        if best is None or cost < best:
-            best = cost
-    return best
 
 
 @st.composite
@@ -106,8 +95,10 @@ def test_batch_pricer_equals_scalar_scan(graph, keys, usage_seed, top_only, orde
     min_layer = graph.num_layers - 1 if top_only else graph.min_wire_layer
     p3d = PatternRouter3D(graph, field, min_layer=min_layer)
 
-    expected = [scan(p3d, key) for key in keys]
-    costs, paths = price_segments(p3d, keys)
+    layers = p3d.dir_layers
+    field.ensure()
+    expected = [price_segment_reference(p3d, key) for key in keys]
+    costs, paths = price_segments(field, layers, keys)
     assert costs == expected
     assert paths == sum(
         len(pattern_paths_2d(key[:2], key[2:4])) for key in keys
@@ -120,13 +111,13 @@ def test_batch_pricer_equals_scalar_scan(graph, keys, usage_seed, top_only, orde
     # independent of batch order and composition
     shuffled = list(range(len(keys)))
     random.Random(order_seed).shuffle(shuffled)
-    reordered, _ = price_segments(p3d, [keys[i] for i in shuffled])
+    reordered, _ = price_segments(field, layers, [keys[i] for i in shuffled])
     assert reordered == [expected[i] for i in shuffled]
     half = shuffled[: max(1, len(shuffled) // 2)]
-    subset, _ = price_segments(p3d, [keys[i] for i in half])
+    subset, _ = price_segments(field, layers, [keys[i] for i in half])
     assert subset == [expected[i] for i in half]
     for key, cost in zip(keys[:4], expected):
-        assert price_segments(p3d, [key])[0] == [cost]
+        assert price_segments(field, layers, [key])[0] == [cost]
 
 
 def test_prefetch_prices_once_and_the_sum_only_reads():
@@ -140,16 +131,18 @@ def test_prefetch_prices_once_and_the_sum_only_reads():
         for cell_candidates in generate_candidates(design, critical, config).values()
         for candidate in cell_candidates
     ]
-    cache = EccCache()
-    _, counter = counted(cache.prefetch, design, router, flat)
+    cache = EccCache(router, router.field)
+    _, counter = counted(cache.prefetch, design, flat)
     assert counter("crp.ecc_batches") == 1
     assert counter("crp.ecc_batch_paths") > 0
 
     def sum_pass():
         for candidate in flat:
             assert estimate_candidate_cost(
-                design, router, candidate, cache=cache
-            ) == estimate_candidate_cost(design, router, candidate)
+                design, router, candidate, cache
+            ) == estimate_candidate_reference(
+                design, router, candidate, router.field
+            )
 
     _, counter = counted(sum_pass)
     # the sum pass planned nothing, priced nothing

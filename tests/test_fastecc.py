@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from helpers import RecordingLegalizer, fresh_small, slots_overlap
-from oracles.crp import full_recompute
+from oracles.crp import estimate_candidate_reference, full_recompute
 
 from repro.core.config import CrpConfig
 import repro.core.crp as crp_module
@@ -25,6 +25,7 @@ from repro.core.estimate import estimate_candidate_cost
 from repro.core.candidates import MAX_TARGETS, MoveCandidate, generate_candidates
 from repro.core.fastecc import EccCache
 from repro.core.labeling import label_critical_cells
+from repro.grid import CostField
 from repro.groute import GlobalRouter
 from repro.groute.costcache import NetCostCache
 from repro.guard import IterationTransaction
@@ -58,27 +59,27 @@ def snapshot(design, router) -> tuple:
 def test_ecc_cache_matches_uncached_costs(seed):
     design, router = routed(seed=seed)
     config = CrpConfig()
-    framework = CrpFramework(design, router, config)
     critical = label_critical_cells(
         design, router, config, random.Random(seed)
     )
     candidates = generate_candidates(design, critical, config)
-    cache = EccCache()
-    with observe() as obs:
-        for cell_candidates in candidates.values():
-            for candidate in cell_candidates:
-                uncached = estimate_candidate_cost(design, router, candidate)
-                cached = estimate_candidate_cost(
-                    design, router, candidate, cache=cache
-                )
-                # bit-exact: same terminal walk, same RSMT, same DP op order
-                assert cached == uncached
-                # and a second query must hit the memo yet stay identical
-                again = estimate_candidate_cost(
-                    design, router, candidate, cache=cache
-                )
-                assert again == uncached
-    assert obs.metrics.counter("crp.ecc_cache_hits") > 0
+    # CR&P prices on the router's field; [18] and the penalty ablation
+    # on a penalty-free one
+    for field in (router.field, CostField(router.graph, use_penalty=False)):
+        cache = EccCache(router, field)
+        with observe() as obs:
+            for cell_candidates in candidates.values():
+                for candidate in cell_candidates:
+                    uncached = estimate_candidate_reference(
+                        design, router, candidate, field
+                    )
+                    cached = estimate_candidate_cost(design, router, candidate, cache)
+                    # bit-exact: same terminal walk, same RSMT, same DP op order
+                    assert cached == uncached
+                    # and a second query must hit the memo yet stay identical
+                    again = estimate_candidate_cost(design, router, candidate, cache)
+                    assert again == uncached
+        assert obs.metrics.counter("crp.ecc_cache_hits") > 0
 
 
 # ------------------------------------------------ O(dirty) cost accounting

@@ -13,7 +13,7 @@ from repro.groute.patterns import runs_of_path
 
 from helpers import add_cell, add_two_pin_net, add_usage, build_tiny_design, fresh_small
 from oracles.field import capacity
-from oracles.groute import decoded, guides_reference
+from oracles.groute import decoded, guides_reference, route_pattern
 
 
 # --------------------------------------------------------------- patterns
@@ -74,7 +74,7 @@ def routed_tiny(tech45):
 
 def test_pattern3d_straight(routed_tiny):
     router = GlobalRouter(routed_tiny)
-    result = router.pattern3d.route([(0, 0), (3, 0)], 0, 0)
+    result = route_pattern(router.pattern3d, [(0, 0), (3, 0)], 0, 0)
     assert result is not None
     edges = decoded(router.graph, result.edges)
     wires = [e for e in edges if e.kind is EdgeKind.WIRE]
@@ -92,7 +92,7 @@ def test_pattern3d_straight(routed_tiny):
 
 def test_pattern3d_same_gcell_via_stack(routed_tiny):
     router = GlobalRouter(routed_tiny)
-    result = router.pattern3d.route([(2, 2)], 0, 3)
+    result = route_pattern(router.pattern3d, [(2, 2)], 0, 3)
     assert result is not None
     assert all(e.kind is EdgeKind.VIA for e in decoded(router.graph, result.edges))
     assert len(result.edges) == 3
@@ -100,7 +100,7 @@ def test_pattern3d_same_gcell_via_stack(routed_tiny):
 
 def test_pattern3d_free_end_layer(routed_tiny):
     router = GlobalRouter(routed_tiny)
-    result = router.pattern3d.route([(0, 0), (4, 0)], 0, None)
+    result = route_pattern(router.pattern3d, [(0, 0), (4, 0)], 0, None)
     assert result is not None
     assert result.end_layer >= 1
 
@@ -114,14 +114,14 @@ def test_pattern3d_avoids_congested_layer(routed_tiny):
         for l in graph.tech.layers
         if l.is_horizontal and l.index >= graph.min_wire_layer
     ]
-    clean = router.pattern3d.route([(0, 0), (3, 0)], 0, 0)
+    clean = route_pattern(router.pattern3d, [(0, 0), (3, 0)], 0, 0)
     used_layer = next(
         e.layer for e in decoded(graph, clean.edges) if e.kind is EdgeKind.WIRE
     )
     for gx in range(3):
         edge = GridEdge(used_layer, gx, 0, EdgeKind.WIRE)
         add_usage(graph, edge, amount=capacity(graph, edge) + 5)
-    rerouted = router.pattern3d.route([(0, 0), (3, 0)], 0, 0)
+    rerouted = route_pattern(router.pattern3d, [(0, 0), (3, 0)], 0, 0)
     new_layer = next(
         e.layer for e in decoded(graph, rerouted.edges) if e.kind is EdgeKind.WIRE
     )

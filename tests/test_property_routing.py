@@ -12,7 +12,12 @@ from repro.benchgen import build_tech
 
 from helpers import fresh_small
 from oracles.field import CostModel
-from oracles.groute import decoded, net_cost_reference, routes_digest_reference
+from oracles.groute import (
+    decoded,
+    net_cost_reference,
+    route_pattern,
+    routes_digest_reference,
+)
 
 _TECH = build_tech("45nm")
 _GRID = GCellGrid(GCellGridSpec(0, 0, 2000, 2000, 12, 12))
@@ -65,7 +70,7 @@ def test_pattern3d_routes_connect_endpoints(a, b, src_layer, dst_layer):
     graph = _fresh_graph()
     router = PatternRouter3D(graph, CostField(graph), min_layer=1)
     paths = pattern_paths_2d(a, b)
-    result = router.route(paths[0], src_layer, dst_layer)
+    result = route_pattern(router, paths[0], src_layer, dst_layer)
     assert result is not None
     src = (src_layer, a[0], a[1])
     dst = (dst_layer, b[0], b[1])
@@ -84,7 +89,7 @@ def test_maze_matches_pattern_quality_or_better(a, b, src_layer, dst_layer):
     pattern = PatternRouter3D(graph, field, min_layer=1)
     best_pattern = None
     for path in pattern_paths_2d(a, b):
-        result = pattern.route(path, src_layer, dst_layer)
+        result = route_pattern(pattern, path, src_layer, dst_layer)
         if result and (best_pattern is None or result.cost < best_pattern):
             best_pattern = result.cost
     maze = maze_route(
