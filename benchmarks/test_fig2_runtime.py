@@ -2,10 +2,12 @@
 
 Prints the wall-clock of each flow variant per design.  Expected shape:
 CR&P k=1 adds a small margin over the baseline; k=10 grows roughly
-linearly in k (not exponentially); the [18] baseline processes every
-cell and is the slowest movement stage (it failed outright on the
-test10 analogue in the paper; here a column reads Failed only when a
-stage of the flow raised).
+linearly in k (not exponentially).  In the paper [18] is the slowest
+and fails on test10.  Here [18] prices through the same batched ECC as
+CR&P and finishes every design: on all ten designs the slowest movement
+stage is CR&P k=10's, and [18]'s lies between CR&P k=1's and k=10's
+(EXPERIMENTS.md, Fig. 2).  A column reads Failed only when a stage of
+the flow raised.
 """
 
 from __future__ import annotations

@@ -103,12 +103,16 @@ class CrpFramework:
         """One pass of the five CR&P steps, each under its own span."""
         stats = IterationStats(iteration=index)
         config = self.config
-        pre_cost = self.router.total_route_cost()
         tracer = get_tracer()
         with tracer.span("crp.iteration", k=index):
             with tracer.span("crp.label"):
+                # One snapshot of the routes' costs: labeling orders cells
+                # by it, and the guard compares its total with the total
+                # after UD.
+                net_costs = self.router.net_costs()
+                pre_cost = sum(net_costs.values())
                 critical = label_critical_cells(
-                    self.design, self.router, config, self._rng
+                    self.design, net_costs, config, self._rng
                 )
             stats.num_critical = len(critical)
 

@@ -39,7 +39,7 @@ def estimate_candidate_cost(
     overrides, nets = candidate_scope(design, candidate)
     total = 0.0
     for net in nets:
-        total += cache.net_cost(design, net, overrides)
+        total += cache.price_net(design, net, overrides)
     return total
 
 

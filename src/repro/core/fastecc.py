@@ -20,11 +20,11 @@ cost field they price against, and run it as **collect -> price -> sum**:
   as ``[layers, paths]`` blocks, and the layer-assignment DP of
   :meth:`PatternRouter3D.plan` runs vectorized over the path axis, once
   per signature;
-* **sum** (:meth:`EccCache.net_cost`, reached once per net through the
+* **sum** (:meth:`EccCache.price_net`, reached once per net through the
   ``estimate_candidate_cost`` loop) adds the memoized prices of a plan
   in edge order.
 
-Bit-parity contract: ``net_cost`` returns the exact float of the scalar
+Bit-parity contract: ``price_net`` returns the exact float of the scalar
 pricer — the strict-``<`` scan of ``PatternRouter3D.plan(...).value``
 over ``pattern_paths_2d`` per tree edge, summed in edge order — kept as
 the reference in ``tests/oracles/crp.py``.  The batched DP applies the
@@ -106,7 +106,7 @@ class EccCache:
                     self._plan(design, net, overrides, plan_key, pending)
         self._price(pending)
 
-    def net_cost(
+    def price_net(
         self,
         design: Design,
         net: Net,

@@ -1,10 +1,11 @@
 """Step 1: Label Critical Cells (Algorithm 1).
 
 Cells are sorted by the Eq. 10 cost of their nets' current global
-routes, so cells sitting on expensive (congested, via-heavy) routes come
-first.  A cell is skipped when a connected cell is already critical
-(moving both endpoints of a net in one iteration would invalidate the
-cost estimates).  Cells that were selected or moved in earlier
+routes, read from one :meth:`GlobalRouter.net_costs` snapshot, so cells
+sitting on expensive (congested, via-heavy) routes come first.  A cell
+is skipped when a connected cell is already critical (moving both
+endpoints of a net in one iteration would invalidate the cost
+estimates).  Cells that were selected or moved in earlier
 iterations are damped by the simulated-annealing acceptance test
 ``exp(-(hist_c + hist_m) / T) > random()``, which keeps the framework
 from hammering the same congested neighbourhood every iteration.
@@ -16,7 +17,6 @@ import math
 import random
 
 from repro.db import Design
-from repro.groute import GlobalRouter
 from repro.core.config import CrpConfig
 
 #: the paper's ``gamma``: fraction of the movable cells eligible for
@@ -32,14 +32,18 @@ MAX_CRITICAL_CELLS = 200
 
 def label_critical_cells(
     design: Design,
-    router: GlobalRouter,
+    net_costs: dict[str, float],
     config: CrpConfig,
     rng: random.Random,
 ) -> list[str]:
-    """Select this iteration's critical cells (Algorithm 1)."""
+    """Select this iteration's critical cells (Algorithm 1); a cell's
+    cost is the sum of its nets' ``net_costs``."""
     movable = [c.name for c in design.cells.values() if not c.fixed]
     if config.prioritize:
-        cost_of = {name: router.cell_cost(name) for name in movable}
+        cost_of = {
+            name: sum(net_costs[net.name] for net in design.nets_of_cell(name))
+            for name in movable
+        }
         movable.sort(key=lambda name: (-cost_of[name], name))
     limit = min(MAX_CRITICAL_CELLS, int(GAMMA * len(movable)))
 

@@ -286,9 +286,10 @@ class RoutingGraph:
 
     # --------------------------------------------------------------- updates
 
-    def apply_route(self, edges: Iterable[int], sign: int = 1) -> set[int]:
-        """Commit (+1) or rip up (-1) a route's usage; returns the rows
-        it dirtied.  ``edges`` are distinct ids, in any order."""
+    def apply_route(self, edges: Iterable[int], sign: int = 1) -> None:
+        """Commit (+1) or rip up (-1) a route's usage and hand the rows it
+        dirtied to the listeners.  ``edges`` are distinct ids, in any
+        order."""
         n_wire = self.n_wire
         wire = self.wire_usage_flat
         via = self.via_usage_flat
@@ -302,7 +303,6 @@ class RoutingGraph:
             rows.update(edge_rows[edge])
         for listener in self._listeners:
             listener.note_rows(rows)
-        return rows
 
     # ---------------------------------------------------------- fixed usage
 

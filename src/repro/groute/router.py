@@ -2,14 +2,16 @@
 
 Routes every net with FLUTE decomposition + 3D pattern routing, then
 runs rip-up-and-reroute maze passes on overflowed edges.  Exposes the
-queries CR&P needs: per-net route cost, congestion state, incremental
-reroute of dirty nets after cell movement, and guide emission for the
-detailed router.
+queries CR&P needs: a snapshot of every net's route cost, congestion
+state, incremental reroute of dirty nets after cell movement, and guide
+emission for the detailed router.
 
 A committed route is a set of the graph's int edge ids
-(:class:`repro.grid.RoutingGraph`): commit, rip-up, the edge -> nets
-index, pricing and the accounting check all work on ids, and only the
-route digest decodes them to :class:`repro.grid.GridEdge`.
+(:class:`repro.grid.RoutingGraph`): commit, rip-up, RRR victim
+selection, pricing and the accounting check all work on ids, and only
+the route digest decodes them to :class:`repro.grid.GridEdge`.
+``routes`` is the router's only record of them: costs and RRR victims
+are read off it when asked, not kept in indexes beside it.
 """
 
 from __future__ import annotations
@@ -77,13 +79,6 @@ class GlobalRouter:
             self.graph, self.field, min_layer=self.graph.min_wire_layer
         )
         self.routes: dict[str, NetRoute] = {}
-        # Plain dict (not defaultdict): lookups must never materialize
-        # empty entries, or the RRR scan grows monotonically.
-        self._edge_nets: dict[int, set[str]] = {}
-        #: O(dirty-nets) per-net cost cache, built by the first
-        #: :meth:`net_cost` query: GR-only and [18] flows make none, so
-        #: they never pay for its listener
-        self.cost_cache = None
 
     # ------------------------------------------------------------ terminals
 
@@ -218,19 +213,9 @@ class GlobalRouter:
     def _commit(self, route: NetRoute) -> None:
         # apply_route is order-independent: exact +-1 on usage counters,
         # set-valued dirty rows.
-        name = route.net
-        rows = self.graph.apply_route(route.edges, sign=1)
-        edge_nets = self._edge_nets
-        for edge in route.edges:
-            users = edge_nets.get(edge)
-            if users is None:
-                edge_nets[edge] = {name}
-            else:
-                users.add(name)
-        self.routes[name] = route
+        self.graph.apply_route(route.edges, sign=1)
+        self.routes[route.net] = route
         get_metrics().count("groute.edges_committed", len(route.edges))
-        if self.cost_cache is not None:
-            self.cost_cache.note_commit(name, route.edges, rows)
 
     def rip_up(self, net_name: str) -> None:
         route = self.routes.pop(net_name, None)
@@ -239,16 +224,7 @@ class GlobalRouter:
         metrics = get_metrics()
         metrics.count("groute.ripup_nets")
         metrics.count("groute.edges_ripped", len(route.edges))
-        rows = self.graph.apply_route(route.edges, sign=-1)
-        edge_nets = self._edge_nets
-        for edge in route.edges:
-            users = edge_nets.get(edge)
-            if users is not None:
-                users.discard(net_name)
-                if not users:
-                    del edge_nets[edge]
-        if self.cost_cache is not None:
-            self.cost_cache.note_rip(net_name, route.edges, rows)
+        self.graph.apply_route(route.edges, sign=-1)
 
     def reroute_nets(self, net_names: list[str]) -> None:
         """Rip up and pattern-reroute nets (CR&P's Update Database step)."""
@@ -262,19 +238,16 @@ class GlobalRouter:
     def _rrr_pass(self, max_nets: int = 200) -> bool:
         """One rip-up-and-reroute pass; True when it changed anything.
 
-        The overflow scan is one ``demand > capacity`` mask per layer;
-        overflowed edges without committed users contribute no victims.
+        The victims are the committed nets with a wire edge in the
+        overflow scan (one ``demand > capacity`` mask per layer), taken
+        in :meth:`Design.routing_order`, so only their set matters.
         """
-        victims: list[str] = []
-        seen: set[str] = set()
-        for edge in self.field.overflow_edges():
-            users = self._edge_nets.get(edge)
-            if not users:
-                continue
-            for name in users:
-                if name not in seen:
-                    seen.add(name)
-                    victims.append(name)
+        over = set(self.field.overflow_edges())
+        victims = [
+            name
+            for name, route in self.routes.items()
+            if not over.isdisjoint(route.edges)
+        ]
         if not victims:
             return False
         metrics = get_metrics()
@@ -345,17 +318,6 @@ class GlobalRouter:
                 )
             )
 
-    def invalidate_cost_fields(self) -> None:
-        """Force a full cost-field recompute on the next query.
-
-        ``apply_route`` already notifies the field, so this is a
-        belt-and-braces hook for transaction rollback and for callers
-        that poke the usage arrays directly (tests, invariant checkers).
-        """
-        self.field.note_all()
-        if self.cost_cache is not None:
-            self.cost_cache.note_all()
-
     def accounting_errors(self) -> list[str]:
         """Check graph demand against the committed routes.
 
@@ -402,41 +364,28 @@ class GlobalRouter:
 
     # ------------------------------------------------------------- queries
 
-    def net_cost(self, net_name: str) -> float:
-        """Eq. 10 path cost of a net's current route.
+    def net_costs(self) -> dict[str, float]:
+        """The Eq. 10 cost of every net's current route, in ``design.nets``
+        order (0.0 for an unrouted net): one snapshot of routing state.
 
-        Served by the :class:`~repro.groute.costcache.NetCostCache`,
-        which the first query builds: bit-identical to a fresh scan, and
-        re-pricing only nets a commit or rip-up can have changed.
+        Each route is priced in canonical edge order, so the bits do not
+        depend on set order.
         """
-        if self.cost_cache is None:
-            from repro.groute.costcache import NetCostCache
-
-            self.cost_cache = NetCostCache(self)
-        return self.cost_cache.net_cost(net_name)
-
-    def _net_cost_fresh(self, net_name: str) -> float:
-        """A fresh scan of :meth:`net_cost`: the cache's re-price, and the
-        reference it must match."""
-        route = self.routes.get(net_name)
-        if route is None:
-            return 0.0
-        # canonical order, so the bits do not depend on set order
-        return self.field.path_cost(self.graph.edge_order(route.edges))
+        field = self.field
+        field.ensure()
+        edge_order = self.graph.edge_order
+        costs: dict[str, float] = {}
+        for name in self.design.nets:
+            route = self.routes.get(name)
+            if route is None:
+                costs[name] = 0.0
+            else:
+                costs[name] = field.fresh_path_cost(edge_order(route.edges))
+        return costs
 
     def total_route_cost(self) -> float:
-        """Eq. 10 total over every net, summed in canonical design order.
-
-        O(dirty) path_cost work through the cache, with the bits of a
-        full rescan (same addends, same association).
-        """
-        return sum(self.net_cost(name) for name in self.design.nets)
-
-    def cell_cost(self, cell_name: str) -> float:
-        """Total route cost of the nets on a cell (Algorithm 1 ordering)."""
-        return sum(
-            self.net_cost(net.name) for net in self.design.nets_of_cell(cell_name)
-        )
+        """Eq. 10 total over every net, summed in canonical design order."""
+        return sum(self.net_costs().values())
 
     def total_wirelength_dbu(self) -> int:
         return self.graph.total_wire_dbu()

@@ -78,11 +78,7 @@ class IterationTransaction:
         # restore_route already notifies the cost field edge-by-edge;
         # the full invalidation guards against callers that mutated
         # usage arrays behind the graph's back before rolling back.
-        # It also drops the router's NetCostCache values wholesale, so
-        # the post-rollback guard totals re-price against
-        # restored state (membership stays valid: restore_route replays
-        # through the same rip-up/commit notifications).
-        self.router.invalidate_cost_fields()
+        self.router.field.note_all()
 
 
 def iteration_violations(

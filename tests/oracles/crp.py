@@ -5,11 +5,11 @@
 ``EccCache``: per net, the terminals with the moved cells' pins
 re-derived, one FLUTE tree, and per tree edge the strict-``<`` scan of
 ``PatternRouter3D.plan(...).value`` over ``pattern_paths_2d``, summed in
-edge order.  It moved here as the reference ``EccCache.net_cost`` and
-``price_segments`` are pinned to, bit for bit.  ``_net_cost_fresh`` is
-still the ``NetCostCache``'s own re-price in production.
-:func:`full_recompute` routes a :class:`~repro.core.crp.CrpFramework`
-through both.
+edge order.  It moved here as the reference ``EccCache.price_net`` and
+``price_segments`` are pinned to, bit for bit.  :func:`full_recompute`
+routes a :class:`~repro.core.crp.CrpFramework`'s ECC through it; the
+route costs need no reference there, since ``GlobalRouter.net_costs``
+rescans every route whenever it is asked.
 """
 
 from __future__ import annotations
@@ -22,25 +22,6 @@ from repro.flute import build_rsmt
 from repro.geom import Point
 from repro.groute.pattern3d import PatternRouter3D
 from repro.groute.patterns import pattern_paths_2d
-
-
-class FreshNetCosts:
-    """Stands in for ``NetCostCache``: every query is a fresh rescan."""
-
-    def __init__(self, router) -> None:
-        self.router = router
-
-    def note_commit(self, name, edges, rows) -> None:
-        pass
-
-    def note_rip(self, name, edges, rows) -> None:
-        pass
-
-    def note_all(self) -> None:
-        pass
-
-    def net_cost(self, name: str) -> float:
-        return self.router._net_cost_fresh(name)
 
 
 def price_segment_reference(p3d: PatternRouter3D, key) -> float | None:
@@ -107,12 +88,11 @@ def estimate_candidate_reference(design, router, candidate, field) -> float:
 
 @contextmanager
 def full_recompute(framework):
-    """Run ``framework`` on the references: no cost cache, no ECC memo.
+    """Run ``framework``'s ECC on the scalar reference: no ECC memo.
 
     The ECC seam is the module binding ``repro.core.crp`` calls through
     (the same one ``bench/tracing.py`` rebinds); it is restored on exit.
     """
-    framework.router.cost_cache = FreshNetCosts(framework.router)
 
     def estimate_uncached(design, router, candidate, cache) -> float:
         return estimate_candidate_reference(

@@ -17,9 +17,10 @@ field, plan, build.
 Routes became sets of int edge ids; what the router did with
 ``GridEdge`` sets before lives here as the references the id paths are
 pinned to: ``neighbors`` (``RoutingGraph.neighbors``), ``route_nodes``
-(``NetRoute.nodes``), ``net_cost_reference`` (``_net_cost_fresh``
-sorting ``GridEdge`` objects) and ``routes_digest_reference``
-(``routes_digest`` pickling ``sorted`` ``GridEdge`` tuples).
+(``NetRoute.nodes``), ``net_cost_reference`` (a net's cost as
+``GlobalRouter.net_costs`` gives it, sorting ``GridEdge`` objects) and
+``routes_digest_reference`` (``routes_digest`` pickling ``sorted``
+``GridEdge`` tuples).
 """
 
 from __future__ import annotations

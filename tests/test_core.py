@@ -32,6 +32,11 @@ def routed():
     return design, router
 
 
+def cell_cost(design, net_costs, name):
+    """Algorithm 1's cost of a cell: the summed costs of its nets."""
+    return sum(net_costs[net.name] for net in design.nets_of_cell(name))
+
+
 # ---------------------------------------------------------------- config
 
 
@@ -48,7 +53,9 @@ def test_labeling_respects_gamma(routed, monkeypatch):
     design, router = routed
     monkeypatch.setattr(labeling, "GAMMA", 0.1)
     config = CrpConfig(seed=1)
-    critical = label_critical_cells(design, router, config, random.Random(1))
+    critical = label_critical_cells(
+        design, router.net_costs(), config, random.Random(1)
+    )
     movable = [c for c in design.cells.values() if not c.fixed]
     assert len(critical) <= max(1, int(0.1 * len(movable)))
 
@@ -57,7 +64,7 @@ def test_labeling_no_connected_pairs(routed):
     design, router = routed
     config = CrpConfig(seed=1)
     critical = set(
-        label_critical_cells(design, router, config, random.Random(1))
+        label_critical_cells(design, router.net_costs(), config, random.Random(1))
     )
     for name in critical:
         assert not (design.connected_cells(name) & (critical - {name}))
@@ -67,26 +74,56 @@ def test_labeling_prioritizes_expensive_cells(routed, monkeypatch):
     design, router = routed
     monkeypatch.setattr(labeling, "GAMMA", 0.2)
     config = CrpConfig(seed=3)
-    critical = label_critical_cells(design, router, config, random.Random(3))
-    costs = [router.cell_cost(name) for name in critical]
+    net_costs = router.net_costs()
+    critical = label_critical_cells(design, net_costs, config, random.Random(3))
+    costs = [cell_cost(design, net_costs, name) for name in critical]
     movable = [c.name for c in design.cells.values() if not c.fixed]
-    median_cost = sorted(router.cell_cost(n) for n in movable)[len(movable) // 2]
+    median_cost = sorted(cell_cost(design, net_costs, n) for n in movable)[
+        len(movable) // 2
+    ]
     # Selected cells skew expensive (independence constraint allows
     # exceptions, but the average must clear the median).
     assert sum(costs) / len(costs) >= median_cost
 
 
+def test_labeling_orders_cells_by_summed_net_costs(routed):
+    """With no history every cell passes the annealing test, so the first
+    critical cell is the movable cell whose nets' costs sum highest."""
+    design, router = routed
+    rng = random.Random(7)
+    net_costs = {name: rng.random() for name in design.nets}
+    movable = [c.name for c in design.cells.values() if not c.fixed]
+
+    def first(cost):
+        return min(movable, key=lambda name: (-cost(name), name))
+
+    by_sum = first(lambda name: cell_cost(design, net_costs, name))
+    by_max = first(
+        lambda name: max(
+            (net_costs[net.name] for net in design.nets_of_cell(name)),
+            default=0.0,
+        )
+    )
+    assert by_sum != by_max  # the sum, not the dearest net, must decide
+    critical = label_critical_cells(
+        design, net_costs, CrpConfig(seed=1), random.Random(1)
+    )
+    assert critical[0] == by_sum
+
+
 def test_labeling_history_damps_reselection(routed):
     design, router = routed
     config = CrpConfig(seed=5)
-    first = set(label_critical_cells(design, router, config, random.Random(5)))
+    first = set(
+        label_critical_cells(design, router.net_costs(), config, random.Random(5))
+    )
     assert design.critical_history >= first
     # Mark everything moved too: acceptance drops to exp(-2) ~ 13.5%.
     design.moved_history.update(first)
     repeats = []
     for trial in range(20):
         again = label_critical_cells(
-            design, router, config, random.Random(100 + trial)
+            design, router.net_costs(), config, random.Random(100 + trial)
         )
         repeats.append(len(first & set(again)) / max(1, len(again)))
     assert sum(repeats) / len(repeats) < 0.6
@@ -97,7 +134,9 @@ def test_labeling_skips_fixed(routed):
     some = next(iter(design.cells.values()))
     some.fixed = True
     config = CrpConfig(seed=2)
-    critical = label_critical_cells(design, router, config, random.Random(2))
+    critical = label_critical_cells(
+        design, router.net_costs(), config, random.Random(2)
+    )
     assert some.name not in critical
 
 
@@ -107,7 +146,9 @@ def test_labeling_skips_fixed(routed):
 def test_generate_candidates_includes_current(routed):
     design, router = routed
     config = CrpConfig(seed=1)
-    critical = label_critical_cells(design, router, config, random.Random(1))[:5]
+    critical = label_critical_cells(
+        design, router.net_costs(), config, random.Random(1)
+    )[:5]
     candidates = generate_candidates(design, critical, config)
     for name in critical:
         assert candidates[name], name
@@ -120,7 +161,9 @@ def test_generate_candidates_includes_current(routed):
 def test_candidates_are_legal_positions(routed):
     design, router = routed
     config = CrpConfig(seed=1)
-    critical = label_critical_cells(design, router, config, random.Random(1))[:4]
+    critical = label_critical_cells(
+        design, router.net_costs(), config, random.Random(1)
+    )[:4]
     candidates = generate_candidates(design, critical, config)
     for name, options in candidates.items():
         for cand in options:
@@ -136,7 +179,8 @@ def test_candidates_are_legal_positions(routed):
 
 def test_estimate_current_position_close_to_routed_cost(routed):
     design, router = routed
-    name = max(design.cells, key=lambda n: router.cell_cost(n))
+    net_costs = router.net_costs()
+    name = max(design.cells, key=lambda n: cell_cost(design, net_costs, n))
     cell = design.cells[name]
     cand = MoveCandidate(cell=name, position=(cell.x, cell.y, cell.orient))
     estimated = estimate_candidate_cost(
@@ -287,10 +331,10 @@ def test_crp_framework_improves_route_cost():
     design = fresh_small(seed=11)
     router = GlobalRouter(design)
     router.route_all()
-    total_before = sum(router.net_cost(n) for n in design.nets)
+    total_before = sum(router.net_costs().values())
     framework = CrpFramework(design, router, CrpConfig(seed=1))
     framework.run(2)
-    total_after = sum(router.net_cost(n) for n in design.nets)
+    total_after = sum(router.net_costs().values())
     assert total_after <= total_before * 1.001
 
 

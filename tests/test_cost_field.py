@@ -462,12 +462,3 @@ def test_maze_matches_scalar_reference(tech45, seed, overflow_penalty):
         found += bool(dense)
     assert found  # the draws must produce real searches, not only overlaps
 
-
-def test_edge_nets_prunes_empty_sets(tech45):
-    design = fresh_small(seed=17)
-    router = GlobalRouter(design)
-    router.route_all(rrr_passes=1)
-    for name in list(router.routes):
-        router.rip_up(name)
-    assert router._edge_nets == {}
-

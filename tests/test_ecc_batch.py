@@ -125,7 +125,9 @@ def test_prefetch_prices_once_and_the_sum_only_reads():
     router = GlobalRouter(design)
     router.route_all(rrr_passes=2)
     config = CrpConfig()
-    critical = label_critical_cells(design, router, config, random.Random(42))
+    critical = label_critical_cells(
+        design, router.net_costs(), config, random.Random(42)
+    )
     flat = [
         candidate
         for cell_candidates in generate_candidates(design, critical, config).values()

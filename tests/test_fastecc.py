@@ -1,9 +1,9 @@
 """Bit-exact parity suite for the incremental CR&P kernel.
 
-The ECC cache and the O(dirty-nets) cost accounting must be pure
-speedups: the cached/incremental paths are asserted *equal* — not
-approximately equal — to the full-recompute references
-(``oracles.crp``), over randomized designs and mutation sequences.
+The ECC cache must be a pure speedup: the cached path is asserted
+*equal* — not approximately equal — to the full-recompute references
+(``oracles.crp``), over randomized designs and mutation sequences, and
+route-cost totals after a rollback equal the reference rescan's.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import pytest
 
 from helpers import RecordingLegalizer, fresh_small, slots_overlap
 from oracles.crp import estimate_candidate_reference, full_recompute
+from oracles.groute import net_cost_reference
 
 from repro.core.config import CrpConfig
 import repro.core.crp as crp_module
@@ -27,7 +28,6 @@ from repro.core.fastecc import EccCache
 from repro.core.labeling import label_critical_cells
 from repro.grid import CostField
 from repro.groute import GlobalRouter
-from repro.groute.costcache import NetCostCache
 from repro.guard import IterationTransaction
 from repro.legalizer import WindowLegalizer
 from repro.obs import observe
@@ -60,7 +60,7 @@ def test_ecc_cache_matches_uncached_costs(seed):
     design, router = routed(seed=seed)
     config = CrpConfig()
     critical = label_critical_cells(
-        design, router, config, random.Random(seed)
+        design, router.net_costs(), config, random.Random(seed)
     )
     candidates = generate_candidates(design, critical, config)
     # CR&P prices on the router's field; [18] and the penalty ablation
@@ -82,41 +82,11 @@ def test_ecc_cache_matches_uncached_costs(seed):
         assert obs.metrics.counter("crp.ecc_cache_hits") > 0
 
 
-# ------------------------------------------------ O(dirty) cost accounting
+# ------------------------------------------------- route cost after rollback
 
 
 def full_rescan(design, router) -> float:
-    return sum(router._net_cost_fresh(name) for name in design.nets)
-
-
-@pytest.mark.parametrize("seed", [5, 42])
-def test_running_total_tracks_commit_and_rip(seed):
-    design, router = routed(seed=seed)
-    assert router.cost_cache is None  # routing alone never builds it
-    rng = random.Random(seed)
-    names = sorted(router.routes)
-    assert router.total_route_cost() == full_rescan(design, router)
-    assert isinstance(router.cost_cache, NetCostCache)
-    with observe() as obs:
-        for _ in range(12):
-            name = rng.choice(names)
-            action = rng.random()
-            if action < 0.4 and name in router.routes:
-                router.rip_up(name)
-            elif name in design.nets:
-                if name in router.routes:
-                    router.rip_up(name)
-                router.route_net(name)
-            assert router.total_route_cost() == full_rescan(design, router)
-    # rescans must stay sub-linear: untouched nets never re-price
-    assert obs.metrics.counter("crp.cost_cache_hits") > 0
-
-
-def test_running_total_survives_out_of_band_invalidation():
-    design, router = routed(seed=11)
-    before = router.total_route_cost()
-    router.invalidate_cost_fields()  # drops every cached value
-    assert router.total_route_cost() == before == full_rescan(design, router)
+    return sum(net_cost_reference(router, name) for name in design.nets)
 
 
 def test_running_total_survives_rollback():
@@ -183,7 +153,7 @@ def test_window_solver_is_optimal_against_highs(seed):
     config = CrpConfig()
     CrpFramework(design, router, config)
     critical = label_critical_cells(
-        design, router, config, random.Random(seed)
+        design, router.net_costs(), config, random.Random(seed)
     )
     legalizer = RecordingLegalizer(
         design,
@@ -227,7 +197,9 @@ def test_window_repeat_solves_are_deterministic():
     design, router = routed(seed=21)
     config = CrpConfig()
     CrpFramework(design, router, config)
-    critical = label_critical_cells(design, router, config, random.Random(21))
+    critical = label_critical_cells(
+        design, router.net_costs(), config, random.Random(21)
+    )
     legalizer = WindowLegalizer(
         design,
         n_sites=config.n_sites,

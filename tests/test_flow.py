@@ -101,8 +101,6 @@ def test_flow_quality_pinned_on_ispd18_test1(k1_flow_on_test1):
 K1_TEST1_COUNTERS = {
     "crp.candidates": 280,
     "crp.cells_moved": 22,
-    "crp.cost_cache_hits": 81,
-    "crp.cost_rescans": 60,
     "crp.critical_cells": 40,
     "crp.ecc_batch_paths": 587,
     "crp.ecc_batches": 1,

@@ -139,14 +139,12 @@ route_steps = st.lists(
 @given(st.integers(0, 3), route_steps)
 def test_id_routes_match_grid_edge_references(seed, steps):
     """Random commit / rip / reroute / maze-reroute sequences on edge-id
-    routes: after every step each net's fresh cost has the bits of a
-    ``sorted(GridEdge)`` left-to-right sum, the cost cache serves fresh
-    values, the usage arrays match the routes, and the digest is the
-    one ``GridEdge`` sets give."""
+    routes: after every step each net's cost has the bits of a
+    ``sorted(GridEdge)`` left-to-right sum, the usage arrays match the
+    routes, and the digest is the one ``GridEdge`` sets give."""
     design = fresh_small(seed=seed)
     router = GlobalRouter(design)
     router.route_all(rrr_passes=1)
-    router.total_route_cost()  # the first query builds the cost cache
     names = sorted(design.nets)
     for op, i, j in steps:
         a, b = names[i % len(names)], names[j % len(names)]
@@ -158,10 +156,9 @@ def test_id_routes_match_grid_edge_references(seed, steps):
             router.reroute_nets(sorted({a, b}))
         else:
             router._maze_reroute(a)
-        fresh = {name: router._net_cost_fresh(name) for name in names}
+        costs = router.net_costs()
         for name in names:
-            assert fresh[name] == net_cost_reference(router, name), name
-            assert router.net_cost(name) == fresh[name], name
-        assert router.total_route_cost() == sum(fresh[n] for n in design.nets)
+            assert costs[name] == net_cost_reference(router, name), name
+        assert router.total_route_cost() == sum(costs[n] for n in design.nets)
         assert router.accounting_errors() == []
         assert routes_digest(router) == routes_digest_reference(router)
