@@ -4,7 +4,8 @@ The paper credits CR&P's edge over [18] partly to its congestion-aware
 cost (Eq. 10's logistic penalty): candidates in congested regions look
 expensive, so cells move *away* from hot-spots.  This ablation runs
 CR&P with the penalty enabled vs disabled on a congested design and
-compares the resulting GR-level overflow and via counts.
+compares the resulting GR-level via counts and overflow: the overflow
+CR&P leaves, and what the repair that closes the stage leaves of it.
 """
 
 from __future__ import annotations
@@ -36,16 +37,25 @@ def test_ablation_congestion_penalty(benchmark):
         run_both, rounds=1, iterations=1
     )
 
+    def unrepaired(result) -> float:
+        return result.metrics["gauges"]["flow.gr_overflow_unrepaired"]
+
     lines = [
         f"Ablation: logistic congestion penalty (CR&P k=3 on {DESIGN})",
-        f"{'variant':<16}{'GR wl (dbu)':>14}{'GR vias':>9}{'overflow':>10}",
-        "-" * 49,
-        f"{'penalty on':<16}{with_penalty.gr_wirelength_dbu:>14}"
-        f"{with_penalty.gr_vias:>9}{with_penalty.gr_overflow:>10.1f}",
-        f"{'penalty off':<16}{without_penalty.gr_wirelength_dbu:>14}"
-        f"{without_penalty.gr_vias:>9}{without_penalty.gr_overflow:>10.1f}",
+        f"{'variant':<16}{'GR wl (dbu)':>14}{'GR vias':>9}"
+        f"{'unrepaired':>12}{'overflow':>10}",
+        "-" * 61,
     ]
+    for variant, result in (
+        ("penalty on", with_penalty), ("penalty off", without_penalty)
+    ):
+        lines.append(
+            f"{variant:<16}{result.gr_wirelength_dbu:>14}{result.gr_vias:>9}"
+            f"{unrepaired(result):>12.1f}{result.gr_overflow:>10.1f}"
+        )
     write_table("ablation_penalty", lines)
 
     # Shape: the congestion-aware variant must not leave more overflow.
-    assert with_penalty.gr_overflow <= without_penalty.gr_overflow + 1.0
+    # The hand-off repair clears both, so the shape is read off the
+    # overflow CR&P left before it.
+    assert unrepaired(with_penalty) <= unrepaired(without_penalty) + 1.0

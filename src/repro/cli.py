@@ -175,8 +175,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     opens = (result.metrics or {}).get("counters", {}).get("droute.opens", 0)
     if opens:
         print(
-            f"  opens: {int(opens)} connection(s) that neither the hard nor "
-            "the soft search could route (droute.opens)"
+            f"  opens: {int(opens)} connection(s) left unrouted in the "
+            "final result (droute.opens)"
         )
     print(f"  runtime: {({k: round(v, 2) for k, v in result.runtime.items()})}")
     if args.profile and result.trace is not None:

@@ -186,6 +186,10 @@ class DetailedRouter:
                 for layer, component in islands
             )
         metrics.count("droute.drvs", result.num_drvs)
+        metrics.count(
+            "droute.opens",
+            sum(v.kind is DrcKind.OPEN for v in result.violations),
+        )
         metrics.gauge("droute.wirelength_dbu", result.wirelength_dbu)
         return result
 
@@ -304,7 +308,8 @@ class DetailedRouter:
                     connected, targets, name, bounds, None, soft=True
                 )
             if search is None:
-                get_metrics().count("droute.opens")
+                # an open only if no later round reconnects it
+                get_metrics().count("droute.failed_searches")
                 opens.append(nodes[0])
                 continue
             paths.append(search.path)

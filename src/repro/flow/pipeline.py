@@ -1,7 +1,8 @@
 """Flow orchestration: GR -> (CR&P | [18] | nothing) -> DR -> evaluate.
 
 Stage timing is recorded as ``repro.obs`` spans (``flow.run`` ->
-``flow.GR`` / ``flow.CRP`` / ``flow.BASELINE`` / ``flow.DR``), and
+``flow.GR`` / ``flow.CRP`` / ``flow.BASELINE`` / ``flow.DR``; a movement
+stage ends with GR's ``groute.repair``), and
 every result carries that span tree plus a metrics snapshot.  The tree
 is the only record of time: ``FlowResult.runtime`` is a view of it.
 
@@ -164,18 +165,25 @@ def _run_stages(
     if result.failed:
         return
 
+    # The movement stage ends with the repair of the reported overflow it
+    # left, so DR gets guides GR would have handed it (DESIGN.md, "Two
+    # overflows").
     if mode == "crp":
         framework = CrpFramework(design, router, config)
         with tracer.span("flow.CRP"), _stage(result, "CRP", metrics):
             result.crp = framework.run(crp_iterations)
+            unrepaired = router.repair_overflow()
         if result.failed:
             return
     elif mode == "fontana":
         baseline = FontanaBaseline(design, router)
         with tracer.span("flow.BASELINE"), _stage(result, "BASELINE", metrics):
             result.fontana = baseline.run()
+            unrepaired = router.repair_overflow()
         if result.failed:
             return
+    else:
+        unrepaired = router.total_overflow()
 
     result.gr_wirelength_dbu = router.total_wirelength_dbu()
     result.gr_vias = router.total_vias()
@@ -186,6 +194,7 @@ def _run_stages(
     result.placement_digest = ckpt.positions_digest(design)
     result.legal = check_legality(design).is_legal
     metrics.gauge("flow.gr_overflow", result.gr_overflow)
+    metrics.gauge("flow.gr_overflow_unrepaired", unrepaired)
     if not result.legal:
         # An illegal post-movement placement must be loud: counted here,
         # flagged in summary(), and turned into a non-zero CLI exit.

@@ -3,7 +3,7 @@
 Every number here is read off a flow's span tree (``FlowResult.trace``):
 ``FlowResult.runtime`` holds the ``flow.*`` stage walls, and the CR&P
 steps are the ``crp.<step>`` children of every ``crp.iteration`` span
-under ``flow.CRP``.
+under ``flow.CRP`` (whose last child, ``groute.repair``, is no step).
 """
 
 from __future__ import annotations
@@ -36,6 +36,8 @@ def runtime_breakdown_pct(result: FlowResult) -> dict[str, float]:
     if crp is not None:
         steps: dict[str, float] = {}
         for iteration in crp.children:
+            if iteration.name != "crp.iteration":
+                continue  # the hand-off ``groute.repair``: no Fig. 3 step
             for name, wall in iteration.child_walls().items():
                 key = name.removeprefix("crp.")
                 steps[key] = steps.get(key, 0.0) + wall

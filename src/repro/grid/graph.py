@@ -348,16 +348,25 @@ class RoutingGraph:
     # ----------------------------------------------------------- congestion
 
     def overflow(self) -> float:
-        """Total max(demand - capacity, 0) over all wire edges.
+        """The reported overflow: total ``max(U_w + U_f - capacity, 0)``
+        over all wire edges.
 
-        Uses the cheap (no via term) demand for a vectorized whole-map
-        number; the via term matters for routing costs, not this summary.
+        It leaves out Eq. 9's via term: ``beta * delta_e`` prices routes
+        (:meth:`repro.grid.field.CostField.overflow_edges`), while this
+        counts the tracks an edge is short of.
         """
         total = 0.0
         for layer in range(self.num_layers):
             over = self.wire_usage[layer] + self.fixed_usage[layer] - self.wire_capacity[layer]
             total += float(np.maximum(over, 0.0).sum())
         return total
+
+    def overflow_edges(self) -> list[int]:
+        """Ids of the wire edges :meth:`overflow` sums, in id order: the
+        same ``U_w + U_f - capacity > 0`` mask, over the flat buffers."""
+        n = self.n_wire
+        over = self.wire_usage_flat[:n] + self.fixed_usage_flat[:n] - self.wire_capacity_flat[:n]
+        return np.flatnonzero(over > 0.0).tolist()
 
     def congestion_map(self) -> np.ndarray:
         """Per-GCell max utilization (demand/capacity) over all layers."""

@@ -50,8 +50,8 @@ def maze_route(
 ) -> list[int] | None:
     """Cheapest path from any source to any target.
 
-    ``overflow_penalty`` adds a hard surcharge to edges whose demand
-    already meets capacity, steering RRR away from full edges entirely.
+    ``overflow_penalty`` adds a hard surcharge to a wire step whose edge's
+    demand already meets its capacity, steering RRR away from full edges.
     Returns the path's edge ids, source first, or ``None`` when
     disconnected inside the search window.
 
@@ -66,13 +66,11 @@ def maze_route(
     lo_x, hi_x, lo_y, hi_y = _window(graph, sources, targets, margin)
     wire_cost = field.wire_cost_maps()  # refreshes the field once
     via_cost = field.via_cost
-    overflow = None
-    if overflow_penalty > 0.0:
-        demand = field.demand_maps()
-        overflow = [
-            demand[layer] >= graph.wire_capacity[layer]
-            for layer in range(graph.num_layers)
-        ]
+    # Full edges are found one step at a time: demand against capacity
+    # on the edge a step crosses, never as a whole-map mask.
+    penalize = overflow_penalty > 0.0
+    demand = field.demand_maps() if penalize else None
+    capacity = graph.wire_capacity
     horizontal = tuple(layer.is_horizontal for layer in graph.tech.layers)
     num_layers = graph.num_layers
     min_wire_layer = graph.min_wire_layer
@@ -117,6 +115,18 @@ def maze_route(
     next_tie = tie.__next__
     inf = float("inf")
     expansions = 0
+
+    def consider(neighbour: Node, step: float) -> None:
+        """Relax ``neighbour`` from the node being expanded (``node``, ``g``)."""
+        tentative = g + step
+        if tentative < g_score_get(neighbour, inf) - 1e-12:
+            g_score[neighbour] = tentative
+            came_from[neighbour] = node
+            heappush(
+                open_heap,
+                (tentative + heuristic(neighbour), next_tie(), neighbour),
+            )
+
     try:
         while open_heap:
             f, _, node = heappop(open_heap)
@@ -127,42 +137,33 @@ def maze_route(
             if node in targets:
                 return _reconstruct_nodes(graph, node, came_from)
             layer, gx, gy = node
-
-            def consider(neighbour: Node, step: float) -> None:
-                tentative = g + step
-                if tentative < g_score_get(neighbour, inf) - 1e-12:
-                    g_score[neighbour] = tentative
-                    came_from[neighbour] = node
-                    heappush(
-                        open_heap,
-                        (tentative + heuristic(neighbour), next_tie(), neighbour),
-                    )
-
             # Neighbor order matches the scalar reference: wire forward,
             # wire backward, via up, via down.
             if layer >= min_wire_layer:
-                cost_row = wire_cost[layer]
-                over_row = overflow[layer] if overflow is not None else None
+                cost_at = wire_cost[layer].item
+                if penalize:
+                    demand_at = demand[layer].item
+                    capacity_at = capacity[layer].item
                 if horizontal[layer]:
                     if gx + 1 <= hi_x:
-                        step = cost_row[gx, gy]
-                        if over_row is not None and over_row[gx, gy]:
+                        step = cost_at(gx, gy)
+                        if penalize and demand_at(gx, gy) >= capacity_at(gx, gy):
                             step += overflow_penalty
                         consider((layer, gx + 1, gy), step)
                     if gx - 1 >= lo_x:
-                        step = cost_row[gx - 1, gy]
-                        if over_row is not None and over_row[gx - 1, gy]:
+                        step = cost_at(gx - 1, gy)
+                        if penalize and demand_at(gx - 1, gy) >= capacity_at(gx - 1, gy):
                             step += overflow_penalty
                         consider((layer, gx - 1, gy), step)
                 else:
                     if gy + 1 <= hi_y:
-                        step = cost_row[gx, gy]
-                        if over_row is not None and over_row[gx, gy]:
+                        step = cost_at(gx, gy)
+                        if penalize and demand_at(gx, gy) >= capacity_at(gx, gy):
                             step += overflow_penalty
                         consider((layer, gx, gy + 1), step)
                     if gy - 1 >= lo_y:
-                        step = cost_row[gx, gy - 1]
-                        if over_row is not None and over_row[gx, gy - 1]:
+                        step = cost_at(gx, gy - 1)
+                        if penalize and demand_at(gx, gy - 1) >= capacity_at(gx, gy - 1):
                             step += overflow_penalty
                         consider((layer, gx, gy - 1), step)
             if layer + 1 < num_layers:

@@ -1,7 +1,12 @@
 """The global-routing driver (the flow's CUGR stand-in).
 
 Routes every net with FLUTE decomposition + 3D pattern routing, then
-runs rip-up-and-reroute maze passes on overflowed edges.  Exposes the
+runs rip-up-and-reroute maze passes on overflowed edges.  Two notions of
+overflow meet here: the RRR passes of :meth:`GlobalRouter.improve` pick
+their victims by Eq. 9 demand, via-crowding term included, while the
+overflow the flow reports is wire plus fixed usage over capacity
+(:meth:`RoutingGraph.overflow`); :meth:`GlobalRouter.repair_overflow`
+reroutes the nets on the reported one, with the same pass.  Exposes the
 queries CR&P needs: a snapshot of every net's route cost, congestion
 state, incremental reroute of dirty nets after cell movement, and guide
 emission for the detailed router.
@@ -99,25 +104,64 @@ class GlobalRouter:
     # -------------------------------------------------------------- routing
 
     def route_all(self, rrr_passes: int = 3) -> None:
-        """Route every net, then run rip-up-and-reroute on overflows."""
+        """Route every net, run rip-up-and-reroute on overflows, then
+        repair the reported overflow that is left."""
         tracer = get_tracer()
         with tracer.span("groute.initial"):
             for name in self.design.routing_order(self.design.nets):
                 self.route_net(name)
         self.improve(rrr_passes)
+        self.repair_overflow()
 
     def improve(self, rrr_passes: int = 3) -> int:
         """Run up to ``rrr_passes`` RRR passes; returns passes completed.
 
-        Stops early at the first pass that finds no overflowed net.
+        A pass reroutes at most 200 of the nets on the edges whose Eq. 9
+        demand exceeds capacity (:meth:`CostField.overflow_edges`).  Stops
+        early at the first pass that finds no such net.
         """
         completed = 0
+        metrics = get_metrics()
         with get_tracer().span("groute.rrr"):
             for _ in range(rrr_passes):
-                if not self._rrr_pass():
+                replaced = self._rrr_pass(self.field.overflow_edges(), max_nets=200)
+                if not replaced:
                     break
+                metrics.count("groute.rrr_passes")
+                metrics.count("groute.rrr_victims", len(replaced))
                 completed += 1
         return completed
+
+    def repair_overflow(self) -> float:
+        """Reroute the nets on the edges the reported overflow sums
+        (:meth:`RoutingGraph.overflow_edges`) until it is 0 or stops
+        falling; returns the overflow it started from.
+
+        A pass that does not lower the overflow is undone, so the repair
+        never raises it.  The ``groute.repair`` span's meta holds the
+        overflow in and out and the nets rerouted.
+        """
+        metrics = get_metrics()
+        tracer = get_tracer()
+        overflow_in = overflow = self.total_overflow()
+        victims = 0
+        with tracer.span("groute.repair") as span:
+            while overflow > 0.0:
+                replaced = self._rrr_pass(self.graph.overflow_edges())
+                metrics.count("groute.repair_passes")
+                metrics.count("groute.repair_victims", len(replaced))
+                victims += len(replaced)
+                after = self.total_overflow()
+                if after >= overflow:
+                    for name, route in replaced.items():
+                        self.restore_route(name, route)
+                    break
+                overflow = after
+            if tracer.recording:
+                span.meta.update(
+                    overflow_in=overflow_in, overflow_out=overflow, victims=victims
+                )
+        return overflow_in
 
     def route_net(self, net_name: str) -> NetRoute:
         """(Re)route one net with RSMT + 3D pattern routing."""
@@ -235,27 +279,32 @@ class GlobalRouter:
 
     # ----------------------------------------------------------------- RRR
 
-    def _rrr_pass(self, max_nets: int = 200) -> bool:
-        """One rip-up-and-reroute pass; True when it changed anything.
+    def _rrr_pass(
+        self, edges: list[int], max_nets: int | None = None
+    ) -> dict[str, NetRoute]:
+        """One rip-up-and-reroute pass over the nets on ``edges``.
 
-        The victims are the committed nets with a wire edge in the
-        overflow scan (one ``demand > capacity`` mask per layer), taken
-        in :meth:`Design.routing_order`, so only their set matters.
+        The victims are the committed nets with an edge in ``edges``,
+        taken in :meth:`Design.routing_order` (so only their set
+        matters), the first ``max_nets`` of them when a cap is given.
+        Each is maze-rerouted in turn.  Returns the routes they had
+        before, in that order: empty when no net was on ``edges``.
         """
-        over = set(self.field.overflow_edges())
+        over = set(edges)
         victims = [
             name
             for name, route in self.routes.items()
             if not over.isdisjoint(route.edges)
         ]
-        if not victims:
-            return False
-        metrics = get_metrics()
-        metrics.count("groute.rrr_passes")
-        metrics.count("groute.rrr_victims", min(len(victims), max_nets))
-        for name in self.design.routing_order(victims)[:max_nets]:
+        replaced = {
+            name: self.routes[name]
+            for name in self.design.routing_order(victims)[:max_nets]
+        }
+        # ``rip_up`` pops each old route and ``_commit`` stores a new
+        # object, so the ones kept here stay as they were.
+        for name in replaced:
             self._maze_reroute(name)
-        return True
+        return replaced
 
     def _maze_reroute(self, net_name: str) -> None:
         """Reroute one net terminal-by-terminal with overflow-averse A*.

@@ -26,6 +26,8 @@ from repro.benchgen import build_tech, make_design
 from repro.droute import DetailedRouter
 from repro.droute import router as router_module
 from repro.droute.access import access_nodes
+from repro.droute.drc import DrcKind
+from repro.droute.indexed import DrouteIndex
 from repro.droute.obstacles import BLOCKED
 from repro.flow import run_flow
 from repro.groute import GlobalRouter
@@ -165,6 +167,46 @@ def test_a_round_with_nothing_to_rip_ends_the_loop():
     _, result, registry = _routed(2, seed=42, num_nets=50)
     assert not result.violations
     assert registry.counter("droute.rrr_rounds") == 0
+
+
+@pytest.mark.parametrize("reconnect", [True, False])
+def test_opens_are_counted_in_the_final_result(monkeypatch, reconnect):
+    """Every search of the first net to route fails in the first pass.
+    Each failure is a ``droute.failed_searches``; ``droute.opens`` counts
+    the opens the result ends with: none once a round reroutes the net,
+    one per failure when no round does."""
+    victim: list[str] = []
+    first_pass = [True]
+
+    def fail_pattern(original, router, net, *args):
+        if not victim:
+            victim.append(net)
+        if first_pass[0] and net == victim[0]:
+            return None
+        return original(net, *args)
+
+    connect = DrouteIndex.connect
+
+    def fail_connect(self, sources, targets, net_name, *args, **kwargs):
+        if first_pass[0] and net_name == victim[0]:
+            return None
+        return connect(self, sources, targets, net_name, *args, **kwargs)
+
+    def rip_victim(original, router, state, book):
+        first_pass[0] = False
+        ripped = original(state, book)
+        return ripped | set(victim) if reconnect else ripped
+
+    monkeypatch.setattr(DrouteIndex, "connect", fail_connect)
+    _, result, registry = _routed(
+        2, seed=42, num_nets=50,
+        spies=[("_fast_pattern", fail_pattern), ("_negotiate", rip_victim)],
+    )
+    failed = registry.counter("droute.failed_searches")
+    opens = [v for v in result.violations if v.kind is DrcKind.OPEN]
+    assert failed >= 1
+    assert registry.counter("droute.opens") == len(opens)
+    assert len(opens) == (0 if reconnect else failed)
 
 
 # ------------------------------------------------------------ determinism

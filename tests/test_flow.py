@@ -119,6 +119,7 @@ K1_TEST1_COUNTERS = {
     "droute.drvs": 0,
     "droute.hard_skipped": 0,
     "droute.nets_routed": 30,
+    "droute.opens": 0,
     "droute.rrr_rounds": 0,
     "droute.soft_tolled": 0,
     "groute.edges_committed": 1953,

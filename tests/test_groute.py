@@ -1,7 +1,6 @@
 """Unit tests for the global router: patterns, layer DP, maze, driver."""
 
-import inspect
-
+import numpy as np
 import pytest
 
 from repro.benchgen import make_design
@@ -12,6 +11,7 @@ from repro.droute.indexed import DrouteIndex, guide_spans
 from repro.grid import EdgeKind, GridEdge
 from repro.groute import GlobalRouter, maze_route, pattern_paths_2d
 from repro.groute.patterns import runs_of_path
+from repro.obs import observe
 
 from helpers import add_cell, add_two_pin_net, add_usage, build_tiny_design, fresh_small
 from oracles.field import capacity
@@ -347,29 +347,215 @@ def overflow_victims(router) -> set[str]:
     }
 
 
-@pytest.mark.parametrize("max_nets", [None, 40])
-def test_rrr_pass_reroutes_the_overflowed_nets(monkeypatch, max_nets):
-    """One RRR pass maze-reroutes the overflowed nets in routing order,
-    the first ``max_nets`` of them (``None``: the default cap)."""
-    design = fresh_small(num_cells=80, num_nets=100)
+def reported_victims(router) -> set[str]:
+    """Nets holding a wire edge whose wire plus fixed usage exceeds its
+    capacity -- what ``total_overflow`` sums -- read edge by edge."""
+    graph = router.graph
+    return {
+        name
+        for name, route in router.routes.items()
+        for edge in decoded(graph, route.edges)
+        if edge.kind is EdgeKind.WIRE
+        and graph.wire_usage[edge.layer][edge.gx, edge.gy]
+        + graph.fixed_usage[edge.layer][edge.gx, edge.gy]
+        > graph.wire_capacity[edge.layer][edge.gx, edge.gy]
+    }
+
+
+def pattern_routed(design) -> GlobalRouter:
+    """A router holding GR's initial pattern routes: no RRR, no repair."""
     router = GlobalRouter(design)
-    router.route_all(rrr_passes=0)
-    victims = overflow_victims(router)
-    # congested, yet not every net is a victim
-    assert victims and victims != set(design.nets)
+    for name in design.routing_order(design.nets):
+        router.route_net(name)
+    return router
+
+
+def congested() -> GlobalRouter:
+    """Pattern routes on a design they leave with reported overflow."""
+    router = pattern_routed(fresh_small(num_cells=80, num_nets=100))
+    assert router.total_overflow() > 0
+    return router
+
+
+def record_reroutes(monkeypatch, router, reroute=None) -> list[str]:
+    """The nets ``_maze_reroute`` is called on, in call order; ``reroute``
+    replaces the real reroute when given."""
     calls = []
-    maze_reroute = router._maze_reroute
+    maze_reroute = reroute or router._maze_reroute
 
     def record(name):
         calls.append(name)
         maze_reroute(name)
 
     monkeypatch.setattr(router, "_maze_reroute", record)
-    if max_nets is None:
-        assert router._rrr_pass()
-        cap = inspect.signature(router._rrr_pass).parameters["max_nets"].default
-    else:
+    return calls
+
+
+def route_edges(router) -> dict[str, frozenset[int]]:
+    return {name: frozenset(route.edges) for name, route in router.routes.items()}
+
+
+@pytest.mark.parametrize("max_nets", [None, 40])
+def test_rrr_pass_reroutes_the_overflowed_nets(monkeypatch, max_nets):
+    """One RRR pass maze-reroutes the nets on the edges it is given in
+    routing order, the first ``max_nets`` of them (``None``: all), and
+    returns the routes they had."""
+    design = fresh_small(num_cells=80, num_nets=100)
+    router = pattern_routed(design)
+    victims = overflow_victims(router)
+    # congested, yet not every net is a victim
+    assert victims and victims != set(design.nets)
+    if max_nets is not None:
         assert max_nets < len(victims)
-        assert router._rrr_pass(max_nets=max_nets)
-        cap = max_nets
-    assert calls == design.routing_order(victims)[:cap]
+    before = dict(router.routes)
+    calls = record_reroutes(monkeypatch, router)
+    replaced = router._rrr_pass(router.field.overflow_edges(), max_nets=max_nets)
+    expected = design.routing_order(victims)[:max_nets]
+    assert calls == list(replaced) == expected
+    assert all(replaced[name] is before[name] for name in expected)
+
+
+def test_improve_passes_the_eq9_edges_and_its_cap(monkeypatch):
+    router = congested()
+    seen = []
+    monkeypatch.setattr(
+        router, "_rrr_pass",
+        lambda edges, max_nets=None: seen.append((edges, max_nets)) or {},
+    )
+    assert router.improve(3) == 0
+    assert seen == [(router.field.overflow_edges(), 200)]
+
+
+def test_graph_overflow_edges_are_the_ones_overflow_sums():
+    router = congested()
+    graph = router.graph
+    over = graph.overflow_edges()
+    assert over
+    assert set(decoded(graph, over)) == {
+        GridEdge(layer, gx, gy, EdgeKind.WIRE)
+        for layer in range(graph.num_layers)
+        for gx, gy in zip(*np.nonzero(
+            graph.wire_usage[layer] + graph.fixed_usage[layer]
+            > graph.wire_capacity[layer]
+        ))
+    }
+    # the Eq. 9 scan's via term makes it a different, larger set
+    assert set(over) < set(router.field.overflow_edges())
+
+
+def test_repair_reroutes_the_nets_on_reported_overflow_in_routing_order(
+    monkeypatch,
+):
+    router = congested()
+    design = router.design
+    victims = reported_victims(router)
+    assert victims and victims != overflow_victims(router)
+    calls = record_reroutes(monkeypatch, router)
+    with observe() as obs:
+        overflow_in = router.total_overflow()
+        assert router.repair_overflow() == overflow_in
+    counters = obs.metrics.snapshot()["counters"]
+    assert counters["groute.repair_passes"] == 1
+    assert counters["groute.repair_victims"] == len(victims)
+    assert calls == design.routing_order(victims)
+    assert router.total_overflow() == 0
+    assert not router.accounting_errors()
+    (span,) = [root for root in obs.tracer.roots if root.name == "groute.repair"]
+    assert span.meta == {
+        "overflow_in": overflow_in, "overflow_out": 0.0, "victims": len(victims),
+    }
+
+
+def test_repair_without_overflow_changes_nothing(monkeypatch):
+    router = GlobalRouter(fresh_small(num_cells=80, num_nets=100))
+    router.route_all()
+    assert router.total_overflow() == 0
+    routes = route_edges(router)
+    calls = record_reroutes(monkeypatch, router)
+    with observe() as obs:
+        assert router.repair_overflow() == 0
+    assert not calls
+    assert obs.metrics.snapshot()["counters"] == {}
+    assert route_edges(router) == routes
+
+
+def test_repair_undoes_a_pass_that_raises_overflow(monkeypatch):
+    """A pass that leaves more overflow is rolled back, and the repair
+    stops there: the routes and the overflow are what it started from."""
+    router = congested()
+    graph = router.graph
+    routes = route_edges(router)
+    overflow_in = router.total_overflow()
+    victims = reported_victims(router)
+    assert len(victims) > overflow_in
+    # an edge at capacity that no victim holds: each one routed over it
+    # adds a track of overflow
+    n = graph.n_wire
+    full = np.flatnonzero(
+        graph.wire_usage_flat[:n] + graph.fixed_usage_flat[:n]
+        == graph.wire_capacity_flat[:n]
+    ).tolist()
+    edge = next(
+        e for e in full if all(e not in routes[name] for name in victims)
+    )
+    maze_reroute = router._maze_reroute
+
+    def reroute_over_full_edge(name):
+        maze_reroute(name)
+        route = router.routes[name]
+        router.rip_up(name)
+        route.edges.add(edge)
+        router._commit(route)
+
+    calls = record_reroutes(monkeypatch, router, reroute_over_full_edge)
+    raised = []
+    restore_route = router.restore_route
+
+    def restore(name, route):
+        if not raised:
+            raised.append(router.total_overflow())
+        restore_route(name, route)
+
+    monkeypatch.setattr(router, "restore_route", restore)
+    with observe() as obs:
+        assert router.repair_overflow() == overflow_in
+    assert obs.metrics.counter("groute.repair_passes") == 1
+    assert raised[0] > overflow_in
+    assert calls == router.design.routing_order(calls)
+    assert router.total_overflow() == overflow_in
+    assert route_edges(router) == routes
+    assert not router.accounting_errors()
+
+
+def test_repair_stops_when_overflow_stops_falling(monkeypatch):
+    """A pass that moves nothing lowers nothing: one pass, then stop."""
+    router = congested()
+    routes = route_edges(router)
+
+    def same_route(name):
+        route = router.routes[name]
+        router.rip_up(name)
+        router._commit(route)
+
+    calls = record_reroutes(monkeypatch, router, same_route)
+    with observe() as obs:
+        router.repair_overflow()
+    assert obs.metrics.counter("groute.repair_passes") == 1
+    assert set(calls) == reported_victims(router)
+    assert route_edges(router) == routes
+
+
+def test_route_all_ends_with_the_repair():
+    """With no RRR pass the pattern routes keep their reported overflow
+    up to the repair that closes ``route_all``, which clears it."""
+    design = fresh_small(num_cells=80, num_nets=100)
+    with observe() as obs:
+        router = GlobalRouter(design)
+        router.route_all(rrr_passes=0)
+    assert router.total_overflow() == 0
+    roots = obs.tracer.roots
+    assert [root.name for root in roots] == [
+        "groute.initial", "groute.rrr", "groute.repair",
+    ]
+    assert roots[-1].meta["overflow_in"] == congested().total_overflow()
+    assert roots[-1].meta["overflow_out"] == 0

@@ -211,9 +211,15 @@ def test_run_flow_trace_backs_runtime_dict():
     assert result.runtime["CRP"] == stage_walls["flow.CRP"]
     assert result.runtime["DR"] == stage_walls["flow.DR"]
     assert list(result.runtime) == ["GR", "CRP", "DR"]
-    # CR&P step spans are children of flow.CRP, one tree per iteration.
+    # CR&P step spans are children of flow.CRP, one tree per iteration;
+    # the hand-off overflow repair closes the stage.
     crp_span = result.trace.find("flow.CRP")
-    assert [s.name for s in crp_span.children] == ["crp.iteration"]
+    assert [s.name for s in crp_span.children] == ["crp.iteration", "groute.repair"]
+    # CR&P left overflow here, and DR was handed none.
+    repair = crp_span.children[-1].meta
+    unrepaired = result.metrics["gauges"]["flow.gr_overflow_unrepaired"]
+    assert unrepaired == repair["overflow_in"] > 0
+    assert result.gr_overflow == repair["overflow_out"] == 0
     assert [s.name for s in crp_span.children[0].children] == [
         "crp.label", "crp.GCP", "crp.ECC", "crp.ILP", "crp.UD"
     ]
@@ -274,8 +280,9 @@ def test_fig3_shares_come_from_both_iteration_spans():
     result = run_flow(
         fresh_small(), mode="crp", crp_iterations=2, config=CrpConfig(seed=1)
     )
-    iterations = result.trace.find("flow.CRP").children
-    assert [s.name for s in iterations] == ["crp.iteration"] * 2
+    stage = result.trace.find("flow.CRP").children
+    assert [s.name for s in stage] == ["crp.iteration"] * 2 + ["groute.repair"]
+    iterations = stage[:2]
 
     def step(name):
         return sum(it.child_walls()[f"crp.{name}"] for it in iterations)
