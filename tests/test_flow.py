@@ -226,3 +226,60 @@ def test_fontana_digests_pinned_on_ispd18_test1():
     assert counters["crp.window_runs"] > 0
     assert counters.get("crp.window_solves", 0) == 0
     assert counters.get("crp.window_models", 0) == 0
+
+
+#: ``full_k1_test5``'s detailed routing, the benchmark's DR workload:
+#: recorded at ``f4b508f``, before the connection ladder, the guide stamp
+#: and the min-area patch moved into ``droute/_kernel.c``
+K1_TEST5_DROUTE = {
+    "droute.astar_calls": 1336,
+    "droute.nets_routed": 881,
+    "droute.hard_skipped": 90,
+    "droute.soft_tolled": 10,
+    "droute.history_bumps": 195,
+    "droute.ripped_nets": 161,
+    "droute.rrr_rounds": 2,
+    "droute.opens": 0,
+}
+
+
+def test_detailed_routing_pinned_on_ispd18_test5():
+    """Quality, every route and violation (hashed), the ladder's counters
+    and the per-search expansions of the k=1 flow on ``ispd18_test5``."""
+    import hashlib
+    from unittest.mock import patch
+
+    from repro.benchgen import make_design
+    from repro.droute import DetailedRouter
+
+    routed = []
+    route_all = DetailedRouter.route_all
+
+    def keep(self, guides):
+        routed.append(route_all(self, guides))
+        return routed[-1]
+
+    with patch.object(DetailedRouter, "route_all", keep):
+        flow = run_flow(make_design("ispd18_test5"), mode="crp", crp_iterations=1)
+    assert not flow.failed and flow.legal
+    (result,) = routed
+    assert (result.wirelength_dbu, result.vias) == (8053200, 6170)
+    assert result.drv_counts() == {"short": 2, "min_area": 4}
+    text = repr((
+        sorted(result.paths.items()),
+        sorted(
+            (v.kind.value, v.layer, v.net_a, v.net_b, v.node)
+            for v in result.violations
+        ),
+    ))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "f251d0a3109d891592cc3e34885199d6b0d2ba164615498ccb94c2abc32ec5a2"
+    )
+    counters = flow.metrics["counters"]
+    assert {
+        name: counters.get(name, 0) for name in K1_TEST5_DROUTE
+    } == K1_TEST5_DROUTE
+    assert flow.metrics["histograms"]["droute.astar_expansions"] == {
+        "count": 1336, "sum": 872242.0, "min": 2, "max": 11140,
+        "mean": 872242 / 1336, "p50": 370, "p95": 2048,
+    }
