@@ -1,7 +1,8 @@
 """Parameters and result of the A* search on the track lattice.
 
-The search connects a grown net component to the next terminal.  The
-router asks twice.  First *hard*, inside the net's guide region: nodes
+The search connects a grown net component to the next terminal, after
+the clean L-shaped tries of the same connection have failed.  The
+ladder asks twice.  First *hard*, inside the net's guide region: nodes
 held by another net and nodes off the guides are impassable.  If that
 fails, *soft* and with no guide at all, in the same window: every free
 node costs what it costs, and a node held by another net may be crossed
@@ -17,9 +18,11 @@ search runs with the crossing it must make already in its estimate
 (``droute.soft_tolled``), so that it heads for the cheapest crossing
 instead of first flooding everything that is free.
 
-The search itself is :func:`repro.droute.indexed.astar_connect_indexed`,
-which runs the C kernel ``droute/_kernel.c``; the dict-of-tuples A* in
-``tests/oracles/droute.py`` is its parity reference.
+The whole ladder -- tries, looks and searches -- is one call of the C
+kernel ``droute/_kernel.c`` per connection
+(:meth:`repro.droute.indexed.DrouteIndex.connect`); the search alone is
+:func:`repro.droute.indexed.astar_connect_indexed`.  The dict-of-tuples
+A* in ``tests/oracles/droute.py`` is its parity reference.
 """
 
 from __future__ import annotations

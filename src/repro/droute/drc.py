@@ -7,7 +7,7 @@ Three rule classes matter on a spacing-clean track lattice:
 * **min-area** — a net's connected metal patch on one layer too small
   to satisfy the layer's minimum-area rule, unless a pin pad supplies
   the area (found as the router patches each net; see
-  ``DetailedRouter._patch_min_area``),
+  ``DrouteIndex.commit``),
 * **open** — a terminal the router could not reach at all.
 """
 

@@ -1,4 +1,4 @@
-"""Flat-array detailed-routing state and its C search kernel.
+"""Flat-array detailed-routing state and its C kernel.
 
 Addressing scheme: every lattice node ``(layer, ix, iy)`` maps to a flat
 node id ``nid = (layer * ny + iy) * nx + ix``; net names are interned to
@@ -10,32 +10,37 @@ cache ``gate`` -- lives in typed ``array.array`` buffers indexed by nid:
 ``g_score`` as ``d``, the stamps ``target_epoch``, ``guide_epoch`` and
 ``gate`` as ``q`` (64 bits, so they never wrap).
 
-The A* search and the pocket look run in ``_kernel.c``, which reads and
-writes those buffers in place through ``ctypes``.  :func:`load_kernel`
-compiles it with the system ``cc`` on the first :class:`DrouteIndex` and
-caches the shared object in ``__pycache__``; there is no Python copy of
-either loop and no fallback (DESIGN.md, "One loop, one relax, one
-push — in C").  Python converts the terminals to node ids, keeps the stamp
-counters, and turns the path ids the kernel hands back into a
-:class:`SearchResult`.
+Everything detailed routing does per node runs in ``_kernel.c``, which
+reads and writes those buffers in place through ``ctypes``: per net, the
+guide stamp (``drk_guide``) and the min-area patch with the commit of
+its nodes (``drk_commit``); per
+connection, the whole ladder (``drk_connect``) -- the L-shaped tries,
+the pocket look, the hard search and the tolled or plain soft search.
+:func:`load_kernel` compiles it with the system ``cc`` on the first
+:class:`DrouteIndex` and caches the shared object in ``__pycache__``;
+there is no Python copy of any of it and no fallback (DESIGN.md,
+"Detailed-routing kernel").  Python converts the terminals to node ids
+once per connection -- in the iteration order of the router's tuple sets,
+which is the order the kernel seeds and breaks ties in -- records the
+counters, and turns the ids the kernel hands back into tuples.
 
 Per-search state costs O(expanded), not O(lattice): ``g_score`` is
 ``inf`` and ``came_from`` ``-1`` between searches, and the kernel
-restores every slot it wrote on every exit.  Target membership is
-epoch-stamped (bump a counter, compare stamps), and guide membership
-uses a per-net ``guide_stamp`` filled by row-contiguous slice
-assignment.
+restores every slot it wrote on every exit.  Target and guide membership
+are epoch-stamped (bump a counter, compare stamps); the counters live in
+the kernel's ``Index`` record.
 
-Parity contract: the search is expansion-order-identical to the dict
-oracle in ``tests/oracles/droute.py`` (``astar_connect`` and
-``pocket_look``) -- same seed order, same (f, insertion order) queue
-order as the oracle's (f, tie) heap, same float expressions for the
-heuristic and step costs, same hard/soft conflict semantics, same window
-rule -- so paths, costs, conflict lists and expansion counts are
-byte-identical; the parity suite installs the oracle through
-:meth:`DetailedRouter.begin_session`.
+Parity contract: every kernel entry is the dict oracle in
+``tests/oracles/droute.py`` step for step -- the search and the look
+expansion-order-identical to ``astar_connect`` and ``pocket_look`` (same
+seed order, same (f, insertion order) queue order as the oracle's (f,
+tie) heap, same float expressions, same hard/soft conflict semantics,
+same window rule), the L tries, the guide stamp and the patch to the
+moved Python -- so paths, costs, conflict lists, expansion counts,
+patches and islands are byte-identical; the parity suite installs the
+oracle through :meth:`DetailedRouter.begin_session`.
 
-:class:`DrouteIndex` is also the router's *session state*: the nine
+:class:`DrouteIndex` is also the router's *session state*: the seven
 methods under "session state" are everything
 :class:`~repro.droute.router.DetailedRouter` asks of it, and the only
 seam a test needs to substitute the reference.
@@ -49,29 +54,27 @@ import os
 import tempfile
 import types
 from array import array
-from collections import defaultdict
 from pathlib import Path
 
 from repro.droute.astar import SearchParams, SearchResult
 from repro.droute.lattice import LNode, TrackLattice
 from repro.droute.obstacles import BLOCKED
-from repro.groute import GuideRect
 from repro.obs import get_metrics
 
 #: owner/occupancy ids; net ids are interned starting at 2
 FREE = 0
 BLOCKED_ID = 1
 
-_INF = float("inf")
+#: the rungs of one connection, tried in this order (``rungs`` of
+#: :meth:`DrouteIndex.connect`): the L-shaped tries on the guide, the hard
+#: search on it, the soft search off it
+FAST, HARD, SOFT = 1, 2, 4
+LADDER = FAST | HARD | SOFT
 
-#: stride of ``DrouteIndex.gate_stamp``.  Every search and every pocket
-#: look takes a fresh block of this many codes, so no mark of an earlier
-#: block compares ``>=`` a later block's base; wide enough for the
-#: search's five codes (``gstamp + 0`` free, ``gstamp + 1`` held by
-#: another net, ``gstamp + 2`` a wall, ``gstamp + 3 + 0..1`` the same
-#: two on a node the look before a tolled search had marked) and the
-#: look's two
-GATE_BLOCK = 8
+#: ``drk_*`` status for a terminal, window or guide off the lattice
+_OFF_LATTICE = -2
+
+_INF = float("inf")
 
 #: nodes :func:`pocket_closed` may visit before it gives up and lets the
 #: forward search run; sized from the measured curve in DESIGN.md
@@ -126,71 +129,66 @@ def load_kernel() -> types.SimpleNamespace:
 
     class Index(ctypes.Structure):
         """``Index`` of ``_kernel.c``: buffer addresses, geometry, the
-        cost constants of the next call and what the last search found."""
+        cost constants of the next call, the stamp counters and what the
+        last call found."""
 
         _fields_ = [
             (name, c_void_p) for name in (
                 "owner", "occupancy", "came_from", "g_score",
                 "target_epoch", "guide_epoch", "gate", "horizontal",
-                "history",
+                "history", "min_area", "path",
             )
         ] + [
             (name, c_int32) for name in ("nx", "ny", "num_layers", "min_wire_layer")
         ] + [
-            ("pitch", c_int64), ("via_cost", c_double), ("jog_factor", c_double),
-            ("conflict_penalty", c_double), ("cost", c_double),
-            ("expansions", c_int64),
+            (name, c_int64) for name in ("pitch", "die_lx", "die_ly", "offset", "margin")
+        ] + [
+            (name, c_double) for name in (
+                "via_cost", "jog_factor", "conflict_penalty", "heuristic_weight",
+                "soft_budget_factor",
+            )
+        ] + [
+            (name, c_int64) for name in (
+                "max_expansions", "pocket_budget", "epoch", "gate_stamp",
+                "guide_stamp",
+            )
+        ] + [
+            ("cost", c_double), ("expansions", c_int64),
+            ("hard_expansions", c_int64), ("soft_expansions", c_int64),
+            ("hard_skipped", c_int32), ("soft_tolled", c_int32),
+            ("path_len", c_int32), ("bounds", c_int32 * 4),
         ]
 
     # (index, sources, n, targets, n, net, ix0, iy0, ix1, iy1, guide stamp)
     common = [ctypes.POINTER(Index), c_void_p, c_int32, c_void_p, c_int32]
     common += [c_int32] * 5 + [c_int64]
-    lib.drk_search.argtypes = common + [
-        c_int64, c_int64, c_int64, c_double, c_double, c_int32, c_int64, c_void_p,
-    ]
+    lib.drk_connect.argtypes = common + [c_int32]
+    lib.drk_connect.restype = c_int32
+    lib.drk_search.argtypes = common + [c_int32, c_double]
     lib.drk_search.restype = c_int64
-    lib.drk_pocket.argtypes = common + [c_int64, c_int64]
+    lib.drk_pocket.argtypes = common
     lib.drk_pocket.restype = c_int32
+    lib.drk_guide.argtypes = [
+        ctypes.POINTER(Index), c_void_p, c_int32, c_void_p, c_int32,
+    ]
+    lib.drk_guide.restype = c_int64
+    lib.drk_commit.argtypes = [
+        ctypes.POINTER(Index), c_void_p, c_int32, c_void_p, c_int32, c_int32,
+        c_void_p,
+    ]
+    lib.drk_commit.restype = c_int32
     return types.SimpleNamespace(
-        search=lib.drk_search, pocket=lib.drk_pocket, Index=Index
+        connect=lib.drk_connect, search=lib.drk_search, pocket=lib.drk_pocket,
+        guide=lib.drk_guide, commit=lib.drk_commit, Index=Index,
     )
 
 
-def guide_spans(
-    lattice: TrackLattice,
-    margin: int,
-    net_guides: list[GuideRect],
-    terminal_access: list[list[LNode]],
-):
-    """Per-layer guide spans + search bounds for one net (pure math).
-
-    Shared with the reference state in ``tests/oracles`` so both search
-    the same bounds; only the membership *representation* (stamped array
-    rows vs tuple set) differs.
-    """
-    all_nodes = [n for nodes in terminal_access for n in nodes]
-    ix_vals = [n[1] for n in all_nodes]
-    iy_vals = [n[2] for n in all_nodes]
-
-    per_layer: dict[int, list[tuple[int, int, int, int]]] = defaultdict(list)
-    g_ix0, g_iy0 = lattice.nx - 1, lattice.ny - 1
-    g_ix1, g_iy1 = 0, 0
-    for guide in net_guides:
-        ix0, iy0, ix1, iy1 = lattice.index_rect(guide.rect)
-        ix0 = max(0, ix0 - margin)
-        iy0 = max(0, iy0 - margin)
-        ix1 = min(lattice.nx - 1, ix1 + margin)
-        iy1 = min(lattice.ny - 1, iy1 + margin)
-        per_layer[guide.layer].append((ix0, iy0, ix1, iy1))
-        g_ix0 = min(g_ix0, ix0)
-        g_iy0 = min(g_iy0, iy0)
-        g_ix1 = max(g_ix1, ix1)
-        g_iy1 = max(g_iy1, iy1)
-    g_ix0 = min(g_ix0, max(0, min(ix_vals) - margin))
-    g_iy0 = min(g_iy0, max(0, min(iy_vals) - margin))
-    g_ix1 = max(g_ix1, min(lattice.nx - 1, max(ix_vals) + margin))
-    g_iy1 = max(g_iy1, min(lattice.ny - 1, max(iy_vals) + margin))
-    return per_layer, (g_ix0, g_iy0, g_ix1, g_iy1)
+def _check(status: int, what: str) -> None:
+    """Raise for a kernel call's failure status."""
+    if status == _OFF_LATTICE:
+        raise IndexError(f"detailed-routing {what} off the lattice")
+    if status < 0:
+        raise MemoryError(f"detailed-routing {what}")
 
 
 class DrouteIndex:
@@ -205,9 +203,8 @@ class DrouteIndex:
         "lattice", "nx", "ny", "num_layers", "num_nodes",
         "names", "ids", "owner", "occupancy", "history",
         "g_score", "came_from", "target_epoch", "guide_epoch",
-        "gate", "epoch", "guide_stamp", "gate_stamp",
-        "reservations", "params", "margin",
-        "path", "_kernel", "_horizontal", "_c",
+        "gate", "path", "reservations", "params",
+        "_kernel", "_horizontal", "_min_area", "_patch_words", "_c",
     )
 
     def __init__(
@@ -224,8 +221,6 @@ class DrouteIndex:
         #: by name with tuple nodes (rare, never on the hot path)
         self.reservations = reservations if reservations is not None else {}
         self.params = params or SearchParams()
-        #: tracks a guide rect grows by on every side
-        self.margin = guide_margin
         self.nx = nx = lattice.nx
         self.ny = ny = lattice.ny
         self.num_layers = num_layers = lattice.tech.num_layers
@@ -247,32 +242,33 @@ class DrouteIndex:
         self.came_from = array("i", [-1]) * n
         self.target_epoch = array("q", bytes(8 * n))
         self.guide_epoch = array("q", bytes(8 * n))
-        #: lazy per-search passability cache, five codes over the live
-        #: stamp (see :data:`GATE_BLOCK`); anything older than the live
-        #: stamp means "not classified yet".  :func:`pocket_closed`
-        #: borrows it under a stamp block of its own, ``gate_stamp + {0:
-        #: visited, 1: source}``; both advance ``gate_stamp`` by
-        #: :data:`GATE_BLOCK`
+        #: lazy per-search passability cache: five codes over the search's
+        #: stamp block, anything older meaning "not classified yet"; the
+        #: pocket look borrows it under a block of its own (``GATE_BLOCK``
+        #: in ``_kernel.c``)
         self.gate = array("q", bytes(8 * n))
-        #: the node ids of the last path found, source first
-        self.path = array("i", bytes(4 * n))
-        self.epoch = 0
-        self.guide_stamp = 0
-        self.gate_stamp = 0
+        #: the node ids of the last path found, source first: a search's
+        #: path visits no node twice, an L try's at most
+        #: ``nx + ny + 3 * num_layers``
+        self.path = array("i", bytes(4 * (n + nx + ny + 3 * num_layers)))
 
         self._horizontal = array(
             "i", [layer.is_horizontal for layer in lattice.tech.layers]
         )
+        self._min_area = array("i", lattice.min_area_nodes())
+        #: ids a patch writes per used node, at most (``drk_commit``)
+        self._patch_words = max(0, 2 * max(self._min_area) - 1)
         # No buffer is ever resized, so the addresses stay valid.
         self._c = kernel.Index(
             *(
                 buf.buffer_info()[0] for buf in (
                     self.owner, self.occupancy, self.came_from, self.g_score,
                     self.target_epoch, self.guide_epoch, self.gate,
-                    self._horizontal, self.history,
+                    self._horizontal, self.history, self._min_area, self.path,
                 )
             ),
             nx, ny, num_layers, lattice.min_wire_layer, lattice.pitch,
+            lattice.die.lx, lattice.die.ly, lattice.offset, guide_margin,
         )
 
     # ------------------------------------------------------------- interning
@@ -295,119 +291,131 @@ class DrouteIndex:
         layer, ix, iy = node
         return (layer * self.ny + iy) * self.nx + ix
 
-    # ---------------------------------------------------------------- guides
-
-    def stamp_guides(
-        self,
-        per_layer: dict[int, list[tuple[int, int, int, int]]],
-        terminal_access: list[list[LNode]],
-    ) -> int:
-        """Stamp one net's guide membership; returns the stamp handle.
-
-        Rows are contiguous in ``ix``, so each span row is one slice
-        assignment.  Terminals and their escape landings (one layer up)
-        are always stamped, mirroring the oracle's guide-set build.
-        """
-        self.guide_stamp += 1
-        stamp = self.guide_stamp
-        ge = self.guide_epoch
+    def _ids(self, nodes) -> array:
+        """``nodes`` as node ids, in their iteration order."""
         nx, ny = self.nx, self.ny
-        num_layers = self.num_layers
-        for layer, spans in per_layer.items():
-            base = layer * ny
-            for ix0, iy0, ix1, iy1 in spans:
-                width = ix1 - ix0 + 1
-                fill = array("q", [stamp]) * width
-                for iy in range(iy0, iy1 + 1):
-                    row = (base + iy) * nx + ix0
-                    ge[row:row + width] = fill
-        for nodes in terminal_access:
-            for layer, ix, iy in nodes:
-                ge[(layer * ny + iy) * nx + ix] = stamp
-                if layer + 1 < num_layers:
-                    ge[((layer + 1) * ny + iy) * nx + ix] = stamp
-        return stamp
+        return array("i", [(layer * ny + iy) * nx + ix for layer, ix, iy in nodes])
+
+    def _load(self, params: SearchParams) -> None:
+        """The cost constants of the next kernel call."""
+        c = self._c
+        c.via_cost = params.via_cost
+        c.jog_factor = params.jog_factor
+        c.conflict_penalty = params.conflict_penalty
+        c.heuristic_weight = params.heuristic_weight
+        c.soft_budget_factor = params.soft_budget_factor
+        c.max_expansions = params.max_expansions
+        c.pocket_budget = POCKET_BUDGET
 
     # --------------------------------------------------------- session state
 
     def guide_region(self, net_guides, terminal_access):
-        """(guide stamp, search bounds) of one net."""
-        per_layer, bounds = guide_spans(
-            self.lattice, self.margin, net_guides, terminal_access
+        """(guide stamp, search bounds) of one net: ``drk_guide`` stamps
+        every track crossing of each guide rect grown by the guide margin,
+        and the terminals with their escape landings (one layer up)."""
+        rects = array("q")
+        for guide in net_guides:
+            rect = guide.rect
+            rects.extend((guide.layer, rect.lx, rect.ly, rect.ux, rect.uy))
+        terminals = self._ids(node for nodes in terminal_access for node in nodes)
+        c = self._c
+        stamp = self._kernel.guide(
+            c, rects.buffer_info()[0], len(rects) // 5,
+            terminals.buffer_info()[0], len(terminals),
         )
-        return self.stamp_guides(per_layer, terminal_access), bounds
+        _check(stamp, "guide")
+        return stamp, tuple(c.bounds)
 
-    def connect(self, sources, targets, net_name, bounds, guide, soft):
-        net_id = self.intern(net_name)
-        params = self.params
-        toll = 0.0
-        if pocket_closed(self, sources, targets, net_id, bounds, guide):
-            # The targets sit in a pocket sealed against penalty-free
-            # steps: a hard search can only come back ``None`` -- say so
-            # without running it -- and a soft one must cross a node held
-            # by another net before it gets in.
-            if not soft:
-                get_metrics().count("droute.hard_skipped")
-                return None
-            get_metrics().count("droute.soft_tolled")
-            toll = float(params.conflict_penalty)
-        return astar_connect_indexed(
-            self, sources, targets, net_id, bounds, guide, params, soft, toll
-        )
+    def connect(self, sources, targets, net_name, bounds, guide, rungs=LADDER):
+        """Connect ``sources`` to ``targets``: the first of ``rungs`` that
+        finds a path answers (``drk_connect``), or ``None``.
 
-    def polyline_clear(self, corners, net_name: str, guide) -> bool:
-        """Every node of the axis-parallel polyline through ``corners``
-        after the first is free or ``net_name``'s own, and in ``guide``.
-
-        Each leg is one strided slice of ``owner``, ``occupancy`` and
-        ``guide_epoch`` (a leg's unit step is 1, ``nx`` or ``nx * ny``
-        ids), judged by ``list.count``: the node order of a walk does not
-        matter to an all-nodes test.
+        :data:`FAST` is the L-shaped tries: the closest (source, target)
+        pair -- of equally close pairs, the first in the sets' iteration
+        order -- and both bend orders over the two lowest horizontal and
+        vertical wire layers, priced in closed form; the cheapest whose
+        every node after the source is free for this net and on ``guide``
+        wins, candidate order breaking ties.  So it is always a path the
+        hard search could also have found.  :data:`HARD` is the pocket look
+        (:func:`pocket_closed`) and, unless it closed -- counted as
+        ``droute.hard_skipped`` -- the hard search on ``guide``.
+        :data:`SOFT` is the look and the soft search with no guide; when
+        that look closed the search runs under a toll of
+        ``conflict_penalty`` (``droute.soft_tolled``).  Each search that
+        runs counts ``droute.astar_calls`` and records its expansions.
         """
+        if not sources or not targets:
+            return None
+        overlap = sources & targets
+        if overlap:
+            return SearchResult(path=[next(iter(overlap))], cost=0.0, conflicts=[])
         net_id = self.intern(net_name)
-        owner = self.owner
-        occupancy = self.occupancy
-        guide_epoch = self.guide_epoch
-        nx, ny = self.nx, self.ny
-        layer, ix, iy = corners[0]
-        nid = (layer * ny + iy) * nx + ix
-        for layer, ix, iy in corners[1:]:
-            end = (layer * ny + iy) * nx + ix
-            delta = end - nid
-            if not delta:
-                continue
-            unit = 1 if -nx < delta < nx else (nx if -nx * ny < delta < nx * ny else nx * ny)
-            # the leg's nodes after ``nid``, as an ascending slice
-            leg = slice(nid + unit, end + 1, unit) if delta > 0 else slice(end, nid, unit)
-            nid = end
-            size = abs(delta) // unit
-            held = owner[leg]
-            if held.count(0) + held.count(net_id) != size:
-                return False
-            held = occupancy[leg]
-            if held.count(0) + held.count(net_id) != size:
-                return False
-            if guide_epoch[leg].count(guide) != size:
-                return False
-        return True
+        self._load(self.params)
+        src, tgt = self._ids(sources), self._ids(targets)
+        c = self._c
+        rung = self._kernel.connect(
+            c, src.buffer_info()[0], len(src), tgt.buffer_info()[0], len(tgt),
+            net_id, *bounds, -1 if guide is None else guide, rungs,
+        )
+        _check(rung, "connection")
+        metrics = get_metrics()
+        if c.hard_skipped:
+            metrics.count("droute.hard_skipped")
+        if c.hard_expansions >= 0:
+            metrics.count("droute.astar_calls")
+            metrics.observe("droute.astar_expansions", c.hard_expansions)
+        if c.soft_tolled:
+            metrics.count("droute.soft_tolled")
+        if c.soft_expansions >= 0:
+            metrics.count("droute.astar_calls")
+            metrics.observe("droute.astar_expansions", c.soft_expansions)
+        if not rung:
+            return None
+        return _build_result(self, c.path_len, c.cost)
 
-    def patch_free(self, node: LNode, net_name: str) -> bool:
-        nid = self.nid_of(node)
-        holder = self.owner[nid] or self.occupancy[nid]
-        return holder == 0 or holder == self.intern(net_name)
+    def commit(self, net_name, used, terminal_access):
+        """Patch ``net_name``'s min-area islands, then land its occupancy
+        (``drk_commit``): every node of ``used`` that no net occupies
+        becomes the net's.
+
+        Real detailed routers insert metal patches where via stacks leave
+        isolated landing pads below the minimum-area rule; this models
+        that.  Per layer with a rule, every planar component of ``used``
+        without a terminal node and below the layer's node count
+        (:meth:`TrackLattice.min_area_nodes`) grows: from its nodes in
+        sorted order, each claims its first neighbour -- wire, then jog --
+        that is not in the component and whose holder (``owner``, else
+        ``occupancy``) is free or this net, and is tried again; a claim of
+        a node the net does not hold adds it to ``used`` and charges one
+        node of wire.  Growth reads only the committed state and the
+        island's own component, so the order the islands grow in is
+        immaterial.  Returns the charged node count and the islands that
+        stayed under-sized -- each stuck component as it stands after
+        every patch on its layer, as ``(layer, frozenset of (ix, iy))`` --
+        by layer and then seed.
+        """
+        ids = self._ids(used)
+        pins = self._ids(node for nodes in terminal_access for node in nodes)
+        out = array("i", bytes(4 * max(1, len(ids) * self._patch_words)))
+        added = self._kernel.commit(
+            self._c, ids.buffer_info()[0], len(ids), pins.buffer_info()[0],
+            len(pins), self.intern(net_name), out.buffer_info()[0],
+        )
+        _check(added, "commit")
+        nx, ny = self.nx, self.ny
+        used.update(_nodes(out[:added], nx, ny))
+        islands = []
+        for nid in out[added:self._c.path_len]:
+            if nid < 0:
+                nid = -nid - 1
+                component = set()
+                islands.append((nid // (nx * ny), component))
+            component.add((nid % nx, nid // nx % ny))
+        return added, [(layer, frozenset(nodes)) for layer, nodes in islands]
 
     def holder_name(self, node: LNode) -> str | None:
         nid = self.nid_of(node)
         return self.name_of(self.owner[nid] or self.occupancy[nid])
-
-    def commit_used(self, net_name: str, used_sorted) -> None:
-        net_id = self.intern(net_name)
-        occupancy = self.occupancy
-        nx, ny = self.nx, self.ny
-        for layer, ix, iy in used_sorted:
-            nid = (layer * ny + iy) * nx + ix
-            if occupancy[nid] == 0:
-                occupancy[nid] = net_id
 
     def release_reservations(self, net_name: str, used: set[LNode]) -> None:
         net_id = self.intern(net_name)
@@ -481,16 +489,14 @@ def pocket_closed(
     # Marks go in ``gate`` under a fresh stamp block; the forward search
     # that follows takes the next one, so it reads every mark left here
     # as "not classified yet" -- and, under a toll, as "inside".
-    src, tgt = _kernel_terminals(index, sources, targets, bounds)
-    seen = index.gate_stamp + GATE_BLOCK
-    index.gate_stamp = seen
+    index._load(index.params)
+    src, tgt = index._ids(sources), index._ids(targets)
     closed = index._kernel.pocket(
         index._c, src.buffer_info()[0], len(src),
         tgt.buffer_info()[0], len(tgt), net_id, *bounds,
-        -1 if guide_stamp is None else guide_stamp, seen, POCKET_BUDGET,
+        -1 if guide_stamp is None else guide_stamp,
     )
-    if closed < 0:
-        raise MemoryError("detailed-routing pocket look")
+    _check(closed, "pocket look")
     return bool(closed)
 
 
@@ -568,79 +574,41 @@ def astar_connect_indexed(
         return None
     overlap = sources & targets
     if overlap:
-        node = next(iter(overlap))
-        return SearchResult(path=[node], cost=0.0, conflicts=[])
-
-    index.epoch += 1
-    # Under a toll the closed look's block is the one just below ours;
-    # without one nothing older than ``gstamp`` counts as inside.
-    look_base = index.gate_stamp if toll else index.gate_stamp + GATE_BLOCK
-    gstamp = index.gate_stamp + GATE_BLOCK
-    index.gate_stamp = gstamp
-    max_expansions = params.max_expansions
-    if soft:
-        max_expansions = int(max_expansions * params.soft_budget_factor)
-    src, tgt = _kernel_terminals(index, sources, targets, bounds)
+        return SearchResult(path=[next(iter(overlap))], cost=0.0, conflicts=[])
+    index._load(params)
+    src, tgt = index._ids(sources), index._ids(targets)
     c = index._c
-    c.via_cost = params.via_cost
-    c.jog_factor = params.jog_factor
-    c.conflict_penalty = params.conflict_penalty
     found = index._kernel.search(
-        c, src.buffer_info()[0], len(src),
-        tgt.buffer_info()[0], len(tgt), net_id, *bounds,
-        -1 if guide_stamp is None else guide_stamp, index.epoch, gstamp,
-        look_base, 1.0 if toll else params.heuristic_weight, toll, soft,
-        max_expansions, index.path.buffer_info()[0],
+        c, src.buffer_info()[0], len(src), tgt.buffer_info()[0], len(tgt),
+        net_id, *bounds, -1 if guide_stamp is None else guide_stamp, soft, toll,
     )
-    metrics = get_metrics()
-    metrics.count("droute.astar_calls")
-    metrics.observe("droute.astar_expansions", c.expansions)
-    if found < 0:
-        raise MemoryError("detailed-routing search")
+    if found != _OFF_LATTICE:
+        metrics = get_metrics()
+        metrics.count("droute.astar_calls")
+        metrics.observe("droute.astar_expansions", c.expansions)
+    _check(found, "search")
     if not found:
         return None
-    return _build_result(index, found, c.cost, net_id)
+    return _build_result(index, found, c.cost)
 
 
-def _kernel_terminals(
-    index: DrouteIndex,
-    sources: set[LNode],
-    targets: set[LNode],
-    bounds: tuple[int, int, int, int],
-) -> tuple[array, array]:
-    """``sources`` and ``targets`` as node-id buffers, in their iteration
-    order.  The kernel indexes its buffers unchecked, and a step it takes
-    stays on the lattice only while ``bounds`` do, so both are checked
-    here: ``IndexError`` for anything off the lattice."""
-    nx, ny = index.nx, index.ny
-    src = array("i", [(layer * ny + iy) * nx + ix for layer, ix, iy in sources])
-    tgt = array("i", [(layer * ny + iy) * nx + ix for layer, ix, iy in targets])
-    ix0, iy0, ix1, iy1 = bounds
-    ids = src + tgt
-    if not (
-        0 <= ix0 and ix1 < nx and 0 <= iy0 and iy1 < ny
-        and 0 <= min(ids, default=0) and max(ids, default=0) < index.num_nodes
-    ):
-        raise IndexError(f"search off the {nx} x {ny} lattice: {bounds}")
-    return src, tgt
-
-
-def _build_result(
-    index: DrouteIndex, length: int, cost: float, net_id: int
-) -> SearchResult:
-    """The kernel's last path, ``length`` ids in ``index.path``, as nodes
-    and the nodes on it another net holds."""
-    owner = index.owner
-    occupancy = index.occupancy
-    nx, ny = index.nx, index.ny
-    path: list[LNode] = []
+def _build_result(index: DrouteIndex, length: int, cost: float) -> SearchResult:
+    """The kernel's last path, ``length`` ids in ``index.path``, as nodes,
+    and the nodes on it another net holds -- the ones a search stored as
+    ``-(id + 1)``.  An L try's path has none: its nodes after the source
+    are free or the net's own, and the source was charged when the
+    connection that reached it was made."""
+    ids = index.path[:length]
     conflicts: list[LNode] = []
-    for pid in index.path[:length]:
-        ix = pid % nx
-        rest = pid // nx
-        node = (rest // ny, ix, rest % ny)
-        path.append(node)
-        holder = owner[pid] or occupancy[pid]
-        if holder > 1 and holder != net_id:  # not FREE/BLOCKED/self
-            conflicts.append(node)
-    return SearchResult(path=path, cost=cost, conflicts=conflicts)
+    if min(ids) < 0:
+        conflicts = _nodes((-nid - 1 for nid in ids if nid < 0), index.nx, index.ny)
+        ids = array("i", [nid if nid >= 0 else -nid - 1 for nid in ids])
+    return SearchResult(
+        path=_nodes(ids, index.nx, index.ny), cost=cost, conflicts=conflicts
+    )
+
+
+def _nodes(ids, nx: int, ny: int) -> list[LNode]:
+    """Node ids as ``(layer, ix, iy)`` tuples, in order."""
+    plane = nx * ny
+    return [(nid // plane, nid % nx, nid // nx % ny) for nid in ids]

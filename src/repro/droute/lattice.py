@@ -67,6 +67,17 @@ class TrackLattice:
     #: lowest layer wires may run on (M1 is reserved for pin access)
     min_wire_layer: int = 1
 
+    def min_area_nodes(self) -> tuple[int, ...]:
+        """Per layer: the track nodes a metal island needs to meet the
+        layer's min-area rule as one wire of its width (0 where the layer
+        has no rule)."""
+        pitch = self.pitch
+        return tuple(
+            1 + max(0, -(-(l.min_area - l.width**2) // (pitch * l.width)))
+            if l.min_area > 0 else 0
+            for l in self.tech.layers
+        )
+
     def wire_neighbors(self, node: LNode) -> list[LNode]:
         """Track-adjacent crossings along the layer's preferred direction."""
         layer, ix, iy = node

@@ -7,32 +7,37 @@ quality numbers: wirelength, via count, and DRVs.
 The per-node routing state of a run is one
 :class:`repro.droute.indexed.DrouteIndex` — flat arrays addressed by node
 id — built by :meth:`DetailedRouter.begin_session`.  The router talks to
-it only through its nine session-state methods; the parity suite
+it only through its seven session-state methods; the parity suite
 overrides ``begin_session`` to install the dict-of-tuples reference from
 ``tests/oracles/droute.py`` behind the same methods.
 
 One routine, :meth:`DetailedRouter._route_net`, routes a net for the
-first pass and the conflict rounds alike: terminal access, guide region,
-pattern/A* searches and min-area patching read the committed state, and
-only then does the net's own occupancy land.
+first pass and the conflict rounds alike.  It finds the terminals' access
+nodes and keeps the net's connected and used node sets; the C kernel
+does the rest, reading the committed state: one call stamps the guide
+region, one call per connection runs its whole ladder (L-shaped tries,
+hard search, soft search), and one call patches the net's min-area
+islands and lands its occupancy.
 
 The rounds after the first pass negotiate (PathFinder): each one adds
 :data:`HISTORY_STEP` pitches of history cost to every contested node --
 the nodes of a short, and the planar neighbours of a min-area island
 that other nets hold -- rips every net of a short, of an island and
 those holders, and reroutes them against the grown costs.  The islands
-are the ones ``_patch_min_area`` could not grow, recorded per net as it
-routes; the rounds and the final DRC read that record.
+are the ones the patch could not grow, recorded per net as it routes;
+the rounds and the final DRC read that record.  With tracing on, the
+first pass and each round record in their span's meta the DRVs by kind
+going in and coming out, the nets ripped and the history bumps.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 from repro.db import Design, Net
 from repro.droute.access import access_nodes
-from repro.droute.astar import SearchParams, SearchResult
+from repro.droute.astar import SearchParams
 from repro.droute.drc import DrcKind, DrcViolation, check_shorts
 from repro.droute.indexed import DrouteIndex
 from repro.droute.lattice import LNode, TrackLattice
@@ -106,23 +111,6 @@ class DetailedRouter:
         )
         self._state: DrouteIndex | None = None
         self._book: _RouteBook | None = None
-        pitch = self.lattice.pitch
-        layers = design.tech.layers
-        #: per layer: track nodes a metal island needs to meet min-area
-        #: (0 where the layer has no rule)
-        self._min_area_nodes = tuple(
-            1 + max(0, -(-(l.min_area - l.width**2) // (pitch * l.width)))
-            if l.min_area > 0 else 0
-            for l in layers
-        )
-        #: the two lowest horizontal / vertical wire layers (L-pattern legs)
-        min_wire = self.lattice.min_wire_layer
-        self._h_layers = tuple(
-            l.index for l in layers if l.is_horizontal and l.index >= min_wire
-        )[:2]
-        self._v_layers = tuple(
-            l.index for l in layers if l.is_vertical and l.index >= min_wire
-        )[:2]
 
     # ------------------------------------------------------------------ API
 
@@ -156,11 +144,14 @@ class DetailedRouter:
             for name in self.design.routing_order(nets):
                 self._route_net(nets[name], guides[name], state, book)
             if tracer.recording:
-                span.meta["soft_tolled"] = int(
-                    metrics.counter("droute.soft_tolled") - tolled
+                span.meta.update(
+                    soft_tolled=int(metrics.counter("droute.soft_tolled") - tolled),
+                    drvs_in={}, drvs_out=_drv_kinds(book), ripped=0,
+                    history_bumps=0,
                 )
 
         for round_index in range(DRC_ROUNDS):
+            bumps = metrics.counter("droute.history_bumps")
             ripped = self._negotiate(state, book)
             if not ripped:
                 break
@@ -168,10 +159,14 @@ class DetailedRouter:
             metrics.count("droute.ripped_nets", len(ripped))
             with tracer.span("droute.rrr_round", round=round_index) as span:
                 tolled = metrics.counter("droute.soft_tolled")
+                drvs_in = _drv_kinds(book) if tracer.recording else None
                 self._rrr_round(ripped, guides, state, book)
                 if tracer.recording:
-                    span.meta["soft_tolled"] = int(
-                        metrics.counter("droute.soft_tolled") - tolled
+                    span.meta.update(
+                        soft_tolled=int(metrics.counter("droute.soft_tolled") - tolled),
+                        drvs_in=drvs_in, drvs_out=_drv_kinds(book),
+                        ripped=len(ripped),
+                        history_bumps=int(metrics.counter("droute.history_bumps") - bumps),
                     )
 
         with tracer.span("droute.drc"):
@@ -274,14 +269,18 @@ class DetailedRouter:
         state: DrouteIndex,
         book: _RouteBook,
     ) -> None:
-        """Route one net against committed state, then commit it."""
+        """Route one net against committed state, then commit it.
+
+        ``connected`` and ``used`` stay tuple sets: each connection hands
+        the kernel ``connected`` and its targets in their iteration order,
+        which seeds the searches and breaks the L tries' ties, and that
+        order is what the routes are pinned to."""
         name = net.name
         lattice = self.lattice
         terminal_access: list[list[LNode]] = []
         for pin in net.pins:
             nodes = access_nodes(self.design, lattice, pin)
             terminal_access.append(nodes)
-        pins = {n for nodes in terminal_access for n in nodes}
 
         guide, bounds = state.guide_region(net_guides, terminal_access)
 
@@ -298,28 +297,18 @@ class DetailedRouter:
                 connected |= targets
                 used |= targets
                 continue
-            search = self._fast_pattern(name, connected, targets, state, guide)
-            if search is None:
-                search = state.connect(
-                    connected, targets, name, bounds, guide, soft=False
-                )
-            if search is None:
-                search = state.connect(
-                    connected, targets, name, bounds, None, soft=True
-                )
+            search = state.connect(connected, targets, name, bounds, guide)
             if search is None:
                 # an open only if no later round reconnects it
                 get_metrics().count("droute.failed_searches")
                 opens.append(nodes[0])
                 continue
             paths.append(search.path)
-            for node in search.path:
-                connected.add(node)
-                used.add(node)
+            connected.update(search.path)
+            used.update(search.path)
             conflict_nodes.extend(search.conflicts)
             connected |= targets
 
-        patch_count, islands = self._patch_min_area(name, used, pins, state)
         # Resolve conflict holders against committed state *before* this
         # net's own occupancy lands, as they stood when it was searched.
         for node in conflict_nodes:
@@ -332,11 +321,7 @@ class DetailedRouter:
                     kind=DrcKind.OPEN, layer=node[0], net_a=name, node=node
                 )
             )
-        used_sorted = sorted(used)
-        state.commit_used(name, used_sorted)
-        # Rebuilt from the sorted list, so the DRC pass meets the nodes
-        # in an order that does not depend on how they were found.
-        used = set(used_sorted)
+        patch_count, islands = state.commit(name, used, terminal_access)
         # Release this net's unused escape reservations: once routed,
         # later nets may pass over its pins' spare landings.
         state.release_reservations(name, used)
@@ -347,179 +332,15 @@ class DetailedRouter:
         book.result.paths[name] = paths
         get_metrics().count("droute.nets_routed")
 
-    # ------------------------------------------------------------- patching
 
-    def _patch_min_area(
-        self,
-        net_name: str,
-        used: set[LNode],
-        pins: set[LNode],
-        state: DrouteIndex,
-    ) -> tuple[int, list[Island]]:
-        """Grow under-sized metal patches along the preferred direction.
-
-        Real detailed routers insert metal patches where via stacks leave
-        isolated landing pads below the minimum-area rule; this models
-        that by claiming free adjacent track nodes and charging their
-        wirelength; a step onto a node the net already holds claims and
-        charges nothing.  Returns the patch node count and the islands that
-        stayed under-sized: each layer's components of ``used`` as they
-        stand after every patch on it, without a pin node and below the
-        layer's node count.
-        """
-        lattice = self.lattice
-        patched = 0
-        islands: list[Island] = []
-        patch_free = state.patch_free
-        per_layer: dict[int, set[tuple[int, int]]] = defaultdict(set)
-        for layer, ix, iy in used:
-            per_layer[layer].add((ix, iy))
-        for layer, points in per_layer.items():
-            min_nodes = self._min_area_nodes[layer]
-            if not min_nodes:
-                continue
-            stuck: list[tuple[int, int]] = []
-            remaining = set(points)
-            while remaining:
-                seed = remaining.pop()
-                component = _flood(seed, remaining)
-                if len(component) >= min_nodes:
-                    continue
-                if any((layer, ix, iy) in pins for ix, iy in component):
-                    continue
-                frontier = deque(sorted(component))
-                while len(component) < min_nodes and frontier:
-                    ix, iy = frontier.popleft()
-                    grown = False
-                    here = (layer, ix, iy)
-                    for node in lattice.wire_neighbors(here) + lattice.jog_neighbors(here):
-                        key = (node[1], node[2])
-                        if key in component:
-                            continue
-                        if not patch_free(node, net_name):
-                            continue
-                        component.add(key)
-                        points.add(key)
-                        if node not in used:
-                            used.add(node)
-                            patched += 1
-                        frontier.append(key)
-                        grown = True
-                        break
-                    if grown:
-                        frontier.appendleft((ix, iy))
-                if len(component) < min_nodes:
-                    stuck.append(seed)
-            if not stuck:
-                continue
-            # A patch may have reached another component of the net, so
-            # a stuck island is judged as it stands on the final layer.
-            remaining = set(points)
-            for seed in stuck:
-                if seed not in remaining:
-                    continue
-                remaining.discard(seed)
-                component = _flood(seed, remaining)
-                if len(component) < min_nodes and not any(
-                    (layer, ix, iy) in pins for ix, iy in component
-                ):
-                    islands.append((layer, frozenset(component)))
-        return patched, islands
-
-    # ------------------------------------------------------------ fast path
-
-    def _fast_pattern(
-        self,
-        net: str,
-        sources: set[LNode],
-        targets: set[LNode],
-        state: DrouteIndex,
-        guide,
-    ) -> SearchResult | None:
-        """Try clean L-shaped connections before falling back to A*.
-
-        Picks the closest (source, target) pair -- of equally close
-        pairs, the first in the sets' iteration order -- then tries both bend
-        orders over the two nearest horizontal/vertical layer choices.
-        A candidate is accepted only when every node on it is free for
-        this net and inside the guides — so the result is always one
-        the hard A* pass could also have found.
-
-        A candidate is its six corners (source, two bends on each leg
-        layer, target), and its cost is closed-form, ``pitch`` per wire
-        step plus ``via_cost`` per via step -- exact, every addend being
-        an integral dbu count.  Candidates are tried cheapest first,
-        candidate order breaking ties, and the first clear one wins: the
-        earliest of the cheapest clear ones, as when every candidate was
-        built and checked.  So only a candidate that could still win is
-        checked (``state.polyline_clear``, over its node-id legs) and only
-        the winner is expanded into nodes.  The reference that built all
-        eight paths as tuples is ``tests/oracles/droute.py``.
-        """
-        best_distance = None
-        for s in sources:
-            sl, sx, sy = s
-            for t in targets:
-                distance = abs(sx - t[1]) + abs(sy - t[2]) + abs(sl - t[0])
-                if best_distance is None or distance < best_distance:
-                    best_distance = distance
-                    src, dst = s, t
-
-        (sl, sx, sy), (tl, tx, ty) = src, dst
-        wire = self.lattice.pitch * (abs(tx - sx) + abs(ty - sy))
-        via_cost = self.params.via_cost
-        candidates = []
-        for h in self._h_layers:
-            for v in self._v_layers:
-                # horizontal first: src -> (tx, sy) on h, then vertical on v
-                candidates.append((
-                    wire + via_cost * (abs(h - sl) + abs(v - h) + abs(tl - v)),
-                    len(candidates),
-                    (src, (h, sx, sy), (h, tx, sy), (v, tx, sy), (v, tx, ty), dst),
-                ))
-                # vertical first
-                candidates.append((
-                    wire + via_cost * (abs(v - sl) + abs(h - v) + abs(tl - h)),
-                    len(candidates),
-                    (src, (v, sx, sy), (v, sx, ty), (h, sx, ty), (h, tx, ty), dst),
-                ))
-        candidates.sort()
-        for cost, _, corners in candidates:
-            if state.polyline_clear(corners, net, guide):
-                return SearchResult(
-                    path=_polyline_nodes(corners), cost=float(cost), conflicts=[]
-                )
-        return None
-
-
-def _polyline_nodes(corners) -> list[LNode]:
-    """Every lattice node of the axis-parallel polyline through ``corners``
-    in walking order (a zero-length leg adds nothing)."""
-    path = [corners[0]]
-    for layer, ix, iy in corners[1:]:
-        l0, x0, y0 = path[-1]
-        if layer != l0:
-            step = 1 if layer > l0 else -1
-            path += [(l, ix, iy) for l in range(l0 + step, layer + step, step)]
-        elif ix != x0:
-            step = 1 if ix > x0 else -1
-            path += [(layer, x, iy) for x in range(x0 + step, ix + step, step)]
-        elif iy != y0:
-            step = 1 if iy > y0 else -1
-            path += [(layer, ix, y) for y in range(y0 + step, iy + step, step)]
-    return path
-
-
-def _flood(seed: tuple[int, int], remaining: set[tuple[int, int]]) -> set[tuple[int, int]]:
-    """The planar component of ``seed`` within ``remaining``, which loses
-    every node of it."""
-    component = {seed}
-    stack = [seed]
-    while stack:
-        ix, iy = stack.pop()
-        for nxt in ((ix + 1, iy), (ix - 1, iy), (ix, iy + 1), (ix, iy - 1)):
-            if nxt in remaining:
-                remaining.remove(nxt)
-                component.add(nxt)
-                stack.append(nxt)
-    return component
+def _drv_kinds(book: _RouteBook) -> dict[str, int]:
+    """The DRVs by kind of what ``book`` has committed, as the final DRC
+    would count them (kinds with none left out)."""
+    kinds = {
+        DrcKind.SHORT.value: len(check_shorts(book.conflicts)),
+        DrcKind.MIN_AREA.value: sum(map(len, book.islands.values())),
+        DrcKind.OPEN.value: sum(
+            v.kind is DrcKind.OPEN for v in book.result.violations
+        ),
+    }
+    return {kind: n for kind, n in kinds.items() if n}

@@ -96,10 +96,11 @@ def droute_index(lattice, owner, occupancy, guide=None):
         index.occupancy[index.nid_of(node)] = index.intern(holder)
     if guide is None:
         return index, None
-    index.guide_stamp += 1
+    index._c.guide_stamp += 1  # the kernel's counter: the next net's stamp
+    stamp = index._c.guide_stamp
     for node in guide:
-        index.guide_epoch[index.nid_of(node)] = index.guide_stamp
-    return index, index.guide_stamp
+        index.guide_epoch[index.nid_of(node)] = stamp
+    return index, stamp
 
 
 def counted(call, *args):

@@ -6,11 +6,11 @@ pre-indexed implementations, moved here unchanged but for their lint
 suppressions.  The flat-array :class:`repro.droute.indexed.DrouteIndex`
 must produce byte-identical paths, costs and conflict lists.
 
-Added since: :func:`fast_pattern_reference`, ``DetailedRouter._fast_pattern``
-as it ran before it priced its candidates in closed form -- all eight L
-paths built as tuples, each checked node by node through
-``_DictState.run_clear`` -- which :class:`OracleDetailedRouter` runs in
-its place; :func:`pocket_look`, the backward look of
+Added since: :func:`fast_pattern_reference`, the router's L-shaped tries
+as they ran before they were priced in closed form -- all eight L paths
+built as tuples, each checked node by node through
+``_DictState.run_clear`` -- which ``_DictState.connect`` runs as its
+first rung; :func:`pocket_look`, the backward look of
 ``repro.droute.indexed.pocket_closed`` over tuples and sets, and the
 *toll* it proves for a soft search -- ``astar_connect`` takes it in the
 textbook form, ``h(n) + toll`` for every node outside the look's marked
@@ -19,11 +19,18 @@ here, and must come back ``None``.  The negotiated history cost: a
 ``history`` dict on ``_DictState``, added to every step's cost after the
 conflict penalty, as ``_kernel.c`` adds its per-node buffer.
 
+Moved here when the connection ladder, the guide stamp and the min-area
+patch went into ``_kernel.c``: :func:`guide_spans` (the stamp's span
+math), :func:`fast_pattern` with :func:`_polyline_nodes` (the tries in
+closed form, cheapest first, as the kernel runs them) and
+:func:`min_area_patch` with :func:`_flood` (the router's patch, seeds in
+sorted order).
+
 :class:`OracleDetailedRouter` installs the reference through the one
 seam the router has: :meth:`DetailedRouter.begin_session` builds the
-session state, and everything else talks to it through the nine state
-methods (``guide_region, connect, polyline_clear, patch_free,
-holder_name, commit_used, release_reservations, rip, add_history``).
+session state, and everything else talks to it through the seven state
+methods (``guide_region, connect, commit, holder_name,
+release_reservations, rip, add_history``).
 
 :func:`min_area_islands` / :func:`check_min_area` are the independent
 min-area checker: every net's components per layer, scanned from the
@@ -38,7 +45,7 @@ from collections import defaultdict, deque
 from repro.droute.astar import SearchParams, SearchResult
 from repro.droute.drc import DrcKind, DrcViolation
 from repro.droute import indexed as _indexed
-from repro.droute.indexed import guide_spans as _guide_spans
+from repro.droute.indexed import FAST, HARD, LADDER, SOFT
 from repro.droute.lattice import LNode, TrackLattice
 from repro.droute.obstacles import BLOCKED, build_obstacle_map
 from repro.droute.router import GUIDE_MARGIN_TRACKS, DetailedRouter
@@ -56,16 +63,56 @@ class OracleDetailedRouter(DetailedRouter):
         )
         return self._state
 
-    def _fast_pattern(self, net, sources, targets, state, guide):
-        return fast_pattern_reference(self, net, sources, targets, state, guide)
+
+def guide_spans(
+    lattice: TrackLattice,
+    margin: int,
+    net_guides,
+    terminal_access: list[list[LNode]],
+):
+    """Per-layer guide spans + search bounds for one net (pure math)."""
+    all_nodes = [n for nodes in terminal_access for n in nodes]
+    ix_vals = [n[1] for n in all_nodes]
+    iy_vals = [n[2] for n in all_nodes]
+
+    per_layer: dict[int, list[tuple[int, int, int, int]]] = defaultdict(list)
+    g_ix0, g_iy0 = lattice.nx - 1, lattice.ny - 1
+    g_ix1, g_iy1 = 0, 0
+    for guide in net_guides:
+        ix0, iy0, ix1, iy1 = lattice.index_rect(guide.rect)
+        ix0 = max(0, ix0 - margin)
+        iy0 = max(0, iy0 - margin)
+        ix1 = min(lattice.nx - 1, ix1 + margin)
+        iy1 = min(lattice.ny - 1, iy1 + margin)
+        per_layer[guide.layer].append((ix0, iy0, ix1, iy1))
+        g_ix0 = min(g_ix0, ix0)
+        g_iy0 = min(g_iy0, iy0)
+        g_ix1 = max(g_ix1, ix1)
+        g_iy1 = max(g_iy1, iy1)
+    g_ix0 = min(g_ix0, max(0, min(ix_vals) - margin))
+    g_iy0 = min(g_iy0, max(0, min(iy_vals) - margin))
+    g_ix1 = max(g_ix1, min(lattice.nx - 1, max(ix_vals) + margin))
+    g_iy1 = max(g_iy1, min(lattice.ny - 1, max(iy_vals) + margin))
+    return per_layer, (g_ix0, g_iy0, g_ix1, g_iy1)
+
+
+def leg_layers(lattice: TrackLattice) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The two lowest horizontal and the two lowest vertical wire layers:
+    the layers the L tries' legs run on."""
+    layers = [
+        l for l in lattice.tech.layers if l.index >= lattice.min_wire_layer
+    ]
+    return (
+        tuple(l.index for l in layers if l.is_horizontal)[:2],
+        tuple(l.index for l in layers if l.is_vertical)[:2],
+    )
 
 
 def fast_pattern_reference(
-    router: DetailedRouter,
+    state: _DictState,
     net: str,
     sources: set[LNode],
     targets: set[LNode],
-    state: _DictState,
     guide,
 ) -> SearchResult | None:
     """Clean L-shaped connections, every candidate built and checked.
@@ -76,7 +123,7 @@ def fast_pattern_reference(
     candidates whose every node after the source is free for this net
     and inside the guides wins.
     """
-    lattice = router.lattice
+    lattice = state.lattice
     src, dst = min(
         ((s, t) for s in sources for t in targets),
         key=lambda pair: (
@@ -98,8 +145,9 @@ def fast_pattern_reference(
 
     (sl, sx, sy), (tl, tx, ty) = src, dst
     candidates: list[list[LNode]] = []
-    for h in router._h_layers:
-        for v in router._v_layers:
+    h_layers, v_layers = leg_layers(lattice)
+    for h in h_layers:
+        for v in v_layers:
             # horizontal first: src -> (tx, sy) on h, then vertical on v
             path = (
                 stack(sx, sy, sl, h)
@@ -131,13 +179,189 @@ def fast_pattern_reference(
             continue
         cost = 0.0
         for a, b in zip(clean, clean[1:]):
-            cost += lattice.pitch if a[0] == b[0] else router.params.via_cost
+            cost += lattice.pitch if a[0] == b[0] else state.params.via_cost
         if cost < best_cost:
             best = clean
             best_cost = cost
     if best is None:
         return None
     return SearchResult(path=best, cost=best_cost, conflicts=[])
+
+
+def fast_pattern(
+    state: _DictState,
+    net: str,
+    sources: set[LNode],
+    targets: set[LNode],
+    guide,
+) -> SearchResult | None:
+    """Try clean L-shaped connections before falling back to A*.
+
+    Picks the closest (source, target) pair -- of equally close
+    pairs, the first in the sets' iteration order -- then tries both bend
+    orders over the two nearest horizontal/vertical layer choices.
+    A candidate is accepted only when every node on it is free for
+    this net and inside the guides — so the result is always one
+    the hard A* pass could also have found.
+
+    A candidate is its six corners (source, two bends on each leg
+    layer, target), and its cost is closed-form, ``pitch`` per wire
+    step plus ``via_cost`` per via step -- exact, every addend being
+    an integral dbu count.  Candidates are tried cheapest first,
+    candidate order breaking ties, and the first clear one wins: the
+    earliest of the cheapest clear ones, as when every candidate was
+    built and checked.  So only a candidate that could still win is
+    checked (``state.polyline_clear``) and only the winner is expanded
+    into nodes.
+    """
+    best_distance = None
+    for s in sources:
+        sl, sx, sy = s
+        for t in targets:
+            distance = abs(sx - t[1]) + abs(sy - t[2]) + abs(sl - t[0])
+            if best_distance is None or distance < best_distance:
+                best_distance = distance
+                src, dst = s, t
+
+    (sl, sx, sy), (tl, tx, ty) = src, dst
+    wire = state.lattice.pitch * (abs(tx - sx) + abs(ty - sy))
+    via_cost = state.params.via_cost
+    candidates = []
+    h_layers, v_layers = leg_layers(state.lattice)
+    for h in h_layers:
+        for v in v_layers:
+            # horizontal first: src -> (tx, sy) on h, then vertical on v
+            candidates.append((
+                wire + via_cost * (abs(h - sl) + abs(v - h) + abs(tl - v)),
+                len(candidates),
+                (src, (h, sx, sy), (h, tx, sy), (v, tx, sy), (v, tx, ty), dst),
+            ))
+            # vertical first
+            candidates.append((
+                wire + via_cost * (abs(v - sl) + abs(h - v) + abs(tl - h)),
+                len(candidates),
+                (src, (v, sx, sy), (v, sx, ty), (h, sx, ty), (h, tx, ty), dst),
+            ))
+    candidates.sort()
+    for cost, _, corners in candidates:
+        if state.polyline_clear(corners, net, guide):
+            return SearchResult(
+                path=_polyline_nodes(corners), cost=float(cost), conflicts=[]
+            )
+    return None
+
+
+def _polyline_nodes(corners) -> list[LNode]:
+    """Every lattice node of the axis-parallel polyline through ``corners``
+    in walking order (a zero-length leg adds nothing)."""
+    path = [corners[0]]
+    for layer, ix, iy in corners[1:]:
+        l0, x0, y0 = path[-1]
+        if layer != l0:
+            step = 1 if layer > l0 else -1
+            path += [(l, ix, iy) for l in range(l0 + step, layer + step, step)]
+        elif ix != x0:
+            step = 1 if ix > x0 else -1
+            path += [(layer, x, iy) for x in range(x0 + step, ix + step, step)]
+        elif iy != y0:
+            step = 1 if iy > y0 else -1
+            path += [(layer, ix, y) for y in range(y0 + step, iy + step, step)]
+    return path
+
+
+def min_area_patch(
+    lattice: TrackLattice,
+    patch_free,
+    net_name: str,
+    used: set[LNode],
+    pins: set[LNode],
+    reverse: bool = False,
+) -> tuple[int, list]:
+    """Grow under-sized metal patches along the preferred direction.
+
+    Claims free adjacent track nodes for every island of ``used`` below
+    its layer's node count and without a pin node, seeds in sorted order
+    (``reverse``: the other way round); a step onto a node the net
+    already holds claims and charges nothing.  ``patch_free(node,
+    net_name)`` says whether a node may be claimed.  Returns the patch
+    node count and the islands that stayed under-sized: each layer's
+    components of ``used`` as they stand after every patch on it, without
+    a pin node and below the layer's node count.
+    """
+    min_area_nodes = lattice.min_area_nodes()
+    patched = 0
+    islands: list = []
+    per_layer: dict[int, set[tuple[int, int]]] = defaultdict(set)
+    for layer, ix, iy in used:
+        per_layer[layer].add((ix, iy))
+    for layer, points in sorted(per_layer.items()):
+        min_nodes = min_area_nodes[layer]
+        if not min_nodes:
+            continue
+        stuck: list[tuple[int, int]] = []
+        remaining = set(points)
+        for seed in sorted(points, reverse=reverse):
+            if seed not in remaining:
+                continue
+            remaining.discard(seed)
+            component = _flood(seed, remaining)
+            if len(component) >= min_nodes:
+                continue
+            if any((layer, ix, iy) in pins for ix, iy in component):
+                continue
+            frontier = deque(sorted(component))
+            while len(component) < min_nodes and frontier:
+                ix, iy = frontier.popleft()
+                grown = False
+                here = (layer, ix, iy)
+                for node in lattice.wire_neighbors(here) + lattice.jog_neighbors(here):
+                    key = (node[1], node[2])
+                    if key in component:
+                        continue
+                    if not patch_free(node, net_name):
+                        continue
+                    component.add(key)
+                    points.add(key)
+                    if node not in used:
+                        used.add(node)
+                        patched += 1
+                    frontier.append(key)
+                    grown = True
+                    break
+                if grown:
+                    frontier.appendleft((ix, iy))
+            if len(component) < min_nodes:
+                stuck.append(seed)
+        if not stuck:
+            continue
+        # A patch may have reached another component of the net, so
+        # a stuck island is judged as it stands on the final layer.
+        remaining = set(points)
+        for seed in stuck:
+            if seed not in remaining:
+                continue
+            remaining.discard(seed)
+            component = _flood(seed, remaining)
+            if len(component) < min_nodes and not any(
+                (layer, ix, iy) in pins for ix, iy in component
+            ):
+                islands.append((layer, frozenset(component)))
+    return patched, islands
+
+
+def _flood(seed: tuple[int, int], remaining: set[tuple[int, int]]) -> set[tuple[int, int]]:
+    """The planar component of ``seed`` within ``remaining``, which loses
+    every node of it."""
+    component = {seed}
+    stack = [seed]
+    while stack:
+        ix, iy = stack.pop()
+        for nxt in ((ix + 1, iy), (ix - 1, iy), (ix, iy + 1), (ix, iy - 1)):
+            if nxt in remaining:
+                remaining.remove(nxt)
+                component.add(nxt)
+                stack.append(nxt)
+    return component
 
 
 class _DictState:
@@ -168,7 +392,7 @@ class _DictState:
         self.history: dict[LNode, float] = {}
 
     def guide_region(self, net_guides, terminal_access):
-        per_layer, bounds = _guide_spans(
+        per_layer, bounds = guide_spans(
             self.lattice, self.margin, net_guides, terminal_access
         )
         guide_nodes: set[LNode] = set()
@@ -185,7 +409,19 @@ class _DictState:
                     guide_nodes.add((layer + 1, ix, iy))
         return guide_nodes, bounds
 
-    def connect(self, sources, targets, net_name, bounds, guide, soft):
+    def connect(self, sources, targets, net_name, bounds, guide, rungs=LADDER):
+        """The ladder of ``DrouteIndex.connect``: the L tries and the hard
+        search on ``guide``, then the soft search off it."""
+        found = None
+        if rungs & FAST:
+            found = fast_pattern_reference(self, net_name, sources, targets, guide)
+        if found is None and rungs & HARD:
+            found = self._search(sources, targets, net_name, bounds, guide, False)
+        if found is None and rungs & SOFT:
+            found = self._search(sources, targets, net_name, bounds, None, True)
+        return found
+
+    def _search(self, sources, targets, net_name, bounds, guide, soft):
         closed, marked = pocket_look(
             self.lattice, sources, targets, net_name, self.owner,
             self.occupancy, bounds, guide,
@@ -212,6 +448,13 @@ class _DictState:
         # The search production skips: run here, to hold the look to it.
         assert not closed or soft or result is None
         return result
+
+    def commit(self, net_name, used, terminal_access):
+        pins = {node for nodes in terminal_access for node in nodes}
+        patched = min_area_patch(self.lattice, self.patch_free, net_name, used, pins)
+        for node in used:
+            self.occupancy.setdefault(node, net_name)
+        return patched
 
     def run_clear(self, nodes, net_name: str, guide) -> bool:
         for node in nodes:
@@ -247,11 +490,6 @@ class _DictState:
 
     def holder_name(self, node: LNode) -> str | None:
         return self.owner.get(node) or self.occupancy.get(node)
-
-    def commit_used(self, net_name: str, used_sorted) -> None:
-        occupancy = self.occupancy
-        for node in used_sorted:
-            occupancy.setdefault(node, net_name)
 
     def release_reservations(self, net_name: str, used: set[LNode]) -> None:
         owner = self.owner

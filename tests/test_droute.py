@@ -12,7 +12,7 @@ from repro.db import Blockage, Net, NetPin
 from repro.droute import DetailedRouter, DrcKind, TrackLattice
 from repro.droute.access import access_nodes
 from repro.droute.astar import SearchParams
-from repro.droute.indexed import astar_connect_indexed, pocket_closed
+from repro.droute.indexed import HARD, SOFT, astar_connect_indexed, pocket_closed
 from repro.droute.drc import check_shorts
 from repro.droute.obstacles import BLOCKED, build_obstacle_map
 from repro.groute import GlobalRouter
@@ -397,7 +397,9 @@ def _same_connect(lattice, case, soft, guide, params, history=None):
     found = []
     for state, handle in _both_states(lattice, case, guide, params, history):
         with dr_searches() as stats:
-            result = state.connect(sources, targets, "n", bounds, handle, soft)
+            result = state.connect(
+                sources, targets, "n", bounds, handle, SOFT if soft else HARD
+            )
         found.append((
             result and (result.path, result.cost, result.conflicts),
             stats.expansions,

@@ -17,9 +17,10 @@ from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from repro.benchgen import build_tech
+from repro.geom import Rect
 from repro.droute import DetailedRouter
 from repro.droute import router as router_module
-from repro.droute.indexed import BLOCKED_ID, FREE, DrouteIndex
+from repro.droute.indexed import BLOCKED_ID, FAST, FREE, DrouteIndex
 from repro.droute.lattice import TrackLattice
 from repro.droute.obstacles import BLOCKED, build_obstacle_map
 from repro.groute import GlobalRouter
@@ -27,10 +28,13 @@ from repro.obs import observe
 from repro.obs.metrics import RESERVOIR_SIZE
 
 from helpers import (
-    add_cell, add_two_pin_net, build_tiny_design, droute_index, fresh_small,
-    lattice_nodes,
+    add_cell, add_two_pin_net, build_tiny_design, dr_searches, droute_index,
+    fresh_small, lattice_nodes,
 )
-from oracles.droute import OracleDetailedRouter, _DictState, fast_pattern_reference
+from oracles.droute import (
+    OracleDetailedRouter, _DictState, fast_pattern, fast_pattern_reference, leg_layers,
+    min_area_patch,
+)
 
 
 def signature(result):
@@ -209,7 +213,7 @@ def _fast_path_problems(draw):
     elif case == "same y":
         ty = sy
     elif case == "source on a leg layer":
-        sl = draw(st.sampled_from(router._h_layers + router._v_layers))
+        sl = draw(st.sampled_from(sum(leg_layers(router.lattice), ())))
     elif case == "target below the source":
         tl = draw(st.integers(0, top - 1))
         sl = draw(st.integers(tl + 1, top))
@@ -235,18 +239,158 @@ def _fast_path_problems(draw):
 @settings(max_examples=300, deadline=None)
 @given(_fast_path_problems())
 def test_fast_path_returns_what_the_tuple_reference_returns(problem):
-    """The closed-form, cheapest-first fast path returns the reference's
-    ``SearchResult`` -- path, cost and conflicts -- or ``None`` with it,
-    on the flat arrays and on the dict state alike."""
+    """The kernel's L tries -- the ``FAST`` rung alone -- return the
+    reference's ``SearchResult`` -- path, cost and conflicts -- or ``None``
+    with it, and so does their closed-form Python model; no search runs."""
     router, sources, targets, owner, occupancy, guide = problem
     lattice, params = router.lattice, router.params
     state = _DictState(lattice, dict(owner), {}, params)
     state.occupancy.update(occupancy)
-    expected = fast_pattern_reference(router, "n", sources, targets, state, guide)
+    expected = fast_pattern_reference(state, "n", sources, targets, guide)
     event("more than 64 pairs" if len(sources) * len(targets) > 64 else "64 or fewer")
     event("no clean L" if expected is None else "a clean L")
     index, stamp = droute_index(lattice, owner, occupancy, guide)
-    assert router._fast_pattern("n", sources, targets, index, stamp) == expected
-    assert router._fast_pattern("n", sources, targets, state, guide) == expected
+    index.params = params
+    whole = (0, 0, lattice.nx - 1, lattice.ny - 1)
+    with dr_searches() as stats:
+        assert index.connect(sources, targets, "n", whole, stamp, FAST) == expected
+    assert stats.calls == 0
+    assert fast_pattern(state, "n", sources, targets, guide) == expected
     if expected is not None:
         assert type(expected.cost) is float
+
+
+# ------------------------------------------------------- session parity
+
+
+def _session_pair(lattice, owner, occupancy, guide, params):
+    """The dict reference and the flat index over the same maps, each with
+    its guide handle."""
+    oracle = _DictState(lattice, dict(owner), {}, params)
+    oracle.occupancy = dict(occupancy)
+    index, stamp = droute_index(lattice, owner, occupancy, guide)
+    index.params = params
+    return (oracle, guide), (index, stamp)
+
+
+#: the router's cost constants on the 45 nm lattice
+_PARAMS = DetailedRouter(build_tiny_design(_TECH)).params
+
+
+def _ladder(lattice, owner, occupancy, guide, sources, targets):
+    """One connection through both states' whole ladder; they must agree
+    on the answer and the toll.  The kernel's answer, its searches and
+    whether its look skipped the hard one."""
+    answers = []
+    whole = (0, 0, lattice.nx - 1, lattice.ny - 1)
+    for state, handle in _session_pair(lattice, owner, occupancy, guide, _PARAMS):
+        with dr_searches() as stats:
+            found = state.connect(sources, targets, "n", whole, handle)
+        answers.append((found, stats))
+    (ref, ref_stats), (found, stats) = answers
+    assert found == ref
+    assert stats.tolled == ref_stats.tolled
+    # the reference runs the hard search the look skips, and it fails
+    assert len(stats.expansions) == len(ref_stats.expansions) - stats.skipped
+    return found, stats
+
+
+def _walled(lattice, node, holder):
+    """``holder`` on the six lattice neighbours of ``node``."""
+    layer, ix, iy = node
+    return {
+        (layer + dl, ix + dx, iy + dy): holder
+        for dl, dx, dy in (
+            (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1), (1, 0, 0), (-1, 0, 0),
+        )
+    }
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_session_parity_on_random_ladders_and_patches(seed):
+    """The kernel's ladder and patch against the dict reference on a random
+    lattice, one connection per rung that can answer -- an L try, a hard
+    search, a skipped hard search and a tolled soft one, a failed search --
+    and a patch where two one-node islands compete for one free node, which
+    ends alike whichever island grows first."""
+    rng = random.Random(seed)
+    lattice = TrackLattice(
+        _TECH, Rect(0, 0, rng.randint(9, 14) * 200, rng.randint(9, 14) * 200)
+    )
+    nodes = lattice_nodes(lattice)
+    everywhere = set(nodes)
+    nx, ny = lattice.nx, lattice.ny
+    # stray wires of another net above the L tries' and the searches' layers
+    stray = {n: "m" for n in nodes if n[0] >= 6 and rng.random() < 0.2}
+
+    def terminals():
+        (sx, tx), (sy, ty) = rng.sample(range(1, nx - 1), 2), rng.sample(range(1, ny - 1), 2)
+        if abs(sx - tx) < 2 or abs(sy - ty) < 2:
+            return terminals()
+        return (1, sx, sy), (1, tx, ty)
+
+    # an L try: an empty lattice on the guide
+    source, target = terminals()
+    found, stats = _ladder(lattice, {}, stray, everywhere, {source}, {target})
+    assert found is not None and stats.calls == 0
+
+    # a hard search: every L leg layer taken but over the two terminals
+    source, target = terminals()
+    taken = {
+        n: "m" for n in nodes
+        if 1 <= n[0] <= 4 and n[1:] not in (source[1:], target[1:])
+    }
+    found, stats = _ladder(
+        lattice, {}, {**stray, **taken}, everywhere, {source}, {target}
+    )
+    assert found is not None and not found.conflicts
+    assert (stats.calls, stats.skipped, stats.tolled) == (1, 0, 0)
+
+    # a sealed target: the hard search is skipped, the soft one tolled
+    source, target = terminals()
+    found, stats = _ladder(
+        lattice, {}, {**stray, **_walled(lattice, target, "m")}, everywhere,
+        {source}, {target},
+    )
+    assert found is not None and found.conflicts
+    assert (stats.calls, stats.skipped, stats.tolled) == (1, 1, 1)
+
+    # a walled-off target: every rung fails
+    source, target = terminals()
+    found, stats = _ladder(
+        lattice, _walled(lattice, target, BLOCKED), stray, everywhere,
+        {source}, {target},
+    )
+    assert found is None and (stats.skipped, stats.tolled) == (1, 1)
+
+    # two one-node islands on Metal2 (vertical) and the free node between
+    # them, every other neighbour held; and one island walled in all round
+    ix, iy = rng.randrange(1, nx - 1), rng.randrange(1, ny - 4)
+    a, b, between = (1, ix, iy), (1, ix, iy + 2), (1, ix, iy + 1)
+    walls = {
+        (1, ix + dx, iy + dy): "m" for dx, dy in (
+            (-1, 0), (1, 0), (0, -1), (-1, 2), (1, 2), (0, 3),
+        )
+    }
+    lone = (3, rng.randrange(1, nx - 1), rng.randrange(1, ny - 1))
+    walls.update({n: "m" for n in _walled(lattice, lone, "m") if n[0] == 3})
+    wire = {(2, x, iy + 2) for x in range(nx)}  # one component, long enough
+    used = {a, b, lone} | wire
+    outcomes = []
+    for state, _ in _session_pair(lattice, {}, walls, everywhere, _PARAMS):
+        patched_used = set(used)
+        patched, islands = state.commit("n", patched_used, [[(0, 0, 0)]])
+        outcomes.append((patched_used, patched, set(islands)))
+    reference = _DictState(lattice, {}, {}, _PARAMS)
+    reference.occupancy = dict(walls)
+    for reverse in (False, True):  # the other island first
+        patched_used = set(used)
+        patched, islands = min_area_patch(
+            lattice, reference.patch_free, "n", patched_used, {(0, 0, 0)},
+            reverse=reverse,
+        )
+        outcomes.append((patched_used, patched, set(islands)))
+    assert outcomes[0] == outcomes[1] == outcomes[2] == outcomes[3]
+    patched_used, patched, islands = outcomes[0]
+    assert patched_used == used | {between} and patched == 1
+    assert islands == {(3, frozenset({lone[1:]}))}

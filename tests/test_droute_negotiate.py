@@ -5,7 +5,7 @@ After the first pass each round grows a per-node history cost on every
 contested node -- a node of a short, a planar neighbour of a min-area
 island that another net holds -- and rips both nets of every short,
 every net with an island and the nets holding those neighbours.  The
-islands are the ones ``_patch_min_area`` could not grow, recorded as each
+islands are the ones the min-area patch could not grow, recorded as each
 net routes; the record is held here to the independent checker in
 ``tests/oracles/droute.py``, which scans the final node sets.
 """
@@ -34,7 +34,7 @@ from repro.groute import GlobalRouter
 from repro.obs import observe
 
 from helpers import build_tiny_design, droute_index, fresh_small
-from oracles.droute import min_area_islands
+from oracles.droute import _DictState, min_area_islands
 from test_droute_indexed import signature
 
 #: the dense designs routed here; of a six-round budget, seed 1 (200
@@ -177,17 +177,11 @@ def test_opens_are_counted_in_the_final_result(monkeypatch, reconnect):
     one per failure when no round does."""
     victim: list[str] = []
     first_pass = [True]
-
-    def fail_pattern(original, router, net, *args):
-        if not victim:
-            victim.append(net)
-        if first_pass[0] and net == victim[0]:
-            return None
-        return original(net, *args)
-
     connect = DrouteIndex.connect
 
     def fail_connect(self, sources, targets, net_name, *args, **kwargs):
+        if not victim:
+            victim.append(net_name)
         if first_pass[0] and net_name == victim[0]:
             return None
         return connect(self, sources, targets, net_name, *args, **kwargs)
@@ -199,14 +193,42 @@ def test_opens_are_counted_in_the_final_result(monkeypatch, reconnect):
 
     monkeypatch.setattr(DrouteIndex, "connect", fail_connect)
     _, result, registry = _routed(
-        2, seed=42, num_nets=50,
-        spies=[("_fast_pattern", fail_pattern), ("_negotiate", rip_victim)],
+        2, seed=42, num_nets=50, spies=[("_negotiate", rip_victim)],
     )
     failed = registry.counter("droute.failed_searches")
     opens = [v for v in result.violations if v.kind is DrcKind.OPEN]
     assert failed >= 1
     assert registry.counter("droute.opens") == len(opens)
     assert len(opens) == (0 if reconnect else failed)
+
+
+def test_pass_spans_say_what_each_pass_began_and_ended_with():
+    """The first pass's and every round's span meta: DRVs by kind going in
+    and coming out -- each pass goes in with what the one before it came
+    out with, and the last comes out with the final DRC's count -- and the
+    nets ripped and history bumps, which add up to the counters."""
+    design = fresh_small(seed=1, num_nets=200, **_DENSE)
+    gr = GlobalRouter(design)
+    gr.route_all()
+    guides = gr.guides()
+    with observe() as obs, patch.object(router_module, "DRC_ROUNDS", 6):
+        result = DetailedRouter(design).route_all(guides)
+    (first,) = [s for root in obs.tracer.roots for s in root.walk()
+                if s.name == "droute.first_pass"]
+    rounds = [s for root in obs.tracer.roots for s in root.walk()
+              if s.name == "droute.rrr_round"]
+    assert len(rounds) == obs.metrics.counter("droute.rrr_rounds") >= 2
+    assert (first.meta["drvs_in"], first.meta["ripped"], first.meta["history_bumps"]) == ({}, 0, 0)
+    passes = [first, *rounds]
+    for before, after in zip(passes, passes[1:]):
+        assert after.meta["drvs_in"] == before.meta["drvs_out"]
+        assert after.meta["ripped"] > 0 and after.meta["history_bumps"] > 0
+    assert first.meta["drvs_out"] != result.drv_counts()
+    assert passes[-1].meta["drvs_out"] == result.drv_counts()
+    assert sum(p.meta["ripped"] for p in passes) == obs.metrics.counter("droute.ripped_nets")
+    assert sum(p.meta["history_bumps"] for p in passes) == obs.metrics.counter(
+        "droute.history_bumps"
+    )
 
 
 # ------------------------------------------------------------ determinism
@@ -306,22 +328,27 @@ def test_islands_are_judged_after_every_patch_on_their_layer():
     sees them.  At 45 nm an island is one node (two meet the rule), walled
     in, so this needs a layer whose rule wants four: Metal2 (vertical)
     carries net ``n`` at (5, 5) and (5, 7), and other nets' wires wall in
-    both and the free node between them."""
+    both and the free node between them.  The kernel's patch and the dict
+    reference's alike."""
     tech = build_tech("45nm")
     tech.layers[1].min_area = 3600 + 3 * 150 * 60  # 60-wide: four nodes
     router = DetailedRouter(build_tiny_design(tech, num_rows=4, sites_per_row=30))
-    assert router._min_area_nodes[1] == 4
-    walls = [(4, 5), (6, 5), (5, 4), (4, 6), (6, 6), (4, 7), (6, 7), (5, 8)]
-    state, _ = droute_index(
-        router.lattice, {}, {(1, ix, iy): "other" for ix, iy in walls}
-    )
-    used = {(1, 5, 5), (1, 5, 7)}
-    patched, islands = router._patch_min_area("n", used, set(), state)
+    lattice = router.lattice
+    assert lattice.min_area_nodes()[1] == 4
+    walls = {
+        (1, ix, iy): "other"
+        for ix, iy in [(4, 5), (6, 5), (5, 4), (4, 6), (6, 6), (4, 7), (6, 7), (5, 8)]
+    }
+    index, _ = droute_index(lattice, {}, walls)
+    reference = _DictState(lattice, {}, {}, router.params)
+    reference.occupancy = dict(walls)
     component = frozenset({(5, 5), (5, 6), (5, 7)})
-    assert islands == [(1, component)]
-    assert patched == 1  # only (5, 6) is new metal
-    assert used == {(1, ix, iy) for ix, iy in component}
-    assert min_area_islands(router.lattice, {"n": used}, {"n": set()}) == {
+    for state in (index, reference):
+        used = {(1, 5, 5), (1, 5, 7)}
+        patched, islands = state.commit("n", used, [])
+        assert islands == [(1, component)]
+        assert patched == 1  # only (5, 6) is new metal
+        assert used == {(1, ix, iy) for ix, iy in component}
+    assert min_area_islands(lattice, {"n": used}, {"n": set()}) == {
         ("n", 1, component)
     }
-

@@ -23,7 +23,7 @@ from repro.droute import router as router_module
 from repro.droute.access import access_nodes
 from repro.droute.astar import SearchParams
 from repro.droute.drc import DrcKind
-from repro.droute.indexed import astar_connect_indexed, pocket_closed
+from repro.droute.indexed import HARD, SOFT, astar_connect_indexed, pocket_closed
 from repro.droute.lattice import TrackLattice
 from repro.droute.obstacles import BLOCKED
 from repro.geom import Rect
@@ -180,7 +180,7 @@ def test_tolled_search_costs_what_the_flood_costs(
     parent = search(SearchParams().heuristic_weight, budget)
     index.params = SearchParams(max_expansions=unbounded)
     with dr_searches() as stats:
-        tolled = index.connect(sources, targets, "n", bounds, stamp, True)
+        tolled = index.connect(sources, targets, "n", bounds, stamp, SOFT)
     if not stats.tolled:
         return
     assert (tolled is None) == (flood is None)
@@ -277,7 +277,7 @@ def test_connect_skips_an_unguided_hard_search_too():
     lattice, occupancy, bounds, sources, targets = _walled_target()
     index, _ = droute_index(lattice, {}, occupancy)
     with dr_searches() as stats:
-        found = index.connect(sources, targets, "n", bounds, None, False)
+        found = index.connect(sources, targets, "n", bounds, None, HARD)
     assert found is None
     assert (stats.skipped, stats.tolled, stats.calls) == (1, 0, 0)
 
@@ -300,7 +300,7 @@ def test_soft_search_that_flooded_its_budget_now_connects():
     assert flood.expansions == [1200]
 
     with dr_searches() as stats:
-        found = index.connect(sources, targets, "n", bounds, None, True)
+        found = index.connect(sources, targets, "n", bounds, None, SOFT)
     assert stats.tolled == 1 and stats.expansions[0] < 100
     # up to Metal3, 26 tracks along it, down through the wire on the landing
     assert found.conflicts == [(2, 27, 15)]
@@ -319,7 +319,7 @@ def test_marks_of_a_look_and_its_tolled_search_mean_nothing_to_the_next_net():
         owner, occupancy, bounds, sources, targets = case
         # soft searches: no guide
         used, stamp = droute_index(lattice, owner, occupancy)
-        used.connect(sources, targets, "n", bounds, stamp, True)
+        used.connect(sources, targets, "n", bounds, stamp, SOFT)
         fresh, fresh_stamp = droute_index(lattice, owner, occupancy)
         # "other" holds the seal: it walks where "n" had to cross,
         # forwards and, terminals swapped, backwards
@@ -330,7 +330,7 @@ def test_marks_of_a_look_and_its_tolled_search_mean_nothing_to_the_next_net():
                     index, a, b, index.intern(net), bounds, handle
                 )
                 with dr_searches() as stats:
-                    found = index.connect(a, b, net, bounds, handle, True)
+                    found = index.connect(a, b, net, bounds, handle, SOFT)
                 answers.append((
                     closed, stats.tolled, stats.expansions,
                     found and (found.path, found.cost, found.conflicts),
@@ -378,7 +378,7 @@ def test_open_corridor_runs_the_hard_search(tech45):
     guide, bounds = state.guide_region(guide_rects, terminals)
     with dr_searches() as stats:
         found = state.connect(
-            set(terminals[0]), set(terminals[1]), "n", bounds, guide, soft=False
+            set(terminals[0]), set(terminals[1]), "n", bounds, guide, HARD
         )
     assert found is not None and not found.conflicts
     assert (stats.skipped, stats.calls) == (0, 1)

@@ -7,13 +7,14 @@ from repro.benchgen import make_design
 from repro.droute import DetailedRouter
 from repro.droute.router import GUIDE_MARGIN_TRACKS
 from repro.droute.access import access_nodes
-from repro.droute.indexed import DrouteIndex, guide_spans
+from repro.droute.indexed import DrouteIndex
 from repro.grid import EdgeKind, GridEdge
 from repro.groute import GlobalRouter, maze_route, pattern_paths_2d
 from repro.groute.patterns import runs_of_path
 from repro.obs import observe
 
 from helpers import add_cell, add_two_pin_net, add_usage, build_tiny_design, fresh_small
+from oracles.droute import _DictState
 from oracles.field import capacity
 from oracles.groute import decoded, guides_reference, route_pattern
 
@@ -289,6 +290,7 @@ def test_run_guides_mark_what_the_per_gcell_guides_marked(name):
     dr = DetailedRouter(design)
     lattice = dr.lattice
     index = DrouteIndex(lattice, {}, guide_margin=GUIDE_MARGIN_TRACKS)
+    oracle = _DictState(lattice, {}, {}, dr.params, GUIDE_MARGIN_TRACKS)
     fewer = 0
     for net in design.nets.values():
         rects, expected = guides[net.name], reference[net.name]
@@ -297,18 +299,21 @@ def test_run_guides_mark_what_the_per_gcell_guides_marked(name):
         ), net.name
         fewer += len(expected) - len(rects)
         access = [access_nodes(design, lattice, pin) for pin in net.pins]
-        spans, bounds = guide_spans(lattice, GUIDE_MARGIN_TRACKS, rects, access)
-        expected_spans, expected_bounds = guide_spans(
-            lattice, GUIDE_MARGIN_TRACKS, expected, access
-        )
-        assert bounds == expected_bounds, net.name
         # Stamp the reference, count it, stamp over it: the sets are equal
         # when nothing of the first stamp shows and the counts agree.
-        first = index.stamp_guides(expected_spans, access)
-        marked = _stamped(index, first, bounds)
-        second = index.stamp_guides(spans, access)
+        first, expected_bounds = index.guide_region(expected, access)
+        marked = _stamped(index, first, expected_bounds)
+        second, bounds = index.guide_region(rects, access)
+        assert bounds == expected_bounds, net.name
         assert _stamped(index, first, bounds) == 0, net.name
         assert _stamped(index, second, bounds) == marked, net.name
+        # and the kernel stamped what the span math it replaced covers
+        spanned, spanned_bounds = oracle.guide_region(rects, access)
+        assert bounds == spanned_bounds, net.name
+        assert marked == len(spanned), net.name
+        assert all(
+            index.guide_epoch[index.nid_of(node)] == second for node in spanned
+        ), net.name
     assert fewer > 0
 
 
